@@ -13,7 +13,6 @@ from .spectral import (
     riesz_potential,
 )
 from .solver import (
-    CFLCollapse,
     ModelParams,
     PicardResult,
     StepperConfig,

@@ -5,9 +5,9 @@
 
 Config files are flat ``section.key = value`` text (blank lines and ``#``
 comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
-3 numerical abort (CFL collapse outside a blowup run).  ``--sweep`` takes a
-file listing one config path per line and fans the runs out across worker
-threads, capped by the EMHD1D_THREADS environment variable.
+3 numerical abort (a non-finite field, or CFL collapse outside a blowup run).
+``--sweep`` takes a file listing one config path per line and fans the runs
+out across worker threads, capped by the EMHD1D_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .blowup import (
 )
 from .diagnostics import norm_series, rough_datum
 from .lp import bernstein_check, commutator_check, norm_equivalence_ratio
-from .solver import CFLCollapse, ModelParams, StepperConfig, evolve
+from .solver import ModelParams, StepperConfig, evolve
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -220,12 +220,12 @@ def _write_snapshots(out: Path, run) -> None:
 def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> int:
     grid = cfg.grid()
     B0 = cfg.datum(grid, seed)
-    try:
-        run = evolve(B0, cfg.model(), cfg.stepper())
-    except CFLCollapse:
-        return EXIT_NUMERICAL
-    if run.termination == "cfl_collapse" and not math.isfinite(cfg.stepper_blowup_threshold):
-        _write_manifest(out, cfg, {"termination": run.termination})
+    run = evolve(B0, cfg.model(), cfg.stepper())
+    steps = len(run.step_times) - 1
+    if run.termination == "non_finite" or (
+        run.termination == "cfl_collapse" and not math.isfinite(cfg.stepper_blowup_threshold)
+    ):
+        _write_manifest(out, cfg, {"termination": run.termination, "steps": steps})
         return EXIT_NUMERICAL
     ns = norm_series(run, list(cfg.diagnostics_s_list))
     with (out / "series.csv").open("w", newline="") as fh:
@@ -240,7 +240,7 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> int:
                 row += [f"{ns.hs[i, j]:.17g}", f"{ns.hs_diss[i, j]:.17g}", f"{ns.budget[i, j]:.17g}"]
             w.writerow(row)
     _write_snapshots(out, run)
-    _write_manifest(out, cfg, {"termination": run.termination, "steps": len(run.step_times) - 1})
+    _write_manifest(out, cfg, {"termination": run.termination, "steps": steps})
     return EXIT_OK
 
 
@@ -401,8 +401,6 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
         if command == "lp":
             return cmd_lp(cfg, out_dir, seed)
         raise AssertionError(command)
-    except CFLCollapse:
-        return EXIT_NUMERICAL
     except (FloatingPointError, np.linalg.LinAlgError):
         return EXIT_NUMERICAL
 

@@ -136,6 +136,19 @@ class TestFit:
         assert resid < 1e-14
 
 
+class TestETDRK4Blowup:
+    def test_passes_blowup_gates(self, grid, datum):
+        # the four gates of cmd_blowup, on the ETDRK4 path
+        run, d = run_blowup(grid, datum=datum, scheme="etdrk4")
+        assert run.config.scheme == "etdrk4"
+        t_est, slope, resid = measure_blowup_time(advect_trajectory(run, d.x0), d.w0)
+        assert abs(slope + 1.0) <= 0.01
+        assert resid <= 1e-3
+        assert abs(t_est - 1.0 / d.w0) * d.w0 <= 0.02
+        w0_pv = pv_blowup_coefficient()
+        assert abs(d.w0 - w0_pv) / w0_pv <= 1e-4
+
+
 class TestInvariants:
     def test_pointwise_invariants(self, run_and_states):
         run, d, states = run_and_states

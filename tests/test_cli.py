@@ -7,6 +7,7 @@ import pytest
 
 from emhd1d.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     RunConfig,
@@ -147,3 +148,25 @@ class TestCommands:
         )
         out = tmp_path / "ffout"
         assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+
+    def test_nan_datum_is_numerical_abort(self, tmp_path):
+        arr = 0.05 * np.sin(np.linspace(-np.pi, np.pi, 64, endpoint=False))
+        arr[5] = np.nan
+        raw = tmp_path / "datum.bin"
+        arr.astype("<f8").tofile(raw)
+        p = tmp_path / "nan.cfg"
+        p.write_text(
+            "grid.L = 3.141592653589793\ngrid.N = 64\nmodel.alpha = 2.0\n"
+            f"stepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n"
+        )
+        out = tmp_path / "nanout"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["termination"] == "non_finite"
+        assert manifest["steps"] == 0
+        assert not (out / "series.csv").exists()
+
+    def test_zero_snapshot_cadence_is_config_error(self, tmp_path):
+        p = tmp_path / "cad.cfg"
+        p.write_text(RUN_CFG.replace("outputs.snapshot_cadence = 10", "outputs.snapshot_cadence = 0"))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

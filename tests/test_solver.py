@@ -5,6 +5,7 @@ import pytest
 
 from emhd1d.solver import (
     ModelParams,
+    _etdrk4_coeffs,
     PicardResult,
     StepperConfig,
     evolve,
@@ -24,6 +25,19 @@ def small_datum(grid, amp=0.05):
     return SpectralField.from_function(
         grid, lambda x: amp * (np.sin(x) + 0.4 * np.sin(3 * x))
     )
+
+
+def contour_coeffs(lin, dt, n_contour=32):
+    """Reference: the Cox-Matthews coefficients by a 32-point contour mean
+    around each z = -dt * lin (Kassam & Trefethen 2005)."""
+    z = -dt * lin
+    roots = np.exp(1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    lr = z[:, None] + roots[None, :]
+    q = dt * np.real(((np.exp(lr / 2.0) - 1.0) / lr).mean(1))
+    f1 = dt * np.real(((-4.0 - lr + np.exp(lr) * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(1))
+    f2 = dt * np.real(((2.0 + lr + np.exp(lr) * (lr - 2.0)) / lr**3).mean(1))
+    f3 = dt * np.real(((-4.0 - 3.0 * lr - lr**2 + np.exp(lr) * (4.0 - lr)) / lr**3).mean(1))
+    return q, f1, f2, f3
 
 
 class TestModelParams:
@@ -103,6 +117,36 @@ class TestSteppers:
             step(small_datum(grid), 0.0, -0.1, p, cfg)
 
 
+class TestETDRK4Coeffs:
+    # |z| on both sides of the closed-form/Taylor switch at |z| = 1; the
+    # contour reference itself loses ~1e-12 near |z| = 0.97, so stay off it
+    ABS_Z = [0.0, 1e-8, 1e-4, 0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 5.0, 30.0, 300.0, 4000.0]
+
+    @pytest.mark.parametrize("dt", [1.0, 1e-3])
+    def test_matches_contour_reference(self, dt):
+        lin = np.array(self.ABS_Z) / dt
+        e_half, e_full, *coeffs = _etdrk4_coeffs(lin, dt)
+        assert np.array_equal(e_half, np.exp(-0.5 * dt * lin))
+        assert np.array_equal(e_full, np.exp(-dt * lin))
+        for got, ref in zip(coeffs, contour_coeffs(lin, dt)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    def test_limits_at_zero(self):
+        dt = 0.25
+        _, _, q, f1, f2, f3 = _etdrk4_coeffs(np.zeros(1), dt)
+        assert q[0] == dt / 2.0
+        for f in (f1, f2, f3):
+            assert f[0] == pytest.approx(dt / 6.0, rel=1e-15)
+
+
+class TestStepperConfig:
+    @pytest.mark.parametrize("kw", [{"snapshot_cadence": 0}, {"max_steps": 0},
+                                    {"snapshot_cadence": -1}, {"max_steps": -5}])
+    def test_rejects_nonpositive_counts(self, kw):
+        with pytest.raises(ValueError):
+            StepperConfig(**kw)
+
+
 class TestEvolve:
     def test_reaches_t_end(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
@@ -135,6 +179,26 @@ class TestEvolve:
         sup_final = np.max(np.abs(grid.to_phys(np.abs(xi) * 1j * xi * run.final.coef)))
         assert sup_final > 5.0
         assert run.times[-1] < 10.0
+
+    def test_nan_datum_ends_non_finite(self):
+        grid = GridSpec(np.pi, 64)
+        phys = 0.05 * np.sin(grid.nodes)
+        phys[7] = np.nan
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.05)
+        run = evolve(SpectralField.from_phys(grid, phys), ModelParams("full", 1.0, 2.0), cfg)
+        assert run.termination == "non_finite"
+        assert len(run.step_times) == 1
+
+    def test_overflow_on_last_step_ends_non_finite(self):
+        # finite datum whose first step overflows; max_steps = 1 stops the
+        # loop before the next step could check the new field
+        grid = GridSpec(np.pi, 64)
+        B0 = SpectralField.from_function(grid, lambda x: 1e200 * np.sin(3.0 * x))
+        cfg = StepperConfig(dt_init=1e-3, t_end=1.0, adaptive=False, max_steps=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = evolve(B0, ModelParams("transport", 0.0, 1.0), cfg)
+        assert run.termination == "non_finite"
+        assert not np.all(np.isfinite(run.final.coef))
 
     def test_snapshot_cadence(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
