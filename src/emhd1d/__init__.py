@@ -5,12 +5,14 @@ from .spectral import (
     SpectralField,
     dealias,
     derivative,
+    eval_trig,
     evaluate_at,
     frac_laplacian,
     hilbert,
     product,
     remove_mean,
     riesz_potential,
+    sobolev_weight,
 )
 from .solver import (
     ModelParams,
@@ -20,6 +22,7 @@ from .solver import (
     evolve,
     picard_solve,
     rhs,
+    scaling_symmetry_mismatch,
     step,
 )
 from .lp import (

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from .solver import ModelParams, StepperConfig, TimeSeries, evolve
-from .spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
+from .solver import ModelParams, StepperConfig, TimeSeries, evolve, hermite
+from .spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
 
 
 class DatumError(ValueError):
@@ -152,23 +152,6 @@ def run_blowup(
     return evolve(d.B0, params, cfg), d
 
 
-def _hermite_coef(run: TimeSeries, n: int, tau: float, dt: float) -> np.ndarray:
-    if tau == 0.0:
-        return run.lam_b[n]
-    if tau == 1.0:
-        return run.lam_b[n + 1]
-    h00 = 2 * tau**3 - 3 * tau**2 + 1
-    h10 = tau**3 - 2 * tau**2 + tau
-    h01 = -2 * tau**3 + 3 * tau**2
-    h11 = tau**3 - tau**2
-    return (
-        h00 * run.lam_b[n]
-        + h10 * dt * run.lam_b_dot[n]
-        + h01 * run.lam_b[n + 1]
-        + h11 * dt * run.lam_b_dot[n + 1]
-    )
-
-
 def advect_trajectory(run: TimeSeries, x0: float) -> list[TrajectoryState]:
     """Integrate dX/dt = -Lambda B(X, t) through a stored run.
 
@@ -182,29 +165,24 @@ def advect_trajectory(run: TimeSeries, x0: float) -> list[TrajectoryState]:
         raise ValueError("run was made without store_step_fields")
     grid = run.grid
     xi = grid.wavenumbers
-    sgn = np.sign(xi)
-    L = grid.half_length
-
-    def eval_coef(coef: np.ndarray, x: float) -> float:
-        xr = (x + L) % (2.0 * L) - L
-        return float(np.real(np.exp(1j * xi * xr) @ coef))
+    m_bx = 1j * np.sign(xi)  # B_x = -H(Lambda B)
+    # rows: Lambda B, B_x, B_xx, Lambda B_x, all read off one phase table
+    mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
 
     states: list[TrajectoryState] = []
     X = x0
     times = run.step_times
     for n in range(len(times)):
-        lam = run.lam_b[n]
-        bx = eval_coef(1j * sgn * lam, X)  # B_x = -H(Lambda B)
-        bxx = eval_coef(1j * xi * (1j * sgn) * lam, X)
-        w = eval_coef(1j * xi * lam, X)  # Lambda B_x
+        lam_b, bx, bxx, w = eval_trig(grid, mults * run.lam_b[n], X)[:, 0].tolist()
         states.append(TrajectoryState(t=float(times[n]), X=X, bx=bx, bxx=bxx, w=w))
         if n == len(times) - 1:
             break
         dt = float(times[n + 1] - times[n])
-        f1 = -eval_coef(lam, X)
-        f2 = -eval_coef(_hermite_coef(run, n, 0.5, dt), X + 0.5 * dt * f1)
-        f3 = -eval_coef(_hermite_coef(run, n, 0.5, dt), X + 0.5 * dt * f2)
-        f4 = -eval_coef(run.lam_b[n + 1], X + dt * f3)
+        mid = hermite(run.lam_b, run.lam_b_dot, n, 0.5, dt)
+        f1 = -lam_b
+        f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
+        f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
+        f4 = -eval_trig(grid, run.lam_b[n + 1], X + dt * f3)[0]
         X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     return states
 
@@ -273,18 +251,8 @@ def riccati_invariant_report(
     sup_bxx = np.array(
         [float(np.max(np.abs(run.grid.to_phys(1j * xi * (1j * sgn) * run.lam_b[n])))) for n in range(len(ts))]
     )
-    L = run.grid.half_length
-    bxxx = np.array(
-        [
-            float(
-                np.real(
-                    np.exp(1j * xi * ((x + L) % (2 * L) - L))
-                    @ ((1j * xi) ** 2 * (1j * sgn) * run.lam_b[n])
-                )
-            )
-            for n, x in enumerate(xs)
-        ]
-    )
+    m_bxxx = (1j * xi) ** 2 * (1j * sgn)
+    bxxx = np.array([eval_trig(run.grid, m_bxxx * run.lam_b[n], x)[0] for n, x in enumerate(xs)])
     # centered nonuniform three-point derivative of w
     defect = np.full(len(ts), np.nan)
     for n in range(1, len(ts) - 1):

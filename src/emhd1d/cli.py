@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .blowup import (
 )
 from .diagnostics import norm_series, rough_datum
 from .lp import bernstein_check, commutator_check, norm_equivalence_ratio
-from .solver import ModelParams, StepperConfig, evolve
+from .solver import ModelParams, StepperConfig, evolve, scaling_symmetry_mismatch
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -101,30 +101,6 @@ class RunConfig:
     symmetry_lam: float = 2.0
     raw: dict = field(default_factory=dict)
 
-    KEYMAP = {
-        "grid.L": ("grid_L", float),
-        "grid.N": ("grid_N", int),
-        "grid.dealias": ("grid_dealias", float),
-        "model.kind": ("model_kind", str),
-        "model.mu": ("model_mu", float),
-        "model.alpha": ("model_alpha", float),
-        "stepper.scheme": ("stepper_scheme", str),
-        "stepper.dt_init": ("stepper_dt_init", float),
-        "stepper.cfl_safety": ("stepper_cfl_safety", float),
-        "stepper.t_end": ("stepper_t_end", float),
-        "stepper.blowup_threshold": ("stepper_blowup_threshold", float),
-        "stepper.adaptive": ("stepper_adaptive", None),
-        "datum.kind": ("datum_kind", str),
-        "datum.s_base": ("datum_s_base", float),
-        "datum.norm": ("datum_norm", float),
-        "datum.seed": ("datum_seed", int),
-        "datum.path": ("datum_path", str),
-        "outputs.snapshot_cadence": ("outputs_snapshot_cadence", int),
-        "outputs.directory": ("outputs_directory", str),
-        "diagnostics.s_list": ("diagnostics_s_list", None),
-        "symmetry.lam": ("symmetry_lam", float),
-    }
-
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         p = Path(path)
@@ -132,19 +108,22 @@ class RunConfig:
             raise ConfigError(f"config file not found: {p}")
         kv = parse_config_text(p.read_text())
         cfg = cls(raw=dict(kv))
+        # key "section.name" <-> field "section_name"; the default fixes the type
+        by_key = {f.name.replace("_", ".", 1): f for f in fields(cls) if f.name != "raw"}
         for key, val in kv.items():
-            if key not in cls.KEYMAP:
+            if key not in by_key:
                 raise ConfigError(f"unknown config key: {key}")
-            attr, typ = cls.KEYMAP[key]
+            default = by_key[key].default
             try:
-                if key == "diagnostics.s_list":
-                    setattr(cfg, attr, tuple(float(v) for v in val.split(",")))
-                elif key == "stepper.adaptive":
-                    setattr(cfg, attr, val.lower() in ("1", "true", "yes", "on"))
+                if isinstance(default, bool):
+                    value = val.lower() in ("1", "true", "yes", "on")
+                elif isinstance(default, tuple):
+                    value = tuple(float(v) for v in val.split(","))
                 else:
-                    setattr(cfg, attr, typ(val))
+                    value = type(default)(val)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {val!r}") from exc
+            setattr(cfg, by_key[key].name, value)
         cfg.validate()
         return cfg
 
@@ -154,8 +133,8 @@ class RunConfig:
         if self.datum_kind == "from_file" and not Path(self.datum_path).is_file():
             raise ConfigError(f"datum.path not found: {self.datum_path}")
         try:
-            GridSpec(self.grid_L, self.grid_N, self.grid_dealias)
-            ModelParams(kind=self.model_kind, mu=self.model_mu, alpha=self.model_alpha)
+            self.grid()
+            self.model()
             self.stepper()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -246,8 +225,10 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> int:
 
 def cmd_blowup(cfg: RunConfig, out: Path) -> int:
     """Riccati blowup harness with the reference configuration forced."""
-    grid = GridSpec(cfg.grid_L, cfg.grid_N, cfg.grid_dealias)
-    run, datum = run_blowup(grid, scheme=cfg.stepper_scheme)
+    run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
+    if run.termination == "non_finite":
+        _write_manifest(out, cfg, {"termination": run.termination, "steps": len(run.step_times) - 1})
+        return EXIT_NUMERICAL
     states = advect_trajectory(run, datum.x0)
     w0 = datum.w0
     try:
@@ -278,7 +259,7 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> int:
             w.writerow(
                 [f"{v:.17g}" for v in (st.t, st.X, st.bx, st.bxx, st.w, 1.0 / st.w)]
             )
-    _write_manifest(out, cfg, {"report": report})
+    _write_manifest(out, cfg, {"termination": run.termination, "report": report})
     ok = (
         abs(slope + 1.0) <= 0.01
         and resid <= 1e-3
@@ -291,35 +272,21 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> int:
 def cmd_symmetry(cfg: RunConfig, out: Path) -> int:
     """Discrete check of the rescaling invariance B -> lam^(a-2) B(lam x, lam^a t).
 
-    Run A uses the configured grid and a fixed dt; run B uses the rescaled
-    datum on the contracted grid with dt scaled by lam^alpha.  The schemes
-    commute with the rescaling exactly, so the matched-time relative L2
-    mismatch is roundoff-level for any smooth pre-blowup run.
+    Run A uses the configured grid and datum with a fixed dt; run B the
+    rescaled datum on the grid contracted by lam (see
+    ``scaling_symmetry_mismatch``).  A non-finite mismatch means a run
+    overflowed: a numerical abort, exit 3.
     """
     lam = cfg.symmetry_lam
-    alpha = cfg.model_alpha
-    grid_a = cfg.grid()
-    grid_b = GridSpec(cfg.grid_L / lam, cfg.grid_N, cfg.grid_dealias)
-    B_a = cfg.datum(grid_a)
-    B_b = SpectralField.from_phys(grid_b, lam ** (alpha - 2.0) * B_a.phys)
     n_steps = max(1, int(round(cfg.stepper_t_end / cfg.stepper_dt_init)))
-    dt_b = cfg.stepper_t_end / n_steps
-    cfg_b = StepperConfig(
-        scheme=cfg.stepper_scheme, dt_init=dt_b, t_end=cfg.stepper_t_end,
-        adaptive=False, snapshot_cadence=10**9,
+    rel = scaling_symmetry_mismatch(
+        cfg.datum(cfg.grid()), cfg.model(), lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme
     )
-    cfg_a = StepperConfig(
-        scheme=cfg.stepper_scheme, dt_init=dt_b * lam**alpha,
-        t_end=cfg.stepper_t_end * lam**alpha, adaptive=False, snapshot_cadence=10**9,
-    )
-    params = cfg.model()
-    run_a = evolve(B_a, params, cfg_a)
-    run_b = evolve(B_b, params, cfg_b)
-    ref = SpectralField.from_phys(grid_b, lam ** (alpha - 2.0) * run_a.final.phys)
-    diff = np.linalg.norm(run_b.final.phys - ref.phys)
-    rel = float(diff / max(np.linalg.norm(ref.phys), 1e-300))
+    if not math.isfinite(rel):
+        _write_manifest(out, cfg, {"termination": "non_finite"})
+        return EXIT_NUMERICAL
     (out / "symmetry.json").write_text(
-        json.dumps({"lambda": lam, "alpha": alpha, "rel_l2_mismatch": rel}, indent=2) + "\n"
+        json.dumps({"lambda": lam, "alpha": cfg.model_alpha, "rel_l2_mismatch": rel}, indent=2) + "\n"
     )
     _write_manifest(out, cfg, {"rel_l2_mismatch": rel})
     return EXIT_OK if rel <= 1e-6 else EXIT_TOLERANCE

@@ -18,13 +18,13 @@ Three families of diagnostics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import LPCutoffs, sobolev_norm
-from .solver import ModelParams, StepperConfig, TimeSeries, evolve
-from .spectral import GridSpec, SpectralField, product
+from .lp import LPCutoffs, shell_spectrum, sobolev_norm, sobolev_norm_inhom
+from .solver import ModelParams, StepperConfig, TimeSeries, evolve, rhs, step
+from .spectral import GridSpec, SpectralField, product, sobolev_weight
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,18 @@ class NormSeries:
 
 def norm_series(run: TimeSeries, s_list: list[float]) -> NormSeries:
     times = run.times
-    fields = run.snapshot_fields()
-    alpha = run.params.alpha
     xi = run.grid.wavenumbers
     twoL = 2.0 * run.grid.half_length
+    w_in = [sobolev_weight(xi, s, homogeneous=False) for s in s_list]
+    w_diss = [sobolev_weight(xi, s + 0.5 * run.params.alpha) for s in s_list]
     hs = np.empty((len(s_list), len(times)))
     hd = np.empty_like(hs)
-    for i, s in enumerate(s_list):
-        m_in = (1.0 + xi**2) ** s
-        for j, f in enumerate(fields):
-            hs[i, j] = np.sqrt(twoL * np.sum(m_in * np.abs(f.coef) ** 2))
-            hd[i, j] = sobolev_norm(f, s + 0.5 * alpha)
+    # snapshots outermost: one |coef|^2 array alive at a time
+    for j, f in enumerate(run.snapshot_fields()):
+        a2 = np.abs(f.coef) ** 2
+        for i in range(len(s_list)):
+            hs[i, j] = np.sqrt(twoL * np.sum(w_in[i] * a2))
+            hd[i, j] = np.sqrt(twoL * np.sum(w_diss[i] * a2))
     budget = np.concatenate(
         [np.zeros((len(s_list), 1)), np.cumsum(
             0.5 * np.diff(times) * (hd[:, 1:] ** 2 + hd[:, :-1] ** 2), axis=1
@@ -77,11 +78,9 @@ def l2_budget_defect(run: TimeSeries) -> np.ndarray:
     diss = np.array(
         [twoL * np.sum(np.abs(xi) ** alpha * np.abs(f.coef) ** 2) for f in fields]
     )
-    from .solver import _Ops
-
-    ops = _Ops(run.grid, run.params)
+    inviscid = replace(run.params, mu=0.0)
     work = np.array(
-        [2.0 * twoL * np.real(np.sum(ops.nonlinear(f.coef) * np.conj(f.coef))) for f in fields]
+        [2.0 * twoL * np.real(np.sum(rhs(f, inviscid).coef * np.conj(f.coef))) for f in fields]
     )
     dtt = np.diff(times)
     budget_d = np.cumsum(0.5 * dtt * (diss[1:] + diss[:-1]))
@@ -110,9 +109,7 @@ def rough_datum(
     phase = np.exp(2j * np.pi * rng.random(kk.size))
     coef[kk] = amp * phase
     coef[-kk] = np.conj(coef[kk])
-    f = SpectralField.from_coef(grid, coef)
-    xi2s = (1.0 + xi**2) ** s_base
-    cur = float(np.sqrt(2.0 * grid.half_length * np.sum(xi2s * np.abs(f.coef) ** 2)))
+    cur = sobolev_norm_inhom(SpectralField.from_coef(grid, coef), s_base)
     return SpectralField.from_coef(grid, coef * (norm / cur))
 
 
@@ -122,9 +119,8 @@ def semigroup_norm_series(
     """Exact homogeneous H^s norms of exp(-mu t Lambda^alpha) B0 (oracle)."""
     xi = B0.grid.wavenumbers
     twoL = 2.0 * B0.grid.half_length
-    m2s = np.abs(xi) ** (2.0 * s)
-    lam = mu * np.abs(xi) ** alpha
-    lam[0] = 0.0
+    m2s = sobolev_weight(xi, s)
+    lam = mu * sobolev_weight(xi, alpha / 2.0)
     out = np.empty(len(times))
     for j, t in enumerate(times):
         out[j] = np.sqrt(twoL * np.sum(m2s * np.exp(-2.0 * t * lam) * np.abs(B0.coef) ** 2))
@@ -224,7 +220,6 @@ def flux_decomposition(
     shells = list(cut.shells())
     I_q = np.empty(len(shells))
     K_q = np.empty(len(shells))
-    e_q = np.empty(len(shells))
     diss = 0.0
     for i, q in enumerate(shells):
         w = cut.weight(q)
@@ -232,22 +227,10 @@ def flux_decomposition(
         bq = w * B.coef
         I_q[i] = lam2s * twoL * np.real(np.sum(w * b_lamb.coef * np.conj(1j * xi * bq)))
         K_q[i] = lam2s * twoL * np.real(np.sum(w * lamb_bx.coef * np.conj(bq)))
-        e_q[i] = lam2s * twoL * np.sum(np.abs(bq) ** 2)
         diss += lam2s * twoL * np.sum(absxi**params.alpha * np.abs(bq) ** 2)
     return FluxDecomposition(
         s=s, I=float(np.sum(I_q)), K=float(np.sum(K_q)), I_q=I_q, K_q=K_q,
-        dissipation=params.mu * diss, shell_energy=e_q,
-    )
-
-
-def shell_energy_total(B: SpectralField, s: float, cutoffs: LPCutoffs | None = None) -> float:
-    cut = cutoffs if cutoffs is not None else LPCutoffs(B.grid)
-    twoL = 2.0 * B.grid.half_length
-    return float(
-        sum(
-            (2.0**q) ** (2.0 * s) * twoL * np.sum(np.abs(cut.weight(q) * B.coef) ** 2)
-            for q in cut.shells()
-        )
+        dissipation=params.mu * diss, shell_energy=shell_spectrum(B, s, cut).masses,
     )
 
 
@@ -268,14 +251,12 @@ def flux_balance_defect(
     returns its absolute value.  Exact spatial balance makes this pure time
     truncation, so halving dt shrinks it ~4x.
     """
-    from .solver import step
-
     cfg = StepperConfig(scheme=scheme, dt_init=dt, t_end=10.0 * dt, adaptive=False)
     cut = cutoffs if cutoffs is not None else LPCutoffs(B0.grid)
     B1, _ = step(B0, 0.0, dt, params, cfg)
     B2, _ = step(B1, dt, dt, params, cfg)
-    e0 = shell_energy_total(B0, s, cut)
-    e2 = shell_energy_total(B2, s, cut)
+    e0 = shell_spectrum(B0, s, cut).total
+    e2 = shell_spectrum(B2, s, cut).total
     fd = flux_decomposition(B1, s, params, cut)
     return abs((e2 - e0) / (4.0 * dt) + fd.dissipation + fd.I + 2.0 * fd.K)
 

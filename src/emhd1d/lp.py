@@ -26,6 +26,7 @@ from .spectral import (
     frac_laplacian,
     product,
     riesz_potential,
+    sobolev_weight,
 )
 
 
@@ -124,19 +125,14 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
     This is the reference implementation the shell sum is equivalent to.
     """
-    xi = f.grid.wavenumbers
-    nz = xi != 0.0
-    return float(
-        np.sqrt(2.0 * f.grid.half_length * np.sum(np.abs(xi[nz]) ** (2.0 * s) * np.abs(f.coef[nz]) ** 2))
-    )
+    w = sobolev_weight(f.grid.wavenumbers, s)
+    return float(np.sqrt(2.0 * f.grid.half_length * np.sum(w * np.abs(f.coef) ** 2)))
 
 
 def sobolev_norm_inhom(f: SpectralField, s: float) -> float:
     """Inhomogeneous H^s norm, multiplier (1 + xi^2)^(s/2)."""
-    xi = f.grid.wavenumbers
-    return float(
-        np.sqrt(2.0 * f.grid.half_length * np.sum((1.0 + xi**2) ** s * np.abs(f.coef) ** 2))
-    )
+    w = sobolev_weight(f.grid.wavenumbers, s, homogeneous=False)
+    return float(np.sqrt(2.0 * f.grid.half_length * np.sum(w * np.abs(f.coef) ** 2)))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

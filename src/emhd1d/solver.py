@@ -26,7 +26,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec, SpectralField, sobolev_weight
 
 
 @dataclass(frozen=True)
@@ -82,28 +82,21 @@ class _Ops:
         self.absxi = np.abs(self.xi)
         self.ddx = 1j * self.xi
         self.mask = grid.dealias_mask
-        self.lin = params.mu * self.absxi**params.alpha
-        self.lin[0] = 0.0
-
-    def to_phys(self, c: np.ndarray) -> np.ndarray:
-        return self.grid.to_phys(c)
-
-    def to_coef(self, p: np.ndarray) -> np.ndarray:
-        return self.grid.to_coef(p)
+        self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         """Dealiased, mean-free quadratic term of the chosen model."""
         if not self.params.nonlinearity:
             return np.zeros_like(c)
-        lam_b = self.to_phys(self.absxi * c)
-        b_x = self.to_phys(self.ddx * c)
+        lam_b = self.grid.to_phys(self.absxi * c)
+        b_x = self.grid.to_phys(self.ddx * c)
         if self.params.kind == "transport":
-            out = self.to_coef(lam_b * b_x)
+            out = self.grid.to_coef(lam_b * b_x)
         else:
             # -(B J_x - J B_x) with J = -Lambda B
-            b = self.to_phys(c)
-            lam_bx = self.to_phys(self.absxi * self.ddx * c)
-            out = self.to_coef(b * lam_bx - lam_b * b_x)
+            b = self.grid.to_phys(c)
+            lam_bx = self.grid.to_phys(self.absxi * self.ddx * c)
+            out = self.grid.to_coef(b * lam_bx - lam_b * b_x)
         out *= self.mask
         out[0] = 0.0
         return out
@@ -193,6 +186,23 @@ def step(
     return SpectralField.from_coef(B.grid, stepper(ops, B.coef, dt)), dt
 
 
+def hermite(vals: np.ndarray, dots: np.ndarray, n: int, tau: float, dt: float) -> np.ndarray:
+    """Cubic Hermite dense output at t_n + tau * dt from stored rows.
+
+    ``vals[n]`` and ``dots[n]`` are a state and its time derivative at step
+    boundary n; the step from n to n + 1 has length dt and 0 <= tau <= 1.
+    """
+    if tau == 0.0:
+        return vals[n]
+    if tau == 1.0:
+        return vals[n + 1]
+    h00 = 2 * tau**3 - 3 * tau**2 + 1
+    h10 = tau**3 - 2 * tau**2 + tau
+    h01 = -2 * tau**3 + 3 * tau**2
+    h11 = tau**3 - tau**2
+    return h00 * vals[n] + h10 * dt * dots[n] + h01 * vals[n + 1] + h11 * dt * dots[n + 1]
+
+
 @dataclass
 class TimeSeries:
     """Output of :func:`evolve`.
@@ -255,23 +265,19 @@ def evolve(
     diag: dict[str, list[float]] = {k: [] for k in ("t", "dt", "sup_lam_b", "sup_lam_bx", "mean")}
     lam_b_store: list[np.ndarray] = []
     lam_b_dot_store: list[np.ndarray] = []
-    termination = "max_steps"
-
-    def record_fields(c_now: np.ndarray, rhs_now: np.ndarray) -> None:
-        lam_b_store.append(ops.absxi * c_now)
-        lam_b_dot_store.append(ops.absxi * rhs_now)
 
     n = 0
-    while n < cfg.max_steps:
+    while True:
+        # every accepted state, the last one included, passes through here
+        # once: its rhs, its CFL sups, its stored fields and the stop checks
         nl = ops.nonlinear(c)
         rhs_c = nl - ops.lin * c
-        lam_b_phys = ops.to_phys(ops.absxi * c)
-        lam_bx_phys = ops.to_phys(ops.absxi * ops.ddx * c)
-        sup_lb = float(np.max(np.abs(lam_b_phys)))
-        sup_lbx = float(np.max(np.abs(lam_bx_phys)))
+        sup_lb = float(np.max(np.abs(grid.to_phys(ops.absxi * c))))
+        sup_lbx = float(np.max(np.abs(grid.to_phys(ops.absxi * ops.ddx * c))))
+        if cfg.store_step_fields:
+            lam_b_store.append(ops.absxi * c)
+            lam_b_dot_store.append(ops.absxi * rhs_c)
 
-        if cfg.store_step_fields and n == 0:
-            record_fields(c, rhs_c)
         if not (math.isfinite(sup_lb) and math.isfinite(sup_lbx)):
             termination = "non_finite"
             break
@@ -280,6 +286,9 @@ def evolve(
             break
         if t >= cfg.t_end - 1e-14:
             termination = "t_end"
+            break
+        if n >= cfg.max_steps:
+            termination = "max_steps"
             break
 
         if cfg.adaptive:
@@ -308,16 +317,11 @@ def evolve(
         diag["sup_lam_bx"].append(sup_lbx)
         diag["mean"].append(drift)
         step_times.append(t)
-        if cfg.store_step_fields:
-            nl_new = ops.nonlinear(c)
-            record_fields(c, nl_new - ops.lin * c)
         if observer is not None:
             observer(t, dt, c, rhs_c)
         if n % cfg.snapshot_cadence == 0:
             snaps.append((t, SpectralField.from_coef(grid, c)))
 
-    if termination == "max_steps" and not np.all(np.isfinite(c)):
-        termination = "non_finite"  # the last step's field was never checked
     if snaps[-1][0] != t:
         snaps.append((t, SpectralField.from_coef(grid, c)))
     return TimeSeries(
@@ -368,7 +372,7 @@ def picard_solve(
     dt = cfg.dt_init
     m = max(1, int(round(cfg.t_end / dt)))
     dt = cfg.t_end / m
-    xi2s = (1.0 + ops.xi**2) ** s
+    weight = sobolev_weight(ops.xi, s, homogeneous=False)
     twoL = 2.0 * grid.half_length
 
     e_full = np.exp(-dt * ops.lin)
@@ -388,27 +392,13 @@ def picard_solve(
         """Nonlinearity linear in c, coefficients from the previous iterate."""
         if prev_vals is None or not params.nonlinearity:
             return np.zeros_like(c)
-        if tau == 0.0:
-            bc = prev_vals[n]
-        elif tau == 1.0:
-            bc = prev_vals[n + 1]
-        else:
-            h00 = 2 * tau**3 - 3 * tau**2 + 1
-            h10 = tau**3 - 2 * tau**2 + tau
-            h01 = -2 * tau**3 + 3 * tau**2
-            h11 = tau**3 - tau**2
-            bc = (
-                h00 * prev_vals[n]
-                + h10 * dt * prev_dots[n]
-                + h01 * prev_vals[n + 1]
-                + h11 * dt * prev_dots[n + 1]
-            )
+        bc = hermite(prev_vals, prev_dots, n, tau, dt)
         # -(B^(k-1) J_x - J^(k-1) B_x), J = -Lambda(.)
-        b_prev = ops.to_phys(bc)
-        j_prev = ops.to_phys(-ops.absxi * bc)
-        j_x = ops.to_phys(-ops.absxi * ops.ddx * c)
-        b_x = ops.to_phys(ops.ddx * c)
-        out = ops.to_coef(-(b_prev * j_x) + j_prev * b_x)
+        b_prev = grid.to_phys(bc)
+        j_prev = grid.to_phys(-ops.absxi * bc)
+        j_x = grid.to_phys(-ops.absxi * ops.ddx * c)
+        b_x = grid.to_phys(ops.ddx * c)
+        out = grid.to_coef(-(b_prev * j_x) + j_prev * b_x)
         out *= ops.mask
         out[0] = 0.0
         return out
@@ -430,7 +420,7 @@ def picard_solve(
         finals.append(SpectralField.from_coef(grid, vals[m]))
         if prev_vals is not None:
             gap = float(
-                np.max(np.sqrt(twoL * np.sum(xi2s * np.abs(vals - prev_vals) ** 2, axis=1)))
+                np.max(np.sqrt(twoL * np.sum(weight * np.abs(vals - prev_vals) ** 2, axis=1)))
             )
             gaps.append(gap)
             if gap < tol:
@@ -452,3 +442,25 @@ def picard_solve(
         termination="t_end",
     )
     return PicardResult(iterates=finals, gap_history=gaps, converged=converged, series=series)
+
+
+def scaling_symmetry_mismatch(
+    B: SpectralField, params: ModelParams, lam: float, t_end: float, n_steps: int, scheme: str
+) -> float:
+    """Relative L2 mismatch of the rescaling B -> lam^(a-2) B(lam x, lam^a t).
+
+    Run A evolves ``B`` to lam^alpha * t_end, run B the rescaled datum on the
+    grid contracted by ``lam`` to ``t_end``, both in ``n_steps`` fixed steps.
+    The schemes commute with the rescaling, so the final-time mismatch is
+    roundoff-level before blowup; it is non-finite when either run overflows.
+    """
+    g = B.grid
+    scale = lam ** (params.alpha - 2.0)
+    grid_b = GridSpec(g.half_length / lam, g.n_modes, g.dealias_fraction)
+    B_b = SpectralField.from_phys(grid_b, scale * B.phys)
+    dt_b = t_end / n_steps
+    cfg_b = StepperConfig(scheme=scheme, dt_init=dt_b, t_end=t_end, adaptive=False, snapshot_cadence=10**9)
+    cfg_a = replace(cfg_b, dt_init=dt_b * lam**params.alpha, t_end=t_end * lam**params.alpha)
+    ref = scale * evolve(B, params, cfg_a).final.phys
+    diff = np.linalg.norm(evolve(B_b, params, cfg_b).final.phys - ref)
+    return float(diff / max(np.linalg.norm(ref), 1e-300))

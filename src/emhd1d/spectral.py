@@ -6,7 +6,7 @@ convention
 
     coef_k = (1/N) * sum_j phys_j * exp(-i xi_k x_j),    xi_k = pi k / L,
 
-so that ``evaluate_at`` is a plain trigonometric sum.  All nonlocal operators
+so that ``eval_trig`` is a plain trigonometric sum.  All nonlocal operators
 (Hilbert transform, fractional Laplacian, Riesz potential) are exact diagonal
 multipliers in this basis.  The Hilbert transform uses m(xi) = -i sgn(xi),
 the unique sign choice for which Lambda = H d/dx holds with Lambda = |xi|.
@@ -146,6 +146,21 @@ class SpectralField:
         return float(np.max(np.abs(self.phys)))
 
 
+def sobolev_weight(xi: np.ndarray, s: float, homogeneous: bool = True) -> np.ndarray:
+    """Weight of |coef_k|^2 in the squared H^s norm.
+
+    Homogeneous: |xi|^(2s) with the zero mode excluded (masked, so s < 0 is
+    fine); this is also the multiplier of Lambda^(2s) on the zero-mean gauge.
+    Inhomogeneous: (1 + xi^2)^s, which counts the mean.
+    """
+    if not homogeneous:
+        return (1.0 + xi**2) ** s
+    w = np.zeros_like(xi)
+    nz = xi != 0.0
+    w[nz] = np.abs(xi[nz]) ** (2.0 * s)
+    return w
+
+
 def hilbert(f: SpectralField) -> SpectralField:
     """Hilbert transform, multiplier -i sgn(xi); the zero mode maps to 0."""
     m = -1j * np.sign(f.grid.wavenumbers)
@@ -166,9 +181,7 @@ def frac_laplacian(f: SpectralField, alpha: float) -> SpectralField:
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    m = np.abs(f.grid.wavenumbers) ** alpha
-    m[0] = 0.0
-    return SpectralField.from_coef(f.grid, m * f.coef)
+    return SpectralField.from_coef(f.grid, sobolev_weight(f.grid.wavenumbers, alpha / 2.0) * f.coef)
 
 
 def riesz_potential(f: SpectralField, r: float) -> SpectralField:
@@ -179,11 +192,7 @@ def riesz_potential(f: SpectralField, r: float) -> SpectralField:
     """
     if not 0.0 < r < 1.0:
         raise ValueError("riesz_potential requires 0 < r < 1")
-    xi = f.grid.wavenumbers
-    m = np.zeros_like(xi)
-    nz = xi != 0.0
-    m[nz] = np.abs(xi[nz]) ** (-r)
-    return SpectralField.from_coef(f.grid, m * f.coef)
+    return SpectralField.from_coef(f.grid, sobolev_weight(f.grid.wavenumbers, -r / 2.0) * f.coef)
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -207,16 +216,30 @@ def remove_mean(f: SpectralField) -> SpectralField:
     return SpectralField.from_coef(f.grid, c)
 
 
+def eval_trig(grid: GridSpec, coef: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
+    """Real trigonometric sums of coefficient rows at arbitrary points.
+
+    ``coef`` is one row of N coefficients (result shape (len(x),)) or a
+    stack of m rows (result shape (m, len(x))).  Points are reduced mod 2L
+    into [-L, L), and all rows share one phase table exp(i xi_k x).
+    """
+    L = grid.half_length
+    xa = np.mod(np.atleast_1d(np.asarray(x, dtype=float)) + L, 2.0 * L) - L
+    phase = np.exp(1j * np.outer(grid.wavenumbers, xa))
+    if coef.ndim == 1:
+        return np.real(coef @ phase)
+    # one product per row: a stacked matrix product sums in another order,
+    # so a row's value would depend on which rows it was stacked with
+    return np.real(np.array([row @ phase for row in coef]))
+
+
 def evaluate_at(f: SpectralField, x: "float | np.ndarray") -> "float | np.ndarray":
     """Evaluate the trigonometric series of ``f`` at arbitrary points.
 
-    Points are reduced mod 2L into [-L, L).  Exact (to roundoff) for any
-    band-limited field; agrees with ``phys`` at the grid nodes.
+    Exact (to roundoff) for any band-limited field; agrees with ``phys`` at
+    the grid nodes.  A scalar ``x`` gives a float.
     """
-    L = f.grid.half_length
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    xa = np.mod(xa + L, 2.0 * L) - L
-    vals = np.real(np.exp(1j * np.outer(xa, f.grid.wavenumbers)) @ f.coef)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
+    vals = eval_trig(f.grid, f.coef, x)
+    if np.ndim(x) == 0:
         return float(vals[0])
     return vals

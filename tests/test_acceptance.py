@@ -25,7 +25,7 @@ from emhd1d.diagnostics import (
     smoothing_rate_fit_semigroup,
 )
 from emhd1d.lp import bernstein_check, commutator_check
-from emhd1d.solver import ModelParams, StepperConfig, evolve, picard_solve
+from emhd1d.solver import ModelParams, StepperConfig, evolve, picard_solve, scaling_symmetry_mismatch
 from emhd1d.spectral import GridSpec, SpectralField, remove_mean
 
 # roundoff floor for the refinement comparison: a defect already at machine
@@ -114,21 +114,10 @@ def test_criterion_3_operator_identities(capsys):
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_criterion_4_scaling_symmetry(alpha):
-    lam = 2.0
-    grid_a = GridSpec(np.pi, 256)
-    grid_b = GridSpec(np.pi / lam, 256)
-    B_a = small_datum(grid_a)
-    B_b = SpectralField.from_phys(grid_b, lam ** (alpha - 2.0) * B_a.phys)
+    # run A on the pi-grid to lam^alpha * 0.05, run B on the pi/lam-grid to
+    # 0.05, both in 50 fixed IF-RK4 steps
     p = ModelParams(kind="full", mu=1.0, alpha=alpha)
-    t_b, n = 0.05, 50
-    cfg_b = StepperConfig(dt_init=t_b / n, t_end=t_b, adaptive=False, snapshot_cadence=10**9)
-    cfg_a = StepperConfig(
-        dt_init=lam**alpha * t_b / n, t_end=lam**alpha * t_b, adaptive=False, snapshot_cadence=10**9
-    )
-    fin_a = evolve(B_a, p, cfg_a).final
-    fin_b = evolve(B_b, p, cfg_b).final
-    ref = lam ** (alpha - 2.0) * fin_a.phys
-    rel = float(np.linalg.norm(fin_b.phys - ref) / np.linalg.norm(ref))
+    rel = scaling_symmetry_mismatch(small_datum(GridSpec(np.pi, 256)), p, 2.0, 0.05, 50, "ifrk4")
     ok = rel <= 1e-6
     _line(f"criterion-4 scaling-symmetry alpha={alpha:g}", ok, f"rel_l2={rel:.2e}")
     assert ok

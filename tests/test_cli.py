@@ -1,10 +1,12 @@
 """Command-line interface tests: config parsing, outputs, exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from emhd1d import cli
 from emhd1d.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -51,10 +53,14 @@ class TestConfigParsing:
             parse_config_text("a.b =\n")
 
     def test_unknown_key_rejected(self, tmp_path):
+        # "datum" names a method, "raw" a field that is not a key, "grid_L"
+        # a field spelled without its section dot
         p = tmp_path / "bad.cfg"
-        p.write_text("grid.M = 3\n")
-        with pytest.raises(ConfigError):
-            RunConfig.from_file(p)
+        for line in ("grid.M = 3", "datum = 1", "raw = 1", "grid_L = 3"):
+            p.write_text(line + "\n")
+            with pytest.raises(ConfigError):
+                RunConfig.from_file(p)
+            assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -165,6 +171,39 @@ class TestCommands:
         assert manifest["termination"] == "non_finite"
         assert manifest["steps"] == 0
         assert not (out / "series.csv").exists()
+
+    def test_symmetry_overflow_is_numerical_abort(self, tmp_path):
+        # mu = 0 transport from a 1e200 datum overflows in the first steps,
+        # so the mismatch of the two runs is NaN
+        arr = 1e200 * np.sin(3.0 * np.linspace(-np.pi, np.pi, 64, endpoint=False))
+        raw = tmp_path / "datum.bin"
+        arr.astype("<f8").tofile(raw)
+        p = tmp_path / "sym.cfg"
+        p.write_text(
+            "grid.L = 3.141592653589793\ngrid.N = 64\nmodel.kind = transport\nmodel.mu = 0.0\n"
+            f"stepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n"
+        )
+        out = tmp_path / "symout"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["symmetry", "--config", str(p), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert json.loads((out / "manifest.json").read_text())["termination"] == "non_finite"
+        assert not (out / "symmetry.json").exists()
+
+    def test_blowup_non_finite_is_numerical_abort(self, tmp_path, monkeypatch):
+        real_run_blowup = cli.run_blowup
+
+        def non_finite_run(grid, **kw):
+            run, datum = real_run_blowup(grid, **kw)
+            return replace(run, termination="non_finite"), datum
+
+        monkeypatch.setattr(cli, "run_blowup", non_finite_run)
+        p = tmp_path / "blow.cfg"
+        p.write_text("grid.L = 6.0\ngrid.N = 256\n")
+        out = tmp_path / "blowout"
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
+        assert json.loads((out / "manifest.json").read_text())["termination"] == "non_finite"
+        assert not (out / "blowup_report.json").exists()
 
     def test_zero_snapshot_cadence_is_config_error(self, tmp_path):
         p = tmp_path / "cad.cfg"

@@ -14,7 +14,7 @@ from emhd1d.diagnostics import (
     smoothing_rate_fit,
     smoothing_rate_fit_semigroup,
 )
-from emhd1d.lp import LPCutoffs, sobolev_norm_inhom
+from emhd1d.lp import LPCutoffs, sobolev_norm, sobolev_norm_inhom
 from emhd1d.solver import ModelParams, StepperConfig, evolve
 from emhd1d.spectral import GridSpec, SpectralField, remove_mean
 
@@ -91,6 +91,13 @@ class TestSmoothing:
         times = np.array([0.0, 0.1, 0.2])
         out = semigroup_norm_series(f, mu=1.0, alpha=2.0, times=times, s=1.0)
         assert np.allclose(out, 3.0 * np.sqrt(np.pi) * np.exp(-9.0 * times), rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_semigroup_oracle_at_zero_is_sobolev_norm(self, grid, s):
+        # both norms are homogeneous, so a nonzero mean must not count
+        f = SpectralField.from_function(grid, lambda x: 0.3 + np.sin(x) + 0.2 * np.cos(4 * x))
+        out = semigroup_norm_series(f, mu=1.0, alpha=2.0, times=np.array([0.0]), s=s)
+        assert out[0] == pytest.approx(sobolev_norm(f, s), rel=1e-14)
 
     def test_equal_indices_give_zero_exponent(self):
         g = GridSpec(np.pi, 1024)

@@ -19,7 +19,7 @@ from emhd1d.lp import (
     sobolev_norm,
     sobolev_norm_inhom,
 )
-from emhd1d.spectral import GridSpec, SpectralField
+from emhd1d.spectral import GridSpec, SpectralField, sobolev_weight
 
 
 @pytest.fixture
@@ -80,6 +80,16 @@ class TestNorms:
         f = SpectralField.from_function(grid, lambda x: np.cos(4.0 * x))
         assert abs(sobolev_norm(f, 1.0) - 4.0 * np.sqrt(np.pi)) < 1e-11
         assert abs(sobolev_norm_inhom(f, 0.0) - f.l2_norm()) < 1e-12
+
+    def test_sobolev_weight_zero_mode(self, grid):
+        # homogeneous weights mask the mean, also for s <= 0 where 0**(2s)
+        # would be 1 or inf; the inhomogeneous weight counts it
+        xi = grid.wavenumbers
+        for s in (-0.5, 0.0, 1.0):
+            w = sobolev_weight(xi, s)
+            assert w[0] == 0.0 and np.all(np.isfinite(w))
+            assert w[3] == pytest.approx(3.0 ** (2.0 * s), rel=1e-15)
+        assert sobolev_weight(xi, -0.5, homogeneous=False)[0] == 1.0
 
     def test_shell_spectrum_total_matches_l2(self, grid, cutoffs):
         rng = np.random.default_rng(4)

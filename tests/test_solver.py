@@ -1,8 +1,11 @@
 """Time-stepper and evolution-loop tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from emhd1d.lp import sobolev_norm_inhom
 from emhd1d.solver import (
     ModelParams,
     _etdrk4_coeffs,
@@ -215,6 +218,31 @@ class TestEvolve:
         assert run.lam_b.shape == (n, grid.n_modes)
         assert run.lam_b_dot.shape == (n, grid.n_modes)
 
+    @pytest.mark.parametrize("cause", ["t_end", "max_steps", "blowup_threshold"])
+    def test_stored_fields_cover_every_state(self, cause):
+        """One stored row per accepted state, the last included, whatever
+        stopped the run; row n is Lambda B and Lambda dB/dt of state n."""
+        if cause == "blowup_threshold":
+            g = GridSpec(6.0, 512)
+            B0 = remove_mean(SpectralField.from_function(g, lambda x: np.exp(-(x**4)) * np.sin(x)))
+            p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
+            cfg = StepperConfig(dt_init=1e-3, t_end=10.0, blowup_threshold=5.0)
+        else:
+            g = GridSpec(np.pi, 64)
+            B0 = small_datum(g)
+            p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+            cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False,
+                                max_steps=4 if cause == "max_steps" else 10**6)
+        run = evolve(B0, p, replace(cfg, store_step_fields=True, snapshot_cadence=1))
+        assert run.termination == cause
+        assert run.lam_b.shape[0] == run.lam_b_dot.shape[0] == len(run.step_times)
+        assert len(run.snapshots) == len(run.step_times)
+        absxi = np.abs(g.wavenumbers)
+        for n, (_, state) in enumerate(run.snapshots):
+            assert np.array_equal(run.lam_b[n], absxi * state.coef)
+            dot = absxi * rhs(state, p).coef
+            assert np.allclose(run.lam_b_dot[n], dot, rtol=0.0, atol=1e-13 * np.max(np.abs(dot)))
+
     def test_adaptive_dt_obeys_cfl(self, grid):
         p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
         cfg = StepperConfig(dt_init=1.0, t_end=0.2, cfl_safety=0.4)
@@ -260,6 +288,19 @@ class TestPicard:
         assert res.converged
         gaps = np.array(res.gap_history)
         assert np.all(gaps[1:] < 0.5 * gaps[:-1])
+
+    def test_gap_is_inhomogeneous_sobolev_norm(self, grid):
+        # the first gap is sup over stored steps of ||v1 - v0||_{H^(3 - alpha)}
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.05, adaptive=False)
+        v0 = picard_solve(small_datum(grid), p, cfg, k_max=0).series.snapshot_fields()
+        res = picard_solve(small_datum(grid), p, cfg, k_max=1)
+        v1 = res.series.snapshot_fields()
+        gap = max(
+            sobolev_norm_inhom(SpectralField.from_coef(grid, a.coef - b.coef), 3.0 - p.alpha)
+            for a, b in zip(v1, v0)
+        )
+        assert res.gap_history[0] == pytest.approx(gap, rel=1e-14)
 
     def test_limit_matches_nonlinear_solver(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)

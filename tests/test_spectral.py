@@ -8,6 +8,7 @@ from emhd1d.spectral import (
     SpectralField,
     dealias,
     derivative,
+    eval_trig,
     evaluate_at,
     frac_laplacian,
     hilbert,
@@ -161,3 +162,14 @@ class TestEvaluateAt:
         f = SpectralField.from_function(grid, np.sin)
         assert isinstance(evaluate_at(f, 0.3), float)
         assert evaluate_at(f, np.array([0.1, 0.2])).shape == (2,)
+
+    def test_stacked_rows_match_single_rows(self, grid):
+        # a row's value must not depend on the rows stacked with it
+        rows = np.stack([SpectralField.from_function(grid, fn).coef
+                         for fn in (np.sin, np.cos, lambda x: np.sin(3 * x) ** 2)])
+        x = np.array([-3.0, 0.4, 7.5])
+        stacked = eval_trig(grid, rows, x)
+        assert stacked.shape == (3, 3)
+        for row, vals in zip(rows, stacked):
+            assert np.array_equal(vals, eval_trig(grid, row, x))
+        assert np.allclose(stacked[1], np.cos(x), atol=1e-12)
