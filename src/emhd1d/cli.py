@@ -58,6 +58,13 @@ class ConfigError(ValueError):
     pass
 
 
+# spellings a boolean config value may take, matched case-insensitively
+_BOOLS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse flat ``dotted.key = value`` lines into a string dict."""
     out: dict[str, str] = {}
@@ -116,12 +123,12 @@ class RunConfig:
             default = by_key[key].default
             try:
                 if isinstance(default, bool):
-                    value = val.lower() in ("1", "true", "yes", "on")
+                    value = _BOOLS[val.lower()]
                 elif isinstance(default, tuple):
                     value = tuple(float(v) for v in val.split(","))
                 else:
                     value = type(default)(val)
-            except ValueError as exc:
+            except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {val!r}") from exc
             setattr(cfg, by_key[key].name, value)
         cfg.validate()
@@ -132,6 +139,8 @@ class RunConfig:
             raise ConfigError(f"unknown datum.kind: {self.datum_kind}")
         if self.datum_kind == "from_file" and not Path(self.datum_path).is_file():
             raise ConfigError(f"datum.path not found: {self.datum_path}")
+        if not (math.isfinite(self.symmetry_lam) and self.symmetry_lam > 0):
+            raise ConfigError(f"symmetry.lam must be positive and finite, got {self.symmetry_lam}")
         try:
             self.grid()
             self.model()
@@ -352,13 +361,11 @@ def cmd_selftest(out: Path | None = None) -> int:
 
 
 def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) -> int:
+    # a config error can also surface inside a command (a datum file of the
+    # wrong size is read only once the grid is known)
     try:
         cfg = RunConfig.from_file(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         if command == "run":
             return cmd_run(cfg, out_dir, seed)
         if command == "blowup":
@@ -368,6 +375,9 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
         if command == "lp":
             return cmd_lp(cfg, out_dir, seed)
         raise AssertionError(command)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (FloatingPointError, np.linalg.LinAlgError):
         return EXIT_NUMERICAL
 
@@ -391,8 +401,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"sweep file not found: {sweep_file}", file=sys.stderr)
             return EXIT_CONFIG
         paths = [ln.strip() for ln in sweep_file.read_text().splitlines() if ln.strip()]
-        n_threads = int(os.environ.get("EMHD1D_THREADS", "4"))
-        with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
+        threads = os.environ.get("EMHD1D_THREADS", "4")
+        n_threads = int(threads) if threads.strip().isdecimal() else 0
+        if n_threads < 1:
+            print(f"EMHD1D_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
+            return EXIT_CONFIG
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
             codes = list(
                 pool.map(
                     lambda item: _run_one(args.command, item[1], out / f"sweep_{item[0]:03d}", args.seed),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import LPCutoffs, shell_spectrum, sobolev_norm, sobolev_norm_inhom
+from .lp import cutoffs_for, shell_spectrum, sobolev_norm, sobolev_norm_inhom
 from .solver import ModelParams, StepperConfig, TimeSeries, evolve, rhs, step
 from .spectral import GridSpec, SpectralField, product, sobolev_weight
 
@@ -72,12 +72,9 @@ def l2_budget_defect(run: TimeSeries) -> np.ndarray:
     fields = run.snapshot_fields()
     times = run.times
     twoL = 2.0 * run.grid.half_length
-    xi = run.grid.wavenumbers
-    alpha = run.params.alpha
+    w = sobolev_weight(run.grid.wavenumbers, run.params.alpha / 2.0)
     e = np.array([twoL * np.sum(np.abs(f.coef) ** 2) for f in fields])
-    diss = np.array(
-        [twoL * np.sum(np.abs(xi) ** alpha * np.abs(f.coef) ** 2) for f in fields]
-    )
+    diss = np.array([twoL * np.sum(w * np.abs(f.coef) ** 2) for f in fields])
     inviscid = replace(run.params, mu=0.0)
     work = np.array(
         [2.0 * twoL * np.real(np.sum(rhs(f, inviscid).coef * np.conj(f.coef))) for f in fields]
@@ -193,12 +190,7 @@ class FluxDecomposition:
     shell_energy: np.ndarray  # lam_q^(2s) ||Delta_q B||^2 per shell
 
 
-def flux_decomposition(
-    B: SpectralField,
-    s: float,
-    params: ModelParams,
-    cutoffs: LPCutoffs | None = None,
-) -> FluxDecomposition:
+def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxDecomposition:
     """Shell-weighted transfer integrals of the quadratic term.
 
     I_q = lam_q^(2s) int (B Lambda B)_q d/dx B_q dx,
@@ -208,9 +200,10 @@ def flux_decomposition(
     the per-shell energy balance of the full model exactly in space.
     """
     grid = B.grid
-    cut = cutoffs if cutoffs is not None else LPCutoffs(grid)
+    cut = cutoffs_for(grid)
     xi = grid.wavenumbers
     absxi = np.abs(xi)
+    w_diss = sobolev_weight(xi, params.alpha / 2.0)
     twoL = 2.0 * grid.half_length
     lam_b = SpectralField.from_coef(grid, absxi * B.coef)
     b_x = SpectralField.from_coef(grid, 1j * xi * B.coef)
@@ -227,10 +220,10 @@ def flux_decomposition(
         bq = w * B.coef
         I_q[i] = lam2s * twoL * np.real(np.sum(w * b_lamb.coef * np.conj(1j * xi * bq)))
         K_q[i] = lam2s * twoL * np.real(np.sum(w * lamb_bx.coef * np.conj(bq)))
-        diss += lam2s * twoL * np.sum(absxi**params.alpha * np.abs(bq) ** 2)
+        diss += lam2s * twoL * np.sum(w_diss * np.abs(bq) ** 2)
     return FluxDecomposition(
         s=s, I=float(np.sum(I_q)), K=float(np.sum(K_q)), I_q=I_q, K_q=K_q,
-        dissipation=params.mu * diss, shell_energy=shell_spectrum(B, s, cut).masses,
+        dissipation=params.mu * diss, shell_energy=shell_spectrum(B, s).masses,
     )
 
 
@@ -240,7 +233,6 @@ def flux_balance_defect(
     s: float,
     dt: float,
     scheme: str = "ifrk4",
-    cutoffs: LPCutoffs | None = None,
 ) -> float:
     """Central-difference defect of the shell energy balance at one state.
 
@@ -252,12 +244,11 @@ def flux_balance_defect(
     truncation, so halving dt shrinks it ~4x.
     """
     cfg = StepperConfig(scheme=scheme, dt_init=dt, t_end=10.0 * dt, adaptive=False)
-    cut = cutoffs if cutoffs is not None else LPCutoffs(B0.grid)
     B1, _ = step(B0, 0.0, dt, params, cfg)
     B2, _ = step(B1, dt, dt, params, cfg)
-    e0 = shell_spectrum(B0, s, cut).total
-    e2 = shell_spectrum(B2, s, cut).total
-    fd = flux_decomposition(B1, s, params, cut)
+    e0 = shell_spectrum(B0, s).total
+    e2 = shell_spectrum(B2, s).total
+    fd = flux_decomposition(B1, s, params)
     return abs((e2 - e0) / (4.0 * dt) + fd.dissipation + fd.I + 2.0 * fd.K)
 
 
@@ -266,9 +257,8 @@ def flux_defect_ratio(
 ) -> tuple[float, float, float]:
     """(defect(dt), defect(dt/2), ratio); ratio ~ 4 for a second-order-accurate
     central-difference reading of an exact spatial identity."""
-    cut = LPCutoffs(B0.grid)
-    d1 = flux_balance_defect(B0, params, s, dt, scheme, cut)
-    d2 = flux_balance_defect(B0, params, s, dt / 2.0, scheme, cut)
+    d1 = flux_balance_defect(B0, params, s, dt, scheme)
+    d2 = flux_balance_defect(B0, params, s, dt / 2.0, scheme)
     return d1, d2, d1 / d2
 
 

@@ -14,6 +14,7 @@ bounded-ratio checks, not constant verifications.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -89,6 +90,9 @@ class LPCutoffs:
         return range(-1, self.q_max + 1)
 
 
+cutoffs_for = functools.lru_cache(maxsize=32)(LPCutoffs)  # one shared, read-only table per grid
+
+
 @dataclass(frozen=True)
 class ShellSpectrum:
     """Per-shell weighted L2 masses lambda_q^(2s) ||Delta_q f||^2 and their sum."""
@@ -102,14 +106,13 @@ class ShellSpectrum:
         return float(np.sum(self.masses))
 
 
-def project_shell(f: SpectralField, q: int, cutoffs: LPCutoffs | None = None) -> SpectralField:
+def project_shell(f: SpectralField, q: int) -> SpectralField:
     """Littlewood-Paley projection Delta_q f (q = -1 is the low block)."""
-    cut = cutoffs if cutoffs is not None else LPCutoffs(f.grid)
-    return SpectralField.from_coef(f.grid, cut.weight(q) * f.coef)
+    return SpectralField.from_coef(f.grid, cutoffs_for(f.grid).weight(q) * f.coef)
 
 
-def shell_spectrum(f: SpectralField, s: float, cutoffs: LPCutoffs | None = None) -> ShellSpectrum:
-    cut = cutoffs if cutoffs is not None else LPCutoffs(f.grid)
+def shell_spectrum(f: SpectralField, s: float) -> ShellSpectrum:
+    cut = cutoffs_for(f.grid)
     twoL = 2.0 * f.grid.half_length
     masses = np.array(
         [
@@ -160,14 +163,12 @@ def random_band_limited(
     return SpectralField.from_coef(grid, coef)
 
 
-def random_shell_field(
-    grid: GridSpec, q: int, rng: np.random.Generator, cutoffs: LPCutoffs
-) -> SpectralField:
+def random_shell_field(grid: GridSpec, q: int, rng: np.random.Generator) -> SpectralField:
     """Random field localized to shell q (white coefficients shaped by phi_q)."""
     N = grid.n_modes
     re = rng.standard_normal(N)
     im = rng.standard_normal(N)
-    coef = (re + 1j * im) * cutoffs.weight(q)
+    coef = (re + 1j * im) * cutoffs_for(grid).weight(q)
     coef = 0.5 * (coef + np.conj(np.roll(coef[::-1], 1)))  # hermitian symmetrize
     coef[0] = 0.0
     if N % 2 == 0:
@@ -189,19 +190,18 @@ class BoundReport:
 
 
 def bernstein_check(
-    grid: GridSpec, trials: int = 50, seed: int = 0, cutoffs: LPCutoffs | None = None
+    grid: GridSpec, trials: int = 50, seed: int = 0
 ) -> tuple[BoundReport, BoundReport]:
     """Empirical Bernstein constants on shell-localized fields.
 
     Checks ||d/dx f_q||_2 <= C 2^q ||f_q||_2 and
     ||f_q||_inf <= C 2^(q/2) ||f_q||_2.
     """
-    cut = cutoffs if cutoffs is not None else LPCutoffs(grid)
     rng = np.random.default_rng(seed)
     r_deriv, r_inf = [], []
     for _ in range(trials):
-        q = int(rng.integers(0, cut.q_max))
-        f = random_shell_field(grid, q, rng, cut)
+        q = int(rng.integers(0, cutoffs_for(grid).q_max))
+        f = random_shell_field(grid, q, rng)
         n2 = f.l2_norm()
         if n2 == 0.0:
             continue
@@ -214,11 +214,7 @@ def bernstein_check(
 
 
 def commutator_check(
-    grid: GridSpec,
-    trials: int = 30,
-    seed: int = 0,
-    eps: float = 0.1,
-    cutoffs: LPCutoffs | None = None,
+    grid: GridSpec, trials: int = 30, seed: int = 0, eps: float = 0.1
 ) -> tuple[BoundReport, BoundReport]:
     """Bounded-ratio harness for the two commutator estimates.
 
@@ -231,7 +227,6 @@ def commutator_check(
     ||Lambda^sigma f||_{r1} ||I_(sigma - 1/2) g||_{r2} with sigma = 1 - eps,
     r2 = 2 + eps and 1/r1 = 1/2 - 1/r2.
     """
-    cut = cutoffs if cutoffs is not None else LPCutoffs(grid)
     rng = np.random.default_rng(seed)
     r1s, r2s = 0.5, -0.5 + eps
     sigma = 1.0 - eps
@@ -242,11 +237,11 @@ def commutator_check(
         f = random_band_limited(grid, rng)
         g = random_band_limited(grid, rng)
 
-        q = int(rng.integers(0, cut.q_max))
+        q = int(rng.integers(0, cutoffs_for(grid).q_max))
         # [Delta_q, f] g = Delta_q(fg) - f Delta_q(g)
         comm = SpectralField.from_coef(
             grid,
-            project_shell(product(f, g), q, cut).coef - product(f, project_shell(g, q, cut)).coef,
+            project_shell(product(f, g), q).coef - product(f, project_shell(g, q)).coef,
         )
         lhs = comm.l2_norm()
         rhs = (2.0**q) ** (-(r1s + r2s - 0.5)) * 2.0 * sobolev_norm(f, r1s) * sobolev_norm(g, r2s)
@@ -269,10 +264,9 @@ def commutator_check(
 
 
 def norm_equivalence_ratio(
-    grid: GridSpec, s: float, trials: int = 100, seed: int = 0, cutoffs: LPCutoffs | None = None
+    grid: GridSpec, s: float, trials: int = 100, seed: int = 0
 ) -> tuple[float, float]:
     """Range [c, C] of sqrt(ShellSpectrum.total) / sobolev_norm over random fields."""
-    cut = cutoffs if cutoffs is not None else LPCutoffs(grid)
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
@@ -280,5 +274,5 @@ def norm_equivalence_ratio(
         direct = sobolev_norm(f, s)
         if direct == 0.0:
             continue
-        ratios.append(np.sqrt(shell_spectrum(f, s, cut).total) / direct)
+        ratios.append(np.sqrt(shell_spectrum(f, s).total) / direct)
     return float(np.min(ratios)), float(np.max(ratios))

@@ -20,6 +20,7 @@ growth near a singularity stays resolved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Literal
@@ -45,6 +46,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.kind not in ("full", "transport"):
             raise ValueError("kind must be 'full' or 'transport'")
+        if not (math.isfinite(self.mu) and math.isfinite(self.alpha)):
+            raise ValueError("mu and alpha must be finite")
         if self.mu < 0 or self.alpha < 0:
             raise ValueError("mu and alpha must be nonnegative")
 
@@ -62,8 +65,12 @@ class StepperConfig:
     store_step_fields: bool = False  # keep Lambda B (+ d/dt) at every step
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.dt_init) and math.isfinite(self.t_end)):
+            raise ValueError("dt_init and t_end must be finite")
         if self.dt_init <= 0 or self.t_end <= 0:
             raise ValueError("dt_init and t_end must be positive")
+        if math.isnan(self.blowup_threshold):
+            raise ValueError("blowup_threshold must not be NaN")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.scheme not in ("ifrk4", "etdrk4"):
@@ -73,7 +80,7 @@ class StepperConfig:
 
 
 class _Ops:
-    """Per-grid multiplier tables shared by all steppers."""
+    """Multiplier tables of one (grid, params), built once by ``_ops``; read-only."""
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
@@ -81,34 +88,46 @@ class _Ops:
         self.xi = grid.wavenumbers
         self.absxi = np.abs(self.xi)
         self.ddx = 1j * self.xi
+        self.lam_dx = self.absxi * self.ddx
         self.mask = grid.dealias_mask
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
+        for a in (self.absxi, self.ddx, self.lam_dx, self.lin):
+            a.flags.writeable = False
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        """Dealiased, mean-free quadratic term of the chosen model."""
-        if not self.params.nonlinearity:
-            return np.zeros_like(c)
-        lam_b = self.grid.to_phys(self.absxi * c)
-        b_x = self.grid.to_phys(self.ddx * c)
-        if self.params.kind == "transport":
-            out = self.grid.to_coef(lam_b * b_x)
-        else:
-            # -(B J_x - J B_x) with J = -Lambda B
-            b = self.grid.to_phys(c)
-            lam_bx = self.grid.to_phys(self.absxi * self.ddx * c)
-            out = self.grid.to_coef(b * lam_bx - lam_b * b_x)
+    def _dealiased(self, phys: np.ndarray) -> np.ndarray:
+        out = self.grid.to_coef(phys)
         out *= self.mask
         out[0] = 0.0
         return out
+
+    def full_form(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free; at a = c
+        it is -(B J_x - J B_x) with J = -Lambda B."""
+        g = self.grid
+        a_lcx = g.to_phys(a) * g.to_phys(self.lam_dx * c)
+        return self._dealiased(a_lcx - g.to_phys(self.absxi * a) * g.to_phys(self.ddx * c))
+
+    def nonlinear(self, c: np.ndarray, tau: float = 0.0) -> np.ndarray:
+        """Dealiased, mean-free quadratic term of the chosen model; ``tau``
+        (the stage's fraction of the step) is unused: the model is autonomous."""
+        if not self.params.nonlinearity:
+            return np.zeros_like(c)
+        if self.params.kind == "full":
+            return self.full_form(c, c)
+        g = self.grid
+        return self._dealiased(g.to_phys(self.absxi * c) * g.to_phys(self.ddx * c))
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         return self.nonlinear(c) - self.lin * c
 
 
+# bounded, so that a sweep over many (grid, params) does not keep every table
+_ops = functools.lru_cache(maxsize=32)(_Ops)
+
+
 def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
     """Full right-hand side dB/dt, dealiased and mean-free."""
-    ops = _Ops(B.grid, params)
-    return SpectralField.from_coef(B.grid, ops.rhs(B.coef))
+    return SpectralField.from_coef(B.grid, _ops(B.grid, params).rhs(B.coef))
 
 
 _TAYLOR_TERMS = 20  # z^20 / 20! < 1e-18 for |z| < 1
@@ -148,27 +167,29 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     return e_half, e_full, q, f1, f2, f3
 
 
-def _step_ifrk4(ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
-    e_full = np.exp(-dt * ops.lin)
-    e_half = np.exp(-0.5 * dt * ops.lin)
-    if k1 is None:
-        k1 = ops.nonlinear(c)
-    k2 = ops.nonlinear(e_half * (c + 0.5 * dt * k1))
-    k3 = ops.nonlinear(e_half * c + 0.5 * dt * k2)
-    k4 = ops.nonlinear(e_full * c + dt * e_half * k3)
+# A stepper advances c_t = nl(c, tau) - lin * c by dt from k1 = nl(c, 0);
+# nl receives the stage's fraction tau of the step (0, 1/2, 1/2, 1).
+def _step_ifrk4(nl: Callable, lin: np.ndarray, c: np.ndarray, dt: float, k1: np.ndarray):
+    e_full = np.exp(-dt * lin)
+    e_half = np.exp(-0.5 * dt * lin)
+    k2 = nl(e_half * (c + 0.5 * dt * k1), 0.5)
+    k3 = nl(e_half * c + 0.5 * dt * k2, 0.5)
+    k4 = nl(e_full * c + dt * e_half * k3, 1.0)
     return e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-def _step_etdrk4(ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
-    e_half, e_full, q, f1, f2, f3 = _etdrk4_coeffs(ops.lin, dt)
-    n0 = k1 if k1 is not None else ops.nonlinear(c)
-    a = e_half * c + q * n0
-    na = ops.nonlinear(a)
+def _step_etdrk4(nl: Callable, lin: np.ndarray, c: np.ndarray, dt: float, k1: np.ndarray):
+    e_half, e_full, q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
+    a = e_half * c + q * k1
+    na = nl(a, 0.5)
     b = e_half * c + q * na
-    nb = ops.nonlinear(b)
-    cc = e_half * a + q * (2.0 * nb - n0)
-    nc = ops.nonlinear(cc)
-    return e_full * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+    nb = nl(b, 0.5)
+    cc = e_half * a + q * (2.0 * nb - k1)
+    nc = nl(cc, 1.0)
+    return e_full * c + f1 * k1 + 2.0 * f2 * (na + nb) + f3 * nc
+
+
+_STEPPERS = {"ifrk4": _step_ifrk4, "etdrk4": _step_etdrk4}
 
 
 def step(
@@ -181,9 +202,9 @@ def step(
     """Advance one step of size dt (no adaptivity); returns (B_next, dt)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ops = _Ops(B.grid, params)
-    stepper = _step_etdrk4 if cfg.scheme == "etdrk4" else _step_ifrk4
-    return SpectralField.from_coef(B.grid, stepper(ops, B.coef, dt)), dt
+    ops = _ops(B.grid, params)
+    c = _STEPPERS[cfg.scheme](ops.nonlinear, ops.lin, B.coef, dt, ops.nonlinear(B.coef))
+    return SpectralField.from_coef(B.grid, c), dt
 
 
 def hermite(vals: np.ndarray, dots: np.ndarray, n: int, tau: float, dt: float) -> np.ndarray:
@@ -253,8 +274,8 @@ def evolve(
     accepted step.  The termination cause is recorded on the result.
     """
     grid = B0.grid
-    ops = _Ops(grid, params)
-    stepper = _step_etdrk4 if cfg.scheme == "etdrk4" else _step_ifrk4
+    ops = _ops(grid, params)
+    stepper = _STEPPERS[cfg.scheme]
     c = B0.coef.copy()
     c[0] = 0.0  # zero-mean gauge
     t = 0.0
@@ -273,7 +294,7 @@ def evolve(
         nl = ops.nonlinear(c)
         rhs_c = nl - ops.lin * c
         sup_lb = float(np.max(np.abs(grid.to_phys(ops.absxi * c))))
-        sup_lbx = float(np.max(np.abs(grid.to_phys(ops.absxi * ops.ddx * c))))
+        sup_lbx = float(np.max(np.abs(grid.to_phys(ops.lam_dx * c))))
         if cfg.store_step_fields:
             lam_b_store.append(ops.absxi * c)
             lam_b_dot_store.append(ops.absxi * rhs_c)
@@ -305,7 +326,7 @@ def evolve(
             break
         dt = min(dt, cfg.t_end - t)
 
-        c = stepper(ops, c, dt, k1=nl)
+        c = stepper(ops.nonlinear, ops.lin, c, dt, nl)
         drift = float(abs(c[0]))
         c[0] = 0.0
         t += dt
@@ -357,9 +378,9 @@ def picard_solve(
 
     Iterate k solves B_t + B^(k-1) J_x - J^(k-1) B_x + mu Lambda^alpha B = 0
     with coefficients frozen from iterate k-1 (B^(-1) = 0, so iterate 0 is
-    the pure dissipation semigroup).  Stepping is fixed-dt integrating-factor
-    RK4; coefficient fields at stage times come from cubic Hermite
-    interpolation of the stored (value, time-derivative) pairs of the
+    the pure dissipation semigroup).  Stepping is fixed-dt with the
+    ``cfg.scheme`` stepper; coefficient fields at stage times come from cubic
+    Hermite interpolation of the stored (value, time-derivative) pairs of the
     previous iterate.  Stops when the sup-in-time H^s gap between
     consecutive iterates drops below ``tol``.
     """
@@ -368,15 +389,13 @@ def picard_solve(
     if s is None:
         s = 2.5 - params.alpha + 0.5
     grid = B0.grid
-    ops = _Ops(grid, params)
+    ops = _ops(grid, params)
+    stepper = _STEPPERS[cfg.scheme]
     dt = cfg.dt_init
     m = max(1, int(round(cfg.t_end / dt)))
     dt = cfg.t_end / m
     weight = sobolev_weight(ops.xi, s, homogeneous=False)
     twoL = 2.0 * grid.half_length
-
-    e_full = np.exp(-dt * ops.lin)
-    e_half = np.exp(-0.5 * dt * ops.lin)
 
     c0 = B0.coef.copy()
     c0[0] = 0.0
@@ -388,34 +407,23 @@ def picard_solve(
     converged = False
     vals = np.empty((m + 1, grid.n_modes), dtype=complex)
 
-    def frozen_nl(c: np.ndarray, n: int, tau: float) -> np.ndarray:
-        """Nonlinearity linear in c, coefficients from the previous iterate."""
+    def frozen_nl(c: np.ndarray, tau: float) -> np.ndarray:
+        """Nonlinearity linear in c, coefficients from the previous iterate
+        at t_n + tau * dt (n is the step the loop below is taking)."""
         if prev_vals is None or not params.nonlinearity:
             return np.zeros_like(c)
-        bc = hermite(prev_vals, prev_dots, n, tau, dt)
-        # -(B^(k-1) J_x - J^(k-1) B_x), J = -Lambda(.)
-        b_prev = grid.to_phys(bc)
-        j_prev = grid.to_phys(-ops.absxi * bc)
-        j_x = grid.to_phys(-ops.absxi * ops.ddx * c)
-        b_x = grid.to_phys(ops.ddx * c)
-        out = grid.to_coef(-(b_prev * j_x) + j_prev * b_x)
-        out *= ops.mask
-        out[0] = 0.0
-        return out
+        return ops.full_form(hermite(prev_vals, prev_dots, n, tau, dt), c)
 
     for it in range(k_max + 1):
         dots = np.empty_like(vals)
         c = c0.copy()
         for n in range(m + 1):
             vals[n] = c
-            dots[n] = frozen_nl(c, n, 0.0) - ops.lin * c
+            k1 = frozen_nl(c, 0.0)
+            dots[n] = k1 - ops.lin * c
             if n == m:
                 break
-            k1 = dots[n].copy() + ops.lin * c  # nonlinear part only
-            k2 = frozen_nl(e_half * (c + 0.5 * dt * k1), n, 0.5)
-            k3 = frozen_nl(e_half * c + 0.5 * dt * k2, n, 0.5)
-            k4 = frozen_nl(e_full * c + dt * e_half * k3, n, 1.0)
-            c = e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+            c = stepper(frozen_nl, ops.lin, c, dt, k1)
             c[0] = 0.0
         finals.append(SpectralField.from_coef(grid, vals[m]))
         if prev_vals is not None:

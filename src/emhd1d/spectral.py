@@ -14,6 +14,7 @@ the unique sign choice for which Lambda = H d/dx holds with Lambda = |xi|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -35,8 +36,8 @@ class GridSpec:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.half_length <= 0:
-            raise ValueError("half_length must be positive")
+        if not (math.isfinite(self.half_length) and self.half_length > 0):
+            raise ValueError("half_length must be positive and finite")
         if self.n_modes < 8 or self.n_modes % 2 != 0:
             raise ValueError("n_modes must be even and >= 8")
         if not 0.0 < self.dealias_fraction <= 1.0:

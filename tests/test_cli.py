@@ -64,9 +64,23 @@ class TestConfigParsing:
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        p.write_text("grid.N = many\n")
-        with pytest.raises(ConfigError):
-            RunConfig.from_file(p)
+        for line in ("grid.N = many", "model.mu = nan", "grid.L = nan", "stepper.adaptive = ture"):
+            p.write_text(line + "\n")
+            with pytest.raises(ConfigError):
+                RunConfig.from_file(p)
+            assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("lam", ["nan", "0", "-2"])
+    def test_bad_symmetry_lam_rejected(self, tmp_path, lam):
+        p = tmp_path / "sym.cfg"
+        p.write_text(f"grid.N = 64\nsymmetry.lam = {lam}\n")
+        assert main(["symmetry", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("val, expected", [("TRUE", True), ("on", True), ("0", False), ("No", False)])
+    def test_bool_spellings(self, tmp_path, val, expected):
+        p = tmp_path / "b.cfg"
+        p.write_text(f"stepper.adaptive = {val}\n")
+        assert RunConfig.from_file(p).stepper_adaptive is expected
 
     def test_invalid_grid_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -140,6 +154,16 @@ class TestCommands:
         assert (out / "sweep_000" / "series.csv").is_file()
         assert (out / "sweep_001" / "series.csv").is_file()
 
+    @pytest.mark.parametrize("threads", ["two", "0", "-1", ""])
+    def test_sweep_bad_thread_count(self, cfg_file, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("EMHD1D_THREADS", threads)
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(f"{cfg_file}\n{cfg_file}\n")
+        out = tmp_path / "sw"
+        assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_CONFIG
+        assert "EMHD1D_THREADS" in capsys.readouterr().err
+        assert not (out / "sweep_000").exists()
+
     def test_sweep_missing_file(self, tmp_path):
         assert main(["run", "--sweep", str(tmp_path / "no.txt"), "--out", str(tmp_path)]) == EXIT_CONFIG
 
@@ -154,6 +178,18 @@ class TestCommands:
         )
         out = tmp_path / "ffout"
         assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["run", "symmetry"])
+    def test_wrong_size_datum_is_config_error(self, tmp_path, capsys, command):
+        raw = tmp_path / "datum.bin"
+        np.zeros(10).astype("<f8").tofile(raw)
+        p = tmp_path / "short.cfg"
+        p.write_text(
+            "grid.L = 3.141592653589793\ngrid.N = 64\nmodel.alpha = 2.0\n"
+            f"stepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n"
+        )
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: datum file holds 10" in capsys.readouterr().err
 
     def test_nan_datum_is_numerical_abort(self, tmp_path):
         arr = 0.05 * np.sin(np.linspace(-np.pi, np.pi, 64, endpoint=False))

@@ -151,7 +151,7 @@ class TestFlux:
         B = remove_mean(small_datum(grid, amp=0.2))
         s = 1.0
         cut = LPCutoffs(grid)
-        fd = flux_decomposition(B, s, p, cut)
+        fd = flux_decomposition(B, s, p)
         r = rhs(B, p)
         twoL = 2.0 * grid.half_length
         production = sum(

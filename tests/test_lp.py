@@ -70,7 +70,7 @@ class TestCutoffs:
     def test_projection_reconstruction(self, grid, cutoffs):
         rng = np.random.default_rng(3)
         f = random_band_limited(grid, rng)
-        total = sum(project_shell(f, q, cutoffs).coef for q in cutoffs.shells())
+        total = sum(project_shell(f, q).coef for q in cutoffs.shells())
         assert np.allclose(total, f.coef, atol=1e-13)
 
 
@@ -94,13 +94,13 @@ class TestNorms:
     def test_shell_spectrum_total_matches_l2(self, grid, cutoffs):
         rng = np.random.default_rng(4)
         f = random_band_limited(grid, rng)
-        spec = shell_spectrum(f, 0.0, cutoffs)
+        spec = shell_spectrum(f, 0.0)
         # s = 0 shells overlap, so total is within a bounded factor of ||f||^2
         ratio = spec.total / f.l2_norm() ** 2
         assert 0.5 <= ratio <= 1.5
 
     def test_norm_equivalence(self, grid, cutoffs):
-        lo, hi = norm_equivalence_ratio(grid, s=1.0, trials=50, seed=5, cutoffs=cutoffs)
+        lo, hi = norm_equivalence_ratio(grid, s=1.0, trials=50, seed=5)
         assert 0.5 <= lo <= hi <= 1.5
 
     def test_lp_norm_analytic(self, grid):
@@ -117,7 +117,7 @@ class TestRandomFields:
         assert np.allclose(grid.to_phys(f.coef), f.phys)
 
     def test_shell_field_localized(self, grid, cutoffs):
-        f = random_shell_field(grid, 3, np.random.default_rng(7), cutoffs)
+        f = random_shell_field(grid, 3, np.random.default_rng(7))
         outside = cutoffs.weight(3) == 0.0
         assert np.max(np.abs(f.coef[outside])) < 1e-14
         assert np.max(np.abs(f.phys.imag if np.iscomplexobj(f.phys) else 0.0)) == 0.0
@@ -125,14 +125,14 @@ class TestRandomFields:
 
 class TestInequalityHarnesses:
     def test_bernstein_ratios_bounded(self, grid, cutoffs):
-        rep_d, rep_inf = bernstein_check(grid, trials=100, seed=1, cutoffs=cutoffs)
+        rep_d, rep_inf = bernstein_check(grid, trials=100, seed=1)
         # shell q supports |xi| <= 2^(q+1), so the derivative ratio caps at 2
         assert rep_d.max_ratio <= 4.0
         assert rep_inf.max_ratio <= 4.0
         assert rep_d.ratios.size > 0 and np.all(np.isfinite(rep_d.ratios))
 
     def test_commutator_ratios_bounded(self, grid, cutoffs):
-        rep_lp, rep_cm = commutator_check(grid, trials=30, seed=1, cutoffs=cutoffs)
+        rep_lp, rep_cm = commutator_check(grid, trials=30, seed=1)
         assert rep_lp.max_ratio <= 2.0
         assert rep_cm.max_ratio <= 2.0
 

@@ -9,6 +9,7 @@ from emhd1d.lp import sobolev_norm_inhom
 from emhd1d.solver import (
     ModelParams,
     _etdrk4_coeffs,
+    _ops,
     PicardResult,
     StepperConfig,
     evolve,
@@ -51,6 +52,21 @@ class TestModelParams:
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             ModelParams(kind="full", mu=-1.0, alpha=1.0)
+
+    @pytest.mark.parametrize("kw", [{"mu": np.nan}, {"alpha": np.nan}, {"mu": np.inf}])
+    def test_rejects_non_finite_coefficients(self, kw):
+        with pytest.raises(ValueError):
+            ModelParams(**{"kind": "full", "mu": 1.0, "alpha": 1.0, **kw})
+
+
+class TestOpsCache:
+    def test_one_read_only_table_per_grid_and_params(self):
+        p = ModelParams(kind="full", mu=1.0, alpha=1.5)
+        ops = _ops(GridSpec(np.pi, 64), p)
+        assert _ops(GridSpec(np.pi, 64), ModelParams(kind="full", mu=1.0, alpha=1.5)) is ops
+        assert _ops(GridSpec(np.pi, 128), p) is not ops
+        with pytest.raises(ValueError):
+            ops.lin[1] = 0.0
 
 
 class TestRHS:
@@ -146,6 +162,12 @@ class TestStepperConfig:
     @pytest.mark.parametrize("kw", [{"snapshot_cadence": 0}, {"max_steps": 0},
                                     {"snapshot_cadence": -1}, {"max_steps": -5}])
     def test_rejects_nonpositive_counts(self, kw):
+        with pytest.raises(ValueError):
+            StepperConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [{"dt_init": np.nan}, {"dt_init": np.inf}, {"t_end": np.nan},
+                                    {"t_end": np.inf}, {"blowup_threshold": np.nan}])
+    def test_rejects_non_finite_times(self, kw):
         with pytest.raises(ValueError):
             StepperConfig(**kw)
 
@@ -306,6 +328,21 @@ class TestPicard:
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=0.1, adaptive=False)
         res = picard_solve(small_datum(grid), p, cfg)
+        fine = StepperConfig(dt_init=2.5e-4, t_end=0.1, adaptive=False, snapshot_cadence=10**9)
+        ref = evolve(small_datum(grid), p, fine).final
+        diff = np.sqrt(2 * np.pi * np.sum(np.abs(res.series.final.coef - ref.coef) ** 2))
+        assert diff <= 1e-6
+
+    def test_etdrk4_limit_matches_nonlinear_solver(self, grid):
+        # criterion 7 with the ETDRK4 stepper: the scheme is honoured (the
+        # limit differs from the IF-RK4 one in the last bits) and converges
+        # to the same solution
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(scheme="etdrk4", dt_init=1e-3, t_end=0.1, adaptive=False)
+        res = picard_solve(small_datum(grid), p, cfg)
+        assert res.converged
+        ifrk4 = picard_solve(small_datum(grid), p, replace(cfg, scheme="ifrk4")).series.final
+        assert not np.array_equal(res.series.final.coef, ifrk4.coef)
         fine = StepperConfig(dt_init=2.5e-4, t_end=0.1, adaptive=False, snapshot_cadence=10**9)
         ref = evolve(small_datum(grid), p, fine).final
         diff = np.sqrt(2 * np.pi * np.sum(np.abs(res.series.final.coef - ref.coef) ** 2))

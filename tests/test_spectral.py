@@ -40,6 +40,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**bad)
 
+    @pytest.mark.parametrize("half_length", [np.nan, np.inf])
+    def test_rejects_non_finite_half_length(self, half_length):
+        with pytest.raises(ValueError):
+            GridSpec(half_length, 64)
+
     def test_coef_round_trip(self, grid):
         rng = np.random.default_rng(0)
         phys = rng.standard_normal(grid.n_modes)
