@@ -8,6 +8,8 @@ comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
 3 numerical abort (a non-finite field, or CFL collapse outside a blowup run).
 ``--sweep`` takes a file listing one config path per line and fans the runs
 out across worker threads, capped by the EMHD1D_THREADS environment variable.
+Run i writes to OUT/sweep_<i:03d>, OUT/sweep.json maps each config path to
+its exit code, and the sweep exits with the most severe code (0 < 1 < 2 < 3).
 """
 
 from __future__ import annotations
@@ -413,7 +415,12 @@ def main(argv: list[str] | None = None) -> int:
                     enumerate(paths),
                 )
             )
-        return max(codes) if codes else EXIT_CONFIG
+        if not codes:
+            return EXIT_CONFIG
+        # the exit codes rank by severity: ok < tolerance < config < numerical
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "sweep.json").write_text(json.dumps(dict(zip(paths, codes)), indent=2) + "\n")
+        return max(codes)
     if not args.config:
         print("--config is required (or --sweep)", file=sys.stderr)
         return EXIT_CONFIG

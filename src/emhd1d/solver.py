@@ -80,7 +80,8 @@ class StepperConfig:
 
 
 class _Ops:
-    """Multiplier tables of one (grid, params), built once by ``_ops``; read-only."""
+    """Multiplier tables of one (grid, params), built once by ``_ops``; read-only
+    apart from the slot that keeps the last ETDRK4 coefficients."""
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
@@ -93,6 +94,20 @@ class _Ops:
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
         for a in (self.absxi, self.ddx, self.lam_dx, self.lin):
             a.flags.writeable = False
+        self._etdrk4 = (math.nan, ())  # (dt, coefficients) of the last build
+
+    def etdrk4_coeffs(self, dt: float) -> tuple:
+        """``_etdrk4_coeffs(lin, dt)``, rebuilt only when dt changes, so a
+        fixed-dt run builds them once.  The (dt, coefficients) pair is
+        replaced whole, so sweep threads sharing this table never pair one
+        dt with another's coefficients."""
+        last = self._etdrk4
+        if last[0] != dt:
+            coeffs = _etdrk4_coeffs(self.lin, dt)
+            for a in coeffs:
+                a.flags.writeable = False
+            last = self._etdrk4 = (dt, coeffs)
+        return last[1]
 
     def _dealiased(self, phys: np.ndarray) -> np.ndarray:
         out = self.grid.to_coef(phys)
@@ -167,9 +182,10 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     return e_half, e_full, q, f1, f2, f3
 
 
-# A stepper advances c_t = nl(c, tau) - lin * c by dt from k1 = nl(c, 0);
+# A stepper advances c_t = nl(c, tau) - ops.lin * c by dt from k1 = nl(c, 0);
 # nl receives the stage's fraction tau of the step (0, 1/2, 1/2, 1).
-def _step_ifrk4(nl: Callable, lin: np.ndarray, c: np.ndarray, dt: float, k1: np.ndarray):
+def _step_ifrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray):
+    lin = ops.lin
     e_full = np.exp(-dt * lin)
     e_half = np.exp(-0.5 * dt * lin)
     k2 = nl(e_half * (c + 0.5 * dt * k1), 0.5)
@@ -178,8 +194,8 @@ def _step_ifrk4(nl: Callable, lin: np.ndarray, c: np.ndarray, dt: float, k1: np.
     return e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-def _step_etdrk4(nl: Callable, lin: np.ndarray, c: np.ndarray, dt: float, k1: np.ndarray):
-    e_half, e_full, q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
+def _step_etdrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray):
+    e_half, e_full, q, f1, f2, f3 = ops.etdrk4_coeffs(dt)
     a = e_half * c + q * k1
     na = nl(a, 0.5)
     b = e_half * c + q * na
@@ -203,7 +219,7 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     ops = _ops(B.grid, params)
-    c = _STEPPERS[cfg.scheme](ops.nonlinear, ops.lin, B.coef, dt, ops.nonlinear(B.coef))
+    c = _STEPPERS[cfg.scheme](ops.nonlinear, ops, B.coef, dt, ops.nonlinear(B.coef))
     return SpectralField.from_coef(B.grid, c), dt
 
 
@@ -326,7 +342,7 @@ def evolve(
             break
         dt = min(dt, cfg.t_end - t)
 
-        c = stepper(ops.nonlinear, ops.lin, c, dt, nl)
+        c = stepper(ops.nonlinear, ops, c, dt, nl)
         drift = float(abs(c[0]))
         c[0] = 0.0
         t += dt
@@ -423,7 +439,7 @@ def picard_solve(
             dots[n] = k1 - ops.lin * c
             if n == m:
                 break
-            c = stepper(frozen_nl, ops.lin, c, dt, k1)
+            c = stepper(frozen_nl, ops, c, dt, k1)
             c[0] = 0.0
         finals.append(SpectralField.from_coef(grid, vals[m]))
         if prev_vals is not None:

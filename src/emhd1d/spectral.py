@@ -6,7 +6,11 @@ convention
 
     coef_k = (1/N) * sum_j phys_j * exp(-i xi_k x_j),    xi_k = pi k / L,
 
-so that ``eval_trig`` is a plain trigonometric sum.  All nonlocal operators
+so that ``eval_trig`` is a plain trigonometric sum.  Every field is real,
+so its coefficients are Hermitian, coef_(-k) = conj(coef_k): the transforms
+are real FFTs, ``to_coef`` fills the negative half by that symmetry, and
+``to_phys`` and ``eval_trig`` read only the non-negative half
+coef[: N/2 + 1].  All nonlocal operators
 (Hilbert transform, fractional Laplacian, Riesz potential) are exact diagonal
 multipliers in this basis.  The Hilbert transform uses m(xi) = -i sgn(xi),
 the unique sign choice for which Lambda = H d/dx holds with Lambda = |xi|.
@@ -78,6 +82,12 @@ class GridSpec:
         return p
 
     @cached_property
+    def _phase_half(self) -> np.ndarray:
+        p = self._phase[: self.n_modes // 2 + 1].copy()
+        p.flags.writeable = False
+        return p
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         cut = self.dealias_fraction * self.n_modes / 2.0
         m = (np.abs(self.mode_index) <= cut).astype(float)
@@ -90,10 +100,27 @@ class GridSpec:
         return float(np.max(np.abs(self.wavenumbers) * self.dealias_mask))
 
     def to_coef(self, phys: np.ndarray) -> np.ndarray:
-        return np.fft.fft(phys) / self.n_modes * self._phase
+        """Coefficients of real samples along the last axis: all N of them in
+        FFT order, the negative half filled by Hermitian symmetry."""
+        N, h = self.n_modes, self.n_modes // 2
+        half = np.fft.rfft(phys)
+        half /= N
+        half *= self._phase_half
+        coef = np.empty(half.shape[:-1] + (N,), dtype=complex)
+        coef[..., : h + 1] = half
+        np.conjugate(half[..., h - 1 : 0 : -1], out=coef[..., h + 1 :])
+        return coef
 
     def to_phys(self, coef: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft(coef / self._phase * self.n_modes))
+        """Real samples of Hermitian coefficients along the last axis.
+
+        Only the non-negative half coef[..., : N/2 + 1] is read, and of its
+        mean and Nyquist entries only the real parts: at the nodes, that is
+        all a real field carries.
+        """
+        half = coef[..., : self.n_modes // 2 + 1] / self._phase_half
+        half *= self.n_modes
+        return np.fft.irfft(half, n=self.n_modes)
 
 
 @dataclass(frozen=True)
@@ -220,18 +247,25 @@ def remove_mean(f: SpectralField) -> SpectralField:
 def eval_trig(grid: GridSpec, coef: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
     """Real trigonometric sums of coefficient rows at arbitrary points.
 
-    ``coef`` is one row of N coefficients (result shape (len(x),)) or a
-    stack of m rows (result shape (m, len(x))).  Points are reduced mod 2L
-    into [-L, L), and all rows share one phase table exp(i xi_k x).
+    ``coef`` is one row of N Hermitian coefficients (result shape
+    (len(x),)) or a stack of m rows (result shape (m, len(x))).  Points are
+    reduced mod 2L into [-L, L).  The sum runs over the non-negative half
+    with weights (1, 2, ..., 2, 1), so each pair +-k counts once as
+    2 Re(coef_k exp(i xi_k x)); the Nyquist term keeps its FFT-order
+    wavenumber -pi N / (2L).  All rows share one phase table.
     """
     L = grid.half_length
+    h = grid.n_modes // 2
     xa = np.mod(np.atleast_1d(np.asarray(x, dtype=float)) + L, 2.0 * L) - L
-    phase = np.exp(1j * np.outer(grid.wavenumbers, xa))
+    weight = np.full(h + 1, 2.0)
+    weight[0] = weight[h] = 1.0
+    phase = weight[:, None] * np.exp(1j * np.outer(grid.wavenumbers[: h + 1], xa))
+    half = coef[..., : h + 1]
     if coef.ndim == 1:
-        return np.real(coef @ phase)
+        return np.real(half @ phase)
     # one product per row: a stacked matrix product sums in another order,
     # so a row's value would depend on which rows it was stacked with
-    return np.real(np.array([row @ phase for row in coef]))
+    return np.real(np.array([row @ phase for row in half]))
 
 
 def evaluate_at(f: SpectralField, x: "float | np.ndarray") -> "float | np.ndarray":

@@ -156,6 +156,20 @@ class TestInvariants:
         assert rep.max_bx_defect <= 1e-4
         assert rep.max_bxx_rel <= 1e-4
 
+    def test_bxx_ratio_matches_row_by_row_sup(self, run_and_states):
+        # the report transforms the selected rows in blocks; each row's
+        # sup|B_xx| must be what a transform of that row alone gives
+        run, d, states = run_and_states
+        t_max = 0.8 / d.w0
+        rep = riccati_invariant_report(run, states, t_max=t_max)
+        xi = run.grid.wavenumbers
+        ratios = [
+            abs(s.bxx) / max(float(np.max(np.abs(run.grid.to_phys(-np.abs(xi) * run.lam_b[n])))), 1e-300)
+            for n, s in enumerate(states) if s.t <= t_max
+        ]
+        assert len(ratios) > 32
+        assert rep.max_bxx_rel == max(ratios)
+
     def test_bbar_x_property(self):
         s = TrajectoryState(t=0.0, X=0.0, bx=1.25, bxx=0.0, w=1.0)
         assert s.bbar_x == pytest.approx(0.25)

@@ -154,6 +154,19 @@ class TestCommands:
         assert (out / "sweep_000" / "series.csv").is_file()
         assert (out / "sweep_001" / "series.csv").is_file()
 
+    def test_sweep_records_each_exit_code(self, cfg_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("EMHD1D_THREADS", "2")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("grid.N = many\n")
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(f"{cfg_file}\n{bad}\n")
+        out = tmp_path / "sw"
+        # the aggregate is the most severe code: a config error outranks a pass
+        assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads((out / "sweep.json").read_text())
+        assert record == {str(cfg_file): EXIT_OK, str(bad): EXIT_CONFIG}
+        assert (out / "sweep_000" / "series.csv").is_file()
+
     @pytest.mark.parametrize("threads", ["two", "0", "-1", ""])
     def test_sweep_bad_thread_count(self, cfg_file, tmp_path, monkeypatch, capsys, threads):
         monkeypatch.setenv("EMHD1D_THREADS", threads)

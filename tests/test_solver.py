@@ -1,10 +1,13 @@
 """Time-stepper and evolution-loop tests."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from emhd1d import solver
 from emhd1d.lp import sobolev_norm_inhom
 from emhd1d.solver import (
     ModelParams,
@@ -156,6 +159,95 @@ class TestETDRK4Coeffs:
         assert q[0] == dt / 2.0
         for f in (f1, f2, f3):
             assert f[0] == pytest.approx(dt / 6.0, rel=1e-15)
+
+
+class TestETDRK4CoefficientReuse:
+    """Fixed-dt ETDRK4 builds its coefficients once per distinct dt."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        _ops.cache_clear()  # no table may hold coefficients from an earlier test
+        seen = []
+
+        def counting(lin, dt):
+            seen.append(dt)
+            return _etdrk4_coeffs(lin, dt)
+
+        monkeypatch.setattr(solver, "_etdrk4_coeffs", counting)
+        return seen
+
+    @staticmethod
+    def rebuilt_every_step(monkeypatch):
+        monkeypatch.setattr(solver._Ops, "etdrk4_coeffs", lambda self, dt: _etdrk4_coeffs(self.lin, dt))
+
+    def test_evolve_builds_once_per_dt_and_fields_are_unchanged(self, grid, monkeypatch):
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(scheme="etdrk4", dt_init=1e-3, t_end=0.05, adaptive=False)
+        with monkeypatch.context() as m:
+            self.rebuilt_every_step(m)
+            ref = evolve(small_datum(grid), p, cfg)
+        builds = self.count_builds(monkeypatch)
+        run = evolve(small_datum(grid), p, cfg)
+        assert len(run.step_times) == 51
+        assert sorted(builds) == sorted(set(run.diagnostics["dt"]))
+        assert len(builds) <= 2  # dt_init, and perhaps a last step cut to t_end
+        for (_, a), (_, b) in zip(run.snapshots, ref.snapshots, strict=True):
+            assert np.array_equal(a.coef, b.coef)
+
+    def test_picard_and_step_build_once(self, grid, monkeypatch):
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(scheme="etdrk4", dt_init=1e-3, t_end=0.02, adaptive=False)
+        with monkeypatch.context() as m:
+            self.rebuilt_every_step(m)
+            ref = picard_solve(small_datum(grid), p, cfg)
+        builds = self.count_builds(monkeypatch)
+        res = picard_solve(small_datum(grid), p, cfg)
+        assert builds == [1e-3]
+        assert res.gap_history == ref.gap_history
+        assert np.array_equal(res.series.final.coef, ref.series.final.coef)
+        B = small_datum(grid)
+        for _ in range(5):
+            B, _ = step(B, 0.0, 1e-3, p, cfg)
+        assert builds == [1e-3]
+
+    def test_threads_sharing_a_table_get_their_own_dt(self):
+        # sweep threads share one table; a thread must never be handed the
+        # coefficients built for another thread's dt
+        ops = _ops(GridSpec(np.pi, 8), ModelParams(kind="full", mu=1.0, alpha=2.0))
+        dts = [1e-3, 2e-3, 5e-4, 3e-3]
+        refs = {dt: _etdrk4_coeffs(ops.lin, dt) for dt in dts}
+        wrong = []
+
+        def worker(first):
+            for i in range(2000):
+                dt = dts[(first + i // 3) % len(dts)]
+                if not all(np.array_equal(a, b) for a, b in zip(ops.etdrk4_coeffs(dt), refs[dt])):
+                    wrong.append(dt)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(dts))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_adaptive_run_rebuilds_when_dt_changes(self, grid, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
+        cfg = StepperConfig(scheme="etdrk4", dt_init=1e-2, t_end=0.05)
+        run = evolve(small_datum(grid, amp=1.0), p, cfg)
+        dts = run.diagnostics["dt"]
+        assert builds == [dts[0]] + [b for a, b in zip(dts[:-1], dts[1:]) if b != a]
+        assert len(builds) > 5
+        coeffs = _ops(grid, p).etdrk4_coeffs(builds[-1])
+        with pytest.raises(ValueError):
+            coeffs[2][0] = 0.0
 
 
 class TestStepperConfig:

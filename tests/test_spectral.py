@@ -178,3 +178,95 @@ class TestEvaluateAt:
         for row, vals in zip(rows, stacked):
             assert np.array_equal(vals, eval_trig(grid, row, x))
         assert np.allclose(stacked[1], np.cos(x), atol=1e-12)
+
+
+def complex_to_coef(grid, phys):
+    """The complex-FFT transform the real one replaced, kept as a reference."""
+    return np.fft.fft(phys) / grid.n_modes * grid._phase
+
+
+def complex_to_phys(grid, coef):
+    return np.real(np.fft.ifft(coef / grid._phase * grid.n_modes))
+
+
+def full_sum_eval_trig(grid, coef, x):
+    """Off-grid sum over all N modes in FFT order, kept as a reference."""
+    L = grid.half_length
+    xa = np.mod(np.atleast_1d(x) + L, 2.0 * L) - L
+    return np.real(coef @ np.exp(1j * np.outer(grid.wavenumbers, xa)))
+
+
+# N/2 even (8, 64, 1024, 4096) and odd (10, 14)
+SIZES = [8, 10, 14, 64, 1024, 4096]
+
+
+class TestRealTransforms:
+    """Properties of the rfft/irfft transforms on random real data."""
+
+    @pytest.fixture(params=SIZES)
+    def case(self, request):
+        N = request.param
+        rng = np.random.default_rng(N)
+        grid = GridSpec(float(rng.uniform(0.5, 8.0)), N)
+        return grid, rng, rng.standard_normal((3, N))
+
+    def test_to_coef_is_exactly_hermitian(self, case):
+        grid, _, samples = case
+        for phys in samples:
+            c = grid.to_coef(phys)
+            assert c.shape == (grid.n_modes,)
+            # c[N - k] == conj(c[k]) for k = 1..N-1: this includes a real Nyquist entry
+            assert np.array_equal(c[1:][::-1], np.conj(c[1:]))
+            assert c[0].imag == 0.0 and c[grid.n_modes // 2].imag == 0.0
+
+    def test_round_trip(self, case):
+        grid, _, samples = case
+        for phys in samples:
+            back = grid.to_phys(grid.to_coef(phys))
+            assert np.max(np.abs(back - phys)) <= 1e-14 * np.max(np.abs(phys))
+
+    def test_matches_complex_fft_reference(self, case):
+        grid, _, samples = case
+        m_hilbert = -1j * np.sign(grid.wavenumbers)  # makes the Nyquist entry imaginary
+        for phys in samples:
+            c = grid.to_coef(phys)
+            ref = complex_to_coef(grid, phys)
+            assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+            for coef in (c, m_hilbert * c):
+                ref_phys = complex_to_phys(grid, coef)
+                got = grid.to_phys(coef)
+                assert np.max(np.abs(got - ref_phys)) <= 1e-13 * np.max(np.abs(ref_phys))
+
+    def test_plancherel(self, case):
+        grid, _, samples = case
+        for phys in samples:
+            c = grid.to_coef(phys)
+            lhs = np.sum(phys**2) * grid.dx
+            rhs = 2.0 * grid.half_length * np.sum(np.abs(c) ** 2)
+            assert abs(lhs - rhs) <= 1e-13 * lhs
+
+    def test_half_sum_eval_trig_matches_full_sum(self, case):
+        grid, rng, samples = case
+        L, h = grid.half_length, grid.n_modes // 2
+        x = rng.uniform(-3.0 * L, 3.0 * L, 9)
+        for phys in samples:
+            c = grid.to_coef(phys)
+            c[h] = 1j * rng.standard_normal()  # purely imaginary Nyquist coefficient
+            ref = full_sum_eval_trig(grid, c, x)
+            got = eval_trig(grid, c, x)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(c))
+
+    def test_batched_transforms_match_row_by_row(self, case):
+        grid, _, samples = case
+        coef = grid.to_coef(samples)
+        assert coef.shape == samples.shape
+        assert np.array_equal(coef, np.array([grid.to_coef(row) for row in samples]))
+        rows = coef * (1j * grid.wavenumbers)
+        assert np.array_equal(grid.to_phys(rows), np.array([grid.to_phys(row) for row in rows]))
+
+    def test_to_phys_reads_only_the_non_negative_half(self, case):
+        grid, rng, samples = case
+        c = grid.to_coef(samples[0])
+        junk = c.copy()
+        junk[grid.n_modes // 2 + 1 :] = rng.standard_normal(grid.n_modes // 2 - 1)
+        assert np.array_equal(grid.to_phys(junk), grid.to_phys(c))
