@@ -3,7 +3,6 @@
 from .spectral import (
     GridSpec,
     SpectralField,
-    dealias,
     derivative,
     eval_trig,
     evaluate_at,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .solver import ModelParams, StepperConfig, TimeSeries, evolve, hermite
 from .spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
@@ -58,11 +57,6 @@ class TrajectoryState:
     bxx: float
     w: float
 
-    @property
-    def bbar_x(self) -> float:
-        """Slope of the shifted field B - x along the trajectory."""
-        return self.bx - 1.0
-
 
 def reference_datum_fn(x: np.ndarray) -> np.ndarray:
     return np.exp(-(x**4)) * np.sin(x)
@@ -83,19 +77,6 @@ def make_reference_datum(grid: GridSpec) -> BlowupDatum:
     d = BlowupDatum(B0=B0, x0=0.0, w0=w0)
     d.validate()
     return d
-
-
-def locate_datum_peak(B0: SpectralField, tol: float = 1e-12) -> float:
-    """Golden-section refinement of argmax B_x around the best grid node."""
-    bx = derivative(B0)
-    j = int(np.argmax(bx.phys))
-    dx = B0.grid.dx
-    lo, hi = B0.grid.nodes[j] - dx, B0.grid.nodes[j] + dx
-    res = minimize_scalar(
-        lambda x: -evaluate_at(bx, x), bounds=(lo, hi), method="bounded",
-        options={"xatol": tol},
-    )
-    return float(res.x)
 
 
 def pv_blowup_coefficient(deriv_fn=reference_datum_dx, cutoff: float = 50.0) -> float:

@@ -41,18 +41,16 @@ class NormSeries:
 
 def norm_series(run: TimeSeries, s_list: list[float]) -> NormSeries:
     times = run.times
-    xi = run.grid.wavenumbers
-    twoL = 2.0 * run.grid.half_length
+    grid = run.grid
+    xi = grid.wavenumbers
     w_in = [sobolev_weight(xi, s, homogeneous=False) for s in s_list]
     w_diss = [sobolev_weight(xi, s + 0.5 * run.params.alpha) for s in s_list]
     hs = np.empty((len(s_list), len(times)))
     hd = np.empty_like(hs)
-    # snapshots outermost: one |coef|^2 array alive at a time
     for j, f in enumerate(run.snapshot_fields()):
-        a2 = np.abs(f.coef) ** 2
         for i in range(len(s_list)):
-            hs[i, j] = np.sqrt(twoL * np.sum(w_in[i] * a2))
-            hd[i, j] = np.sqrt(twoL * np.sum(w_diss[i] * a2))
+            hs[i, j] = np.sqrt(grid.norm2(f.coef, w_in[i]))
+            hd[i, j] = np.sqrt(grid.norm2(f.coef, w_diss[i]))
     budget = np.concatenate(
         [np.zeros((len(s_list), 1)), np.cumsum(
             0.5 * np.diff(times) * (hd[:, 1:] ** 2 + hd[:, :-1] ** 2), axis=1
@@ -71,14 +69,12 @@ def l2_budget_defect(run: TimeSeries) -> np.ndarray:
     """
     fields = run.snapshot_fields()
     times = run.times
-    twoL = 2.0 * run.grid.half_length
-    w = sobolev_weight(run.grid.wavenumbers, run.params.alpha / 2.0)
-    e = np.array([twoL * np.sum(np.abs(f.coef) ** 2) for f in fields])
-    diss = np.array([twoL * np.sum(w * np.abs(f.coef) ** 2) for f in fields])
+    grid = run.grid
+    w = sobolev_weight(grid.wavenumbers, run.params.alpha / 2.0)
+    e = np.array([grid.norm2(f.coef) for f in fields])
+    diss = np.array([grid.norm2(f.coef, w) for f in fields])
     inviscid = replace(run.params, mu=0.0)
-    work = np.array(
-        [2.0 * twoL * np.real(np.sum(rhs(f, inviscid).coef * np.conj(f.coef))) for f in fields]
-    )
+    work = np.array([2.0 * grid.inner(rhs(f, inviscid).coef, f.coef) for f in fields])
     dtt = np.diff(times)
     budget_d = np.cumsum(0.5 * dtt * (diss[1:] + diss[:-1]))
     budget_w = np.cumsum(0.5 * dtt * (work[1:] + work[:-1]))
@@ -99,13 +95,12 @@ def rough_datum(
     N = grid.n_modes
     xi = grid.wavenumbers
     k_cut = int(grid.dealias_fraction * N / 2)
-    coef = np.zeros(N, dtype=complex)
+    coef = np.zeros(N // 2 + 1, dtype=complex)
     kk = np.arange(1, k_cut)
     xik = np.abs(xi[kk])
     amp = xik ** (-(s_base + 0.5)) * (1.0 + xik) ** (-delta)
     phase = np.exp(2j * np.pi * rng.random(kk.size))
     coef[kk] = amp * phase
-    coef[-kk] = np.conj(coef[kk])
     cur = sobolev_norm_inhom(SpectralField.from_coef(grid, coef), s_base)
     return SpectralField.from_coef(grid, coef * (norm / cur))
 
@@ -115,12 +110,11 @@ def semigroup_norm_series(
 ) -> np.ndarray:
     """Exact homogeneous H^s norms of exp(-mu t Lambda^alpha) B0 (oracle)."""
     xi = B0.grid.wavenumbers
-    twoL = 2.0 * B0.grid.half_length
     m2s = sobolev_weight(xi, s)
     lam = mu * sobolev_weight(xi, alpha / 2.0)
     out = np.empty(len(times))
     for j, t in enumerate(times):
-        out[j] = np.sqrt(twoL * np.sum(m2s * np.exp(-2.0 * t * lam) * np.abs(B0.coef) ** 2))
+        out[j] = np.sqrt(B0.grid.norm2(B0.coef, m2s * np.exp(-2.0 * t * lam)))
     return out
 
 
@@ -196,7 +190,7 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
     I_q = lam_q^(2s) int (B Lambda B)_q d/dx B_q dx,
     K_q = lam_q^(2s) int (Lambda B B_x)_q B_q dx,
     with all products dealiased and integrals done in coefficient space
-    (2L sum f_k conj(g_k)).  Together with the shell dissipation these close
+    (``GridSpec.inner``).  Together with the shell dissipation these close
     the per-shell energy balance of the full model exactly in space.
     """
     grid = B.grid
@@ -204,7 +198,6 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
     xi = grid.wavenumbers
     absxi = np.abs(xi)
     w_diss = sobolev_weight(xi, params.alpha / 2.0)
-    twoL = 2.0 * grid.half_length
     lam_b = SpectralField.from_coef(grid, absxi * B.coef)
     b_x = SpectralField.from_coef(grid, 1j * xi * B.coef)
     b_lamb = product(B, lam_b)  # B Lambda B
@@ -218,9 +211,9 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
         w = cut.weight(q)
         lam2s = (2.0**q) ** (2.0 * s)
         bq = w * B.coef
-        I_q[i] = lam2s * twoL * np.real(np.sum(w * b_lamb.coef * np.conj(1j * xi * bq)))
-        K_q[i] = lam2s * twoL * np.real(np.sum(w * lamb_bx.coef * np.conj(bq)))
-        diss += lam2s * twoL * np.sum(w_diss * np.abs(bq) ** 2)
+        I_q[i] = lam2s * grid.inner(w * b_lamb.coef, 1j * xi * bq)
+        K_q[i] = lam2s * grid.inner(w * lamb_bx.coef, bq)
+        diss += lam2s * grid.norm2(bq, w_diss)
     return FluxDecomposition(
         s=s, I=float(np.sum(I_q)), K=float(np.sum(K_q)), I_q=I_q, K_q=K_q,
         dissipation=params.mu * diss, shell_energy=shell_spectrum(B, s).masses,

@@ -113,12 +113,8 @@ def project_shell(f: SpectralField, q: int) -> SpectralField:
 
 def shell_spectrum(f: SpectralField, s: float) -> ShellSpectrum:
     cut = cutoffs_for(f.grid)
-    twoL = 2.0 * f.grid.half_length
     masses = np.array(
-        [
-            (2.0**q) ** (2.0 * s) * twoL * np.sum(np.abs(cut.weight(q) * f.coef) ** 2)
-            for q in cut.shells()
-        ]
+        [(2.0**q) ** (2.0 * s) * f.grid.norm2(cut.weight(q) * f.coef) for q in cut.shells()]
     )
     return ShellSpectrum(s=s, q_min=-1, masses=masses)
 
@@ -129,13 +125,13 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     This is the reference implementation the shell sum is equivalent to.
     """
     w = sobolev_weight(f.grid.wavenumbers, s)
-    return float(np.sqrt(2.0 * f.grid.half_length * np.sum(w * np.abs(f.coef) ** 2)))
+    return float(np.sqrt(f.grid.norm2(f.coef, w)))
 
 
 def sobolev_norm_inhom(f: SpectralField, s: float) -> float:
     """Inhomogeneous H^s norm, multiplier (1 + xi^2)^(s/2)."""
     w = sobolev_weight(f.grid.wavenumbers, s, homogeneous=False)
-    return float(np.sqrt(2.0 * f.grid.half_length * np.sum(w * np.abs(f.coef) ** 2)))
+    return float(np.sqrt(f.grid.norm2(f.coef, w)))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -157,22 +153,19 @@ def random_band_limited(
     k_max = max(1, min(k_max, N // 2 - 1))
     kk = np.arange(1, k_max + 1)
     amp = (rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)) * np.exp(-decay * kk)
-    coef = np.zeros(N, dtype=complex)
+    coef = np.zeros(N // 2 + 1, dtype=complex)
     coef[kk] = amp
-    coef[-kk] = np.conj(amp)
     return SpectralField.from_coef(grid, coef)
 
 
 def random_shell_field(grid: GridSpec, q: int, rng: np.random.Generator) -> SpectralField:
     """Random field localized to shell q (white coefficients shaped by phi_q)."""
     N = grid.n_modes
-    re = rng.standard_normal(N)
-    im = rng.standard_normal(N)
-    coef = (re + 1j * im) * cutoffs_for(grid).weight(q)
-    coef = 0.5 * (coef + np.conj(np.roll(coef[::-1], 1)))  # hermitian symmetrize
+    z = rng.standard_normal(N) + 1j * rng.standard_normal(N)  # drawn in FFT order
+    k = np.arange(N // 2 + 1)
+    w = cutoffs_for(grid).weight(q)
+    coef = 0.5 * (z[k] * w + np.conj(z[-k] * w))  # Hermitian part of z_k
     coef[0] = 0.0
-    if N % 2 == 0:
-        coef[N // 2] = np.real(coef[N // 2])
     return SpectralField.from_coef(grid, coef)
 
 

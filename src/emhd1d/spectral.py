@@ -7,10 +7,13 @@ convention
     coef_k = (1/N) * sum_j phys_j * exp(-i xi_k x_j),    xi_k = pi k / L,
 
 so that ``eval_trig`` is a plain trigonometric sum.  Every field is real,
-so its coefficients are Hermitian, coef_(-k) = conj(coef_k): the transforms
-are real FFTs, ``to_coef`` fills the negative half by that symmetry, and
-``to_phys`` and ``eval_trig`` read only the non-negative half
-coef[: N/2 + 1].  All nonlocal operators
+so its coefficients are Hermitian, coef_(-k) = conj(coef_k), and only the
+non-negative half k = 0, 1, ..., N/2 is stored: a ``coef`` array has N/2 + 1
+entries, and the transforms are real FFTs.  The Nyquist entry k = N/2 keeps
+its FFT-order wavenumber -pi N / (2L), so every multiplier has the value it
+has in the full FFT-ordered spectrum.  Sums over the full spectrum become
+sums over the half with weights (1, 2, ..., 2, 1): ``GridSpec.norm2`` and
+``GridSpec.inner`` are the Plancherel pair.  All nonlocal operators
 (Hilbert transform, fractional Laplacian, Riesz potential) are exact diagonal
 multipliers in this basis.  The Hilbert transform uses m(xi) = -i sgn(xi),
 the unique sign choice for which Lambda = H d/dx holds with Lambda = |xi|.
@@ -61,14 +64,15 @@ class GridSpec:
 
     @cached_property
     def mode_index(self) -> np.ndarray:
-        """Integer mode numbers in FFT order: 0, 1, ..., N/2-1, -N/2, ..., -1."""
-        k = np.fft.fftfreq(self.n_modes, d=1.0 / self.n_modes)
+        """Integer mode numbers of the stored half: 0, 1, ..., N/2-1, -N/2
+        (the Nyquist entry keeps its FFT-order sign)."""
+        k = np.fft.fftfreq(self.n_modes, d=1.0 / self.n_modes)[: self.n_modes // 2 + 1]
         k.flags.writeable = False
         return k
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """xi_k = pi k / L in FFT order."""
+        """xi_k = pi k / L of the stored half."""
         xi = np.pi * self.mode_index / self.half_length
         xi.flags.writeable = False
         return xi
@@ -82,10 +86,12 @@ class GridSpec:
         return p
 
     @cached_property
-    def _phase_half(self) -> np.ndarray:
-        p = self._phase[: self.n_modes // 2 + 1].copy()
-        p.flags.writeable = False
-        return p
+    def _pair_weight(self) -> np.ndarray:
+        # each stored 0 < k < N/2 stands for the pair +-k
+        w = np.full(self.n_modes // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -100,27 +106,32 @@ class GridSpec:
         return float(np.max(np.abs(self.wavenumbers) * self.dealias_mask))
 
     def to_coef(self, phys: np.ndarray) -> np.ndarray:
-        """Coefficients of real samples along the last axis: all N of them in
-        FFT order, the negative half filled by Hermitian symmetry."""
-        N, h = self.n_modes, self.n_modes // 2
-        half = np.fft.rfft(phys)
-        half /= N
-        half *= self._phase_half
-        coef = np.empty(half.shape[:-1] + (N,), dtype=complex)
-        coef[..., : h + 1] = half
-        np.conjugate(half[..., h - 1 : 0 : -1], out=coef[..., h + 1 :])
+        """Coefficients k = 0..N/2 of real samples along the last axis."""
+        coef = np.fft.rfft(phys)
+        coef /= self.n_modes
+        coef *= self._phase
         return coef
 
     def to_phys(self, coef: np.ndarray) -> np.ndarray:
-        """Real samples of Hermitian coefficients along the last axis.
+        """Real samples of coefficients k = 0..N/2 along the last axis.
 
-        Only the non-negative half coef[..., : N/2 + 1] is read, and of its
-        mean and Nyquist entries only the real parts: at the nodes, that is
-        all a real field carries.
+        Of the mean and Nyquist entries only the real parts are read: at the
+        nodes, that is all a real field carries.
         """
-        half = coef[..., : self.n_modes // 2 + 1] / self._phase_half
-        half *= self.n_modes
-        return np.fft.irfft(half, n=self.n_modes)
+        c = coef / self._phase
+        c *= self.n_modes
+        return np.fft.irfft(c, n=self.n_modes)
+
+    def norm2(self, coef: np.ndarray, weight: "float | np.ndarray" = 1.0) -> np.ndarray:
+        """Weighted squared L2 norm 2L sum_k weight_k |coef_k|^2 over the
+        full spectrum, along the last axis (Plancherel)."""
+        w = self._pair_weight * weight
+        return 2.0 * self.half_length * np.sum(w * np.abs(coef) ** 2, axis=-1)
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """L2 inner product 2L Re sum_k a_k conj(b_k) over the full spectrum,
+        along the last axis (Plancherel)."""
+        return 2.0 * self.half_length * np.sum(self._pair_weight * np.real(a * np.conj(b)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,7 @@ class SpectralField:
     def __post_init__(self) -> None:
         if self.phys.shape != (self.grid.n_modes,):
             raise ValueError("phys has wrong shape for grid")
-        if self.coef.shape != (self.grid.n_modes,):
+        if self.coef.shape != (self.grid.n_modes // 2 + 1,):
             raise ValueError("coef has wrong shape for grid")
         self.phys.flags.writeable = False
         self.coef.flags.writeable = False
@@ -160,15 +171,15 @@ class SpectralField:
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "SpectralField":
-        return cls(grid, np.zeros(grid.n_modes), np.zeros(grid.n_modes, dtype=complex))
+        return cls(grid, np.zeros(grid.n_modes), np.zeros(grid.n_modes // 2 + 1, dtype=complex))
 
     @property
     def mean(self) -> float:
         return float(np.real(self.coef[0]))
 
     def l2_norm(self) -> float:
-        """L2 norm on the torus, sqrt(2L sum |coef|^2) by Plancherel."""
-        return float(np.sqrt(2.0 * self.grid.half_length * np.sum(np.abs(self.coef) ** 2)))
+        """L2 norm on the torus by Plancherel."""
+        return float(np.sqrt(self.grid.norm2(self.coef)))
 
     def linf_norm(self) -> float:
         return float(np.max(np.abs(self.phys)))
@@ -223,11 +234,6 @@ def riesz_potential(f: SpectralField, r: float) -> SpectralField:
     return SpectralField.from_coef(f.grid, sobolev_weight(f.grid.wavenumbers, -r / 2.0) * f.coef)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero the coefficients above the grid's dealias cutoff."""
-    return SpectralField.from_coef(f.grid, f.coef * f.grid.dealias_mask)
-
-
 def product(f: SpectralField, g: SpectralField, dealiased: bool = True) -> SpectralField:
     """Pointwise product, dealiased by default (2/3 rule after the product)."""
     if f.grid is not g.grid and f.grid != g.grid:
@@ -247,25 +253,21 @@ def remove_mean(f: SpectralField) -> SpectralField:
 def eval_trig(grid: GridSpec, coef: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
     """Real trigonometric sums of coefficient rows at arbitrary points.
 
-    ``coef`` is one row of N Hermitian coefficients (result shape
-    (len(x),)) or a stack of m rows (result shape (m, len(x))).  Points are
-    reduced mod 2L into [-L, L).  The sum runs over the non-negative half
-    with weights (1, 2, ..., 2, 1), so each pair +-k counts once as
-    2 Re(coef_k exp(i xi_k x)); the Nyquist term keeps its FFT-order
-    wavenumber -pi N / (2L).  All rows share one phase table.
+    ``coef`` is one row of N/2 + 1 coefficients (result shape (len(x),)) or
+    a stack of m rows (result shape (m, len(x))).  Points are reduced mod 2L
+    into [-L, L).  Each stored 0 < k < N/2 counts for the pair +-k as
+    2 Re(coef_k exp(i xi_k x)), the weights (1, 2, ..., 2, 1); the Nyquist
+    term keeps its FFT-order wavenumber -pi N / (2L).  All rows share one
+    phase table.
     """
     L = grid.half_length
-    h = grid.n_modes // 2
     xa = np.mod(np.atleast_1d(np.asarray(x, dtype=float)) + L, 2.0 * L) - L
-    weight = np.full(h + 1, 2.0)
-    weight[0] = weight[h] = 1.0
-    phase = weight[:, None] * np.exp(1j * np.outer(grid.wavenumbers[: h + 1], xa))
-    half = coef[..., : h + 1]
+    phase = grid._pair_weight[:, None] * np.exp(1j * np.outer(grid.wavenumbers, xa))
     if coef.ndim == 1:
-        return np.real(half @ phase)
+        return np.real(coef @ phase)
     # one product per row: a stacked matrix product sums in another order,
     # so a row's value would depend on which rows it was stacked with
-    return np.real(np.array([row @ phase for row in half]))
+    return np.real(np.array([row @ phase for row in coef]))
 
 
 def evaluate_at(f: SpectralField, x: "float | np.ndarray") -> "float | np.ndarray":

@@ -165,7 +165,7 @@ def test_criterion_7_picard():
     geometric = bool(np.all(gaps[1:] < 0.5 * gaps[:-1]))
     fine = StepperConfig(dt_init=2.5e-4, t_end=0.1, adaptive=False, snapshot_cadence=10**9)
     ref = evolve(B0, p, fine).final
-    diff = float(np.sqrt(2 * np.pi * np.sum(np.abs(res.series.final.coef - ref.coef) ** 2)))
+    diff = float(np.sqrt(grid.norm2(res.series.final.coef - ref.coef)))
     ok = res.converged and geometric and diff <= 1e-6
     _line(
         "criterion-7 picard",

@@ -19,7 +19,6 @@ from emhd1d.blowup import (
     FitWindowError,
     TrajectoryState,
     advect_trajectory,
-    locate_datum_peak,
     make_reference_datum,
     measure_blowup_time,
     reference_datum_fn,
@@ -76,9 +75,6 @@ class TestDatum:
         tight = GridSpec(1.5, 256)  # datum is O(1) at the boundary
         with pytest.raises(DatumError):
             make_reference_datum(tight)
-
-    def test_peak_refinement_finds_origin(self, datum):
-        assert abs(locate_datum_peak(datum.B0)) < 1e-6
 
     def test_predicted_time_is_reciprocal(self, datum):
         assert predict_blowup_time(datum) == 1.0 / datum.w0
@@ -169,7 +165,3 @@ class TestInvariants:
         ]
         assert len(ratios) > 32
         assert rep.max_bxx_rel == max(ratios)
-
-    def test_bbar_x_property(self):
-        s = TrajectoryState(t=0.0, X=0.0, bx=1.25, bxx=0.0, w=1.0)
-        assert s.bbar_x == pytest.approx(0.25)

@@ -17,6 +17,7 @@ from emhd1d.cli import (
     main,
     parse_config_text,
 )
+from emhd1d.spectral import GridSpec, SpectralField, derivative, frac_laplacian
 
 RUN_CFG = """
 # small smooth run
@@ -253,6 +254,28 @@ class TestCommands:
         assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
         assert json.loads((out / "manifest.json").read_text())["termination"] == "non_finite"
         assert not (out / "blowup_report.json").exists()
+
+    def test_full_model_adaptive_run_matches_fixed_dt(self, tmp_path):
+        # the default adaptive stepper on the full model must honour its
+        # dispersive dt bound: without it this run exits 0 after 78 steps
+        # with sup|Lambda B_x| in the thousands
+        p = tmp_path / "full.cfg"
+        p.write_text(
+            "model.kind = full\nmodel.mu = 1\nmodel.alpha = 1.5\ngrid.N = 1024\ngrid.L = 6\n"
+            "datum.kind = paper_blowup\nstepper.t_end = 0.05\n"
+        )
+        out = tmp_path / "fullout"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["termination"] == "t_end"
+        sidecar = json.loads((out / "snapshots.json").read_text())
+        final = np.fromfile(out / "snapshots.bin", dtype="<f8").reshape(sidecar["shape"])[-1]
+        assert sidecar["times"][-1] == pytest.approx(0.05, abs=1e-14)
+        grid = GridSpec(6.0, 1024)
+        f = SpectralField.from_phys(grid, final)
+        sup = np.max(np.abs(frac_laplacian(derivative(f), 1.0).phys))
+        # the same config with stepper.adaptive = false, dt_init = 1e-5 (5000 steps)
+        fixed_dt_sup = 2.5042552747401463
+        assert abs(sup - fixed_dt_sup) <= 1e-10 * fixed_dt_sup
 
     def test_zero_snapshot_cadence_is_config_error(self, tmp_path):
         p = tmp_path / "cad.cfg"

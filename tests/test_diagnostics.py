@@ -75,6 +75,23 @@ class TestRoughDatum:
         assert np.array_equal(a.coef, b.coef)
         assert not np.array_equal(a.coef, c.coef)
 
+    @pytest.mark.parametrize("n, s_base, seed", [(64, 0.5, 0), (256, 1.0, 3), (2048, 0.5, 7)])
+    def test_matches_full_spectrum_construction(self, n, s_base, seed):
+        # the full-spectrum construction the stored half replaced, kept as a
+        # reference: same draws, negative half filled by Hermitian symmetry
+        g = GridSpec(np.pi, n)
+        rng = np.random.default_rng(seed)
+        xi = np.pi * np.fft.fftfreq(n, d=1.0 / n) / g.half_length
+        kk = np.arange(1, int(g.dealias_fraction * n / 2))
+        ref = np.zeros(n, dtype=complex)
+        amp = np.abs(xi[kk]) ** (-(s_base + 0.5)) * (1.0 + np.abs(xi[kk])) ** (-0.01)
+        ref[kk] = amp * np.exp(2j * np.pi * rng.random(kk.size))
+        ref[-kk] = np.conj(ref[kk])
+        cur = np.sqrt(2.0 * g.half_length * np.sum((1.0 + xi**2) ** s_base * np.abs(ref) ** 2))
+        ref *= 0.05 / cur
+        f = rough_datum(g, s_base, norm=0.05, seed=seed)
+        assert np.max(np.abs(f.coef - ref[: n // 2 + 1])) <= 1e-14 * np.max(np.abs(ref))
+
     def test_spectral_tail_profile(self, grid):
         f = rough_datum(grid, s_base=0.5, seed=0)
         xi = grid.wavenumbers
@@ -153,11 +170,8 @@ class TestFlux:
         cut = LPCutoffs(grid)
         fd = flux_decomposition(B, s, p)
         r = rhs(B, p)
-        twoL = 2.0 * grid.half_length
         production = sum(
-            (2.0**q) ** (2.0 * s)
-            * twoL
-            * float(np.real(np.sum(cut.weight(q) ** 2 * r.coef * np.conj(B.coef))))
+            (2.0**q) ** (2.0 * s) * float(grid.inner(cut.weight(q) ** 2 * r.coef, B.coef))
             for q in cut.shells()
         )
         assert abs(production + fd.dissipation + fd.I + 2.0 * fd.K) < 1e-12

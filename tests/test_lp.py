@@ -110,7 +110,54 @@ class TestNorms:
         assert abs(lp_norm(f, 2.0) - f.l2_norm()) < 1e-12
 
 
+def full_wavenumbers(grid):
+    return np.pi * np.fft.fftfreq(grid.n_modes, d=1.0 / grid.n_modes) / grid.half_length
+
+
+def full_shell_weight(grid, q):
+    xi = full_wavenumbers(grid)
+    return chi_profile(xi) if q == -1 else phi_profile(xi / 2.0**q)
+
+
+def full_random_shell_field(grid, q, rng):
+    """The full-spectrum construction the stored half replaced, kept as a
+    reference: N white coefficients in FFT order, Hermitian-symmetrized."""
+    N = grid.n_modes
+    re = rng.standard_normal(N)
+    im = rng.standard_normal(N)
+    coef = (re + 1j * im) * full_shell_weight(grid, q)
+    coef = 0.5 * (coef + np.conj(np.roll(coef[::-1], 1)))
+    coef[0] = 0.0
+    coef[N // 2] = np.real(coef[N // 2])
+    return coef
+
+
+def full_random_band_limited(grid, rng, k_max, decay=0.2):
+    kk = np.arange(1, k_max + 1)
+    amp = (rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)) * np.exp(-decay * kk)
+    coef = np.zeros(grid.n_modes, dtype=complex)
+    coef[kk] = amp
+    coef[-kk] = np.conj(amp)
+    return coef
+
+
 class TestRandomFields:
+    @pytest.mark.parametrize("n, q", [(64, -1), (64, 3), (512, 0), (512, 6), (4096, 9)])
+    def test_shell_field_matches_full_spectrum_construction(self, n, q):
+        grid = GridSpec(np.pi, n)
+        ref = full_random_shell_field(grid, q, np.random.default_rng(n + q))
+        f = random_shell_field(grid, q, np.random.default_rng(n + q))
+        assert np.array_equal(f.coef, ref[: n // 2 + 1])
+        # the reference is Hermitian, so the stored half carries all of it
+        assert np.array_equal(ref[n // 2 + 1 :], np.conj(ref[n // 2 - 1 : 0 : -1]))
+
+    @pytest.mark.parametrize("n, k_max", [(64, 10), (512, 85)])
+    def test_band_limited_matches_full_spectrum_construction(self, n, k_max):
+        grid = GridSpec(np.pi, n)
+        ref = full_random_band_limited(grid, np.random.default_rng(n), k_max)
+        f = random_band_limited(grid, np.random.default_rng(n), k_max=k_max)
+        assert np.array_equal(f.coef, ref[: n // 2 + 1])
+
     def test_band_limited_real_and_mean_free(self, grid):
         f = random_band_limited(grid, np.random.default_rng(6))
         assert abs(f.mean) < 1e-15

@@ -127,8 +127,8 @@ class TestSteppers:
             return evolve(B0, p, cfg).final.coef
 
         ref = solve(t_end / 512)
-        e1 = np.linalg.norm(solve(t_end / 16) - ref)
-        e2 = np.linalg.norm(solve(t_end / 32) - ref)
+        e1 = np.sqrt(grid.norm2(solve(t_end / 16) - ref))
+        e2 = np.sqrt(grid.norm2(solve(t_end / 32) - ref))
         order = np.log2(e1 / e2)
         assert order > 3.5
 
@@ -329,8 +329,8 @@ class TestEvolve:
         cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False, store_step_fields=True)
         run = evolve(small_datum(grid), p, cfg)
         n = len(run.step_times)
-        assert run.lam_b.shape == (n, grid.n_modes)
-        assert run.lam_b_dot.shape == (n, grid.n_modes)
+        assert run.lam_b.shape == (n, grid.n_modes // 2 + 1)
+        assert run.lam_b_dot.shape == (n, grid.n_modes // 2 + 1)
 
     @pytest.mark.parametrize("cause", ["t_end", "max_steps", "blowup_threshold"])
     def test_stored_fields_cover_every_state(self, cause):
@@ -364,6 +364,43 @@ class TestEvolve:
         dts = run.diagnostics["dt"][:-1]  # last step is clipped to t_end
         bound = 0.4 * grid.dx / run.diagnostics["sup_lam_b"][:-1]
         assert np.all(dts <= bound + 1e-15)
+
+
+class TestDispersiveBound:
+    """The full model's adaptive dt honours the dispersive cap of its
+    B (Lambda B)_x term: without it the step runs off RK4's stability region
+    and the run ends at t_end on garbage."""
+
+    # final sup|Lambda B_x| of fixed-dt runs (IF-RK4, dt = 1e-5, 5000 steps)
+    # from the paper_blowup datum on GridSpec(6, 512) with mu = 1 to t = 0.05
+    FIXED_DT_SUP_LAMBDA_BX = {
+        1.0: 3.2979895712973892, 1.5: 2.5042552748815314, 2.0: 1.9103944796705927,
+    }
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_adaptive_matches_fixed_fine_dt(self, alpha, scheme):
+        from emhd1d.blowup import make_reference_datum
+
+        g = GridSpec(6.0, 512)
+        p = ModelParams(kind="full", mu=1.0, alpha=alpha)
+        cfg = StepperConfig(scheme=scheme, t_end=0.05, snapshot_cadence=10**9)
+        run = evolve(make_reference_datum(g).B0, p, cfg)
+        assert run.termination == "t_end"
+        sup = np.max(np.abs(g.to_phys(_ops(g, p).lam_dx * run.final.coef)))
+        ref = self.FIXED_DT_SUP_LAMBDA_BX[alpha]
+        assert abs(sup - ref) <= 1e-10 * ref
+
+    def test_transport_does_not_take_the_cap(self):
+        # the dispersive cap needs one extra transform per step; the
+        # transport model must not pay for it
+        g = GridSpec(6.0, 256)
+        B0 = remove_mean(SpectralField.from_function(g, lambda x: np.exp(-(x**4)) * np.sin(x)))
+        p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
+        run = evolve(B0, p, StepperConfig(t_end=0.05, snapshot_cadence=10**9))
+        d = run.diagnostics
+        bound = 0.5 * np.minimum(g.dx / d["sup_lam_b"], 1.0 / d["sup_lam_bx"])
+        assert np.array_equal(d["dt"][:-1], np.minimum(bound, 1e3)[:-1])
 
 
 class TestScalingSymmetry:
@@ -422,7 +459,7 @@ class TestPicard:
         res = picard_solve(small_datum(grid), p, cfg)
         fine = StepperConfig(dt_init=2.5e-4, t_end=0.1, adaptive=False, snapshot_cadence=10**9)
         ref = evolve(small_datum(grid), p, fine).final
-        diff = np.sqrt(2 * np.pi * np.sum(np.abs(res.series.final.coef - ref.coef) ** 2))
+        diff = np.sqrt(grid.norm2(res.series.final.coef - ref.coef))
         assert diff <= 1e-6
 
     def test_etdrk4_limit_matches_nonlinear_solver(self, grid):
@@ -437,5 +474,5 @@ class TestPicard:
         assert not np.array_equal(res.series.final.coef, ifrk4.coef)
         fine = StepperConfig(dt_init=2.5e-4, t_end=0.1, adaptive=False, snapshot_cadence=10**9)
         ref = evolve(small_datum(grid), p, fine).final
-        diff = np.sqrt(2 * np.pi * np.sum(np.abs(res.series.final.coef - ref.coef) ** 2))
+        diff = np.sqrt(grid.norm2(res.series.final.coef - ref.coef))
         assert diff <= 1e-6

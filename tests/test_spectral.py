@@ -6,7 +6,6 @@ import pytest
 from emhd1d.spectral import (
     GridSpec,
     SpectralField,
-    dealias,
     derivative,
     eval_trig,
     evaluate_at,
@@ -30,7 +29,8 @@ class TestGridSpec:
         assert np.allclose(np.diff(grid.nodes), grid.dx)
 
     def test_wavenumbers_integer_on_pi_torus(self, grid):
-        assert np.allclose(np.sort(grid.wavenumbers), np.arange(-64, 64))
+        # the stored half 0..63 and the Nyquist entry at its FFT-order -64
+        assert np.allclose(grid.wavenumbers, np.append(np.arange(64), -64))
 
     @pytest.mark.parametrize("bad", [dict(half_length=-1.0, n_modes=64),
                                      dict(half_length=1.0, n_modes=7),
@@ -51,11 +51,12 @@ class TestGridSpec:
         assert np.allclose(grid.to_phys(grid.to_coef(phys)), phys, atol=1e-13)
 
     def test_single_cosine_coefficients(self, grid):
-        # cos(3x) should put 1/2 at modes +-3 regardless of the x0 = -L origin
+        # cos(3x) should put 1/2 at mode 3 (and so at -3) regardless of the
+        # x0 = -L origin
         c = grid.to_coef(np.cos(3.0 * grid.nodes))
+        assert c.shape == (grid.n_modes // 2 + 1,)
         assert abs(c[3] - 0.5) < 1e-13
-        assert abs(c[-3] - 0.5) < 1e-13
-        c[3] = c[-3] = 0.0
+        c[3] = 0.0
         assert np.max(np.abs(c)) < 1e-13
 
 
@@ -73,6 +74,10 @@ class TestSpectralField:
         # ||sin||_{L^2(-pi,pi)} = sqrt(pi)
         f = SpectralField.from_function(grid, np.sin)
         assert abs(f.l2_norm() - np.sqrt(np.pi)) < 1e-12
+
+    def test_from_coef_rejects_full_length(self, grid):
+        with pytest.raises(ValueError):
+            SpectralField.from_coef(grid, np.zeros(grid.n_modes, dtype=complex))
 
     def test_mean(self, grid):
         f = SpectralField.from_function(grid, lambda x: 2.0 + np.sin(x))
@@ -119,13 +124,6 @@ class TestOperators:
         with pytest.raises(ValueError):
             frac_laplacian(SpectralField.from_function(grid, np.sin), -1.0)
 
-    def test_dealias_zeroes_top_third(self, grid):
-        coef = np.ones(grid.n_modes, dtype=complex)
-        f = dealias(SpectralField.from_coef(grid, coef))
-        cut = grid.dealias_fraction * grid.n_modes / 2
-        assert np.all(f.coef[np.abs(grid.mode_index) > cut] == 0)
-        assert np.all(f.coef[np.abs(grid.mode_index) <= cut] == 1)
-
     def test_product_matches_pointwise(self, grid):
         f = SpectralField.from_function(grid, lambda x: np.sin(2 * x))
         g = SpectralField.from_function(grid, lambda x: np.cos(3 * x))
@@ -136,10 +134,8 @@ class TestOperators:
         """H(f H f) = ((H f)^2 - f^2)/2 for mean-free f (quadratic identity
         of the Hilbert transform on the torus)."""
         rng = np.random.default_rng(2)
-        coef = np.zeros(grid.n_modes, dtype=complex)
-        kk = np.arange(1, 20)
-        amp = rng.standard_normal(19) + 1j * rng.standard_normal(19)
-        coef[kk], coef[-kk] = amp, np.conj(amp)
+        coef = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
+        coef[1:20] = rng.standard_normal(19) + 1j * rng.standard_normal(19)
         f = SpectralField.from_coef(grid, coef)
         hf = hilbert(f)
         lhs = hilbert(product(f, hf, dealiased=False))
@@ -180,20 +176,35 @@ class TestEvaluateAt:
         assert np.allclose(stacked[1], np.cos(x), atol=1e-12)
 
 
+def full_phase(grid):
+    return (-1.0) ** np.fft.fftfreq(grid.n_modes, d=1.0 / grid.n_modes)
+
+
+def full_wavenumbers(grid):
+    return np.pi * np.fft.fftfreq(grid.n_modes, d=1.0 / grid.n_modes) / grid.half_length
+
+
+def full_spectrum(grid, half):
+    """All N coefficients in FFT order, the negative half filled by Hermitian
+    symmetry from the stored half (the Nyquist entry kept as stored)."""
+    h = grid.n_modes // 2
+    return np.concatenate([half, np.conj(half[..., h - 1 : 0 : -1])], axis=-1)
+
+
 def complex_to_coef(grid, phys):
     """The complex-FFT transform the real one replaced, kept as a reference."""
-    return np.fft.fft(phys) / grid.n_modes * grid._phase
+    return np.fft.fft(phys) / grid.n_modes * full_phase(grid)
 
 
 def complex_to_phys(grid, coef):
-    return np.real(np.fft.ifft(coef / grid._phase * grid.n_modes))
+    return np.real(np.fft.ifft(coef / full_phase(grid) * grid.n_modes))
 
 
 def full_sum_eval_trig(grid, coef, x):
     """Off-grid sum over all N modes in FFT order, kept as a reference."""
     L = grid.half_length
     xa = np.mod(np.atleast_1d(x) + L, 2.0 * L) - L
-    return np.real(coef @ np.exp(1j * np.outer(grid.wavenumbers, xa)))
+    return np.real(coef @ np.exp(1j * np.outer(full_wavenumbers(grid), xa)))
 
 
 # N/2 even (8, 64, 1024, 4096) and odd (10, 14)
@@ -211,13 +222,17 @@ class TestRealTransforms:
         return grid, rng, rng.standard_normal((3, N))
 
     def test_to_coef_is_exactly_hermitian(self, case):
+        # the stored half k = 0..N/2 of a Hermitian spectrum: its mean and
+        # Nyquist entries are exactly real
         grid, _, samples = case
+        h = grid.n_modes // 2
+        fft_order = np.fft.fftfreq(grid.n_modes, d=1.0 / grid.n_modes)
+        assert np.array_equal(grid.mode_index, fft_order[: h + 1])
+        assert grid.mode_index[h] == -h  # Nyquist keeps its FFT-order sign
         for phys in samples:
             c = grid.to_coef(phys)
-            assert c.shape == (grid.n_modes,)
-            # c[N - k] == conj(c[k]) for k = 1..N-1: this includes a real Nyquist entry
-            assert np.array_equal(c[1:][::-1], np.conj(c[1:]))
-            assert c[0].imag == 0.0 and c[grid.n_modes // 2].imag == 0.0
+            assert c.shape == (h + 1,)
+            assert c[0].imag == 0.0 and c[h].imag == 0.0
 
     def test_round_trip(self, case):
         grid, _, samples = case
@@ -227,23 +242,44 @@ class TestRealTransforms:
 
     def test_matches_complex_fft_reference(self, case):
         grid, _, samples = case
+        h = grid.n_modes // 2
         m_hilbert = -1j * np.sign(grid.wavenumbers)  # makes the Nyquist entry imaginary
         for phys in samples:
             c = grid.to_coef(phys)
             ref = complex_to_coef(grid, phys)
-            assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(c - ref[: h + 1])) <= 1e-13 * np.max(np.abs(ref))
+            # the full reference spectrum is Hermitian: the stored half holds all of it
+            assert np.max(np.abs(full_spectrum(grid, c) - ref)) <= 1e-13 * np.max(np.abs(ref))
             for coef in (c, m_hilbert * c):
-                ref_phys = complex_to_phys(grid, coef)
+                ref_phys = complex_to_phys(grid, full_spectrum(grid, coef))
                 got = grid.to_phys(coef)
                 assert np.max(np.abs(got - ref_phys)) <= 1e-13 * np.max(np.abs(ref_phys))
 
     def test_plancherel(self, case):
-        grid, _, samples = case
+        grid, rng, samples = case
+        twoL = 2.0 * grid.half_length
+        weight = rng.uniform(0.0, 3.0, grid.n_modes // 2 + 1)
+        full_weight = full_spectrum(grid, weight).real  # even: w_(-k) = w_k
+        a, b = grid.to_coef(samples[0]), grid.to_coef(samples[1])
         for phys in samples:
             c = grid.to_coef(phys)
-            lhs = np.sum(phys**2) * grid.dx
-            rhs = 2.0 * grid.half_length * np.sum(np.abs(c) ** 2)
-            assert abs(lhs - rhs) <= 1e-13 * lhs
+            quad = np.sum(phys**2) * grid.dx
+            full = twoL * np.sum(np.abs(full_spectrum(grid, c)) ** 2)
+            assert abs(full - quad) <= 1e-13 * quad
+            assert abs(grid.norm2(c) - full) <= 1e-13 * full
+            full_w = twoL * np.sum(full_weight * np.abs(full_spectrum(grid, c)) ** 2)
+            assert abs(grid.norm2(c, weight) - full_w) <= 1e-13 * full_w
+        quad = np.sum(samples[0] * samples[1]) * grid.dx
+        full = twoL * np.real(np.sum(full_spectrum(grid, a) * np.conj(full_spectrum(grid, b))))
+        scale = np.sqrt(grid.norm2(a) * grid.norm2(b))
+        assert abs(full - quad) <= 1e-13 * scale
+        assert abs(grid.inner(a, b) - full) <= 1e-13 * scale
+        assert abs(grid.inner(a, a) - grid.norm2(a)) <= 1e-13 * grid.norm2(a)
+        # stacked rows reduce along the last axis
+        rows = grid.to_coef(samples)
+        assert np.array_equal(grid.norm2(rows), [grid.norm2(r) for r in rows])
+        pairs = zip(rows, rows[::-1])
+        assert np.array_equal(grid.inner(rows, rows[::-1]), [grid.inner(r, q) for r, q in pairs])
 
     def test_half_sum_eval_trig_matches_full_sum(self, case):
         grid, rng, samples = case
@@ -252,21 +288,14 @@ class TestRealTransforms:
         for phys in samples:
             c = grid.to_coef(phys)
             c[h] = 1j * rng.standard_normal()  # purely imaginary Nyquist coefficient
-            ref = full_sum_eval_trig(grid, c, x)
+            ref = full_sum_eval_trig(grid, full_spectrum(grid, c), x)
             got = eval_trig(grid, c, x)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(c))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(full_spectrum(grid, c)))
 
     def test_batched_transforms_match_row_by_row(self, case):
         grid, _, samples = case
         coef = grid.to_coef(samples)
-        assert coef.shape == samples.shape
+        assert coef.shape == (samples.shape[0], grid.n_modes // 2 + 1)
         assert np.array_equal(coef, np.array([grid.to_coef(row) for row in samples]))
         rows = coef * (1j * grid.wavenumbers)
         assert np.array_equal(grid.to_phys(rows), np.array([grid.to_phys(row) for row in rows]))
-
-    def test_to_phys_reads_only_the_non_negative_half(self, case):
-        grid, rng, samples = case
-        c = grid.to_coef(samples[0])
-        junk = c.copy()
-        junk[grid.n_modes // 2 + 1 :] = rng.standard_normal(grid.n_modes // 2 - 1)
-        assert np.array_equal(grid.to_phys(junk), grid.to_phys(c))
