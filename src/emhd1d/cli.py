@@ -180,6 +180,9 @@ class RunConfig:
             raise ConfigError(
                 f"datum file holds {arr.size} float64 values, grid needs {grid.n_modes}"
             )
+        bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
+        if bad:
+            raise ConfigError(f"datum file holds {bad} non-finite values")
         return SpectralField.from_phys(grid, arr)
 
 

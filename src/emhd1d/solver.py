@@ -8,10 +8,14 @@ Two model kinds are evolved for a mean-free magnetic field B on the torus:
 Quadratic products are dealiased (2/3 rule) and the nonlinear term is
 re-projected onto the zero-mean gauge each evaluation.  The diagonal linear
 part mu |xi|^alpha is propagated exactly, either by an integrating factor
-wrapped around classical RK4 (default) or by ETDRK4, whose coefficients are
-evaluated from the Cox-Matthews closed forms (Cox & Matthews 2002, J. Comput.
-Phys. 176:430) where |dt * mu |xi|^alpha| >= 1 and from Taylor series of
-phi_1..phi_3 below that; both are exact when the nonlinearity vanishes.
+wrapped around classical RK4 (default) or by ETDRK4; both are exact when the
+nonlinearity vanishes.  The ETDRK4 coefficients at z = -dt mu |xi|^alpha are
+rebuilt whenever dt changes, so on every adaptive step.  mu |xi_k|^alpha
+grows with k on the stored half, so one index splits z: the Cox-Matthews
+closed forms (Cox & Matthews 2002, J. Comput. Phys. 176:430) are evaluated
+only where |z| >= 1, and below that one Horner series of phi_3 gives phi_2
+and phi_1 by phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products: an array
+``**3`` goes through libm ``pow`` and cost more than the rest of the build.
 
 Adaptive stepping enforces the advective CFL dt <= cfl * dx / max|Lambda B|
 and additionally caps dt by cfl / max|Lambda B_x| so the local Riccati-type
@@ -119,22 +123,32 @@ class _Ops:
         out[0] = 0.0
         return out
 
-    def full_form(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def full_form(self, a: np.ndarray, c: np.ndarray, formed: dict | None = None) -> np.ndarray:
         """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free; at a = c
         it is -(B J_x - J B_x) with J = -Lambda B."""
         g = self.grid
-        a_lcx = g.to_phys(a) * g.to_phys(self.lam_dx * c)
-        return self._dealiased(a_lcx - g.to_phys(self.absxi * a) * g.to_phys(self.ddx * c))
+        phys_a, lam_cx, lam_a = g.to_phys(a), g.to_phys(self.lam_dx * c), g.to_phys(self.absxi * a)
+        if formed is not None:
+            formed.update(b=phys_a, lam_bx=lam_cx, lam_b=lam_a)
+        return self._dealiased(phys_a * lam_cx - lam_a * g.to_phys(self.ddx * c))
 
-    def nonlinear(self, c: np.ndarray, tau: float = 0.0) -> np.ndarray:
+    def nonlinear(self, c: np.ndarray, tau: float = 0.0, formed: dict | None = None) -> np.ndarray:
         """Dealiased, mean-free quadratic term of the chosen model; ``tau``
-        (the stage's fraction of the step) is unused: the model is autonomous."""
+        (the stage's fraction of the step) is unused: the model is autonomous.
+
+        ``formed``, when given, receives the physical arrays made on the way,
+        so a caller needs no second transform of them: ``lam_b`` (Lambda B),
+        and for the full model also ``lam_bx`` (Lambda B_x) and ``b`` (B).
+        """
         if not self.params.nonlinearity:
             return np.zeros_like(c)
         if self.params.kind == "full":
-            return self.full_form(c, c)
+            return self.full_form(c, c, formed)
         g = self.grid
-        return self._dealiased(g.to_phys(self.absxi * c) * g.to_phys(self.ddx * c))
+        lam_b = g.to_phys(self.absxi * c)
+        if formed is not None:
+            formed["lam_b"] = lam_b
+        return self._dealiased(lam_b * g.to_phys(self.ddx * c))
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         return self.nonlinear(c) - self.lin * c
@@ -149,40 +163,54 @@ def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
     return SpectralField.from_coef(B.grid, _ops(B.grid, params).rhs(B.coef))
 
 
-_TAYLOR_TERMS = 20  # z^20 / 20! < 1e-18 for |z| < 1
-
-
-def _phi_taylor(z: np.ndarray, k: int) -> np.ndarray:
-    """phi_k(z) = sum_n z^n / (n + k)!, Horner-evaluated; accurate for |z| < 1."""
-    out = np.full_like(z, 1.0 / math.factorial(_TAYLOR_TERMS - 1 + k))
-    for n in range(_TAYLOR_TERMS - 2, -1, -1):
-        out = out * z + 1.0 / math.factorial(n + k)
-    return out
+_PHI3_SERIES = tuple(1.0 / math.factorial(n + 3) for n in range(17))  # z^17 / 20! < 5e-19
 
 
 def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     """Cox-Matthews ETDRK4 coefficients at z = -dt * lin.
 
-    The closed forms lose digits to cancellation as z -> 0, so entries with
-    |z| < 1 use f1 = dt(phi1 - 3 phi2 + 4 phi3), f2 = dt(phi2 - 2 phi3),
-    f3 = dt(-phi2 + 4 phi3) and q = (dt/2) phi1(z/2) instead.
+    ``lin`` must be >= 0 and non-decreasing, as ``_Ops.lin`` = mu |xi_k|^alpha
+    is on the half layout: two indices then split z into three slices.
+      z = 0:         the exact limits q = dt/2, f1 = f2 = f3 = dt/6.
+      0 < |z| < 1:   f1 = dt(phi1 - 3 phi2 + 4 phi3), f2 = dt(phi2 - 2 phi3),
+                     f3 = dt(4 phi3 - phi2), where the closed forms would
+                     lose digits to cancellation.  One Horner series gives
+                     phi3; phi2 = z phi3 + 1/2 and phi1 = z phi2 + 1 follow
+                     (stable for |z| < 1).
+      |z| >= 1:      the closed forms, with the cube as a product (an array
+                     ``**3`` goes through libm ``pow``, slower than the rest
+                     of the build together).
+    q = (dt/2) phi1(z/2) = dt expm1(z/2) / z on every z != 0.
     """
-    z = -dt * lin
+    r = dt * lin  # |z|
+    z = -r
     e_half = np.exp(z / 2.0)
     e_full = np.exp(z)
-    small = np.abs(z) < 1.0
-    zc = np.where(small, -1.0, z)  # keeps the closed forms off z = 0
-    z3 = zc**3
-    q = dt * (e_half - 1.0) / zc
-    f1 = dt * (-4.0 - zc + e_full * (4.0 - 3.0 * zc + zc**2)) / z3
-    f2 = dt * (2.0 + zc + e_full * (zc - 2.0)) / z3
-    f3 = dt * (-4.0 - 3.0 * zc - zc**2 + e_full * (4.0 - zc)) / z3
-    zs = z[small]
-    p2, p3 = _phi_taylor(zs, 2), _phi_taylor(zs, 3)
-    q[small] = 0.5 * dt * _phi_taylor(zs / 2.0, 1)
-    f1[small] = dt * (_phi_taylor(zs, 1) - 3.0 * p2 + 4.0 * p3)
-    f2[small] = dt * (p2 - 2.0 * p3)
-    f3[small] = dt * (-p2 + 4.0 * p3)
+    i0 = int(np.searchsorted(r, 0.0, side="right"))
+    i1 = int(np.searchsorted(r, 1.0))
+    q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
+    q[:i0] = 0.5 * dt
+    f1[:i0] = f2[:i0] = f3[:i0] = dt / 6.0
+    zq = z[i0:]
+    q[i0:] = dt * np.expm1(zq / 2.0) / zq
+
+    zs = z[i0:i1]
+    p3 = np.full_like(zs, _PHI3_SERIES[-1])
+    for coef in _PHI3_SERIES[-2::-1]:
+        p3 *= zs
+        p3 += coef
+    p2 = zs * p3 + 0.5
+    p1 = zs * p2 + 1.0
+    f1[i0:i1] = dt * (p1 - 3.0 * p2 + 4.0 * p3)
+    f2[i0:i1] = dt * (p2 - 2.0 * p3)
+    f3[i0:i1] = dt * (4.0 * p3 - p2)
+
+    zl, el = z[i1:], e_full[i1:]
+    z2 = zl * zl
+    s = dt / (z2 * zl)
+    f1[i1:] = (-4.0 - zl + el * (4.0 - 3.0 * zl + z2)) * s
+    f2[i1:] = (2.0 + zl + el * (zl - 2.0)) * s
+    f3[i1:] = (-4.0 - 3.0 * zl - z2 + el * (4.0 - zl)) * s
     return e_half, e_full, q, f1, f2, f3
 
 
@@ -313,10 +341,13 @@ def evolve(
     while True:
         # every accepted state, the last one included, passes through here
         # once: its rhs, its CFL sups, its stored fields and the stop checks
-        nl = ops.nonlinear(c)
+        formed: dict[str, np.ndarray] = {}
+        nl = ops.nonlinear(c, formed=formed)
         rhs_c = nl - ops.lin * c
-        sup_lb = float(np.max(np.abs(grid.to_phys(ops.absxi * c))))
-        sup_lbx = float(np.max(np.abs(grid.to_phys(ops.lam_dx * c))))
+        lam_b = formed["lam_b"] if "lam_b" in formed else grid.to_phys(ops.absxi * c)
+        lam_bx = formed["lam_bx"] if "lam_bx" in formed else grid.to_phys(ops.lam_dx * c)
+        sup_lb = float(np.max(np.abs(lam_b)))
+        sup_lbx = float(np.max(np.abs(lam_bx)))
         if cfg.store_step_fields:
             lam_b_store.append(ops.absxi * c)
             lam_b_dot_store.append(ops.absxi * rhs_c)
@@ -341,7 +372,7 @@ def evolve(
             if sup_lbx > 0:
                 bound = min(bound, 1.0 / sup_lbx)
             if dispersive:
-                sup_b = float(np.max(np.abs(grid.to_phys(c))))
+                sup_b = float(np.max(np.abs(formed["b"])))
                 if sup_b > 0:
                     bound = min(bound, 2.0 / (sup_b * xi_max2))
             dt = cfg.dt_init if not math.isfinite(bound) else min(cfg.cfl_safety * bound, cfg.dt_init * 1e6)

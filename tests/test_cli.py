@@ -205,9 +205,11 @@ class TestCommands:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error: datum file holds 10" in capsys.readouterr().err
 
-    def test_nan_datum_is_numerical_abort(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "symmetry"])
+    def test_nan_datum_is_config_error(self, tmp_path, capsys, command):
         arr = 0.05 * np.sin(np.linspace(-np.pi, np.pi, 64, endpoint=False))
         arr[5] = np.nan
+        arr[9] = np.inf
         raw = tmp_path / "datum.bin"
         arr.astype("<f8").tofile(raw)
         p = tmp_path / "nan.cfg"
@@ -216,10 +218,28 @@ class TestCommands:
             f"stepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n"
         )
         out = tmp_path / "nanout"
-        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
+        assert main([command, "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: datum file holds 2 non-finite values" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_run_overflow_is_numerical_abort(self, tmp_path):
+        # a finite datum that overflows: mu = 0 transport from 1e200 at a
+        # fixed dt (the adaptive dt would shrink to a cfl_collapse instead)
+        arr = 1e200 * np.sin(3.0 * np.linspace(-np.pi, np.pi, 64, endpoint=False))
+        raw = tmp_path / "datum.bin"
+        arr.astype("<f8").tofile(raw)
+        p = tmp_path / "big.cfg"
+        p.write_text(
+            "grid.L = 3.141592653589793\ngrid.N = 64\nmodel.kind = transport\nmodel.mu = 0.0\n"
+            "stepper.adaptive = false\n"
+            f"stepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n"
+        )
+        out = tmp_path / "bigout"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", str(p), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "non_finite"
-        assert manifest["steps"] == 0
         assert not (out / "series.csv").exists()
 
     def test_symmetry_overflow_is_numerical_abort(self, tmp_path):

@@ -1,5 +1,6 @@
 """Time-stepper and evolution-loop tests."""
 
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -44,6 +45,33 @@ def contour_coeffs(lin, dt, n_contour=32):
     f1 = dt * np.real(((-4.0 - lr + np.exp(lr) * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(1))
     f2 = dt * np.real(((2.0 + lr + np.exp(lr) * (lr - 2.0)) / lr**3).mean(1))
     f3 = dt * np.real(((-4.0 - 3.0 * lr - lr**2 + np.exp(lr) * (4.0 - lr)) / lr**3).mean(1))
+    return q, f1, f2, f3
+
+
+def closed_form_taylor_coeffs(lin, dt, terms=20):
+    """Reference: the Cox-Matthews closed forms evaluated on every entry, then
+    overwritten where |z| < 1 by separate Horner series of phi1..phi3."""
+
+    def phi(z, k):
+        out = np.full_like(z, 1.0 / math.factorial(terms - 1 + k))
+        for n in range(terms - 2, -1, -1):
+            out = out * z + 1.0 / math.factorial(n + k)
+        return out
+
+    z = -dt * lin
+    e_full = np.exp(z)
+    small = np.abs(z) < 1.0
+    zc = np.where(small, -1.0, z)
+    q = dt * (np.exp(z / 2.0) - 1.0) / zc
+    f1 = dt * (-4.0 - zc + e_full * (4.0 - 3.0 * zc + zc**2)) / zc**3
+    f2 = dt * (2.0 + zc + e_full * (zc - 2.0)) / zc**3
+    f3 = dt * (-4.0 - 3.0 * zc - zc**2 + e_full * (4.0 - zc)) / zc**3
+    zs = z[small]
+    p2, p3 = phi(zs, 2), phi(zs, 3)
+    q[small] = 0.5 * dt * phi(zs / 2.0, 1)
+    f1[small] = dt * (phi(zs, 1) - 3.0 * p2 + 4.0 * p3)
+    f2[small] = dt * (p2 - 2.0 * p3)
+    f3[small] = dt * (-p2 + 4.0 * p3)
     return q, f1, f2, f3
 
 
@@ -153,12 +181,36 @@ class TestETDRK4Coeffs:
         for got, ref in zip(coeffs, contour_coeffs(lin, dt)):
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
+    @pytest.mark.parametrize("dt", [1.0, 1e-3])
+    def test_matches_closed_form_taylor_reference(self, dt):
+        # z = 0 and 4001 log-spaced |z| in [1e-8, 4000], with points hugging
+        # the series/closed-form switch at |z| = 1 from both sides
+        abs_z = np.concatenate([[0.0], np.geomspace(1e-8, 4000.0, 4001),
+                                1.0 + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6])])
+        abs_z.sort()
+        lin = abs_z / dt
+        e_half, e_full, *coeffs = _etdrk4_coeffs(lin, dt)
+        assert np.array_equal(e_half, np.exp(-dt * lin / 2.0))
+        assert np.array_equal(e_full, np.exp(-dt * lin))
+        for got, ref in zip(coeffs, closed_form_taylor_coeffs(lin, dt)):
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
     def test_limits_at_zero(self):
+        # z = 0 at the mean mode, or at every mode when mu = 0
         dt = 0.25
-        _, _, q, f1, f2, f3 = _etdrk4_coeffs(np.zeros(1), dt)
-        assert q[0] == dt / 2.0
-        for f in (f1, f2, f3):
-            assert f[0] == pytest.approx(dt / 6.0, rel=1e-15)
+        for lin in (np.zeros(1), np.zeros(5), np.array([0.0, 1.0, 8.0])):
+            _, _, q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
+            zero = lin == 0.0
+            assert np.all(q[zero] == dt / 2.0)
+            for f in (f1, f2, f3):
+                assert np.all(f[zero] == dt / 6.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_lin_is_non_decreasing(self, alpha):
+        # the build splits z by index, so it needs lin in ascending order
+        for grid in (GridSpec(np.pi, 8), GridSpec(6.0, 4096)):
+            lin = _ops(grid, ModelParams(kind="full", mu=0.7, alpha=alpha)).lin
+            assert np.all(np.diff(lin) >= 0.0)
 
 
 class TestETDRK4CoefficientReuse:
@@ -364,6 +416,41 @@ class TestEvolve:
         dts = run.diagnostics["dt"][:-1]  # last step is clipped to t_end
         bound = 0.4 * grid.dx / run.diagnostics["sup_lam_b"][:-1]
         assert np.all(dts <= bound + 1e-15)
+
+    @pytest.mark.parametrize("kind, per_nonlinear, own", [("full", 4, 0), ("transport", 2, 1)])
+    def test_sups_reuse_the_nonlinear_transforms(self, monkeypatch, kind, per_nonlinear, own):
+        # sup|Lambda B|, and on the full model sup|Lambda B_x| and sup|B|,
+        # come from the arrays nonlinear has formed; only the transport
+        # sup|Lambda B_x| takes a transform of its own, once per state
+        g = GridSpec(np.pi, 64)
+        p = ModelParams(kind=kind, mu=1.0, alpha=1.5)
+        ops = _ops(g, p)
+        calls = {"to_phys": 0, "nonlinear": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(GridSpec, "to_phys", counted("to_phys", GridSpec.to_phys))
+            m.setattr(solver._Ops, "nonlinear", counted("nonlinear", solver._Ops.nonlinear))
+            run = evolve(small_datum(g, amp=1.0), p, StepperConfig(t_end=1.0, snapshot_cadence=1))
+        states = len(run.step_times)
+        assert states > 10
+        assert calls["to_phys"] == per_nonlinear * calls["nonlinear"] + own * states + len(run.snapshots)
+
+        diag = run.diagnostics
+        for n, (_, state) in enumerate(run.snapshots[: states - 1]):
+            c = state.coef
+            sup_lb = np.max(np.abs(g.to_phys(ops.absxi * c)))
+            sup_lbx = np.max(np.abs(g.to_phys(ops.lam_dx * c)))
+            assert diag["sup_lam_b"][n] == sup_lb and diag["sup_lam_bx"][n] == sup_lbx
+            if kind == "full" and n < states - 2:  # the last step is cut to t_end
+                sup_b = np.max(np.abs(g.to_phys(c)))
+                bound = min(g.dx / sup_lb, 1.0 / sup_lbx, 2.0 / (sup_b * g.xi_max_dealiased**2))
+                assert diag["dt"][n] == 0.5 * bound
 
 
 class TestDispersiveBound:
