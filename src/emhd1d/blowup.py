@@ -204,59 +204,30 @@ def measure_blowup_time(
 class RiccatiReport:
     max_bx_defect: float  # max |B_x(X,t) - 1|
     max_bxx_rel: float  # max |B_xx(X,t)| / sup_x |B_xx(x,t)|
-    max_bxx_abs: float
-    max_riccati_defect: float  # |dw/dt - (w^2 - bxx^2 - (bx-1) B_xxx)|
-    t_max: float
 
 
 def riccati_invariant_report(
     run: TimeSeries, states: list[TrajectoryState], t_max: float | None = None
 ) -> RiccatiReport:
-    """Pointwise invariants along the trajectory up to t_max.
-
-    dw/dt is a centered nonuniform finite difference of the tracked series;
-    comparing against the full right side of the transported-w equation
-    isolates discretization error from the model identity.
-    """
-    xi = run.grid.wavenumbers
-    sgn = np.sign(xi)
+    """The two pointwise invariants w' = w^2 rests on, B_x(X, t) = 1 and
+    B_xx(X, t) = 0, along the trajectory up to t_max (default: its end)."""
     ts = np.array([s.t for s in states])
-    if t_max is None:
-        t_max = float(ts[-1])
-    sel = ts <= t_max
+    sel = ts <= (ts[-1] if t_max is None else t_max)
     bx = np.array([s.bx for s in states])
     bxx = np.array([s.bxx for s in states])
-    ws = np.array([s.w for s in states])
-    xs = np.array([s.X for s in states])
 
     # sup_x |B_xx| of the selected rows only, transformed a block of rows per
     # call: one stack of all ~240 rows at N = 4096 would take ~30 MB of
     # temporaries and raise the peak RSS of a blowup run
     idx = np.flatnonzero(sel)
-    m_bxx = 1j * xi * (1j * sgn)
+    xi = run.grid.wavenumbers
+    m_bxx = 1j * xi * (1j * np.sign(xi))
     block = 32
     sup_bxx = np.concatenate([
         np.max(np.abs(run.grid.to_phys(m_bxx * run.lam_b[idx[i : i + block]])), axis=1)
         for i in range(0, idx.size, block)
     ])
-    m_bxxx = (1j * xi) ** 2 * (1j * sgn)
-    bxxx = np.array([eval_trig(run.grid, m_bxxx * run.lam_b[n], x)[0] for n, x in enumerate(xs)])
-    # centered nonuniform three-point derivative of w
-    defect = np.full(len(ts), np.nan)
-    for n in range(1, len(ts) - 1):
-        h1, h2 = ts[n] - ts[n - 1], ts[n + 1] - ts[n]
-        dw = (
-            -h2 / (h1 * (h1 + h2)) * ws[n - 1]
-            + (h2 - h1) / (h1 * h2) * ws[n]
-            + h1 / (h2 * (h1 + h2)) * ws[n + 1]
-        )
-        rhs_w = ws[n] ** 2 - bxx[n] ** 2 - (bx[n] - 1.0) * bxxx[n]
-        defect[n] = abs(dw - rhs_w)
-    inner = sel & ~np.isnan(defect)
     return RiccatiReport(
         max_bx_defect=float(np.max(np.abs(bx[sel] - 1.0))),
         max_bxx_rel=float(np.max(np.abs(bxx[sel]) / np.maximum(sup_bxx, 1e-300))),
-        max_bxx_abs=float(np.max(np.abs(bxx[sel]))),
-        max_riccati_defect=float(np.max(defect[inner])) if np.any(inner) else math.nan,
-        t_max=t_max,
     )

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .blowup import (
+    DatumError,
     FitWindowError,
     advect_trajectory,
     make_reference_datum,
@@ -38,7 +39,7 @@ from .blowup import (
     run_blowup,
 )
 from .diagnostics import norm_series, rough_datum
-from .lp import bernstein_check, commutator_check, norm_equivalence_ratio
+from .lp import bernstein_check, commutator_check, cutoffs_for, norm_equivalence_ratio
 from .solver import ModelParams, StepperConfig, evolve, scaling_symmetry_mismatch
 from .spectral import (
     GridSpec,
@@ -141,6 +142,8 @@ class RunConfig:
             raise ConfigError(f"unknown datum.kind: {self.datum_kind}")
         if self.datum_kind == "from_file" and not Path(self.datum_path).is_file():
             raise ConfigError(f"datum.path not found: {self.datum_path}")
+        if self.datum_seed < 0:
+            raise ConfigError(f"datum.seed must be non-negative, got {self.datum_seed}")
         if not (math.isfinite(self.symmetry_lam) and self.symmetry_lam > 0):
             raise ConfigError(f"symmetry.lam must be positive and finite, got {self.symmetry_lam}")
         try:
@@ -308,6 +311,8 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> int:
 
 def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> int:
     grid = cfg.grid()
+    if cutoffs_for(grid).q_max < 1:
+        raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
     sd = cfg.datum_seed if seed is None else seed
     b1, b2 = bernstein_check(grid, seed=sd)
     c1, c2 = commutator_check(grid, seed=sd)
@@ -364,8 +369,9 @@ def cmd_selftest(out: Path | None = None) -> int:
 
 
 def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) -> int:
-    # a config error can also surface inside a command (a datum file of the
-    # wrong size is read only once the grid is known)
+    # a config error can also surface inside a command: a datum file of the
+    # wrong size, or a grid that cannot hold the reference datum, shows only
+    # once the grid is known
     try:
         cfg = RunConfig.from_file(config_path)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,7 +384,7 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
         if command == "lp":
             return cmd_lp(cfg, out_dir, seed)
         raise AssertionError(command)
-    except ConfigError as exc:
+    except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, np.linalg.LinAlgError):
@@ -393,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=None, help="override datum seed")
     args = ap.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"config error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
 
     out = Path(args.out)
     if args.command == "selftest":

@@ -175,13 +175,11 @@ def smoothing_rate_fit_semigroup(
 
 @dataclass(frozen=True)
 class FluxDecomposition:
-    s: float
     I: float
     K: float
     I_q: np.ndarray
     K_q: np.ndarray
     dissipation: float  # mu-weighted shell dissipation sum_q lam_q^(2s) ||L^(a/2) B_q||^2
-    shell_energy: np.ndarray  # lam_q^(2s) ||Delta_q B||^2 per shell
 
 
 def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxDecomposition:
@@ -215,8 +213,7 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
         K_q[i] = lam2s * grid.inner(w * lamb_bx.coef, bq)
         diss += lam2s * grid.norm2(bq, w_diss)
     return FluxDecomposition(
-        s=s, I=float(np.sum(I_q)), K=float(np.sum(K_q)), I_q=I_q, K_q=K_q,
-        dissipation=params.mu * diss, shell_energy=shell_spectrum(B, s).masses,
+        I=float(np.sum(I_q)), K=float(np.sum(K_q)), I_q=I_q, K_q=K_q, dissipation=params.mu * diss
     )
 
 

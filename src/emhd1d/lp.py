@@ -97,9 +97,7 @@ cutoffs_for = functools.lru_cache(maxsize=32)(LPCutoffs)  # one shared, read-onl
 class ShellSpectrum:
     """Per-shell weighted L2 masses lambda_q^(2s) ||Delta_q f||^2 and their sum."""
 
-    s: float
-    q_min: int
-    masses: np.ndarray
+    masses: np.ndarray  # shells q = -1 .. q_max
 
     @property
     def total(self) -> float:
@@ -116,7 +114,7 @@ def shell_spectrum(f: SpectralField, s: float) -> ShellSpectrum:
     masses = np.array(
         [(2.0**q) ** (2.0 * s) * f.grid.norm2(cut.weight(q) * f.coef) for q in cut.shells()]
     )
-    return ShellSpectrum(s=s, q_min=-1, masses=masses)
+    return ShellSpectrum(masses=masses)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:

@@ -306,20 +306,13 @@ class TimeSeries:
         return [f for _, f in self.snapshots]
 
 
-StepObserver = Callable[[float, float, np.ndarray, np.ndarray], None]
-
-
-def evolve(
-    B0: SpectralField,
-    params: ModelParams,
-    cfg: StepperConfig,
-    observer: StepObserver | None = None,
-) -> TimeSeries:
+def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSeries:
     """Run until t_end, the blowup threshold, CFL collapse, a non-finite
-    field, or max_steps.
+    field, or max_steps; the cause is recorded on the result.
 
-    ``observer(t_new, dt, coef_new, rhs_coef_old)`` is called after each
-    accepted step.  The termination cause is recorded on the result.
+    ``diagnostics`` holds one entry per accepted step, at ``step_times[1:]``:
+    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, and the mean
+    drift it removed.
     """
     grid = B0.grid
     ops = _ops(grid, params)
@@ -333,24 +326,23 @@ def evolve(
 
     snaps: list[tuple[float, SpectralField]] = [(0.0, SpectralField.from_coef(grid, c))]
     step_times = [0.0]
-    diag: dict[str, list[float]] = {k: [] for k in ("t", "dt", "sup_lam_b", "sup_lam_bx", "mean")}
+    diag: dict[str, list[float]] = {k: [] for k in ("dt", "sup_lam_b", "sup_lam_bx", "mean")}
     lam_b_store: list[np.ndarray] = []
     lam_b_dot_store: list[np.ndarray] = []
 
     n = 0
     while True:
         # every accepted state, the last one included, passes through here
-        # once: its rhs, its CFL sups, its stored fields and the stop checks
+        # once: its nonlinear term, its CFL sups, its stored fields and the stop checks
         formed: dict[str, np.ndarray] = {}
         nl = ops.nonlinear(c, formed=formed)
-        rhs_c = nl - ops.lin * c
         lam_b = formed["lam_b"] if "lam_b" in formed else grid.to_phys(ops.absxi * c)
         lam_bx = formed["lam_bx"] if "lam_bx" in formed else grid.to_phys(ops.lam_dx * c)
         sup_lb = float(np.max(np.abs(lam_b)))
         sup_lbx = float(np.max(np.abs(lam_bx)))
         if cfg.store_step_fields:
             lam_b_store.append(ops.absxi * c)
-            lam_b_dot_store.append(ops.absxi * rhs_c)
+            lam_b_dot_store.append(ops.absxi * (nl - ops.lin * c))
 
         if not (math.isfinite(sup_lb) and math.isfinite(sup_lbx)):
             termination = "non_finite"
@@ -389,14 +381,11 @@ def evolve(
         t += dt
         n += 1
 
-        diag["t"].append(t)
         diag["dt"].append(dt)
         diag["sup_lam_b"].append(sup_lb)
         diag["sup_lam_bx"].append(sup_lbx)
         diag["mean"].append(drift)
         step_times.append(t)
-        if observer is not None:
-            observer(t, dt, c, rhs_c)
         if n % cfg.snapshot_cadence == 0:
             snaps.append((t, SpectralField.from_coef(grid, c)))
 

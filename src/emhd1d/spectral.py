@@ -34,8 +34,9 @@ class GridSpec:
     """Uniform periodic grid on [-half_length, half_length).
 
     ``n_modes`` is the number of physical samples; it must be even and at
-    least 8.  ``dealias_fraction`` sets the cutoff |k| <= frac * N/2 used
-    after quadratic products (2/3 rule by default).
+    least 8.  ``dealias_fraction`` sets the cutoff |k| < frac * N/2 used
+    after quadratic products (2/3 rule by default: strict, because at N = 3K
+    the product of two modes K aliases onto mode -K).
     """
 
     half_length: float
@@ -66,7 +67,9 @@ class GridSpec:
     def mode_index(self) -> np.ndarray:
         """Integer mode numbers of the stored half: 0, 1, ..., N/2-1, -N/2
         (the Nyquist entry keeps its FFT-order sign)."""
-        k = np.fft.fftfreq(self.n_modes, d=1.0 / self.n_modes)[: self.n_modes // 2 + 1]
+        # not fftfreq(N, d=1/N): it rounds 1/N, so k is non-integral at N = 98
+        k = np.arange(self.n_modes // 2 + 1, dtype=float)
+        k[-1] = -k[-1]
         k.flags.writeable = False
         return k
 
@@ -96,7 +99,7 @@ class GridSpec:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         cut = self.dealias_fraction * self.n_modes / 2.0
-        m = (np.abs(self.mode_index) <= cut).astype(float)
+        m = (np.abs(self.mode_index) < cut).astype(float)
         m.flags.writeable = False
         return m
 

@@ -301,3 +301,55 @@ class TestCommands:
         p = tmp_path / "cad.cfg"
         p.write_text(RUN_CFG.replace("outputs.snapshot_cadence = 10", "outputs.snapshot_cadence = 0"))
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("blowup", "grid.L = 2\n"),
+            ("blowup", "grid.L = 6\ngrid.N = 96\n"),
+            ("run", "grid.L = 2\ndatum.kind = paper_blowup\n"),
+            ("symmetry", "grid.L = 2\ndatum.kind = paper_blowup\n"),
+        ],
+        ids=["blowup-L2", "blowup-N96", "run-L2", "symmetry-L2"],
+    )
+    def test_grid_without_reference_datum_is_config_error(self, tmp_path, capsys, command, text):
+        # L = 2 is too short for exp(-x^4) sin(x) to decay, and at N = 96
+        # the sampled datum misses B_x(0) = 1 by 2e-7
+        p = tmp_path / "datum.cfg"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (out / "manifest.json").exists()
+
+    def test_sweep_with_unusable_datum_grid(self, cfg_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("EMHD1D_THREADS", "2")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("grid.L = 2\ndatum.kind = paper_blowup\n")
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(f"{bad}\n{cfg_file}\n")
+        out = tmp_path / "sw"
+        assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_CONFIG
+        assert json.loads((out / "sweep.json").read_text()) == {str(bad): EXIT_CONFIG, str(cfg_file): EXIT_OK}
+        assert (out / "sweep_001" / "series.csv").is_file()
+
+    def test_negative_seed_option_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "rough.cfg"
+        p.write_text("grid.N = 64\ndatum.kind = random_rough\nstepper.t_end = 0.01\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"), "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error: --seed" in capsys.readouterr().err
+
+    def test_negative_datum_seed_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "rough.cfg"
+        p.write_text("grid.N = 64\ndatum.kind = random_rough\ndatum.seed = -3\nstepper.t_end = 0.01\n")
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(p)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: datum.seed" in capsys.readouterr().err
+
+    def test_lp_grid_without_shells_is_config_error(self, tmp_path, capsys):
+        # at L = 12, N = 8 the dealiased band ends below xi = 1: no shell q >= 1
+        p = tmp_path / "coarse.cfg"
+        p.write_text("grid.L = 12\ngrid.N = 8\n")
+        assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")

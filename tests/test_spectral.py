@@ -32,6 +32,36 @@ class TestGridSpec:
         # the stored half 0..63 and the Nyquist entry at its FFT-order -64
         assert np.allclose(grid.wavenumbers, np.append(np.arange(64), -64))
 
+    def test_mode_index_integral_for_every_even_n(self):
+        # fftfreq(N, d=1/N) gave non-integral k, so NaN phases and NaN
+        # fields, at 35 even N up to 1024, the smallest 98
+        for n in range(8, 1026, 2):
+            g = GridSpec(1.0, n)
+            assert np.array_equal(g.mode_index, np.append(np.arange(n // 2), -n // 2))
+            assert np.all(np.isfinite(SpectralField.from_function(g, np.sin).coef))
+
+    @pytest.mark.parametrize("n", [96, 126, 128])
+    def test_dealiased_product_exact_on_kept_band(self, n):
+        """On the kept band a dealiased product equals the exact one (from a
+        grid of 2N, where it does not alias); at N = 3K the cut must drop
+        mode K, whose square aliases onto -K."""
+        g, g2 = GridSpec(np.pi, n), GridSpec(np.pi, 2 * n)
+        k = np.arange(1, int(np.count_nonzero(g.dealias_mask)))  # every kept mode
+        rng = np.random.default_rng(n)
+        draws = rng.standard_normal((2, 2, k.size))
+
+        def pair(grid_):
+            out = []
+            for re, im in draws:
+                c = np.zeros(grid_.n_modes // 2 + 1, dtype=complex)
+                c[k] = re + 1j * im
+                out.append(SpectralField.from_coef(grid_, c))
+            return out
+
+        (f, h), (f2, h2) = pair(g), pair(g2)
+        exact = g2.to_coef(f2.phys * h2.phys)[: n // 2 + 1]
+        assert np.allclose(product(f, h).coef, exact * g.dealias_mask, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("bad", [dict(half_length=-1.0, n_modes=64),
                                      dict(half_length=1.0, n_modes=7),
                                      dict(half_length=1.0, n_modes=6),
