@@ -10,9 +10,16 @@ L = 6 torus, independently derived:
 The two differ only by the periodic truncation of the integral tails.
 """
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from emhd1d import blowup
 from emhd1d.blowup import (
     BlowupDatum,
     DatumError,
@@ -21,6 +28,7 @@ from emhd1d.blowup import (
     advect_trajectory,
     make_reference_datum,
     measure_blowup_time,
+    reference_datum_dx,
     reference_datum_fn,
     predict_blowup_time,
     pv_blowup_coefficient,
@@ -58,6 +66,43 @@ class TestDatum:
 
     def test_spectral_vs_pv_agreement(self, datum):
         assert abs(datum.w0 - W0_PV) / W0_PV <= 1e-4
+
+    def test_pv_oracle_matches_adaptive_quad(self):
+        # the oracle as it was built on QUADPACK: three adaptive pieces that
+        # step over y = 0, plus the same exact tail
+        quad = pytest.importorskip("scipy.integrate").quad
+
+        def integrand(y):
+            yy = max(abs(y), 1e-7)
+            return (1.0 - reference_datum_dx(yy)) / yy**2
+
+        pieces = ((-50.0, -1.0), (-1.0, 1.0), (1.0, 50.0))
+        ref = (sum(quad(integrand, a, b, limit=400)[0] for a, b in pieces) + 2.0 / 50.0) / math.pi
+        assert abs(pv_blowup_coefficient() - ref) <= 1e-12 * ref
+
+    def test_pv_oracle_converged_in_panels(self, monkeypatch):
+        value = pv_blowup_coefficient()
+        monkeypatch.setattr(blowup, "_PV_PANELS", 2 * blowup._PV_PANELS)
+        assert abs(pv_blowup_coefficient() - value) < 1e-13
+
+    def test_oracle_and_commands_run_without_scipy(self, tmp_path):
+        # every command, the oracle included, needs numpy and the standard
+        # library only; a None entry in sys.modules makes `import scipy` fail
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from emhd1d.blowup import pv_blowup_coefficient\n"
+            "from emhd1d.cli import main\n"
+            "print(repr(pv_blowup_coefficient()))\n"
+            "sys.exit(main(['selftest', '--out', sys.argv[1]]))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "selftest")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout.splitlines()[0]) == pytest.approx(W0_PV, rel=1e-8)
 
     def test_validate_passes_reference(self, datum):
         datum.validate()

@@ -11,12 +11,14 @@ from emhd1d.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_TOLERANCE,
     ConfigError,
     RunConfig,
     cmd_selftest,
     main,
     parse_config_text,
 )
+from emhd1d.blowup import FitWindowError
 from emhd1d.spectral import GridSpec, SpectralField, derivative, frac_laplacian
 
 RUN_CFG = """
@@ -274,6 +276,41 @@ class TestCommands:
         assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
         assert json.loads((out / "manifest.json").read_text())["termination"] == "non_finite"
         assert not (out / "blowup_report.json").exists()
+
+    def test_blowup_fit_window_miss_writes_manifest(self, tmp_path, monkeypatch):
+        def no_window(states, w0):
+            raise FitWindowError("no samples with w inside the fit window")
+
+        monkeypatch.setattr(cli, "measure_blowup_time", no_window)
+        p = tmp_path / "blow.cfg"
+        p.write_text("grid.L = 6.0\ngrid.N = 256\n")
+        out = tmp_path / "blowout"
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["termination"] == "fit_window"
+        assert manifest["steps"] > 0
+        assert not (out / "blowup_report.json").exists()
+
+    def test_blowup_invariant_defect_is_tolerance_failure(self, tmp_path):
+        # the fit passes its gates at N = 1280, but B_x(X, t) drifts 3.4e-4
+        # off 1, past the 1e-4 criterion 2 sets on it
+        p = tmp_path / "blow.cfg"
+        p.write_text("grid.L = 6\ngrid.N = 1280\nstepper.scheme = etdrk4\n")
+        out = tmp_path / "blowout"
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_TOLERANCE
+        report = json.loads((out / "blowup_report.json").read_text())
+        assert report["max_bx_defect"] > 1e-4
+        assert abs(report["slope"] + 1.0) <= 0.01 and report["T_rel_err"] <= 0.02
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_blowup_reference_grid_passes_every_gate(self, tmp_path, scheme):
+        # max_bx_defect reads 5.4e-5 (IF-RK4) and 3.2e-5 (ETDRK4) here
+        p = tmp_path / "blow.cfg"
+        p.write_text(f"grid.L = 6\ngrid.N = 2048\nstepper.scheme = {scheme}\n")
+        out = tmp_path / "blowout"
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "blowup_report.json").read_text())
+        assert max(report["max_bx_defect"], report["max_bxx_rel"]) <= 1e-4
 
     def test_full_model_adaptive_run_matches_fixed_dt(self, tmp_path):
         # the default adaptive stepper on the full model must honour its
