@@ -278,7 +278,7 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> int:
             w.writerow(
                 [f"{v:.17g}" for v in (st.t, st.X, st.bx, st.bxx, st.w, 1.0 / st.w)]
             )
-    _write_manifest(out, cfg, {"termination": run.termination, "report": report})
+    _write_manifest(out, cfg, {"termination": run.termination, "steps": steps, "report": report})
     ok = (
         abs(slope + 1.0) <= 0.01
         and resid <= 1e-3

@@ -68,8 +68,9 @@ class TestDatum:
         assert abs(datum.w0 - W0_PV) / W0_PV <= 1e-4
 
     def test_pv_oracle_matches_adaptive_quad(self):
-        # the oracle as it was built on QUADPACK: three adaptive pieces that
-        # step over y = 0, plus the same exact tail
+        # reference: adaptive QUADPACK on three pieces plus the same exact
+        # tail; the middle piece has a node at y = 0, so |y| is floored at
+        # 1e-7 there (B0' is even, so B0'(|y|) = B0'(y))
         quad = pytest.importorskip("scipy.integrate").quad
 
         def integrand(y):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from emhd1d import cli
+from emhd1d.blowup import FitWindowError
 from emhd1d.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -18,7 +19,6 @@ from emhd1d.cli import (
     main,
     parse_config_text,
 )
-from emhd1d.blowup import FitWindowError
 from emhd1d.spectral import GridSpec, SpectralField, derivative, frac_laplacian
 
 RUN_CFG = """
@@ -311,6 +311,8 @@ class TestCommands:
         assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "blowup_report.json").read_text())
         assert max(report["max_bx_defect"], report["max_bxx_rel"]) <= 1e-4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["termination"] == "blowup_threshold" and manifest["steps"] > 0
 
     def test_full_model_adaptive_run_matches_fixed_dt(self, tmp_path):
         # the default adaptive stepper on the full model must honour its
