@@ -26,7 +26,6 @@ from .solver import (
 )
 from .lp import (
     LPCutoffs,
-    ShellSpectrum,
     bernstein_check,
     commutator_check,
     lp_norm,

@@ -146,6 +146,10 @@ class RunConfig:
             raise ConfigError(f"datum.seed must be non-negative, got {self.datum_seed}")
         if not (math.isfinite(self.symmetry_lam) and self.symmetry_lam > 0):
             raise ConfigError(f"symmetry.lam must be positive and finite, got {self.symmetry_lam}")
+        for key in ("datum.norm", "datum.s_base", "diagnostics.s_list"):
+            val = getattr(self, key.replace(".", "_"))
+            if not np.all(np.isfinite(val)):
+                raise ConfigError(f"{key} must be finite, got {val}")
         try:
             self.grid()
             self.model()
@@ -201,12 +205,12 @@ def _write_manifest(out: Path, cfg: RunConfig, extra: dict) -> None:
 
 def _write_snapshots(out: Path, run) -> None:
     """Raw little-endian float64 frames plus a JSON sidecar with the index."""
-    fields = run.snapshot_fields()
-    data = np.stack([f.phys for f in fields]).astype("<f8")
-    data.tofile(out / "snapshots.bin")
+    with (out / "snapshots.bin").open("wb") as fh:
+        for c in run.coefs:  # one frame at a time: no (n, N) physical array
+            run.grid.to_phys(c).astype("<f8").tofile(fh)
     sidecar = {
         "dtype": "<f8",
-        "shape": [len(fields), run.grid.n_modes],
+        "shape": [len(run.times), run.grid.n_modes],
         "grid": {"L": run.grid.half_length, "N": run.grid.n_modes},
         "times": [float(t) for t in run.times],
     }

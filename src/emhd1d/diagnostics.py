@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import cutoffs_for, shell_spectrum, sobolev_norm, sobolev_norm_inhom
+from .lp import cutoffs_for, shell_spectrum, sobolev_norm_inhom
 from .solver import ModelParams, StepperConfig, TimeSeries, evolve, rhs, step
-from .spectral import GridSpec, SpectralField, product, sobolev_weight
+from .spectral import GridSpec, SpectralField, derivative, product, sobolev_weight
 
 
 @dataclass(frozen=True)
@@ -39,25 +39,21 @@ class NormSeries:
     budget: np.ndarray  # (len(s_list), n_times) int_0^t ||B||^2_{H^(s+a/2)} dtau
 
 
+def _cumtrapz(times: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Running trapezoid int_0^t y along the last axis, starting at 0."""
+    steps = np.cumsum(0.5 * np.diff(times) * (y[..., 1:] + y[..., :-1]), axis=-1)
+    return np.concatenate([np.zeros(y.shape[:-1] + (1,)), steps], axis=-1)
+
+
 def norm_series(run: TimeSeries, s_list: list[float]) -> NormSeries:
-    times = run.times
-    grid = run.grid
-    xi = grid.wavenumbers
-    w_in = [sobolev_weight(xi, s, homogeneous=False) for s in s_list]
-    w_diss = [sobolev_weight(xi, s + 0.5 * run.params.alpha) for s in s_list]
-    hs = np.empty((len(s_list), len(times)))
+    grid, xi, alpha = run.grid, run.grid.wavenumbers, run.params.alpha
+    hs = np.empty((len(s_list), len(run.times)))
     hd = np.empty_like(hs)
-    for j, f in enumerate(run.snapshot_fields()):
-        for i in range(len(s_list)):
-            hs[i, j] = np.sqrt(grid.norm2(f.coef, w_in[i]))
-            hd[i, j] = np.sqrt(grid.norm2(f.coef, w_diss[i]))
-    budget = np.concatenate(
-        [np.zeros((len(s_list), 1)), np.cumsum(
-            0.5 * np.diff(times) * (hd[:, 1:] ** 2 + hd[:, :-1] ** 2), axis=1
-        )],
-        axis=1,
-    )
-    return NormSeries(times=times, s_list=tuple(s_list), hs=hs, hs_diss=hd, budget=budget)
+    for i, s in enumerate(s_list):
+        hs[i] = np.sqrt(grid.norm2(run.coefs, sobolev_weight(xi, s, homogeneous=False)))
+        hd[i] = np.sqrt(grid.norm2(run.coefs, sobolev_weight(xi, s + 0.5 * alpha)))
+    budget = _cumtrapz(run.times, hd**2)
+    return NormSeries(times=run.times, s_list=tuple(s_list), hs=hs, hs_diss=hd, budget=budget)
 
 
 def l2_budget_defect(run: TimeSeries) -> np.ndarray:
@@ -67,19 +63,13 @@ def l2_budget_defect(run: TimeSeries) -> np.ndarray:
     equal ||B0||^2; the residual decays like dt^2 under refinement.  The
     nonlinear work term is the trapezoid of 2 int nl(B) B dx.
     """
-    fields = run.snapshot_fields()
-    times = run.times
     grid = run.grid
-    w = sobolev_weight(grid.wavenumbers, run.params.alpha / 2.0)
-    e = np.array([grid.norm2(f.coef) for f in fields])
-    diss = np.array([grid.norm2(f.coef, w) for f in fields])
+    e = grid.norm2(run.coefs)
+    diss = grid.norm2(run.coefs, sobolev_weight(grid.wavenumbers, run.params.alpha / 2.0))
     inviscid = replace(run.params, mu=0.0)
-    work = np.array([2.0 * grid.inner(rhs(f, inviscid).coef, f.coef) for f in fields])
-    dtt = np.diff(times)
-    budget_d = np.cumsum(0.5 * dtt * (diss[1:] + diss[:-1]))
-    budget_w = np.cumsum(0.5 * dtt * (work[1:] + work[:-1]))
-    resid = e[1:] + 2.0 * run.params.mu * budget_d - budget_w - e[0]
-    return np.concatenate([[0.0], resid])
+    nl = np.array([rhs(SpectralField.from_coef(grid, c), inviscid).coef for c in run.coefs])
+    work = 2.0 * grid.inner(nl, run.coefs)
+    return e + 2.0 * run.params.mu * _cumtrapz(run.times, diss) - _cumtrapz(run.times, work) - e[0]
 
 
 def rough_datum(
@@ -110,12 +100,9 @@ def semigroup_norm_series(
 ) -> np.ndarray:
     """Exact homogeneous H^s norms of exp(-mu t Lambda^alpha) B0 (oracle)."""
     xi = B0.grid.wavenumbers
-    m2s = sobolev_weight(xi, s)
     lam = mu * sobolev_weight(xi, alpha / 2.0)
-    out = np.empty(len(times))
-    for j, t in enumerate(times):
-        out[j] = np.sqrt(B0.grid.norm2(B0.coef, m2s * np.exp(-2.0 * t * lam)))
-    return out
+    decay = np.exp(-2.0 * np.asarray(times)[:, None] * lam)
+    return np.sqrt(B0.grid.norm2(B0.coef, sobolev_weight(xi, s) * decay))
 
 
 @dataclass(frozen=True)
@@ -138,6 +125,18 @@ def fit_power_law(times: np.ndarray, norms: np.ndarray, t_min: float, t_max: flo
     return float(slope), resid
 
 
+def _rate_fit(
+    times: np.ndarray, norms: np.ndarray, s_base: float, s_target: float, alpha: float, t_min: float
+) -> RateFit:
+    slope, resid = fit_power_law(times, norms, t_min, 10.0 * t_min)
+    return RateFit(
+        exponent_est=-slope,
+        expected=(s_target - s_base) / alpha,
+        residual=resid,
+        window=(t_min, 10.0 * t_min),
+    )
+
+
 def smoothing_rate_fit(
     run: TimeSeries, s_base: float, s_target: float, alpha: float, t_min: float = 1e-3
 ) -> RateFit:
@@ -147,15 +146,8 @@ def smoothing_rate_fit(
     norm to grow like t^(-(s_target - s_base)/alpha) as t -> 0+, so the fitted
     log-log slope should be minus that exponent.
     """
-    times = run.times
-    norms = np.array([sobolev_norm(f, s_target) for f in run.snapshot_fields()])
-    slope, resid = fit_power_law(times, norms, t_min, 10.0 * t_min)
-    return RateFit(
-        exponent_est=-slope,
-        expected=(s_target - s_base) / alpha,
-        residual=resid,
-        window=(t_min, 10.0 * t_min),
-    )
+    norms = np.sqrt(run.grid.norm2(run.coefs, sobolev_weight(run.grid.wavenumbers, s_target)))
+    return _rate_fit(run.times, norms, s_base, s_target, alpha, t_min)
 
 
 def smoothing_rate_fit_semigroup(
@@ -164,13 +156,7 @@ def smoothing_rate_fit_semigroup(
     """Same fit evaluated on the exact dissipation semigroup (the oracle)."""
     times = np.geomspace(t_min, 10.0 * t_min, 64)
     norms = semigroup_norm_series(B0, mu, alpha, times, s_target)
-    slope, resid = fit_power_law(times, norms, t_min, 10.0 * t_min)
-    return RateFit(
-        exponent_est=-slope,
-        expected=(s_target - s_base) / alpha,
-        residual=resid,
-        window=(t_min, 10.0 * t_min),
-    )
+    return _rate_fit(times, norms, s_base, s_target, alpha, t_min)
 
 
 @dataclass(frozen=True)
@@ -194,24 +180,16 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
     grid = B.grid
     cut = cutoffs_for(grid)
     xi = grid.wavenumbers
-    absxi = np.abs(xi)
     w_diss = sobolev_weight(xi, params.alpha / 2.0)
-    lam_b = SpectralField.from_coef(grid, absxi * B.coef)
-    b_x = SpectralField.from_coef(grid, 1j * xi * B.coef)
+    lam_b = SpectralField.from_coef(grid, np.abs(xi) * B.coef)
     b_lamb = product(B, lam_b)  # B Lambda B
-    lamb_bx = product(lam_b, b_x)  # Lambda B * B_x
+    lamb_bx = product(lam_b, derivative(B))  # Lambda B * B_x
 
-    shells = list(cut.shells())
-    I_q = np.empty(len(shells))
-    K_q = np.empty(len(shells))
-    diss = 0.0
-    for i, q in enumerate(shells):
-        w = cut.weight(q)
-        lam2s = (2.0**q) ** (2.0 * s)
-        bq = w * B.coef
-        I_q[i] = lam2s * grid.inner(w * b_lamb.coef, 1j * xi * bq)
-        K_q[i] = lam2s * grid.inner(w * lamb_bx.coef, bq)
-        diss += lam2s * grid.norm2(bq, w_diss)
+    lam2s = cut.lam ** (2.0 * s)
+    bq = cut.weights * B.coef  # one row per shell
+    I_q = lam2s * grid.inner(cut.weights * b_lamb.coef, 1j * xi * bq)
+    K_q = lam2s * grid.inner(cut.weights * lamb_bx.coef, bq)
+    diss = float(np.sum(lam2s * grid.norm2(bq, w_diss)))
     return FluxDecomposition(
         I=float(np.sum(I_q)), K=float(np.sum(K_q)), I_q=I_q, K_q=K_q, dissipation=params.mu * diss
     )
@@ -236,8 +214,8 @@ def flux_balance_defect(
     cfg = StepperConfig(scheme=scheme, dt_init=dt, t_end=10.0 * dt, adaptive=False)
     B1, _ = step(B0, 0.0, dt, params, cfg)
     B2, _ = step(B1, dt, dt, params, cfg)
-    e0 = shell_spectrum(B0, s).total
-    e2 = shell_spectrum(B2, s).total
+    e0 = np.sum(shell_spectrum(B0, s))
+    e2 = np.sum(shell_spectrum(B2, s))
     fd = flux_decomposition(B1, s, params)
     return abs((e2 - e0) / (4.0 * dt) + fd.dissipation + fd.I + 2.0 * fd.K)
 

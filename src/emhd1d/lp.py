@@ -58,33 +58,33 @@ def phi_profile(xi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LPCutoffs:
-    """Shell multiplier tables for one grid.
+    """Read-only shell multiplier tables for one grid.
 
-    ``weight(q)`` returns the diagonal multiplier of the projection Delta_q
-    on the grid's wavenumbers; q = -1 is the chi block and shells above
-    ``q_max`` are identically zero on the (dealiased) grid.
+    Row q + 1 of ``weights`` is the diagonal multiplier of the projection
+    Delta_q on the grid's wavenumbers and ``lam[q + 1]`` = 2^q; q = -1 is the
+    chi block and shells above ``q_max`` are identically zero on the dealiased grid.
     """
 
     grid: GridSpec
     q_max: int = field(init=False)
-    _weights: dict = field(init=False, repr=False)
+    lam: np.ndarray = field(init=False, repr=False)  # (n_shells,)
+    weights: np.ndarray = field(init=False, repr=False)  # (n_shells, N/2+1)
 
     def __post_init__(self) -> None:
         xi_max = self.grid.xi_max_dealiased
         q_max = int(math.ceil(math.log2(xi_max)))
         xi = self.grid.wavenumbers
-        weights = {-1: chi_profile(xi)}
-        for q in range(0, q_max + 1):
-            weights[q] = phi_profile(xi / 2.0**q)
-        for w in weights.values():
-            w.flags.writeable = False
+        lam = 2.0 ** np.arange(-1, q_max + 1)
+        weights = np.vstack([chi_profile(xi)] + [phi_profile(xi / lq) for lq in lam[1:]])
+        lam.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "q_max", q_max)
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "weights", weights)
 
     def weight(self, q: int) -> np.ndarray:
         if q < -1 or q > self.q_max:
             raise ValueError(f"shell index {q} outside [-1, {self.q_max}]")
-        return self._weights[q]
+        return self.weights[q + 1]
 
     def shells(self) -> range:
         return range(-1, self.q_max + 1)
@@ -93,28 +93,15 @@ class LPCutoffs:
 cutoffs_for = functools.lru_cache(maxsize=32)(LPCutoffs)  # one shared, read-only table per grid
 
 
-@dataclass(frozen=True)
-class ShellSpectrum:
-    """Per-shell weighted L2 masses lambda_q^(2s) ||Delta_q f||^2 and their sum."""
-
-    masses: np.ndarray  # shells q = -1 .. q_max
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.masses))
-
-
 def project_shell(f: SpectralField, q: int) -> SpectralField:
     """Littlewood-Paley projection Delta_q f (q = -1 is the low block)."""
     return SpectralField.from_coef(f.grid, cutoffs_for(f.grid).weight(q) * f.coef)
 
 
-def shell_spectrum(f: SpectralField, s: float) -> ShellSpectrum:
+def shell_spectrum(f: SpectralField, s: float) -> np.ndarray:
+    """Per-shell weighted L2 masses lambda_q^(2s) ||Delta_q f||^2, q = -1 .. q_max."""
     cut = cutoffs_for(f.grid)
-    masses = np.array(
-        [(2.0**q) ** (2.0 * s) * f.grid.norm2(cut.weight(q) * f.coef) for q in cut.shells()]
-    )
-    return ShellSpectrum(masses=masses)
+    return cut.lam ** (2.0 * s) * f.grid.norm2(cut.weights * f.coef)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -257,7 +244,7 @@ def commutator_check(
 def norm_equivalence_ratio(
     grid: GridSpec, s: float, trials: int = 100, seed: int = 0
 ) -> tuple[float, float]:
-    """Range [c, C] of sqrt(ShellSpectrum.total) / sobolev_norm over random fields."""
+    """Range [c, C] of sqrt(sum(shell_spectrum)) / sobolev_norm over random fields."""
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
@@ -265,5 +252,5 @@ def norm_equivalence_ratio(
         direct = sobolev_norm(f, s)
         if direct == 0.0:
             continue
-        ratios.append(np.sqrt(shell_spectrum(f, s).total) / direct)
+        ratios.append(np.sqrt(np.sum(shell_spectrum(f, s))) / direct)
     return float(np.min(ratios)), float(np.max(ratios))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -276,8 +276,9 @@ def hermite(vals: np.ndarray, dots: np.ndarray, n: int, tau: float, dt: float) -
 class TimeSeries:
     """Output of :func:`evolve`.
 
-    ``snapshots`` holds (t, field) pairs at the requested cadence (always
-    including the initial and final states).  When the run was made with
+    ``coefs`` holds one coefficient row per snapshot, taken at the requested
+    cadence (always including the initial and final states), and ``times``
+    their times; both arrays are read-only.  When the run was made with
     ``store_step_fields`` the per-step arrays ``lam_b`` and ``lam_b_dot``
     hold the coefficients of Lambda B and d/dt Lambda B at every accepted
     step boundary; together with ``step_times`` they give a cubic-Hermite
@@ -287,23 +288,21 @@ class TimeSeries:
     grid: GridSpec
     params: ModelParams
     config: StepperConfig
-    snapshots: list[tuple[float, SpectralField]]
+    times: np.ndarray  # (n,)
+    coefs: np.ndarray  # (n, N/2+1)
     step_times: np.ndarray
     diagnostics: dict[str, np.ndarray]
     termination: str
     lam_b: np.ndarray | None = None
     lam_b_dot: np.ndarray | None = None
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
+    def __post_init__(self) -> None:
+        self.times.flags.writeable = False
+        self.coefs.flags.writeable = False
 
     @property
     def final(self) -> SpectralField:
-        return self.snapshots[-1][1]
-
-    def snapshot_fields(self) -> list[SpectralField]:
-        return [f for _, f in self.snapshots]
+        return SpectralField.from_coef(self.grid, self.coefs[-1])
 
 
 def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSeries:
@@ -324,7 +323,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     dispersive = params.kind == "full" and params.nonlinearity
     xi_max2 = grid.xi_max_dealiased**2
 
-    snaps: list[tuple[float, SpectralField]] = [(0.0, SpectralField.from_coef(grid, c))]
+    times, rows = [0.0], [c]
     step_times = [0.0]
     diag: dict[str, list[float]] = {k: [] for k in ("dt", "sup_lam_b", "sup_lam_bx", "mean")}
     lam_b_store: list[np.ndarray] = []
@@ -387,15 +386,18 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         diag["mean"].append(drift)
         step_times.append(t)
         if n % cfg.snapshot_cadence == 0:
-            snaps.append((t, SpectralField.from_coef(grid, c)))
+            times.append(t)
+            rows.append(c)
 
-    if snaps[-1][0] != t:
-        snaps.append((t, SpectralField.from_coef(grid, c)))
+    if times[-1] != t:
+        times.append(t)
+        rows.append(c)
     return TimeSeries(
         grid=grid,
         params=params,
         config=cfg,
-        snapshots=snaps,
+        times=np.array(times),
+        coefs=np.array(rows),
         step_times=np.array(step_times),
         diagnostics={k: np.array(v) for k, v in diag.items()},
         termination=termination,
@@ -482,12 +484,12 @@ def picard_solve(
             break
 
     times = np.linspace(0.0, cfg.t_end, m + 1)
-    snaps = [(float(t), SpectralField.from_coef(grid, prev_vals[n])) for n, t in enumerate(times)]
     series = TimeSeries(
         grid=grid,
         params=params,
         config=replace(cfg, adaptive=False),
-        snapshots=snaps,
+        times=times,
+        coefs=prev_vals,
         step_times=times,
         diagnostics={},
         termination="t_end",

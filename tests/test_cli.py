@@ -79,6 +79,17 @@ class TestConfigParsing:
         p.write_text(f"grid.N = 64\nsymmetry.lam = {lam}\n")
         assert main(["symmetry", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", [
+        "diagnostics.s_list = 1, nan", "diagnostics.s_list = inf",
+        "datum.norm = nan", "datum.norm = inf", "datum.s_base = nan", "datum.s_base = inf",
+    ])
+    def test_non_finite_datum_and_diagnostics_rejected(self, tmp_path, capsys, line):
+        p = tmp_path / "nf.cfg"
+        p.write_text(f"grid.N = 64\nstepper.t_end = 0.01\ndatum.kind = random_rough\n{line}\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{line.split(' =')[0]} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "series.csv").exists()
+
     @pytest.mark.parametrize("val, expected", [("TRUE", True), ("on", True), ("0", False), ("No", False)])
     def test_bool_spellings(self, tmp_path, val, expected):
         p = tmp_path / "b.cfg"

@@ -14,9 +14,9 @@ from emhd1d.diagnostics import (
     smoothing_rate_fit,
     smoothing_rate_fit_semigroup,
 )
-from emhd1d.lp import LPCutoffs, sobolev_norm, sobolev_norm_inhom
+from emhd1d.lp import LPCutoffs, shell_spectrum, sobolev_norm, sobolev_norm_inhom
 from emhd1d.solver import ModelParams, StepperConfig, evolve
-from emhd1d.spectral import GridSpec, SpectralField, remove_mean
+from emhd1d.spectral import GridSpec, SpectralField, product, remove_mean, sobolev_weight
 
 
 @pytest.fixture
@@ -175,6 +175,30 @@ class TestFlux:
             for q in cut.shells()
         )
         assert abs(production + fd.dissipation + fd.I + 2.0 * fd.K) < 1e-12
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 1.5])
+    def test_shell_tables_match_a_per_shell_loop(self, grid, s):
+        p = ModelParams(kind="full", mu=0.8, alpha=1.5)
+        B = rough_datum(grid, 0.5, norm=0.2)
+        cut = LPCutoffs(grid)
+        xi = grid.wavenumbers
+        lam_b = SpectralField.from_coef(grid, np.abs(xi) * B.coef)
+        b_lamb = product(B, lam_b).coef
+        lamb_bx = product(lam_b, SpectralField.from_coef(grid, 1j * xi * B.coef)).coef
+        w_diss = sobolev_weight(xi, p.alpha / 2.0)
+        I_q, K_q, masses, diss = [], [], [], 0.0
+        for q in cut.shells():
+            w, lam2s = cut.weight(q), (2.0**q) ** (2.0 * s)
+            bq = w * B.coef
+            I_q.append(lam2s * grid.inner(w * b_lamb, 1j * xi * bq))
+            K_q.append(lam2s * grid.inner(w * lamb_bx, bq))
+            masses.append(lam2s * grid.norm2(bq))
+            diss += lam2s * grid.norm2(bq, w_diss)
+        fd = flux_decomposition(B, s, p)
+        np.testing.assert_allclose(fd.I_q, I_q, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(fd.K_q, K_q, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(fd.dissipation, p.mu * diss, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(shell_spectrum(B, s), masses, rtol=1e-15, atol=0.0)
 
     def test_defect_second_order_in_dt(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=1.5)

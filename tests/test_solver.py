@@ -243,8 +243,7 @@ class TestETDRK4CoefficientReuse:
         assert len(run.step_times) == 51
         assert sorted(builds) == sorted(set(run.diagnostics["dt"]))
         assert len(builds) <= 2  # dt_init, and perhaps a last step cut to t_end
-        for (_, a), (_, b) in zip(run.snapshots, ref.snapshots, strict=True):
-            assert np.array_equal(a.coef, b.coef)
+        assert np.array_equal(run.coefs, ref.coefs)
 
     def test_picard_and_step_build_once(self, grid, monkeypatch):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
@@ -328,14 +327,14 @@ class TestEvolve:
         p = ModelParams(kind="full", mu=1.0, alpha=1.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False)
         run = evolve(small_datum(grid), p, cfg)
-        assert all(abs(f.mean) < 1e-14 for f in run.snapshot_fields())
+        assert np.all(np.abs(run.coefs[:, 0].real) < 1e-14)
         assert np.max(run.diagnostics["mean"]) < 1e-14
 
     def test_dissipation_contracts_l2(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=0.1, adaptive=False)
         run = evolve(small_datum(grid), p, cfg)
-        assert run.final.l2_norm() < run.snapshots[0][1].l2_norm()
+        assert run.final.l2_norm() < np.sqrt(grid.norm2(run.coefs[0]))
 
     def test_blowup_threshold_stops_run(self):
         grid = GridSpec(6.0, 512)
@@ -373,8 +372,32 @@ class TestEvolve:
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False, snapshot_cadence=5)
         run = evolve(small_datum(grid), p, cfg)
-        assert len(run.snapshots) == 1 + 20 // 5
+        assert run.coefs.shape == (1 + 20 // 5, grid.n_modes // 2 + 1)
         assert run.times[0] == 0.0 and run.times[-1] == pytest.approx(0.02)
+
+    def test_snapshot_rows_are_the_states(self, grid):
+        # the rows equal the states of a step-by-step walk, a cadence keeps
+        # every k-th row and the last, and both arrays are read-only
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False)
+        every = evolve(small_datum(grid), p, cfg)
+        assert len(every.step_times) == 11
+        B, states = remove_mean(small_datum(grid)), []
+        for t, dt in zip(every.step_times, every.diagnostics["dt"]):
+            states.append(B.coef)
+            B, _ = step(B, t, dt, p, cfg)
+        states.append(B.coef)
+        assert np.array_equal(every.coefs, states)
+        assert np.array_equal(every.times, every.step_times)
+        assert np.array_equal(every.final.coef, states[-1])
+
+        sparse = evolve(small_datum(grid), p, replace(cfg, snapshot_cadence=3))
+        idx = np.searchsorted(every.times, sparse.times)
+        assert idx.tolist() == [0, 3, 6, 9, 10]
+        assert np.array_equal(sparse.coefs, every.coefs[idx])
+        for arr in (sparse.times, sparse.coefs):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_store_step_fields_shapes(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
@@ -402,11 +425,11 @@ class TestEvolve:
         run = evolve(B0, p, replace(cfg, store_step_fields=True, snapshot_cadence=1))
         assert run.termination == cause
         assert run.lam_b.shape[0] == run.lam_b_dot.shape[0] == len(run.step_times)
-        assert len(run.snapshots) == len(run.step_times)
+        assert np.array_equal(run.times, run.step_times)
         absxi = np.abs(g.wavenumbers)
-        for n, (_, state) in enumerate(run.snapshots):
-            assert np.array_equal(run.lam_b[n], absxi * state.coef)
-            dot = absxi * rhs(state, p).coef
+        for n, c in enumerate(run.coefs):
+            assert np.array_equal(run.lam_b[n], absxi * c)
+            dot = absxi * rhs(SpectralField.from_coef(g, c), p).coef
             assert np.allclose(run.lam_b_dot[n], dot, rtol=0.0, atol=1e-13 * np.max(np.abs(dot)))
 
     def test_adaptive_dt_obeys_cfl(self, grid):
@@ -439,11 +462,10 @@ class TestEvolve:
             run = evolve(small_datum(g, amp=1.0), p, StepperConfig(t_end=1.0, snapshot_cadence=1))
         states = len(run.step_times)
         assert states > 10
-        assert calls["to_phys"] == per_nonlinear * calls["nonlinear"] + own * states + len(run.snapshots)
+        assert calls["to_phys"] == per_nonlinear * calls["nonlinear"] + own * states
 
         diag = run.diagnostics
-        for n, (_, state) in enumerate(run.snapshots[: states - 1]):
-            c = state.coef
+        for n, c in enumerate(run.coefs[: states - 1]):
             sup_lb = np.max(np.abs(g.to_phys(ops.absxi * c)))
             sup_lbx = np.max(np.abs(g.to_phys(ops.lam_dx * c)))
             assert diag["sup_lam_b"][n] == sup_lb and diag["sup_lam_bx"][n] == sup_lbx
@@ -527,16 +549,32 @@ class TestPicard:
         gaps = np.array(res.gap_history)
         assert np.all(gaps[1:] < 0.5 * gaps[:-1])
 
+    def test_series_rows_are_the_last_iterate(self, grid):
+        # iterate 0 is the dissipation semigroup, so its row n is
+        # exp(-t_n mu |xi|^alpha) B0; the rows are read-only
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False)
+        B0 = remove_mean(small_datum(grid))
+        res = picard_solve(B0, p, cfg, k_max=0)
+        series = res.series
+        assert np.array_equal(series.times, series.step_times)
+        semigroup = np.exp(-series.times[:, None] * _ops(grid, p).lin) * B0.coef
+        assert np.allclose(series.coefs, semigroup, rtol=0.0, atol=1e-14 * np.max(np.abs(B0.coef)))
+        assert np.array_equal(series.final.coef, res.iterates[-1].coef)
+        for arr in (series.times, series.coefs):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_gap_is_inhomogeneous_sobolev_norm(self, grid):
         # the first gap is sup over stored steps of ||v1 - v0||_{H^(3 - alpha)}
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=0.05, adaptive=False)
-        v0 = picard_solve(small_datum(grid), p, cfg, k_max=0).series.snapshot_fields()
+        v0 = picard_solve(small_datum(grid), p, cfg, k_max=0).series.coefs
         res = picard_solve(small_datum(grid), p, cfg, k_max=1)
-        v1 = res.series.snapshot_fields()
+        v1 = res.series.coefs
         gap = max(
-            sobolev_norm_inhom(SpectralField.from_coef(grid, a.coef - b.coef), 3.0 - p.alpha)
-            for a, b in zip(v1, v0)
+            sobolev_norm_inhom(SpectralField.from_coef(grid, a - b), 3.0 - p.alpha)
+            for a, b in zip(v1, v0, strict=True)
         )
         assert res.gap_history[0] == pytest.approx(gap, rel=1e-14)
 
