@@ -244,19 +244,27 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> int:
     return EXIT_OK
 
 
+def _ladder(run) -> list[list[int]]:
+    """[N_rung, first step taken on it] of each grid-ladder rung a run used."""
+    n_modes = run.diagnostics["n_modes"]
+    first = np.flatnonzero(np.diff(n_modes, prepend=0))
+    return [[int(n_modes[i]), int(i)] for i in first]
+
+
 def cmd_blowup(cfg: RunConfig, out: Path) -> int:
     """Riccati blowup harness with the reference configuration forced."""
     run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
     steps = len(run.step_times) - 1
+    ladder = _ladder(run)
     if run.termination == "non_finite":
-        _write_manifest(out, cfg, {"termination": run.termination, "steps": steps})
+        _write_manifest(out, cfg, {"termination": run.termination, "steps": steps, "ladder": ladder})
         return EXIT_NUMERICAL
     states = advect_trajectory(run, datum.x0)
     w0 = datum.w0
     try:
         t_est, slope, resid = measure_blowup_time(states, w0)
     except FitWindowError:
-        _write_manifest(out, cfg, {"termination": "fit_window", "steps": steps})
+        _write_manifest(out, cfg, {"termination": "fit_window", "steps": steps, "ladder": ladder})
         return EXIT_NUMERICAL
     rep = riccati_invariant_report(run, states, t_max=0.8 / w0)
     t_pred = predict_blowup_time(datum)
@@ -282,7 +290,9 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> int:
             w.writerow(
                 [f"{v:.17g}" for v in (st.t, st.X, st.bx, st.bxx, st.w, 1.0 / st.w)]
             )
-    _write_manifest(out, cfg, {"termination": run.termination, "steps": steps, "report": report})
+    _write_manifest(
+        out, cfg, {"termination": run.termination, "steps": steps, "ladder": ladder, "report": report}
+    )
     ok = (
         abs(slope + 1.0) <= 0.01
         and resid <= 1e-3

@@ -18,12 +18,12 @@ Three families of diagnostics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import cutoffs_for, shell_spectrum, sobolev_norm_inhom
-from .solver import ModelParams, StepperConfig, TimeSeries, evolve, rhs, step
+from .solver import ModelParams, StepperConfig, TimeSeries, _ops, evolve, step
 from .spectral import GridSpec, SpectralField, derivative, product, sobolev_weight
 
 
@@ -66,8 +66,8 @@ def l2_budget_defect(run: TimeSeries) -> np.ndarray:
     grid = run.grid
     e = grid.norm2(run.coefs)
     diss = grid.norm2(run.coefs, sobolev_weight(grid.wavenumbers, run.params.alpha / 2.0))
-    inviscid = replace(run.params, mu=0.0)
-    nl = np.array([rhs(SpectralField.from_coef(grid, c), inviscid).coef for c in run.coefs])
+    ops = _ops(grid, run.params)  # the nonlinear term does not read mu
+    nl = np.array([ops.nonlinear(c) for c in run.coefs])
     work = 2.0 * grid.inner(nl, run.coefs)
     return e + 2.0 * run.params.mu * _cumtrapz(run.times, diss) - _cumtrapz(run.times, work) - e[0]
 

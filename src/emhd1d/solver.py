@@ -24,6 +24,20 @@ term is dispersive: linearized about B it has the symbol i xi |xi| B, which
 both schemes treat explicitly, so its dt is also capped by
 cfl * 2 / (max|B| xi_max^2), inside RK4's reach of about 2.8 along the
 imaginary axis (Trefethen, Spectral Methods in MATLAB, 2000, ch. 10).
+
+An adaptive run steps on a ladder of grids N/2^j, ..., N/2, N, because a
+smooth datum's spectrum widens only as a singularity nears (Sulem, Sulem &
+Frisch 1983, J. Comput. Phys. 50:138).  It starts on the coarsest halving on
+which the datum's share of sum |c_k|^2 from the top third of that rung's
+dealiased band upwards is at most ``LADDER_TAIL``.  After each accepted
+state it moves up one rung once that share exceeds ``LADDER_TAIL``; moving
+up zero-pads the coefficients, which is exact in this normalization.  Every
+quantity that sets dt or stops the run is read on the finest grid: its dx
+and dealiased xi_max, and sup|Lambda B|, sup|Lambda B_x| (and sup|B|) from
+one inverse transform of the rung's coefficients onto its nodes.  So the
+bounds are the single-grid ones, and a translation by whole fine nodes stays
+an exact symmetry.  A fixed-dt run, or a datum that fills the band, has the
+one rung N, and its loop is the single-grid one.
 """
 
 from __future__ import annotations
@@ -89,7 +103,8 @@ class StepperConfig:
 
 class _Ops:
     """Multiplier tables of one (grid, params), built once by ``_ops``; read-only
-    apart from the slot that keeps the last ETDRK4 coefficients."""
+    apart from the slot that keeps the last ETDRK4 coefficients and the
+    ``rows`` table built on first use."""
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
@@ -103,6 +118,17 @@ class _Ops:
         for a in (self.absxi, self.ddx, self.lam_dx, self.lin):
             a.flags.writeable = False
         self._etdrk4 = (math.nan, ())  # (dt, coefficients) of the last build
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """d/dx, Lambda, Lambda d/dx and 1 as complex rows, so that one
+        broadcast product makes a stack of rows for one inverse transform:
+        [:2] and [:3] for the transport term, [1:3] and [1:4] for sups read
+        on a finer grid.  Built on first use; a fixed-dt full-model run
+        never reads it."""
+        rows = np.stack((self.ddx, self.absxi, self.lam_dx, np.ones_like(self.xi)))
+        rows.flags.writeable = False
+        return rows
 
     def etdrk4_coeffs(self, dt: float) -> tuple:
         """``_etdrk4_coeffs(lin, dt)``, rebuilt only when dt changes, so a
@@ -137,18 +163,19 @@ class _Ops:
         (the stage's fraction of the step) is unused: the model is autonomous.
 
         ``formed``, when given, receives the physical arrays made on the way,
-        so a caller needs no second transform of them: ``lam_b`` (Lambda B),
-        and for the full model also ``lam_bx`` (Lambda B_x) and ``b`` (B).
+        so a caller needs no second transform of them: ``lam_b`` (Lambda B)
+        and ``lam_bx`` (Lambda B_x), and for the full model also ``b`` (B).
+        The transport term takes its inverse transforms as one stack of rows,
+        with Lambda B_x as a third row only when ``formed`` asks for it.
         """
         if not self.params.nonlinearity:
             return np.zeros_like(c)
         if self.params.kind == "full":
             return self.full_form(c, c, formed)
-        g = self.grid
-        lam_b = g.to_phys(self.absxi * c)
+        phys = self.grid.to_phys(self.rows[: 2 if formed is None else 3] * c)
         if formed is not None:
-            formed["lam_b"] = lam_b
-        return self._dealiased(lam_b * g.to_phys(self.ddx * c))
+            formed.update(lam_b=phys[1], lam_bx=phys[2])
+        return self._dealiased(phys[1] * phys[0])
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         return self.nonlinear(c) - self.lin * c
@@ -156,6 +183,57 @@ class _Ops:
 
 # bounded, so that a sweep over many (grid, params) does not keep every table
 _ops = functools.lru_cache(maxsize=32)(_Ops)
+
+# An adaptive run moves to the next finer rung of its grid ladder once the
+# share of sum |c_k|^2 held from the top third of the rung's dealiased band
+# upwards exceeds this.
+LADDER_TAIL = 1e-26
+
+
+def _top_third(grid: GridSpec) -> int:
+    """First mode of the top third of the dealiased band 0..k_top."""
+    k_top = int(np.flatnonzero(grid.dealias_mask)[-1])
+    return 2 * k_top // 3
+
+
+def _tail_exceeds(c: np.ndarray, start: int) -> bool:
+    tail = c[start:]
+    return np.vdot(tail, tail).real > LADDER_TAIL * np.vdot(c, c).real
+
+
+def _ladder(grid: GridSpec, c: np.ndarray, cfg: StepperConfig) -> list[GridSpec]:
+    """Rungs N/2^j, ..., N/2, N of a run from coefficients ``c`` on ``grid``.
+
+    The coarsest rung is the coarsest halving on which ``c`` passes the
+    switch test; a fixed-dt run has the one rung N.
+    """
+    rungs = [grid]
+    n = grid.n_modes
+    while cfg.adaptive and n % 4 == 0 and n // 2 >= 8:
+        coarse = GridSpec(grid.half_length, n // 2, grid.dealias_fraction)
+        if _tail_exceeds(c, _top_third(coarse)):
+            break
+        rungs.insert(0, coarse)
+        n //= 2
+    return rungs
+
+
+def _table(rows: list[np.ndarray], half: int) -> np.ndarray:
+    """Coefficient rows from any rung as one (len(rows), half) table, each
+    cut or zero-padded; a row shorter or longer than ``half`` loses its
+    Nyquist entry.  A run keeps its rows rung-sized until here: padding each
+    as it is made would interleave long-lived fine rows with a coarse rung's
+    short-lived arrays and fragment the heap (3.4 MB more peak RSS on the
+    N = 4096 blowup run)."""
+    out = np.zeros((len(rows), half), dtype=complex)
+    for o, row in zip(out, rows):
+        k = half if row.size == half else min(row.size, half) - 1
+        o[:k] = row[:k]
+    return out
+
+
+def _resize(c: np.ndarray, half: int) -> np.ndarray:
+    return c if c.size == half else _table([c], half)[0]
 
 
 def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
@@ -310,14 +388,19 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     field, or max_steps; the cause is recorded on the result.
 
     ``diagnostics`` holds one entry per accepted step, at ``step_times[1:]``:
-    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, and the mean
-    drift it removed.
+    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, the mean
+    drift it removed, and the ladder rung (``n_modes``) it was taken on.
+    Stored rows are on ``B0.grid`` whatever rung made them.
     """
     grid = B0.grid
-    ops = _ops(grid, params)
+    half = grid.n_modes // 2 + 1
     stepper = _STEPPERS[cfg.scheme]
     c = B0.coef.copy()
     c[0] = 0.0  # zero-mean gauge
+    rungs = _ladder(grid, c, cfg)
+    r = 0
+    ops = _ops(rungs[r], params)
+    c = _resize(c, ops.xi.size)
     t = 0.0
     dx = grid.dx
     dispersive = params.kind == "full" and params.nonlinearity
@@ -325,20 +408,28 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
 
     times, rows = [0.0], [c]
     step_times = [0.0]
-    diag: dict[str, list[float]] = {k: [] for k in ("dt", "sup_lam_b", "sup_lam_bx", "mean")}
+    diag: dict[str, list] = {k: [] for k in ("dt", "sup_lam_b", "sup_lam_bx", "mean", "n_modes")}
     lam_b_store: list[np.ndarray] = []
     lam_b_dot_store: list[np.ndarray] = []
 
     n = 0
     while True:
         # every accepted state, the last one included, passes through here
-        # once: its nonlinear term, its CFL sups, its stored fields and the stop checks
+        # once: its rung, its nonlinear term, its CFL sups, its stored fields
+        # and the stop checks
+        if r + 1 < len(rungs) and _tail_exceeds(c, _top_third(rungs[r])):
+            r += 1
+            ops = _ops(rungs[r], params)
+            c = _resize(c, ops.xi.size)
         formed: dict[str, np.ndarray] = {}
-        nl = ops.nonlinear(c, formed=formed)
-        lam_b = formed["lam_b"] if "lam_b" in formed else grid.to_phys(ops.absxi * c)
-        lam_bx = formed["lam_bx"] if "lam_bx" in formed else grid.to_phys(ops.lam_dx * c)
-        sup_lb = float(np.max(np.abs(lam_b)))
-        sup_lbx = float(np.max(np.abs(lam_bx)))
+        nl = ops.nonlinear(c, formed=formed if r + 1 == len(rungs) else None)
+        if "lam_bx" not in formed:
+            # a coarse rung, or no nonlinear term: the sups that set dt and
+            # stop the run are read on the finest grid's nodes all the same
+            fine = grid.to_phys(ops.rows[1 : 4 if dispersive else 3] * c)
+            formed = dict(zip(("lam_b", "lam_bx", "b"), fine))
+        sup_lb = float(np.max(np.abs(formed["lam_b"])))
+        sup_lbx = float(np.max(np.abs(formed["lam_bx"])))
         if cfg.store_step_fields:
             lam_b_store.append(ops.absxi * c)
             lam_b_dot_store.append(ops.absxi * (nl - ops.lin * c))
@@ -384,6 +475,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         diag["sup_lam_b"].append(sup_lb)
         diag["sup_lam_bx"].append(sup_lbx)
         diag["mean"].append(drift)
+        diag["n_modes"].append(ops.grid.n_modes)
         step_times.append(t)
         if n % cfg.snapshot_cadence == 0:
             times.append(t)
@@ -397,12 +489,12 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         params=params,
         config=cfg,
         times=np.array(times),
-        coefs=np.array(rows),
+        coefs=_table(rows, half),
         step_times=np.array(step_times),
         diagnostics={k: np.array(v) for k, v in diag.items()},
         termination=termination,
-        lam_b=np.array(lam_b_store) if cfg.store_step_fields else None,
-        lam_b_dot=np.array(lam_b_dot_store) if cfg.store_step_fields else None,
+        lam_b=_table(lam_b_store, half) if cfg.store_step_fields else None,
+        lam_b_dot=_table(lam_b_dot_store, half) if cfg.store_step_fields else None,
     )
 
 

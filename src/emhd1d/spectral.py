@@ -81,12 +81,22 @@ class GridSpec:
         return xi
 
     @cached_property
-    def _phase(self) -> np.ndarray:
+    def _coef_scale(self) -> np.ndarray:
         # exp(i xi_k L) = (-1)^k relates numpy's x0=0 FFT convention to the
-        # x0=-L origin of this grid.
-        p = (-1.0) ** self.mode_index
-        p.flags.writeable = False
-        return p
+        # x0=-L origin of this grid.  Each transform applies phase and scale
+        # in one multiply by a real table, far cheaper than numpy's complex
+        # division: (-1)^k / N is +-fl(1/N), the factor that division by N
+        # applies, and N / (-1)^k is exact, so the values are those of a
+        # division by N and a multiply by the phase.
+        s = (-1.0) ** self.mode_index / self.n_modes
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def _phys_scale(self) -> np.ndarray:
+        s = self.n_modes / (-1.0) ** self.mode_index
+        s.flags.writeable = False
+        return s
 
     @cached_property
     def _pair_weight(self) -> np.ndarray:
@@ -111,19 +121,18 @@ class GridSpec:
     def to_coef(self, phys: np.ndarray) -> np.ndarray:
         """Coefficients k = 0..N/2 of real samples along the last axis."""
         coef = np.fft.rfft(phys)
-        coef /= self.n_modes
-        coef *= self._phase
+        coef *= self._coef_scale
         return coef
 
     def to_phys(self, coef: np.ndarray) -> np.ndarray:
         """Real samples of coefficients k = 0..N/2 along the last axis.
 
         Of the mean and Nyquist entries only the real parts are read: at the
-        nodes, that is all a real field carries.
+        nodes, that is all a real field carries.  A shorter row is read as
+        zero-padded, so the coefficients of a coarser grid whose Nyquist
+        entry is 0 give that field's values at these nodes.
         """
-        c = coef / self._phase
-        c *= self.n_modes
-        return np.fft.irfft(c, n=self.n_modes)
+        return np.fft.irfft(coef * self._phys_scale[: coef.shape[-1]], n=self.n_modes)
 
     def norm2(self, coef: np.ndarray, weight: "float | np.ndarray" = 1.0) -> np.ndarray:
         """Weighted squared L2 norm 2L sum_k weight_k |coef_k|^2 over the

@@ -35,7 +35,7 @@ from emhd1d.blowup import (
     riccati_invariant_report,
     run_blowup,
 )
-from emhd1d.spectral import GridSpec, SpectralField
+from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
 
 W0_SPECTRAL = 1.7495090293
 W0_PV = 1.7493995133
@@ -226,3 +226,33 @@ class TestInvariants:
         ]
         assert len(ratios) > 32
         assert rep.max_bxx_rel == max(ratios)
+
+
+def rel_t_err(grid, datum, scheme="ifrk4"):
+    run, d = run_blowup(grid, datum=datum, scheme=scheme)
+    t_est, slope, _ = measure_blowup_time(advect_trajectory(run, d.x0), d.w0)
+    return abs(t_est * d.w0 - 1.0), t_est, slope
+
+
+class TestGridLadder:
+    # T_fit and slope of the adaptive IF-RK4 run at N = 4096 on one grid,
+    # before the run stepped on a grid ladder; the ladder reads every
+    # quantity that sets dt on the finest nodes, so it moves them by 2.5e-13
+    # and 7e-13
+    FROZEN_T, FROZEN_SLOPE = 0.5715463155056394, -1.0001234498410274
+
+    def test_ifrk4_matches_single_grid_fit(self):
+        _, t_est, slope = rel_t_err(GridSpec(6.0, 4096), make_reference_datum(GridSpec(6.0, 4096)))
+        assert t_est == pytest.approx(self.FROZEN_T, rel=1e-10, abs=0.0)
+        assert slope == pytest.approx(self.FROZEN_SLOPE, rel=1e-10, abs=0.0)
+
+    def test_node_translations_keep_rel_t(self, grid, datum):
+        # a translation by whole fine nodes is an exact symmetry of the fine
+        # nodes the CFL sups are read on, though not of the coarse rungs
+        ref, _, _ = rel_t_err(grid, datum)
+        for k in (1, 2, 3):
+            B0 = SpectralField.from_phys(grid, np.roll(datum.B0.phys, k))
+            x0 = k * grid.dx
+            w0 = float(evaluate_at(frac_laplacian(derivative(B0), 1.0), x0))
+            got, _, _ = rel_t_err(grid, BlowupDatum(B0=B0, x0=x0, w0=w0))
+            assert abs(got - ref) <= 1e-9

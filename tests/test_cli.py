@@ -300,6 +300,7 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "fit_window"
         assert manifest["steps"] > 0
+        assert manifest["ladder"][0][1] == 0 and manifest["ladder"][-1][0] == 256
         assert not (out / "blowup_report.json").exists()
 
     def test_blowup_invariant_defect_is_tolerance_failure(self, tmp_path):
@@ -324,6 +325,9 @@ class TestCommands:
         assert max(report["max_bx_defect"], report["max_bxx_rel"]) <= 1e-4
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "blowup_threshold" and manifest["steps"] > 0
+        # the grid ladder, [N_rung, first step on it]: 512 from step 0, 1024
+        # from step 3, 2048 from step 43 on both schemes
+        assert manifest["ladder"] == [[512, 0], [1024, 3], [2048, 43]]
 
     def test_full_model_adaptive_run_matches_fixed_dt(self, tmp_path):
         # the default adaptive stepper on the full model must honour its

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emhd1d.diagnostics import (
+    _cumtrapz,
     flux_balance_defect,
     flux_decomposition,
     flux_defect_ratio,
@@ -15,7 +16,7 @@ from emhd1d.diagnostics import (
     smoothing_rate_fit_semigroup,
 )
 from emhd1d.lp import LPCutoffs, shell_spectrum, sobolev_norm, sobolev_norm_inhom
-from emhd1d.solver import ModelParams, StepperConfig, evolve
+from emhd1d.solver import ModelParams, StepperConfig, evolve, rhs
 from emhd1d.spectral import GridSpec, SpectralField, product, remove_mean, sobolev_weight
 
 
@@ -61,6 +62,34 @@ class TestNormSeries:
             cfg = StepperConfig(dt_init=dt, t_end=0.2, adaptive=False, snapshot_cadence=1)
             defs.append(np.max(np.abs(l2_budget_defect(evolve(B0, p, cfg)))))
         assert defs[0] / defs[1] > 4.0  # dt shrank 4x => defect should drop >= 16x ideally
+
+    def test_l2_budget_takes_four_transforms_per_snapshot(self, monkeypatch):
+        # the full-model nonlinear term of each row takes its 4 transforms
+        # and no more, and the defect is the one the public rhs gives
+        g = GridSpec(np.pi, 64)
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=2e-3, adaptive=False, snapshot_cadence=1)
+        run = evolve(small_datum(g), p, cfg)
+        assert len(run.times) == 3
+        calls = []
+        to_phys = GridSpec.to_phys
+
+        def counted(self, coef):
+            calls.append(coef.shape)
+            return to_phys(self, coef)
+
+        with monkeypatch.context() as m:
+            m.setattr(GridSpec, "to_phys", counted)
+            defect = l2_budget_defect(run)
+        assert len(calls) == 4 * len(run.times)
+
+        inviscid = ModelParams(kind="full", mu=0.0, alpha=2.0)
+        nl = np.array([rhs(SpectralField.from_coef(g, c), inviscid).coef for c in run.coefs])
+        e = g.norm2(run.coefs)
+        diss = g.norm2(run.coefs, sobolev_weight(g.wavenumbers, 1.0))
+        work = 2.0 * g.inner(nl, run.coefs)
+        ref = e + 2.0 * _cumtrapz(run.times, diss) - _cumtrapz(run.times, work) - e[0]
+        assert np.array_equal(defect, ref)
 
 
 class TestRoughDatum:

@@ -128,6 +128,21 @@ class TestRHS:
         f = SpectralField.from_function(grid, np.sin)
         assert rhs(f, p).l2_norm() < 1e-11
 
+    def test_transport_transforms_match_per_row(self):
+        # the transport term takes its inverse transforms as one stack; each
+        # row, and so the term, is what a transform of that row alone gives
+        g = GridSpec(6.0, 4096)
+        rng = np.random.default_rng(11)
+        c = g.to_coef(rng.standard_normal(g.n_modes))
+        ops = _ops(g, ModelParams(kind="transport", mu=1.0, alpha=1.0))
+        lam_b, b_x, lam_bx = (g.to_phys(m * c) for m in (ops.absxi, ops.ddx, ops.lam_dx))
+        ref = g.to_coef(lam_b * b_x) * ops.mask
+        ref[0] = 0.0
+        formed = {}
+        assert np.array_equal(ops.nonlinear(c, formed=formed), ref)
+        assert np.array_equal(ops.nonlinear(c), ref)
+        assert np.array_equal(formed["lam_b"], lam_b) and np.array_equal(formed["lam_bx"], lam_bx)
+
     def test_rhs_mean_free(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=1.0)
         f = small_datum(grid)
@@ -440,11 +455,12 @@ class TestEvolve:
         bound = 0.4 * grid.dx / run.diagnostics["sup_lam_b"][:-1]
         assert np.all(dts <= bound + 1e-15)
 
-    @pytest.mark.parametrize("kind, per_nonlinear, own", [("full", 4, 0), ("transport", 2, 1)])
+    @pytest.mark.parametrize("kind, per_nonlinear, own", [("full", 4, 0), ("transport", 1, 0)])
     def test_sups_reuse_the_nonlinear_transforms(self, monkeypatch, kind, per_nonlinear, own):
-        # sup|Lambda B|, and on the full model sup|Lambda B_x| and sup|B|,
-        # come from the arrays nonlinear has formed; only the transport
-        # sup|Lambda B_x| takes a transform of its own, once per state
+        # on the finest rung the sups come from the arrays nonlinear has
+        # formed (the transport term stacks Lambda B_x as a third row); a
+        # state on a coarser rung takes one stacked transform onto the
+        # finest nodes
         g = GridSpec(np.pi, 64)
         p = ModelParams(kind=kind, mu=1.0, alpha=1.5)
         ops = _ops(g, p)
@@ -462,7 +478,11 @@ class TestEvolve:
             run = evolve(small_datum(g, amp=1.0), p, StepperConfig(t_end=1.0, snapshot_cadence=1))
         states = len(run.step_times)
         assert states > 10
-        assert calls["to_phys"] == per_nonlinear * calls["nonlinear"] + own * states
+        # rungs only go up, so the last state is on N when the last step was
+        assert run.diagnostics["n_modes"][-1] == g.n_modes
+        coarse = int(np.sum(run.diagnostics["n_modes"] < g.n_modes))
+        assert coarse > 0
+        assert calls["to_phys"] == per_nonlinear * calls["nonlinear"] + own * states + coarse
 
         diag = run.diagnostics
         for n, c in enumerate(run.coefs[: states - 1]):
@@ -510,6 +530,59 @@ class TestDispersiveBound:
         d = run.diagnostics
         bound = 0.5 * np.minimum(g.dx / d["sup_lam_b"], 1.0 / d["sup_lam_bx"])
         assert np.array_equal(d["dt"][:-1], np.minimum(bound, 1e3)[:-1])
+
+
+class TestGridLadder:
+    """Adaptive runs step on the coarsest grid their spectrum fits; what
+    sets dt or stops the run is read on the finest grid's nodes."""
+
+    @staticmethod
+    def blowup_run(**kw):
+        # the reference blowup datum at N = 2048 starts on the N = 512 rung
+        from emhd1d.blowup import make_reference_datum
+
+        g = GridSpec(6.0, 2048)
+        p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
+        cfg = StepperConfig(t_end=10.0, blowup_threshold=5.0, store_step_fields=True, **kw)
+        return g, p, evolve(make_reference_datum(g).B0, p, cfg)
+
+    def test_sups_and_dt_are_read_on_the_finest_nodes(self):
+        g, p, run = self.blowup_run()
+        assert run.termination == "blowup_threshold"
+        rungs = run.diagnostics["n_modes"]
+        assert rungs[0] < g.n_modes and rungs[-1] == g.n_modes
+        assert np.all(np.diff(rungs) >= 0)
+        ops = _ops(g, p)
+        steps = len(rungs)
+        for n in range(steps):
+            assert run.diagnostics["sup_lam_b"][n] == np.max(np.abs(g.to_phys(run.lam_b[n])))
+            assert run.diagnostics["sup_lam_bx"][n] == np.max(np.abs(g.to_phys(ops.lam_dx * run.coefs[n])))
+        d = run.diagnostics
+        bound = 0.5 * np.minimum(g.dx / d["sup_lam_b"], 1.0 / d["sup_lam_bx"])
+        assert np.array_equal(d["dt"], np.minimum(bound, 1e3))  # the cap is 1e6 dt_init
+
+    def test_rows_are_padded_to_the_finest_grid(self):
+        # a row made on a coarse rung holds no mode above that rung's band
+        g, p, run = self.blowup_run(snapshot_cadence=1)
+        half = g.n_modes // 2 + 1
+        assert run.coefs.shape == run.lam_b.shape == run.lam_b_dot.shape == (len(run.step_times), half)
+        first = int(run.diagnostics["n_modes"][0])
+        assert first < g.n_modes
+        assert np.all(run.coefs[0, first // 2 :] == 0.0) and np.any(run.coefs[0, : first // 2] != 0.0)
+
+    def test_rough_datum_and_fixed_dt_never_leave_n(self):
+        from emhd1d.diagnostics import rough_datum
+
+        g = GridSpec(np.pi, 256)
+        p = ModelParams(kind="full", mu=1.0, alpha=1.5)
+        rough = evolve(rough_datum(g, s_base=1.0, seed=2), p, StepperConfig(dt_init=1e-9, t_end=0.01))
+        assert len(rough.step_times) > 5
+        assert np.all(rough.diagnostics["n_modes"] == g.n_modes)
+        smooth = small_datum(g)
+        fixed = evolve(smooth, p, StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False))
+        assert np.all(fixed.diagnostics["n_modes"] == g.n_modes)
+        # the same smooth datum starts coarse when the run is adaptive
+        assert evolve(smooth, p, StepperConfig(t_end=0.01)).diagnostics["n_modes"][0] < g.n_modes
 
 
 class TestScalingSymmetry:

@@ -329,3 +329,19 @@ class TestRealTransforms:
         assert np.array_equal(coef, np.array([grid.to_coef(row) for row in samples]))
         rows = coef * (1j * grid.wavenumbers)
         assert np.array_equal(grid.to_phys(rows), np.array([grid.to_phys(row) for row in rows]))
+
+    @pytest.mark.parametrize("n", [16, 20, 64, 1024, 4096])
+    def test_shorter_rows_read_as_zero_padded(self, n):
+        # a coarser grid's coefficients, Nyquist entry 0, land on these nodes
+        # exactly as their explicit zero-padding does
+        rng = np.random.default_rng(n)
+        grid = GridSpec(float(rng.uniform(0.5, 8.0)), n)
+        samples = rng.standard_normal((3, n))
+        h = grid.n_modes // 4
+        short = grid.to_coef(samples)[:, : h + 1]
+        short[:, h] = 0.0
+        padded = np.zeros((short.shape[0], grid.n_modes // 2 + 1), dtype=complex)
+        padded[:, : h + 1] = short
+        assert np.array_equal(grid.to_phys(short), grid.to_phys(padded))
+        coarse = GridSpec(grid.half_length, grid.n_modes // 2)
+        assert np.max(np.abs(grid.to_phys(short)[:, ::2] - coarse.to_phys(short))) <= 1e-13 * np.max(np.abs(samples))
