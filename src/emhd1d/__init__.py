@@ -33,7 +33,6 @@ from .lp import (
     project_shell,
     shell_spectrum,
     sobolev_norm,
-    sobolev_norm_inhom,
 )
 from .blowup import (
     BlowupDatum,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import fit_line
 from .solver import ModelParams, StepperConfig, TimeSeries, evolve, hermite
 from .spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
 
@@ -48,13 +49,20 @@ class BlowupDatum:
             raise DatumError("x0 is not the global maximum of B_x on the grid")
 
 
-@dataclass
-class TrajectoryState:
-    t: float
-    X: float
-    bx: float
-    bxx: float
-    w: float
+@dataclass(frozen=True)
+class Trajectory:
+    """A characteristic through a stored run, one read-only entry per step
+    boundary: its time t, position X, and B_x, B_xx and w = Lambda B_x at X."""
+
+    t: np.ndarray
+    X: np.ndarray
+    bx: np.ndarray
+    bxx: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.t, self.X, self.bx, self.bxx, self.w):
+            a.flags.writeable = False
 
 
 def reference_datum_fn(x: np.ndarray) -> np.ndarray:
@@ -80,24 +88,26 @@ def make_reference_datum(grid: GridSpec) -> BlowupDatum:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PV_PANELS = 200
+_PV_CUTOFF = 50.0  # B0' underflows to 0 well inside it
 
 
-def pv_blowup_coefficient(deriv_fn=reference_datum_dx, cutoff: float = 50.0) -> float:
-    """Independent principal-value oracle for w0 = Lambda(dB0/dx)(0).
+def pv_blowup_coefficient() -> float:
+    """Independent principal-value oracle for w0 = Lambda(dB0/dx)(0) of the
+    reference datum.
 
     Computes (1/pi) PV integral of (1 - B0'(y)) / y^2 over the real line in
     physical space: a 16-point Gauss-Legendre rule on 200 equal panels of
-    [-cutoff, cutoff] (a panel edge, never a node, sits on the removable
-    singularity at y = 0), plus the analytic 2/cutoff tail where B0' has
+    [-50, 50] (a panel edge, never a node, sits on the removable
+    singularity at y = 0), plus the analytic 2/50 tail where B0' has
     decayed to zero.  On the reference datum it agrees with an adaptive
     QUADPACK quadrature to 2.9e-14 relative; doubling the panels moves it
     by 2e-14.
     """
-    h = cutoff / _PV_PANELS  # half-width of a panel
-    centers = -cutoff + h * (2.0 * np.arange(_PV_PANELS) + 1.0)
+    h = _PV_CUTOFF / _PV_PANELS  # half-width of a panel
+    centers = -_PV_CUTOFF + h * (2.0 * np.arange(_PV_PANELS) + 1.0)
     y = centers[:, None] + h * _GL_NODES
-    total = h * float(np.sum(_GL_WEIGHTS * (1.0 - deriv_fn(y)) / y**2))
-    return (total + 2.0 / cutoff) / math.pi  # 2/cutoff: exact tail of 1/y^2 beyond the cutoff
+    total = h * float(np.sum(_GL_WEIGHTS * (1.0 - reference_datum_dx(y)) / y**2))
+    return (total + 2.0 / _PV_CUTOFF) / math.pi  # exact tail of 1/y^2 beyond the cutoff
 
 
 def predict_blowup_time(d: BlowupDatum) -> float:
@@ -131,7 +141,7 @@ def run_blowup(
     return evolve(d.B0, params, cfg), d
 
 
-def advect_trajectory(run: TimeSeries, x0: float) -> list[TrajectoryState]:
+def advect_trajectory(run: TimeSeries, x0: float) -> Trajectory:
     """Integrate dX/dt = -Lambda B(X, t) through a stored run.
 
     Uses RK4 with the solver's accepted steps; Lambda B at the half-step
@@ -148,28 +158,28 @@ def advect_trajectory(run: TimeSeries, x0: float) -> list[TrajectoryState]:
     # rows: Lambda B, B_x, B_xx, Lambda B_x, all read off one phase table
     mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
 
-    states: list[TrajectoryState] = []
-    X = x0
     times = run.step_times
+    Xs = np.empty(len(times))
+    vals = np.empty((len(mults), len(times)))  # one row per multiplier
+    X = x0
     for n in range(len(times)):
-        lam_b, bx, bxx, w = eval_trig(grid, mults * run.lam_b[n], X)[:, 0].tolist()
-        states.append(TrajectoryState(t=float(times[n]), X=X, bx=bx, bxx=bxx, w=w))
+        Xs[n] = X
+        vals[:, n] = eval_trig(grid, mults * run.lam_b[n], X)[:, 0]
         if n == len(times) - 1:
             break
         dt = float(times[n + 1] - times[n])
         mid = hermite(run.lam_b, run.lam_b_dot, n, 0.5, dt)
-        f1 = -lam_b
+        f1 = -vals[0, n]
         f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
         f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
         f4 = -eval_trig(grid, run.lam_b[n + 1], X + dt * f3)[0]
         X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return states
+    _, bx, bxx, w = vals
+    return Trajectory(t=times.copy(), X=Xs, bx=bx, bxx=bxx, w=w)
 
 
 def measure_blowup_time(
-    states: list[TrajectoryState],
-    w0: float | None = None,
-    window: tuple[float, float] = (1.25, 10.0),
+    traj: Trajectory, w0: float, window: tuple[float, float] = (1.25, 10.0)
 ) -> tuple[float, float, float]:
     """Affine fit of 1/w(t) over the window w in [lo, hi] * w0.
 
@@ -178,11 +188,7 @@ def measure_blowup_time(
     contiguous crossing of the window is used, so a post-saturation decay of
     w cannot contaminate the fit.
     """
-    if w0 is None:
-        w0 = states[0].w
-    ws = np.array([s.w for s in states])
-    ts = np.array([s.t for s in states])
-    sel = (ws >= window[0] * w0) & (ws <= window[1] * w0)
+    sel = (traj.w >= window[0] * w0) & (traj.w <= window[1] * w0)
     idx = np.flatnonzero(sel)
     if idx.size == 0:
         raise FitWindowError("no samples with w inside the fit window")
@@ -191,11 +197,8 @@ def measure_blowup_time(
         idx = idx[: breaks[0] + 1]
     if idx.size < 3:
         raise FitWindowError("fewer than 3 samples in the fit window")
-    tt, iw = ts[idx], 1.0 / ws[idx]
-    A = np.column_stack([tt, np.ones_like(tt)])
-    (slope, intercept), *_ = np.linalg.lstsq(A, iw, rcond=None)
-    resid = float(np.sqrt(np.mean((iw - (slope * tt + intercept)) ** 2)))
-    return float(-intercept / slope), float(slope), resid
+    slope, intercept, resid = fit_line(traj.t[idx], 1.0 / traj.w[idx])
+    return -intercept / slope, slope, resid
 
 
 @dataclass
@@ -204,20 +207,14 @@ class RiccatiReport:
     max_bxx_rel: float  # max |B_xx(X,t)| / sup_x |B_xx(x,t)|
 
 
-def riccati_invariant_report(
-    run: TimeSeries, states: list[TrajectoryState], t_max: float | None = None
-) -> RiccatiReport:
+def riccati_invariant_report(run: TimeSeries, traj: Trajectory, t_max: float) -> RiccatiReport:
     """The two pointwise invariants w' = w^2 rests on, B_x(X, t) = 1 and
-    B_xx(X, t) = 0, along the trajectory up to t_max (default: its end)."""
-    ts = np.array([s.t for s in states])
-    sel = ts <= (ts[-1] if t_max is None else t_max)
-    bx = np.array([s.bx for s in states])
-    bxx = np.array([s.bxx for s in states])
+    B_xx(X, t) = 0, along the trajectory up to t_max."""
+    idx = np.flatnonzero(traj.t <= t_max)
 
     # sup_x |B_xx| of the selected rows only, transformed a block of rows per
     # call: one stack of all ~240 rows at N = 4096 would take ~30 MB of
     # temporaries and raise the peak RSS of a blowup run
-    idx = np.flatnonzero(sel)
     xi = run.grid.wavenumbers
     m_bxx = 1j * xi * (1j * np.sign(xi))
     block = 32
@@ -226,6 +223,6 @@ def riccati_invariant_report(
         for i in range(0, idx.size, block)
     ])
     return RiccatiReport(
-        max_bx_defect=float(np.max(np.abs(bx[sel] - 1.0))),
-        max_bxx_rel=float(np.max(np.abs(bxx[sel]) / np.maximum(sup_bxx, 1e-300))),
+        max_bx_defect=float(np.max(np.abs(traj.bx[idx] - 1.0))),
+        max_bxx_rel=float(np.max(np.abs(traj.bxx[idx]) / np.maximum(sup_bxx, 1e-300))),
     )

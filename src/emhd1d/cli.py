@@ -5,7 +5,10 @@
 
 Config files are flat ``section.key = value`` text (blank lines and ``#``
 comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
-3 numerical abort (a non-finite field, or CFL collapse outside a blowup run).
+3 numerical abort.  A ``run`` passes only if it reaches t_end or, with a
+finite ``stepper.blowup_threshold``, stops at the threshold or at CFL
+collapse; any other termination (a non-finite field, max_steps, or CFL
+collapse with no threshold) writes only manifest.json and exits 3.
 ``--sweep`` takes a file listing one config path per line and fans the runs
 out across worker threads, capped by the EMHD1D_THREADS environment variable.
 Run i writes to OUT/sweep_<i:03d>, OUT/sweep.json maps each config path to
@@ -222,9 +225,11 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> int:
     B0 = cfg.datum(grid, seed)
     run = evolve(B0, cfg.model(), cfg.stepper())
     steps = len(run.step_times) - 1
-    if run.termination == "non_finite" or (
-        run.termination == "cfl_collapse" and not math.isfinite(cfg.stepper_blowup_threshold)
-    ):
+    # a run that seeks a blowup may end at its threshold or when dt collapses
+    finished = ("t_end",)
+    if math.isfinite(run.config.blowup_threshold):
+        finished += ("blowup_threshold", "cfl_collapse")
+    if run.termination not in finished:
         _write_manifest(out, cfg, {"termination": run.termination, "steps": steps})
         return EXIT_NUMERICAL
     ns = norm_series(run, list(cfg.diagnostics_s_list))
@@ -259,14 +264,14 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> int:
     if run.termination == "non_finite":
         _write_manifest(out, cfg, {"termination": run.termination, "steps": steps, "ladder": ladder})
         return EXIT_NUMERICAL
-    states = advect_trajectory(run, datum.x0)
+    traj = advect_trajectory(run, datum.x0)
     w0 = datum.w0
     try:
-        t_est, slope, resid = measure_blowup_time(states, w0)
+        t_est, slope, resid = measure_blowup_time(traj, w0)
     except FitWindowError:
         _write_manifest(out, cfg, {"termination": "fit_window", "steps": steps, "ladder": ladder})
         return EXIT_NUMERICAL
-    rep = riccati_invariant_report(run, states, t_max=0.8 / w0)
+    rep = riccati_invariant_report(run, traj, t_max=0.8 / w0)
     t_pred = predict_blowup_time(datum)
     w0_pv = pv_blowup_coefficient()
     report = {
@@ -286,10 +291,8 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> int:
     with (out / "trajectory.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "X", "bx", "bxx", "w", "inv_w"])
-        for st in states:
-            w.writerow(
-                [f"{v:.17g}" for v in (st.t, st.X, st.bx, st.bxx, st.w, 1.0 / st.w)]
-            )
+        for row in zip(traj.t, traj.X, traj.bx, traj.bxx, traj.w, 1.0 / traj.w):
+            w.writerow([f"{v:.17g}" for v in row])
     _write_manifest(
         out, cfg, {"termination": run.termination, "steps": steps, "ladder": ladder, "report": report}
     )

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import cutoffs_for, shell_spectrum, sobolev_norm_inhom
+from .lp import cutoffs_for, shell_spectrum
 from .solver import ModelParams, StepperConfig, TimeSeries, _ops, evolve, step
-from .spectral import GridSpec, SpectralField, derivative, product, sobolev_weight
+from .spectral import GridSpec, SpectralField, derivative, product
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,12 @@ def _cumtrapz(times: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def norm_series(run: TimeSeries, s_list: list[float]) -> NormSeries:
-    grid, xi, alpha = run.grid, run.grid.wavenumbers, run.params.alpha
+    grid, alpha = run.grid, run.params.alpha
     hs = np.empty((len(s_list), len(run.times)))
     hd = np.empty_like(hs)
     for i, s in enumerate(s_list):
-        hs[i] = np.sqrt(grid.norm2(run.coefs, sobolev_weight(xi, s, homogeneous=False)))
-        hd[i] = np.sqrt(grid.norm2(run.coefs, sobolev_weight(xi, s + 0.5 * alpha)))
+        hs[i] = np.sqrt(grid.sobolev_norm2(run.coefs, s, homogeneous=False))
+        hd[i] = np.sqrt(grid.sobolev_norm2(run.coefs, s + 0.5 * alpha))
     budget = _cumtrapz(run.times, hd**2)
     return NormSeries(times=run.times, s_list=tuple(s_list), hs=hs, hs_diss=hd, budget=budget)
 
@@ -65,17 +65,15 @@ def l2_budget_defect(run: TimeSeries) -> np.ndarray:
     """
     grid = run.grid
     e = grid.norm2(run.coefs)
-    diss = grid.norm2(run.coefs, sobolev_weight(grid.wavenumbers, run.params.alpha / 2.0))
+    diss = grid.sobolev_norm2(run.coefs, run.params.alpha / 2.0)
     ops = _ops(grid, run.params)  # the nonlinear term does not read mu
     nl = np.array([ops.nonlinear(c) for c in run.coefs])
     work = 2.0 * grid.inner(nl, run.coefs)
     return e + 2.0 * run.params.mu * _cumtrapz(run.times, diss) - _cumtrapz(run.times, work) - e[0]
 
 
-def rough_datum(
-    grid: GridSpec, s_base: float, norm: float = 0.05, seed: int = 0, delta: float = 0.01
-) -> SpectralField:
-    """Random-phase datum with |coef| ~ |xi|^(-(s_base + 1/2)) (1 + |xi|)^(-delta).
+def rough_datum(grid: GridSpec, s_base: float, norm: float = 0.05, seed: int = 0) -> SpectralField:
+    """Random-phase datum with |coef| ~ |xi|^(-(s_base + 1/2)) (1 + |xi|)^(-0.01).
 
     The tail exponent puts the field exactly at the edge of H^(s_base); the
     field is then rescaled to the requested (small) H^(s_base) norm so the
@@ -88,21 +86,21 @@ def rough_datum(
     coef = np.zeros(N // 2 + 1, dtype=complex)
     kk = np.arange(1, k_cut)
     xik = np.abs(xi[kk])
-    amp = xik ** (-(s_base + 0.5)) * (1.0 + xik) ** (-delta)
+    amp = xik ** (-(s_base + 0.5)) * (1.0 + xik) ** -0.01
     phase = np.exp(2j * np.pi * rng.random(kk.size))
     coef[kk] = amp * phase
-    cur = sobolev_norm_inhom(SpectralField.from_coef(grid, coef), s_base)
+    cur = np.sqrt(grid.sobolev_norm2(coef, s_base, homogeneous=False))
     return SpectralField.from_coef(grid, coef * (norm / cur))
 
 
 def semigroup_norm_series(
     B0: SpectralField, mu: float, alpha: float, times: np.ndarray, s: float
 ) -> np.ndarray:
-    """Exact homogeneous H^s norms of exp(-mu t Lambda^alpha) B0 (oracle)."""
-    xi = B0.grid.wavenumbers
-    lam = mu * sobolev_weight(xi, alpha / 2.0)
-    decay = np.exp(-2.0 * np.asarray(times)[:, None] * lam)
-    return np.sqrt(B0.grid.norm2(B0.coef, sobolev_weight(xi, s) * decay))
+    """Exact homogeneous H^s norms of exp(-mu t Lambda^alpha) B0 (oracle),
+    the semigroup's multiplier being the solver's linear part."""
+    lin = _ops(B0.grid, ModelParams(kind="full", mu=mu, alpha=alpha)).lin
+    decayed = np.exp(-np.asarray(times)[:, None] * lin) * B0.coef
+    return np.sqrt(B0.grid.sobolev_norm2(decayed, s))
 
 
 @dataclass(frozen=True)
@@ -113,28 +111,24 @@ class RateFit:
     window: tuple[float, float]
 
 
-def fit_power_law(times: np.ndarray, norms: np.ndarray, t_min: float, t_max: float) -> tuple[float, float]:
-    """Least-squares slope of log(norm) vs log(t) on [t_min, t_max]."""
-    sel = (times >= t_min) & (times <= t_max) & (norms > 0)
-    if np.count_nonzero(sel) < 3:
-        raise ValueError("fewer than 3 samples in the fit window")
-    lt, ln = np.log(times[sel]), np.log(norms[sel])
-    A = np.column_stack([lt, np.ones_like(lt)])
-    (slope, intercept), *_ = np.linalg.lstsq(A, ln, rcond=None)
-    resid = float(np.sqrt(np.mean((ln - (slope * lt + intercept)) ** 2)))
-    return float(slope), resid
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept, rms residual)."""
+    A = np.column_stack([x, np.ones_like(x)])
+    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return float(slope), float(intercept), resid
 
 
 def _rate_fit(
     times: np.ndarray, norms: np.ndarray, s_base: float, s_target: float, alpha: float, t_min: float
 ) -> RateFit:
-    slope, resid = fit_power_law(times, norms, t_min, 10.0 * t_min)
-    return RateFit(
-        exponent_est=-slope,
-        expected=(s_target - s_base) / alpha,
-        residual=resid,
-        window=(t_min, 10.0 * t_min),
-    )
+    """Least-squares slope of log(norm) vs log(t) on [t_min, 10 t_min]."""
+    window = (t_min, 10.0 * t_min)
+    sel = (times >= window[0]) & (times <= window[1]) & (norms > 0)
+    if np.count_nonzero(sel) < 3:
+        raise ValueError("fewer than 3 samples in the fit window")
+    slope, _, resid = fit_line(np.log(times[sel]), np.log(norms[sel]))
+    return RateFit(exponent_est=-slope, expected=(s_target - s_base) / alpha, residual=resid, window=window)
 
 
 def smoothing_rate_fit(
@@ -146,7 +140,7 @@ def smoothing_rate_fit(
     norm to grow like t^(-(s_target - s_base)/alpha) as t -> 0+, so the fitted
     log-log slope should be minus that exponent.
     """
-    norms = np.sqrt(run.grid.norm2(run.coefs, sobolev_weight(run.grid.wavenumbers, s_target)))
+    norms = np.sqrt(run.grid.sobolev_norm2(run.coefs, s_target))
     return _rate_fit(run.times, norms, s_base, s_target, alpha, t_min)
 
 
@@ -180,7 +174,6 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
     grid = B.grid
     cut = cutoffs_for(grid)
     xi = grid.wavenumbers
-    w_diss = sobolev_weight(xi, params.alpha / 2.0)
     lam_b = SpectralField.from_coef(grid, np.abs(xi) * B.coef)
     b_lamb = product(B, lam_b)  # B Lambda B
     lamb_bx = product(lam_b, derivative(B))  # Lambda B * B_x
@@ -189,19 +182,13 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
     bq = cut.weights * B.coef  # one row per shell
     I_q = lam2s * grid.inner(cut.weights * b_lamb.coef, 1j * xi * bq)
     K_q = lam2s * grid.inner(cut.weights * lamb_bx.coef, bq)
-    diss = float(np.sum(lam2s * grid.norm2(bq, w_diss)))
+    diss = float(np.sum(lam2s * grid.sobolev_norm2(bq, params.alpha / 2.0)))
     return FluxDecomposition(
         I=float(np.sum(I_q)), K=float(np.sum(K_q)), I_q=I_q, K_q=K_q, dissipation=params.mu * diss
     )
 
 
-def flux_balance_defect(
-    B0: SpectralField,
-    params: ModelParams,
-    s: float,
-    dt: float,
-    scheme: str = "ifrk4",
-) -> float:
+def flux_balance_defect(B0: SpectralField, params: ModelParams, s: float, dt: float) -> float:
     """Central-difference defect of the shell energy balance at one state.
 
     Steps B0 forward and backward by dt (backward realized as two forward
@@ -209,9 +196,9 @@ def flux_balance_defect(
     we center at B(dt) using states at 0 and 2 dt), forms
     (E(2dt) - E(0)) / (4 dt) + mu D + I + 2K evaluated at the center, and
     returns its absolute value.  Exact spatial balance makes this pure time
-    truncation, so halving dt shrinks it ~4x.
+    truncation, so halving dt shrinks it ~4x.  The steps are IF-RK4.
     """
-    cfg = StepperConfig(scheme=scheme, dt_init=dt, t_end=10.0 * dt, adaptive=False)
+    cfg = StepperConfig(dt_init=dt, t_end=10.0 * dt, adaptive=False)
     B1, _ = step(B0, 0.0, dt, params, cfg)
     B2, _ = step(B1, dt, dt, params, cfg)
     e0 = np.sum(shell_spectrum(B0, s))
@@ -221,30 +208,21 @@ def flux_balance_defect(
 
 
 def flux_defect_ratio(
-    B0: SpectralField, params: ModelParams, s: float, dt: float, scheme: str = "ifrk4"
+    B0: SpectralField, params: ModelParams, s: float, dt: float
 ) -> tuple[float, float, float]:
     """(defect(dt), defect(dt/2), ratio); ratio ~ 4 for a second-order-accurate
     central-difference reading of an exact spatial identity."""
-    d1 = flux_balance_defect(B0, params, s, dt, scheme)
-    d2 = flux_balance_defect(B0, params, s, dt / 2.0, scheme)
+    d1 = flux_balance_defect(B0, params, s, dt)
+    d2 = flux_balance_defect(B0, params, s, dt / 2.0)
     return d1, d2, d1 / d2
 
 
 def make_smoothing_run(
-    grid: GridSpec,
-    mu: float,
-    alpha: float,
-    s_base: float,
-    nonlinearity: bool = True,
-    t_end: float = 1.1e-2,
-    dt: float = 2e-5,
-    seed: int = 0,
+    grid: GridSpec, mu: float, alpha: float, s_base: float, nonlinearity: bool = True
 ) -> TimeSeries:
-    """Fixed-dt full-model run from the rough datum, snapshotting densely
-    enough to resolve the [1e-3, 1e-2] fit window."""
-    B0 = rough_datum(grid, s_base, seed=seed)
+    """Fixed-dt (2e-5) full-model run to t = 1.1e-2 from the seed-0 rough
+    datum, snapshotting densely enough to resolve the [1e-3, 1e-2] fit window."""
+    B0 = rough_datum(grid, s_base)
     params = ModelParams(kind="full", mu=mu, alpha=alpha, nonlinearity=nonlinearity)
-    cfg = StepperConfig(
-        scheme="ifrk4", dt_init=dt, t_end=t_end, adaptive=False, snapshot_cadence=5
-    )
+    cfg = StepperConfig(dt_init=2e-5, t_end=1.1e-2, adaptive=False, snapshot_cadence=5)
     return evolve(B0, params, cfg)

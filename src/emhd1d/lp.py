@@ -27,7 +27,6 @@ from .spectral import (
     frac_laplacian,
     product,
     riesz_potential,
-    sobolev_weight,
 )
 
 
@@ -109,14 +108,7 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
     This is the reference implementation the shell sum is equivalent to.
     """
-    w = sobolev_weight(f.grid.wavenumbers, s)
-    return float(np.sqrt(f.grid.norm2(f.coef, w)))
-
-
-def sobolev_norm_inhom(f: SpectralField, s: float) -> float:
-    """Inhomogeneous H^s norm, multiplier (1 + xi^2)^(s/2)."""
-    w = sobolev_weight(f.grid.wavenumbers, s, homogeneous=False)
-    return float(np.sqrt(f.grid.norm2(f.coef, w)))
+    return float(np.sqrt(f.grid.sobolev_norm2(f.coef, s)))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -191,21 +183,20 @@ def bernstein_check(
     return rep1, rep2
 
 
-def commutator_check(
-    grid: GridSpec, trials: int = 30, seed: int = 0, eps: float = 0.1
-) -> tuple[BoundReport, BoundReport]:
+def commutator_check(grid: GridSpec, trials: int = 30, seed: int = 0) -> tuple[BoundReport, BoundReport]:
     """Bounded-ratio harness for the two commutator estimates.
 
     First: || [Delta_q, f] g ||_2 against
     2^(-q(r1 + r2 - 1/2)) ||f||_{H^r1} ||g||_{H^r2} with r1 = 1/2 and
-    r2 = -1/2 + eps (the parameter choice the energy estimates use; the
-    summable c_q sequence is absorbed into the reported ratio).
+    r2 = -1/2 + eps, eps = 0.1 (the parameter choice the energy estimates
+    use; the summable c_q sequence is absorbed into the reported ratio).
 
     Second (Coifman-Meyer type): || [Lambda^(1/2), f] g ||_2 against
     ||Lambda^sigma f||_{r1} ||I_(sigma - 1/2) g||_{r2} with sigma = 1 - eps,
     r2 = 2 + eps and 1/r1 = 1/2 - 1/r2.
     """
     rng = np.random.default_rng(seed)
+    eps = 0.1
     r1s, r2s = 0.5, -0.5 + eps
     sigma = 1.0 - eps
     p2 = 2.0 + eps

@@ -500,7 +500,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
 
 @dataclass
 class PicardResult:
-    iterates: list[SpectralField]  # final-time field of each iterate
+    iterates: list[np.ndarray]  # final-time coefficient row of each iterate
     gap_history: list[float]  # sup-in-time H^s gap between consecutive iterates
     converged: bool
     series: TimeSeries  # per-step series of the last iterate
@@ -511,8 +511,6 @@ def picard_solve(
     params: ModelParams,
     cfg: StepperConfig,
     k_max: int = 12,
-    tol: float = 1e-10,
-    s: float | None = None,
 ) -> PicardResult:
     """Iteratively solve the linearized approximating system.
 
@@ -521,20 +519,18 @@ def picard_solve(
     the pure dissipation semigroup).  Stepping is fixed-dt with the
     ``cfg.scheme`` stepper; coefficient fields at stage times come from cubic
     Hermite interpolation of the stored (value, time-derivative) pairs of the
-    previous iterate.  Stops when the sup-in-time H^s gap between
-    consecutive iterates drops below ``tol``.
+    previous iterate.  Stops when the sup-in-time inhomogeneous H^s gap
+    between consecutive iterates, s = 3 - alpha, drops below 1e-10.
     """
     if params.kind != "full" or params.mu <= 0:
         raise ValueError("picard_solve applies to the full model with mu > 0")
-    if s is None:
-        s = 2.5 - params.alpha + 0.5
+    s = 2.5 - params.alpha + 0.5
     grid = B0.grid
     ops = _ops(grid, params)
     stepper = _STEPPERS[cfg.scheme]
     dt = cfg.dt_init
     m = max(1, int(round(cfg.t_end / dt)))
     dt = cfg.t_end / m
-    weight = sobolev_weight(ops.xi, s, homogeneous=False)
 
     c0 = B0.coef.copy()
     c0[0] = 0.0
@@ -542,7 +538,7 @@ def picard_solve(
     prev_vals: np.ndarray | None = None  # (m+1, N/2+1) coefficient history
     prev_dots: np.ndarray | None = None
     gaps: list[float] = []
-    finals: list[SpectralField] = []
+    finals: list[np.ndarray] = []
     converged = False
     vals = np.empty((m + 1, grid.n_modes // 2 + 1), dtype=complex)
 
@@ -564,11 +560,11 @@ def picard_solve(
                 break
             c = stepper(frozen_nl, ops, c, dt, k1)
             c[0] = 0.0
-        finals.append(SpectralField.from_coef(grid, vals[m]))
+        finals.append(vals[m].copy())
         if prev_vals is not None:
-            gap = float(np.max(np.sqrt(grid.norm2(vals - prev_vals, weight))))
+            gap = float(np.max(np.sqrt(grid.sobolev_norm2(vals - prev_vals, s, homogeneous=False))))
             gaps.append(gap)
-            if gap < tol:
+            if gap < 1e-10:
                 converged = True
         prev_vals = vals.copy()
         prev_dots = dots

@@ -13,7 +13,8 @@ entries, and the transforms are real FFTs.  The Nyquist entry k = N/2 keeps
 its FFT-order wavenumber -pi N / (2L), so every multiplier has the value it
 has in the full FFT-ordered spectrum.  Sums over the full spectrum become
 sums over the half with weights (1, 2, ..., 2, 1): ``GridSpec.norm2`` and
-``GridSpec.inner`` are the Plancherel pair.  All nonlocal operators
+``GridSpec.inner`` are the Plancherel pair, and ``GridSpec.sobolev_norm2``
+is every squared H^s norm.  All nonlocal operators
 (Hilbert transform, fractional Laplacian, Riesz potential) are exact diagonal
 multipliers in this basis.  The Hilbert transform uses m(xi) = -i sgn(xi),
 the unique sign choice for which Lambda = H d/dx holds with Lambda = |xi|.
@@ -139,6 +140,11 @@ class GridSpec:
         full spectrum, along the last axis (Plancherel)."""
         w = self._pair_weight * weight
         return 2.0 * self.half_length * np.sum(w * np.abs(coef) ** 2, axis=-1)
+
+    def sobolev_norm2(self, coef: np.ndarray, s: float, homogeneous: bool = True) -> np.ndarray:
+        """Squared H^s norms along the last axis: ``norm2`` weighted by
+        ``sobolev_weight(wavenumbers, s, homogeneous)``."""
+        return self.norm2(coef, sobolev_weight(self.wavenumbers, s, homogeneous))
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """L2 inner product 2L Re sum_k a_k conj(b_k) over the full spectrum,

@@ -24,7 +24,7 @@ from emhd1d.blowup import (
     BlowupDatum,
     DatumError,
     FitWindowError,
-    TrajectoryState,
+    Trajectory,
     advect_trajectory,
     make_reference_datum,
     measure_blowup_time,
@@ -130,14 +130,25 @@ class TestTrajectory:
     def test_stays_at_symmetric_point(self, run_and_states):
         # the datum is odd, so Lambda B vanishes at 0 for all time and the
         # characteristic through 0 never moves
-        _, _, states = run_and_states
-        assert max(abs(s.X) for s in states) < 1e-10
+        _, _, traj = run_and_states
+        assert np.max(np.abs(traj.X)) < 1e-10
 
     def test_w_increases_monotonically_early(self, run_and_states):
-        _, d, states = run_and_states
-        ws = np.array([s.w for s in states])
+        _, d, traj = run_and_states
+        ws = traj.w
         early = ws[: len(ws) // 2]
         assert np.all(np.diff(early) > 0)
+
+    def test_columns_are_read_only_copies(self, run_and_states):
+        # one entry per step boundary; no column may be written, and t is
+        # not a view of the run's step times
+        run, _, traj = run_and_states
+        assert np.array_equal(traj.t, run.step_times)
+        assert not np.shares_memory(traj.t, run.step_times)
+        for col in (traj.t, traj.X, traj.bx, traj.bxx, traj.w):
+            assert col.shape == run.step_times.shape
+            with pytest.raises(ValueError):
+                col[0] = 0.0
 
     def test_requires_stored_fields(self, grid, datum):
         from emhd1d.solver import ModelParams, StepperConfig, evolve
@@ -153,26 +164,25 @@ class TestTrajectory:
 
 class TestFit:
     def test_riccati_fit(self, run_and_states):
-        _, d, states = run_and_states
-        t_est, slope, resid = measure_blowup_time(states, d.w0)
+        _, d, traj = run_and_states
+        t_est, slope, resid = measure_blowup_time(traj, d.w0)
         assert slope == pytest.approx(-1.0, abs=0.01)
         assert resid <= 1e-3
         assert abs(t_est - 1.0 / d.w0) / (1.0 / d.w0) <= 0.02
 
     def test_empty_window_raises(self):
-        states = [TrajectoryState(t=0.0, X=0.0, bx=1.0, bxx=0.0, w=1.0)] * 5
+        zeros, ones = np.zeros(5), np.ones(5)
+        traj = Trajectory(t=zeros, X=zeros.copy(), bx=ones, bxx=zeros.copy(), w=ones.copy())
         with pytest.raises(FitWindowError):
-            measure_blowup_time(states, w0=100.0)
+            measure_blowup_time(traj, w0=100.0)
 
     def test_exact_riccati_sequence_recovered(self):
         # synthetic w(t) = w0/(1 - w0 t) must be fitted essentially exactly
         w0 = 2.0
         ts = np.linspace(0.0, 0.45, 200)
-        states = [
-            TrajectoryState(t=float(t), X=0.0, bx=1.0, bxx=0.0, w=w0 / (1.0 - w0 * t))
-            for t in ts
-        ]
-        t_est, slope, resid = measure_blowup_time(states, w0)
+        zeros = np.zeros_like(ts)
+        traj = Trajectory(t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w0 / (1.0 - w0 * ts))
+        t_est, slope, resid = measure_blowup_time(traj, w0)
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert t_est == pytest.approx(0.5, rel=1e-12)
         assert resid < 1e-14
@@ -208,21 +218,21 @@ class TestETDRK4Blowup:
 
 class TestInvariants:
     def test_pointwise_invariants(self, run_and_states):
-        run, d, states = run_and_states
-        rep = riccati_invariant_report(run, states, t_max=0.8 / d.w0)
+        run, d, traj = run_and_states
+        rep = riccati_invariant_report(run, traj, t_max=0.8 / d.w0)
         assert rep.max_bx_defect <= 1e-4
         assert rep.max_bxx_rel <= 1e-4
 
     def test_bxx_ratio_matches_row_by_row_sup(self, run_and_states):
         # the report transforms the selected rows in blocks; each row's
         # sup|B_xx| must be what a transform of that row alone gives
-        run, d, states = run_and_states
+        run, d, traj = run_and_states
         t_max = 0.8 / d.w0
-        rep = riccati_invariant_report(run, states, t_max=t_max)
+        rep = riccati_invariant_report(run, traj, t_max=t_max)
         xi = run.grid.wavenumbers
         ratios = [
-            abs(s.bxx) / max(float(np.max(np.abs(run.grid.to_phys(-np.abs(xi) * run.lam_b[n])))), 1e-300)
-            for n, s in enumerate(states) if s.t <= t_max
+            abs(traj.bxx[n]) / max(float(np.max(np.abs(run.grid.to_phys(-np.abs(xi) * run.lam_b[n])))), 1e-300)
+            for n in np.flatnonzero(traj.t <= t_max)
         ]
         assert len(ratios) > 32
         assert rep.max_bxx_rel == max(ratios)

@@ -255,6 +255,32 @@ class TestCommands:
         assert manifest["termination"] == "non_finite"
         assert not (out / "series.csv").exists()
 
+    def test_run_cut_at_max_steps_is_numerical_abort(self, tmp_path, monkeypatch):
+        # a run stopped by the step cap never reached t_end, so it is no pass
+        real_stepper = RunConfig.stepper
+        monkeypatch.setattr(RunConfig, "stepper", lambda self: replace(real_stepper(self), max_steps=3))
+        p = tmp_path / "capped.cfg"
+        p.write_text(
+            "grid.L = 3.141592653589793\ngrid.N = 256\nstepper.t_end = 0.05\nstepper.dt_init = 1e-3\n"
+        )
+        out = tmp_path / "cappedout"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["termination"] == "max_steps" and manifest["steps"] == 3
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json"]
+
+    def test_run_stopped_at_blowup_threshold_passes(self, tmp_path):
+        # with a finite threshold, reaching it is the run's purpose
+        p = tmp_path / "blow.cfg"
+        p.write_text(
+            "grid.L = 6.0\ngrid.N = 256\nmodel.kind = transport\nmodel.alpha = 1.0\n"
+            "datum.kind = paper_blowup\nstepper.blowup_threshold = 6.0\nstepper.dt_init = 1e-3\n"
+        )
+        out = tmp_path / "blowout"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["termination"] == "blowup_threshold"
+        assert (out / "series.csv").exists()
+
     def test_symmetry_overflow_is_numerical_abort(self, tmp_path):
         # mu = 0 transport from a 1e200 datum overflows in the first steps,
         # so the mismatch of the two runs is NaN

@@ -14,6 +14,7 @@ from emhd1d.spectral import (
     product,
     remove_mean,
     riesz_potential,
+    sobolev_weight,
 )
 
 
@@ -113,6 +114,29 @@ class TestSpectralField:
         f = SpectralField.from_function(grid, lambda x: 2.0 + np.sin(x))
         assert abs(f.mean - 2.0) < 1e-13
         assert abs(remove_mean(f).mean) < 1e-15
+
+
+class TestSobolevNorm2:
+    @pytest.mark.parametrize("s, homogeneous", [(-0.5, True), (1.5, True), (-0.5, False), (0.75, False)])
+    def test_stack_matches_rows_and_weighted_norm2(self, grid, s, homogeneous):
+        # one call on a stack of rows is bitwise one call per row, and both
+        # are norm2 weighted by sobolev_weight
+        rng = np.random.default_rng(7)
+        half = grid.n_modes // 2 + 1
+        rows = rng.standard_normal((5, half)) + 1j * rng.standard_normal((5, half))
+        stacked = grid.sobolev_norm2(rows, s, homogeneous)
+        assert stacked.shape == (5,)
+        assert np.array_equal(stacked, [grid.sobolev_norm2(r, s, homogeneous) for r in rows])
+        weight = sobolev_weight(grid.wavenumbers, s, homogeneous)
+        assert np.array_equal(stacked, grid.norm2(rows, weight))
+
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 1.0])
+    def test_mean_only_in_inhomogeneous_norm(self, grid, s):
+        # a constant field has no homogeneous H^s mass, also for s < 0 where
+        # |0|^(2s) would be inf; the inhomogeneous norm counts it with weight 1
+        f = SpectralField.from_function(grid, lambda x: np.full_like(x, 3.0))
+        assert grid.sobolev_norm2(f.coef, s) == 0.0
+        assert grid.sobolev_norm2(f.coef, s, homogeneous=False) == pytest.approx(2.0 * np.pi * 9.0, rel=1e-14)
 
 
 class TestOperators:
