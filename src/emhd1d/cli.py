@@ -9,10 +9,10 @@ comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
 finite ``stepper.blowup_threshold``, stops at the threshold or at CFL
 collapse; any other termination (a non-finite field, max_steps, or CFL
 collapse with no threshold) writes only manifest.json and exits 3.
-``--sweep`` takes a file listing one config path per line and fans the runs
-out across worker threads, capped by the EMHD1D_THREADS environment variable.
-Run i writes to OUT/sweep_<i:03d>, OUT/sweep.json maps each config path to
-its exit code, and the sweep exits with the most severe code (0 < 1 < 2 < 3).
+``--sweep`` takes a file listing one config path per line and runs them one
+after another in that order.  Run i writes to OUT/sweep_<i:03d>,
+OUT/sweep.json maps each config path to its exit code, and the sweep exits
+with the most severe code (0 < 1 < 2 < 3).
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -220,18 +218,17 @@ def _write_snapshots(out: Path, run) -> None:
     (out / "snapshots.json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> int:
+def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     grid = cfg.grid()
     B0 = cfg.datum(grid, seed)
     run = evolve(B0, cfg.model(), cfg.stepper())
-    steps = len(run.step_times) - 1
+    record = {"termination": run.termination, "steps": len(run.step_times) - 1}
     # a run that seeks a blowup may end at its threshold or when dt collapses
     finished = ("t_end",)
     if math.isfinite(run.config.blowup_threshold):
         finished += ("blowup_threshold", "cfl_collapse")
     if run.termination not in finished:
-        _write_manifest(out, cfg, {"termination": run.termination, "steps": steps})
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL, record
     ns = norm_series(run, list(cfg.diagnostics_s_list))
     with (out / "series.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -245,32 +242,29 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> int:
                 row += [f"{ns.hs[i, j]:.17g}", f"{ns.hs_diss[i, j]:.17g}", f"{ns.budget[i, j]:.17g}"]
             w.writerow(row)
     _write_snapshots(out, run)
-    _write_manifest(out, cfg, {"termination": run.termination, "steps": steps})
-    return EXIT_OK
+    return EXIT_OK, record
 
 
-def _ladder(run) -> list[list[int]]:
+def _rungs(run) -> list[list[int]]:
     """[N_rung, first step taken on it] of each grid-ladder rung a run used."""
     n_modes = run.diagnostics["n_modes"]
     first = np.flatnonzero(np.diff(n_modes, prepend=0))
     return [[int(n_modes[i]), int(i)] for i in first]
 
 
-def cmd_blowup(cfg: RunConfig, out: Path) -> int:
+def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     """Riccati blowup harness with the reference configuration forced."""
     run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
-    steps = len(run.step_times) - 1
-    ladder = _ladder(run)
+    record = {"termination": run.termination, "steps": len(run.step_times) - 1, "ladder": _rungs(run)}
     if run.termination == "non_finite":
-        _write_manifest(out, cfg, {"termination": run.termination, "steps": steps, "ladder": ladder})
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL, record
     traj = advect_trajectory(run, datum.x0)
     w0 = datum.w0
     try:
         t_est, slope, resid = measure_blowup_time(traj, w0)
     except FitWindowError:
-        _write_manifest(out, cfg, {"termination": "fit_window", "steps": steps, "ladder": ladder})
-        return EXIT_NUMERICAL
+        record["termination"] = "fit_window"
+        return EXIT_NUMERICAL, record
     rep = riccati_invariant_report(run, traj, t_max=0.8 / w0)
     t_pred = predict_blowup_time(datum)
     w0_pv = pv_blowup_coefficient()
@@ -293,19 +287,17 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> int:
         w.writerow(["t", "X", "bx", "bxx", "w", "inv_w"])
         for row in zip(traj.t, traj.X, traj.bx, traj.bxx, traj.w, 1.0 / traj.w):
             w.writerow([f"{v:.17g}" for v in row])
-    _write_manifest(
-        out, cfg, {"termination": run.termination, "steps": steps, "ladder": ladder, "report": report}
-    )
+    record["report"] = report
     ok = (
         abs(slope + 1.0) <= 0.01
         and resid <= 1e-3
         and report["T_rel_err"] <= 0.02
         and max(report["w0_rel_diff"], rep.max_bx_defect, rep.max_bxx_rel) <= 1e-4
     )
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return (EXIT_OK if ok else EXIT_TOLERANCE), record
 
 
-def cmd_symmetry(cfg: RunConfig, out: Path) -> int:
+def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     """Discrete check of the rescaling invariance B -> lam^(a-2) B(lam x, lam^a t).
 
     Run A uses the configured grid and datum with a fixed dt; run B the
@@ -319,16 +311,14 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> int:
         cfg.datum(cfg.grid()), cfg.model(), lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme
     )
     if not math.isfinite(rel):
-        _write_manifest(out, cfg, {"termination": "non_finite"})
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL, {"termination": "non_finite"}
     (out / "symmetry.json").write_text(
         json.dumps({"lambda": lam, "alpha": cfg.model_alpha, "rel_l2_mismatch": rel}, indent=2) + "\n"
     )
-    _write_manifest(out, cfg, {"rel_l2_mismatch": rel})
-    return EXIT_OK if rel <= 1e-6 else EXIT_TOLERANCE
+    return (EXIT_OK if rel <= 1e-6 else EXIT_TOLERANCE), {"rel_l2_mismatch": rel}
 
 
-def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> int:
+def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     grid = cfg.grid()
     if cutoffs_for(grid).q_max < 1:
         raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
@@ -342,9 +332,8 @@ def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> int:
         "norm_equivalence": {"s": 1.0, "min_ratio": lo, "max_ratio": hi},
     }
     (out / "lp_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(out, cfg, {"lp": report})
     ok = b1.max_ratio <= 4.0 and b2.max_ratio <= 4.0 and 0.5 <= lo and hi <= 2.0
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return (EXIT_OK if ok else EXIT_TOLERANCE), {"lp": report}
 
 
 def cmd_selftest(out: Path | None = None) -> int:
@@ -388,6 +377,8 @@ def cmd_selftest(out: Path | None = None) -> int:
 
 
 def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) -> int:
+    """Run one command on one config and write the record it returns, on
+    every path it returns by, as manifest.json; returns the exit code."""
     # a config error can also surface inside a command: a datum file of the
     # wrong size, or a grid that cannot hold the reference datum, shows only
     # once the grid is known
@@ -395,19 +386,20 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
         cfg = RunConfig.from_file(config_path)
         out_dir.mkdir(parents=True, exist_ok=True)
         if command == "run":
-            return cmd_run(cfg, out_dir, seed)
-        if command == "blowup":
-            return cmd_blowup(cfg, out_dir)
-        if command == "symmetry":
-            return cmd_symmetry(cfg, out_dir)
-        if command == "lp":
-            return cmd_lp(cfg, out_dir, seed)
-        raise AssertionError(command)
+            code, record = cmd_run(cfg, out_dir, seed)
+        elif command == "blowup":
+            code, record = cmd_blowup(cfg, out_dir)
+        elif command == "symmetry":
+            code, record = cmd_symmetry(cfg, out_dir)
+        else:
+            code, record = cmd_lp(cfg, out_dir, seed)
     except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, np.linalg.LinAlgError):
         return EXIT_NUMERICAL
+    _write_manifest(out_dir, cfg, record)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -432,20 +424,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"sweep file not found: {sweep_file}", file=sys.stderr)
             return EXIT_CONFIG
         paths = [ln.strip() for ln in sweep_file.read_text().splitlines() if ln.strip()]
-        threads = os.environ.get("EMHD1D_THREADS", "4")
-        n_threads = int(threads) if threads.strip().isdecimal() else 0
-        if n_threads < 1:
-            print(f"EMHD1D_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
+        if not paths:
             return EXIT_CONFIG
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            codes = list(
-                pool.map(
-                    lambda item: _run_one(args.command, item[1], out / f"sweep_{item[0]:03d}", args.seed),
-                    enumerate(paths),
-                )
-            )
-        if not codes:
-            return EXIT_CONFIG
+        codes = [_run_one(args.command, p, out / f"sweep_{i:03d}", args.seed) for i, p in enumerate(paths)]
         # the exit codes rank by severity: ok < tolerance < config < numerical
         out.mkdir(parents=True, exist_ok=True)
         (out / "sweep.json").write_text(json.dumps(dict(zip(paths, codes)), indent=2) + "\n")

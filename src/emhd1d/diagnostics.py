@@ -131,17 +131,15 @@ def _rate_fit(
     return RateFit(exponent_est=-slope, expected=(s_target - s_base) / alpha, residual=resid, window=window)
 
 
-def smoothing_rate_fit(
-    run: TimeSeries, s_base: float, s_target: float, alpha: float, t_min: float = 1e-3
-) -> RateFit:
+def smoothing_rate_fit(run: TimeSeries, s_base: float, s_target: float, t_min: float = 1e-3) -> RateFit:
     """Fitted decay exponent of ||B(t)||_{H^(s_target), hom} on [t_min, 10 t_min].
 
     For a datum on the edge of H^(s_base) the dissipative gain predicts the
-    norm to grow like t^(-(s_target - s_base)/alpha) as t -> 0+, so the fitted
-    log-log slope should be minus that exponent.
+    norm to grow like t^(-(s_target - s_base)/alpha) as t -> 0+, with alpha
+    the run's own, so the fitted log-log slope should be minus that exponent.
     """
     norms = np.sqrt(run.grid.sobolev_norm2(run.coefs, s_target))
-    return _rate_fit(run.times, norms, s_base, s_target, alpha, t_min)
+    return _rate_fit(run.times, norms, s_base, s_target, run.params.alpha, t_min)
 
 
 def smoothing_rate_fit_semigroup(

@@ -133,8 +133,8 @@ class _Ops:
     def etdrk4_coeffs(self, dt: float) -> tuple:
         """``_etdrk4_coeffs(lin, dt)``, rebuilt only when dt changes, so a
         fixed-dt run builds them once.  The (dt, coefficients) pair is
-        replaced whole, so sweep threads sharing this table never pair one
-        dt with another's coefficients."""
+        replaced whole, so threads sharing the table never pair one dt
+        with another's coefficients."""
         last = self._etdrk4
         if last[0] != dt:
             coeffs = _etdrk4_coeffs(self.lin, dt)

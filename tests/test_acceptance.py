@@ -137,11 +137,11 @@ def test_criterion_5_flux_identity():
 def test_criterion_6_smoothing_rates(alpha, s_base, s_target):
     grid = GridSpec(np.pi, 2048)
     run = make_smoothing_run(grid, mu=1.0, alpha=alpha, s_base=s_base)
-    fit = smoothing_rate_fit(run, s_base, s_target, alpha)
+    fit = smoothing_rate_fit(run, s_base, s_target)
     err = abs(fit.exponent_est - fit.expected)
 
     lin = make_smoothing_run(grid, mu=1.0, alpha=alpha, s_base=s_base, nonlinearity=False)
-    fit_lin = smoothing_rate_fit(lin, s_base, s_target, alpha)
+    fit_lin = smoothing_rate_fit(lin, s_base, s_target)
     oracle = smoothing_rate_fit_semigroup(rough_datum(grid, s_base), 1.0, alpha, s_base, s_target)
     lin_err = abs(fit_lin.exponent_est - oracle.exponent_est)
 

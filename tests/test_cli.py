@@ -35,11 +35,51 @@ diagnostics.s_list = 0.0, 1.0
 """
 
 
+LP_CFG = "grid.L = 3.141592653589793\ngrid.N = 256\n"
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(RUN_CFG)
     return p
+
+
+def write_cfg(tmp_path, text, name="case.cfg"):
+    p = tmp_path / name
+    p.write_text(text)
+    return p
+
+
+def capped_at_three_steps(tmp_path, monkeypatch):
+    """A run config whose stepper stops at max_steps = 3, short of t_end."""
+    real_stepper = RunConfig.stepper
+    monkeypatch.setattr(RunConfig, "stepper", lambda self: replace(real_stepper(self), max_steps=3))
+    return write_cfg(
+        tmp_path, "grid.L = 3.141592653589793\ngrid.N = 256\nstepper.t_end = 0.05\nstepper.dt_init = 1e-3\n"
+    )
+
+
+def overflowing(tmp_path, monkeypatch=None):
+    """A finite datum that overflows: mu = 0 transport from 1e200 at a fixed
+    dt (the adaptive dt would shrink to a cfl_collapse instead)."""
+    arr = 1e200 * np.sin(3.0 * np.linspace(-np.pi, np.pi, 64, endpoint=False))
+    raw = tmp_path / "datum.bin"
+    arr.astype("<f8").tofile(raw)
+    return write_cfg(
+        tmp_path,
+        "grid.L = 3.141592653589793\ngrid.N = 64\nmodel.kind = transport\nmodel.mu = 0.0\n"
+        f"stepper.adaptive = false\nstepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n",
+    )
+
+
+def fit_window_missed(tmp_path, monkeypatch):
+    """A blowup config whose Riccati fit finds no samples in its window."""
+    def no_window(traj, w0):
+        raise FitWindowError("no samples with w inside the fit window")
+
+    monkeypatch.setattr(cli, "measure_blowup_time", no_window)
+    return write_cfg(tmp_path, "grid.L = 6.0\ngrid.N = 256\n")
 
 
 class TestConfigParsing:
@@ -145,8 +185,7 @@ class TestCommands:
         assert rep["rel_l2_mismatch"] <= 1e-6
 
     def test_lp_command(self, tmp_path):
-        p = tmp_path / "lp.cfg"
-        p.write_text("grid.L = 3.141592653589793\ngrid.N = 256\n")
+        p = write_cfg(tmp_path, LP_CFG, "lp.cfg")
         out = tmp_path / "lp"
         code = main(["lp", "--config", str(p), "--out", str(out)])
         assert code == EXIT_OK
@@ -158,8 +197,7 @@ class TestCommands:
         worst = json.loads((tmp_path / "selftest.json").read_text())
         assert all(v <= 1e-10 for v in worst.values())
 
-    def test_sweep(self, cfg_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("EMHD1D_THREADS", "2")
+    def test_sweep(self, cfg_file, tmp_path):
         sweep = tmp_path / "sweep.txt"
         sweep.write_text(f"{cfg_file}\n{cfg_file}\n")
         out = tmp_path / "sw"
@@ -168,8 +206,7 @@ class TestCommands:
         assert (out / "sweep_000" / "series.csv").is_file()
         assert (out / "sweep_001" / "series.csv").is_file()
 
-    def test_sweep_records_each_exit_code(self, cfg_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("EMHD1D_THREADS", "2")
+    def test_sweep_records_each_exit_code(self, cfg_file, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid.N = many\n")
         sweep = tmp_path / "sweep.txt"
@@ -181,15 +218,27 @@ class TestCommands:
         assert record == {str(cfg_file): EXIT_OK, str(bad): EXIT_CONFIG}
         assert (out / "sweep_000" / "series.csv").is_file()
 
-    @pytest.mark.parametrize("threads", ["two", "0", "-1", ""])
-    def test_sweep_bad_thread_count(self, cfg_file, tmp_path, monkeypatch, capsys, threads):
-        monkeypatch.setenv("EMHD1D_THREADS", threads)
-        sweep = tmp_path / "sweep.txt"
-        sweep.write_text(f"{cfg_file}\n{cfg_file}\n")
+    def test_sweep_outputs_match_plain_runs(self, cfg_file, tmp_path):
+        # each sweep directory holds what a plain run of its config writes
+        other = write_cfg(tmp_path, RUN_CFG.replace("model.alpha = 2.0", "model.alpha = 1.5"), "other.cfg")
+        sweep = write_cfg(tmp_path, f"{cfg_file}\n{other}\n", "sweep.txt")
+        assert main(["run", "--sweep", str(sweep), "--out", str(tmp_path / "sw")]) == EXIT_OK
+        for i, p in enumerate((cfg_file, other)):
+            plain = tmp_path / f"plain_{i}"
+            assert main(["run", "--config", str(p), "--out", str(plain)]) == EXIT_OK
+            for name in ("series.csv", "snapshots.bin", "snapshots.json", "manifest.json"):
+                swept = tmp_path / "sw" / f"sweep_{i:03d}" / name
+                assert swept.read_bytes() == (plain / name).read_bytes(), (i, name)
+
+    def test_sweep_record_keeps_file_order(self, tmp_path):
+        # listed against both the alphabetical and the reverse order
+        small = RUN_CFG.replace("stepper.t_end = 0.05", "stepper.t_end = 0.002")
+        names = ["m.cfg", "z.cfg", "a.cfg"]
+        paths = [str(write_cfg(tmp_path, small, name)) for name in names]
+        sweep = write_cfg(tmp_path, "\n".join(paths) + "\n", "sweep.txt")
         out = tmp_path / "sw"
-        assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_CONFIG
-        assert "EMHD1D_THREADS" in capsys.readouterr().err
-        assert not (out / "sweep_000").exists()
+        assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_OK
+        assert list(json.loads((out / "sweep.json").read_text())) == paths
 
     def test_sweep_missing_file(self, tmp_path):
         assert main(["run", "--sweep", str(tmp_path / "no.txt"), "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -236,17 +285,7 @@ class TestCommands:
         assert not (out / "manifest.json").exists()
 
     def test_run_overflow_is_numerical_abort(self, tmp_path):
-        # a finite datum that overflows: mu = 0 transport from 1e200 at a
-        # fixed dt (the adaptive dt would shrink to a cfl_collapse instead)
-        arr = 1e200 * np.sin(3.0 * np.linspace(-np.pi, np.pi, 64, endpoint=False))
-        raw = tmp_path / "datum.bin"
-        arr.astype("<f8").tofile(raw)
-        p = tmp_path / "big.cfg"
-        p.write_text(
-            "grid.L = 3.141592653589793\ngrid.N = 64\nmodel.kind = transport\nmodel.mu = 0.0\n"
-            "stepper.adaptive = false\n"
-            f"stepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n"
-        )
+        p = overflowing(tmp_path)
         out = tmp_path / "bigout"
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["run", "--config", str(p), "--out", str(out)])
@@ -257,12 +296,7 @@ class TestCommands:
 
     def test_run_cut_at_max_steps_is_numerical_abort(self, tmp_path, monkeypatch):
         # a run stopped by the step cap never reached t_end, so it is no pass
-        real_stepper = RunConfig.stepper
-        monkeypatch.setattr(RunConfig, "stepper", lambda self: replace(real_stepper(self), max_steps=3))
-        p = tmp_path / "capped.cfg"
-        p.write_text(
-            "grid.L = 3.141592653589793\ngrid.N = 256\nstepper.t_end = 0.05\nstepper.dt_init = 1e-3\n"
-        )
+        p = capped_at_three_steps(tmp_path, monkeypatch)
         out = tmp_path / "cappedout"
         assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
@@ -282,16 +316,8 @@ class TestCommands:
         assert (out / "series.csv").exists()
 
     def test_symmetry_overflow_is_numerical_abort(self, tmp_path):
-        # mu = 0 transport from a 1e200 datum overflows in the first steps,
-        # so the mismatch of the two runs is NaN
-        arr = 1e200 * np.sin(3.0 * np.linspace(-np.pi, np.pi, 64, endpoint=False))
-        raw = tmp_path / "datum.bin"
-        arr.astype("<f8").tofile(raw)
-        p = tmp_path / "sym.cfg"
-        p.write_text(
-            "grid.L = 3.141592653589793\ngrid.N = 64\nmodel.kind = transport\nmodel.mu = 0.0\n"
-            f"stepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n"
-        )
+        # the overflowing datum makes the mismatch of the two runs NaN
+        p = overflowing(tmp_path)
         out = tmp_path / "symout"
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["symmetry", "--config", str(p), "--out", str(out)])
@@ -315,12 +341,7 @@ class TestCommands:
         assert not (out / "blowup_report.json").exists()
 
     def test_blowup_fit_window_miss_writes_manifest(self, tmp_path, monkeypatch):
-        def no_window(states, w0):
-            raise FitWindowError("no samples with w inside the fit window")
-
-        monkeypatch.setattr(cli, "measure_blowup_time", no_window)
-        p = tmp_path / "blow.cfg"
-        p.write_text("grid.L = 6.0\ngrid.N = 256\n")
+        p = fit_window_missed(tmp_path, monkeypatch)
         out = tmp_path / "blowout"
         assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
@@ -402,8 +423,7 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (out / "manifest.json").exists()
 
-    def test_sweep_with_unusable_datum_grid(self, cfg_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("EMHD1D_THREADS", "2")
+    def test_sweep_with_unusable_datum_grid(self, cfg_file, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid.L = 2\ndatum.kind = paper_blowup\n")
         sweep = tmp_path / "sweep.txt"
@@ -433,3 +453,37 @@ class TestCommands:
         p.write_text("grid.L = 12\ngrid.N = 8\n")
         assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "command, setup, code, termination, keys",
+        [
+            ("run", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, "t_end", {"termination", "steps"}),
+            ("run", capped_at_three_steps, EXIT_NUMERICAL, "max_steps", {"termination", "steps"}),
+            ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}),
+            (
+                "blowup",
+                lambda tmp, mp: write_cfg(tmp, "grid.L = 6\ngrid.N = 2048\n"),
+                EXIT_OK,
+                "blowup_threshold",
+                {"termination", "steps", "ladder", "report"},
+            ),
+            ("blowup", fit_window_missed, EXIT_NUMERICAL, "fit_window", {"termination", "steps", "ladder"}),
+            ("symmetry", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, None, {"rel_l2_mismatch"}),
+            ("symmetry", overflowing, EXIT_NUMERICAL, "non_finite", {"termination"}),
+            ("lp", lambda tmp, mp: write_cfg(tmp, LP_CFG), EXIT_OK, None, {"lp"}),
+        ],
+        ids=[
+            "run-t_end", "run-max_steps", "run-non_finite", "blowup-pass", "blowup-fit_window",
+            "symmetry-pass", "symmetry-non_finite", "lp",
+        ],
+    )
+    def test_every_exit_path_writes_manifest(self, tmp_path, monkeypatch, command, setup, code, termination, keys):
+        p = setup(tmp_path, monkeypatch)
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", str(p), "--out", str(out)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"version", "numpy", "config"} | keys
+        assert manifest["config"] == RunConfig.from_file(p).raw
+        assert manifest["version"] == cli.__version__ and manifest["numpy"] == np.__version__
+        assert manifest.get("termination") == termination

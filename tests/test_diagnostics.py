@@ -9,6 +9,7 @@ from emhd1d.diagnostics import (
     flux_decomposition,
     flux_defect_ratio,
     l2_budget_defect,
+    make_smoothing_run,
     norm_series,
     rough_datum,
     semigroup_norm_series,
@@ -160,16 +161,23 @@ class TestSmoothing:
         p = ModelParams(kind="full", mu=1.0, alpha=2.0, nonlinearity=False)
         cfg = StepperConfig(dt_init=2e-5, t_end=1.1e-2, adaptive=False, snapshot_cadence=5)
         run = evolve(B0, p, cfg)
-        fit = smoothing_rate_fit(run, 0.5, 1.5, 2.0)
+        fit = smoothing_rate_fit(run, 0.5, 1.5)
         oracle = smoothing_rate_fit_semigroup(B0, 1.0, 2.0, 0.5, 1.5)
         assert abs(fit.exponent_est - oracle.exponent_est) <= 1e-3
+
+    def test_expected_exponent_uses_the_runs_alpha(self, grid):
+        # the predicted exponent is (s_target - s_base) / alpha with the
+        # alpha the run was made at, here 1
+        run = make_smoothing_run(grid, mu=1.0, alpha=1.0, s_base=0.5)
+        fit = smoothing_rate_fit(run, 0.5, 1.5)
+        assert fit.expected == (1.5 - 0.5) / 1.0
 
     def test_fit_window_needs_samples(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=5e-3, adaptive=False)
         run = evolve(small_datum(grid), p, cfg)
         with pytest.raises(ValueError):
-            smoothing_rate_fit(run, 0.5, 1.5, 2.0, t_min=1.0)
+            smoothing_rate_fit(run, 0.5, 1.5, t_min=1.0)
 
 
 class TestFlux:

@@ -276,8 +276,8 @@ class TestETDRK4CoefficientReuse:
         assert builds == [1e-3]
 
     def test_threads_sharing_a_table_get_their_own_dt(self):
-        # sweep threads share one table; a thread must never be handed the
-        # coefficients built for another thread's dt
+        # threads sharing the table must never be handed the coefficients
+        # built for another thread's dt
         ops = _ops(GridSpec(np.pi, 8), ModelParams(kind="full", mu=1.0, alpha=2.0))
         dts = [1e-3, 2e-3, 5e-4, 3e-3]
         refs = {dt: _etdrk4_coeffs(ops.lin, dt) for dt in dts}
