@@ -149,30 +149,43 @@ def advect_trajectory(run: TimeSeries, x0: float) -> Trajectory:
     The tracked pointwise quantities are evaluated off-grid from the stored
     Lambda B coefficients (B_x = -H Lambda B, so every derivative is a
     diagonal multiplier away).
+
+    Each off-grid sum runs only over the band of the ladder rung that made
+    its rows (``run.diagnostics["n_modes"]``): a row stored from a rung of
+    n < N modes lost its Nyquist entry when stored, so it is exactly zero
+    from entry n/2 on, and ``eval_trig`` reads the cut row as zero-padded.
+    The Hermite midpoint of a step takes the band of the step's end, the
+    finer of its two rows.
     """
     if run.lam_b is None:
         raise ValueError("run was made without store_step_fields")
     grid = run.grid
+    half = grid.n_modes // 2 + 1
     xi = grid.wavenumbers
     m_bx = 1j * np.sign(xi)  # B_x = -H(Lambda B)
     # rows: Lambda B, B_x, B_xx, Lambda B_x, all read off one phase table
     mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
+    # the row at the last step boundary has no step and so no rung entry
+    rung = run.diagnostics["n_modes"]
+    band = np.where(rung < grid.n_modes, rung // 2, half).tolist() + [half]
 
     times = run.step_times
     Xs = np.empty(len(times))
     vals = np.empty((len(mults), len(times)))  # one row per multiplier
     X = x0
     for n in range(len(times)):
+        k = band[n]
         Xs[n] = X
-        vals[:, n] = eval_trig(grid, mults * run.lam_b[n], X)[:, 0]
+        vals[:, n] = eval_trig(grid, mults[:, :k] * run.lam_b[n, :k], X)[:, 0]
         if n == len(times) - 1:
             break
         dt = float(times[n + 1] - times[n])
-        mid = hermite(run.lam_b, run.lam_b_dot, n, 0.5, dt)
+        k = band[n + 1]
+        mid = hermite(run.lam_b[:, :k], run.lam_b_dot[:, :k], n, 0.5, dt)
         f1 = -vals[0, n]
         f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
         f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
-        f4 = -eval_trig(grid, run.lam_b[n + 1], X + dt * f3)[0]
+        f4 = -eval_trig(grid, run.lam_b[n + 1, :k], X + dt * f3)[0]
         X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     _, bx, bxx, w = vals
     return Trajectory(t=times.copy(), X=Xs, bx=bx, bxx=bxx, w=w)

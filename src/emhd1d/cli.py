@@ -11,16 +11,18 @@ collapse; any other termination (a non-finite field, max_steps, or CFL
 collapse with no threshold) writes only manifest.json and exits 3.
 ``--sweep`` takes a file listing one config path per line and runs them one
 after another in that order.  Run i writes to OUT/sweep_<i:03d>,
-OUT/sweep.json maps each config path to its exit code, and the sweep exits
-with the most severe code (0 < 1 < 2 < 3).
+OUT/sweep.json maps each run directory to its config path and exit code,
+and the sweep exits with the most severe code (0 < 1 < 2 < 3).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import subprocess
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -194,10 +196,26 @@ class RunConfig:
         return SpectralField.from_phys(grid, arr)
 
 
+@functools.cache
+def _git_revision() -> str:
+    """``git rev-parse HEAD`` of the checkout holding this package, asked
+    once per process; "unavailable" outside a checkout or when git fails."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unavailable"
+    return done.stdout.strip() if done.returncode == 0 else "unavailable"
+
+
 def _write_manifest(out: Path, cfg: RunConfig, extra: dict) -> None:
     manifest = {
         "version": __version__,
         "numpy": np.__version__,
+        "git_revision": _git_revision(),
+        "scheme": cfg.stepper_scheme,
         "config": cfg.raw,
         **extra,
     }
@@ -426,11 +444,14 @@ def main(argv: list[str] | None = None) -> int:
         paths = [ln.strip() for ln in sweep_file.read_text().splitlines() if ln.strip()]
         if not paths:
             return EXIT_CONFIG
-        codes = [_run_one(args.command, p, out / f"sweep_{i:03d}", args.seed) for i, p in enumerate(paths)]
-        # the exit codes rank by severity: ok < tolerance < config < numerical
+        record = {}
+        for i, p in enumerate(paths):
+            name = f"sweep_{i:03d}"
+            record[name] = {"config": p, "exit": _run_one(args.command, p, out / name, args.seed)}
         out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.json").write_text(json.dumps(dict(zip(paths, codes)), indent=2) + "\n")
-        return max(codes)
+        (out / "sweep.json").write_text(json.dumps(record, indent=2) + "\n")
+        # the exit codes rank by severity: ok < tolerance < config < numerical
+        return max(r["exit"] for r in record.values())
     if not args.config:
         print("--config is required (or --sweep)", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,6 +18,14 @@ is every squared H^s norm.  All nonlocal operators
 (Hilbert transform, fractional Laplacian, Riesz potential) are exact diagonal
 multipliers in this basis.  The Hilbert transform uses m(xi) = -i sgn(xi),
 the unique sign choice for which Lambda = H d/dx holds with Lambda = |xi|.
+
+``eval_trig`` is the one off-grid sum.  It splits each mode index as
+k = a B + b, with B a power of two near sqrt(N/2) fixed by the grid, so its
+phase table exp(i xi_k x) = exp(i xi_(aB) x) exp(i xi_b x) is an outer
+product of about 2 sqrt(N/2) complex exponentials in place of N/2 + 1 of
+them.  Like ``GridSpec.to_phys``, it reads a row shorter than N/2 + 1 as
+zero-padded, and builds the table only as far as the row reaches: a row
+from a coarser grid, Nyquist entry dropped, costs only its own band.
 """
 
 from __future__ import annotations
@@ -106,6 +114,18 @@ class GridSpec:
         w[0] = w[-1] = 1.0
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def _trig_blocks(self) -> tuple[int, np.ndarray, np.ndarray]:
+        # block size B (a power of two near sqrt(N/2)) with i xi_(aB) for
+        # a = 0..N/(2B) and i xi_b for b < B, all at k >= 0: eval_trig takes
+        # the Nyquist term as the conjugate of its k = +N/2 entry
+        half = self.n_modes // 2
+        block = 1 << (half.bit_length() // 2)
+        ixi = 1j * (np.pi * np.arange(half + 1) / self.half_length)
+        hi, lo = ixi[::block].copy(), ixi[:block].copy()
+        hi.flags.writeable = lo.flags.writeable = False
+        return block, hi, lo
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -271,21 +291,33 @@ def remove_mean(f: SpectralField) -> SpectralField:
 def eval_trig(grid: GridSpec, coef: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
     """Real trigonometric sums of coefficient rows at arbitrary points.
 
-    ``coef`` is one row of N/2 + 1 coefficients (result shape (len(x),)) or
-    a stack of m rows (result shape (m, len(x))).  Points are reduced mod 2L
-    into [-L, L).  Each stored 0 < k < N/2 counts for the pair +-k as
+    ``coef`` is one row of at most N/2 + 1 coefficients (result shape
+    (len(x),)) or a stack of m rows (result shape (m, len(x))); a row shorter
+    than N/2 + 1 is read as zero-padded.  Points are reduced mod 2L into
+    [-L, L).  Each stored 0 < k < N/2 counts for the pair +-k as
     2 Re(coef_k exp(i xi_k x)), the weights (1, 2, ..., 2, 1); the Nyquist
     term keeps its FFT-order wavenumber -pi N / (2L).  All rows share one
-    phase table.
+    phase table, the outer product of two short exponential tables (module
+    docstring).
     """
     L = grid.half_length
-    xa = np.mod(np.atleast_1d(np.asarray(x, dtype=float)) + L, 2.0 * L) - L
-    phase = grid._pair_weight[:, None] * np.exp(1j * np.outer(grid.wavenumbers, xa))
+    xa = np.mod(np.array(x, dtype=float, ndmin=1) + L, 2.0 * L) - L
+    m = coef.shape[-1]
+    if m > grid.n_modes // 2 + 1:
+        raise ValueError("coefficient rows are longer than N/2 + 1")
+    block, ihi, ilo = grid._trig_blocks
+    # one row of the table per point, so the outer product runs along k
+    hi = np.exp(xa[:, None] * ihi[: -(-m // block)])
+    hi *= 2.0  # the pair weight, exact
+    phase = (hi[:, :, None] * np.exp(xa[:, None] * ilo)[:, None]).reshape(xa.size, -1)[:, :m]
+    phase[:, 0] = 1.0  # k = 0 counts once
+    if m == grid.n_modes // 2 + 1:
+        phase[:, -1] = 0.5 * np.conj(phase[:, -1])  # the Nyquist term counts once, at -pi N / (2L)
     if coef.ndim == 1:
-        return np.real(coef @ phase)
+        return np.real(phase @ coef)
     # one product per row: a stacked matrix product sums in another order,
     # so a row's value would depend on which rows it was stacked with
-    return np.real(np.array([row @ phase for row in coef]))
+    return np.real(np.array([phase @ row for row in coef]))
 
 
 def evaluate_at(f: SpectralField, x: "float | np.ndarray") -> "float | np.ndarray":

@@ -35,6 +35,7 @@ from emhd1d.blowup import (
     riccati_invariant_report,
     run_blowup,
 )
+from emhd1d.solver import hermite
 from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
 
 W0_SPECTRAL = 1.7495090293
@@ -150,6 +151,24 @@ class TestTrajectory:
             with pytest.raises(ValueError):
                 col[0] = 0.0
 
+    @pytest.mark.parametrize("start", ["x0", "off_symmetry"])
+    def test_matches_full_band_reference(self, run_and_states, start):
+        # rows from the coarse rungs are summed over their band only; the
+        # reference sums every row over all N/2 + 1 modes
+        run, d, traj = run_and_states
+        rung = run.diagnostics["n_modes"]
+        assert len(set(rung)) > 1  # the run used a ladder
+        # what the cut drops is exactly zero: a coarse rung's rows end at n/2
+        for n in np.flatnonzero(rung < run.grid.n_modes):
+            assert not np.any(run.lam_b[n, rung[n] // 2 :]) and not np.any(run.lam_b_dot[n, rung[n] // 2 :])
+        if start == "off_symmetry":
+            traj = advect_trajectory(run, 1.3)
+        X, (_, bx, bxx, w) = full_band_trajectory(run, traj.X[0])
+        assert np.max(np.abs(traj.w - w) / np.abs(w)) <= 1e-12
+        assert np.max(np.abs(traj.X - X)) <= 1e-12
+        assert np.max(np.abs(traj.bx - bx)) <= 1e-12
+        assert np.max(np.abs(traj.bxx - bxx)) <= 1e-12
+
     def test_requires_stored_fields(self, grid, datum):
         from emhd1d.solver import ModelParams, StepperConfig, evolve
 
@@ -160,6 +179,41 @@ class TestTrajectory:
         )
         with pytest.raises(ValueError):
             advect_trajectory(run, 0.0)
+
+
+def full_band_trig(grid, rows, x):
+    """Real trig sums at one point with one complex exponential per stored
+    mode, weights (1, 2, ..., 2, 1), and the Nyquist entry at its FFT-order
+    wavenumber; kept as a reference."""
+    L = grid.half_length
+    xa = np.mod(x + L, 2.0 * L) - L
+    weight = np.full(grid.n_modes // 2 + 1, 2.0)
+    weight[0] = weight[-1] = 1.0
+    return np.real(rows @ (weight * np.exp(1j * grid.wavenumbers * xa)))
+
+
+def full_band_trajectory(run, x0):
+    """advect_trajectory's RK4 and Hermite midpoints with every sum over all
+    N/2 + 1 modes; returns X and the rows Lambda B, B_x, B_xx, w at X."""
+    grid = run.grid
+    xi = grid.wavenumbers
+    m_bx = 1j * np.sign(xi)
+    mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
+    times = run.step_times
+    X, Xs, vals = x0, [], []
+    for n in range(len(times)):
+        Xs.append(X)
+        vals.append(full_band_trig(grid, mults * run.lam_b[n], X))
+        if n == len(times) - 1:
+            break
+        dt = float(times[n + 1] - times[n])
+        mid = hermite(run.lam_b, run.lam_b_dot, n, 0.5, dt)
+        f1 = -vals[-1][0]
+        f2 = -full_band_trig(grid, mid, X + 0.5 * dt * f1)
+        f3 = -full_band_trig(grid, mid, X + 0.5 * dt * f2)
+        f4 = -full_band_trig(grid, run.lam_b[n + 1], X + dt * f3)
+        X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return np.array(Xs), np.array(vals).T
 
 
 class TestFit:
@@ -259,10 +313,12 @@ class TestGridLadder:
     def test_node_translations_keep_rel_t(self, grid, datum):
         # a translation by whole fine nodes is an exact symmetry of the fine
         # nodes the CFL sups are read on, though not of the coarse rungs
-        ref, _, _ = rel_t_err(grid, datum)
-        for k in (1, 2, 3):
+        ref, t_ref, _ = rel_t_err(grid, datum)
+        L = grid.half_length
+        for k in (1, 2, 3, 1234):
             B0 = SpectralField.from_phys(grid, np.roll(datum.B0.phys, k))
-            x0 = k * grid.dx
+            x0 = (k * grid.dx + L) % (2.0 * L) - L
             w0 = float(evaluate_at(frac_laplacian(derivative(B0), 1.0), x0))
-            got, _, _ = rel_t_err(grid, BlowupDatum(B0=B0, x0=x0, w0=w0))
+            got, t_est, _ = rel_t_err(grid, BlowupDatum(B0=B0, x0=x0, w0=w0))
             assert abs(got - ref) <= 1e-9
+            assert t_est == pytest.approx(t_ref, rel=1e-12, abs=0.0)

@@ -1,6 +1,8 @@
 """Command-line interface tests: config parsing, outputs, exit codes."""
 
 import json
+import re
+import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -198,6 +200,7 @@ class TestCommands:
         assert all(v <= 1e-10 for v in worst.values())
 
     def test_sweep(self, cfg_file, tmp_path):
+        # one config listed twice: two run directories, and one record each
         sweep = tmp_path / "sweep.txt"
         sweep.write_text(f"{cfg_file}\n{cfg_file}\n")
         out = tmp_path / "sw"
@@ -205,6 +208,10 @@ class TestCommands:
         assert code == EXIT_OK
         assert (out / "sweep_000" / "series.csv").is_file()
         assert (out / "sweep_001" / "series.csv").is_file()
+        assert json.loads((out / "sweep.json").read_text()) == {
+            "sweep_000": {"config": str(cfg_file), "exit": EXIT_OK},
+            "sweep_001": {"config": str(cfg_file), "exit": EXIT_OK},
+        }
 
     def test_sweep_records_each_exit_code(self, cfg_file, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -215,7 +222,10 @@ class TestCommands:
         # the aggregate is the most severe code: a config error outranks a pass
         assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_CONFIG
         record = json.loads((out / "sweep.json").read_text())
-        assert record == {str(cfg_file): EXIT_OK, str(bad): EXIT_CONFIG}
+        assert record == {
+            "sweep_000": {"config": str(cfg_file), "exit": EXIT_OK},
+            "sweep_001": {"config": str(bad), "exit": EXIT_CONFIG},
+        }
         assert (out / "sweep_000" / "series.csv").is_file()
 
     def test_sweep_outputs_match_plain_runs(self, cfg_file, tmp_path):
@@ -238,7 +248,9 @@ class TestCommands:
         sweep = write_cfg(tmp_path, "\n".join(paths) + "\n", "sweep.txt")
         out = tmp_path / "sw"
         assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_OK
-        assert list(json.loads((out / "sweep.json").read_text())) == paths
+        record = json.loads((out / "sweep.json").read_text())
+        assert list(record) == ["sweep_000", "sweep_001", "sweep_002"]
+        assert [r["config"] for r in record.values()] == paths
 
     def test_sweep_missing_file(self, tmp_path):
         assert main(["run", "--sweep", str(tmp_path / "no.txt"), "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -430,7 +442,10 @@ class TestCommands:
         sweep.write_text(f"{bad}\n{cfg_file}\n")
         out = tmp_path / "sw"
         assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_CONFIG
-        assert json.loads((out / "sweep.json").read_text()) == {str(bad): EXIT_CONFIG, str(cfg_file): EXIT_OK}
+        assert json.loads((out / "sweep.json").read_text()) == {
+            "sweep_000": {"config": str(bad), "exit": EXIT_CONFIG},
+            "sweep_001": {"config": str(cfg_file), "exit": EXIT_OK},
+        }
         assert (out / "sweep_001" / "series.csv").is_file()
 
     def test_negative_seed_option_is_config_error(self, tmp_path, capsys):
@@ -483,7 +498,43 @@ class TestCommands:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main([command, "--config", str(p), "--out", str(out)]) == code
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest) == {"version", "numpy", "config"} | keys
+        assert set(manifest) == {"version", "numpy", "git_revision", "scheme", "config"} | keys
         assert manifest["config"] == RunConfig.from_file(p).raw
         assert manifest["version"] == cli.__version__ and manifest["numpy"] == np.__version__
         assert manifest.get("termination") == termination
+
+    @pytest.fixture
+    def fresh_revision(self):
+        cli._git_revision.cache_clear()
+        yield
+        cli._git_revision.cache_clear()
+
+    def test_manifest_records_scheme_and_git_revision(self, tmp_path, monkeypatch, fresh_revision):
+        # git is asked once per process, however many runs write a manifest
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(cmd, **kwargs):
+            calls.append(cmd)
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(cli.subprocess, "run", counting_run)
+        p = write_cfg(tmp_path, RUN_CFG + "stepper.scheme = etdrk4\n")
+        for name in ("a", "b"):
+            assert main(["run", "--config", str(p), "--out", str(tmp_path / name)]) == EXIT_OK
+        assert calls == [["git", "rev-parse", "HEAD"]]
+        for name in ("a", "b"):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["scheme"] == "etdrk4"
+            rev = manifest["git_revision"]
+            assert rev == "unavailable" or re.fullmatch("[0-9a-f]{40}", rev)
+
+    @pytest.mark.parametrize("outcome", ["no git", "not a checkout"])
+    def test_git_revision_unavailable_when_git_fails(self, monkeypatch, fresh_revision, outcome):
+        def failing_run(cmd, **kwargs):
+            if outcome == "no git":
+                raise FileNotFoundError(cmd[0])
+            return subprocess.CompletedProcess(cmd, 128, "", "fatal: not a git repository\n")
+
+        monkeypatch.setattr(cli.subprocess, "run", failing_run)
+        assert cli._git_revision() == "unavailable"

@@ -261,8 +261,8 @@ def full_sum_eval_trig(grid, coef, x):
     return np.real(coef @ np.exp(1j * np.outer(full_wavenumbers(grid), xa)))
 
 
-# N/2 even (8, 64, 1024, 4096) and odd (10, 14)
-SIZES = [8, 10, 14, 64, 1024, 4096]
+# N/2 even (8, 64, 1024, 4096, 8192) and odd (10, 14)
+SIZES = [8, 10, 14, 64, 1024, 4096, 8192]
 
 
 class TestRealTransforms:
@@ -338,13 +338,30 @@ class TestRealTransforms:
     def test_half_sum_eval_trig_matches_full_sum(self, case):
         grid, rng, samples = case
         L, h = grid.half_length, grid.n_modes // 2
-        x = rng.uniform(-3.0 * L, 3.0 * L, 9)
+        x = np.append(rng.uniform(-3.0 * L, 3.0 * L, 9), [-3.0 * L, 3.0 * L])
         for phys in samples:
             c = grid.to_coef(phys)
             c[h] = 1j * rng.standard_normal()  # purely imaginary Nyquist coefficient
             ref = full_sum_eval_trig(grid, full_spectrum(grid, c), x)
             got = eval_trig(grid, c, x)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(full_spectrum(grid, c)))
+
+    def test_eval_trig_reads_shorter_rows_as_zero_padded(self, case):
+        # rows cut at and around the block size of the phase table, and a
+        # coarser grid's rows with their Nyquist entry dropped
+        grid, rng, samples = case
+        L, h = grid.half_length, grid.n_modes // 2
+        block = grid._trig_blocks[0]
+        x = np.append(rng.uniform(-3.0 * L, 3.0 * L, 9), [-3.0 * L, 3.0 * L])
+        for c in grid.to_coef(samples):
+            for m in sorted({1, 2, block - 1, block, block + 1, h // 2, h // 2 + 1, h}):
+                padded = np.zeros(h + 1, dtype=complex)
+                padded[:m] = c[:m]
+                got = eval_trig(grid, c[:m], x)
+                assert got.shape == x.shape
+                assert np.max(np.abs(got - eval_trig(grid, padded, x))) <= 1e-13 * np.sum(np.abs(c[:m]))
+        with pytest.raises(ValueError):
+            eval_trig(grid, np.zeros(h + 2, dtype=complex), x)
 
     def test_batched_transforms_match_row_by_row(self, case):
         grid, _, samples = case
