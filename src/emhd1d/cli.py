@@ -72,7 +72,8 @@ _BOOLS = {
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat ``dotted.key = value`` lines into a string dict."""
+    """Parse flat ``dotted.key = value`` lines into a string dict; a key
+    may appear once."""
     out: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -83,6 +84,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, val = (p.strip() for p in line.split("=", 1))
         if not key or not val:
             raise ConfigError(f"line {ln}: empty key or value")
+        if key in out:
+            raise ConfigError(f"line {ln}: duplicate key {key!r}")
         out[key] = val
     return out
 
@@ -109,7 +112,6 @@ class RunConfig:
     datum_seed: int = 0
     datum_path: str = ""
     outputs_snapshot_cadence: int = 10
-    outputs_directory: str = "out"
     diagnostics_s_list: tuple[float, ...] = (1.0,)
     symmetry_lam: float = 2.0
     raw: dict = field(default_factory=dict)

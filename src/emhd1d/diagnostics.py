@@ -24,7 +24,7 @@ import numpy as np
 
 from .lp import cutoffs_for, shell_spectrum
 from .solver import ModelParams, StepperConfig, TimeSeries, _ops, evolve, step
-from .spectral import GridSpec, SpectralField, derivative, product
+from .spectral import GridSpec, SpectralField
 
 
 @dataclass(frozen=True)
@@ -171,15 +171,14 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
     """
     grid = B.grid
     cut = cutoffs_for(grid)
-    xi = grid.wavenumbers
-    lam_b = SpectralField.from_coef(grid, np.abs(xi) * B.coef)
-    b_lamb = product(B, lam_b)  # B Lambda B
-    lamb_bx = product(lam_b, derivative(B))  # Lambda B * B_x
+    b_x, lam_b = grid.to_phys(_ops(grid, params).rows[:2] * B.coef)
+    # B Lambda B and Lambda B * B_x
+    b_lamb, lamb_bx = grid.to_coef(np.stack((B.phys * lam_b, lam_b * b_x))) * grid.dealias_mask
 
     lam2s = cut.lam ** (2.0 * s)
     bq = cut.weights * B.coef  # one row per shell
-    I_q = lam2s * grid.inner(cut.weights * b_lamb.coef, 1j * xi * bq)
-    K_q = lam2s * grid.inner(cut.weights * lamb_bx.coef, bq)
+    I_q = lam2s * grid.inner(cut.weights * b_lamb, 1j * grid.wavenumbers * bq)
+    K_q = lam2s * grid.inner(cut.weights * lamb_bx, bq)
     diss = float(np.sum(lam2s * grid.sobolev_norm2(bq, params.alpha / 2.0)))
     return FluxDecomposition(
         I=float(np.sum(I_q)), K=float(np.sum(K_q)), I_q=I_q, K_q=K_q, dissipation=params.mu * diss

@@ -5,16 +5,18 @@ Two model kinds are evolved for a mean-free magnetic field B on the torus:
   full:       B_t = -(B J_x - J B_x) - mu Lambda^alpha B,   J = -Lambda B
   transport:  B_t = Lambda B * B_x - mu Lambda^alpha B
 
-Quadratic products are dealiased (2/3 rule) and the nonlinear term is
-re-projected onto the zero-mean gauge each evaluation.  The diagonal linear
-part mu |xi|^alpha is propagated exactly, either by an integrating factor
-wrapped around classical RK4 (default) or by ETDRK4; both are exact when the
-nonlinearity vanishes.  The ETDRK4 coefficients at z = -dt mu |xi|^alpha are
-rebuilt whenever dt changes, so on every adaptive step.  mu |xi_k|^alpha
-grows with k on the stored half, so one index splits z: the Cox-Matthews
-closed forms (Cox & Matthews 2002, J. Comput. Phys. 176:430) are evaluated
-only where |z| >= 1, and below that one Horner series of phi_3 gives phi_2
-and phi_1 by phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products: an array
+Both quadratic terms are products of B_x, Lambda B, Lambda B_x and B, which
+one inverse transform of a stack of multiplier rows forms; the products are
+dealiased (2/3 rule) and the term is re-projected onto the zero-mean gauge
+each evaluation.  The diagonal linear part mu |xi|^alpha is propagated
+exactly, either by an integrating factor wrapped around classical RK4
+(default) or by ETDRK4; both are exact when the nonlinearity vanishes.
+The ETDRK4 coefficients at z = -dt mu |xi|^alpha are rebuilt whenever dt
+changes, so on every adaptive step.  mu |xi_k|^alpha grows with k on the
+stored half, so one index splits z: the Cox-Matthews closed forms (Cox &
+Matthews 2002, J. Comput. Phys. 176:430) are evaluated only where |z| >= 1,
+and below that one Horner series of phi_3 gives phi_2 and phi_1 by
+phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products: an array
 ``**3`` goes through libm ``pow`` and cost more than the rest of the build.
 
 Adaptive stepping enforces the advective CFL dt <= cfl * dx / max|Lambda B|
@@ -103,32 +105,23 @@ class StepperConfig:
 
 class _Ops:
     """Multiplier tables of one (grid, params), built once by ``_ops``; read-only
-    apart from the slot that keeps the last ETDRK4 coefficients and the
-    ``rows`` table built on first use."""
+    apart from the slot that keeps the last ETDRK4 coefficients."""
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
         self.params = params
         self.xi = grid.wavenumbers
         self.absxi = np.abs(self.xi)
-        self.ddx = 1j * self.xi
-        self.lam_dx = self.absxi * self.ddx
+        ddx = 1j * self.xi
+        # d/dx, Lambda, Lambda d/dx and 1 as complex rows: every physical
+        # field the models multiply is a row of one broadcast product, so a
+        # stack of rows takes one inverse transform
+        self.rows = np.stack((ddx, self.absxi, self.absxi * ddx, np.ones_like(self.xi)))
         self.mask = grid.dealias_mask
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
-        for a in (self.absxi, self.ddx, self.lam_dx, self.lin):
+        for a in (self.absxi, self.rows, self.lin):
             a.flags.writeable = False
         self._etdrk4 = (math.nan, ())  # (dt, coefficients) of the last build
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """d/dx, Lambda, Lambda d/dx and 1 as complex rows, so that one
-        broadcast product makes a stack of rows for one inverse transform:
-        [:2] and [:3] for the transport term, [1:3] and [1:4] for sups read
-        on a finer grid.  Built on first use; a fixed-dt full-model run
-        never reads it."""
-        rows = np.stack((self.ddx, self.absxi, self.lam_dx, np.ones_like(self.xi)))
-        rows.flags.writeable = False
-        return rows
 
     def etdrk4_coeffs(self, dt: float) -> tuple:
         """``_etdrk4_coeffs(lin, dt)``, rebuilt only when dt changes, so a
@@ -143,39 +136,33 @@ class _Ops:
             last = self._etdrk4 = (dt, coeffs)
         return last[1]
 
-    def _dealiased(self, phys: np.ndarray) -> np.ndarray:
-        out = self.grid.to_coef(phys)
+    def form(self, phys: np.ndarray) -> np.ndarray:
+        """The model's quadratic term, dealiased and mean-free, from the
+        inverse transform of a stack ``rows[:n] * c``: the transport term
+        reads rows 0-1, the full term rows 0-3, and extra rows are ignored."""
+        prod = phys[1] * phys[0]
+        if self.params.kind == "full":
+            prod = phys[3] * phys[2] - prod
+        out = self.grid.to_coef(prod)
         out *= self.mask
         out[0] = 0.0
         return out
 
-    def full_form(self, a: np.ndarray, c: np.ndarray, formed: dict | None = None) -> np.ndarray:
-        """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free; at a = c
-        it is -(B J_x - J B_x) with J = -Lambda B."""
-        g = self.grid
-        phys_a, lam_cx, lam_a = g.to_phys(a), g.to_phys(self.lam_dx * c), g.to_phys(self.absxi * a)
-        if formed is not None:
-            formed.update(b=phys_a, lam_bx=lam_cx, lam_b=lam_a)
-        return self._dealiased(phys_a * lam_cx - lam_a * g.to_phys(self.ddx * c))
+    def full_form(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, from one
+        transform of the stack ``rows * (c, a, c, a)``; at a = c it is
+        -(B J_x - J B_x) with J = -Lambda B."""
+        return self.form(self.grid.to_phys(self.rows * np.stack((c, a, c, a))))
 
-    def nonlinear(self, c: np.ndarray, tau: float = 0.0, formed: dict | None = None) -> np.ndarray:
-        """Dealiased, mean-free quadratic term of the chosen model; ``tau``
-        (the stage's fraction of the step) is unused: the model is autonomous.
-
-        ``formed``, when given, receives the physical arrays made on the way,
-        so a caller needs no second transform of them: ``lam_b`` (Lambda B)
-        and ``lam_bx`` (Lambda B_x), and for the full model also ``b`` (B).
-        The transport term takes its inverse transforms as one stack of rows,
-        with Lambda B_x as a third row only when ``formed`` asks for it.
-        """
+    def nonlinear(self, c: np.ndarray, tau: float = 0.0) -> np.ndarray:
+        """Dealiased, mean-free quadratic term of the chosen model from one
+        inverse transform of ``rows[:4]`` (full) or ``rows[:2]`` (transport)
+        times ``c``; ``tau`` (the stage's fraction of the step) is unused:
+        the model is autonomous."""
         if not self.params.nonlinearity:
             return np.zeros_like(c)
-        if self.params.kind == "full":
-            return self.full_form(c, c, formed)
-        phys = self.grid.to_phys(self.rows[: 2 if formed is None else 3] * c)
-        if formed is not None:
-            formed.update(lam_b=phys[1], lam_bx=phys[2])
-        return self._dealiased(phys[1] * phys[0])
+        n = 4 if self.params.kind == "full" else 2
+        return self.form(self.grid.to_phys(self.rows[:n] * c))
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         return self.nonlinear(c) - self.lin * c
@@ -421,15 +408,20 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
             r += 1
             ops = _ops(rungs[r], params)
             c = _resize(c, ops.xi.size)
-        formed: dict[str, np.ndarray] = {}
-        nl = ops.nonlinear(c, formed=formed if r + 1 == len(rungs) else None)
-        if "lam_bx" not in formed:
+        if r + 1 == len(rungs) and params.nonlinearity:
+            # one stack gives the term and the sups: Lambda B, Lambda B_x
+            # and, for the dispersive bound, B are its rows 1-3
+            phys = grid.to_phys(ops.rows[: 4 if dispersive else 3] * c)
+            nl, sups = ops.form(phys), np.max(np.abs(phys[1:]), axis=-1)
+            # freed now, its memory serves the step and the next state's
+            # transform (kept, it cost ~1 MB of peak RSS at N = 4096)
+            del phys
+        else:
             # a coarse rung, or no nonlinear term: the sups that set dt and
             # stop the run are read on the finest grid's nodes all the same
-            fine = grid.to_phys(ops.rows[1 : 4 if dispersive else 3] * c)
-            formed = dict(zip(("lam_b", "lam_bx", "b"), fine))
-        sup_lb = float(np.max(np.abs(formed["lam_b"])))
-        sup_lbx = float(np.max(np.abs(formed["lam_bx"])))
+            nl = ops.nonlinear(c)
+            sups = np.max(np.abs(grid.to_phys(ops.rows[1 : 4 if dispersive else 3] * c)), axis=-1)
+        sup_lb, sup_lbx = float(sups[0]), float(sups[1])
         if cfg.store_step_fields:
             lam_b_store.append(ops.absxi * c)
             lam_b_dot_store.append(ops.absxi * (nl - ops.lin * c))
@@ -454,7 +446,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
             if sup_lbx > 0:
                 bound = min(bound, 1.0 / sup_lbx)
             if dispersive:
-                sup_b = float(np.max(np.abs(formed["b"])))
+                sup_b = float(sups[2])
                 if sup_b > 0:
                     bound = min(bound, 2.0 / (sup_b * xi_max2))
             dt = cfg.dt_init if not math.isfinite(bound) else min(cfg.cfl_safety * bound, cfg.dt_init * 1e6)

@@ -97,11 +97,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("a.b =\n")
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        # a repeated key is an error, not a silent override by the last line
+        text = "grid.N = 64\nmodel.mu = 1\n# mu again\nmodel.mu = 2\n"
+        with pytest.raises(ConfigError, match="line 4: duplicate key 'model.mu'"):
+            parse_config_text(text)
+        p = write_cfg(tmp_path, text)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: line 4: duplicate key 'model.mu'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "series.csv").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         # "datum" names a method, "raw" a field that is not a key, "grid_L"
-        # a field spelled without its section dot
+        # a field spelled without its section dot; "outputs.directory" was
+        # never read (--out names the output directory)
         p = tmp_path / "bad.cfg"
-        for line in ("grid.M = 3", "datum = 1", "raw = 1", "grid_L = 3"):
+        for line in ("grid.M = 3", "datum = 1", "raw = 1", "grid_L = 3", "outputs.directory = out"):
             p.write_text(line + "\n")
             with pytest.raises(ConfigError):
                 RunConfig.from_file(p)

@@ -16,9 +16,9 @@ from emhd1d.diagnostics import (
     smoothing_rate_fit,
     smoothing_rate_fit_semigroup,
 )
-from emhd1d.lp import LPCutoffs, shell_spectrum, sobolev_norm
+from emhd1d.lp import LPCutoffs, cutoffs_for, shell_spectrum, sobolev_norm
 from emhd1d.solver import ModelParams, StepperConfig, evolve, rhs
-from emhd1d.spectral import GridSpec, SpectralField, product, remove_mean, sobolev_weight
+from emhd1d.spectral import GridSpec, SpectralField, derivative, product, remove_mean, sobolev_weight
 
 
 @pytest.fixture
@@ -65,8 +65,9 @@ class TestNormSeries:
         assert defs[0] / defs[1] > 4.0  # dt shrank 4x => defect should drop >= 16x ideally
 
     def test_l2_budget_takes_four_transforms_per_snapshot(self, monkeypatch):
-        # the full-model nonlinear term of each row takes its 4 transforms
-        # and no more, and the defect is the one the public rhs gives
+        # the full-model nonlinear term of each row transforms its 4 rows
+        # as one stack and no more, and the defect is the one the public rhs
+        # gives
         g = GridSpec(np.pi, 64)
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=2e-3, adaptive=False, snapshot_cadence=1)
@@ -82,7 +83,7 @@ class TestNormSeries:
         with monkeypatch.context() as m:
             m.setattr(GridSpec, "to_phys", counted)
             defect = l2_budget_defect(run)
-        assert len(calls) == 4 * len(run.times)
+        assert calls == len(run.times) * [(4, g.n_modes // 2 + 1)]
 
         inviscid = ModelParams(kind="full", mu=0.0, alpha=2.0)
         nl = np.array([rhs(SpectralField.from_coef(g, c), inviscid).coef for c in run.coefs])
@@ -236,6 +237,37 @@ class TestFlux:
         np.testing.assert_allclose(fd.K_q, K_q, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(fd.dissipation, p.mu * diss, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(shell_spectrum(B, s), masses, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_products_match_spectral_field_reference(self, monkeypatch, n):
+        # B_x and Lambda B come from one stack of two rows, and both products
+        # from one forward transform; the tables are bitwise those of
+        # SpectralField products.  A datum from samples has B.phys apart from
+        # to_phys(B.coef), and the products read B.phys.
+        g = GridSpec(6.0, n)
+        p = ModelParams(kind="full", mu=0.8, alpha=1.5)
+        B = SpectralField.from_phys(g, np.random.default_rng(5).standard_normal(n))
+        s = 1.0
+        cut = cutoffs_for(g)
+        xi = g.wavenumbers
+        lam_b = SpectralField.from_coef(g, np.abs(xi) * B.coef)
+        b_lamb = product(B, lam_b).coef
+        lamb_bx = product(lam_b, derivative(B)).coef
+        lam2s = cut.lam ** (2.0 * s)
+        bq = cut.weights * B.coef
+        I_q = lam2s * g.inner(cut.weights * b_lamb, 1j * xi * bq)
+        K_q = lam2s * g.inner(cut.weights * lamb_bx, bq)
+
+        calls = []
+        for name in ("to_phys", "to_coef"):
+            def logged(self, arr, _name=name, _fn=getattr(GridSpec, name)):
+                calls.append((_name, arr.shape[0] if arr.ndim == 2 else 1))
+                return _fn(self, arr)
+
+            monkeypatch.setattr(GridSpec, name, logged)
+        fd = flux_decomposition(B, s, p)
+        assert calls == [("to_phys", 2), ("to_coef", 2)]
+        assert np.array_equal(fd.I_q, I_q) and np.array_equal(fd.K_q, K_q)
 
     def test_defect_second_order_in_dt(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=1.5)

@@ -34,6 +34,19 @@ def small_datum(grid, amp=0.05):
     )
 
 
+def record_to_phys(monkeypatch):
+    """Patch ``GridSpec.to_phys`` to log each call as (grid N, rows transformed)."""
+    calls = []
+    to_phys = GridSpec.to_phys
+
+    def logged(self, coef):
+        calls.append((self.n_modes, coef.shape[0] if coef.ndim == 2 else 1))
+        return to_phys(self, coef)
+
+    monkeypatch.setattr(GridSpec, "to_phys", logged)
+    return calls
+
+
 def contour_coeffs(lin, dt, n_contour=32):
     """Reference: the Cox-Matthews coefficients by a 32-point contour mean
     around each z = -dt * lin (Kassam & Trefethen 2005)."""
@@ -127,20 +140,44 @@ class TestRHS:
         f = SpectralField.from_function(grid, np.sin)
         assert rhs(f, p).l2_norm() < 1e-11
 
-    def test_transport_transforms_match_per_row(self):
-        # the transport term takes its inverse transforms as one stack; each
-        # row, and so the term, is what a transform of that row alone gives
+    def test_transport_transforms_match_per_row(self, monkeypatch):
+        # the transport term takes B_x and Lambda B as one stack of two rows
+        # in one inverse transform; each row, and so the term, is what a
+        # transform of that row alone gives
         g = GridSpec(6.0, 4096)
         rng = np.random.default_rng(11)
         c = g.to_coef(rng.standard_normal(g.n_modes))
         ops = _ops(g, ModelParams(kind="transport", mu=1.0, alpha=1.0))
-        lam_b, b_x, lam_bx = (g.to_phys(m * c) for m in (ops.absxi, ops.ddx, ops.lam_dx))
-        ref = g.to_coef(lam_b * b_x) * ops.mask
+        xi = g.wavenumbers
+        ref = g.to_coef(g.to_phys(np.abs(xi) * c) * g.to_phys(1j * xi * c)) * g.dealias_mask
         ref[0] = 0.0
-        formed = {}
-        assert np.array_equal(ops.nonlinear(c, formed=formed), ref)
+        calls = record_to_phys(monkeypatch)
         assert np.array_equal(ops.nonlinear(c), ref)
-        assert np.array_equal(formed["lam_b"], lam_b) and np.array_equal(formed["lam_bx"], lam_bx)
+        assert calls == [(4096, 2)]
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_full_transforms_match_per_row(self, monkeypatch, n):
+        # the full term, and Picard's frozen term A (Lambda C)_x - Lambda A C_x,
+        # take B_x, Lambda B, Lambda B_x and B as one stack of four rows in
+        # one inverse transform, bitwise equal to a transform per row
+        g = GridSpec(6.0, n)
+        rng = np.random.default_rng(12)
+        a, c = (g.to_coef(rng.standard_normal(n)) for _ in range(2))
+        ops = _ops(g, ModelParams(kind="full", mu=1.0, alpha=1.5))
+        absxi, ddx = np.abs(g.wavenumbers), 1j * g.wavenumbers
+
+        def per_row(a, c):
+            phys = g.to_phys(a) * g.to_phys(absxi * ddx * c) - g.to_phys(absxi * a) * g.to_phys(ddx * c)
+            out = g.to_coef(phys) * g.dealias_mask
+            out[0] = 0.0
+            return out
+
+        ref_nl, ref_frozen = per_row(c, c), per_row(a, c)
+        assert not np.array_equal(ref_nl, ref_frozen)
+        calls = record_to_phys(monkeypatch)
+        assert np.array_equal(ops.nonlinear(c), ref_nl)
+        assert np.array_equal(ops.full_form(a, c), ref_frozen)
+        assert calls == [(n, 4), (n, 4)]
 
     def test_rhs_mean_free(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=1.0)
@@ -454,39 +491,53 @@ class TestEvolve:
         bound = 0.4 * grid.dx / run.diagnostics["sup_lam_b"][:-1]
         assert np.all(dts <= bound + 1e-15)
 
-    @pytest.mark.parametrize("kind, per_nonlinear, own", [("full", 4, 0), ("transport", 1, 0)])
-    def test_sups_reuse_the_nonlinear_transforms(self, monkeypatch, kind, per_nonlinear, own):
-        # on the finest rung the sups come from the arrays nonlinear has
-        # formed (the transport term stacks Lambda B_x as a third row); a
-        # state on a coarser rung takes one stacked transform onto the
-        # finest nodes
+    @pytest.mark.parametrize("kind", ["full", "transport"])
+    def test_sups_reuse_the_nonlinear_transforms(self, monkeypatch, kind):
+        # a state on the finest rung takes one stack, rows[:4] (full) or
+        # rows[:3] (transport), for its nonlinear term and its sups; a state
+        # on a coarser rung calls nonlinear and takes rows[1:4] or rows[1:3]
+        # onto the finest nodes; every nonlinear call transforms rows[:4] or
+        # rows[:2] once
         g = GridSpec(np.pi, 64)
         p = ModelParams(kind=kind, mu=1.0, alpha=1.5)
         ops = _ops(g, p)
-        calls = {"to_phys": 0, "nonlinear": 0}
+        nl_rows, fine_rows = (4, 4) if kind == "full" else (2, 3)
+        B0 = small_datum(g, amp=1.0)
+        nonlinear_calls = []
+        nonlinear = solver._Ops.nonlinear
 
-        def counted(name, fn):
-            def wrapper(*args, **kw):
-                calls[name] += 1
-                return fn(*args, **kw)
-            return wrapper
+        def counted(self, c, tau=0.0):
+            nonlinear_calls.append(self.grid.n_modes)
+            return nonlinear(self, c, tau)
 
         with monkeypatch.context() as m:
-            m.setattr(GridSpec, "to_phys", counted("to_phys", GridSpec.to_phys))
-            m.setattr(solver._Ops, "nonlinear", counted("nonlinear", solver._Ops.nonlinear))
-            run = evolve(small_datum(g, amp=1.0), p, StepperConfig(t_end=1.0, snapshot_cadence=1))
+            calls = record_to_phys(m)
+            m.setattr(solver._Ops, "nonlinear", counted)
+            run = evolve(B0, p, StepperConfig(t_end=1.0, snapshot_cadence=1))
         states = len(run.step_times)
         assert states > 10
         # rungs only go up, so the last state is on N when the last step was
-        assert run.diagnostics["n_modes"][-1] == g.n_modes
-        coarse = int(np.sum(run.diagnostics["n_modes"] < g.n_modes))
-        assert coarse > 0
-        assert calls["to_phys"] == per_nonlinear * calls["nonlinear"] + own * states + coarse
+        rungs = run.diagnostics["n_modes"]
+        assert rungs[-1] == g.n_modes
+        assert np.any(rungs < g.n_modes)
+
+        expected, expected_nl = [], []
+        for n, rung in enumerate([*rungs, g.n_modes]):
+            if rung == g.n_modes:
+                expected.append((rung, fine_rows))
+            else:
+                expected += [(rung, nl_rows), (g.n_modes, fine_rows - 1)]
+                expected_nl.append(rung)
+            if n < len(rungs):  # the step's three later stages
+                expected += 3 * [(rung, nl_rows)]
+                expected_nl += 3 * [rung]
+        assert calls == expected
+        assert nonlinear_calls == expected_nl
 
         diag = run.diagnostics
         for n, c in enumerate(run.coefs[: states - 1]):
             sup_lb = np.max(np.abs(g.to_phys(ops.absxi * c)))
-            sup_lbx = np.max(np.abs(g.to_phys(ops.lam_dx * c)))
+            sup_lbx = np.max(np.abs(g.to_phys(ops.rows[2] * c)))
             assert diag["sup_lam_b"][n] == sup_lb and diag["sup_lam_bx"][n] == sup_lbx
             if kind == "full" and n < states - 2:  # the last step is cut to t_end
                 sup_b = np.max(np.abs(g.to_phys(c)))
@@ -515,7 +566,7 @@ class TestDispersiveBound:
         cfg = StepperConfig(scheme=scheme, t_end=0.05, snapshot_cadence=10**9)
         run = evolve(make_reference_datum(g).B0, p, cfg)
         assert run.termination == "t_end"
-        sup = np.max(np.abs(g.to_phys(_ops(g, p).lam_dx * run.final.coef)))
+        sup = np.max(np.abs(g.to_phys(_ops(g, p).rows[2] * run.final.coef)))
         ref = self.FIXED_DT_SUP_LAMBDA_BX[alpha]
         assert abs(sup - ref) <= 1e-10 * ref
 
@@ -555,7 +606,7 @@ class TestGridLadder:
         steps = len(rungs)
         for n in range(steps):
             assert run.diagnostics["sup_lam_b"][n] == np.max(np.abs(g.to_phys(run.lam_b[n])))
-            assert run.diagnostics["sup_lam_bx"][n] == np.max(np.abs(g.to_phys(ops.lam_dx * run.coefs[n])))
+            assert run.diagnostics["sup_lam_bx"][n] == np.max(np.abs(g.to_phys(ops.rows[2] * run.coefs[n])))
         d = run.diagnostics
         bound = 0.5 * np.minimum(g.dx / d["sup_lam_b"], 1.0 / d["sup_lam_bx"])
         assert np.array_equal(d["dt"], np.minimum(bound, 1e3))  # the cap is 1e6 dt_init
