@@ -195,7 +195,8 @@ class RunConfig:
         bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
         if bad:
             raise ConfigError(f"datum file holds {bad} non-finite values")
-        return SpectralField.from_phys(grid, arr)
+        # the file is ascending in x from -L; phys follows grid.nodes
+        return SpectralField.from_phys(grid, np.fft.ifftshift(arr))
 
 
 @functools.cache
@@ -225,10 +226,12 @@ def _write_manifest(out: Path, cfg: RunConfig, extra: dict) -> None:
 
 
 def _write_snapshots(out: Path, run) -> None:
-    """Raw little-endian float64 frames plus a JSON sidecar with the index."""
+    """Raw little-endian float64 frames, each ascending in x from -L, plus a
+    JSON sidecar with the index."""
     with (out / "snapshots.bin").open("wb") as fh:
-        for c in run.coefs:  # one frame at a time: no (n, N) physical array
-            run.grid.to_phys(c).astype("<f8").tofile(fh)
+        for i in range(0, len(run.coefs), 32):  # 32 frames a transform: no (n, N) array
+            frames = np.fft.fftshift(run.grid.to_phys(run.coefs[i : i + 32]), axes=-1)
+            frames.astype("<f8", copy=False).tofile(fh)
     sidecar = {
         "dtype": "<f8",
         "shape": [len(run.times), run.grid.n_modes],

@@ -11,12 +11,13 @@ dealiased (2/3 rule) and the term is re-projected onto the zero-mean gauge
 each evaluation.  The diagonal linear part mu |xi|^alpha is propagated
 exactly, either by an integrating factor wrapped around classical RK4
 (default) or by ETDRK4; both are exact when the nonlinearity vanishes.
-The ETDRK4 coefficients at z = -dt mu |xi|^alpha are rebuilt whenever dt
-changes, so on every adaptive step.  mu |xi_k|^alpha grows with k on the
-stored half, so one index splits z: the Cox-Matthews closed forms (Cox &
-Matthews 2002, J. Comput. Phys. 176:430) are evaluated only where |z| >= 1,
-and below that one Horner series of phi_3 gives phi_2 and phi_1 by
-phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products: an array
+Each scheme's factors at z = -dt mu |xi|^alpha (IF-RK4's exponentials, the
+ETDRK4 coefficients) are rebuilt whenever dt changes, so on every adaptive
+step, and once in a fixed-dt run.  mu |xi_k|^alpha grows with k on the
+stored half, so in the ETDRK4 build one index splits z: the Cox-Matthews
+closed forms (Cox & Matthews 2002, J. Comput. Phys. 176:430) are evaluated
+only where |z| >= 1, and below that one Horner series of phi_3 gives phi_2
+and phi_1 by phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products: an array
 ``**3`` goes through libm ``pow`` and cost more than the rest of the build.
 
 Adaptive stepping enforces the advective CFL dt <= cfl * dx / max|Lambda B|
@@ -105,7 +106,7 @@ class StepperConfig:
 
 class _Ops:
     """Multiplier tables of one (grid, params), built once by ``_ops``; read-only
-    apart from the slot that keeps the last ETDRK4 coefficients."""
+    apart from the two slots that keep each scheme's factors for the last dt."""
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
@@ -121,20 +122,26 @@ class _Ops:
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
         for a in (self.absxi, self.rows, self.lin):
             a.flags.writeable = False
-        self._etdrk4 = (math.nan, ())  # (dt, coefficients) of the last build
+        # (dt, arrays) of each scheme's last build
+        self._etdrk4 = self._ifrk4 = (math.nan, ())
+
+    def _per_dt(self, slot: str, build: Callable, dt: float) -> tuple:
+        """``build(lin, dt)``, rebuilt only when dt changes, so a fixed-dt
+        run builds it once.  The (dt, arrays) pair is replaced whole, so
+        threads sharing the table never pair one dt with another's arrays."""
+        last = getattr(self, slot)
+        if last[0] != dt:
+            last = (dt, build(self.lin, dt))
+            for a in last[1]:
+                a.flags.writeable = False
+            setattr(self, slot, last)
+        return last[1]
 
     def etdrk4_coeffs(self, dt: float) -> tuple:
-        """``_etdrk4_coeffs(lin, dt)``, rebuilt only when dt changes, so a
-        fixed-dt run builds them once.  The (dt, coefficients) pair is
-        replaced whole, so threads sharing the table never pair one dt
-        with another's coefficients."""
-        last = self._etdrk4
-        if last[0] != dt:
-            coeffs = _etdrk4_coeffs(self.lin, dt)
-            for a in coeffs:
-                a.flags.writeable = False
-            last = self._etdrk4 = (dt, coeffs)
-        return last[1]
+        return self._per_dt("_etdrk4", _etdrk4_coeffs, dt)
+
+    def ifrk4_factors(self, dt: float) -> tuple:
+        return self._per_dt("_ifrk4", _ifrk4_factors, dt)
 
     def form(self, phys: np.ndarray) -> np.ndarray:
         """The model's quadratic term, dealiased and mean-free, from the
@@ -279,12 +286,15 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     return e_half, e_full, q, f1, f2, f3
 
 
+def _ifrk4_factors(lin: np.ndarray, dt: float):
+    """The integrating factors exp(-dt lin / 2) and exp(-dt lin)."""
+    return np.exp(-0.5 * dt * lin), np.exp(-dt * lin)
+
+
 # A stepper advances c_t = nl(c, tau) - ops.lin * c by dt from k1 = nl(c, 0);
 # nl receives the stage's fraction tau of the step (0, 1/2, 1/2, 1).
 def _step_ifrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray):
-    lin = ops.lin
-    e_full = np.exp(-dt * lin)
-    e_half = np.exp(-0.5 * dt * lin)
+    e_half, e_full = ops.ifrk4_factors(dt)
     k2 = nl(e_half * (c + 0.5 * dt * k1), 0.5)
     k3 = nl(e_half * c + 0.5 * dt * k2, 0.5)
     k4 = nl(e_full * c + dt * e_half * k3, 1.0)

@@ -1,23 +1,26 @@
 """Periodic pseudospectral fields and Fourier-multiplier operators.
 
-Fields live on the torus [-L, L) sampled at N equispaced nodes.  A field is
-stored both as physical samples and as Fourier coefficients with the
+Fields live on the torus [-L, L) sampled at N equispaced nodes, held in
+FFT order 0, dx, ..., L - dx, -L, ..., -dx (``GridSpec.nodes``).  A field
+is stored both as physical samples and as Fourier coefficients with the
 convention
 
     coef_k = (1/N) * sum_j phys_j * exp(-i xi_k x_j),    xi_k = pi k / L,
 
-so that ``eval_trig`` is a plain trigonometric sum.  Every field is real,
-so its coefficients are Hermitian, coef_(-k) = conj(coef_k), and only the
+so that ``eval_trig`` is a plain trigonometric sum.  Every field is real, so
+its coefficients are Hermitian, coef_(-k) = conj(coef_k), and only the
 non-negative half k = 0, 1, ..., N/2 is stored: a ``coef`` array has N/2 + 1
-entries, and the transforms are real FFTs.  The Nyquist entry k = N/2 keeps
-its FFT-order wavenumber -pi N / (2L), so every multiplier has the value it
-has in the full FFT-ordered spectrum.  Sums over the full spectrum become
-sums over the half with weights (1, 2, ..., 2, 1): ``GridSpec.norm2`` and
-``GridSpec.inner`` are the Plancherel pair, and ``GridSpec.sobolev_norm2``
-is every squared H^s norm.  All nonlocal operators
-(Hilbert transform, fractional Laplacian, Riesz potential) are exact diagonal
-multipliers in this basis.  The Hilbert transform uses m(xi) = -i sgn(xi),
-the unique sign choice for which Lambda = H d/dx holds with Lambda = |xi|.
+entries.  Node j sits at j dx mod 2L, so the transforms are numpy's real
+FFTs with ``norm="forward"``, and nothing more.  The Nyquist entry k = N/2
+keeps its FFT-order wavenumber -pi N / (2L), so every multiplier has the
+value it has in the full FFT-ordered spectrum.  Sums over the full spectrum
+become sums over the half with weights (1, 2, ..., 2, 1): ``GridSpec.norm2``
+and ``GridSpec.inner`` are the Plancherel pair, and
+``GridSpec.sobolev_norm2`` is every squared H^s norm.  All nonlocal
+operators (Hilbert transform, fractional Laplacian, Riesz potential) are
+exact diagonal multipliers in this basis.  The Hilbert transform uses
+m(xi) = -i sgn(xi), the unique sign choice for which Lambda = H d/dx holds
+with Lambda = |xi|.
 
 ``eval_trig`` is the one off-grid sum.  It splits each mode index as
 k = a B + b, with B a power of two near sqrt(N/2) fixed by the grid, so its
@@ -66,9 +69,10 @@ class GridSpec:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        """Sample points x_j = -L + 2 L j / N."""
+        """Sample points -L + 2 L j / N in FFT order (``np.fft.ifftshift``):
+        0, dx, ..., L - dx, -L, ..., -dx.  ``phys`` is sampled here."""
         L, N = self.half_length, self.n_modes
-        x = -L + 2.0 * L * np.arange(N) / N
+        x = np.fft.ifftshift(-L + 2.0 * L * np.arange(N) / N)
         x.flags.writeable = False
         return x
 
@@ -88,24 +92,6 @@ class GridSpec:
         xi = np.pi * self.mode_index / self.half_length
         xi.flags.writeable = False
         return xi
-
-    @cached_property
-    def _coef_scale(self) -> np.ndarray:
-        # exp(i xi_k L) = (-1)^k relates numpy's x0=0 FFT convention to the
-        # x0=-L origin of this grid.  Each transform applies phase and scale
-        # in one multiply by a real table, far cheaper than numpy's complex
-        # division: (-1)^k / N is +-fl(1/N), the factor that division by N
-        # applies, and N / (-1)^k is exact, so the values are those of a
-        # division by N and a multiply by the phase.
-        s = (-1.0) ** self.mode_index / self.n_modes
-        s.flags.writeable = False
-        return s
-
-    @cached_property
-    def _phys_scale(self) -> np.ndarray:
-        s = self.n_modes / (-1.0) ** self.mode_index
-        s.flags.writeable = False
-        return s
 
     @cached_property
     def _pair_weight(self) -> np.ndarray:
@@ -140,20 +126,18 @@ class GridSpec:
         return float(np.max(np.abs(self.wavenumbers) * self.dealias_mask))
 
     def to_coef(self, phys: np.ndarray) -> np.ndarray:
-        """Coefficients k = 0..N/2 of real samples along the last axis."""
-        coef = np.fft.rfft(phys)
-        coef *= self._coef_scale
-        return coef
+        """Coefficients k = 0..N/2 of real samples at ``nodes``, last axis."""
+        return np.fft.rfft(phys, norm="forward")
 
     def to_phys(self, coef: np.ndarray) -> np.ndarray:
-        """Real samples of coefficients k = 0..N/2 along the last axis.
+        """Real samples at ``nodes`` of coefficients k = 0..N/2, last axis.
 
         Of the mean and Nyquist entries only the real parts are read: at the
         nodes, that is all a real field carries.  A shorter row is read as
         zero-padded, so the coefficients of a coarser grid whose Nyquist
         entry is 0 give that field's values at these nodes.
         """
-        return np.fft.irfft(coef * self._phys_scale[: coef.shape[-1]], n=self.n_modes)
+        return np.fft.irfft(coef, n=self.n_modes, norm="forward")
 
     def norm2(self, coef: np.ndarray, weight: "float | np.ndarray" = 1.0) -> np.ndarray:
         """Weighted squared L2 norm 2L sum_k weight_k |coef_k|^2 over the
@@ -178,7 +162,9 @@ class SpectralField:
 
     Construct via :meth:`from_phys`, :meth:`from_coef`, or
     :meth:`from_function`; the two representations are kept consistent by
-    construction and the arrays are read-only.
+    construction and the arrays are read-only.  ``phys`` holds the values at
+    ``grid.nodes``, in their FFT order, so samples passed to
+    :meth:`from_phys` must be taken there.
     """
 
     grid: GridSpec

@@ -21,7 +21,8 @@ from emhd1d.cli import (
     main,
     parse_config_text,
 )
-from emhd1d.spectral import GridSpec, SpectralField, derivative, frac_laplacian
+from emhd1d.solver import evolve
+from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
 
 RUN_CFG = """
 # small smooth run
@@ -175,6 +176,45 @@ class TestCommands:
         sidecar = json.loads((out / "snapshots.json").read_text())
         data = np.fromfile(out / "snapshots.bin", dtype="<f8").reshape(sidecar["shape"])
         assert data.shape[1] == 128
+
+    def test_snapshot_frames_ascend_from_minus_l(self, tmp_path):
+        # whatever order phys is held in, a frame on disk runs over
+        # x = -L + 2 L j / N in ascending order
+        p = write_cfg(
+            tmp_path,
+            "grid.L = 6\ngrid.N = 256\ndatum.kind = gaussian_packet\nstepper.adaptive = false\n"
+            "stepper.t_end = 0.04\noutputs.snapshot_cadence = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        data = np.fromfile(out / "snapshots.bin", dtype="<f8").reshape(-1, 256)
+        x = -6.0 + 12.0 * np.arange(256) / 256
+        assert np.max(np.abs(data[0] - np.exp(-(x**2)) * np.sin(3.0 * x))) <= 1e-12
+        # 41 frames, written in blocks, are each frame's own transform
+        cfg = RunConfig.from_file(p)
+        run = evolve(cfg.datum(cfg.grid()), cfg.model(), cfg.stepper())
+        assert data.shape[0] == len(run.coefs) == 41
+        assert np.array_equal(data, [np.fft.fftshift(run.grid.to_phys(c)) for c in run.coefs])
+
+    def test_datum_file_round_trips_in_ascending_order(self, tmp_path):
+        # a datum file ascending in x from -L is the field's values there,
+        # and frame 0 writes them back in that order; a field of period 2L
+        # but not L, so that a half-period shift cannot pass
+        x = -np.pi + 2.0 * np.pi * np.arange(128) / 128
+        arr = 0.05 * (np.sin(x) + 0.5 * np.cos(2.0 * x))
+        raw = tmp_path / "datum.bin"
+        arr.astype("<f8").tofile(raw)
+        p = write_cfg(
+            tmp_path,
+            "grid.L = 3.141592653589793\ngrid.N = 128\nstepper.t_end = 0.01\n"
+            f"datum.kind = from_file\ndatum.path = {raw}\n",
+        )
+        cfg = RunConfig.from_file(p)
+        assert np.max(np.abs(evaluate_at(cfg.datum(cfg.grid()), x) - arr)) <= 1e-13
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        frame0 = np.fromfile(out / "snapshots.bin", dtype="<f8", count=128)
+        assert np.max(np.abs(frame0 - arr)) <= 1e-13
 
     def test_run_deterministic(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -415,7 +455,7 @@ class TestCommands:
         final = np.fromfile(out / "snapshots.bin", dtype="<f8").reshape(sidecar["shape"])[-1]
         assert sidecar["times"][-1] == pytest.approx(0.05, abs=1e-14)
         grid = GridSpec(6.0, 1024)
-        f = SpectralField.from_phys(grid, final)
+        f = SpectralField.from_phys(grid, np.fft.ifftshift(final))  # frames ascend from -L
         sup = np.max(np.abs(frac_laplacian(derivative(f), 1.0).phys))
         # the same config with stepper.adaptive = false, dt_init = 1e-5 (5000 steps)
         fixed_dt_sup = 2.5042552747401463

@@ -12,12 +12,14 @@ from emhd1d import solver
 from emhd1d.solver import (
     ModelParams,
     _etdrk4_coeffs,
+    _ifrk4_factors,
     _ops,
     PicardResult,
     StepperConfig,
     evolve,
     picard_solve,
     rhs,
+    scaling_symmetry_mismatch,
     step,
 )
 from emhd1d.spectral import GridSpec, SpectralField, remove_mean, sobolev_weight
@@ -264,6 +266,35 @@ class TestETDRK4Coeffs:
             assert np.all(np.diff(lin) >= 0.0)
 
 
+def assert_threads_get_their_own_dt(method, build):
+    """Threads sharing one table must never be handed the arrays that
+    ``_Ops.<method>`` built for another thread's dt."""
+    ops = _ops(GridSpec(np.pi, 8), ModelParams(kind="full", mu=1.0, alpha=2.0))
+    get = getattr(ops, method)
+    dts = [1e-3, 2e-3, 5e-4, 3e-3]
+    refs = {dt: build(ops.lin, dt) for dt in dts}
+    wrong = []
+
+    def worker(first):
+        for i in range(2000):
+            dt = dts[(first + i // 3) % len(dts)]
+            if not all(np.array_equal(a, b) for a, b in zip(get(dt), refs[dt])):
+                wrong.append(dt)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(dts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 class TestETDRK4CoefficientReuse:
     """Fixed-dt ETDRK4 builds its coefficients once per distinct dt."""
 
@@ -313,31 +344,7 @@ class TestETDRK4CoefficientReuse:
         assert builds == [1e-3]
 
     def test_threads_sharing_a_table_get_their_own_dt(self):
-        # threads sharing the table must never be handed the coefficients
-        # built for another thread's dt
-        ops = _ops(GridSpec(np.pi, 8), ModelParams(kind="full", mu=1.0, alpha=2.0))
-        dts = [1e-3, 2e-3, 5e-4, 3e-3]
-        refs = {dt: _etdrk4_coeffs(ops.lin, dt) for dt in dts}
-        wrong = []
-
-        def worker(first):
-            for i in range(2000):
-                dt = dts[(first + i // 3) % len(dts)]
-                if not all(np.array_equal(a, b) for a, b in zip(ops.etdrk4_coeffs(dt), refs[dt])):
-                    wrong.append(dt)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(dts))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
+        assert_threads_get_their_own_dt("etdrk4_coeffs", _etdrk4_coeffs)
 
     def test_adaptive_run_rebuilds_when_dt_changes(self, grid, monkeypatch):
         builds = self.count_builds(monkeypatch)
@@ -350,6 +357,79 @@ class TestETDRK4CoefficientReuse:
         coeffs = _ops(grid, p).etdrk4_coeffs(builds[-1])
         with pytest.raises(ValueError):
             coeffs[2][0] = 0.0
+
+
+class TestIFRK4FactorReuse:
+    """IF-RK4 builds its exponentials once per distinct dt, and they are the
+    ones it computed on every step before, bit for bit."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        _ops.cache_clear()  # no table may hold factors from an earlier test
+        seen = []
+
+        def counting(lin, dt):
+            seen.append(dt)
+            return _ifrk4_factors(lin, dt)
+
+        monkeypatch.setattr(solver, "_ifrk4_factors", counting)
+        return seen
+
+    @staticmethod
+    def rebuilt_every_step(monkeypatch):
+        monkeypatch.setattr(
+            solver._Ops, "ifrk4_factors", lambda self, dt: (np.exp(-0.5 * dt * self.lin), np.exp(-dt * self.lin))
+        )
+
+    def test_evolve_builds_once_per_dt_and_fields_are_unchanged(self, grid, monkeypatch):
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.05, adaptive=False)
+        with monkeypatch.context() as m:
+            self.rebuilt_every_step(m)
+            ref = evolve(small_datum(grid), p, cfg)
+        builds = self.count_builds(monkeypatch)
+        run = evolve(small_datum(grid), p, cfg)
+        assert len(run.step_times) == 51
+        assert sorted(builds) == sorted(set(run.diagnostics["dt"]))
+        assert len(builds) <= 2  # dt_init, and perhaps a last step cut to t_end
+        assert np.array_equal(run.coefs, ref.coefs)
+
+    def test_picard_step_and_symmetry_build_once_per_grid(self, grid, monkeypatch):
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False)
+        with monkeypatch.context() as m:
+            self.rebuilt_every_step(m)
+            ref = picard_solve(small_datum(grid), p, cfg)
+            ref_sym = scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, "ifrk4")
+        builds = self.count_builds(monkeypatch)
+        res = picard_solve(small_datum(grid), p, cfg)
+        assert builds == [1e-3]
+        assert res.gap_history == ref.gap_history
+        assert np.array_equal(res.series.final.coef, ref.series.final.coef)
+        B = small_datum(grid)
+        for _ in range(5):
+            B, _ = step(B, 0.0, 1e-3, p, cfg)
+        assert builds == [1e-3]
+        # two grids, one dt each, and perhaps a last step cut to t_end on each
+        del builds[:]
+        assert scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, "ifrk4") == ref_sym
+        assert 2 <= len(builds) <= 4 and len(set(builds)) == len(builds)
+
+    def test_threads_sharing_a_table_get_their_own_dt(self):
+        assert_threads_get_their_own_dt("ifrk4_factors", _ifrk4_factors)
+
+    def test_adaptive_run_rebuilds_when_dt_changes(self, grid, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
+        cfg = StepperConfig(dt_init=1e-2, t_end=0.05)
+        run = evolve(small_datum(grid, amp=1.0), p, cfg)
+        # a build on each step whose dt or ladder rung (so table) is new
+        key = list(zip(run.diagnostics["dt"], run.diagnostics["n_modes"]))
+        assert builds == [dt for n, (dt, _) in enumerate(key) if n == 0 or key[n] != key[n - 1]]
+        assert len(builds) > 5
+        e_half, e_full = _ops(grid, p).ifrk4_factors(builds[-1])
+        with pytest.raises(ValueError):
+            e_full[0] = 0.0
 
 
 class TestStepperConfig:

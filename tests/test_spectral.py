@@ -24,10 +24,21 @@ def grid():
 
 
 class TestGridSpec:
-    def test_nodes_span_half_open_interval(self, grid):
-        assert grid.nodes[0] == -np.pi
-        assert grid.nodes[-1] < np.pi
-        assert np.allclose(np.diff(grid.nodes), grid.dx)
+    def test_nodes_span_half_open_interval(self):
+        # FFT order: 0, dx, ..., L - dx, then -L, ..., -dx; sorted, they are
+        # the ascending nodes -L + 2 L j / N, the same floats
+        for L, N in [(np.pi, 128), (6.0, 4096), (1.0, 10), (0.7, 98)]:
+            g = GridSpec(L, N)
+            x, j, h = g.nodes, np.arange(N), N // 2
+            ascending = -L + 2.0 * L * j / N
+            assert x[0] == 0.0 and x[h] == -L
+            assert np.array_equal(np.sort(x), ascending)
+            assert np.array_equal(x, np.fft.ifftshift(ascending))
+            assert np.all((-L <= x) & (x < L))
+            # j dx and j dx - 2L, up to the roundoff of -L + 2 L j / N, whose
+            # sum cancels down from magnitude 2L
+            assert np.max(np.abs(x[:h] - j[:h] * g.dx)) <= np.spacing(2.0 * L)
+            assert np.max(np.abs(x[h:] - (j[h:] * g.dx - 2.0 * L))) <= np.spacing(2.0 * L)
 
     def test_wavenumbers_integer_on_pi_torus(self, grid):
         # the stored half 0..63 and the Nyquist entry at its FFT-order -64
@@ -82,8 +93,7 @@ class TestGridSpec:
         assert np.allclose(grid.to_phys(grid.to_coef(phys)), phys, atol=1e-13)
 
     def test_single_cosine_coefficients(self, grid):
-        # cos(3x) should put 1/2 at mode 3 (and so at -3) regardless of the
-        # x0 = -L origin
+        # cos(3x) should put 1/2 at mode 3 (and so at -3)
         c = grid.to_coef(np.cos(3.0 * grid.nodes))
         assert c.shape == (grid.n_modes // 2 + 1,)
         assert abs(c[3] - 0.5) < 1e-13
@@ -230,10 +240,6 @@ class TestEvaluateAt:
         assert np.allclose(stacked[1], np.cos(x), atol=1e-12)
 
 
-def full_phase(grid):
-    return (-1.0) ** np.fft.fftfreq(grid.n_modes, d=1.0 / grid.n_modes)
-
-
 def full_wavenumbers(grid):
     return np.pi * np.fft.fftfreq(grid.n_modes, d=1.0 / grid.n_modes) / grid.half_length
 
@@ -246,12 +252,32 @@ def full_spectrum(grid, half):
 
 
 def complex_to_coef(grid, phys):
-    """The complex-FFT transform the real one replaced, kept as a reference."""
-    return np.fft.fft(phys) / grid.n_modes * full_phase(grid)
+    """The complex-FFT transform the real one replaced, kept as a reference;
+    ``phys`` follows ``grid.nodes``, whose node 0 is x = 0."""
+    return np.fft.fft(phys) / grid.n_modes
 
 
 def complex_to_phys(grid, coef):
-    return np.real(np.fft.ifft(coef / full_phase(grid) * grid.n_modes))
+    return np.real(np.fft.ifft(coef * grid.n_modes))
+
+
+def phase_table_to_coef(grid, ascending):
+    """The transforms before FFT node order, kept as a reference: samples
+    ascending from x = -L, and the phase exp(i xi_k L) = (-1)^k with the
+    scale 1/N applied by one real table."""
+    coef = np.fft.rfft(ascending)
+    coef *= (-1.0) ** grid.mode_index / grid.n_modes
+    return coef
+
+
+def phase_table_to_phys(grid, coef):
+    """Inverse of ``phase_table_to_coef``: ascending samples from x = -L."""
+    return np.fft.irfft(coef * (grid.n_modes / (-1.0) ** grid.mode_index), n=grid.n_modes)
+
+
+def direct_dft(grid, phys):
+    """coef_k = (1/N) sum_j phys_j exp(-i xi_k x_j) over ``grid.nodes``."""
+    return np.exp(-1j * np.outer(grid.wavenumbers, grid.nodes)) @ phys / grid.n_modes
 
 
 def full_sum_eval_trig(grid, coef, x):
@@ -308,6 +334,42 @@ class TestRealTransforms:
                 ref_phys = complex_to_phys(grid, full_spectrum(grid, coef))
                 got = grid.to_phys(coef)
                 assert np.max(np.abs(got - ref_phys)) <= 1e-13 * np.max(np.abs(ref_phys))
+
+    def test_matches_phase_table_reference(self, case):
+        # on N = 2^m the transforms of the two sample orders differ by
+        # exactly (-1)^k, and N and 1/N are exact, so the results are the
+        # phase-table ones bit for bit
+        grid, rng, samples = case
+        n = grid.n_modes
+        bitwise = n & (n - 1) == 0
+        for asc in samples:
+            c = grid.to_coef(np.fft.ifftshift(asc))
+            ref = phase_table_to_coef(grid, asc)
+            coef = rng.standard_normal(ref.shape) + 1j * rng.standard_normal(ref.shape)
+            phys = np.fft.fftshift(grid.to_phys(coef))
+            ref_phys = phase_table_to_phys(grid, coef)
+            if bitwise:
+                assert np.array_equal(c, ref)
+                assert np.array_equal(phys, ref_phys)
+            else:
+                assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert np.max(np.abs(phys - ref_phys)) <= 1e-14 * np.max(np.abs(ref_phys))
+
+    @pytest.mark.parametrize("n", [n for n in SIZES if n <= 1024])  # the direct sums are O(N^2)
+    def test_matches_direct_dft_over_nodes(self, n):
+        rng = np.random.default_rng(n)
+        grid = GridSpec(float(rng.uniform(0.5, 8.0)), n)
+        for phys in rng.standard_normal((3, n)):
+            c = grid.to_coef(phys)
+            # relative to max|phys|, which bounds every |coef_k|: the phases
+            # xi_k x_j reach pi N / 2, so the direct sum itself carries
+            # roundoff of about N eps times its terms
+            assert np.max(np.abs(c - direct_dft(grid, phys))) <= 1e-13 * np.max(np.abs(phys))
+            # and back: the trigonometric sum of c at every node, relative to
+            # the sum of its terms' sizes, as for eval_trig
+            terms = grid._pair_weight * c
+            back = np.real(terms @ np.exp(1j * np.outer(grid.wavenumbers, grid.nodes)))
+            assert np.max(np.abs(grid.to_phys(c) - back)) <= 1e-13 * np.sum(np.abs(terms))
 
     def test_plancherel(self, case):
         grid, rng, samples = case
