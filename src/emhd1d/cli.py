@@ -24,6 +24,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -225,6 +226,20 @@ def _write_manifest(out: Path, cfg: RunConfig, extra: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+class _PhaseClock:
+    """Wall seconds of a command's phases, each timed from the end of the
+    one before; ``wall`` holds only the phases that have finished."""
+
+    def __init__(self) -> None:
+        self.wall: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def done(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.wall[phase] = now - self._last
+        self._last = now
+
+
 def _write_snapshots(out: Path, run) -> None:
     """Raw little-endian float64 frames, each ascending in x from -L, plus a
     JSON sidecar with the index."""
@@ -244,8 +259,10 @@ def _write_snapshots(out: Path, run) -> None:
 def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     grid = cfg.grid()
     B0 = cfg.datum(grid, seed)
+    clock = _PhaseClock()
     run = evolve(B0, cfg.model(), cfg.stepper())
-    record = {"termination": run.termination, "steps": len(run.step_times) - 1}
+    clock.done("evolve")
+    record = {"termination": run.termination, "steps": len(run.step_times) - 1, "wall_s": clock.wall}
     # a run that seeks a blowup may end at its threshold or when dt collapses
     finished = ("t_end",)
     if math.isfinite(run.config.blowup_threshold):
@@ -264,7 +281,9 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
             for i in range(len(ns.s_list)):
                 row += [f"{ns.hs[i, j]:.17g}", f"{ns.hs_diss[i, j]:.17g}", f"{ns.budget[i, j]:.17g}"]
             w.writerow(row)
+    clock.done("diagnostics")
     _write_snapshots(out, run)
+    clock.done("snapshots")
     return EXIT_OK, record
 
 
@@ -277,11 +296,17 @@ def _rungs(run) -> list[list[int]]:
 
 def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     """Riccati blowup harness with the reference configuration forced."""
+    clock = _PhaseClock()
     run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
-    record = {"termination": run.termination, "steps": len(run.step_times) - 1, "ladder": _rungs(run)}
+    clock.done("evolve")
+    record = {
+        "termination": run.termination, "steps": len(run.step_times) - 1, "ladder": _rungs(run),
+        "wall_s": clock.wall,
+    }
     if run.termination == "non_finite":
         return EXIT_NUMERICAL, record
     traj = advect_trajectory(run, datum.x0)
+    clock.done("trajectory")
     w0 = datum.w0
     try:
         t_est, slope, resid = measure_blowup_time(traj, w0)
@@ -310,6 +335,7 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         w.writerow(["t", "X", "bx", "bxx", "w", "inv_w"])
         for row in zip(traj.t, traj.X, traj.bx, traj.bxx, traj.w, 1.0 / traj.w):
             w.writerow([f"{v:.17g}" for v in row])
+    clock.done("report")
     record["report"] = report
     ok = (
         abs(slope + 1.0) <= 0.01
@@ -330,15 +356,16 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     """
     lam = cfg.symmetry_lam
     n_steps = max(1, int(round(cfg.stepper_t_end / cfg.stepper_dt_init)))
-    rel = scaling_symmetry_mismatch(
-        cfg.datum(cfg.grid()), cfg.model(), lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme
-    )
+    B = cfg.datum(cfg.grid())
+    clock = _PhaseClock()
+    rel = scaling_symmetry_mismatch(B, cfg.model(), lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme)
+    clock.done("evolve")  # both runs
     if not math.isfinite(rel):
-        return EXIT_NUMERICAL, {"termination": "non_finite"}
+        return EXIT_NUMERICAL, {"termination": "non_finite", "wall_s": clock.wall}
     (out / "symmetry.json").write_text(
         json.dumps({"lambda": lam, "alpha": cfg.model_alpha, "rel_l2_mismatch": rel}, indent=2) + "\n"
     )
-    return (EXIT_OK if rel <= 1e-6 else EXIT_TOLERANCE), {"rel_l2_mismatch": rel}
+    return (EXIT_OK if rel <= 1e-6 else EXIT_TOLERANCE), {"rel_l2_mismatch": rel, "wall_s": clock.wall}
 
 
 def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
@@ -346,9 +373,13 @@ def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     if cutoffs_for(grid).q_max < 1:
         raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
     sd = cfg.datum_seed if seed is None else seed
+    clock = _PhaseClock()
     b1, b2 = bernstein_check(grid, seed=sd)
+    clock.done("bernstein")
     c1, c2 = commutator_check(grid, seed=sd)
+    clock.done("commutator")
     lo, hi = norm_equivalence_ratio(grid, s=1.0, seed=sd)
+    clock.done("norm_equivalence")
     report = {
         "bernstein": [b1.as_dict(), b2.as_dict()],
         "commutator": [c1.as_dict(), c2.as_dict()],
@@ -356,7 +387,7 @@ def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     }
     (out / "lp_report.json").write_text(json.dumps(report, indent=2) + "\n")
     ok = b1.max_ratio <= 4.0 and b2.max_ratio <= 4.0 and 0.5 <= lo and hi <= 2.0
-    return (EXIT_OK if ok else EXIT_TOLERANCE), {"lp": report}
+    return (EXIT_OK if ok else EXIT_TOLERANCE), {"lp": report, "wall_s": clock.wall}
 
 
 def cmd_selftest(out: Path | None = None) -> int:

@@ -150,16 +150,14 @@ class _Ops:
         prod = phys[1] * phys[0]
         if self.params.kind == "full":
             prod = phys[3] * phys[2] - prod
+        return self.project(prod)
+
+    def project(self, prod: np.ndarray) -> np.ndarray:
+        """Coefficients of a quadratic product, dealiased and mean-free."""
         out = self.grid.to_coef(prod)
         out *= self.mask
         out[0] = 0.0
         return out
-
-    def full_form(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, from one
-        transform of the stack ``rows * (c, a, c, a)``; at a = c it is
-        -(B J_x - J B_x) with J = -Lambda B."""
-        return self.form(self.grid.to_phys(self.rows * np.stack((c, a, c, a))))
 
     def nonlinear(self, c: np.ndarray, tau: float = 0.0) -> np.ndarray:
         """Dealiased, mean-free quadratic term of the chosen model from one
@@ -295,10 +293,11 @@ def _ifrk4_factors(lin: np.ndarray, dt: float):
 # nl receives the stage's fraction tau of the step (0, 1/2, 1/2, 1).
 def _step_ifrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray):
     e_half, e_full = ops.ifrk4_factors(dt)
+    ec = e_full * c
     k2 = nl(e_half * (c + 0.5 * dt * k1), 0.5)
     k3 = nl(e_half * c + 0.5 * dt * k2, 0.5)
-    k4 = nl(e_full * c + dt * e_half * k3, 1.0)
-    return e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    k4 = nl(ec + dt * e_half * k3, 1.0)
+    return ec + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
 def _step_etdrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray):
@@ -330,11 +329,13 @@ def step(
     return SpectralField.from_coef(B.grid, c), dt
 
 
-def hermite(vals: np.ndarray, dots: np.ndarray, n: int, tau: float, dt: float) -> np.ndarray:
+def hermite(vals: np.ndarray, dots: np.ndarray, n: "int | np.ndarray", tau: float, dt: float) -> np.ndarray:
     """Cubic Hermite dense output at t_n + tau * dt from stored rows.
 
     ``vals[n]`` and ``dots[n]`` are a state and its time derivative at step
     boundary n; the step from n to n + 1 has length dt and 0 <= tau <= 1.
+    An index array ``n`` gives one row per index, each bitwise the row its
+    own index gives.
     """
     if tau == 0.0:
         return vals[n]
@@ -519,10 +520,14 @@ def picard_solve(
     Iterate k solves B_t + B^(k-1) J_x - J^(k-1) B_x + mu Lambda^alpha B = 0
     with coefficients frozen from iterate k-1 (B^(-1) = 0, so iterate 0 is
     the pure dissipation semigroup).  Stepping is fixed-dt with the
-    ``cfg.scheme`` stepper; coefficient fields at stage times come from cubic
-    Hermite interpolation of the stored (value, time-derivative) pairs of the
-    previous iterate.  Stops when the sup-in-time inhomogeneous H^s gap
-    between consecutive iterates, s = 3 - alpha, drops below 1e-10.
+    ``cfg.scheme`` stepper, whose stages sit at the 2m + 1 times t_n and
+    t_(n+1/2) of the m steps.  Before each iterate, the frozen fields
+    Lambda B^(k-1) and B^(k-1) at all of them come from one inverse
+    transform: at t_n the stored rows of the previous iterate, at t_(n+1/2)
+    their cubic Hermite interpolation from the stored (value,
+    time-derivative) pairs.  A stage then transforms only C_x and
+    Lambda C_x.  Stops when the sup-in-time inhomogeneous H^s gap between
+    consecutive iterates, s = 3 - alpha, drops below 1e-10.
     """
     if params.kind != "full" or params.mu <= 0:
         raise ValueError("picard_solve applies to the full model with mu > 0")
@@ -539,19 +544,32 @@ def picard_solve(
 
     prev_vals: np.ndarray | None = None  # (m+1, N/2+1) coefficient history
     prev_dots: np.ndarray | None = None
+    # (2m+1, 2, N): Lambda A and A of the previous iterate at t_0, t_(1/2),
+    # t_1, ..., t_m; None while the frozen term is zero
+    frozen: np.ndarray | None = None
     gaps: list[float] = []
     finals: list[np.ndarray] = []
     converged = False
     vals = np.empty((m + 1, grid.n_modes // 2 + 1), dtype=complex)
 
     def frozen_nl(c: np.ndarray, tau: float) -> np.ndarray:
-        """Nonlinearity linear in c, coefficients from the previous iterate
-        at t_n + tau * dt (n is the step the loop below is taking)."""
-        if prev_vals is None or not params.nonlinearity:
+        """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, with A the
+        previous iterate at t_n + tau * dt (n is the step the loop below is
+        taking); at A = C it is the full model's term."""
+        if frozen is None:
             return np.zeros_like(c)
-        return ops.full_form(hermite(prev_vals, prev_dots, n, tau, dt), c)
+        c_x, lam_c_x = grid.to_phys(ops.rows[0:3:2] * c)
+        lam_a, a = frozen[2 * n + int(2 * tau)]
+        return ops.project(a * lam_c_x - lam_a * c_x)
 
     for it in range(k_max + 1):
+        if prev_vals is not None and params.nonlinearity:
+            frozen = None  # freed before the next table is built
+            table = np.empty((2 * m + 1, vals.shape[1]), dtype=complex)
+            table[0::2] = prev_vals
+            table[1::2] = hermite(prev_vals, prev_dots, np.arange(m), 0.5, dt)
+            frozen = grid.to_phys(ops.rows[1:4:2] * table[:, None])
+            del table
         dots = np.empty_like(vals)
         c = c0.copy()
         for n in range(m + 1):

@@ -2,8 +2,8 @@
 
 Fields live on the torus [-L, L) sampled at N equispaced nodes, held in
 FFT order 0, dx, ..., L - dx, -L, ..., -dx (``GridSpec.nodes``).  A field
-is stored both as physical samples and as Fourier coefficients with the
-convention
+is held as Fourier coefficients (its physical samples are made when first
+read) with the convention
 
     coef_k = (1/N) * sum_j phys_j * exp(-i xi_k x_j),    xi_k = pi k / L,
 
@@ -158,36 +158,46 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Immutable real periodic field: physical samples plus coefficients.
+    """Immutable real periodic field: Fourier coefficients, and physical
+    samples on first read.
 
     Construct via :meth:`from_phys`, :meth:`from_coef`, or
-    :meth:`from_function`; the two representations are kept consistent by
-    construction and the arrays are read-only.  ``phys`` holds the values at
-    ``grid.nodes``, in their FFT order, so samples passed to
-    :meth:`from_phys` must be taken there.
+    :meth:`from_function`; the arrays are read-only.  ``phys`` holds the
+    values at ``grid.nodes``, in their FFT order, so samples passed to
+    :meth:`from_phys` must be taken there.  A field built from samples keeps
+    them as ``phys``; one built from coefficients transforms them only when
+    ``phys`` is first read, since most fields are only ever read through
+    ``coef``.
     """
 
     grid: GridSpec
-    phys: np.ndarray
     coef: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.phys.shape != (self.grid.n_modes,):
-            raise ValueError("phys has wrong shape for grid")
         if self.coef.shape != (self.grid.n_modes // 2 + 1,):
             raise ValueError("coef has wrong shape for grid")
-        self.phys.flags.writeable = False
         self.coef.flags.writeable = False
+
+    @cached_property
+    def phys(self) -> np.ndarray:
+        phys = self.grid.to_phys(self.coef)
+        phys.flags.writeable = False
+        return phys
 
     @classmethod
     def from_phys(cls, grid: GridSpec, phys: np.ndarray) -> "SpectralField":
         phys = np.ascontiguousarray(phys, dtype=float).copy()
-        return cls(grid, phys, grid.to_coef(phys))
+        # N + 1 samples would give N/2 + 1 coefficients and pass the coef check
+        if phys.shape != (grid.n_modes,):
+            raise ValueError("phys has wrong shape for grid")
+        f = cls(grid, grid.to_coef(phys))
+        phys.flags.writeable = False
+        object.__setattr__(f, "phys", phys)  # the cached_property's slot
+        return f
 
     @classmethod
     def from_coef(cls, grid: GridSpec, coef: np.ndarray) -> "SpectralField":
-        coef = np.ascontiguousarray(coef, dtype=complex).copy()
-        return cls(grid, grid.to_phys(coef), coef)
+        return cls(grid, np.ascontiguousarray(coef, dtype=complex).copy())
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn: Callable[[np.ndarray], np.ndarray]) -> "SpectralField":
@@ -195,7 +205,7 @@ class SpectralField:
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "SpectralField":
-        return cls(grid, np.zeros(grid.n_modes), np.zeros(grid.n_modes // 2 + 1, dtype=complex))
+        return cls(grid, np.zeros(grid.n_modes // 2 + 1, dtype=complex))
 
     @property
     def mean(self) -> float:

@@ -112,14 +112,24 @@ def test_criterion_3_operator_identities(capsys):
     assert elapsed < 10.0
 
 
-@pytest.mark.parametrize("alpha", [1.0, 2.0])
-def test_criterion_4_scaling_symmetry(alpha):
+@pytest.mark.parametrize(
+    "alpha, lam",
+    [
+        pytest.param(alpha, lam, id=f"{alpha}" if lam == 2.0 else f"{alpha}-lam{lam:g}")
+        for lam in (2.0, 3.0, 1.5)
+        for alpha in (1.0, 2.0)
+    ],
+)
+def test_criterion_4_scaling_symmetry(alpha, lam):
     # run A on the pi-grid to lam^alpha * 0.05, run B on the pi/lam-grid to
-    # 0.05, both in 50 fixed IF-RK4 steps
+    # 0.05, both in 50 fixed IF-RK4 steps; at lam = 2 every rescaling factor
+    # is a power of two and the runs agree bitwise, while lam = 3 and 1.5
+    # carry the symmetry through roundoff
     p = ModelParams(kind="full", mu=1.0, alpha=alpha)
-    rel = scaling_symmetry_mismatch(small_datum(GridSpec(np.pi, 256)), p, 2.0, 0.05, 50, "ifrk4")
+    rel = scaling_symmetry_mismatch(small_datum(GridSpec(np.pi, 256)), p, lam, 0.05, 50, "ifrk4")
     ok = rel <= 1e-6
-    _line(f"criterion-4 scaling-symmetry alpha={alpha:g}", ok, f"rel_l2={rel:.2e}")
+    name = f"alpha={alpha:g}" if lam == 2.0 else f"alpha={alpha:g} lam={lam:g}"
+    _line(f"criterion-4 scaling-symmetry {name}", ok, f"rel_l2={rel:.2e}")
     assert ok
 
 

@@ -280,16 +280,21 @@ class TestCommands:
         assert (out / "sweep_000" / "series.csv").is_file()
 
     def test_sweep_outputs_match_plain_runs(self, cfg_file, tmp_path):
-        # each sweep directory holds what a plain run of its config writes
+        # each sweep directory holds what a plain run of its config writes,
+        # byte for byte but for the manifest's wall times
         other = write_cfg(tmp_path, RUN_CFG.replace("model.alpha = 2.0", "model.alpha = 1.5"), "other.cfg")
         sweep = write_cfg(tmp_path, f"{cfg_file}\n{other}\n", "sweep.txt")
         assert main(["run", "--sweep", str(sweep), "--out", str(tmp_path / "sw")]) == EXIT_OK
         for i, p in enumerate((cfg_file, other)):
             plain = tmp_path / f"plain_{i}"
+            swept = tmp_path / "sw" / f"sweep_{i:03d}"
             assert main(["run", "--config", str(p), "--out", str(plain)]) == EXIT_OK
-            for name in ("series.csv", "snapshots.bin", "snapshots.json", "manifest.json"):
-                swept = tmp_path / "sw" / f"sweep_{i:03d}" / name
-                assert swept.read_bytes() == (plain / name).read_bytes(), (i, name)
+            for name in ("series.csv", "snapshots.bin", "snapshots.json"):
+                assert (swept / name).read_bytes() == (plain / name).read_bytes(), (i, name)
+            manifests = [json.loads((d / "manifest.json").read_text()) for d in (swept, plain)]
+            for m in manifests:
+                assert set(m.pop("wall_s")) == {"evolve", "diagnostics", "snapshots"}
+            assert manifests[0] == manifests[1], i
 
     def test_sweep_record_keeps_file_order(self, tmp_path):
         # listed against both the alphabetical and the reverse order
@@ -521,38 +526,54 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize(
-        "command, setup, code, termination, keys",
+        "command, setup, code, termination, keys, phases",
         [
-            ("run", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, "t_end", {"termination", "steps"}),
-            ("run", capped_at_three_steps, EXIT_NUMERICAL, "max_steps", {"termination", "steps"}),
-            ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}),
+            (
+                "run", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, "t_end", {"termination", "steps"},
+                ["evolve", "diagnostics", "snapshots"],
+            ),
+            ("run", capped_at_three_steps, EXIT_NUMERICAL, "max_steps", {"termination", "steps"}, ["evolve"]),
+            ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}, ["evolve"]),
             (
                 "blowup",
                 lambda tmp, mp: write_cfg(tmp, "grid.L = 6\ngrid.N = 2048\n"),
                 EXIT_OK,
                 "blowup_threshold",
                 {"termination", "steps", "ladder", "report"},
+                ["evolve", "trajectory", "report"],
             ),
-            ("blowup", fit_window_missed, EXIT_NUMERICAL, "fit_window", {"termination", "steps", "ladder"}),
-            ("symmetry", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, None, {"rel_l2_mismatch"}),
-            ("symmetry", overflowing, EXIT_NUMERICAL, "non_finite", {"termination"}),
-            ("lp", lambda tmp, mp: write_cfg(tmp, LP_CFG), EXIT_OK, None, {"lp"}),
+            (
+                "blowup", fit_window_missed, EXIT_NUMERICAL, "fit_window", {"termination", "steps", "ladder"},
+                ["evolve", "trajectory"],
+            ),
+            ("symmetry", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, None, {"rel_l2_mismatch"}, ["evolve"]),
+            ("symmetry", overflowing, EXIT_NUMERICAL, "non_finite", {"termination"}, ["evolve"]),
+            (
+                "lp", lambda tmp, mp: write_cfg(tmp, LP_CFG), EXIT_OK, None, {"lp"},
+                ["bernstein", "commutator", "norm_equivalence"],
+            ),
         ],
         ids=[
             "run-t_end", "run-max_steps", "run-non_finite", "blowup-pass", "blowup-fit_window",
             "symmetry-pass", "symmetry-non_finite", "lp",
         ],
     )
-    def test_every_exit_path_writes_manifest(self, tmp_path, monkeypatch, command, setup, code, termination, keys):
+    def test_every_exit_path_writes_manifest(
+        self, tmp_path, monkeypatch, command, setup, code, termination, keys, phases
+    ):
+        # wall_s holds the wall seconds of each phase that ran on the exit path
         p = setup(tmp_path, monkeypatch)
         out = tmp_path / "o"
         with np.errstate(over="ignore", invalid="ignore"):
             assert main([command, "--config", str(p), "--out", str(out)]) == code
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest) == {"version", "numpy", "git_revision", "scheme", "config"} | keys
+        assert set(manifest) == {"version", "numpy", "git_revision", "scheme", "config", "wall_s"} | keys
         assert manifest["config"] == RunConfig.from_file(p).raw
         assert manifest["version"] == cli.__version__ and manifest["numpy"] == np.__version__
         assert manifest.get("termination") == termination
+        wall = manifest["wall_s"]
+        assert sorted(wall) == sorted(phases)
+        assert all(isinstance(v, float) and 0.0 <= v < 600.0 for v in wall.values())
 
     @pytest.fixture
     def fresh_revision(self):

@@ -42,11 +42,21 @@ def record_to_phys(monkeypatch):
     to_phys = GridSpec.to_phys
 
     def logged(self, coef):
-        calls.append((self.n_modes, coef.shape[0] if coef.ndim == 2 else 1))
+        calls.append((self.n_modes, math.prod(coef.shape[:-1])))
         return to_phys(self, coef)
 
     monkeypatch.setattr(GridSpec, "to_phys", logged)
     return calls
+
+
+def per_row(g, a, c):
+    """Reference A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, from
+    one inverse transform per physical field; at a = c it is the full term."""
+    absxi, ddx = np.abs(g.wavenumbers), 1j * g.wavenumbers
+    phys = g.to_phys(a) * g.to_phys(absxi * ddx * c) - g.to_phys(absxi * a) * g.to_phys(ddx * c)
+    out = g.to_coef(phys) * g.dealias_mask
+    out[0] = 0.0
+    return out
 
 
 def contour_coeffs(lin, dt, n_contour=32):
@@ -159,27 +169,16 @@ class TestRHS:
 
     @pytest.mark.parametrize("n", [64, 4096])
     def test_full_transforms_match_per_row(self, monkeypatch, n):
-        # the full term, and Picard's frozen term A (Lambda C)_x - Lambda A C_x,
-        # take B_x, Lambda B, Lambda B_x and B as one stack of four rows in
-        # one inverse transform, bitwise equal to a transform per row
+        # the full term takes B_x, Lambda B, Lambda B_x and B as one stack of
+        # four rows in one inverse transform, bitwise equal to a transform
+        # per row
         g = GridSpec(6.0, n)
-        rng = np.random.default_rng(12)
-        a, c = (g.to_coef(rng.standard_normal(n)) for _ in range(2))
+        c = g.to_coef(np.random.default_rng(12).standard_normal(n))
         ops = _ops(g, ModelParams(kind="full", mu=1.0, alpha=1.5))
-        absxi, ddx = np.abs(g.wavenumbers), 1j * g.wavenumbers
-
-        def per_row(a, c):
-            phys = g.to_phys(a) * g.to_phys(absxi * ddx * c) - g.to_phys(absxi * a) * g.to_phys(ddx * c)
-            out = g.to_coef(phys) * g.dealias_mask
-            out[0] = 0.0
-            return out
-
-        ref_nl, ref_frozen = per_row(c, c), per_row(a, c)
-        assert not np.array_equal(ref_nl, ref_frozen)
+        ref = per_row(g, c, c)
         calls = record_to_phys(monkeypatch)
-        assert np.array_equal(ops.nonlinear(c), ref_nl)
-        assert np.array_equal(ops.full_form(a, c), ref_frozen)
-        assert calls == [(n, 4), (n, 4)]
+        assert np.array_equal(ops.nonlinear(c), ref)
+        assert calls == [(n, 4)]
 
     def test_rhs_mean_free(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=1.0)
@@ -799,6 +798,70 @@ class TestPicard:
         ref = evolve(small_datum(grid), p, fine).final
         diff = np.sqrt(grid.norm2(res.series.final.coef - ref.coef))
         assert diff <= 1e-6
+
+    @staticmethod
+    def reference_iterates(B0, p, cfg, k_max):
+        """Picard's loop with each stage's frozen term made from scratch:
+        the previous iterate interpolated to the stage time, and one inverse
+        transform per physical field (``per_row``)."""
+        g = B0.grid
+        ops = _ops(g, p)
+        m = round(cfg.t_end / cfg.dt_init)
+        dt = cfg.t_end / m
+        prev, out = None, []
+        for _ in range(k_max + 1):
+            vals = np.empty((m + 1, g.n_modes // 2 + 1), dtype=complex)
+            dots = np.empty_like(vals)
+
+            def nl(c, tau):
+                if prev is None:
+                    return np.zeros_like(c)
+                return per_row(g, solver.hermite(*prev, n, tau, dt), c)
+
+            c = B0.coef.copy()
+            c[0] = 0.0
+            for n in range(m + 1):
+                vals[n] = c
+                k1 = nl(c, 0.0)
+                dots[n] = k1 - ops.lin * c
+                if n < m:
+                    c = solver._STEPPERS[cfg.scheme](nl, ops, c, dt, k1)
+                    c[0] = 0.0
+            prev = (vals, dots)
+            out.append(vals)
+        return out
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_frozen_table_matches_per_stage_reference(self, scheme):
+        # the frozen fields read from one table per iterate are bitwise the
+        # ones each stage would make for itself, at t_n and at t_(n+1/2)
+        g = GridSpec(np.pi, 98)
+        p = ModelParams(kind="full", mu=1.0, alpha=1.5)
+        cfg = StepperConfig(scheme=scheme, dt_init=1e-3, t_end=0.02, adaptive=False)
+        B0 = small_datum(g, amp=0.5)
+        res = picard_solve(B0, p, cfg, k_max=1)
+        v0, v1 = self.reference_iterates(B0, p, cfg, k_max=1)
+        assert not np.array_equal(v0, v1)
+        assert np.array_equal(res.series.coefs, v1)
+        assert np.array_equal(res.iterates, [v0[-1], v1[-1]])
+
+    def test_one_transform_per_iterate_and_two_rows_per_stage(self, grid, monkeypatch):
+        # iterate k >= 1 transforms Lambda A and A at its 2m + 1 stage times
+        # in one call, then C_x and Lambda C_x once per stage: m + 1 step
+        # boundaries and three later stages per step; iterate 0 and a run
+        # with the nonlinearity off transform nothing
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        m, k_max = 20, 2
+        cfg = StepperConfig(dt_init=1e-3, t_end=m * 1e-3, adaptive=False)
+        B0 = small_datum(grid)
+        calls = record_to_phys(monkeypatch)
+        res = picard_solve(B0, p, cfg, k_max=k_max)
+        assert not res.converged
+        per_iterate = [(grid.n_modes, (2 * m + 1) * 2)] + (4 * m + 1) * [(grid.n_modes, 2)]
+        assert calls == k_max * per_iterate
+        del calls[:]
+        picard_solve(B0, replace(p, nonlinearity=False), cfg, k_max=k_max)
+        assert calls == []
 
     def test_etdrk4_limit_matches_nonlinear_solver(self, grid):
         # criterion 7 with the ETDRK4 stepper: the scheme is honoured (the

@@ -107,9 +107,61 @@ class TestSpectralField:
         assert np.allclose(f.phys, np.sin(grid.nodes))
 
     def test_arrays_read_only(self, grid):
-        f = SpectralField.from_function(grid, np.sin)
-        with pytest.raises(ValueError):
-            f.phys[0] = 1.0
+        # on every constructor, whether phys was given or made on first read
+        x = np.sin(grid.nodes)
+        fields = [
+            SpectralField.from_phys(grid, x),
+            SpectralField.from_coef(grid, grid.to_coef(x)),
+            SpectralField.from_function(grid, np.sin),
+            SpectralField.zero(grid),
+        ]
+        for f in fields:
+            for arr in (f.phys, f.coef):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+            with pytest.raises(AttributeError):
+                f.phys = x
+
+    @staticmethod
+    def count_to_phys(monkeypatch):
+        calls = []
+        to_phys = GridSpec.to_phys
+
+        def counted(self, coef):
+            calls.append(coef.shape)
+            return to_phys(self, coef)
+
+        monkeypatch.setattr(GridSpec, "to_phys", counted)
+        return calls
+
+    def test_from_coef_transforms_on_first_read_only(self, grid, monkeypatch):
+        # a second read returns the same array
+        c = grid.to_coef(np.sin(grid.nodes))
+        ref = grid.to_phys(c)
+        calls = self.count_to_phys(monkeypatch)
+        f = SpectralField.from_coef(grid, c)
+        assert f.l2_norm() > 0.0 and calls == []
+        phys = f.phys
+        assert calls == [c.shape] and np.array_equal(phys, ref)
+        assert f.phys is phys and calls == [c.shape]
+
+    def test_from_phys_keeps_its_samples(self, grid, monkeypatch):
+        # bitwise the samples given, not their round trip through the
+        # coefficients, and copied: the caller's array stays writable
+        x = np.exp(np.sin(grid.nodes)) / 3.0
+        assert not np.array_equal(grid.to_phys(grid.to_coef(x)), x)
+        calls = self.count_to_phys(monkeypatch)
+        f = SpectralField.from_phys(grid, x)
+        assert np.array_equal(f.phys, x) and f.phys is not x
+        assert calls == []
+        x[0] = 0.0
+        assert f.phys[0] != 0.0
+
+    def test_from_phys_rejects_wrong_length(self, grid):
+        # N + 1 samples would give N/2 + 1 coefficients
+        assert grid.to_coef(np.zeros(grid.n_modes + 1)).shape == (grid.n_modes // 2 + 1,)
+        with pytest.raises(ValueError, match="phys has wrong shape"):
+            SpectralField.from_phys(grid, np.zeros(grid.n_modes + 1))
 
     def test_l2_norm_plancherel(self, grid):
         # ||sin||_{L^2(-pi,pi)} = sqrt(pi)
