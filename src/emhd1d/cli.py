@@ -32,19 +32,12 @@ import numpy as np
 
 from . import __version__
 from .blowup import (
-    DatumError,
-    FitWindowError,
-    advect_trajectory,
-    make_reference_datum,
-    measure_blowup_time,
-    predict_blowup_time,
-    pv_blowup_coefficient,
-    riccati_invariant_report,
-    run_blowup,
+    DatumError, FitWindowError, advect_trajectory, make_reference_datum, riccati_verdict, run_blowup
 )
 from .diagnostics import norm_series, rough_datum
-from .lp import bernstein_check, commutator_check, cutoffs_for, norm_equivalence_ratio
-from .solver import ModelParams, StepperConfig, evolve, scaling_symmetry_mismatch
+from .gates import Gate
+from .lp import cutoffs_for, lp_verdict
+from .solver import ModelParams, StepperConfig, evolve, scaling_symmetry_verdict
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -294,6 +287,13 @@ def _rungs(run) -> list[list[int]]:
     return [[int(n_modes[i]), int(i)] for i in first]
 
 
+def _verdict(gates: list[Gate], record: dict) -> tuple[int, dict]:
+    """Exit 0 if every gate of a harness passed, else 1; the manifest record
+    gets one row per gate, so an exit 1 names the gates that failed."""
+    record["gates"] = [g._asdict() for g in gates]
+    return (EXIT_OK if all(g.passed for g in gates) else EXIT_TOLERANCE), record
+
+
 def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     """Riccati blowup harness with the reference configuration forced."""
     clock = _PhaseClock()
@@ -307,28 +307,11 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         return EXIT_NUMERICAL, record
     traj = advect_trajectory(run, datum.x0)
     clock.done("trajectory")
-    w0 = datum.w0
     try:
-        t_est, slope, resid = measure_blowup_time(traj, w0)
+        report, gates = riccati_verdict(run, datum, traj)
     except FitWindowError:
         record["termination"] = "fit_window"
         return EXIT_NUMERICAL, record
-    rep = riccati_invariant_report(run, traj, t_max=0.8 / w0)
-    t_pred = predict_blowup_time(datum)
-    w0_pv = pv_blowup_coefficient()
-    report = {
-        "w0": w0,
-        "w0_pv_oracle": w0_pv,
-        "w0_rel_diff": abs(w0 - w0_pv) / abs(w0_pv),
-        "T_predicted": t_pred,
-        "T_fitted": t_est,
-        "T_rel_err": abs(t_est - t_pred) / t_pred,
-        "slope": slope,
-        "fit_residual": resid,
-        "max_bx_defect": rep.max_bx_defect,
-        "max_bxx_rel": rep.max_bxx_rel,
-        "termination": run.termination,
-    }
     (out / "blowup_report.json").write_text(json.dumps(report, indent=2) + "\n")
     with (out / "trajectory.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -337,13 +320,7 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
             w.writerow([f"{v:.17g}" for v in row])
     clock.done("report")
     record["report"] = report
-    ok = (
-        abs(slope + 1.0) <= 0.01
-        and resid <= 1e-3
-        and report["T_rel_err"] <= 0.02
-        and max(report["w0_rel_diff"], rep.max_bx_defect, rep.max_bxx_rel) <= 1e-4
-    )
-    return (EXIT_OK if ok else EXIT_TOLERANCE), record
+    return _verdict(gates, record)
 
 
 def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
@@ -354,40 +331,29 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     ``scaling_symmetry_mismatch``).  A non-finite mismatch means a run
     overflowed: a numerical abort, exit 3.
     """
-    lam = cfg.symmetry_lam
     n_steps = max(1, int(round(cfg.stepper_t_end / cfg.stepper_dt_init)))
     B = cfg.datum(cfg.grid())
     clock = _PhaseClock()
-    rel = scaling_symmetry_mismatch(B, cfg.model(), lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme)
+    report, gates = scaling_symmetry_verdict(
+        B, cfg.model(), cfg.symmetry_lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme
+    )
     clock.done("evolve")  # both runs
+    rel = report["rel_l2_mismatch"]
     if not math.isfinite(rel):
         return EXIT_NUMERICAL, {"termination": "non_finite", "wall_s": clock.wall}
-    (out / "symmetry.json").write_text(
-        json.dumps({"lambda": lam, "alpha": cfg.model_alpha, "rel_l2_mismatch": rel}, indent=2) + "\n"
-    )
-    return (EXIT_OK if rel <= 1e-6 else EXIT_TOLERANCE), {"rel_l2_mismatch": rel, "wall_s": clock.wall}
+    (out / "symmetry.json").write_text(json.dumps(report, indent=2) + "\n")
+    return _verdict(gates, {"rel_l2_mismatch": rel, "wall_s": clock.wall})
 
 
 def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     grid = cfg.grid()
     if cutoffs_for(grid).q_max < 1:
         raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
-    sd = cfg.datum_seed if seed is None else seed
     clock = _PhaseClock()
-    b1, b2 = bernstein_check(grid, seed=sd)
-    clock.done("bernstein")
-    c1, c2 = commutator_check(grid, seed=sd)
-    clock.done("commutator")
-    lo, hi = norm_equivalence_ratio(grid, s=1.0, seed=sd)
-    clock.done("norm_equivalence")
-    report = {
-        "bernstein": [b1.as_dict(), b2.as_dict()],
-        "commutator": [c1.as_dict(), c2.as_dict()],
-        "norm_equivalence": {"s": 1.0, "min_ratio": lo, "max_ratio": hi},
-    }
+    report, gates = lp_verdict(grid, cfg.datum_seed if seed is None else seed)
+    clock.done("lp")
     (out / "lp_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    ok = b1.max_ratio <= 4.0 and b2.max_ratio <= 4.0 and 0.5 <= lo and hi <= 2.0
-    return (EXIT_OK if ok else EXIT_TOLERANCE), {"lp": report, "wall_s": clock.wall}
+    return _verdict(gates, {"lp": report, "wall_s": clock.wall})
 
 
 def cmd_selftest(out: Path | None = None) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gates import Gate, at_least, at_most
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -245,3 +246,19 @@ def norm_equivalence_ratio(
             continue
         ratios.append(np.sqrt(np.sum(shell_spectrum(f, s))) / direct)
     return float(np.min(ratios)), float(np.max(ratios))
+
+
+def lp_verdict(grid: GridSpec, seed: int = 0) -> tuple[dict, list[Gate]]:
+    """The ``lp_report.json`` dict and gates: the Bernstein ratios and the H^1
+    norm-equivalence range are gated, the commutator ratios reported."""
+    b1, b2 = bernstein_check(grid, seed=seed)
+    c1, c2 = commutator_check(grid, seed=seed)
+    lo, hi = norm_equivalence_ratio(grid, s=1.0, seed=seed)
+    report = {
+        "bernstein": [b1.as_dict(), b2.as_dict()],
+        "commutator": [c1.as_dict(), c2.as_dict()],
+        "norm_equivalence": {"s": 1.0, "min_ratio": lo, "max_ratio": hi},
+    }
+    gates = [at_most(b.name, b.max_ratio, 4.0) for b in (b1, b2)]
+    gates += [at_least("norm_equivalence_min", lo, 0.5), at_most("norm_equivalence_max", hi, 2.0)]
+    return report, gates

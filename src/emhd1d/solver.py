@@ -52,6 +52,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from .gates import Gate, at_most
 from .spectral import GridSpec, SpectralField, sobolev_weight
 
 
@@ -625,3 +626,12 @@ def scaling_symmetry_mismatch(
     ref = scale * evolve(B, params, cfg_a).final.phys
     diff = np.linalg.norm(evolve(B_b, params, cfg_b).final.phys - ref)
     return float(diff / max(np.linalg.norm(ref), 1e-300))
+
+
+def scaling_symmetry_verdict(
+    B: SpectralField, params: ModelParams, lam: float, t_end: float, n_steps: int, scheme: str
+) -> tuple[dict, list[Gate]]:
+    """``scaling_symmetry_mismatch`` as the ``symmetry.json`` dict and its gate."""
+    rel = scaling_symmetry_mismatch(B, params, lam, t_end, n_steps, scheme)
+    report = {"lambda": lam, "alpha": params.alpha, "rel_l2_mismatch": rel}
+    return report, [at_most("rel_l2_mismatch", rel, 1e-6)]

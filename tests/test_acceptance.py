@@ -8,14 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from emhd1d.blowup import (
-    advect_trajectory,
-    make_reference_datum,
-    measure_blowup_time,
-    pv_blowup_coefficient,
-    riccati_invariant_report,
-    run_blowup,
-)
+from emhd1d.blowup import advect_trajectory, riccati_verdict, run_blowup
 from emhd1d.cli import EXIT_OK, cmd_selftest
 from emhd1d.diagnostics import (
     flux_defect_ratio,
@@ -24,8 +17,8 @@ from emhd1d.diagnostics import (
     smoothing_rate_fit,
     smoothing_rate_fit_semigroup,
 )
-from emhd1d.lp import bernstein_check, commutator_check
-from emhd1d.solver import ModelParams, StepperConfig, evolve, picard_solve, scaling_symmetry_mismatch
+from emhd1d.lp import lp_verdict
+from emhd1d.solver import ModelParams, StepperConfig, evolve, picard_solve, scaling_symmetry_verdict
 from emhd1d.spectral import GridSpec, SpectralField, remove_mean
 
 # roundoff floor for the refinement comparison: a defect already at machine
@@ -37,18 +30,34 @@ def _line(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
 
+def library_values(gates, literals: dict[str, float]) -> dict[str, float]:
+    """The value of each named library gate, once its bound is shown to be
+    no looser than the literal upper bound the criterion holds it to: the
+    library may tighten a gate, never loosen it."""
+    rows = {g.name: g for g in gates}
+    for name, bound in literals.items():
+        assert rows[name].bound <= bound, f"{name}: library bound {rows[name].bound} is looser than {bound}"
+    return {name: rows[name].value for name in literals}
+
+
+def blowup_verdict(n: int):
+    """The Riccati harness at L = 6 on n nodes: report, gates and the
+    seconds the verdict took once the trajectory was in hand."""
+    run, d = run_blowup(GridSpec(6.0, n))
+    traj = advect_trajectory(run, d.x0)
+    t0 = time.perf_counter()
+    report, gates = riccati_verdict(run, d, traj)
+    return report, gates, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def blowup_fine():
-    grid = GridSpec(6.0, 4096)
-    run, d = run_blowup(grid)
-    return run, d, advect_trajectory(run, d.x0)
+    return blowup_verdict(4096)
 
 
 @pytest.fixture(scope="module")
 def blowup_coarse():
-    grid = GridSpec(6.0, 2048)
-    run, d = run_blowup(grid)
-    return run, d, advect_trajectory(run, d.x0)
+    return blowup_verdict(2048)
 
 
 def small_datum(grid, amp=0.05):
@@ -56,46 +65,37 @@ def small_datum(grid, amp=0.05):
 
 
 def test_criterion_1_blowup_time(blowup_fine):
-    run, d, states = blowup_fine
-    t0 = time.perf_counter()
-    t_est, slope, resid = measure_blowup_time(states, d.w0)
-    t_pred = 1.0 / d.w0
-    rel_t = abs(t_est - t_pred) / t_pred
-    w0_pv = pv_blowup_coefficient()
-    rel_w0 = abs(d.w0 - w0_pv) / w0_pv
-    elapsed = time.perf_counter() - t0
-    ok = abs(slope + 1.0) <= 0.01 and resid <= 1e-3 and rel_t <= 0.02 and rel_w0 <= 1e-4
+    report, gates, elapsed = blowup_fine
+    literals = {"slope_err": 0.01, "fit_residual": 1e-3, "T_rel_err": 0.02, "w0_rel_diff": 1e-4}
+    v = library_values(gates, literals)
+    ok = all(v[name] <= bound for name, bound in literals.items())
     _line(
         "criterion-1 blowup-time",
         ok,
-        f"slope={slope:.5f} resid={resid:.2e} relT={rel_t:.2e} w0-oracle={rel_w0:.2e} ({elapsed:.1f}s)",
+        f"slope={report['slope']:.5f} resid={v['fit_residual']:.2e} relT={v['T_rel_err']:.2e} "
+        f"w0-oracle={v['w0_rel_diff']:.2e} ({elapsed:.1f}s)",
     )
-    assert abs(slope + 1.0) <= 0.01
-    assert resid <= 1e-3
-    assert rel_t <= 0.02
-    assert rel_w0 <= 1e-4
+    for name, bound in literals.items():
+        assert v[name] <= bound, name
 
 
 def test_criterion_2_trajectory_invariants(blowup_fine, blowup_coarse):
-    run_f, d_f, st_f = blowup_fine
-    run_c, d_c, st_c = blowup_coarse
-    rep_f = riccati_invariant_report(run_f, st_f, t_max=0.8 / d_f.w0)
-    rep_c = riccati_invariant_report(run_c, st_c, t_max=0.8 / d_c.w0)
-    ok_abs = rep_f.max_bx_defect <= 1e-4 and rep_f.max_bxx_rel <= 1e-4
+    literals = {"max_bx_defect": 1e-4, "max_bxx_rel": 1e-4}
+    fine = library_values(blowup_fine[1], literals)
+    coarse = library_values(blowup_coarse[1], literals)
+    ok_abs = all(fine[name] <= bound for name, bound in literals.items())
 
-    def shrinks(coarse: float, fine: float) -> bool:
+    def shrinks(name: str) -> bool:
         # a defect already at the roundoff floor on the coarse grid has no
         # discretization content left to shrink
-        return coarse <= DEFECT_FLOOR or fine <= coarse / 4.0
+        return coarse[name] <= DEFECT_FLOOR or fine[name] <= coarse[name] / 4.0
 
-    ok_ref = shrinks(rep_c.max_bx_defect, rep_f.max_bx_defect) and shrinks(
-        rep_c.max_bxx_rel, rep_f.max_bxx_rel
-    )
+    ok_ref = shrinks("max_bx_defect") and shrinks("max_bxx_rel")
     _line(
         "criterion-2 trajectory-invariants",
         ok_abs and ok_ref,
-        f"|bx-1|={rep_f.max_bx_defect:.2e} bxx_rel={rep_f.max_bxx_rel:.2e} "
-        f"refine bx {rep_c.max_bx_defect:.1e}->{rep_f.max_bx_defect:.1e}",
+        f"|bx-1|={fine['max_bx_defect']:.2e} bxx_rel={fine['max_bxx_rel']:.2e} "
+        f"refine bx {coarse['max_bx_defect']:.1e}->{fine['max_bx_defect']:.1e}",
     )
     assert ok_abs
     assert ok_ref
@@ -126,7 +126,8 @@ def test_criterion_4_scaling_symmetry(alpha, lam):
     # is a power of two and the runs agree bitwise, while lam = 3 and 1.5
     # carry the symmetry through roundoff
     p = ModelParams(kind="full", mu=1.0, alpha=alpha)
-    rel = scaling_symmetry_mismatch(small_datum(GridSpec(np.pi, 256)), p, lam, 0.05, 50, "ifrk4")
+    _, gates = scaling_symmetry_verdict(small_datum(GridSpec(np.pi, 256)), p, lam, 0.05, 50, "ifrk4")
+    rel = library_values(gates, {"rel_l2_mismatch": 1e-6})["rel_l2_mismatch"]
     ok = rel <= 1e-6
     name = f"alpha={alpha:g}" if lam == 2.0 else f"alpha={alpha:g} lam={lam:g}"
     _line(f"criterion-4 scaling-symmetry {name}", ok, f"rel_l2={rel:.2e}")
@@ -191,16 +192,25 @@ def test_criterion_8_bounded_ratio_reports():
     """The analytic well-posedness statement itself (constants, existence
     time, endpoint space) is not reproducible numerically; criteria 5-7 are
     its property substitutes.  This check covers the remaining piece: the
-    dyadic-inequality harnesses must return finite bounded ratios, as
-    reports, with no constant claimed."""
-    grid = GridSpec(np.pi, 512)
-    b1, b2 = bernstein_check(grid, trials=50, seed=0)
-    c1, c2 = commutator_check(grid, trials=20, seed=0)
-    ratios = [b1.max_ratio, b2.max_ratio, c1.max_ratio, c2.max_ratio]
-    ok = all(np.isfinite(r) and r > 0 for r in ratios) and b1.max_ratio <= 4.0 and b2.max_ratio <= 4.0
+    dyadic-inequality harnesses of ``emhd1d lp`` must return finite bounded
+    ratios, as reports, with no constant claimed; the Bernstein ratios and
+    the H^1 norm-equivalence range are gated as the CLI gates them."""
+    report, gates = lp_verdict(GridSpec(np.pi, 512), seed=0)
+    literals = {"bernstein_derivative": 4.0, "bernstein_linf": 4.0, "norm_equivalence_max": 2.0}
+    v = library_values(gates, literals)
+    # the one lower bound: the H^1 norm-equivalence ratio stays at least 0.5
+    low = next(g for g in gates if g.name == "norm_equivalence_min")
+    assert low.bound >= 0.5, f"norm_equivalence_min: library bound {low.bound} is looser than 0.5"
+    ratios = [r["max_ratio"] for r in report["bernstein"] + report["commutator"]]
+    ok = (
+        all(np.isfinite(r) and r > 0 for r in ratios)
+        and all(v[name] <= bound for name, bound in literals.items())
+        and low.value >= 0.5
+    )
     _line(
         "criterion-8 bounded-ratio-reports",
         ok,
-        "max ratios " + " ".join(f"{r:.3f}" for r in ratios),
+        "max ratios " + " ".join(f"{r:.3f}" for r in ratios)
+        + f" norm-equivalence [{low.value:.3f}, {v['norm_equivalence_max']:.3f}]",
     )
     assert ok

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emhd1d import cli
+from emhd1d import blowup, cli, lp, solver
 from emhd1d.blowup import FitWindowError
 from emhd1d.cli import (
     EXIT_CONFIG,
@@ -76,12 +76,18 @@ def overflowing(tmp_path, monkeypatch=None):
     )
 
 
+def failed_gates(out) -> list[str]:
+    """The names of the gates the run's manifest records as failed."""
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    return [g["name"] for g in gates if not g["passed"]]
+
+
 def fit_window_missed(tmp_path, monkeypatch):
     """A blowup config whose Riccati fit finds no samples in its window."""
     def no_window(traj, w0):
         raise FitWindowError("no samples with w inside the fit window")
 
-    monkeypatch.setattr(cli, "measure_blowup_time", no_window)
+    monkeypatch.setattr(blowup, "measure_blowup_time", no_window)
     return write_cfg(tmp_path, "grid.L = 6.0\ngrid.N = 256\n")
 
 
@@ -428,6 +434,42 @@ class TestCommands:
         report = json.loads((out / "blowup_report.json").read_text())
         assert report["max_bx_defect"] > 1e-4
         assert abs(report["slope"] + 1.0) <= 0.01 and report["T_rel_err"] <= 0.02
+        assert failed_gates(out) == ["max_bx_defect"]
+
+    def test_symmetry_mismatch_past_bound_is_tolerance_failure(self, cfg_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "scaling_symmetry_mismatch", lambda *args: 1e-3)
+        out = tmp_path / "sym"
+        assert main(["symmetry", "--config", str(cfg_file), "--out", str(out)]) == EXIT_TOLERANCE
+        assert json.loads((out / "symmetry.json").read_text())["rel_l2_mismatch"] == 1e-3
+        assert failed_gates(out) == ["rel_l2_mismatch"]
+
+    @pytest.mark.parametrize(
+        "gate, value",
+        [("bernstein_derivative", 5.0), ("bernstein_linf", 5.0), ("norm_equivalence_min", 0.4),
+         ("norm_equivalence_max", 2.5)],
+    )
+    def test_lp_ratio_past_bound_is_tolerance_failure(self, tmp_path, monkeypatch, gate, value):
+        # one value lp reads is pushed past its bound: a Bernstein ratio past
+        # 4, or one end of the norm-equivalence range out of [0.5, 2]
+        real_bernstein, real_equivalence = lp.bernstein_check, lp.norm_equivalence_ratio
+
+        def bernstein(grid, **kw):
+            return tuple(replace(r, max_ratio=value) if r.name == gate else r for r in real_bernstein(grid, **kw))
+
+        def equivalence(grid, **kw):
+            lo, hi = real_equivalence(grid, **kw)
+            return {"norm_equivalence_min": (value, hi), "norm_equivalence_max": (lo, value)}.get(gate, (lo, hi))
+
+        monkeypatch.setattr(lp, "bernstein_check", bernstein)
+        monkeypatch.setattr(lp, "norm_equivalence_ratio", equivalence)
+        out = tmp_path / "lp"
+        assert main(["lp", "--config", str(write_cfg(tmp_path, LP_CFG)), "--out", str(out)]) == EXIT_TOLERANCE
+        report = json.loads((out / "lp_report.json").read_text())
+        held = {r["name"]: r["max_ratio"] for r in report["bernstein"]}
+        ne = report["norm_equivalence"]
+        held.update(norm_equivalence_min=ne["min_ratio"], norm_equivalence_max=ne["max_ratio"])
+        assert held[gate] == value
+        assert failed_gates(out) == [gate]
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_blowup_reference_grid_passes_every_gate(self, tmp_path, scheme):
@@ -539,19 +581,19 @@ class TestCommands:
                 lambda tmp, mp: write_cfg(tmp, "grid.L = 6\ngrid.N = 2048\n"),
                 EXIT_OK,
                 "blowup_threshold",
-                {"termination", "steps", "ladder", "report"},
+                {"termination", "steps", "ladder", "report", "gates"},
                 ["evolve", "trajectory", "report"],
             ),
             (
                 "blowup", fit_window_missed, EXIT_NUMERICAL, "fit_window", {"termination", "steps", "ladder"},
                 ["evolve", "trajectory"],
             ),
-            ("symmetry", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, None, {"rel_l2_mismatch"}, ["evolve"]),
-            ("symmetry", overflowing, EXIT_NUMERICAL, "non_finite", {"termination"}, ["evolve"]),
             (
-                "lp", lambda tmp, mp: write_cfg(tmp, LP_CFG), EXIT_OK, None, {"lp"},
-                ["bernstein", "commutator", "norm_equivalence"],
+                "symmetry", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, None, {"rel_l2_mismatch", "gates"},
+                ["evolve"],
             ),
+            ("symmetry", overflowing, EXIT_NUMERICAL, "non_finite", {"termination"}, ["evolve"]),
+            ("lp", lambda tmp, mp: write_cfg(tmp, LP_CFG), EXIT_OK, None, {"lp", "gates"}, ["lp"]),
         ],
         ids=[
             "run-t_end", "run-max_steps", "run-non_finite", "blowup-pass", "blowup-fit_window",
@@ -571,6 +613,8 @@ class TestCommands:
         assert manifest["config"] == RunConfig.from_file(p).raw
         assert manifest["version"] == cli.__version__ and manifest["numpy"] == np.__version__
         assert manifest.get("termination") == termination
+        if "gates" in keys:
+            assert all(g["passed"] for g in manifest["gates"])
         wall = manifest["wall_s"]
         assert sorted(wall) == sorted(phases)
         assert all(isinstance(v, float) and 0.0 <= v < 600.0 for v in wall.values())
