@@ -90,7 +90,6 @@ class RunConfig:
 
     grid_L: float = 6.0
     grid_N: int = 256
-    grid_dealias: float = 2.0 / 3.0
     model_kind: str = "full"
     model_mu: float = 1.0
     model_alpha: float = 2.0
@@ -157,7 +156,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def grid(self) -> GridSpec:
-        return GridSpec(self.grid_L, self.grid_N, self.grid_dealias)
+        return GridSpec(self.grid_L, self.grid_N)
 
     def model(self) -> ModelParams:
         return ModelParams(kind=self.model_kind, mu=self.model_mu, alpha=self.model_alpha)

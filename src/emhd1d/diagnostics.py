@@ -24,7 +24,7 @@ import numpy as np
 
 from .lp import cutoffs_for, shell_spectrum
 from .solver import ModelParams, StepperConfig, TimeSeries, _ops, evolve, step
-from .spectral import GridSpec, SpectralField
+from .spectral import DEALIAS_FRACTION, GridSpec, SpectralField
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def rough_datum(grid: GridSpec, s_base: float, norm: float = 0.05, seed: int = 0
     rng = np.random.default_rng(seed)
     N = grid.n_modes
     xi = grid.wavenumbers
-    k_cut = int(grid.dealias_fraction * N / 2)
+    k_cut = int(DEALIAS_FRACTION * N / 2)
     coef = np.zeros(N // 2 + 1, dtype=complex)
     kk = np.arange(1, k_cut)
     xik = np.abs(xi[kk])
@@ -188,12 +188,11 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
 def flux_balance_defect(B0: SpectralField, params: ModelParams, s: float, dt: float) -> float:
     """Central-difference defect of the shell energy balance at one state.
 
-    Steps B0 forward and backward by dt (backward realized as two forward
-    half-steps from a pre-image is unnecessary: the schemes are one-step, so
-    we center at B(dt) using states at 0 and 2 dt), forms
-    (E(2dt) - E(0)) / (4 dt) + mu D + I + 2K evaluated at the center, and
+    Takes two forward IF-RK4 steps of dt, B0 -> B(dt) -> B(2 dt), and centres
+    the balance at B(dt): it forms (E(2 dt) - E(0)) / (4 dt), the central
+    difference of (1/2) dE/dt, plus mu D + I + 2K evaluated at B(dt), and
     returns its absolute value.  Exact spatial balance makes this pure time
-    truncation, so halving dt shrinks it ~4x.  The steps are IF-RK4.
+    truncation, so halving dt shrinks it ~4x.
     """
     cfg = StepperConfig(dt_init=dt, t_end=10.0 * dt, adaptive=False)
     B1, _ = step(B0, 0.0, dt, params, cfg)

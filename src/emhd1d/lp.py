@@ -22,6 +22,7 @@ import numpy as np
 
 from .gates import Gate, at_least, at_most
 from .spectral import (
+    DEALIAS_FRACTION,
     GridSpec,
     SpectralField,
     derivative,
@@ -127,7 +128,7 @@ def random_band_limited(
     well inside the dealias cutoff so quadratic products stay exact."""
     N = grid.n_modes
     if k_max is None:
-        k_max = int(grid.dealias_fraction * N / 2) // 2
+        k_max = int(DEALIAS_FRACTION * N / 2) // 2
     k_max = max(1, min(k_max, N // 2 - 1))
     kk = np.arange(1, k_max + 1)
     amp = (rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)) * np.exp(-decay * kk)

@@ -7,10 +7,11 @@ Two model kinds are evolved for a mean-free magnetic field B on the torus:
 
 Both quadratic terms are products of B_x, Lambda B, Lambda B_x and B, which
 one inverse transform of a stack of multiplier rows forms; the products are
-dealiased (2/3 rule) and the term is re-projected onto the zero-mean gauge
-each evaluation.  The diagonal linear part mu |xi|^alpha is propagated
-exactly, either by an integrating factor wrapped around classical RK4
-(default) or by ETDRK4; both are exact when the nonlinearity vanishes.
+dealiased (2/3 rule) and the term is projected mean-free, so with no linear
+damping of k = 0 a step keeps the datum's zero mean exactly.  The diagonal
+linear part mu |xi|^alpha is propagated exactly, either by an integrating
+factor wrapped around classical RK4 (default) or by ETDRK4; both are exact
+when the nonlinearity vanishes.
 Each scheme's factors at z = -dt mu |xi|^alpha (IF-RK4's exponentials, the
 ETDRK4 coefficients) are rebuilt whenever dt changes, so on every adaptive
 step, and once in a fixed-dt run.  mu |xi_k|^alpha grows with k on the
@@ -37,10 +38,11 @@ state it moves up one rung once that share exceeds ``LADDER_TAIL``; moving
 up zero-pads the coefficients, which is exact in this normalization.  Every
 quantity that sets dt or stops the run is read on the finest grid: its dx
 and dealiased xi_max, and sup|Lambda B|, sup|Lambda B_x| (and sup|B|) from
-one inverse transform of the rung's coefficients onto its nodes.  So the
-bounds are the single-grid ones, and a translation by whole fine nodes stays
-an exact symmetry.  A fixed-dt run, or a datum that fills the band, has the
-one rung N, and its loop is the single-grid one.
+one inverse transform of the rung's coefficients onto its nodes; every
+(N/n)-th of them is a node of rung n, so it also gives the nonlinear term.
+So the bounds are the single-grid ones, and a translation by whole fine
+nodes stays an exact symmetry.  A fixed-dt run, or a datum that fills the
+band, has the one rung N, and its loop is the single-grid one.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def _ladder(grid: GridSpec, c: np.ndarray, cfg: StepperConfig) -> list[GridSpec]
     rungs = [grid]
     n = grid.n_modes
     while cfg.adaptive and n % 4 == 0 and n // 2 >= 8:
-        coarse = GridSpec(grid.half_length, n // 2, grid.dealias_fraction)
+        coarse = GridSpec(grid.half_length, n // 2)
         if _tail_exceeds(c, _top_third(coarse)):
             break
         rungs.insert(0, coarse)
@@ -387,15 +389,15 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     field, or max_steps; the cause is recorded on the result.
 
     ``diagnostics`` holds one entry per accepted step, at ``step_times[1:]``:
-    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, the mean
-    drift it removed, and the ladder rung (``n_modes``) it was taken on.
+    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, and the ladder
+    rung (``n_modes``) it was taken on.
     Stored rows are on ``B0.grid`` whatever rung made them.
     """
     grid = B0.grid
     half = grid.n_modes // 2 + 1
     stepper = _STEPPERS[cfg.scheme]
     c = B0.coef.copy()
-    c[0] = 0.0  # zero-mean gauge
+    c[0] = 0.0  # zero-mean gauge, set once: every step keeps c[0] = 0 exactly
     rungs = _ladder(grid, c, cfg)
     r = 0
     ops = _ops(rungs[r], params)
@@ -407,7 +409,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
 
     times, rows = [0.0], [c]
     step_times = [0.0]
-    diag: dict[str, list] = {k: [] for k in ("dt", "sup_lam_b", "sup_lam_bx", "mean", "n_modes")}
+    diag: dict[str, list] = {k: [] for k in ("dt", "sup_lam_b", "sup_lam_bx", "n_modes")}
     lam_b_store: list[np.ndarray] = []
     lam_b_dot_store: list[np.ndarray] = []
 
@@ -420,19 +422,15 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
             r += 1
             ops = _ops(rungs[r], params)
             c = _resize(c, ops.xi.size)
-        if r + 1 == len(rungs) and params.nonlinearity:
-            # one stack gives the term and the sups: Lambda B, Lambda B_x
-            # and, for the dispersive bound, B are its rows 1-3
-            phys = grid.to_phys(ops.rows[: 4 if dispersive else 3] * c)
-            nl, sups = ops.form(phys), np.max(np.abs(phys[1:]), axis=-1)
-            # freed now, its memory serves the step and the next state's
-            # transform (kept, it cost ~1 MB of peak RSS at N = 4096)
-            del phys
-        else:
-            # a coarse rung, or no nonlinear term: the sups that set dt and
-            # stop the run are read on the finest grid's nodes all the same
-            nl = ops.nonlinear(c)
-            sups = np.max(np.abs(grid.to_phys(ops.rows[1 : 4 if dispersive else 3] * c)), axis=-1)
+        # one stack on the finest nodes: rows 1-3 are Lambda B, Lambda B_x
+        # and, for the dispersive bound, B; read at every (N/n)-th node, a
+        # node of the rung n, its rows give the state's nonlinear term
+        phys = grid.to_phys(ops.rows[: 4 if dispersive else 3] * c)
+        sups = np.max(np.abs(phys[1:]), axis=-1)
+        nl = ops.form(phys[:, :: grid.n_modes // ops.grid.n_modes]) if params.nonlinearity else np.zeros_like(c)
+        # freed now, its memory serves the step and the next state's
+        # transform (kept, it cost ~1 MB of peak RSS at N = 4096)
+        del phys
         sup_lb, sup_lbx = float(sups[0]), float(sups[1])
         if cfg.store_step_fields:
             lam_b_store.append(ops.absxi * c)
@@ -470,15 +468,12 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         dt = min(dt, cfg.t_end - t)
 
         c = stepper(ops.nonlinear, ops, c, dt, nl)
-        drift = float(abs(c[0]))
-        c[0] = 0.0
         t += dt
         n += 1
 
         diag["dt"].append(dt)
         diag["sup_lam_b"].append(sup_lb)
         diag["sup_lam_bx"].append(sup_lbx)
-        diag["mean"].append(drift)
         diag["n_modes"].append(ops.grid.n_modes)
         step_times.append(t)
         if n % cfg.snapshot_cadence == 0:
@@ -541,7 +536,7 @@ def picard_solve(
     dt = cfg.t_end / m
 
     c0 = B0.coef.copy()
-    c0[0] = 0.0
+    c0[0] = 0.0  # zero-mean gauge, set once
 
     prev_vals: np.ndarray | None = None  # (m+1, N/2+1) coefficient history
     prev_dots: np.ndarray | None = None
@@ -580,7 +575,6 @@ def picard_solve(
             if n == m:
                 break
             c = stepper(frozen_nl, ops, c, dt, k1)
-            c[0] = 0.0
         finals.append(vals[m].copy())
         if prev_vals is not None:
             gap = float(np.max(np.sqrt(grid.sobolev_norm2(vals - prev_vals, s, homogeneous=False))))
@@ -618,7 +612,7 @@ def scaling_symmetry_mismatch(
     """
     g = B.grid
     scale = lam ** (params.alpha - 2.0)
-    grid_b = GridSpec(g.half_length / lam, g.n_modes, g.dealias_fraction)
+    grid_b = GridSpec(g.half_length / lam, g.n_modes)
     B_b = SpectralField.from_phys(grid_b, scale * B.phys)
     dt_b = t_end / n_steps
     cfg_b = StepperConfig(scheme=scheme, dt_init=dt_b, t_end=t_end, adaptive=False, snapshot_cadence=10**9)

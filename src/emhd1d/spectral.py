@@ -40,28 +40,27 @@ from typing import Callable
 
 import numpy as np
 
+# Quadratic products keep |k| < DEALIAS_FRACTION * N/2, the 2/3 rule: strict,
+# because at N = 3K the product of two modes K aliases onto mode -K.
+DEALIAS_FRACTION = 2.0 / 3.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [-half_length, half_length).
 
     ``n_modes`` is the number of physical samples; it must be even and at
-    least 8.  ``dealias_fraction`` sets the cutoff |k| < frac * N/2 used
-    after quadratic products (2/3 rule by default: strict, because at N = 3K
-    the product of two modes K aliases onto mode -K).
+    least 8.
     """
 
     half_length: float
     n_modes: int
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.half_length) and self.half_length > 0):
             raise ValueError("half_length must be positive and finite")
         if self.n_modes < 8 or self.n_modes % 2 != 0:
             raise ValueError("n_modes must be even and >= 8")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
 
     @property
     def dx(self) -> float:
@@ -115,7 +114,7 @@ class GridSpec:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        cut = self.dealias_fraction * self.n_modes / 2.0
+        cut = DEALIAS_FRACTION * self.n_modes / 2.0
         m = (np.abs(self.mode_index) < cut).astype(float)
         m.flags.writeable = False
         return m

@@ -125,6 +125,12 @@ class TestConfigParsing:
                 RunConfig.from_file(p)
             assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_dealias_key_rejected(self, tmp_path, capsys):
+        # the 2/3 cut is the constant spectral.DEALIAS_FRACTION, not a key
+        p = write_cfg(tmp_path, "grid.N = 64\ngrid.dealias = 0.5\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG == 2
+        assert "config error: unknown config key: grid.dealias" in capsys.readouterr().err
+
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         for line in ("grid.N = many", "model.mu = nan", "grid.L = nan", "stepper.adaptive = ture"):

@@ -18,7 +18,7 @@ from emhd1d.diagnostics import (
 )
 from emhd1d.lp import LPCutoffs, cutoffs_for, shell_spectrum, sobolev_norm
 from emhd1d.solver import ModelParams, StepperConfig, evolve, rhs
-from emhd1d.spectral import GridSpec, SpectralField, derivative, product, remove_mean, sobolev_weight
+from emhd1d.spectral import DEALIAS_FRACTION, GridSpec, SpectralField, derivative, product, remove_mean, sobolev_weight
 
 
 @pytest.fixture
@@ -113,7 +113,7 @@ class TestRoughDatum:
         g = GridSpec(np.pi, n)
         rng = np.random.default_rng(seed)
         xi = np.pi * np.fft.fftfreq(n, d=1.0 / n) / g.half_length
-        kk = np.arange(1, int(g.dealias_fraction * n / 2))
+        kk = np.arange(1, int(DEALIAS_FRACTION * n / 2))
         ref = np.zeros(n, dtype=complex)
         amp = np.abs(xi[kk]) ** (-(s_base + 0.5)) * (1.0 + np.abs(xi[kk])) ** (-0.01)
         ref[kk] = amp * np.exp(2j * np.pi * rng.random(kk.size))

@@ -454,11 +454,26 @@ class TestEvolve:
         assert abs(run.times[-1] - 0.05) < 1e-12
 
     def test_mean_gauge_preserved(self, grid):
-        p = ModelParams(kind="full", mu=1.0, alpha=1.0)
-        cfg = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False)
-        run = evolve(small_datum(grid), p, cfg)
-        assert np.all(np.abs(run.coefs[:, 0].real) < 1e-14)
-        assert np.max(run.diagnostics["mean"]) < 1e-14
+        # the datum's mean is set to zero once: the term is projected
+        # mean-free and lin[0] = 0, so no step moves c[0] off exactly 0, not
+        # even on a run that overflows
+        B0 = SpectralField.from_phys(grid, small_datum(grid).phys + 0.3)
+        wild = SpectralField.from_phys(grid, small_datum(grid, amp=1.0).phys + 0.3)
+        fixed = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False)
+        for scheme in ("ifrk4", "etdrk4"):
+            p = ModelParams(kind="full", mu=1.0, alpha=1.0)
+            run = evolve(B0, p, replace(fixed, scheme=scheme))
+            assert np.all(run.coefs[:, 0] == 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                run = evolve(wild, p, replace(fixed, scheme=scheme))
+            assert run.termination == "non_finite" and np.all(run.coefs[:, 0] == 0.0)
+            ladder = evolve(B0, p, StepperConfig(scheme=scheme, t_end=0.2, store_step_fields=True))
+            rungs = ladder.diagnostics["n_modes"]
+            assert rungs[0] < grid.n_modes and len(rungs) > 10
+            for rows in (ladder.coefs, ladder.lam_b, ladder.lam_b_dot):
+                assert np.all(rows[:, 0] == 0.0)
+            pic = picard_solve(B0, ModelParams(kind="full", mu=1.0, alpha=2.0), replace(fixed, scheme=scheme))
+            assert np.all(pic.series.coefs[:, 0] == 0.0)
 
     def test_dissipation_contracts_l2(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
@@ -572,26 +587,31 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kind", ["full", "transport"])
     def test_sups_reuse_the_nonlinear_transforms(self, monkeypatch, kind):
-        # a state on the finest rung takes one stack, rows[:4] (full) or
-        # rows[:3] (transport), for its nonlinear term and its sups; a state
-        # on a coarser rung calls nonlinear and takes rows[1:4] or rows[1:3]
-        # onto the finest nodes; every nonlinear call transforms rows[:4] or
-        # rows[:2] once
+        # every state, on any rung, takes one stack onto the finest nodes,
+        # rows[:4] (full) or rows[:3] (transport), for its sups and its
+        # nonlinear term k1; nonlinear is called by the three later stages of
+        # each step only, each transforming rows[:4] or rows[:2] on the rung
         g = GridSpec(np.pi, 64)
         p = ModelParams(kind=kind, mu=1.0, alpha=1.5)
         ops = _ops(g, p)
-        nl_rows, fine_rows = (4, 4) if kind == "full" else (2, 3)
+        nl_rows, state_rows = (4, 4) if kind == "full" else (2, 3)
         B0 = small_datum(g, amp=1.0)
-        nonlinear_calls = []
+        nonlinear_calls, stepped = [], []
         nonlinear = solver._Ops.nonlinear
+        stepper = solver._STEPPERS["ifrk4"]
 
         def counted(self, c, tau=0.0):
             nonlinear_calls.append(self.grid.n_modes)
             return nonlinear(self, c, tau)
 
+        def recorded(nl, ops_, c, dt, k1):
+            stepped.append((ops_, c, k1))
+            return stepper(nl, ops_, c, dt, k1)
+
         with monkeypatch.context() as m:
             calls = record_to_phys(m)
             m.setattr(solver._Ops, "nonlinear", counted)
+            m.setitem(solver._STEPPERS, "ifrk4", recorded)
             run = evolve(B0, p, StepperConfig(t_end=1.0, snapshot_cadence=1))
         states = len(run.step_times)
         assert states > 10
@@ -601,17 +621,23 @@ class TestEvolve:
         assert np.any(rungs < g.n_modes)
 
         expected, expected_nl = [], []
-        for n, rung in enumerate([*rungs, g.n_modes]):
-            if rung == g.n_modes:
-                expected.append((rung, fine_rows))
-            else:
-                expected += [(rung, nl_rows), (g.n_modes, fine_rows - 1)]
-                expected_nl.append(rung)
+        for n in range(states):
+            expected.append((g.n_modes, state_rows))
             if n < len(rungs):  # the step's three later stages
-                expected += 3 * [(rung, nl_rows)]
-                expected_nl += 3 * [rung]
+                expected += 3 * [(rungs[n], nl_rows)]
+                expected_nl += 3 * [rungs[n]]
         assert calls == expected
         assert nonlinear_calls == expected_nl
+
+        # k1, read at the rung's nodes of the finest grid's stack, is the
+        # rung's own nonlinear term: bitwise on N, to roundoff below it
+        assert [o.grid.n_modes for o, _, _ in stepped] == list(rungs)
+        for o, c, k1 in stepped:
+            ref = nonlinear(o, c)
+            if o.grid.n_modes == g.n_modes:
+                assert np.array_equal(k1, ref)
+            else:
+                assert np.max(np.abs(k1 - ref)) <= 1e-14 * np.max(np.abs(ref))
 
         diag = run.diagnostics
         for n, c in enumerate(run.coefs[: states - 1]):
@@ -826,7 +852,6 @@ class TestPicard:
                 dots[n] = k1 - ops.lin * c
                 if n < m:
                     c = solver._STEPPERS[cfg.scheme](nl, ops, c, dt, k1)
-                    c[0] = 0.0
             prev = (vals, dots)
             out.append(vals)
         return out

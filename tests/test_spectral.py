@@ -76,8 +76,7 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("bad", [dict(half_length=-1.0, n_modes=64),
                                      dict(half_length=1.0, n_modes=7),
-                                     dict(half_length=1.0, n_modes=6),
-                                     dict(half_length=1.0, n_modes=64, dealias_fraction=0.0)])
+                                     dict(half_length=1.0, n_modes=6)])
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
             GridSpec(**bad)
