@@ -21,6 +21,10 @@ from .solver import ModelParams, StepperConfig, TimeSeries, evolve, hermite
 from .spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
 
 
+DATUM_TOL = 1e-10  # tolerance of B_x(x0) = 1, B_xx(x0) = 0 and max B_x = B_x(x0)
+STOP_FACTOR = 12.0  # run_blowup stops once max|Lambda B_x| > STOP_FACTOR * w0
+
+
 class DatumError(ValueError):
     """The grid cannot hold the datum or its defining point conditions fail."""
 
@@ -35,12 +39,12 @@ class BlowupDatum:
     x0: float
     w0: float
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         bx = derivative(self.B0)
         bxx = derivative(self.B0, 2)
         bx0 = evaluate_at(bx, self.x0)
         bxx0 = evaluate_at(bxx, self.x0)
-        if abs(bx0 - 1.0) > tol:
+        if abs(bx0 - 1.0) > DATUM_TOL:
             raise DatumError(f"B_x(x0) = {bx0}, expected 1")
         # a sampled datum's B_xx(x0) carries roundoff that grows with N (3.8e-10
         # at N = 32768); eps sup|B0| sum_k xi_k^2 / N, the sum over the full
@@ -48,11 +52,11 @@ class BlowupDatum:
         g = self.B0.grid
         xi2_sum = g.norm2(1.0, g.wavenumbers**2) / (2.0 * g.half_length)
         roundoff = np.finfo(float).eps * np.max(np.abs(self.B0.phys)) * xi2_sum / g.n_modes
-        if abs(bxx0) > max(tol, roundoff):
+        if abs(bxx0) > max(DATUM_TOL, roundoff):
             raise DatumError(f"B_xx(x0) = {bxx0}, expected 0")
         if self.w0 <= 0:
             raise DatumError("w0 must be positive")
-        if np.max(bx.phys) > bx0 + tol:
+        if np.max(bx.phys) > bx0 + DATUM_TOL:
             raise DatumError("x0 is not the global maximum of B_x on the grid")
 
 
@@ -125,12 +129,11 @@ def run_blowup(
     grid: GridSpec,
     datum: BlowupDatum | None = None,
     cfl_safety: float = 0.5,
-    stop_factor: float = 12.0,
     scheme: str = "ifrk4",
 ) -> tuple[TimeSeries, BlowupDatum]:
     """Evolve the blowup configuration, storing per-step fields for tracking.
 
-    Stops once max|Lambda B_x| exceeds stop_factor * w0, comfortably past the
+    Stops once max|Lambda B_x| exceeds STOP_FACTOR * w0, comfortably past the
     Riccati fit window [1.25 w0, 10 w0] but before the discretized field
     saturates; a t_end slightly past the predicted time guards against stall.
     """
@@ -141,7 +144,7 @@ def run_blowup(
         dt_init=1e-4,
         cfl_safety=cfl_safety,
         t_end=1.1 / d.w0,
-        blowup_threshold=stop_factor * d.w0,
+        blowup_threshold=STOP_FACTOR * d.w0,
         store_step_fields=True,
         snapshot_cadence=10**9,
     )

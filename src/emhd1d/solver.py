@@ -12,14 +12,16 @@ damping of k = 0 a step keeps the datum's zero mean exactly.  The diagonal
 linear part mu |xi|^alpha is propagated exactly, either by an integrating
 factor wrapped around classical RK4 (default) or by ETDRK4; both are exact
 when the nonlinearity vanishes.
-Each scheme's factors at z = -dt mu |xi|^alpha (IF-RK4's exponentials, the
-ETDRK4 coefficients) are rebuilt whenever dt changes, so on every adaptive
-step, and once in a fixed-dt run.  mu |xi_k|^alpha grows with k on the
-stored half, so in the ETDRK4 build one index splits z: the Cox-Matthews
-closed forms (Cox & Matthews 2002, J. Comput. Phys. 176:430) are evaluated
-only where |z| >= 1, and below that one Horner series of phi_3 gives phi_2
-and phi_1 by phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products: an array
-``**3`` goes through libm ``pow`` and cost more than the rest of the build.
+A scheme is one row of ``_SCHEMES``: the build of its factors at
+z = -dt mu |xi|^alpha (IF-RK4's exponentials, the ETDRK4 coefficients) and
+its step.  The factors are rebuilt whenever the scheme or dt changes, so on
+every adaptive step, and once in a fixed-dt run.  mu |xi_k|^alpha grows with
+k on the stored half, so in the ETDRK4 build one index splits z: the
+Cox-Matthews closed forms (Cox & Matthews 2002, J. Comput. Phys. 176:430) are
+evaluated only where |z| >= 1, and below that one Horner series of phi_3
+gives phi_2 and phi_1 by phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products:
+an array ``**3`` goes through libm ``pow`` and cost more than the rest of the
+build.
 
 Adaptive stepping enforces the advective CFL dt <= cfl * dx / max|Lambda B|
 and additionally caps dt by cfl / max|Lambda B_x| so the local Riccati-type
@@ -101,7 +103,7 @@ class StepperConfig:
             raise ValueError("blowup_threshold must not be NaN")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.scheme not in ("ifrk4", "etdrk4"):
+        if self.scheme not in _SCHEMES:
             raise ValueError("unknown scheme")
         if self.max_steps < 1 or self.snapshot_cadence < 1:
             raise ValueError("max_steps and snapshot_cadence must be at least 1")
@@ -109,7 +111,7 @@ class StepperConfig:
 
 class _Ops:
     """Multiplier tables of one (grid, params), built once by ``_ops``; read-only
-    apart from the two slots that keep each scheme's factors for the last dt."""
+    apart from the one slot that keeps the factors of the last (scheme, dt)."""
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
@@ -125,38 +127,29 @@ class _Ops:
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
         for a in (self.absxi, self.rows, self.lin):
             a.flags.writeable = False
-        # (dt, arrays) of each scheme's last build
-        self._etdrk4 = self._ifrk4 = (math.nan, ())
+        self._factors: tuple = (None, math.nan, ())
 
-    def _per_dt(self, slot: str, build: Callable, dt: float) -> tuple:
-        """``build(lin, dt)``, rebuilt only when dt changes, so a fixed-dt
-        run builds it once.  The (dt, arrays) pair is replaced whole, so
-        threads sharing the table never pair one dt with another's arrays."""
-        last = getattr(self, slot)
-        if last[0] != dt:
-            last = (dt, build(self.lin, dt))
-            for a in last[1]:
+    def factors(self, scheme: str, dt: float) -> tuple:
+        """The read-only factors of ``scheme`` at step dt, rebuilt only when
+        the scheme or dt changes, so a fixed-dt run builds them once.  The
+        (scheme, dt, factors) slot is replaced whole, so threads sharing the
+        table never pair one dt with another's arrays."""
+        last = self._factors
+        if last[:2] != (scheme, dt):
+            last = (scheme, dt, _SCHEMES[scheme][0](self.lin, dt))
+            for a in last[2]:
                 a.flags.writeable = False
-            setattr(self, slot, last)
-        return last[1]
+            self._factors = last
+        return last[2]
 
-    def etdrk4_coeffs(self, dt: float) -> tuple:
-        return self._per_dt("_etdrk4", _etdrk4_coeffs, dt)
-
-    def ifrk4_factors(self, dt: float) -> tuple:
-        return self._per_dt("_ifrk4", _ifrk4_factors, dt)
-
-    def form(self, phys: np.ndarray) -> np.ndarray:
+    def form(self, phys) -> np.ndarray:
         """The model's quadratic term, dealiased and mean-free, from the
-        inverse transform of a stack ``rows[:n] * c``: the transport term
-        reads rows 0-1, the full term rows 0-3, and extra rows are ignored."""
+        physical fields (B_x, Lambda B, Lambda B_x, B) of ``rows * c``: the
+        transport term reads the first two, the full term all four, and
+        extra rows are ignored."""
         prod = phys[1] * phys[0]
         if self.params.kind == "full":
             prod = phys[3] * phys[2] - prod
-        return self.project(prod)
-
-    def project(self, prod: np.ndarray) -> np.ndarray:
-        """Coefficients of a quadratic product, dealiased and mean-free."""
         out = self.grid.to_coef(prod)
         out *= self.mask
         out[0] = 0.0
@@ -171,9 +164,6 @@ class _Ops:
             return np.zeros_like(c)
         n = 4 if self.params.kind == "full" else 2
         return self.form(self.grid.to_phys(self.rows[:n] * c))
-
-    def rhs(self, c: np.ndarray) -> np.ndarray:
-        return self.nonlinear(c) - self.lin * c
 
 
 # bounded, so that a sweep over many (grid, params) does not keep every table
@@ -233,7 +223,8 @@ def _resize(c: np.ndarray, half: int) -> np.ndarray:
 
 def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
     """Full right-hand side dB/dt, dealiased and mean-free."""
-    return SpectralField.from_coef(B.grid, _ops(B.grid, params).rhs(B.coef))
+    ops = _ops(B.grid, params)
+    return SpectralField.from_coef(B.grid, ops.nonlinear(B.coef) - ops.lin * B.coef)
 
 
 _PHI3_SERIES = tuple(1.0 / math.factorial(n + 3) for n in range(17))  # z^17 / 20! < 5e-19
@@ -257,8 +248,7 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     """
     r = dt * lin  # |z|
     z = -r
-    e_half = np.exp(z / 2.0)
-    e_full = np.exp(z)
+    e_half, e_full = _ifrk4_factors(lin, dt)
     i0 = int(np.searchsorted(r, 0.0, side="right"))
     i1 = int(np.searchsorted(r, 1.0))
     q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
@@ -292,10 +282,11 @@ def _ifrk4_factors(lin: np.ndarray, dt: float):
     return np.exp(-0.5 * dt * lin), np.exp(-dt * lin)
 
 
-# A stepper advances c_t = nl(c, tau) - ops.lin * c by dt from k1 = nl(c, 0);
-# nl receives the stage's fraction tau of the step (0, 1/2, 1/2, 1).
-def _step_ifrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray):
-    e_half, e_full = ops.ifrk4_factors(dt)
+# A stepper advances c_t = nl(c, tau) - lin * c by dt from k1 = nl(c, 0), with
+# ``factors`` its scheme's build at (lin, dt); nl receives the stage's fraction
+# tau of the step (0, 1/2, 1/2, 1).
+def _step_ifrk4(nl: Callable, c: np.ndarray, dt: float, k1: np.ndarray, factors: tuple):
+    e_half, e_full = factors
     ec = e_full * c
     k2 = nl(e_half * (c + 0.5 * dt * k1), 0.5)
     k3 = nl(e_half * c + 0.5 * dt * k2, 0.5)
@@ -303,8 +294,8 @@ def _step_ifrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarra
     return ec + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-def _step_etdrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarray):
-    e_half, e_full, q, f1, f2, f3 = ops.etdrk4_coeffs(dt)
+def _step_etdrk4(nl: Callable, c: np.ndarray, dt: float, k1: np.ndarray, factors: tuple):
+    e_half, e_full, q, f1, f2, f3 = factors
     a = e_half * c + q * k1
     na = nl(a, 0.5)
     b = e_half * c + q * na
@@ -314,7 +305,7 @@ def _step_etdrk4(nl: Callable, ops: _Ops, c: np.ndarray, dt: float, k1: np.ndarr
     return e_full * c + f1 * k1 + 2.0 * f2 * (na + nb) + f3 * nc
 
 
-_STEPPERS = {"ifrk4": _step_ifrk4, "etdrk4": _step_etdrk4}
+_SCHEMES = {"ifrk4": (_ifrk4_factors, _step_ifrk4), "etdrk4": (_etdrk4_coeffs, _step_etdrk4)}
 
 
 def step(
@@ -328,7 +319,8 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     ops = _ops(B.grid, params)
-    c = _STEPPERS[cfg.scheme](ops.nonlinear, ops, B.coef, dt, ops.nonlinear(B.coef))
+    stepper = _SCHEMES[cfg.scheme][1]
+    c = stepper(ops.nonlinear, B.coef, dt, ops.nonlinear(B.coef), ops.factors(cfg.scheme, dt))
     return SpectralField.from_coef(B.grid, c), dt
 
 
@@ -395,7 +387,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     """
     grid = B0.grid
     half = grid.n_modes // 2 + 1
-    stepper = _STEPPERS[cfg.scheme]
+    stepper = _SCHEMES[cfg.scheme][1]
     c = B0.coef.copy()
     c[0] = 0.0  # zero-mean gauge, set once: every step keeps c[0] = 0 exactly
     rungs = _ladder(grid, c, cfg)
@@ -467,7 +459,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
             break
         dt = min(dt, cfg.t_end - t)
 
-        c = stepper(ops.nonlinear, ops, c, dt, nl)
+        c = stepper(ops.nonlinear, c, dt, nl, ops.factors(cfg.scheme, dt))
         t += dt
         n += 1
 
@@ -527,10 +519,10 @@ def picard_solve(
     """
     if params.kind != "full" or params.mu <= 0:
         raise ValueError("picard_solve applies to the full model with mu > 0")
-    s = 2.5 - params.alpha + 0.5
+    s = 3.0 - params.alpha
     grid = B0.grid
     ops = _ops(grid, params)
-    stepper = _STEPPERS[cfg.scheme]
+    stepper = _SCHEMES[cfg.scheme][1]
     dt = cfg.dt_init
     m = max(1, int(round(cfg.t_end / dt)))
     dt = cfg.t_end / m
@@ -551,12 +543,13 @@ def picard_solve(
     def frozen_nl(c: np.ndarray, tau: float) -> np.ndarray:
         """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, with A the
         previous iterate at t_n + tau * dt (n is the step the loop below is
-        taking); at A = C it is the full model's term."""
+        taking); at A = C it is the full model's term, so ``form`` makes it
+        from (C_x, Lambda A, Lambda C_x, A)."""
         if frozen is None:
             return np.zeros_like(c)
         c_x, lam_c_x = grid.to_phys(ops.rows[0:3:2] * c)
         lam_a, a = frozen[2 * n + int(2 * tau)]
-        return ops.project(a * lam_c_x - lam_a * c_x)
+        return ops.form((c_x, lam_a, lam_c_x, a))
 
     for it in range(k_max + 1):
         if prev_vals is not None and params.nonlinearity:
@@ -574,7 +567,7 @@ def picard_solve(
             dots[n] = k1 - ops.lin * c
             if n == m:
                 break
-            c = stepper(frozen_nl, ops, c, dt, k1)
+            c = stepper(frozen_nl, c, dt, k1, ops.factors(cfg.scheme, dt))
         finals.append(vals[m].copy())
         if prev_vals is not None:
             gap = float(np.max(np.sqrt(grid.sobolev_norm2(vals - prev_vals, s, homogeneous=False))))

@@ -133,7 +133,8 @@ class TestConfigParsing:
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        for line in ("grid.N = many", "model.mu = nan", "grid.L = nan", "stepper.adaptive = ture"):
+        for line in ("grid.N = many", "model.mu = nan", "grid.L = nan", "stepper.adaptive = ture",
+                     "stepper.scheme = rk3", "datum.kind = sine"):
             p.write_text(line + "\n")
             with pytest.raises(ConfigError):
                 RunConfig.from_file(p)

@@ -12,7 +12,6 @@ from emhd1d import solver
 from emhd1d.solver import (
     ModelParams,
     _etdrk4_coeffs,
-    _ifrk4_factors,
     _ops,
     PicardResult,
     StepperConfig,
@@ -265,25 +264,27 @@ class TestETDRK4Coeffs:
             assert np.all(np.diff(lin) >= 0.0)
 
 
-def assert_threads_get_their_own_dt(method, build):
-    """Threads sharing one table must never be handed the arrays that
-    ``_Ops.<method>`` built for another thread's dt."""
+def assert_threads_get_their_own_dt(scheme):
+    """Threads sharing one table must never be handed the factors that
+    ``_Ops.factors`` built for another thread's dt, nor, at the same dt,
+    the other scheme's."""
     ops = _ops(GridSpec(np.pi, 8), ModelParams(kind="full", mu=1.0, alpha=2.0))
-    get = getattr(ops, method)
-    dts = [1e-3, 2e-3, 5e-4, 3e-3]
-    refs = {dt: build(ops.lin, dt) for dt in dts}
+    other = next(k for k in solver._SCHEMES if k != scheme)
+    keys = [(scheme, dt) for dt in (1e-3, 2e-3, 5e-4, 3e-3)] + [(other, 1e-3)]
+    refs = {(k, dt): solver._SCHEMES[k][0](ops.lin, dt) for k, dt in keys}
     wrong = []
 
     def worker(first):
         for i in range(2000):
-            dt = dts[(first + i // 3) % len(dts)]
-            if not all(np.array_equal(a, b) for a, b in zip(get(dt), refs[dt])):
-                wrong.append(dt)
+            key = keys[(first + i // 3) % len(keys)]
+            got = ops.factors(*key)
+            if len(got) != len(refs[key]) or not all(np.array_equal(a, b) for a, b in zip(got, refs[key])):
+                wrong.append(key)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(dts))]
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(keys))]
         for t in threads:
             t.start()
         for t in threads:
@@ -294,113 +295,58 @@ def assert_threads_get_their_own_dt(method, build):
     assert wrong == []
 
 
-class TestETDRK4CoefficientReuse:
-    """Fixed-dt ETDRK4 builds its coefficients once per distinct dt."""
+# each scheme's factors made afresh on every call, the reference for the
+# ones a table keeps
+FRESH_FACTORS = {
+    "ifrk4": lambda lin, dt: (np.exp(-0.5 * dt * lin), np.exp(-dt * lin)),
+    "etdrk4": _etdrk4_coeffs,
+}
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+class TestFactorReuse:
+    """Each scheme builds its factors once per distinct (dt, table), and a
+    run reads bit for bit what ``FRESH_FACTORS`` makes on every step."""
 
     @staticmethod
-    def count_builds(monkeypatch):
-        _ops.cache_clear()  # no table may hold coefficients from an earlier test
-        seen = []
-
-        def counting(lin, dt):
-            seen.append(dt)
-            return _etdrk4_coeffs(lin, dt)
-
-        monkeypatch.setattr(solver, "_etdrk4_coeffs", counting)
-        return seen
-
-    @staticmethod
-    def rebuilt_every_step(monkeypatch):
-        monkeypatch.setattr(solver._Ops, "etdrk4_coeffs", lambda self, dt: _etdrk4_coeffs(self.lin, dt))
-
-    def test_evolve_builds_once_per_dt_and_fields_are_unchanged(self, grid, monkeypatch):
-        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-        cfg = StepperConfig(scheme="etdrk4", dt_init=1e-3, t_end=0.05, adaptive=False)
-        with monkeypatch.context() as m:
-            self.rebuilt_every_step(m)
-            ref = evolve(small_datum(grid), p, cfg)
-        builds = self.count_builds(monkeypatch)
-        run = evolve(small_datum(grid), p, cfg)
-        assert len(run.step_times) == 51
-        assert sorted(builds) == sorted(set(run.diagnostics["dt"]))
-        assert len(builds) <= 2  # dt_init, and perhaps a last step cut to t_end
-        assert np.array_equal(run.coefs, ref.coefs)
-
-    def test_picard_and_step_build_once(self, grid, monkeypatch):
-        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-        cfg = StepperConfig(scheme="etdrk4", dt_init=1e-3, t_end=0.02, adaptive=False)
-        with monkeypatch.context() as m:
-            self.rebuilt_every_step(m)
-            ref = picard_solve(small_datum(grid), p, cfg)
-        builds = self.count_builds(monkeypatch)
-        res = picard_solve(small_datum(grid), p, cfg)
-        assert builds == [1e-3]
-        assert res.gap_history == ref.gap_history
-        assert np.array_equal(res.series.final.coef, ref.series.final.coef)
-        B = small_datum(grid)
-        for _ in range(5):
-            B, _ = step(B, 0.0, 1e-3, p, cfg)
-        assert builds == [1e-3]
-
-    def test_threads_sharing_a_table_get_their_own_dt(self):
-        assert_threads_get_their_own_dt("etdrk4_coeffs", _etdrk4_coeffs)
-
-    def test_adaptive_run_rebuilds_when_dt_changes(self, grid, monkeypatch):
-        builds = self.count_builds(monkeypatch)
-        p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
-        cfg = StepperConfig(scheme="etdrk4", dt_init=1e-2, t_end=0.05)
-        run = evolve(small_datum(grid, amp=1.0), p, cfg)
-        dts = run.diagnostics["dt"]
-        assert builds == [dts[0]] + [b for a, b in zip(dts[:-1], dts[1:]) if b != a]
-        assert len(builds) > 5
-        coeffs = _ops(grid, p).etdrk4_coeffs(builds[-1])
-        with pytest.raises(ValueError):
-            coeffs[2][0] = 0.0
-
-
-class TestIFRK4FactorReuse:
-    """IF-RK4 builds its exponentials once per distinct dt, and they are the
-    ones it computed on every step before, bit for bit."""
-
-    @staticmethod
-    def count_builds(monkeypatch):
+    def count_builds(monkeypatch, scheme):
         _ops.cache_clear()  # no table may hold factors from an earlier test
+        build, stepper = solver._SCHEMES[scheme]
         seen = []
 
         def counting(lin, dt):
             seen.append(dt)
-            return _ifrk4_factors(lin, dt)
+            return build(lin, dt)
 
-        monkeypatch.setattr(solver, "_ifrk4_factors", counting)
+        monkeypatch.setitem(solver._SCHEMES, scheme, (counting, stepper))
         return seen
 
     @staticmethod
-    def rebuilt_every_step(monkeypatch):
-        monkeypatch.setattr(
-            solver._Ops, "ifrk4_factors", lambda self, dt: (np.exp(-0.5 * dt * self.lin), np.exp(-dt * self.lin))
-        )
+    def rebuilt_every_step(monkeypatch, scheme):
+        fresh = FRESH_FACTORS[scheme]
+        monkeypatch.setattr(solver._Ops, "factors", lambda self, s, dt: fresh(self.lin, dt))
 
-    def test_evolve_builds_once_per_dt_and_fields_are_unchanged(self, grid, monkeypatch):
+    def test_evolve_builds_once_per_dt_and_fields_are_unchanged(self, grid, monkeypatch, scheme):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-        cfg = StepperConfig(dt_init=1e-3, t_end=0.05, adaptive=False)
+        cfg = StepperConfig(scheme=scheme, dt_init=1e-3, t_end=0.05, adaptive=False)
         with monkeypatch.context() as m:
-            self.rebuilt_every_step(m)
+            self.rebuilt_every_step(m, scheme)
             ref = evolve(small_datum(grid), p, cfg)
-        builds = self.count_builds(monkeypatch)
+        builds = self.count_builds(monkeypatch, scheme)
         run = evolve(small_datum(grid), p, cfg)
         assert len(run.step_times) == 51
         assert sorted(builds) == sorted(set(run.diagnostics["dt"]))
         assert len(builds) <= 2  # dt_init, and perhaps a last step cut to t_end
         assert np.array_equal(run.coefs, ref.coefs)
 
-    def test_picard_step_and_symmetry_build_once_per_grid(self, grid, monkeypatch):
+    def test_picard_step_and_symmetry_build_once_per_grid(self, grid, monkeypatch, scheme):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-        cfg = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False)
+        cfg = StepperConfig(scheme=scheme, dt_init=1e-3, t_end=0.02, adaptive=False)
         with monkeypatch.context() as m:
-            self.rebuilt_every_step(m)
+            self.rebuilt_every_step(m, scheme)
             ref = picard_solve(small_datum(grid), p, cfg)
-            ref_sym = scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, "ifrk4")
-        builds = self.count_builds(monkeypatch)
+            ref_sym = scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, scheme)
+        builds = self.count_builds(monkeypatch, scheme)
         res = picard_solve(small_datum(grid), p, cfg)
         assert builds == [1e-3]
         assert res.gap_history == ref.gap_history
@@ -411,24 +357,24 @@ class TestIFRK4FactorReuse:
         assert builds == [1e-3]
         # two grids, one dt each, and perhaps a last step cut to t_end on each
         del builds[:]
-        assert scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, "ifrk4") == ref_sym
+        assert scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, scheme) == ref_sym
         assert 2 <= len(builds) <= 4 and len(set(builds)) == len(builds)
 
-    def test_threads_sharing_a_table_get_their_own_dt(self):
-        assert_threads_get_their_own_dt("ifrk4_factors", _ifrk4_factors)
+    def test_threads_sharing_a_table_get_their_own_dt(self, scheme):
+        assert_threads_get_their_own_dt(scheme)
 
-    def test_adaptive_run_rebuilds_when_dt_changes(self, grid, monkeypatch):
-        builds = self.count_builds(monkeypatch)
+    def test_adaptive_run_rebuilds_when_dt_changes(self, grid, monkeypatch, scheme):
+        builds = self.count_builds(monkeypatch, scheme)
         p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
-        cfg = StepperConfig(dt_init=1e-2, t_end=0.05)
+        cfg = StepperConfig(scheme=scheme, dt_init=1e-2, t_end=0.05)
         run = evolve(small_datum(grid, amp=1.0), p, cfg)
         # a build on each step whose dt or ladder rung (so table) is new
         key = list(zip(run.diagnostics["dt"], run.diagnostics["n_modes"]))
         assert builds == [dt for n, (dt, _) in enumerate(key) if n == 0 or key[n] != key[n - 1]]
         assert len(builds) > 5
-        e_half, e_full = _ops(grid, p).ifrk4_factors(builds[-1])
-        with pytest.raises(ValueError):
-            e_full[0] = 0.0
+        for a in _ops(grid, p).factors(scheme, builds[-1]):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestStepperConfig:
@@ -598,20 +544,20 @@ class TestEvolve:
         B0 = small_datum(g, amp=1.0)
         nonlinear_calls, stepped = [], []
         nonlinear = solver._Ops.nonlinear
-        stepper = solver._STEPPERS["ifrk4"]
+        build, stepper = solver._SCHEMES["ifrk4"]
 
         def counted(self, c, tau=0.0):
             nonlinear_calls.append(self.grid.n_modes)
             return nonlinear(self, c, tau)
 
-        def recorded(nl, ops_, c, dt, k1):
-            stepped.append((ops_, c, k1))
-            return stepper(nl, ops_, c, dt, k1)
+        def recorded(nl, c, dt, k1, factors):
+            stepped.append((nl.__self__, c, k1))  # nl is the rung table's bound nonlinear
+            return stepper(nl, c, dt, k1, factors)
 
         with monkeypatch.context() as m:
             calls = record_to_phys(m)
             m.setattr(solver._Ops, "nonlinear", counted)
-            m.setitem(solver._STEPPERS, "ifrk4", recorded)
+            m.setitem(solver._SCHEMES, "ifrk4", (build, recorded))
             run = evolve(B0, p, StepperConfig(t_end=1.0, snapshot_cadence=1))
         states = len(run.step_times)
         assert states > 10
@@ -832,6 +778,7 @@ class TestPicard:
         transform per physical field (``per_row``)."""
         g = B0.grid
         ops = _ops(g, p)
+        build, stepper = solver._SCHEMES[cfg.scheme]
         m = round(cfg.t_end / cfg.dt_init)
         dt = cfg.t_end / m
         prev, out = None, []
@@ -851,7 +798,7 @@ class TestPicard:
                 k1 = nl(c, 0.0)
                 dots[n] = k1 - ops.lin * c
                 if n < m:
-                    c = solver._STEPPERS[cfg.scheme](nl, ops, c, dt, k1)
+                    c = stepper(nl, c, dt, k1, build(ops.lin, dt))
             prev = (vals, dots)
             out.append(vals)
         return out
