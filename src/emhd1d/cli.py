@@ -36,7 +36,7 @@ from .blowup import (
 )
 from .diagnostics import norm_series, rough_datum
 from .gates import Gate
-from .lp import cutoffs_for, lp_verdict
+from .lp import cutoffs_for, lp_verdict, random_band_limited
 from .solver import ModelParams, StepperConfig, evolve, scaling_symmetry_verdict
 from .spectral import (
     GridSpec,
@@ -357,8 +357,6 @@ def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
 
 def cmd_selftest(out: Path | None = None) -> int:
     """Operator-identity suite on 100 random band-limited fields at N = 256."""
-    from .lp import random_band_limited
-
     grid = GridSpec(np.pi, 256)
     rng = np.random.default_rng(12345)
     worst: dict[str, float] = {}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import cutoffs_for, shell_spectrum
-from .solver import ModelParams, StepperConfig, TimeSeries, _ops, evolve, step
+from .solver import ModelParams, StepperConfig, TimeSeries, _ops, step
 from .spectral import DEALIAS_FRACTION, GridSpec, SpectralField
 
 
@@ -54,22 +54,6 @@ def norm_series(run: TimeSeries, s_list: list[float]) -> NormSeries:
         hd[i] = np.sqrt(grid.sobolev_norm2(run.coefs, s + 0.5 * alpha))
     budget = _cumtrapz(run.times, hd**2)
     return NormSeries(times=run.times, s_list=tuple(s_list), hs=hs, hs_diss=hd, budget=budget)
-
-
-def l2_budget_defect(run: TimeSeries) -> np.ndarray:
-    """Residual of the L2 energy balance per snapshot interval.
-
-    ||B(t)||^2 + 2 mu int_0^t ||Lambda^(a/2) B||^2 - (nonlinear work) should
-    equal ||B0||^2; the residual decays like dt^2 under refinement.  The
-    nonlinear work term is the trapezoid of 2 int nl(B) B dx.
-    """
-    grid = run.grid
-    e = grid.norm2(run.coefs)
-    diss = grid.sobolev_norm2(run.coefs, run.params.alpha / 2.0)
-    ops = _ops(grid, run.params)  # the nonlinear term does not read mu
-    nl = np.array([ops.nonlinear(c) for c in run.coefs])
-    work = 2.0 * grid.inner(nl, run.coefs)
-    return e + 2.0 * run.params.mu * _cumtrapz(run.times, diss) - _cumtrapz(run.times, work) - e[0]
 
 
 def rough_datum(grid: GridSpec, s_base: float, norm: float = 0.05, seed: int = 0) -> SpectralField:
@@ -212,13 +196,3 @@ def flux_defect_ratio(
     d2 = flux_balance_defect(B0, params, s, dt / 2.0)
     return d1, d2, d1 / d2
 
-
-def make_smoothing_run(
-    grid: GridSpec, mu: float, alpha: float, s_base: float, nonlinearity: bool = True
-) -> TimeSeries:
-    """Fixed-dt (2e-5) full-model run to t = 1.1e-2 from the seed-0 rough
-    datum, snapshotting densely enough to resolve the [1e-3, 1e-2] fit window."""
-    B0 = rough_datum(grid, s_base)
-    params = ModelParams(kind="full", mu=mu, alpha=alpha, nonlinearity=nonlinearity)
-    cfg = StepperConfig(dt_init=2e-5, t_end=1.1e-2, adaptive=False, snapshot_cadence=5)
-    return evolve(B0, params, cfg)

@@ -202,10 +202,6 @@ class SpectralField:
     def from_function(cls, grid: GridSpec, fn: Callable[[np.ndarray], np.ndarray]) -> "SpectralField":
         return cls.from_phys(grid, fn(grid.nodes))
 
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "SpectralField":
-        return cls(grid, np.zeros(grid.n_modes // 2 + 1, dtype=complex))
-
     @property
     def mean(self) -> float:
         return float(np.real(self.coef[0]))

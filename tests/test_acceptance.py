@@ -12,7 +12,6 @@ from emhd1d.blowup import advect_trajectory, riccati_verdict, run_blowup
 from emhd1d.cli import EXIT_OK, cmd_selftest
 from emhd1d.diagnostics import (
     flux_defect_ratio,
-    make_smoothing_run,
     rough_datum,
     smoothing_rate_fit,
     smoothing_rate_fit_semigroup,
@@ -145,13 +144,13 @@ def test_criterion_5_flux_identity():
 
 
 @pytest.mark.parametrize("alpha,s_base,s_target", [(2.0, 0.5, 1.5), (1.5, 1.0, 1.75)])
-def test_criterion_6_smoothing_rates(alpha, s_base, s_target):
+def test_criterion_6_smoothing_rates(alpha, s_base, s_target, smoothing_run):
     grid = GridSpec(np.pi, 2048)
-    run = make_smoothing_run(grid, mu=1.0, alpha=alpha, s_base=s_base)
+    run = smoothing_run(grid, mu=1.0, alpha=alpha, s_base=s_base)
     fit = smoothing_rate_fit(run, s_base, s_target)
     err = abs(fit.exponent_est - fit.expected)
 
-    lin = make_smoothing_run(grid, mu=1.0, alpha=alpha, s_base=s_base, nonlinearity=False)
+    lin = smoothing_run(grid, mu=1.0, alpha=alpha, s_base=s_base, nonlinearity=False)
     fit_lin = smoothing_rate_fit(lin, s_base, s_target)
     oracle = smoothing_rate_fit_semigroup(rough_datum(grid, s_base), 1.0, alpha, s_base, s_target)
     lin_err = abs(fit_lin.exponent_est - oracle.exponent_est)

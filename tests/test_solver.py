@@ -126,7 +126,7 @@ class TestOpsCache:
 class TestRHS:
     def test_zero_field(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-        f = rhs(SpectralField.zero(grid), p)
+        f = rhs(SpectralField.from_coef(grid, np.zeros(grid.n_modes // 2 + 1)), p)
         assert f.l2_norm() == 0.0
 
     def test_linear_part_single_mode(self, grid):

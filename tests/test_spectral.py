@@ -112,7 +112,6 @@ class TestSpectralField:
             SpectralField.from_phys(grid, x),
             SpectralField.from_coef(grid, grid.to_coef(x)),
             SpectralField.from_function(grid, np.sin),
-            SpectralField.zero(grid),
         ]
         for f in fields:
             for arr in (f.phys, f.coef):
