@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import fit_line
 from .gates import Gate, at_most
-from .solver import ModelParams, StepperConfig, TimeSeries, evolve, hermite
+from .solver import ModelParams, StepperConfig, TimeSeries, _table, evolve, hermite
 from .spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
 
 
@@ -161,41 +161,41 @@ def advect_trajectory(run: TimeSeries, x0: float) -> Trajectory:
     diagonal multiplier away).
 
     Each off-grid sum runs only over the band of the ladder rung that made
-    its rows (``run.diagnostics["n_modes"]``): a row stored from a rung of
-    n < N modes lost its Nyquist entry when stored, so it is exactly zero
-    from entry n/2 on, and ``eval_trig`` reads the cut row as zero-padded.
-    The Hermite midpoint of a step takes the band of the step's end, the
-    finer of its two rows.
+    its rows, which is the length of the stored row (``TimeSeries``), and
+    ``eval_trig`` reads a row shorter than N/2 + 1 as zero-padded.  The
+    Hermite midpoint of a step takes the band of the step's end, the finer
+    of its two rows; only at a rung switch is the coarser pair zero-padded
+    to it.
     """
     if run.lam_b is None:
         raise ValueError("run was made without store_step_fields")
     grid = run.grid
-    half = grid.n_modes // 2 + 1
     xi = grid.wavenumbers
     m_bx = 1j * np.sign(xi)  # B_x = -H(Lambda B)
     # rows: Lambda B, B_x, B_xx, Lambda B_x, all read off one phase table
     mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
-    # the row at the last step boundary has no step and so no rung entry
-    rung = run.diagnostics["n_modes"]
-    band = np.where(rung < grid.n_modes, rung // 2, half).tolist() + [half]
 
     times = run.step_times
+    lam_b, lam_b_dot = run.lam_b, run.lam_b_dot
     Xs = np.empty(len(times))
     vals = np.empty((len(mults), len(times)))  # one row per multiplier
     X = x0
     for n in range(len(times)):
-        k = band[n]
         Xs[n] = X
-        vals[:, n] = eval_trig(grid, mults[:, :k] * run.lam_b[n, :k], X)[:, 0]
+        vals[:, n] = eval_trig(grid, mults[:, : lam_b[n].size] * lam_b[n], X)[:, 0]
         if n == len(times) - 1:
             break
         dt = float(times[n + 1] - times[n])
-        k = band[n + 1]
-        mid = hermite(run.lam_b[:, :k], run.lam_b_dot[:, :k], n, 0.5, dt)
+        end = lam_b[n + 1]
+        if lam_b[n].size == end.size:
+            mid = hermite(lam_b, lam_b_dot, n, 0.5, dt)
+        else:
+            pair, dots = (_table(rows[n : n + 2], end.size) for rows in (lam_b, lam_b_dot))
+            mid = hermite(pair, dots, 0, 0.5, dt)
         f1 = -vals[0, n]
         f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
         f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
-        f4 = -eval_trig(grid, run.lam_b[n + 1, :k], X + dt * f3)[0]
+        f4 = -eval_trig(grid, end, X + dt * f3)[0]
         X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     _, bx, bxx, w = vals
     return Trajectory(t=times.copy(), X=Xs, bx=bx, bxx=bxx, w=w)
@@ -235,14 +235,16 @@ def riccati_invariant_report(run: TimeSeries, traj: Trajectory, t_max: float) ->
     B_xx(X, t) = 0, along the trajectory up to t_max."""
     idx = np.flatnonzero(traj.t <= t_max)
 
-    # sup_x |B_xx| of the selected rows only, transformed a block of rows per
-    # call: one stack of all ~240 rows at N = 4096 would take ~30 MB of
-    # temporaries and raise the peak RSS of a blowup run
-    xi = run.grid.wavenumbers
+    # sup_x |B_xx| of the selected rows only, zero-padded to N/2 + 1 and
+    # transformed a block of rows per call: one padded stack of all ~240 rows
+    # at N = 4096 is 8 MB, and ~30 MB with the arrays made from it, which
+    # would raise the peak RSS of a blowup run
+    grid = run.grid
+    xi = grid.wavenumbers
     m_bxx = 1j * xi * (1j * np.sign(xi))
     block = 32
     sup_bxx = np.concatenate([
-        np.max(np.abs(run.grid.to_phys(m_bxx * run.lam_b[idx[i : i + block]])), axis=1)
+        np.max(np.abs(grid.to_phys(m_bxx * _table([run.lam_b[n] for n in idx[i : i + block]], xi.size))), axis=1)
         for i in range(0, idx.size, block)
     ])
     return RiccatiReport(

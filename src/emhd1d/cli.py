@@ -8,7 +8,9 @@ comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
 3 numerical abort.  A ``run`` passes only if it reaches t_end or, with a
 finite ``stepper.blowup_threshold``, stops at the threshold or at CFL
 collapse; any other termination (a non-finite field, max_steps, or CFL
-collapse with no threshold) writes only manifest.json and exits 3.
+collapse with no threshold) writes only manifest.json and exits 3.  A
+``blowup`` passes only if its run stops at the blowup threshold; any other
+termination, t_end included, likewise exits 3 with its cause recorded.
 ``--sweep`` takes a file listing one config path per line and runs them one
 after another in that order.  Run i writes to OUT/sweep_<i:03d>,
 OUT/sweep.json maps each run directory to its config path and exit code,
@@ -302,7 +304,10 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         "termination": run.termination, "steps": len(run.step_times) - 1, "ladder": _rungs(run),
         "wall_s": clock.wall,
     }
-    if run.termination == "non_finite":
+    # the fit and its gates mean something only on a run that reached the
+    # singularity: one that ran to t_end past the predicted time, or stopped
+    # for any other cause, is a numerical abort with its cause recorded
+    if run.termination != "blowup_threshold":
         return EXIT_NUMERICAL, record
     traj = advect_trajectory(run, datum.x0)
     clock.done("trajectory")

@@ -204,15 +204,16 @@ def _ladder(grid: GridSpec, c: np.ndarray, cfg: StepperConfig) -> list[GridSpec]
 
 
 def _table(rows: list[np.ndarray], half: int) -> np.ndarray:
-    """Coefficient rows from any rung as one (len(rows), half) table, each
-    cut or zero-padded; a row shorter or longer than ``half`` loses its
-    Nyquist entry.  A run keeps its rows rung-sized until here: padding each
-    as it is made would interleave long-lived fine rows with a coarse rung's
-    short-lived arrays and fragment the heap (3.4 MB more peak RSS on the
-    N = 4096 blowup run)."""
+    """Coefficient rows from any rung as one (len(rows), half) table: a row
+    of at most ``half`` entries is zero-padded, a longer one is cut to
+    ``half - 1``, so the coarser grid's Nyquist entry is 0, as a rung's
+    stays on every finite step.  A run keeps its snapshot rows rung-sized
+    until here: padding each as it is made would interleave long-lived fine
+    rows with a coarse rung's short-lived arrays and fragment the heap
+    (3.4 MB more peak RSS on the N = 4096 blowup run)."""
     out = np.zeros((len(rows), half), dtype=complex)
     for o, row in zip(out, rows):
-        k = half if row.size == half else min(row.size, half) - 1
+        k = row.size if row.size <= half else half - 1
         o[:k] = row[:k]
     return out
 
@@ -324,13 +325,13 @@ def step(
     return SpectralField.from_coef(B.grid, c), dt
 
 
-def hermite(vals: np.ndarray, dots: np.ndarray, n: "int | np.ndarray", tau: float, dt: float) -> np.ndarray:
+def hermite(vals, dots, n: "int | np.ndarray", tau: float, dt: float) -> np.ndarray:
     """Cubic Hermite dense output at t_n + tau * dt from stored rows.
 
     ``vals[n]`` and ``dots[n]`` are a state and its time derivative at step
-    boundary n; the step from n to n + 1 has length dt and 0 <= tau <= 1.
-    An index array ``n`` gives one row per index, each bitwise the row its
-    own index gives.
+    boundary n, rows of a table or of a ``RungRows``; the step from n to
+    n + 1 has length dt and 0 <= tau <= 1.  On a table, an index array ``n``
+    gives one row per index, each bitwise the row its own index gives.
     """
     if tau == 0.0:
         return vals[n]
@@ -343,17 +344,27 @@ def hermite(vals: np.ndarray, dots: np.ndarray, n: "int | np.ndarray", tau: floa
     return h00 * vals[n] + h10 * dt * dots[n] + h01 * vals[n + 1] + h11 * dt * dots[n + 1]
 
 
+class RungRows(tuple):
+    """Read-only coefficient rows of differing lengths, one per step boundary."""
+
+    @property
+    def nbytes(self) -> int:
+        return sum(row.nbytes for row in self)
+
+
 @dataclass
 class TimeSeries:
     """Output of :func:`evolve`.
 
     ``coefs`` holds one coefficient row per snapshot, taken at the requested
     cadence (always including the initial and final states), and ``times``
-    their times; both arrays are read-only.  When the run was made with
-    ``store_step_fields`` the per-step arrays ``lam_b`` and ``lam_b_dot``
-    hold the coefficients of Lambda B and d/dt Lambda B at every accepted
-    step boundary; together with ``step_times`` they give a cubic-Hermite
-    dense output for trajectory integration.
+    their times; both arrays are read-only and on the N grid.  When the run
+    was made with ``store_step_fields``, ``lam_b`` and ``lam_b_dot`` hold the
+    coefficients of Lambda B and d/dt Lambda B at every accepted step
+    boundary, each row at the size of the band of the ladder rung that made
+    it: N/2 + 1 on the finest rung and n/2 on a rung of n < N modes, whose
+    Nyquist entry is 0; together with ``step_times`` they give a
+    cubic-Hermite dense output for trajectory integration.
     """
 
     grid: GridSpec
@@ -364,12 +375,14 @@ class TimeSeries:
     step_times: np.ndarray
     diagnostics: dict[str, np.ndarray]
     termination: str
-    lam_b: np.ndarray | None = None
-    lam_b_dot: np.ndarray | None = None
+    lam_b: RungRows | None = None
+    lam_b_dot: RungRows | None = None
 
     def __post_init__(self) -> None:
         self.times.flags.writeable = False
         self.coefs.flags.writeable = False
+        for row in (self.lam_b or ()) + (self.lam_b_dot or ()):
+            row.flags.writeable = False
 
     @property
     def final(self) -> SpectralField:
@@ -383,7 +396,8 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     ``diagnostics`` holds one entry per accepted step, at ``step_times[1:]``:
     dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, and the ladder
     rung (``n_modes``) it was taken on.
-    Stored rows are on ``B0.grid`` whatever rung made them.
+    Snapshot rows are on ``B0.grid`` whatever rung made them; the per-step
+    rows keep their rung's band (``TimeSeries``).
     """
     grid = B0.grid
     half = grid.n_modes // 2 + 1
@@ -425,8 +439,9 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         del phys
         sup_lb, sup_lbx = float(sups[0]), float(sups[1])
         if cfg.store_step_fields:
-            lam_b_store.append(ops.absxi * c)
-            lam_b_dot_store.append(ops.absxi * (nl - ops.lin * c))
+            k = c.size if c.size == half else c.size - 1  # a coarse rung's Nyquist entry is 0
+            lam_b_store.append((ops.absxi * c)[:k])
+            lam_b_dot_store.append((ops.absxi * (nl - ops.lin * c))[:k])
 
         if not (math.isfinite(sup_lb) and math.isfinite(sup_lbx)):
             termination = "non_finite"
@@ -484,8 +499,8 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         step_times=np.array(step_times),
         diagnostics={k: np.array(v) for k, v in diag.items()},
         termination=termination,
-        lam_b=_table(lam_b_store, half) if cfg.store_step_fields else None,
-        lam_b_dot=_table(lam_b_dot_store, half) if cfg.store_step_fields else None,
+        lam_b=RungRows(lam_b_store) if cfg.store_step_fields else None,
+        lam_b_dot=RungRows(lam_b_dot_store) if cfg.store_step_fields else None,
     )
 
 

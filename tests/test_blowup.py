@@ -171,13 +171,15 @@ class TestTrajectory:
     @pytest.mark.parametrize("start", ["x0", "off_symmetry"])
     def test_matches_full_band_reference(self, run_and_states, start):
         # rows from the coarse rungs are summed over their band only; the
-        # reference sums every row over all N/2 + 1 modes
+        # reference pads every row and sums it over all N/2 + 1 modes
         run, d, traj = run_and_states
         rung = run.diagnostics["n_modes"]
         assert len(set(rung)) > 1  # the run used a ladder
-        # what the cut drops is exactly zero: a coarse rung's rows end at n/2
+        # a coarse rung's rows end at n/2, and what that cut drops of the
+        # first state, a coarse rung's, is exactly zero
         for n in np.flatnonzero(rung < run.grid.n_modes):
-            assert not np.any(run.lam_b[n, rung[n] // 2 :]) and not np.any(run.lam_b_dot[n, rung[n] // 2 :])
+            assert run.lam_b[n].size == run.lam_b_dot[n].size == rung[n] // 2
+        assert rung[0] < run.grid.n_modes and not np.any(run.coefs[0, rung[0] // 2 :])
         if start == "off_symmetry":
             traj = advect_trajectory(run, 1.3)
         X, (_, bx, bxx, w) = full_band_trajectory(run, traj.X[0])
@@ -209,26 +211,36 @@ def full_band_trig(grid, rows, x):
     return np.real(rows @ (weight * np.exp(1j * grid.wavenumbers * xa)))
 
 
+def padded(rows, half):
+    """Rung-sized rows zero-padded into one (len(rows), half) table."""
+    out = np.zeros((len(rows), half), dtype=complex)
+    for o, row in zip(out, rows):
+        o[: row.size] = row
+    return out
+
+
 def full_band_trajectory(run, x0):
-    """advect_trajectory's RK4 and Hermite midpoints with every sum over all
-    N/2 + 1 modes; returns X and the rows Lambda B, B_x, B_xx, w at X."""
+    """advect_trajectory's RK4 and Hermite midpoints with every row padded to
+    and every sum over all N/2 + 1 modes; returns X and the rows Lambda B,
+    B_x, B_xx, w at X."""
     grid = run.grid
     xi = grid.wavenumbers
+    lam_b, lam_b_dot = padded(run.lam_b, xi.size), padded(run.lam_b_dot, xi.size)
     m_bx = 1j * np.sign(xi)
     mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
     times = run.step_times
     X, Xs, vals = x0, [], []
     for n in range(len(times)):
         Xs.append(X)
-        vals.append(full_band_trig(grid, mults * run.lam_b[n], X))
+        vals.append(full_band_trig(grid, mults * lam_b[n], X))
         if n == len(times) - 1:
             break
         dt = float(times[n + 1] - times[n])
-        mid = hermite(run.lam_b, run.lam_b_dot, n, 0.5, dt)
+        mid = hermite(lam_b, lam_b_dot, n, 0.5, dt)
         f1 = -vals[-1][0]
         f2 = -full_band_trig(grid, mid, X + 0.5 * dt * f1)
         f3 = -full_band_trig(grid, mid, X + 0.5 * dt * f2)
-        f4 = -full_band_trig(grid, run.lam_b[n + 1], X + dt * f3)
+        f4 = -full_band_trig(grid, lam_b[n + 1], X + dt * f3)
         X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     return np.array(Xs), np.array(vals).T
 
@@ -297,11 +309,12 @@ class TestInvariants:
         run, d, traj = run_and_states
         t_max = 0.8 / d.w0
         rep = riccati_invariant_report(run, traj, t_max=t_max)
-        xi = run.grid.wavenumbers
-        ratios = [
-            abs(traj.bxx[n]) / max(float(np.max(np.abs(run.grid.to_phys(-np.abs(xi) * run.lam_b[n])))), 1e-300)
-            for n in np.flatnonzero(traj.t <= t_max)
-        ]
+        absxi = np.abs(run.grid.wavenumbers)
+
+        def sup_bxx(row):  # to_phys reads the rung-sized row as zero-padded
+            return float(np.max(np.abs(run.grid.to_phys(-absxi[: row.size] * row))))
+
+        ratios = [abs(traj.bxx[n]) / max(sup_bxx(run.lam_b[n]), 1e-300) for n in np.flatnonzero(traj.t <= t_max)]
         assert len(ratios) > 32
         assert rep.max_bxx_rel == max(ratios)
 

@@ -83,12 +83,13 @@ def failed_gates(out) -> list[str]:
 
 
 def fit_window_missed(tmp_path, monkeypatch):
-    """A blowup config whose Riccati fit finds no samples in its window."""
+    """A blowup config whose run stops at the threshold but whose Riccati fit
+    finds no samples in its window."""
     def no_window(traj, w0):
         raise FitWindowError("no samples with w inside the fit window")
 
     monkeypatch.setattr(blowup, "measure_blowup_time", no_window)
-    return write_cfg(tmp_path, "grid.L = 6.0\ngrid.N = 256\n")
+    return write_cfg(tmp_path, "grid.L = 6.0\ngrid.N = 2048\n")
 
 
 class TestConfigParsing:
@@ -428,14 +429,28 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "fit_window"
         assert manifest["steps"] > 0
-        assert manifest["ladder"][0][1] == 0 and manifest["ladder"][-1][0] == 256
+        assert manifest["ladder"][0][1] == 0 and manifest["ladder"][-1][0] == 2048
         assert not (out / "blowup_report.json").exists()
 
-    def test_blowup_invariant_defect_is_tolerance_failure(self, tmp_path):
-        # the fit passes its gates at N = 1280, but B_x(X, t) drifts 3.4e-4
-        # off 1, past the 1e-4 criterion 2 sets on it
+    def test_blowup_run_to_t_end_is_numerical_abort(self, tmp_path):
+        # at N = 1280 IF-RK4 steps past the predicted time to t_end = 1.1/w0
+        # without max|Lambda B_x| crossing the threshold; its six gates would
+        # all pass, but a run that never reached the singularity is no fit
         p = tmp_path / "blow.cfg"
-        p.write_text("grid.L = 6\ngrid.N = 1280\nstepper.scheme = etdrk4\n")
+        p.write_text("grid.L = 6\ngrid.N = 1280\n")
+        out = tmp_path / "blowout"
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["termination"] == "t_end" and manifest["steps"] > 0
+        assert "gates" not in manifest
+        assert not (out / "blowup_report.json").exists() and not (out / "trajectory.csv").exists()
+
+    def test_blowup_invariant_defect_is_tolerance_failure(self, tmp_path):
+        # the run stops at the threshold and the fit passes its gates at
+        # N = 1344, but B_x(X, t) drifts 3.1e-4 off 1, past the 1e-4
+        # criterion 2 sets on it
+        p = tmp_path / "blow.cfg"
+        p.write_text("grid.L = 6\ngrid.N = 1344\nstepper.scheme = etdrk4\n")
         out = tmp_path / "blowout"
         assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_TOLERANCE
         report = json.loads((out / "blowup_report.json").read_text())

@@ -48,6 +48,14 @@ def record_to_phys(monkeypatch):
     return calls
 
 
+def padded(rows, half):
+    """Rung-sized rows zero-padded into one (len(rows), half) table."""
+    out = np.zeros((len(rows), half), dtype=complex)
+    for o, row in zip(out, rows):
+        o[: row.size] = row
+    return out
+
+
 def per_row(g, a, c):
     """Reference A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, from
     one inverse transform per physical field; at a = c it is the full term."""
@@ -416,8 +424,8 @@ class TestEvolve:
             ladder = evolve(B0, p, StepperConfig(scheme=scheme, t_end=0.2, store_step_fields=True))
             rungs = ladder.diagnostics["n_modes"]
             assert rungs[0] < grid.n_modes and len(rungs) > 10
-            for rows in (ladder.coefs, ladder.lam_b, ladder.lam_b_dot):
-                assert np.all(rows[:, 0] == 0.0)
+            assert np.all(ladder.coefs[:, 0] == 0.0)
+            assert all(row[0] == 0.0 for row in ladder.lam_b + ladder.lam_b_dot)
             pic = picard_solve(B0, ModelParams(kind="full", mu=1.0, alpha=2.0), replace(fixed, scheme=scheme))
             assert np.all(pic.series.coefs[:, 0] == 0.0)
 
@@ -495,8 +503,10 @@ class TestEvolve:
         cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False, store_step_fields=True)
         run = evolve(small_datum(grid), p, cfg)
         n = len(run.step_times)
-        assert run.lam_b.shape == (n, grid.n_modes // 2 + 1)
-        assert run.lam_b_dot.shape == (n, grid.n_modes // 2 + 1)
+        # a fixed-dt run has the one rung N, so every row has all N/2 + 1 modes
+        for rows in (run.lam_b, run.lam_b_dot):
+            assert len(rows) == n
+            assert all(row.shape == (grid.n_modes // 2 + 1,) for row in rows)
 
     @pytest.mark.parametrize("cause", ["t_end", "max_steps", "blowup_threshold"])
     def test_stored_fields_cover_every_state(self, cause):
@@ -515,13 +525,16 @@ class TestEvolve:
                                 max_steps=4 if cause == "max_steps" else 10**6)
         run = evolve(B0, p, replace(cfg, store_step_fields=True, snapshot_cadence=1))
         assert run.termination == cause
-        assert run.lam_b.shape[0] == run.lam_b_dot.shape[0] == len(run.step_times)
+        assert len(run.lam_b) == len(run.lam_b_dot) == len(run.step_times)
         assert np.array_equal(run.times, run.step_times)
         absxi = np.abs(g.wavenumbers)
+        half = g.n_modes // 2 + 1
+        lam_b, lam_b_dot = padded(run.lam_b, half), padded(run.lam_b_dot, half)
         for n, c in enumerate(run.coefs):
-            assert np.array_equal(run.lam_b[n], absxi * c)
+            assert run.lam_b_dot[n].size == run.lam_b[n].size
+            assert np.array_equal(lam_b[n], absxi * c)
             dot = absxi * rhs(SpectralField.from_coef(g, c), p).coef
-            assert np.allclose(run.lam_b_dot[n], dot, rtol=0.0, atol=1e-13 * np.max(np.abs(dot)))
+            assert np.allclose(lam_b_dot[n], dot, rtol=0.0, atol=1e-13 * np.max(np.abs(dot)))
 
     def test_adaptive_dt_obeys_cfl(self, grid):
         p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
@@ -662,14 +675,43 @@ class TestGridLadder:
         bound = 0.5 * np.minimum(g.dx / d["sup_lam_b"], 1.0 / d["sup_lam_bx"])
         assert np.array_equal(d["dt"], np.minimum(bound, 1e3))  # the cap is 1e6 dt_init
 
+    @staticmethod
+    def bands(g, run):
+        """Row length of each step boundary's rung: n/2 on a rung of n < N
+        modes, N/2 + 1 on N; the run ends on N."""
+        half = g.n_modes // 2 + 1
+        rung = run.diagnostics["n_modes"]
+        assert rung[-1] == g.n_modes
+        return np.where(rung < g.n_modes, rung // 2, half).tolist() + [half]
+
     def test_rows_are_padded_to_the_finest_grid(self):
-        # a row made on a coarse rung holds no mode above that rung's band
+        # a snapshot row made on a coarse rung is padded to N/2 + 1 and holds
+        # no mode above that rung's band; the step rows keep that band only
         g, p, run = self.blowup_run(snapshot_cadence=1)
         half = g.n_modes // 2 + 1
-        assert run.coefs.shape == run.lam_b.shape == run.lam_b_dot.shape == (len(run.step_times), half)
+        assert run.coefs.shape == (len(run.step_times), half)
+        assert len(run.lam_b) == len(run.lam_b_dot) == len(run.step_times)
+        band = self.bands(g, run)
+        assert [row.size for row in run.lam_b] == [row.size for row in run.lam_b_dot] == band
         first = int(run.diagnostics["n_modes"][0])
         assert first < g.n_modes
         assert np.all(run.coefs[0, first // 2 :] == 0.0) and np.any(run.coefs[0, : first // 2] != 0.0)
+        for n, k in enumerate(band):
+            assert not np.any(run.coefs[n, k:])
+
+    def test_step_rows_are_read_only_rung_bands_of_the_states(self):
+        g, p, run = self.blowup_run(snapshot_cadence=1)
+        band = self.bands(g, run)
+        assert 1 < len(set(band)) and band[0] < band[-1]
+        absxi = np.abs(g.wavenumbers)
+        for n, k in enumerate(band):
+            assert np.array_equal(run.lam_b[n], (absxi * run.coefs[n])[:k])
+            for row in (run.lam_b[n], run.lam_b_dot[n]):
+                with pytest.raises(ValueError):
+                    row[0] = 1.0
+        # 16 bytes a complex entry, counted over the rows as stored
+        assert run.lam_b.nbytes == run.lam_b_dot.nbytes == 16 * sum(band)
+        assert run.lam_b.nbytes == sum(row.nbytes for row in run.lam_b)
 
     def test_rough_datum_and_fixed_dt_never_leave_n(self):
         from emhd1d.diagnostics import rough_datum
