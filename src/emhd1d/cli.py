@@ -7,8 +7,8 @@ Config files are flat ``section.key = value`` text (blank lines and ``#``
 comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
 3 numerical abort.  A ``run`` passes only if it reaches t_end or, with a
 finite ``stepper.blowup_threshold``, stops at the threshold or at CFL
-collapse; any other termination (a non-finite field, max_steps, or CFL
-collapse with no threshold) writes only manifest.json and exits 3.  A
+collapse; any other termination (a non-finite field, ill_posed, max_steps,
+or CFL collapse with no threshold) writes only manifest.json and exits 3.  A
 ``blowup`` passes only if its run stops at the blowup threshold; any other
 termination, t_end included, likewise exits 3 with its cause recorded.
 ``--sweep`` takes a file listing one config path per line and runs them one

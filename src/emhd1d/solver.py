@@ -45,6 +45,15 @@ one inverse transform of the rung's coefficients onto its nodes; every
 So the bounds are the single-grid ones, and a translation by whole fine
 nodes stays an exact symmetry.  A fixed-dt run, or a datum that fills the
 band, has the one rung N, and its loop is the single-grid one.
+
+A transport run stops as ``ill_posed`` when its linear symbol amplifies
+roundoff.  Linearized about B, the real part of its symbol at high |xi| is
+B_x |xi| - mu |xi|^alpha (Kreiss & Lorenz, Initial-Boundary Value Problems
+and the Navier-Stokes Equations, 1989), so with a = max B_x, read on the
+finest nodes, the top of the rung's dealiased band grows at the rate
+gamma = a xi - mu xi^alpha.  Once G = sum max(0, gamma) dt exceeds
+``ILL_POSED_GAIN`` the run stops.  The full model's symbol is another, so
+its G is recorded but never stops it.
 """
 
 from __future__ import annotations
@@ -88,7 +97,6 @@ class StepperConfig:
     dt_init: float = 1e-3
     cfl_safety: float = 0.5
     t_end: float = 1.0
-    max_steps: int = 1_000_000
     blowup_threshold: float = math.inf  # stop once max|Lambda B_x| exceeds it
     adaptive: bool = True
     snapshot_cadence: int = 1  # store a field snapshot every k-th step
@@ -105,8 +113,8 @@ class StepperConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.scheme not in _SCHEMES:
             raise ValueError("unknown scheme")
-        if self.max_steps < 1 or self.snapshot_cadence < 1:
-            raise ValueError("max_steps and snapshot_cadence must be at least 1")
+        if self.snapshot_cadence < 1:
+            raise ValueError("snapshot_cadence must be at least 1")
 
 
 class _Ops:
@@ -174,6 +182,13 @@ _ops = functools.lru_cache(maxsize=32)(_Ops)
 # upwards exceeds this.
 LADDER_TAIL = 1e-26
 
+# A transport run stops as ``ill_posed`` once the growth G of its linear
+# symbol exceeds this: roundoff amplified by e^18, about 1e8.
+ILL_POSED_GAIN = 18.0
+
+# A run stops as ``max_steps`` after this many accepted steps.
+MAX_STEPS = 1_000_000
+
 
 def _top_third(grid: GridSpec) -> int:
     """First mode of the top third of the dealiased band 0..k_top."""
@@ -184,23 +199,6 @@ def _top_third(grid: GridSpec) -> int:
 def _tail_exceeds(c: np.ndarray, start: int) -> bool:
     tail = c[start:]
     return np.vdot(tail, tail).real > LADDER_TAIL * np.vdot(c, c).real
-
-
-def _ladder(grid: GridSpec, c: np.ndarray, cfg: StepperConfig) -> list[GridSpec]:
-    """Rungs N/2^j, ..., N/2, N of a run from coefficients ``c`` on ``grid``.
-
-    The coarsest rung is the coarsest halving on which ``c`` passes the
-    switch test; a fixed-dt run has the one rung N.
-    """
-    rungs = [grid]
-    n = grid.n_modes
-    while cfg.adaptive and n % 4 == 0 and n // 2 >= 8:
-        coarse = GridSpec(grid.half_length, n // 2)
-        if _tail_exceeds(c, _top_third(coarse)):
-            break
-        rungs.insert(0, coarse)
-        n //= 2
-    return rungs
 
 
 def _table(rows: list[np.ndarray], half: int) -> np.ndarray:
@@ -361,9 +359,8 @@ class TimeSeries:
     their times; both arrays are read-only and on the N grid.  When the run
     was made with ``store_step_fields``, ``lam_b`` and ``lam_b_dot`` hold the
     coefficients of Lambda B and d/dt Lambda B at every accepted step
-    boundary, each row at the size of the band of the ladder rung that made
-    it: N/2 + 1 on the finest rung and n/2 on a rung of n < N modes, whose
-    Nyquist entry is 0; together with ``step_times`` they give a
+    boundary, each row the whole half of the ladder rung that made it, n/2 + 1
+    entries on a rung of n modes; together with ``step_times`` they give a
     cubic-Hermite dense output for trajectory integration.
     """
 
@@ -391,31 +388,42 @@ class TimeSeries:
 
 def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSeries:
     """Run until t_end, the blowup threshold, CFL collapse, a non-finite
-    field, or max_steps; the cause is recorded on the result.
+    field, an ill-posed transport run, or ``MAX_STEPS``; the cause is
+    recorded on the result.
 
     ``diagnostics`` holds one entry per accepted step, at ``step_times[1:]``:
-    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, and the ladder
-    rung (``n_modes``) it was taken on.
-    Snapshot rows are on ``B0.grid`` whatever rung made them; the per-step
-    rows keep their rung's band (``TimeSeries``).
+    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, the ladder
+    rung (``n_modes``) it was taken on, a = max B_x of the state it began at,
+    and the growth G of the linear symbol integrated up to its end (module
+    docstring).  Snapshot rows are on ``B0.grid`` whatever rung made them.
     """
     grid = B0.grid
-    half = grid.n_modes // 2 + 1
+    L, half = grid.half_length, grid.n_modes // 2 + 1
     stepper = _SCHEMES[cfg.scheme][1]
     c = B0.coef.copy()
     c[0] = 0.0  # zero-mean gauge, set once: every step keeps c[0] = 0 exactly
-    rungs = _ladder(grid, c, cfg)
-    r = 0
-    ops = _ops(rungs[r], params)
+    # the start rung: halve N while c passes the switch test on the halving
+    rung = grid.n_modes
+    while cfg.adaptive and rung % 4 == 0 and rung // 2 >= 8:
+        if _tail_exceeds(c, _top_third(GridSpec(L, rung // 2))):
+            break
+        rung //= 2
+    ops = _ops(GridSpec(L, rung), params)
     c = _resize(c, ops.xi.size)
-    t = 0.0
-    dx = grid.dx
+    xi_top = ops.grid.xi_max_dealiased
     dispersive = params.kind == "full" and params.nonlinearity
-    xi_max2 = grid.xi_max_dealiased**2
+    # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, when
+    # dispersive, sup|B|: the step's rate is the largest sup / scale
+    scale = np.array([grid.dx, 1.0, 2.0 / grid.xi_max_dealiased**2])[: 3 if dispersive else 2]
+    t = gain = 0.0
 
     times, rows = [0.0], [c]
     step_times = [0.0]
-    diag: dict[str, list] = {k: [] for k in ("dt", "sup_lam_b", "sup_lam_bx", "n_modes")}
+    # one row of ``keys`` per accepted step: a growing list per key (two
+    # more for a and G) moved the heap of the fixed-dt CLI run at N = 2048
+    # from 60.7 to 64.7 MB peak RSS
+    keys = ("dt", "sup_lam_b", "sup_lam_bx", "n_modes", "a", "G")
+    per_step: list[tuple] = []
     lam_b_store: list[np.ndarray] = []
     lam_b_dot_store: list[np.ndarray] = []
 
@@ -424,51 +432,42 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         # every accepted state, the last one included, passes through here
         # once: its rung, its nonlinear term, its CFL sups, its stored fields
         # and the stop checks
-        if r + 1 < len(rungs) and _tail_exceeds(c, _top_third(rungs[r])):
-            r += 1
-            ops = _ops(rungs[r], params)
+        if ops.grid.n_modes < grid.n_modes and _tail_exceeds(c, _top_third(ops.grid)):
+            ops = _ops(GridSpec(L, 2 * ops.grid.n_modes), params)
             c = _resize(c, ops.xi.size)
-        # one stack on the finest nodes: rows 1-3 are Lambda B, Lambda B_x
-        # and, for the dispersive bound, B; read at every (N/n)-th node, a
-        # node of the rung n, its rows give the state's nonlinear term
+            xi_top = ops.grid.xi_max_dealiased
+        # one stack on the finest nodes: rows 0-3 are B_x, Lambda B,
+        # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
+        # node, a node of the rung n, its rows give the state's nonlinear term
         phys = grid.to_phys(ops.rows[: 4 if dispersive else 3] * c)
         sups = np.max(np.abs(phys[1:]), axis=-1)
+        rate = float((sups / scale).max())
         nl = ops.form(phys[:, :: grid.n_modes // ops.grid.n_modes]) if params.nonlinearity else np.zeros_like(c)
+        a = float(phys[0].max()) if params.nonlinearity else 0.0  # no transport term, no growth
         # freed now, its memory serves the step and the next state's
         # transform (kept, it cost ~1 MB of peak RSS at N = 4096)
         del phys
-        sup_lb, sup_lbx = float(sups[0]), float(sups[1])
         if cfg.store_step_fields:
-            k = c.size if c.size == half else c.size - 1  # a coarse rung's Nyquist entry is 0
-            lam_b_store.append((ops.absxi * c)[:k])
-            lam_b_dot_store.append((ops.absxi * (nl - ops.lin * c))[:k])
+            lam_b_store.append(ops.absxi * c)
+            lam_b_dot_store.append(ops.absxi * (nl - ops.lin * c))
 
-        if not (math.isfinite(sup_lb) and math.isfinite(sup_lbx)):
+        if not math.isfinite(rate):
             termination = "non_finite"
             break
-        if sup_lbx > cfg.blowup_threshold:
+        if params.kind == "transport" and gain > ILL_POSED_GAIN:
+            termination = "ill_posed"
+            break
+        if sups[1] > cfg.blowup_threshold:
             termination = "blowup_threshold"
             break
         if t >= cfg.t_end - 1e-14:
             termination = "t_end"
             break
-        if n >= cfg.max_steps:
+        if n >= MAX_STEPS:
             termination = "max_steps"
             break
 
-        if cfg.adaptive:
-            bound = math.inf
-            if sup_lb > 0:
-                bound = dx / sup_lb
-            if sup_lbx > 0:
-                bound = min(bound, 1.0 / sup_lbx)
-            if dispersive:
-                sup_b = float(sups[2])
-                if sup_b > 0:
-                    bound = min(bound, 2.0 / (sup_b * xi_max2))
-            dt = cfg.dt_init if not math.isfinite(bound) else min(cfg.cfl_safety * bound, cfg.dt_init * 1e6)
-        else:
-            dt = cfg.dt_init
+        dt = min(cfg.cfl_safety / rate, cfg.dt_init * 1e6) if cfg.adaptive and rate > 0 else cfg.dt_init
         if dt < 1e-12:
             termination = "cfl_collapse"
             break
@@ -477,11 +476,9 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         c = stepper(ops.nonlinear, c, dt, nl, ops.factors(cfg.scheme, dt))
         t += dt
         n += 1
+        gain += max(0.0, a * xi_top - params.mu * xi_top**params.alpha) * dt
 
-        diag["dt"].append(dt)
-        diag["sup_lam_b"].append(sup_lb)
-        diag["sup_lam_bx"].append(sup_lbx)
-        diag["n_modes"].append(ops.grid.n_modes)
+        per_step.append((dt, sups[0], sups[1], ops.grid.n_modes, a, gain))
         step_times.append(t)
         if n % cfg.snapshot_cadence == 0:
             times.append(t)
@@ -490,6 +487,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     if times[-1] != t:
         times.append(t)
         rows.append(c)
+    columns = zip(*per_step) if per_step else [()] * len(keys)
     return TimeSeries(
         grid=grid,
         params=params,
@@ -497,7 +495,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         times=np.array(times),
         coefs=_table(rows, half),
         step_times=np.array(step_times),
-        diagnostics={k: np.array(v) for k, v in diag.items()},
+        diagnostics=dict(zip(keys, map(np.array, columns))),
         termination=termination,
         lam_b=RungRows(lam_b_store) if cfg.store_step_fields else None,
         lam_b_dot=RungRows(lam_b_dot_store) if cfg.store_step_fields else None,

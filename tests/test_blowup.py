@@ -175,10 +175,11 @@ class TestTrajectory:
         run, d, traj = run_and_states
         rung = run.diagnostics["n_modes"]
         assert len(set(rung)) > 1  # the run used a ladder
-        # a coarse rung's rows end at n/2, and what that cut drops of the
-        # first state, a coarse rung's, is exactly zero
+        # a coarse rung's rows are its whole half, n/2 + 1 entries, and what
+        # the first state, a coarse rung's, holds from its Nyquist entry up
+        # is exactly zero
         for n in np.flatnonzero(rung < run.grid.n_modes):
-            assert run.lam_b[n].size == run.lam_b_dot[n].size == rung[n] // 2
+            assert run.lam_b[n].size == run.lam_b_dot[n].size == rung[n] // 2 + 1
         assert rung[0] < run.grid.n_modes and not np.any(run.coefs[0, rung[0] // 2 :])
         if start == "off_symmetry":
             traj = advect_trajectory(run, 1.3)

@@ -55,9 +55,8 @@ def write_cfg(tmp_path, text, name="case.cfg"):
 
 
 def capped_at_three_steps(tmp_path, monkeypatch):
-    """A run config whose stepper stops at max_steps = 3, short of t_end."""
-    real_stepper = RunConfig.stepper
-    monkeypatch.setattr(RunConfig, "stepper", lambda self: replace(real_stepper(self), max_steps=3))
+    """A run config whose run stops at a step cap of 3, short of t_end."""
+    monkeypatch.setattr(solver, "MAX_STEPS", 3)
     return write_cfg(
         tmp_path, "grid.L = 3.141592653589793\ngrid.N = 256\nstepper.t_end = 0.05\nstepper.dt_init = 1e-3\n"
     )
@@ -73,6 +72,16 @@ def overflowing(tmp_path, monkeypatch=None):
         tmp_path,
         "grid.L = 3.141592653589793\ngrid.N = 64\nmodel.kind = transport\nmodel.mu = 0.0\n"
         f"stepper.adaptive = false\nstepper.t_end = 0.01\ndatum.kind = from_file\ndatum.path = {raw}\n",
+    )
+
+
+def ill_posed(tmp_path, monkeypatch=None):
+    """Transport at alpha = 0.5 from the reference datum: Hadamard ill-posed,
+    so the guard stops it before its blowup threshold of 80."""
+    return write_cfg(
+        tmp_path,
+        "grid.L = 6\ngrid.N = 2048\nmodel.kind = transport\nmodel.mu = 1\nmodel.alpha = 0.5\n"
+        "datum.kind = paper_blowup\nstepper.dt_init = 1e-4\nstepper.t_end = 1.5\nstepper.blowup_threshold = 80\n",
     )
 
 
@@ -385,6 +394,14 @@ class TestCommands:
         assert manifest["termination"] == "max_steps" and manifest["steps"] == 3
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json"]
 
+    def test_run_on_ill_posed_config_is_numerical_abort(self, tmp_path):
+        # without the guard the run reaches the threshold after 71 steps
+        out = tmp_path / "illout"
+        assert main(["run", "--config", str(ill_posed(tmp_path)), "--out", str(out)]) == EXIT_NUMERICAL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["termination"] == "ill_posed" and manifest["steps"] == 38
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json"]
+
     def test_run_stopped_at_blowup_threshold_passes(self, tmp_path):
         # with a finite threshold, reaching it is the run's purpose
         p = tmp_path / "blow.cfg"
@@ -598,6 +615,7 @@ class TestCommands:
             ),
             ("run", capped_at_three_steps, EXIT_NUMERICAL, "max_steps", {"termination", "steps"}, ["evolve"]),
             ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}, ["evolve"]),
+            ("run", ill_posed, EXIT_NUMERICAL, "ill_posed", {"termination", "steps"}, ["evolve"]),
             (
                 "blowup",
                 lambda tmp, mp: write_cfg(tmp, "grid.L = 6\ngrid.N = 2048\n"),
@@ -618,7 +636,7 @@ class TestCommands:
             ("lp", lambda tmp, mp: write_cfg(tmp, LP_CFG), EXIT_OK, None, {"lp", "gates"}, ["lp"]),
         ],
         ids=[
-            "run-t_end", "run-max_steps", "run-non_finite", "blowup-pass", "blowup-fit_window",
+            "run-t_end", "run-max_steps", "run-non_finite", "run-ill_posed", "blowup-pass", "blowup-fit_window",
             "symmetry-pass", "symmetry-non_finite", "lp",
         ],
     )

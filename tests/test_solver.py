@@ -386,8 +386,9 @@ class TestFactorReuse:
 
 
 class TestStepperConfig:
-    @pytest.mark.parametrize("kw", [{"snapshot_cadence": 0}, {"max_steps": 0},
-                                    {"snapshot_cadence": -1}, {"max_steps": -5}])
+    # the ids keep the names these cases had beside the former max_steps cases
+    @pytest.mark.parametrize("kw", [pytest.param({"snapshot_cadence": 0}, id="kw0"),
+                                    pytest.param({"snapshot_cadence": -1}, id="kw2")])
     def test_rejects_nonpositive_counts(self, kw):
         with pytest.raises(ValueError):
             StepperConfig(**kw)
@@ -456,12 +457,13 @@ class TestEvolve:
         assert run.termination == "non_finite"
         assert len(run.step_times) == 1
 
-    def test_overflow_on_last_step_ends_non_finite(self):
-        # finite datum whose first step overflows; max_steps = 1 stops the
+    def test_overflow_on_last_step_ends_non_finite(self, monkeypatch):
+        # finite datum whose first step overflows; a step cap of 1 stops the
         # loop before the next step could check the new field
         grid = GridSpec(np.pi, 64)
         B0 = SpectralField.from_function(grid, lambda x: 1e200 * np.sin(3.0 * x))
-        cfg = StepperConfig(dt_init=1e-3, t_end=1.0, adaptive=False, max_steps=1)
+        cfg = StepperConfig(dt_init=1e-3, t_end=1.0, adaptive=False)
+        monkeypatch.setattr(solver, "MAX_STEPS", 1)
         with np.errstate(over="ignore", invalid="ignore"):
             run = evolve(B0, ModelParams("transport", 0.0, 1.0), cfg)
         assert run.termination == "non_finite"
@@ -509,7 +511,7 @@ class TestEvolve:
             assert all(row.shape == (grid.n_modes // 2 + 1,) for row in rows)
 
     @pytest.mark.parametrize("cause", ["t_end", "max_steps", "blowup_threshold"])
-    def test_stored_fields_cover_every_state(self, cause):
+    def test_stored_fields_cover_every_state(self, monkeypatch, cause):
         """One stored row per accepted state, the last included, whatever
         stopped the run; row n is Lambda B and Lambda dB/dt of state n."""
         if cause == "blowup_threshold":
@@ -521,8 +523,9 @@ class TestEvolve:
             g = GridSpec(np.pi, 64)
             B0 = small_datum(g)
             p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-            cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False,
-                                max_steps=4 if cause == "max_steps" else 10**6)
+            cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False)
+            if cause == "max_steps":
+                monkeypatch.setattr(solver, "MAX_STEPS", 4)
         run = evolve(B0, p, replace(cfg, store_step_fields=True, snapshot_cadence=1))
         assert run.termination == cause
         assert len(run.lam_b) == len(run.lam_b_dot) == len(run.step_times)
@@ -605,8 +608,8 @@ class TestEvolve:
             assert diag["sup_lam_b"][n] == sup_lb and diag["sup_lam_bx"][n] == sup_lbx
             if kind == "full" and n < states - 2:  # the last step is cut to t_end
                 sup_b = np.max(np.abs(g.to_phys(c)))
-                bound = min(g.dx / sup_lb, 1.0 / sup_lbx, 2.0 / (sup_b * g.xi_max_dealiased**2))
-                assert diag["dt"][n] == 0.5 * bound
+                rate = max(sup_lb / g.dx, sup_lbx, sup_b / (2.0 / g.xi_max_dealiased**2))
+                assert diag["dt"][n] == 0.5 / rate
 
 
 class TestDispersiveBound:
@@ -642,7 +645,7 @@ class TestDispersiveBound:
         p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
         run = evolve(B0, p, StepperConfig(t_end=0.05, snapshot_cadence=10**9))
         d = run.diagnostics
-        bound = 0.5 * np.minimum(g.dx / d["sup_lam_b"], 1.0 / d["sup_lam_bx"])
+        bound = 0.5 / np.maximum(d["sup_lam_b"] / g.dx, d["sup_lam_bx"])
         assert np.array_equal(d["dt"][:-1], np.minimum(bound, 1e3)[:-1])
 
 
@@ -672,17 +675,16 @@ class TestGridLadder:
             assert run.diagnostics["sup_lam_b"][n] == np.max(np.abs(g.to_phys(run.lam_b[n])))
             assert run.diagnostics["sup_lam_bx"][n] == np.max(np.abs(g.to_phys(ops.rows[2] * run.coefs[n])))
         d = run.diagnostics
-        bound = 0.5 * np.minimum(g.dx / d["sup_lam_b"], 1.0 / d["sup_lam_bx"])
+        bound = 0.5 / np.maximum(d["sup_lam_b"] / g.dx, d["sup_lam_bx"])
         assert np.array_equal(d["dt"], np.minimum(bound, 1e3))  # the cap is 1e6 dt_init
 
     @staticmethod
     def bands(g, run):
-        """Row length of each step boundary's rung: n/2 on a rung of n < N
-        modes, N/2 + 1 on N; the run ends on N."""
-        half = g.n_modes // 2 + 1
+        """Row length of each step boundary's rung, its whole half: n/2 + 1
+        on a rung of n modes; the run ends on N."""
         rung = run.diagnostics["n_modes"]
         assert rung[-1] == g.n_modes
-        return np.where(rung < g.n_modes, rung // 2, half).tolist() + [half]
+        return (rung // 2 + 1).tolist() + [g.n_modes // 2 + 1]
 
     def test_rows_are_padded_to_the_finest_grid(self):
         # a snapshot row made on a coarse rung is padded to N/2 + 1 and holds
@@ -698,6 +700,8 @@ class TestGridLadder:
         assert np.all(run.coefs[0, first // 2 :] == 0.0) and np.any(run.coefs[0, : first // 2] != 0.0)
         for n, k in enumerate(band):
             assert not np.any(run.coefs[n, k:])
+            if k < half:  # a coarse rung's Nyquist entry stays exactly 0
+                assert run.coefs[n, k - 1] == run.lam_b[n][-1] == run.lam_b_dot[n][-1] == 0.0
 
     def test_step_rows_are_read_only_rung_bands_of_the_states(self):
         g, p, run = self.blowup_run(snapshot_cadence=1)
@@ -726,6 +730,80 @@ class TestGridLadder:
         assert np.all(fixed.diagnostics["n_modes"] == g.n_modes)
         # the same smooth datum starts coarse when the run is adaptive
         assert evolve(smooth, p, StepperConfig(t_end=0.01)).diagnostics["n_modes"][0] < g.n_modes
+
+
+class TestIllPosedGuard:
+    """A transport run stops as ``ill_posed`` once its linear symbol
+    a xi - mu xi^alpha has amplified roundoff by e^18, before its blowup stop
+    at 50 w0; well-posed runs stay far below that.  Adaptive IF-RK4 from the
+    reference datum on L = 6."""
+
+    @staticmethod
+    def run(n, alpha, mu, amp=1.0, t_end=None, threshold=50.0, nonlinearity=True):
+        from emhd1d.blowup import make_reference_datum
+
+        g = GridSpec(6.0, n)
+        d = make_reference_datum(g)
+        B0 = SpectralField.from_coef(g, amp * d.B0.coef)
+        cfg = StepperConfig(dt_init=1e-4, t_end=t_end or 10.0 / d.w0, blowup_threshold=threshold * d.w0,
+                            snapshot_cadence=1)
+        return g, d, evolve(B0, ModelParams("transport", mu, alpha, nonlinearity), cfg)
+
+    @pytest.mark.parametrize(
+        "n, alpha, mu, amp, t_over_T",
+        [
+            (1024, 0.5, 1.0, 1.0, 0.200), (2048, 0.5, 1.0, 1.0, 0.163),  # alpha < 1
+            (1024, 1.0, 0.0, 1.0, 0.175), (2048, 1.0, 0.0, 1.0, 0.147),  # no dissipation
+            (2048, 1.0, 1.0, 1.2, 0.388),  # alpha = 1 with sup B_x = 1.2 > mu
+        ],
+    )
+    def test_fires_on_ill_posed_configurations(self, n, alpha, mu, amp, t_over_T):
+        g, d, run = self.run(n, alpha, mu, amp)
+        assert run.termination == "ill_posed"
+        assert run.step_times[-1] * d.w0 == pytest.approx(t_over_T, abs=5e-4)
+        diag = run.diagnostics
+        G = diag["G"]
+        assert G[-2] <= solver.ILL_POSED_GAIN < G[-1]
+        # a is max B_x on the finest nodes, and G sums max(0, gamma) dt
+        # with xi the top of the step's rung's dealiased band
+        a = [np.max(g.to_phys(_ops(g, run.params).rows[0] * c)) for c in run.coefs[:-1]]
+        assert np.array_equal(diag["a"], a)
+        xi = np.array([GridSpec(6.0, int(m)).xi_max_dealiased for m in diag["n_modes"]])
+        assert np.array_equal(G, np.cumsum(np.maximum(0.0, diag["a"] * xi - mu * xi**alpha) * diag["dt"]))
+
+    @pytest.mark.parametrize(
+        "n, amp, t_end, gain",
+        [
+            (1024, 1.0, 1.5, 1.448e-2), (2048, 1.0, 1.5, 7.93e-3),  # past T
+            (2048, 0.8, 0.35, 0.0),  # sup B_x = 0.8 < mu: a well-posed global run
+        ],
+    )
+    def test_well_posed_runs_reach_t_end(self, n, amp, t_end, gain):
+        _, _, run = self.run(n, 1.0, 1.0, amp, t_end=t_end, threshold=np.inf)
+        assert run.termination == "t_end"
+        assert run.diagnostics["G"][-1] == (pytest.approx(gain, rel=1e-2) if gain else 0.0)
+
+    def test_reference_blowup_is_far_from_the_gain(self):
+        from emhd1d.blowup import run_blowup
+
+        run, _ = run_blowup(GridSpec(6.0, 2048))
+        assert run.termination == "blowup_threshold"
+        assert run.diagnostics["G"][-1] == pytest.approx(7.93e-3, rel=1e-2)
+
+    def test_no_transport_term_no_growth(self):
+        # without its quadratic term the run has no transport, so a = 0 and G
+        # stays 0 even at mu = 0, where the transport run fires at 0.175 T
+        _, _, run = self.run(1024, 1.0, 0.0, t_end=0.1, nonlinearity=False)
+        assert run.termination == "t_end"
+        assert not np.any(run.diagnostics["a"]) and not np.any(run.diagnostics["G"])
+
+    def test_full_model_records_the_gain_but_runs_on(self):
+        from emhd1d.blowup import make_reference_datum
+
+        g = GridSpec(6.0, 512)
+        run = evolve(make_reference_datum(g).B0, ModelParams("full", 0.0, 1.0), StepperConfig(dt_init=1e-4, t_end=0.3))
+        assert run.termination == "t_end"
+        assert run.diagnostics["G"][-1] > solver.ILL_POSED_GAIN
 
 
 class TestScalingSymmetry:
