@@ -234,19 +234,11 @@ def riccati_invariant_report(run: TimeSeries, traj: Trajectory, t_max: float) ->
     """The two pointwise invariants w' = w^2 rests on, B_x(X, t) = 1 and
     B_xx(X, t) = 0, along the trajectory up to t_max."""
     idx = np.flatnonzero(traj.t <= t_max)
-
-    # sup_x |B_xx| of the selected rows only, zero-padded to N/2 + 1 and
-    # transformed a block of rows per call: one padded stack of all ~240 rows
-    # at N = 4096 is 8 MB, and ~30 MB with the arrays made from it, which
-    # would raise the peak RSS of a blowup run
-    grid = run.grid
-    xi = grid.wavenumbers
+    # sup_x |B_xx| of each selected row at its rung's length: to_phys zero-pads it
+    xi = run.grid.wavenumbers
     m_bxx = 1j * xi * (1j * np.sign(xi))
-    block = 32
-    sup_bxx = np.concatenate([
-        np.max(np.abs(grid.to_phys(m_bxx * _table([run.lam_b[n] for n in idx[i : i + block]], xi.size))), axis=1)
-        for i in range(0, idx.size, block)
-    ])
+    rows = (run.lam_b[n] for n in idx)
+    sup_bxx = np.array([np.max(np.abs(run.grid.to_phys(m_bxx[: r.size] * r))) for r in rows])
     return RiccatiReport(
         max_bx_defect=float(np.max(np.abs(traj.bx[idx] - 1.0))),
         max_bxx_rel=float(np.max(np.abs(traj.bxx[idx]) / np.maximum(sup_bxx, 1e-300))),

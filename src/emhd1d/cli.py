@@ -5,12 +5,17 @@
 
 Config files are flat ``section.key = value`` text (blank lines and ``#``
 comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
-3 numerical abort.  A ``run`` passes only if it reaches t_end or, with a
-finite ``stepper.blowup_threshold``, stops at the threshold or at CFL
-collapse; any other termination (a non-finite field, ill_posed, max_steps,
-or CFL collapse with no threshold) writes only manifest.json and exits 3.  A
+3 numerical abort.  ``run`` and ``blowup`` write steps.csv as soon as their
+run ends: one row per accepted step, t and each of the stepper's per-step
+diagnostics (dt, sup_lam_b, sup_lam_bx, n_modes, a, G).  A ``run`` passes
+only if it reaches t_end or, with a finite ``stepper.blowup_threshold``
+(which must be positive), stops at the threshold or at CFL collapse; any
+other termination (a non-finite field, ill_posed, max_steps, or CFL collapse
+with no threshold) writes only manifest.json and steps.csv and exits 3.  A
 ``blowup`` passes only if its run stops at the blowup threshold; any other
 termination, t_end included, likewise exits 3 with its cause recorded.
+``--seed`` overrides ``datum.seed`` for run, symmetry and lp; blowup's
+reference datum takes none.
 ``--sweep`` takes a file listing one config path per line and runs them one
 after another in that order.  Run i writes to OUT/sweep_<i:03d>,
 OUT/sweep.json maps each run directory to its config path and exit code,
@@ -20,7 +25,6 @@ and the sweep exits with the most severe code (0 < 1 < 2 < 3).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -234,6 +238,18 @@ class _PhaseClock:
         self._last = now
 
 
+def _write_csv(path: Path, names: list[str], columns) -> None:
+    """A header line of ``names``, then one row per entry of the equal-length
+    ``columns``, every value at 17 significant digits; CRLF line ends."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(names),
+               comments="", newline="\r\n")
+
+
+def _write_steps(out: Path, run) -> None:
+    """steps.csv: t and each ``diagnostics`` entry, one row per accepted step."""
+    _write_csv(out / "steps.csv", ["t", *run.diagnostics], [run.step_times[1:], *run.diagnostics.values()])
+
+
 def _write_snapshots(out: Path, run) -> None:
     """Raw little-endian float64 frames, each ascending in x from -L, plus a
     JSON sidecar with the index."""
@@ -256,6 +272,7 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     clock = _PhaseClock()
     run = evolve(B0, cfg.model(), cfg.stepper())
     clock.done("evolve")
+    _write_steps(out, run)
     record = {"termination": run.termination, "steps": len(run.step_times) - 1, "wall_s": clock.wall}
     # a run that seeks a blowup may end at its threshold or when dt collapses
     finished = ("t_end",)
@@ -264,17 +281,11 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     if run.termination not in finished:
         return EXIT_NUMERICAL, record
     ns = norm_series(run, list(cfg.diagnostics_s_list))
-    with (out / "series.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["t"]
-        for s in ns.s_list:
-            header += [f"hs_{s:g}", f"hdiss_{s:g}", f"budget_{s:g}"]
-        w.writerow(header)
-        for j, t in enumerate(ns.times):
-            row = [f"{t:.17g}"]
-            for i in range(len(ns.s_list)):
-                row += [f"{ns.hs[i, j]:.17g}", f"{ns.hs_diss[i, j]:.17g}", f"{ns.budget[i, j]:.17g}"]
-            w.writerow(row)
+    names, columns = ["t"], [ns.times]
+    for i, s in enumerate(ns.s_list):
+        names += [f"hs_{s:g}", f"hdiss_{s:g}", f"budget_{s:g}"]
+        columns += [ns.hs[i], ns.hs_diss[i], ns.budget[i]]
+    _write_csv(out / "series.csv", names, columns)
     clock.done("diagnostics")
     _write_snapshots(out, run)
     clock.done("snapshots")
@@ -295,11 +306,12 @@ def _verdict(gates: list[Gate], record: dict) -> tuple[int, dict]:
     return (EXIT_OK if all(g.passed for g in gates) else EXIT_TOLERANCE), record
 
 
-def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    """Riccati blowup harness with the reference configuration forced."""
+def cmd_blowup(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
+    """Riccati blowup harness with the reference datum and configuration forced: ``seed`` is unused."""
     clock = _PhaseClock()
     run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
     clock.done("evolve")
+    _write_steps(out, run)
     record = {
         "termination": run.termination, "steps": len(run.step_times) - 1, "ladder": _rungs(run),
         "wall_s": clock.wall,
@@ -317,17 +329,14 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         record["termination"] = "fit_window"
         return EXIT_NUMERICAL, record
     (out / "blowup_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    with (out / "trajectory.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "X", "bx", "bxx", "w", "inv_w"])
-        for row in zip(traj.t, traj.X, traj.bx, traj.bxx, traj.w, 1.0 / traj.w):
-            w.writerow([f"{v:.17g}" for v in row])
+    _write_csv(out / "trajectory.csv", ["t", "X", "bx", "bxx", "w", "inv_w"],
+               [traj.t, traj.X, traj.bx, traj.bxx, traj.w, 1.0 / traj.w])
     clock.done("report")
     record["report"] = report
     return _verdict(gates, record)
 
 
-def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def cmd_symmetry(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     """Discrete check of the rescaling invariance B -> lam^(a-2) B(lam x, lam^a t).
 
     Run A uses the configured grid and datum with a fixed dt; run B the
@@ -336,7 +345,7 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     overflowed: a numerical abort, exit 3.
     """
     n_steps = max(1, int(round(cfg.stepper_t_end / cfg.stepper_dt_init)))
-    B = cfg.datum(cfg.grid())
+    B = cfg.datum(cfg.grid(), seed)
     clock = _PhaseClock()
     report, gates = scaling_symmetry_verdict(
         B, cfg.model(), cfg.symmetry_lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme
@@ -398,6 +407,9 @@ def cmd_selftest(out: Path | None = None) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+_COMMANDS = {"run": cmd_run, "blowup": cmd_blowup, "symmetry": cmd_symmetry, "lp": cmd_lp}
+
+
 def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) -> int:
     """Run one command on one config and write the record it returns, on
     every path it returns by, as manifest.json; returns the exit code."""
@@ -407,14 +419,7 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
     try:
         cfg = RunConfig.from_file(config_path)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if command == "run":
-            code, record = cmd_run(cfg, out_dir, seed)
-        elif command == "blowup":
-            code, record = cmd_blowup(cfg, out_dir)
-        elif command == "symmetry":
-            code, record = cmd_symmetry(cfg, out_dir)
-        else:
-            code, record = cmd_lp(cfg, out_dir, seed)
+        code, record = _COMMANDS[command](cfg, out_dir, seed)
     except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -426,7 +431,7 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="emhd1d", description=__doc__)
-    ap.add_argument("command", choices=["run", "blowup", "symmetry", "lp", "selftest"])
+    ap.add_argument("command", choices=[*_COMMANDS, "selftest"])
     ap.add_argument("--config", help="path to a key = value config file")
     ap.add_argument("--sweep", help="file listing one config path per line")
     ap.add_argument("--out", default="out", help="output directory")

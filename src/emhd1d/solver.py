@@ -107,8 +107,8 @@ class StepperConfig:
             raise ValueError("dt_init and t_end must be finite")
         if self.dt_init <= 0 or self.t_end <= 0:
             raise ValueError("dt_init and t_end must be positive")
-        if math.isnan(self.blowup_threshold):
-            raise ValueError("blowup_threshold must not be NaN")
+        if not self.blowup_threshold > 0:  # NaN included
+            raise ValueError("blowup_threshold must be positive")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.scheme not in _SCHEMES:

@@ -305,8 +305,8 @@ class TestInvariants:
         assert rep.max_bxx_rel <= 1e-4
 
     def test_bxx_ratio_matches_row_by_row_sup(self, run_and_states):
-        # the report transforms the selected rows in blocks; each row's
-        # sup|B_xx| must be what a transform of that row alone gives
+        # the report's ratio is the one that each selected row's sup|B_xx|,
+        # from a transform of that row alone, gives
         run, d, traj = run_and_states
         t_max = 0.8 / d.w0
         rep = riccati_invariant_report(run, traj, t_max=t_max)

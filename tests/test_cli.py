@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from emhd1d import blowup, cli, lp, solver
-from emhd1d.blowup import FitWindowError
+from emhd1d.blowup import FitWindowError, advect_trajectory, run_blowup
 from emhd1d.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -21,6 +21,7 @@ from emhd1d.cli import (
     main,
     parse_config_text,
 )
+from emhd1d.diagnostics import norm_series
 from emhd1d.solver import evolve
 from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
 
@@ -83,6 +84,15 @@ def ill_posed(tmp_path, monkeypatch=None):
         "grid.L = 6\ngrid.N = 2048\nmodel.kind = transport\nmodel.mu = 1\nmodel.alpha = 0.5\n"
         "datum.kind = paper_blowup\nstepper.dt_init = 1e-4\nstepper.t_end = 1.5\nstepper.blowup_threshold = 80\n",
     )
+
+
+def read_csv(path) -> tuple[list[str], np.ndarray]:
+    """The header and the (column, row) float values of a CSV the CLI wrote,
+    after checking that every line of it ends in CRLF."""
+    text = path.read_bytes().decode()
+    lines = text.split("\r\n")
+    assert lines[-1] == "" and "\n" not in text.replace("\r\n", "")
+    return lines[0].split(","), np.array([[float(v) for v in ln.split(",")] for ln in lines[1:-1]]).T
 
 
 def failed_gates(out) -> list[str]:
@@ -260,6 +270,54 @@ class TestCommands:
         rep = json.loads((out / "symmetry.json").read_text())
         assert rep["rel_l2_mismatch"] <= 1e-6
 
+    def test_symmetry_seed_option_overrides_datum_seed(self, tmp_path):
+        # at lam = 3 the mismatch is roundoff that depends on the datum
+        text = (
+            "grid.L = 3.141592653589793\ngrid.N = 256\nstepper.t_end = 0.05\nstepper.dt_init = 1e-3\n"
+            "symmetry.lam = 3\ndatum.kind = random_rough\n"
+        )
+
+        def mismatch(name, text, *extra):
+            out = tmp_path / name
+            assert main(["symmetry", "--config", str(write_cfg(tmp_path, text, name + ".cfg")), "--out", str(out),
+                         *extra]) == EXIT_OK
+            return json.loads((out / "symmetry.json").read_text())["rel_l2_mismatch"]
+
+        by_option = mismatch("option", text, "--seed", "4")
+        assert by_option == mismatch("key", text + "datum.seed = 4\n")
+        assert by_option != mismatch("seed0", text)
+
+    def test_csv_outputs_parse_back_to_their_arrays(self, cfg_file, tmp_path):
+        # every file is a header line and one row per entry, CRLF line ends,
+        # and each value at 17 significant digits reads back bitwise
+        def check_steps(out, run):
+            header, values = read_csv(out / "steps.csv")
+            assert header == ["t", *run.diagnostics]
+            assert values.tobytes() == np.array([run.step_times[1:], *run.diagnostics.values()], dtype=float).tobytes()
+
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+        cfg = RunConfig.from_file(cfg_file)
+        run = evolve(cfg.datum(cfg.grid()), cfg.model(), cfg.stepper())
+        ns = norm_series(run, list(cfg.diagnostics_s_list))
+        header, values = read_csv(out / "series.csv")
+        assert header == ["t", "hs_0", "hdiss_0", "budget_0", "hs_1", "hdiss_1", "budget_1"]
+        expected = [ns.times] + [a[i] for i in range(2) for a in (ns.hs, ns.hs_diss, ns.budget)]
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert list(run.diagnostics) == ["dt", "sup_lam_b", "sup_lam_bx", "n_modes", "a", "G"]
+        check_steps(out, run)
+
+        p = write_cfg(tmp_path, "grid.L = 6\ngrid.N = 2048\n", "blow.cfg")
+        out = tmp_path / "blowout"
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        run, datum = run_blowup(GridSpec(6.0, 2048))
+        traj = advect_trajectory(run, datum.x0)
+        header, values = read_csv(out / "trajectory.csv")
+        assert header == ["t", "X", "bx", "bxx", "w", "inv_w"]
+        expected = [traj.t, traj.X, traj.bx, traj.bxx, traj.w, 1.0 / traj.w]
+        assert values.tobytes() == np.array(expected).tobytes()
+        check_steps(out, run)
+
     def test_lp_command(self, tmp_path):
         p = write_cfg(tmp_path, LP_CFG, "lp.cfg")
         out = tmp_path / "lp"
@@ -392,7 +450,8 @@ class TestCommands:
         assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "max_steps" and manifest["steps"] == 3
-        assert sorted(f.name for f in out.iterdir()) == ["manifest.json"]
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "steps.csv"]
+        assert read_csv(out / "steps.csv")[1].shape[1] == manifest["steps"]
 
     def test_run_on_ill_posed_config_is_numerical_abort(self, tmp_path):
         # without the guard the run reaches the threshold after 71 steps
@@ -400,7 +459,12 @@ class TestCommands:
         assert main(["run", "--config", str(ill_posed(tmp_path)), "--out", str(out)]) == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "ill_posed" and manifest["steps"] == 38
-        assert sorted(f.name for f in out.iterdir()) == ["manifest.json"]
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "steps.csv"]
+        header, values = read_csv(out / "steps.csv")
+        G = values[header.index("G")]
+        assert G.size == manifest["steps"]
+        # the growth first exceeds the guard's 18 on the step that stopped the run
+        assert G[-1] > 18.0 and np.all(G[:-1] <= 18.0)
 
     def test_run_stopped_at_blowup_threshold_passes(self, tmp_path):
         # with a finite threshold, reaching it is the run's purpose
@@ -546,6 +610,12 @@ class TestCommands:
         # the same config with stepper.adaptive = false, dt_init = 1e-5 (5000 steps)
         fixed_dt_sup = 2.5042552747401463
         assert abs(sup - fixed_dt_sup) <= 1e-10 * fixed_dt_sup
+
+    @pytest.mark.parametrize("threshold", ["-1", "0", "-inf"])
+    def test_nonpositive_blowup_threshold_is_config_error(self, tmp_path, capsys, threshold):
+        p = write_cfg(tmp_path, f"grid.N = 64\nstepper.t_end = 0.01\nstepper.blowup_threshold = {threshold}\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: blowup_threshold must be positive" in capsys.readouterr().err
 
     def test_zero_snapshot_cadence_is_config_error(self, tmp_path):
         p = tmp_path / "cad.cfg"

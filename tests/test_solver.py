@@ -399,6 +399,11 @@ class TestStepperConfig:
         with pytest.raises(ValueError):
             StepperConfig(**kw)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, -np.inf])
+    def test_rejects_nonpositive_blowup_threshold(self, threshold):
+        with pytest.raises(ValueError, match="blowup_threshold must be positive"):
+            StepperConfig(blowup_threshold=threshold)
+
 
 class TestEvolve:
     def test_reaches_t_end(self, grid):
