@@ -7,11 +7,12 @@ Config files are flat ``section.key = value`` text (blank lines and ``#``
 comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
 3 numerical abort.  ``run`` and ``blowup`` write steps.csv as soon as their
 run ends: one row per accepted step, t and each of the stepper's per-step
-diagnostics (dt, sup_lam_b, sup_lam_bx, n_modes, a, G).  A ``run`` passes
-only if it reaches t_end or, with a finite ``stepper.blowup_threshold``
-(which must be positive), stops at the threshold or at CFL collapse; any
-other termination (a non-finite field, ill_posed, max_steps, or CFL collapse
-with no threshold) writes only manifest.json and steps.csv and exits 3.  A
+diagnostics (dt, bound, sup_lam_b, sup_lam_bx, n_modes, a, gamma, G).  A
+``run`` passes only if it reaches t_end or, with a finite
+``stepper.blowup_threshold`` (which must be positive), stops at the
+threshold or at CFL collapse; any other termination (a non-finite field,
+ill_posed, max_steps, or CFL collapse with no threshold) writes only
+manifest.json and steps.csv and exits 3.  A
 ``blowup`` passes only if its run stops at the blowup threshold; any other
 termination, t_end included, likewise exits 3 with its cause recorded.
 ``--seed`` overrides ``datum.seed`` for run, symmetry and lp; blowup's

@@ -45,13 +45,27 @@ def _cumtrapz(times: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(y.shape[:-1] + (1,)), steps], axis=-1)
 
 
+# rows of a coefficient table that one norm call reads: its temporaries are
+# the size of a block, not of the table
+_BLOCK = 32
+
+
+def _norms(grid: GridSpec, coefs: np.ndarray, s: float, homogeneous: bool = True) -> np.ndarray:
+    """H^s norm of each row of ``coefs``, one ``GridSpec.sobolev_norm2`` call
+    per block of ``_BLOCK`` rows."""
+    out = np.empty(len(coefs))
+    for i in range(0, len(coefs), _BLOCK):
+        out[i : i + _BLOCK] = grid.sobolev_norm2(coefs[i : i + _BLOCK], s, homogeneous)
+    return np.sqrt(out)
+
+
 def norm_series(run: TimeSeries, s_list: list[float]) -> NormSeries:
     grid, alpha = run.grid, run.params.alpha
     hs = np.empty((len(s_list), len(run.times)))
     hd = np.empty_like(hs)
     for i, s in enumerate(s_list):
-        hs[i] = np.sqrt(grid.sobolev_norm2(run.coefs, s, homogeneous=False))
-        hd[i] = np.sqrt(grid.sobolev_norm2(run.coefs, s + 0.5 * alpha))
+        hs[i] = _norms(grid, run.coefs, s, homogeneous=False)
+        hd[i] = _norms(grid, run.coefs, s + 0.5 * alpha)
     budget = _cumtrapz(run.times, hd**2)
     return NormSeries(times=run.times, s_list=tuple(s_list), hs=hs, hs_diss=hd, budget=budget)
 
@@ -122,7 +136,7 @@ def smoothing_rate_fit(run: TimeSeries, s_base: float, s_target: float, t_min: f
     norm to grow like t^(-(s_target - s_base)/alpha) as t -> 0+, with alpha
     the run's own, so the fitted log-log slope should be minus that exponent.
     """
-    norms = np.sqrt(run.grid.sobolev_norm2(run.coefs, s_target))
+    norms = _norms(run.grid, run.coefs, s_target)
     return _rate_fit(run.times, norms, s_base, s_target, run.params.alpha, t_min)
 
 

@@ -205,10 +205,10 @@ def _table(rows: list[np.ndarray], half: int) -> np.ndarray:
     """Coefficient rows from any rung as one (len(rows), half) table: a row
     of at most ``half`` entries is zero-padded, a longer one is cut to
     ``half - 1``, so the coarser grid's Nyquist entry is 0, as a rung's
-    stays on every finite step.  A run keeps its snapshot rows rung-sized
-    until here: padding each as it is made would interleave long-lived fine
-    rows with a coarse rung's short-lived arrays and fragment the heap
-    (3.4 MB more peak RSS on the N = 4096 blowup run)."""
+    stays on every finite step.  It moves a state between rungs
+    (``_resize``) and pads ``advect_trajectory``'s pair of rows at a rung
+    switch; ``evolve`` pads its snapshot rows the same way as it writes
+    them into its table."""
     out = np.zeros((len(rows), half), dtype=complex)
     for o, row in zip(out, rows):
         k = row.size if row.size <= half else half - 1
@@ -356,7 +356,9 @@ class TimeSeries:
 
     ``coefs`` holds one coefficient row per snapshot, taken at the requested
     cadence (always including the initial and final states), and ``times``
-    their times; both arrays are read-only and on the N grid.  When the run
+    their times; both arrays are read-only and on the N grid.  From
+    :func:`evolve`, ``coefs`` is a read-only view of the leading rows of a
+    table the run filled as it went.  When the run
     was made with ``store_step_fields``, ``lam_b`` and ``lam_b_dot`` hold the
     coefficients of Lambda B and d/dt Lambda B at every accepted step
     boundary, each row the whole half of the ladder rung that made it, n/2 + 1
@@ -393,9 +395,18 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
 
     ``diagnostics`` holds one entry per accepted step, at ``step_times[1:]``:
     dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, the ladder
-    rung (``n_modes``) it was taken on, a = max B_x of the state it began at,
-    and the growth G of the linear symbol integrated up to its end (module
-    docstring).  Snapshot rows are on ``B0.grid`` whatever rung made them.
+    rung (``n_modes``) it was taken on, the ``bound`` that was largest
+    among its rates sup / scale (0 advective, 1 Riccati, 2 dispersive; on a
+    fixed-dt run the one that would have bounded it), a = max B_x of the
+    state it began at, the rate gamma = a xi - mu xi^alpha at the top xi of
+    its rung's dealiased band, and the growth G = sum max(0, gamma) dt of
+    the linear symbol up to its end (module docstring).
+
+    Each snapshot row is written once, zero-padded from its rung's
+    n/2 + 1 entries, into one zero table on ``B0.grid``, and ``coefs`` is a
+    read-only view of the rows written.  A fixed-dt run sizes the table
+    from its step count; an adaptive one starts at two rows and doubles
+    the table when it is full.
     """
     grid = B0.grid
     L, half = grid.half_length, grid.n_modes // 2 + 1
@@ -417,12 +428,26 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     scale = np.array([grid.dx, 1.0, 2.0 / grid.xi_max_dealiased**2])[: 3 if dispersive else 2]
     t = gain = 0.0
 
-    times, rows = [0.0], [c]
+    # from np.zeros, so the pages of rows never written are never touched
+    capacity = 2 if cfg.adaptive else min(math.ceil(cfg.t_end / cfg.dt_init), MAX_STEPS) // cfg.snapshot_cadence + 2
+    table = np.zeros((capacity, half), dtype=complex)
+    times: list[float] = []
+
+    def keep(t: float, c: np.ndarray) -> None:
+        nonlocal table
+        if len(times) == len(table):
+            grown = np.zeros((2 * len(table), half), dtype=complex)
+            grown[: len(table)] = table
+            table = grown
+        table[len(times), : c.size] = c
+        times.append(t)
+
+    keep(t, c)
     step_times = [0.0]
     # one row of ``keys`` per accepted step: a growing list per key (two
     # more for a and G) moved the heap of the fixed-dt CLI run at N = 2048
     # from 60.7 to 64.7 MB peak RSS
-    keys = ("dt", "sup_lam_b", "sup_lam_bx", "n_modes", "a", "G")
+    keys = ("dt", "bound", "sup_lam_b", "sup_lam_bx", "n_modes", "a", "gamma", "G")
     per_step: list[tuple] = []
     lam_b_store: list[np.ndarray] = []
     lam_b_dot_store: list[np.ndarray] = []
@@ -441,7 +466,8 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         # node, a node of the rung n, its rows give the state's nonlinear term
         phys = grid.to_phys(ops.rows[: 4 if dispersive else 3] * c)
         sups = np.max(np.abs(phys[1:]), axis=-1)
-        rate = float((sups / scale).max())
+        rates = sups / scale
+        rate, bound = float(rates.max()), int(rates.argmax())
         nl = ops.form(phys[:, :: grid.n_modes // ops.grid.n_modes]) if params.nonlinearity else np.zeros_like(c)
         a = float(phys[0].max()) if params.nonlinearity else 0.0  # no transport term, no growth
         # freed now, its memory serves the step and the next state's
@@ -476,24 +502,23 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         c = stepper(ops.nonlinear, c, dt, nl, ops.factors(cfg.scheme, dt))
         t += dt
         n += 1
-        gain += max(0.0, a * xi_top - params.mu * xi_top**params.alpha) * dt
+        gamma = a * xi_top - params.mu * xi_top**params.alpha
+        gain += max(0.0, gamma) * dt
 
-        per_step.append((dt, sups[0], sups[1], ops.grid.n_modes, a, gain))
+        per_step.append((dt, bound, sups[0], sups[1], ops.grid.n_modes, a, gamma, gain))
         step_times.append(t)
         if n % cfg.snapshot_cadence == 0:
-            times.append(t)
-            rows.append(c)
+            keep(t, c)
 
     if times[-1] != t:
-        times.append(t)
-        rows.append(c)
+        keep(t, c)
     columns = zip(*per_step) if per_step else [()] * len(keys)
     return TimeSeries(
         grid=grid,
         params=params,
         config=cfg,
         times=np.array(times),
-        coefs=_table(rows, half),
+        coefs=table[: len(times)],
         step_times=np.array(step_times),
         diagnostics=dict(zip(keys, map(np.array, columns))),
         termination=termination,

@@ -304,7 +304,7 @@ class TestCommands:
         assert header == ["t", "hs_0", "hdiss_0", "budget_0", "hs_1", "hdiss_1", "budget_1"]
         expected = [ns.times] + [a[i] for i in range(2) for a in (ns.hs, ns.hs_diss, ns.budget)]
         assert values.tobytes() == np.array(expected).tobytes()
-        assert list(run.diagnostics) == ["dt", "sup_lam_b", "sup_lam_bx", "n_modes", "a", "G"]
+        assert list(run.diagnostics) == ["dt", "bound", "sup_lam_b", "sup_lam_bx", "n_modes", "a", "gamma", "G"]
         check_steps(out, run)
 
         p = write_cfg(tmp_path, "grid.L = 6\ngrid.N = 2048\n", "blow.cfg")

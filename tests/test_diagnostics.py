@@ -7,6 +7,7 @@ import pytest
 
 from emhd1d.diagnostics import (
     _cumtrapz,
+    _rate_fit,
     flux_balance_defect,
     flux_decomposition,
     flux_defect_ratio,
@@ -77,6 +78,23 @@ class TestNormSeries:
             cfg = StepperConfig(dt_init=dt, t_end=0.2, adaptive=False, snapshot_cadence=1)
             defs.append(np.max(np.abs(l2_budget_defect(evolve(B0, p, cfg)))))
         assert defs[0] / defs[1] > 4.0  # dt shrank 4x => defect should drop >= 16x ideally
+
+    def test_blocks_read_the_table_bitwise(self, dense_rough_run, traced_peak):
+        # norm_series and smoothing_rate_fit read the snapshot table a block
+        # of rows to a norm call: each value is bitwise the whole-table
+        # call's, and the temporaries are a block's size (whole-table calls
+        # peaked at 1.05 tables)
+        run = dense_rough_run()
+        g, s_list = run.grid, [0.0, 1.0]
+        ns, peak = traced_peak(lambda: norm_series(run, s_list))
+        assert peak <= 0.5 * run.coefs.nbytes
+        for i, s in enumerate(s_list):
+            assert ns.hs[i].tobytes() == np.sqrt(g.sobolev_norm2(run.coefs, s, homogeneous=False)).tobytes()
+            hd = np.sqrt(g.sobolev_norm2(run.coefs, s + 0.5 * run.params.alpha))
+            assert ns.hs_diss[i].tobytes() == hd.tobytes()
+        fit, peak = traced_peak(lambda: smoothing_rate_fit(run, 1.0, 2.0, t_min=5e-4))
+        assert peak <= 0.5 * run.coefs.nbytes
+        assert fit == _rate_fit(run.times, np.sqrt(g.sobolev_norm2(run.coefs, 2.0)), 1.0, 2.0, 1.5, 5e-4)
 
 
 class TestRoughDatum:

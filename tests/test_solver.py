@@ -505,6 +505,14 @@ class TestEvolve:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_fixed_dt_run_writes_each_snapshot_once(self, dense_rough_run, traced_peak):
+        # each snapshot row goes straight into the table that ``coefs``
+        # views, so no second copy of the rows is ever held: a list of rows
+        # and the table built from it peaked at 2.1 tables
+        run, peak = traced_peak(dense_rough_run)
+        assert run.coefs.shape == (401, 257)
+        assert peak <= 1.25 * run.coefs.nbytes
+
     def test_store_step_fields_shapes(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False, store_step_fields=True)
@@ -642,6 +650,24 @@ class TestDispersiveBound:
         ref = self.FIXED_DT_SUP_LAMBDA_BX[alpha]
         assert abs(sup - ref) <= 1e-10 * ref
 
+    @pytest.mark.parametrize("kind", ["transport", "full"])
+    def test_bound_names_the_largest_rate(self, kind):
+        # ``bound`` is the argmax of sup / scale: 0 advective, sup|Lambda B| / dx;
+        # 1 Riccati, sup|Lambda B_x|; 2 dispersive (full model only),
+        # sup|B| / (2 / xi_max^2), with sup|B| read here from the snapshot
+        # rows on the finest nodes.  On L = 6 the Riccati rate wins only on
+        # a grid as coarse as N = 64.
+        g = GridSpec(6.0, 64 if kind == "transport" else 512)
+        B0 = remove_mean(SpectralField.from_function(g, lambda x: np.exp(-(x**4)) * np.sin(x)))
+        cfg = StepperConfig(t_end=10.0 if kind == "transport" else 0.005, blowup_threshold=5.0, snapshot_cadence=1)
+        run = evolve(B0, ModelParams(kind=kind, mu=1.0, alpha=1.0), cfg)
+        d = run.diagnostics
+        rates = [d["sup_lam_b"] / g.dx, d["sup_lam_bx"]]
+        if kind == "full":
+            rates.append(np.max(np.abs(g.to_phys(run.coefs[:-1])), axis=-1) / (2.0 / g.xi_max_dealiased**2))
+        assert np.array_equal(d["bound"], np.argmax(rates, axis=0))
+        assert set(d["bound"]) == ({0, 1} if kind == "transport" else {2})
+
     def test_transport_does_not_take_the_cap(self):
         # the dispersive cap needs one extra transform per step; the
         # transport model must not pay for it
@@ -682,6 +708,7 @@ class TestGridLadder:
         d = run.diagnostics
         bound = 0.5 / np.maximum(d["sup_lam_b"] / g.dx, d["sup_lam_bx"])
         assert np.array_equal(d["dt"], np.minimum(bound, 1e3))  # the cap is 1e6 dt_init
+        assert np.array_equal(d["bound"], np.argmax(np.stack((d["sup_lam_b"] / g.dx, d["sup_lam_bx"])), axis=0))
 
     @staticmethod
     def bands(g, run):
@@ -707,6 +734,31 @@ class TestGridLadder:
             assert not np.any(run.coefs[n, k:])
             if k < half:  # a coarse rung's Nyquist entry stays exactly 0
                 assert run.coefs[n, k - 1] == run.lam_b[n][-1] == run.lam_b_dot[n][-1] == 0.0
+
+    def test_adaptive_table_doubles_and_pads_each_row(self, traced_peak):
+        # an adaptive run starts with a two-row table and doubles it when it
+        # is full; each row is its rung-sized state zero-padded as ``_table``
+        # pads it, whatever the cadence, and the traced peak stays under
+        # 2.25 tables (the old table and its double make 1.5 at a growth)
+        from emhd1d.blowup import make_reference_datum
+
+        g = GridSpec(6.0, 1024)
+        p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
+        B0 = make_reference_datum(g).B0
+        every, peak = traced_peak(lambda: evolve(B0, p, StepperConfig(t_end=0.3, snapshot_cadence=1)))
+        table = every.coefs.base
+        assert len(table) >= 8  # two doublings at least
+        assert peak <= 2.25 * table.nbytes
+        # row 0 is on the start rung, row n on the rung of step n
+        rung = every.diagnostics["n_modes"]
+        rung = np.concatenate((rung[:1], rung))
+        assert len(set(rung)) > 1
+        rows = [c[: m // 2 + 1] for c, m in zip(every.coefs, rung)]
+        assert solver._table(rows, g.n_modes // 2 + 1).tobytes() == every.coefs.tobytes()
+        sparse = evolve(B0, p, StepperConfig(t_end=0.3, snapshot_cadence=3))
+        assert len(sparse.coefs.base) != len(table)
+        idx = np.searchsorted(every.times, sparse.times)
+        assert sparse.coefs.tobytes() == every.coefs[idx].tobytes()
 
     def test_step_rows_are_read_only_rung_bands_of_the_states(self):
         g, p, run = self.blowup_run(snapshot_cadence=1)
@@ -774,7 +826,8 @@ class TestIllPosedGuard:
         a = [np.max(g.to_phys(_ops(g, run.params).rows[0] * c)) for c in run.coefs[:-1]]
         assert np.array_equal(diag["a"], a)
         xi = np.array([GridSpec(6.0, int(m)).xi_max_dealiased for m in diag["n_modes"]])
-        assert np.array_equal(G, np.cumsum(np.maximum(0.0, diag["a"] * xi - mu * xi**alpha) * diag["dt"]))
+        assert np.array_equal(diag["gamma"], diag["a"] * xi - mu * xi**alpha)
+        assert G.tobytes() == np.cumsum(np.maximum(0.0, diag["gamma"]) * diag["dt"]).tobytes()
 
     @pytest.mark.parametrize(
         "n, amp, t_end, gain",
