@@ -23,6 +23,7 @@ from .spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_a
 
 DATUM_TOL = 1e-10  # tolerance of B_x(x0) = 1, B_xx(x0) = 0 and max B_x = B_x(x0)
 STOP_FACTOR = 12.0  # run_blowup stops once max|Lambda B_x| > STOP_FACTOR * w0
+FIT_WINDOW = (1.25, 10.0)  # measure_blowup_time fits 1/w over w in FIT_WINDOW * w0
 
 
 class DatumError(ValueError):
@@ -201,17 +202,16 @@ def advect_trajectory(run: TimeSeries, x0: float) -> Trajectory:
     return Trajectory(t=times.copy(), X=Xs, bx=bx, bxx=bxx, w=w)
 
 
-def measure_blowup_time(
-    traj: Trajectory, w0: float, window: tuple[float, float] = (1.25, 10.0)
-) -> tuple[float, float, float]:
-    """Affine fit of 1/w(t) over the window w in [lo, hi] * w0.
+def measure_blowup_time(traj: Trajectory, w0: float) -> tuple[float, float, float]:
+    """Affine fit of 1/w(t) over the window w in ``FIT_WINDOW`` * w0.
 
     Returns (T_est, slope, rms residual); the slope is -1 for the exact
     Riccati law and T_est is the root of the fitted line.  Only the first
     contiguous crossing of the window is used, so a post-saturation decay of
     w cannot contaminate the fit.
     """
-    sel = (traj.w >= window[0] * w0) & (traj.w <= window[1] * w0)
+    lo, hi = FIT_WINDOW
+    sel = (traj.w >= lo * w0) & (traj.w <= hi * w0)
     idx = np.flatnonzero(sel)
     if idx.size == 0:
         raise FitWindowError("no samples with w inside the fit window")

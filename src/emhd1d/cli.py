@@ -5,7 +5,9 @@
 
 Config files are flat ``section.key = value`` text (blank lines and ``#``
 comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
-3 numerical abort.  ``run`` and ``blowup`` write steps.csv as soon as their
+3 numerical abort; a command that does not fit in memory is a numerical
+abort too, and like a floating-point error it writes no manifest.json.
+``run`` and ``blowup`` write steps.csv as soon as their
 run ends: one row per accepted step, t and each of the stepper's per-step
 diagnostics (dt, bound, sup_lam_b, sup_lam_bx, n_modes, a, gamma, G).  A
 ``run`` passes only if it reaches t_end or, with a finite
@@ -424,7 +426,8 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
     except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FloatingPointError, np.linalg.LinAlgError):
+    except (FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"numerical abort: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_manifest(out_dir, cfg, record)
     return code

@@ -71,16 +71,11 @@ from .spectral import GridSpec, SpectralField, sobolev_weight
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model kind and coefficients.
-
-    ``nonlinearity`` switches the quadratic term off entirely, leaving the
-    pure dissipation semigroup (used by linear-regime diagnostics).
-    """
+    """Model kind and coefficients."""
 
     kind: Literal["full", "transport"]
     mu: float
     alpha: float
-    nonlinearity: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("full", "transport"):
@@ -140,8 +135,9 @@ class _Ops:
     def factors(self, scheme: str, dt: float) -> tuple:
         """The read-only factors of ``scheme`` at step dt, rebuilt only when
         the scheme or dt changes, so a fixed-dt run builds them once.  The
-        (scheme, dt, factors) slot is replaced whole, so threads sharing the
-        table never pair one dt with another's arrays."""
+        (scheme, dt, factors) slot is replaced whole, so no caller of the
+        table ``_ops`` shares, on any thread, pairs one dt with another's
+        arrays."""
         last = self._factors
         if last[:2] != (scheme, dt):
             last = (scheme, dt, _SCHEMES[scheme][0](self.lin, dt))
@@ -168,8 +164,6 @@ class _Ops:
         inverse transform of ``rows[:4]`` (full) or ``rows[:2]`` (transport)
         times ``c``; ``tau`` (the stage's fraction of the step) is unused:
         the model is autonomous."""
-        if not self.params.nonlinearity:
-            return np.zeros_like(c)
         n = 4 if self.params.kind == "full" else 2
         return self.form(self.grid.to_phys(self.rows[:n] * c))
 
@@ -188,6 +182,10 @@ ILL_POSED_GAIN = 18.0
 
 # A run stops as ``max_steps`` after this many accepted steps.
 MAX_STEPS = 1_000_000
+
+# A fixed-dt run reserves at most this many bytes of snapshot table before
+# its first step; a longer run doubles the table as an adaptive run does.
+TABLE_BUDGET = 2**28
 
 
 def _top_third(grid: GridSpec) -> int:
@@ -405,8 +403,8 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     Each snapshot row is written once, zero-padded from its rung's
     n/2 + 1 entries, into one zero table on ``B0.grid``, and ``coefs`` is a
     read-only view of the rows written.  A fixed-dt run sizes the table
-    from its step count; an adaptive one starts at two rows and doubles
-    the table when it is full.
+    from its step count, up to ``TABLE_BUDGET`` bytes; an adaptive one
+    starts at two rows.  Either doubles the table when it is full.
     """
     grid = B0.grid
     L, half = grid.half_length, grid.n_modes // 2 + 1
@@ -422,14 +420,15 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     ops = _ops(GridSpec(L, rung), params)
     c = _resize(c, ops.xi.size)
     xi_top = ops.grid.xi_max_dealiased
-    dispersive = params.kind == "full" and params.nonlinearity
+    dispersive = params.kind == "full"
     # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, when
     # dispersive, sup|B|: the step's rate is the largest sup / scale
     scale = np.array([grid.dx, 1.0, 2.0 / grid.xi_max_dealiased**2])[: 3 if dispersive else 2]
     t = gain = 0.0
 
     # from np.zeros, so the pages of rows never written are never touched
-    capacity = 2 if cfg.adaptive else min(math.ceil(cfg.t_end / cfg.dt_init), MAX_STEPS) // cfg.snapshot_cadence + 2
+    rows = 2 if cfg.adaptive else min(math.ceil(cfg.t_end / cfg.dt_init), MAX_STEPS) // cfg.snapshot_cadence + 2
+    capacity = max(2, min(rows, TABLE_BUDGET // (16 * half)))  # 16 bytes a complex entry
     table = np.zeros((capacity, half), dtype=complex)
     times: list[float] = []
 
@@ -468,8 +467,8 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         sups = np.max(np.abs(phys[1:]), axis=-1)
         rates = sups / scale
         rate, bound = float(rates.max()), int(rates.argmax())
-        nl = ops.form(phys[:, :: grid.n_modes // ops.grid.n_modes]) if params.nonlinearity else np.zeros_like(c)
-        a = float(phys[0].max()) if params.nonlinearity else 0.0  # no transport term, no growth
+        nl = ops.form(phys[:, :: grid.n_modes // ops.grid.n_modes])
+        a = float(phys[0].max())
         # freed now, its memory serves the step and the next state's
         # transform (kept, it cost ~1 MB of peak RSS at N = 4096)
         del phys
@@ -590,7 +589,7 @@ def picard_solve(
         return ops.form((c_x, lam_a, lam_c_x, a))
 
     for it in range(k_max + 1):
-        if prev_vals is not None and params.nonlinearity:
+        if prev_vals is not None:
             frozen = None  # freed before the next table is built
             table = np.empty((2 * m + 1, vals.shape[1]), dtype=complex)
             table[0::2] = prev_vals

@@ -14,11 +14,13 @@ from emhd1d.spectral import GridSpec
 def smoothing_run():
     """Factory for the smoothing-rate runs: a fixed-dt (2e-5) full-model run
     to t = 1.1e-2 from the seed-0 rough datum, snapshotting densely enough to
-    resolve the [1e-3, 1e-2] fit window."""
+    resolve the [1e-3, 1e-2] fit window.  ``norm`` is the datum's H^s_base
+    norm: at 1e-10 the quadratic term is 1e-10 of the linear one, and the
+    run is the linear semigroup's to the fit's digits."""
 
-    def make(grid, mu, alpha, s_base, nonlinearity=True):
-        B0 = rough_datum(grid, s_base)
-        params = ModelParams(kind="full", mu=mu, alpha=alpha, nonlinearity=nonlinearity)
+    def make(grid, mu, alpha, s_base, norm=0.05):
+        B0 = rough_datum(grid, s_base, norm=norm)
+        params = ModelParams(kind="full", mu=mu, alpha=alpha)
         cfg = StepperConfig(dt_init=2e-5, t_end=1.1e-2, adaptive=False, snapshot_cadence=5)
         return evolve(B0, params, cfg)
 

@@ -443,6 +443,42 @@ class TestCommands:
         assert manifest["termination"] == "non_finite"
         assert not (out / "series.csv").exists()
 
+    def test_run_with_a_huge_snapshot_budget_stops_at_its_threshold(self, tmp_path):
+        # a million fixed steps at N = 32768 with a snapshot each: the run
+        # stops at its threshold before its first step, and its table is
+        # reserved up to the budget only, not at 244 GiB
+        p = write_cfg(
+            tmp_path,
+            "grid.L = 3.141592653589793\ngrid.N = 32768\nmodel.mu = 1.0\nmodel.alpha = 1.5\n"
+            "stepper.dt_init = 1e-9\nstepper.t_end = 1e-3\nstepper.adaptive = false\n"
+            "stepper.blowup_threshold = 1e-6\ndatum.kind = random_rough\ndatum.s_base = 1.0\n"
+            "outputs.snapshot_cadence = 1\n",
+        )
+        out = tmp_path / "budget"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["termination"], manifest["steps"]) == ("blowup_threshold", 0)
+
+    def test_out_of_memory_is_numerical_abort(self, cfg_file, tmp_path, monkeypatch, capsys):
+        # a command that does not fit in memory exits 3, not 1, and a sweep
+        # records it and runs on
+        def evolve_or_fail(B0, params, cfg):
+            if params.alpha == 2.0:
+                raise MemoryError("Unable to allocate 244. GiB")
+            return evolve(B0, params, cfg)
+
+        monkeypatch.setattr(cli, "evolve", evolve_or_fail)
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "one")]) == EXIT_NUMERICAL
+        assert "numerical abort: MemoryError" in capsys.readouterr().err
+        other = write_cfg(tmp_path, RUN_CFG.replace("model.alpha = 2.0", "model.alpha = 1.5"), "other.cfg")
+        sweep = write_cfg(tmp_path, f"{cfg_file}\n{other}\n", "sweep.txt")
+        out = tmp_path / "sw"
+        assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_NUMERICAL
+        assert json.loads((out / "sweep.json").read_text()) == {
+            "sweep_000": {"config": str(cfg_file), "exit": EXIT_NUMERICAL},
+            "sweep_001": {"config": str(other), "exit": EXIT_OK},
+        }
+
     def test_run_cut_at_max_steps_is_numerical_abort(self, tmp_path, monkeypatch):
         # a run stopped by the step cap never reached t_end, so it is no pass
         p = capped_at_three_steps(tmp_path, monkeypatch)

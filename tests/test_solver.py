@@ -35,6 +35,13 @@ def small_datum(grid, amp=0.05):
     )
 
 
+def single_mode(grid, k):
+    """cos(k x) on a grid of L = pi, built from its one coefficient 0.5."""
+    c = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
+    c[k] = 0.5
+    return SpectralField.from_coef(grid, c)
+
+
 def record_to_phys(monkeypatch):
     """Patch ``GridSpec.to_phys`` to log each call as (grid N, rows transformed)."""
     calls = []
@@ -138,9 +145,11 @@ class TestRHS:
         assert f.l2_norm() == 0.0
 
     def test_linear_part_single_mode(self, grid):
-        # with the nonlinearity off, dB/dt = -mu |xi|^alpha B
-        p = ModelParams(kind="full", mu=0.7, alpha=1.5, nonlinearity=False)
-        f = SpectralField.from_function(grid, lambda x: np.cos(2.0 * x))
+        # a single mode is a null of the full model's quadratic term
+        # (test_single_mode_is_a_null_of_the_full_term), so on
+        # B = cos 2x, built from its coefficient, dB/dt = -mu |xi|^alpha B
+        p = ModelParams(kind="full", mu=0.7, alpha=1.5)
+        f = single_mode(grid, 2)
         r = rhs(f, p)
         assert np.allclose(r.phys, -0.7 * 2.0**1.5 * f.phys, atol=1e-12)
 
@@ -151,6 +160,19 @@ class TestRHS:
         f = SpectralField.from_function(grid, np.sin)
         r = rhs(f, p)
         assert np.allclose(r.phys, 0.5 * np.sin(2.0 * grid.nodes), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_single_mode_is_a_null_of_the_full_term(self, n, k):
+        # B = cos kx: Lambda B = k cos kx and B_x = -k sin kx, so the full
+        # term B (Lambda B)_x - Lambda B B_x = -k^2 cos kx sin kx + k^2 cos kx sin kx
+        # vanishes; the transport term Lambda B B_x = -(k^2 / 2) sin 2kx does not
+        g = GridSpec(np.pi, n)
+        f = single_mode(g, k)
+        full = rhs(f, ModelParams(kind="full", mu=0.0, alpha=1.0))
+        assert np.max(np.abs(full.phys)) <= 1e-13
+        transport = rhs(f, ModelParams(kind="transport", mu=0.0, alpha=1.0))
+        assert np.max(np.abs(transport.phys)) == pytest.approx(k**2 / 2, abs=1e-12)
 
     def test_full_model_single_mode(self, grid):
         # B = sin x: Lambda B_x = cos x, so B*(Lambda B)_x - Lambda B * B_x
@@ -196,7 +218,9 @@ class TestRHS:
 class TestSteppers:
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_exact_on_pure_dissipation(self, grid, scheme):
-        p = ModelParams(kind="full", mu=1.0, alpha=2.0, nonlinearity=False)
+        # a single mode is a null of the full term, so a step is the
+        # dissipation semigroup's, which both schemes propagate exactly
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(scheme=scheme, dt_init=0.05, t_end=1.0)
         f = SpectralField.from_function(grid, lambda x: np.cos(3.0 * x))
         g, _ = step(f, 0.0, 0.05, p, cfg)
@@ -513,6 +537,29 @@ class TestEvolve:
         assert run.coefs.shape == (401, 257)
         assert peak <= 1.25 * run.coefs.nbytes
 
+    def test_snapshot_reservation_is_bounded(self):
+        # a million fixed steps with a snapshot each would reserve a 244 GiB
+        # table up front; the reservation stops at the byte budget, so a run
+        # that ends at once still runs
+        g = GridSpec(np.pi, 32768)
+        c = np.zeros(g.n_modes // 2 + 1, dtype=complex)
+        c[1], c[2] = 0.5, np.nan
+        cfg = StepperConfig(dt_init=1e-9, t_end=1e-3, adaptive=False, snapshot_cadence=1, blowup_threshold=10.0)
+        run = evolve(SpectralField.from_coef(g, c), ModelParams("full", 1.0, 1.5), cfg)
+        assert run.termination == "non_finite"
+        assert len(run.step_times) == 1
+        assert run.coefs.base.nbytes <= solver.TABLE_BUDGET
+
+    def test_table_past_the_budget_doubles(self, grid, monkeypatch):
+        # a fixed-dt run whose table outgrows the budget keeps every row
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False)
+        whole = evolve(small_datum(grid), p, cfg)
+        monkeypatch.setattr(solver, "TABLE_BUDGET", 3 * whole.coefs[0].nbytes)
+        grown = evolve(small_datum(grid), p, cfg)
+        assert len(grown.coefs.base) == 24 and len(whole.coefs.base) == 22
+        assert np.array_equal(grown.coefs, whole.coefs) and np.array_equal(grown.times, whole.times)
+
     def test_store_step_fields_shapes(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False, store_step_fields=True)
@@ -796,7 +843,7 @@ class TestIllPosedGuard:
     reference datum on L = 6."""
 
     @staticmethod
-    def run(n, alpha, mu, amp=1.0, t_end=None, threshold=50.0, nonlinearity=True):
+    def run(n, alpha, mu, amp=1.0, t_end=None, threshold=50.0):
         from emhd1d.blowup import make_reference_datum
 
         g = GridSpec(6.0, n)
@@ -804,7 +851,7 @@ class TestIllPosedGuard:
         B0 = SpectralField.from_coef(g, amp * d.B0.coef)
         cfg = StepperConfig(dt_init=1e-4, t_end=t_end or 10.0 / d.w0, blowup_threshold=threshold * d.w0,
                             snapshot_cadence=1)
-        return g, d, evolve(B0, ModelParams("transport", mu, alpha, nonlinearity), cfg)
+        return g, d, evolve(B0, ModelParams("transport", mu, alpha), cfg)
 
     @pytest.mark.parametrize(
         "n, alpha, mu, amp, t_over_T",
@@ -847,13 +894,6 @@ class TestIllPosedGuard:
         run, _ = run_blowup(GridSpec(6.0, 2048))
         assert run.termination == "blowup_threshold"
         assert run.diagnostics["G"][-1] == pytest.approx(7.93e-3, rel=1e-2)
-
-    def test_no_transport_term_no_growth(self):
-        # without its quadratic term the run has no transport, so a = 0 and G
-        # stays 0 even at mu = 0, where the transport run fires at 0.175 T
-        _, _, run = self.run(1024, 1.0, 0.0, t_end=0.1, nonlinearity=False)
-        assert run.termination == "t_end"
-        assert not np.any(run.diagnostics["a"]) and not np.any(run.diagnostics["G"])
 
     def test_full_model_records_the_gain_but_runs_on(self):
         from emhd1d.blowup import make_reference_datum
@@ -998,8 +1038,8 @@ class TestPicard:
     def test_one_transform_per_iterate_and_two_rows_per_stage(self, grid, monkeypatch):
         # iterate k >= 1 transforms Lambda A and A at its 2m + 1 stage times
         # in one call, then C_x and Lambda C_x once per stage: m + 1 step
-        # boundaries and three later stages per step; iterate 0 and a run
-        # with the nonlinearity off transform nothing
+        # boundaries and three later stages per step; iterate 0, whose
+        # frozen term is zero, transforms nothing
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         m, k_max = 20, 2
         cfg = StepperConfig(dt_init=1e-3, t_end=m * 1e-3, adaptive=False)
@@ -1009,9 +1049,6 @@ class TestPicard:
         assert not res.converged
         per_iterate = [(grid.n_modes, (2 * m + 1) * 2)] + (4 * m + 1) * [(grid.n_modes, 2)]
         assert calls == k_max * per_iterate
-        del calls[:]
-        picard_solve(B0, replace(p, nonlinearity=False), cfg, k_max=k_max)
-        assert calls == []
 
     def test_etdrk4_limit_matches_nonlinear_solver(self, grid):
         # criterion 7 with the ETDRK4 stepper: the scheme is honoured (the
