@@ -9,7 +9,8 @@ comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
 abort too, and like a floating-point error it writes no manifest.json.
 ``run`` and ``blowup`` write steps.csv as soon as their
 run ends: one row per accepted step, t and each of the stepper's per-step
-diagnostics (dt, bound, sup_lam_b, sup_lam_bx, n_modes, a, gamma, G).  A
+diagnostics (dt, bound, sup_lam_b, sup_lam_bx, max_lam_bx, n_modes, a, gamma,
+G).  A
 ``run`` passes only if it reaches t_end or, with a finite
 ``stepper.blowup_threshold`` (which must be positive), stops at the
 threshold or at CFL collapse; any other termination (a non-finite field,

@@ -37,14 +37,17 @@ Frisch 1983, J. Comput. Phys. 50:138).  It starts on the coarsest halving on
 which the datum's share of sum |c_k|^2 from the top third of that rung's
 dealiased band upwards is at most ``LADDER_TAIL``.  After each accepted
 state it moves up one rung once that share exceeds ``LADDER_TAIL``; moving
-up zero-pads the coefficients, which is exact in this normalization.  Every
-quantity that sets dt or stops the run is read on the finest grid: its dx
-and dealiased xi_max, and sup|Lambda B|, sup|Lambda B_x| (and sup|B|) from
-one inverse transform of the rung's coefficients onto its nodes; every
-(N/n)-th of them is a node of rung n, so it also gives the nonlinear term.
-So the bounds are the single-grid ones, and a translation by whole fine
-nodes stays an exact symmetry.  A fixed-dt run, or a datum that fills the
-band, has the one rung N, and its loop is the single-grid one.
+up zero-pads the coefficients, which is exact in this normalization.  A
+step's dt takes its scale from the rung it is taken on, its dx and
+dealiased xi_max, since a rung's state holds only that rung's band; so a
+coarse rung steps at its own CFL, and most of a blowup run's steps are
+coarse and long.  The sups that set dt or stop the run, sup|Lambda B|,
+sup|Lambda B_x| (and sup|B|), are read on the finest grid, from one inverse
+transform of the rung's coefficients onto its nodes; every (N/n)-th of them
+is a node of rung n, so it also gives the nonlinear term.  The rungs are
+chosen from |c_k|, which a translation leaves alone, so a translation by
+whole fine nodes stays an exact symmetry.  A fixed-dt run, or a datum that
+fills the band, has the one rung N, and its loop is the single-grid one.
 
 A transport run stops as ``ill_posed`` when its linear symbol amplifies
 roundoff.  Linearized about B, the real part of its symbol at high |xi| is
@@ -128,7 +131,11 @@ class _Ops:
         self.rows = np.stack((ddx, self.absxi, self.absxi * ddx, np.ones_like(self.xi)))
         self.mask = grid.dealias_mask
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
-        for a in (self.absxi, self.rows, self.lin):
+        self.xi_top = grid.xi_max_dealiased
+        # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, for
+        # the full model, sup|B|: a step's rate is the largest sup / scale
+        self.scale = np.array([grid.dx, 1.0, 2.0 / self.xi_top**2])[: 3 if params.kind == "full" else 2]
+        for a in (self.absxi, self.rows, self.lin, self.scale):
             a.flags.writeable = False
         self._factors: tuple = (None, math.nan, ())
 
@@ -392,9 +399,10 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     recorded on the result.
 
     ``diagnostics`` holds one entry per accepted step, at ``step_times[1:]``:
-    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, the ladder
-    rung (``n_modes``) it was taken on, the ``bound`` that was largest
-    among its rates sup / scale (0 advective, 1 Riccati, 2 dispersive; on a
+    dt, the sup|Lambda B| and sup|Lambda B_x| that bounded it, the signed
+    max of Lambda B_x (``max_lam_bx``), the ladder rung (``n_modes``) it was
+    taken on, the ``bound`` that was largest among its rates sup / scale,
+    with the rung's scale (0 advective, 1 Riccati, 2 dispersive; on a
     fixed-dt run the one that would have bounded it), a = max B_x of the
     state it began at, the rate gamma = a xi - mu xi^alpha at the top xi of
     its rung's dealiased band, and the growth G = sum max(0, gamma) dt of
@@ -419,11 +427,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         rung //= 2
     ops = _ops(GridSpec(L, rung), params)
     c = _resize(c, ops.xi.size)
-    xi_top = ops.grid.xi_max_dealiased
     dispersive = params.kind == "full"
-    # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, when
-    # dispersive, sup|B|: the step's rate is the largest sup / scale
-    scale = np.array([grid.dx, 1.0, 2.0 / grid.xi_max_dealiased**2])[: 3 if dispersive else 2]
     t = gain = 0.0
 
     # from np.zeros, so the pages of rows never written are never touched
@@ -446,7 +450,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     # one row of ``keys`` per accepted step: a growing list per key (two
     # more for a and G) moved the heap of the fixed-dt CLI run at N = 2048
     # from 60.7 to 64.7 MB peak RSS
-    keys = ("dt", "bound", "sup_lam_b", "sup_lam_bx", "n_modes", "a", "gamma", "G")
+    keys = ("dt", "bound", "sup_lam_b", "sup_lam_bx", "max_lam_bx", "n_modes", "a", "gamma", "G")
     per_step: list[tuple] = []
     lam_b_store: list[np.ndarray] = []
     lam_b_dot_store: list[np.ndarray] = []
@@ -459,16 +463,15 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         if ops.grid.n_modes < grid.n_modes and _tail_exceeds(c, _top_third(ops.grid)):
             ops = _ops(GridSpec(L, 2 * ops.grid.n_modes), params)
             c = _resize(c, ops.xi.size)
-            xi_top = ops.grid.xi_max_dealiased
         # one stack on the finest nodes: rows 0-3 are B_x, Lambda B,
         # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
         # node, a node of the rung n, its rows give the state's nonlinear term
         phys = grid.to_phys(ops.rows[: 4 if dispersive else 3] * c)
         sups = np.max(np.abs(phys[1:]), axis=-1)
-        rates = sups / scale
+        rates = sups / ops.scale
         rate, bound = float(rates.max()), int(rates.argmax())
         nl = ops.form(phys[:, :: grid.n_modes // ops.grid.n_modes])
-        a = float(phys[0].max())
+        a, max_lam_bx = phys[0:3:2].max(axis=-1).tolist()  # max B_x and max Lambda B_x
         # freed now, its memory serves the step and the next state's
         # transform (kept, it cost ~1 MB of peak RSS at N = 4096)
         del phys
@@ -501,10 +504,10 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         c = stepper(ops.nonlinear, c, dt, nl, ops.factors(cfg.scheme, dt))
         t += dt
         n += 1
-        gamma = a * xi_top - params.mu * xi_top**params.alpha
+        gamma = a * ops.xi_top - params.mu * ops.xi_top**params.alpha
         gain += max(0.0, gamma) * dt
 
-        per_step.append((dt, bound, sups[0], sups[1], ops.grid.n_modes, a, gamma, gain))
+        per_step.append((dt, bound, sups[0], sups[1], max_lam_bx, ops.grid.n_modes, a, gamma, gain))
         step_times.append(t)
         if n % cfg.snapshot_cadence == 0:
             keep(t, c)

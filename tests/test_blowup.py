@@ -280,10 +280,10 @@ def etdrk4_verdict(grid, datum):
 
 
 class TestETDRK4Blowup:
-    # T_fit and slope of the adaptive ETDRK4 run at N = 2048 as built with
-    # the closed forms on every entry and four separate phi series; a faster
-    # build of the same coefficients must not move them beyond roundoff
-    FROZEN_T, FROZEN_SLOPE = 0.5714078923285588, -1.0005282325242422
+    # T_fit and slope of the adaptive ETDRK4 run at N = 2048, each rung
+    # stepped at its own CFL; a faster build of the same coefficients must
+    # not move them beyond roundoff
+    FROZEN_T, FROZEN_SLOPE = 0.5714623113327457, -1.0003702416829048
 
     def test_passes_blowup_gates(self, etdrk4_verdict):
         # every gate of emhd1d blowup, on the ETDRK4 path
@@ -295,6 +295,33 @@ class TestETDRK4Blowup:
         report, _ = etdrk4_verdict
         assert report["T_fitted"] == pytest.approx(self.FROZEN_T, rel=1e-10, abs=0.0)
         assert report["slope"] == pytest.approx(self.FROZEN_SLOPE, rel=1e-10, abs=0.0)
+
+
+class TestTelemetry:
+    def test_max_lam_bx_is_signed(self, run_and_states):
+        # at t = 0 sup|Lambda B_x| is taken on the negative lobe, while the
+        # signed max reads the positive one; the blowup peak is the sup by
+        # the last recorded step
+        run, d, _ = run_and_states
+        diag = run.diagnostics
+        assert diag["max_lam_bx"][0] / d.w0 == pytest.approx(1.34, abs=5e-3)
+        assert diag["sup_lam_bx"][0] / d.w0 == pytest.approx(2.58, abs=5e-3)
+        assert diag["max_lam_bx"][-1] == diag["sup_lam_bx"][-1]
+
+
+class TestConvergence:
+    def test_rel_t_is_fourth_order_in_cfl(self):
+        # at N = 16384 the time error dominates relT: 1.465e-6, 9.13e-8 and
+        # 5.79e-9 at cfl 0.5, 0.25 and 0.125, 16.0x and 15.8x per halving
+        conv = blowup.blowup_convergence([16384], [0.5, 0.25, 0.125])
+        rel = conv.rel_err[0]
+        assert np.all(rel[:-1] >= 12.0 * rel[1:])
+        assert np.isnan(conv.order[0, 0]) and np.all(conv.order[0, 1:] >= math.log2(12.0))
+        assert np.all(np.diff(conv.steps[0]) > 0)
+        # the Richardson step in cfl reads the error of T against 1/w0 to
+        # 0.3 % and 1.5 %
+        assert np.isnan(conv.error_bar[0, 0])
+        assert conv.error_bar[0, 1:] == pytest.approx(rel[1:] * conv.T[0, 1:], rel=0.1)
 
 
 class TestInvariants:
@@ -327,13 +354,11 @@ def rel_t_err(grid, datum, scheme="ifrk4"):
 
 
 class TestGridLadder:
-    # T_fit and slope of the adaptive IF-RK4 run at N = 4096 on one grid,
-    # before the run stepped on a grid ladder; the ladder reads every
-    # quantity that sets dt on the finest nodes, so it moves them by 2.5e-13
-    # and 7e-13
-    FROZEN_T, FROZEN_SLOPE = 0.5715463155056394, -1.0001234498410274
+    # T_fit and slope of the adaptive IF-RK4 run at N = 4096, 177 steps on
+    # the ladder 512, 1024, 2048, 4096, each rung stepped at its own CFL
+    FROZEN_T, FROZEN_SLOPE = 0.5715608914666783, -1.0000871188309772
 
-    def test_ifrk4_matches_single_grid_fit(self):
+    def test_ifrk4_matches_frozen_ladder_fit(self):
         _, t_est, slope = rel_t_err(GridSpec(6.0, 4096), make_reference_datum(GridSpec(6.0, 4096)))
         assert t_est == pytest.approx(self.FROZEN_T, rel=1e-10, abs=0.0)
         assert slope == pytest.approx(self.FROZEN_SLOPE, rel=1e-10, abs=0.0)

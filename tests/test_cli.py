@@ -304,7 +304,8 @@ class TestCommands:
         assert header == ["t", "hs_0", "hdiss_0", "budget_0", "hs_1", "hdiss_1", "budget_1"]
         expected = [ns.times] + [a[i] for i in range(2) for a in (ns.hs, ns.hs_diss, ns.budget)]
         assert values.tobytes() == np.array(expected).tobytes()
-        assert list(run.diagnostics) == ["dt", "bound", "sup_lam_b", "sup_lam_bx", "n_modes", "a", "gamma", "G"]
+        keys = ["dt", "bound", "sup_lam_b", "sup_lam_bx", "max_lam_bx", "n_modes", "a", "gamma", "G"]
+        assert list(run.diagnostics) == keys
         check_steps(out, run)
 
         p = write_cfg(tmp_path, "grid.L = 6\ngrid.N = 2048\n", "blow.cfg")
@@ -490,11 +491,11 @@ class TestCommands:
         assert read_csv(out / "steps.csv")[1].shape[1] == manifest["steps"]
 
     def test_run_on_ill_posed_config_is_numerical_abort(self, tmp_path):
-        # without the guard the run reaches the threshold after 71 steps
+        # without the guard the run reaches the threshold after 54 steps
         out = tmp_path / "illout"
         assert main(["run", "--config", str(ill_posed(tmp_path)), "--out", str(out)]) == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["termination"] == "ill_posed" and manifest["steps"] == 38
+        assert manifest["termination"] == "ill_posed" and manifest["steps"] == 22
         assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "steps.csv"]
         header, values = read_csv(out / "steps.csv")
         G = values[header.index("G")]
@@ -612,7 +613,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_blowup_reference_grid_passes_every_gate(self, tmp_path, scheme):
-        # max_bx_defect reads 5.4e-5 (IF-RK4) and 3.2e-5 (ETDRK4) here
+        # max_bx_defect reads 5.1e-5 (IF-RK4) and 3.3e-5 (ETDRK4) here
         p = tmp_path / "blow.cfg"
         p.write_text(f"grid.L = 6\ngrid.N = 2048\nstepper.scheme = {scheme}\n")
         out = tmp_path / "blowout"
@@ -622,8 +623,8 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "blowup_threshold" and manifest["steps"] > 0
         # the grid ladder, [N_rung, first step on it]: 512 from step 0, 1024
-        # from step 3, 2048 from step 43 on both schemes
-        assert manifest["ladder"] == [[512, 0], [1024, 3], [2048, 43]]
+        # from step 1, 2048 from step 23 on both schemes
+        assert manifest["ladder"] == [[512, 0], [1024, 1], [2048, 23]]
 
     def test_full_model_adaptive_run_matches_fixed_dt(self, tmp_path):
         # the default adaptive stepper on the full model must honour its
