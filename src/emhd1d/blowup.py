@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import fit_line
 from .gates import Gate, at_most
-from .solver import ModelParams, StepperConfig, TimeSeries, _table, evolve, hermite
+from .solver import ModelParams, StepperConfig, TimeSeries, evolve, hermite
 from .spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
 
 
@@ -192,10 +192,10 @@ def advect_trajectory(run: TimeSeries, x0: float) -> Trajectory:
         dt = float(times[n + 1] - times[n])
         end = lam_b[n + 1]
         if lam_b[n].size == end.size:
-            mid = hermite(lam_b, lam_b_dot, n, 0.5, dt)
+            mid = hermite(lam_b, lam_b_dot, n, dt)
         else:
-            pair, dots = (_table(rows[n : n + 2], end.size) for rows in (lam_b, lam_b_dot))
-            mid = hermite(pair, dots, 0, 0.5, dt)
+            pad = (0, end.size - lam_b[n].size)
+            mid = hermite(*((np.pad(rows[n], pad), rows[n + 1]) for rows in (lam_b, lam_b_dot)), 0, dt)
         f1 = -vals[0, n]
         f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
         f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]

@@ -33,13 +33,14 @@ imaginary axis (Trefethen, Spectral Methods in MATLAB, 2000, ch. 10).
 
 An adaptive run steps on a ladder of grids N/2^j, ..., N/2, N, because a
 smooth datum's spectrum widens only as a singularity nears (Sulem, Sulem &
-Frisch 1983, J. Comput. Phys. 50:138).  It starts on the coarsest halving on
-which the datum's share of sum |c_k|^2 from the top third of that rung's
-dealiased band upwards is at most ``LADDER_TAIL``.  After each accepted
-state it moves up one rung once that share exceeds ``LADDER_TAIL``; moving
-up zero-pads the coefficients, which is exact in this normalization.  A
-step's dt takes its scale from the rung it is taken on, its dx and
-dealiased xi_max, since a rung's state holds only that rung's band; so a
+Frisch 1983, J. Comput. Phys. 50:138).  A rung is its ``_Ops``, whose tail
+index is the first mode of the top third of its dealiased band.  The run
+starts on the coarsest halving on which the datum's share of sum |c_k|^2
+from the rung's tail index up is at most ``LADDER_TAIL``, and after each
+accepted state moves up one rung once that share exceeds it; moving up
+zero-pads the coefficients, exact in this normalization.  A step's dt
+takes its scale from the rung it is taken on, its dx and dealiased
+xi_max, since a rung's state holds only that rung's band; so a
 coarse rung steps at its own CFL, and most of a blowup run's steps are
 coarse and long.  The sups that set dt or stop the run, sup|Lambda B|,
 sup|Lambda B_x| (and sup|B|), are read on the finest grid, from one inverse
@@ -117,7 +118,8 @@ class StepperConfig:
 
 class _Ops:
     """Multiplier tables of one (grid, params), built once by ``_ops``; read-only
-    apart from the one slot that keeps the factors of the last (scheme, dt)."""
+    apart from the one slot that keeps the factors of the last (scheme, dt).
+    As a ladder rung, ``tail`` is where the share the ladder tests begins."""
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
@@ -130,6 +132,7 @@ class _Ops:
         # stack of rows takes one inverse transform
         self.rows = np.stack((ddx, self.absxi, self.absxi * ddx, np.ones_like(self.xi)))
         self.mask = grid.dealias_mask
+        self.tail = 2 * int(np.flatnonzero(self.mask)[-1]) // 3  # top third of the band
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
         self.xi_top = grid.xi_max_dealiased
         # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, for
@@ -195,34 +198,9 @@ MAX_STEPS = 1_000_000
 TABLE_BUDGET = 2**28
 
 
-def _top_third(grid: GridSpec) -> int:
-    """First mode of the top third of the dealiased band 0..k_top."""
-    k_top = int(np.flatnonzero(grid.dealias_mask)[-1])
-    return 2 * k_top // 3
-
-
 def _tail_exceeds(c: np.ndarray, start: int) -> bool:
     tail = c[start:]
     return np.vdot(tail, tail).real > LADDER_TAIL * np.vdot(c, c).real
-
-
-def _table(rows: list[np.ndarray], half: int) -> np.ndarray:
-    """Coefficient rows from any rung as one (len(rows), half) table: a row
-    of at most ``half`` entries is zero-padded, a longer one is cut to
-    ``half - 1``, so the coarser grid's Nyquist entry is 0, as a rung's
-    stays on every finite step.  It moves a state between rungs
-    (``_resize``) and pads ``advect_trajectory``'s pair of rows at a rung
-    switch; ``evolve`` pads its snapshot rows the same way as it writes
-    them into its table."""
-    out = np.zeros((len(rows), half), dtype=complex)
-    for o, row in zip(out, rows):
-        k = row.size if row.size <= half else half - 1
-        o[:k] = row[:k]
-    return out
-
-
-def _resize(c: np.ndarray, half: int) -> np.ndarray:
-    return c if c.size == half else _table([c], half)[0]
 
 
 def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
@@ -328,23 +306,15 @@ def step(
     return SpectralField.from_coef(B.grid, c), dt
 
 
-def hermite(vals, dots, n: "int | np.ndarray", tau: float, dt: float) -> np.ndarray:
-    """Cubic Hermite dense output at t_n + tau * dt from stored rows.
+def hermite(vals, dots, n: "int | np.ndarray", dt: float) -> np.ndarray:
+    """Cubic Hermite dense output at the midpoint t_n + dt / 2 of a step.
 
     ``vals[n]`` and ``dots[n]`` are a state and its time derivative at step
     boundary n, rows of a table or of a ``RungRows``; the step from n to
-    n + 1 has length dt and 0 <= tau <= 1.  On a table, an index array ``n``
-    gives one row per index, each bitwise the row its own index gives.
+    n + 1 has length dt.  On a table, an index array ``n`` gives one row per
+    index, each bitwise the row its own index gives.
     """
-    if tau == 0.0:
-        return vals[n]
-    if tau == 1.0:
-        return vals[n + 1]
-    h00 = 2 * tau**3 - 3 * tau**2 + 1
-    h10 = tau**3 - 2 * tau**2 + tau
-    h01 = -2 * tau**3 + 3 * tau**2
-    h11 = tau**3 - tau**2
-    return h00 * vals[n] + h10 * dt * dots[n] + h01 * vals[n + 1] + h11 * dt * dots[n + 1]
+    return 0.5 * vals[n] + 0.125 * dt * dots[n] + 0.5 * vals[n + 1] - 0.125 * dt * dots[n + 1]
 
 
 class RungRows(tuple):
@@ -419,14 +389,16 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     stepper = _SCHEMES[cfg.scheme][1]
     c = B0.coef.copy()
     c[0] = 0.0  # zero-mean gauge, set once: every step keeps c[0] = 0 exactly
-    # the start rung: halve N while c passes the switch test on the halving
-    rung = grid.n_modes
-    while cfg.adaptive and rung % 4 == 0 and rung // 2 >= 8:
-        if _tail_exceeds(c, _top_third(GridSpec(L, rung // 2))):
+    # the start rung: halve N while c passes the switch test on the halving;
+    # the cut leaves the rung's Nyquist entry 0, as every finite step does
+    ops = _ops(grid, params)
+    while cfg.adaptive and ops.grid.n_modes % 4 == 0 and ops.grid.n_modes // 2 >= 8:
+        coarser = _ops(GridSpec(L, ops.grid.n_modes // 2), params)
+        if _tail_exceeds(c, coarser.tail):
             break
-        rung //= 2
-    ops = _ops(GridSpec(L, rung), params)
-    c = _resize(c, ops.xi.size)
+        ops = coarser
+    if ops.xi.size < c.size:
+        c = np.append(c[: ops.xi.size - 1], 0.0)
     dispersive = params.kind == "full"
     t = gain = 0.0
 
@@ -460,9 +432,9 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         # every accepted state, the last one included, passes through here
         # once: its rung, its nonlinear term, its CFL sups, its stored fields
         # and the stop checks
-        if ops.grid.n_modes < grid.n_modes and _tail_exceeds(c, _top_third(ops.grid)):
+        if ops.grid.n_modes < grid.n_modes and _tail_exceeds(c, ops.tail):
             ops = _ops(GridSpec(L, 2 * ops.grid.n_modes), params)
-            c = _resize(c, ops.xi.size)
+            c = np.pad(c, (0, ops.xi.size - c.size))  # exact in this normalization
         # one stack on the finest nodes: rows 0-3 are B_x, Lambda B,
         # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
         # node, a node of the rung n, its rows give the state's nonlinear term
@@ -596,7 +568,7 @@ def picard_solve(
             frozen = None  # freed before the next table is built
             table = np.empty((2 * m + 1, vals.shape[1]), dtype=complex)
             table[0::2] = prev_vals
-            table[1::2] = hermite(prev_vals, prev_dots, np.arange(m), 0.5, dt)
+            table[1::2] = hermite(prev_vals, prev_dots, np.arange(m), dt)
             frozen = grid.to_phys(ops.rows[1:4:2] * table[:, None])
             del table
         dots = np.empty_like(vals)

@@ -7,7 +7,19 @@ import pytest
 
 from emhd1d.diagnostics import rough_datum
 from emhd1d.solver import ModelParams, StepperConfig, evolve
-from emhd1d.spectral import GridSpec
+from emhd1d.spectral import GridSpec, SpectralField
+
+
+def small_datum(grid, amp=0.05):
+    return SpectralField.from_function(grid, lambda x: amp * (np.sin(x) + 0.4 * np.sin(3 * x)))
+
+
+def padded(rows, half):
+    """Rung-sized rows zero-padded into one (len(rows), half) table."""
+    out = np.zeros((len(rows), half), dtype=complex)
+    for o, row in zip(out, rows):
+        o[: row.size] = row
+    return out
 
 
 @pytest.fixture

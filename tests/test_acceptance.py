@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import small_datum
 
 from emhd1d.blowup import advect_trajectory, riccati_verdict, run_blowup
 from emhd1d.cli import EXIT_OK, cmd_selftest
@@ -18,7 +19,7 @@ from emhd1d.diagnostics import (
 )
 from emhd1d.lp import lp_verdict
 from emhd1d.solver import ModelParams, StepperConfig, evolve, picard_solve, scaling_symmetry_verdict
-from emhd1d.spectral import GridSpec, SpectralField, remove_mean
+from emhd1d.spectral import GridSpec, remove_mean
 
 # roundoff floor for the refinement comparison: a defect already at machine
 # precision on the coarse grid cannot shrink further under refinement
@@ -57,10 +58,6 @@ def blowup_fine():
 @pytest.fixture(scope="module")
 def blowup_coarse():
     return blowup_verdict(2048)
-
-
-def small_datum(grid, amp=0.05):
-    return SpectralField.from_function(grid, lambda x: amp * (np.sin(x) + 0.4 * np.sin(3 * x)))
 
 
 def test_criterion_1_blowup_time(blowup_fine):

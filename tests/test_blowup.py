@@ -14,10 +14,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import padded
 
 from emhd1d import blowup
 from emhd1d.blowup import (
@@ -36,7 +38,7 @@ from emhd1d.blowup import (
     riccati_verdict,
     run_blowup,
 )
-from emhd1d.solver import hermite
+from emhd1d.solver import LADDER_TAIL, evolve, hermite
 from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
 
 W0_SPECTRAL = 1.7495090293
@@ -212,14 +214,6 @@ def full_band_trig(grid, rows, x):
     return np.real(rows @ (weight * np.exp(1j * grid.wavenumbers * xa)))
 
 
-def padded(rows, half):
-    """Rung-sized rows zero-padded into one (len(rows), half) table."""
-    out = np.zeros((len(rows), half), dtype=complex)
-    for o, row in zip(out, rows):
-        o[: row.size] = row
-    return out
-
-
 def full_band_trajectory(run, x0):
     """advect_trajectory's RK4 and Hermite midpoints with every row padded to
     and every sum over all N/2 + 1 modes; returns X and the rows Lambda B,
@@ -237,7 +231,7 @@ def full_band_trajectory(run, x0):
         if n == len(times) - 1:
             break
         dt = float(times[n + 1] - times[n])
-        mid = hermite(lam_b, lam_b_dot, n, 0.5, dt)
+        mid = hermite(lam_b, lam_b_dot, n, dt)
         f1 = -vals[-1][0]
         f2 = -full_band_trig(grid, mid, X + 0.5 * dt * f1)
         f3 = -full_band_trig(grid, mid, X + 0.5 * dt * f2)
@@ -270,6 +264,29 @@ class TestFit:
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert t_est == pytest.approx(0.5, rel=1e-12)
         assert resid < 1e-14
+
+    def test_only_the_first_crossing_is_fitted(self):
+        # w follows w0/(1 - w0 t) through the window, saturates above it and
+        # decays back into it; the decay would bend the line if fitted
+        w0 = 1.0
+        ts = np.array([0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.95, 1.0, 1.1, 1.2])
+        w = np.concatenate((w0 / (1.0 - w0 * ts[:8]), [8.0, 4.0, 2.0]))
+        zeros = np.zeros_like(ts)
+        traj = Trajectory(t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w)
+        t_est, slope, resid = measure_blowup_time(traj, w0)
+        assert slope == pytest.approx(-1.0, abs=1e-12)
+        assert t_est == pytest.approx(1.0 / w0, rel=1e-12)
+        assert resid < 1e-14
+
+    def test_short_first_crossing_raises(self):
+        # two samples cross the window before w leaves it; the four of the
+        # later crossing do not count
+        ts = np.linspace(0.0, 0.7, 8)
+        w = np.array([1.0, 1.5, 2.0, 20.0, 5.0, 4.0, 3.0, 2.0])
+        zeros = np.zeros_like(ts)
+        traj = Trajectory(t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w)
+        with pytest.raises(FitWindowError, match="fewer than 3"):
+            measure_blowup_time(traj, w0=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -375,3 +392,24 @@ class TestGridLadder:
             got, t_est, _ = rel_t_err(grid, BlowupDatum(B0=B0, x0=x0, w0=w0))
             assert abs(got - ref) <= 1e-9
             assert t_est == pytest.approx(t_ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_tail_share_at_each_switch_stays_near_the_bound(self, n, scheme):
+        # the ladder tests the tail share only between steps, so the state
+        # that triggers a switch overshoots LADDER_TAIL; on the reference
+        # runs the largest overshoot is 6.04x (ETDRK4, first switch)
+        grid = GridSpec(6.0, n)
+        d = make_reference_datum(grid)
+        run, _ = run_blowup(grid, datum=d, scheme=scheme)
+        every = evolve(d.B0, run.params, replace(run.config, snapshot_cadence=1))
+        assert np.array_equal(every.step_times, run.step_times)
+        rung = every.diagnostics["n_modes"]
+        switches = np.flatnonzero(np.diff(rung)) + 1
+        assert len(switches) == (3 if n == 4096 else 2)
+        for k in switches:
+            # state k, the last made on the rung of step k - 1, triggers the switch
+            coarse = GridSpec(6.0, int(rung[k - 1]))
+            tail = 2 * int(np.flatnonzero(coarse.dealias_mask)[-1]) // 3
+            share = [np.vdot(c[tail:], c[tail:]).real / np.vdot(c, c).real for c in every.coefs[k - 1 : k + 1]]
+            assert share[0] <= LADDER_TAIL < share[1] <= 10.0 * LADDER_TAIL

@@ -86,6 +86,15 @@ def ill_posed(tmp_path, monkeypatch=None):
     )
 
 
+def collapsing(tmp_path, monkeypatch=None, threshold=""):
+    """A 1e12 rough transport datum, whose first step the CFL bound would
+    shrink below 1e-12: a cfl_collapse before any step."""
+    return write_cfg(
+        tmp_path,
+        f"grid.N = 128\nmodel.kind = transport\ndatum.kind = random_rough\ndatum.norm = 1e12\n{threshold}",
+    )
+
+
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """The header and the (column, row) float values of a CSV the CLI wrote,
     after checking that every line of it ends in CRLF."""
@@ -723,6 +732,11 @@ class TestCommands:
             ("run", capped_at_three_steps, EXIT_NUMERICAL, "max_steps", {"termination", "steps"}, ["evolve"]),
             ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}, ["evolve"]),
             ("run", ill_posed, EXIT_NUMERICAL, "ill_posed", {"termination", "steps"}, ["evolve"]),
+            ("run", collapsing, EXIT_NUMERICAL, "cfl_collapse", {"termination", "steps"}, ["evolve"]),
+            (
+                "run", lambda tmp, mp: collapsing(tmp, threshold="stepper.blowup_threshold = 1e30\n"), EXIT_OK,
+                "cfl_collapse", {"termination", "steps"}, ["evolve", "diagnostics", "snapshots"],
+            ),
             (
                 "blowup",
                 lambda tmp, mp: write_cfg(tmp, "grid.L = 6\ngrid.N = 2048\n"),
@@ -743,7 +757,8 @@ class TestCommands:
             ("lp", lambda tmp, mp: write_cfg(tmp, LP_CFG), EXIT_OK, None, {"lp", "gates"}, ["lp"]),
         ],
         ids=[
-            "run-t_end", "run-max_steps", "run-non_finite", "run-ill_posed", "blowup-pass", "blowup-fit_window",
+            "run-t_end", "run-max_steps", "run-non_finite", "run-ill_posed", "run-cfl_collapse",
+            "run-cfl_collapse-threshold", "blowup-pass", "blowup-fit_window",
             "symmetry-pass", "symmetry-non_finite", "lp",
         ],
     )

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import small_datum
 
 from emhd1d.diagnostics import (
     _cumtrapz,
@@ -25,10 +26,6 @@ from emhd1d.spectral import DEALIAS_FRACTION, GridSpec, SpectralField, derivativ
 @pytest.fixture
 def grid():
     return GridSpec(np.pi, 256)
-
-
-def small_datum(grid, amp=0.05):
-    return SpectralField.from_function(grid, lambda x: amp * (np.sin(x) + 0.4 * np.sin(3 * x)))
 
 
 def l2_budget_defect(run):

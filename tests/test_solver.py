@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import padded, small_datum
 
 from emhd1d import solver
 from emhd1d.solver import (
@@ -29,12 +30,6 @@ def grid():
     return GridSpec(np.pi, 256)
 
 
-def small_datum(grid, amp=0.05):
-    return SpectralField.from_function(
-        grid, lambda x: amp * (np.sin(x) + 0.4 * np.sin(3 * x))
-    )
-
-
 def single_mode(grid, k):
     """cos(k x) on a grid of L = pi, built from its one coefficient 0.5."""
     c = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
@@ -53,14 +48,6 @@ def record_to_phys(monkeypatch):
 
     monkeypatch.setattr(GridSpec, "to_phys", logged)
     return calls
-
-
-def padded(rows, half):
-    """Rung-sized rows zero-padded into one (len(rows), half) table."""
-    out = np.zeros((len(rows), half), dtype=complex)
-    for o, row in zip(out, rows):
-        o[: row.size] = row
-    return out
 
 
 def per_row(g, a, c):
@@ -574,7 +561,7 @@ class TestEvolve:
             assert len(rows) == n
             assert all(row.shape == (grid.n_modes // 2 + 1,) for row in rows)
 
-    @pytest.mark.parametrize("cause", ["t_end", "max_steps", "blowup_threshold"])
+    @pytest.mark.parametrize("cause", ["t_end", "max_steps", "blowup_threshold", "cfl_collapse"])
     def test_stored_fields_cover_every_state(self, monkeypatch, cause):
         """One stored row per accepted state, the last included, whatever
         stopped the run; row n is Lambda B and Lambda dB/dt of state n."""
@@ -583,6 +570,12 @@ class TestEvolve:
             B0 = remove_mean(SpectralField.from_function(g, lambda x: np.exp(-(x**4)) * np.sin(x)))
             p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
             cfg = StepperConfig(dt_init=1e-3, t_end=10.0, blowup_threshold=5.0)
+        elif cause == "cfl_collapse":
+            # at 1e12 sin x the CFL bound asks a first step below 1e-12
+            g = GridSpec(np.pi, 64)
+            B0 = SpectralField.from_function(g, lambda x: 1e12 * np.sin(x))
+            p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
+            cfg = StepperConfig()
         else:
             g = GridSpec(np.pi, 64)
             B0 = small_datum(g)
@@ -804,8 +797,8 @@ class TestGridLadder:
 
     def test_adaptive_table_doubles_and_pads_each_row(self, traced_peak):
         # an adaptive run starts with a two-row table and doubles it when it
-        # is full; each row is its rung-sized state zero-padded as ``_table``
-        # pads it, whatever the cadence, and the traced peak stays under
+        # is full; each row is its rung-sized state zero-padded, whatever
+        # the cadence, and the traced peak stays under
         # 2.25 tables (the old table and its double make 1.5 at a growth)
         from emhd1d.blowup import make_reference_datum
 
@@ -821,7 +814,7 @@ class TestGridLadder:
         rung = np.concatenate((rung[:1], rung))
         assert len(set(rung)) > 1
         rows = [c[: m // 2 + 1] for c, m in zip(every.coefs, rung)]
-        assert solver._table(rows, g.n_modes // 2 + 1).tobytes() == every.coefs.tobytes()
+        assert padded(rows, g.n_modes // 2 + 1).tobytes() == every.coefs.tobytes()
         sparse = evolve(B0, p, StepperConfig(t_end=0.3, snapshot_cadence=3))
         assert len(sparse.coefs.base) != len(table)
         idx = np.searchsorted(every.times, sparse.times)
@@ -1027,7 +1020,9 @@ class TestPicard:
             def nl(c, tau):
                 if prev is None:
                     return np.zeros_like(c)
-                return per_row(g, solver.hermite(*prev, n, tau, dt), c)
+                # a stored row at tau = 0 and 1, the Hermite midpoint at 1/2
+                a = solver.hermite(*prev, n, dt) if tau == 0.5 else prev[0][n + int(tau)]
+                return per_row(g, a, c)
 
             c = B0.coef.copy()
             c[0] = 0.0
