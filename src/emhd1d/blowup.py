@@ -167,9 +167,9 @@ def advect_trajectory(run: TimeSeries, x0: float) -> Trajectory:
     Each off-grid sum runs only over the band of the ladder rung that made
     its rows, which is the length of the stored row (``TimeSeries``), and
     ``eval_trig`` reads a row shorter than N/2 + 1 as zero-padded.  The
-    Hermite midpoint of a step takes the band of the step's end, the finer
-    of its two rows; only at a rung switch is the coarser pair zero-padded
-    to it.
+    Hermite midpoint of a step takes the finer band of its two rows: the
+    end's on a climb, the start's on a step down.  Only at a rung switch is
+    the coarser pair zero-padded to it.
     """
     if run.lam_b is None:
         raise ValueError("run was made without store_step_fields")
@@ -193,9 +193,10 @@ def advect_trajectory(run: TimeSeries, x0: float) -> Trajectory:
         end = lam_b[n + 1]
         if lam_b[n].size == end.size:
             mid = hermite(lam_b, lam_b_dot, n, dt)
-        else:
-            pad = (0, end.size - lam_b[n].size)
-            mid = hermite(*((np.pad(rows[n], pad), rows[n + 1]) for rows in (lam_b, lam_b_dot)), 0, dt)
+        else:  # a rung switch: both rows of the pair on the finer band
+            size = max(lam_b[n].size, end.size)
+            pairs = ([np.pad(row, (0, size - row.size)) for row in rows[n : n + 2]] for rows in (lam_b, lam_b_dot))
+            mid = hermite(*pairs, 0, dt)
         f1 = -vals[0, n]
         f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
         f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]

@@ -13,9 +13,10 @@ diagnostics (dt, bound, sup_lam_b, sup_lam_bx, max_lam_bx, n_modes, a, gamma,
 G).  A
 ``run`` passes only if it reaches t_end or, with a finite
 ``stepper.blowup_threshold`` (which must be positive), stops at the
-threshold or at CFL collapse; any other termination (a non-finite field,
-ill_posed, max_steps, or CFL collapse with no threshold) writes only
-manifest.json and steps.csv and exits 3.  A
+threshold or at CFL collapse after at least one step; any other
+termination (a non-finite field, ill_posed, max_steps, or CFL collapse
+with no threshold or before the first step) writes only manifest.json and
+steps.csv and exits 3.  A
 ``blowup`` passes only if its run stops at the blowup threshold; any other
 termination, t_end included, likewise exits 3 with its cause recorded.
 ``--seed`` overrides ``datum.seed`` for run, symmetry and lp; blowup's
@@ -277,11 +278,13 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     run = evolve(B0, cfg.model(), cfg.stepper())
     clock.done("evolve")
     _write_steps(out, run)
-    record = {"termination": run.termination, "steps": len(run.step_times) - 1, "wall_s": clock.wall}
-    # a run that seeks a blowup may end at its threshold or when dt collapses
+    steps = len(run.step_times) - 1
+    record = {"termination": run.termination, "steps": steps, "wall_s": clock.wall}
+    # a run that seeks a blowup may end at its threshold or when dt
+    # collapses, but a collapse before its first step is no blowup
     finished = ("t_end",)
     if math.isfinite(run.config.blowup_threshold):
-        finished += ("blowup_threshold", "cfl_collapse")
+        finished += ("blowup_threshold", "cfl_collapse") if steps else ("blowup_threshold",)
     if run.termination not in finished:
         return EXIT_NUMERICAL, record
     ns = norm_series(run, list(cfg.diagnostics_s_list))
@@ -297,7 +300,8 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
 
 
 def _rungs(run) -> list[list[int]]:
-    """[N_rung, first step taken on it] of each grid-ladder rung a run used."""
+    """[N_rung, first step taken on it] of each stretch of steps a run took
+    on one grid-ladder rung, so one pair per rung switch and the start."""
     n_modes = run.diagnostics["n_modes"]
     first = np.flatnonzero(np.diff(n_modes, prepend=0))
     return [[int(n_modes[i]), int(i)] for i in first]

@@ -14,12 +14,13 @@ factor wrapped around classical RK4 (default) or by ETDRK4; both are exact
 when the nonlinearity vanishes.
 A scheme is one row of ``_SCHEMES``: the build of its factors at
 z = -dt mu |xi|^alpha (IF-RK4's exponentials, the ETDRK4 coefficients) and
-its step.  The factors are rebuilt whenever the scheme or dt changes, so on
-every adaptive step, and once in a fixed-dt run.  mu |xi_k|^alpha grows with
-k on the stored half, so in the ETDRK4 build one index splits z: the
-Cox-Matthews closed forms (Cox & Matthews 2002, J. Comput. Phys. 176:430) are
-evaluated only where |z| >= 1, and below that one Horner series of phi_3
-gives phi_2 and phi_1 by phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products:
+its step.  Each ladder rung's factors are rebuilt whenever the scheme or dt
+changes, so on every adaptive step, and once per rung in a fixed-dt run.
+mu |xi_k|^alpha grows with k on the stored half, so in the ETDRK4 build one
+index splits z: the Cox-Matthews closed forms (Cox & Matthews 2002,
+J. Comput. Phys. 176:430) are evaluated only where |z| >= 1, and below that
+one Horner series of phi_3 gives phi_2 and phi_1 by
+phi_{k-1} = z phi_k + 1/(k-1)!.  Cubes are products:
 an array ``**3`` goes through libm ``pow`` and cost more than the rest of the
 build.
 
@@ -31,24 +32,32 @@ both schemes treat explicitly, so its dt is also capped by
 cfl * 2 / (max|B| xi_max^2), inside RK4's reach of about 2.8 along the
 imaginary axis (Trefethen, Spectral Methods in MATLAB, 2000, ch. 10).
 
-An adaptive run steps on a ladder of grids N/2^j, ..., N/2, N, because a
-smooth datum's spectrum widens only as a singularity nears (Sulem, Sulem &
-Frisch 1983, J. Comput. Phys. 50:138).  A rung is its ``_Ops``, whose tail
-index is the first mode of the top third of its dealiased band.  The run
-starts on the coarsest halving on which the datum's share of sum |c_k|^2
-from the rung's tail index up is at most ``LADDER_TAIL``, and after each
-accepted state moves up one rung once that share exceeds it; moving up
-zero-pads the coefficients, exact in this normalization.  A step's dt
-takes its scale from the rung it is taken on, its dx and dealiased
-xi_max, since a rung's state holds only that rung's band; so a
-coarse rung steps at its own CFL, and most of a blowup run's steps are
+Every run steps on a ladder of grids N/2^j, ..., N/2, N, because a smooth
+spectrum needs only the coarse grids: a blowup's widens only as the
+singularity nears, and a dissipative run's narrows as mu Lambda^alpha damps
+its top modes (Sulem, Sulem & Frisch 1983, J. Comput. Phys. 50:138).  A rung
+is its ``_Ops``, whose tail index is the first mode of the top third of its
+dealiased band, and a run builds its rungs once.  One rule, fixed-dt or
+adaptive, picks the rung of each accepted state from the share of
+sum |c_k|^2 held from a rung's tail index up: the state moves up one rung
+when its rung's share exceeds ``LADDER_TAIL``, and otherwise down while the
+halving's share is at most ``LADDER_TAIL``, so the first state starts on the
+coarsest halving the datum fits.  Moving up zero-pads the coefficients,
+exact in this normalization; moving down cuts them to the halving's band
+with a zero Nyquist entry, dropping a share of at most ``LADDER_TAIL``.  A
+state stays on its rung while its share from the rung's tail index is at
+most ``LADDER_TAIL`` and its share from the halving's, a lower index,
+exceeds it; the gap between the two indices keeps the rung from
+flickering.  A step's dt takes its scale from the rung it is taken on, its
+dx and dealiased xi_max, since a rung's state holds only that rung's band;
+so a coarse rung steps at its own CFL, and most of a blowup run's steps are
 coarse and long.  The sups that set dt or stop the run, sup|Lambda B|,
 sup|Lambda B_x| (and sup|B|), are read on the finest grid, from one inverse
 transform of the rung's coefficients onto its nodes; every (N/n)-th of them
 is a node of rung n, so it also gives the nonlinear term.  The rungs are
 chosen from |c_k|, which a translation leaves alone, so a translation by
-whole fine nodes stays an exact symmetry.  A fixed-dt run, or a datum that
-fills the band, has the one rung N, and its loop is the single-grid one.
+whole fine nodes stays an exact symmetry.  A datum that fills the band
+stays on N until its top third has decayed.
 
 A transport run stops as ``ill_posed`` when its linear symbol amplifies
 roundoff.  Linearized about B, the real part of its symbol at high |xi| is
@@ -144,10 +153,10 @@ class _Ops:
 
     def factors(self, scheme: str, dt: float) -> tuple:
         """The read-only factors of ``scheme`` at step dt, rebuilt only when
-        the scheme or dt changes, so a fixed-dt run builds them once.  The
-        (scheme, dt, factors) slot is replaced whole, so no caller of the
-        table ``_ops`` shares, on any thread, pairs one dt with another's
-        arrays."""
+        the scheme or dt changes, so a fixed-dt run builds them once per
+        rung.  The (scheme, dt, factors) slot is replaced whole, so no caller
+        of the table ``_ops`` shares, on any thread, pairs one dt with
+        another's arrays."""
         last = self._factors
         if last[:2] != (scheme, dt):
             last = (scheme, dt, _SCHEMES[scheme][0](self.lin, dt))
@@ -181,9 +190,10 @@ class _Ops:
 # bounded, so that a sweep over many (grid, params) does not keep every table
 _ops = functools.lru_cache(maxsize=32)(_Ops)
 
-# An adaptive run moves to the next finer rung of its grid ladder once the
-# share of sum |c_k|^2 held from the top third of the rung's dealiased band
-# upwards exceeds this.
+# A run moves to the next finer rung of its grid ladder once the share of
+# sum |c_k|^2 held from the top third of the rung's dealiased band upwards
+# exceeds this, and to the next coarser one while the halving's share is at
+# most this.
 LADDER_TAIL = 1e-26
 
 # A transport run stops as ``ill_posed`` once the growth G of its linear
@@ -199,8 +209,11 @@ TABLE_BUDGET = 2**28
 
 
 def _tail_exceeds(c: np.ndarray, start: int) -> bool:
+    """Whether the share of sum |c_k|^2 from mode ``start`` up exceeds
+    ``LADDER_TAIL``.  A share that is not a finite ratio, a NaN or an energy
+    that overflows, exceeds it, so no descent cuts such a state away."""
     tail = c[start:]
-    return np.vdot(tail, tail).real > LADDER_TAIL * np.vdot(c, c).real
+    return not np.vdot(tail, tail).real <= LADDER_TAIL * np.vdot(c, c).real < math.inf
 
 
 def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
@@ -378,27 +391,26 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     its rung's dealiased band, and the growth G = sum max(0, gamma) dt of
     the linear symbol up to its end (module docstring).
 
-    Each snapshot row is written once, zero-padded from its rung's
-    n/2 + 1 entries, into one zero table on ``B0.grid``, and ``coefs`` is a
+    Every run, fixed-dt or adaptive, steps on the grid ladder (module
+    docstring): each state is on the rung the ladder's rule picks for it,
+    and snapshot n is the state step n starts from, on that rung.  Each
+    snapshot row is written once, zero-padded from its rung's n/2 + 1
+    entries, into one zero table on ``B0.grid``, and ``coefs`` is a
     read-only view of the rows written.  A fixed-dt run sizes the table
     from its step count, up to ``TABLE_BUDGET`` bytes; an adaptive one
     starts at two rows.  Either doubles the table when it is full.
     """
     grid = B0.grid
-    L, half = grid.half_length, grid.n_modes // 2 + 1
+    half = grid.n_modes // 2 + 1
     stepper = _SCHEMES[cfg.scheme][1]
     c = B0.coef.copy()
     c[0] = 0.0  # zero-mean gauge, set once: every step keeps c[0] = 0 exactly
-    # the start rung: halve N while c passes the switch test on the halving;
-    # the cut leaves the rung's Nyquist entry 0, as every finite step does
-    ops = _ops(grid, params)
-    while cfg.adaptive and ops.grid.n_modes % 4 == 0 and ops.grid.n_modes // 2 >= 8:
-        coarser = _ops(GridSpec(L, ops.grid.n_modes // 2), params)
-        if _tail_exceeds(c, coarser.tail):
-            break
-        ops = coarser
-    if ops.xi.size < c.size:
-        c = np.append(c[: ops.xi.size - 1], 0.0)
+    # the run's ladder, finest first: N, then each halving while it is even
+    # and at least 8; a rung's ``_Ops`` is built once, not per state
+    ladder = [_ops(grid, params)]
+    while (m := ladder[-1].grid.n_modes) % 4 == 0 and m // 2 >= 8:
+        ladder.append(_ops(GridSpec(grid.half_length, m // 2), params))
+    rung = 0  # the index of the state's rung in ``ladder``
     dispersive = params.kind == "full"
     t = gain = 0.0
 
@@ -417,7 +429,6 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         table[len(times), : c.size] = c
         times.append(t)
 
-    keep(t, c)
     step_times = [0.0]
     # one row of ``keys`` per accepted step: a growing list per key (two
     # more for a and G) moved the heap of the fixed-dt CLI run at N = 2048
@@ -430,11 +441,20 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     n = 0
     while True:
         # every accepted state, the last one included, passes through here
-        # once: its rung, its nonlinear term, its CFL sups, its stored fields
-        # and the stop checks
-        if ops.grid.n_modes < grid.n_modes and _tail_exceeds(c, ops.tail):
-            ops = _ops(GridSpec(L, 2 * ops.grid.n_modes), params)
-            c = np.pad(c, (0, ops.xi.size - c.size))  # exact in this normalization
+        # once: its rung, its snapshot, its nonlinear term, its CFL sups, its
+        # stored fields and the stop checks
+        if rung and _tail_exceeds(c, ladder[rung].tail):
+            rung -= 1
+            c = np.pad(c, (0, ladder[rung].xi.size - c.size))  # exact in this normalization
+        else:
+            while rung + 1 < len(ladder) and not _tail_exceeds(c, ladder[rung + 1].tail):
+                rung += 1
+            if ladder[rung].xi.size < c.size:
+                # the cut leaves the rung's Nyquist entry 0, as every finite step does
+                c = np.append(c[: ladder[rung].xi.size - 1], 0.0)
+        ops = ladder[rung]
+        if n % cfg.snapshot_cadence == 0:
+            keep(t, c)
         # one stack on the finest nodes: rows 0-3 are B_x, Lambda B,
         # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
         # node, a node of the rung n, its rows give the state's nonlinear term
@@ -481,8 +501,6 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
 
         per_step.append((dt, bound, sups[0], sups[1], max_lam_bx, ops.grid.n_modes, a, gamma, gain))
         step_times.append(t)
-        if n % cfg.snapshot_cadence == 0:
-            keep(t, c)
 
     if times[-1] != t:
         keep(t, c)

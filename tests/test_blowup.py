@@ -10,6 +10,7 @@ L = 6 torus, independently derived:
 The two differ only by the periodic truncation of the integral tails.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -191,6 +192,27 @@ class TestTrajectory:
         assert np.max(np.abs(traj.bx - bx)) <= 1e-12
         assert np.max(np.abs(traj.bxx - bxx)) <= 1e-12
 
+    def test_matches_full_band_reference_through_a_step_down(self):
+        # a dissipative fixed-dt run steps down the ladder, 512 -> 256 ->
+        # 128, so the Hermite midpoint of a step down takes the band of the
+        # step's start row, the finer one
+        from emhd1d.diagnostics import rough_datum
+        from emhd1d.solver import ModelParams, StepperConfig, evolve
+
+        g = GridSpec(np.pi, 512)
+        cfg = StepperConfig(dt_init=1e-4, t_end=0.05, adaptive=False, store_step_fields=True)
+        run = evolve(rough_datum(g, 1.0, 0.05, 3), ModelParams(kind="transport", mu=1.0, alpha=2.0), cfg)
+        rung = run.diagnostics["n_modes"]
+        assert run.termination == "t_end"
+        assert sorted(set(rung.tolist())) == [128, 256, 512] and np.all(np.diff(rung) <= 0)
+        for x0 in (0.0, 1.3):
+            traj = advect_trajectory(run, x0)
+            X, (_, bx, bxx, w) = full_band_trajectory(run, x0)
+            assert np.max(np.abs(traj.w - w) / np.abs(w)) <= 1e-12
+            assert np.max(np.abs(traj.X - X)) <= 1e-12
+            assert np.max(np.abs(traj.bx - bx)) <= 1e-12
+            assert np.max(np.abs(traj.bxx - bxx)) <= 1e-12
+
     def test_requires_stored_fields(self, grid, datum):
         from emhd1d.solver import ModelParams, StepperConfig, evolve
 
@@ -370,6 +392,14 @@ def rel_t_err(grid, datum, scheme="ifrk4"):
     return abs(t_est * d.w0 - 1.0), t_est, slope
 
 
+@functools.cache
+def reference_run(n, scheme):
+    """The reference datum on L = 6, N = n and its ``run_blowup`` run."""
+    grid = GridSpec(6.0, n)
+    d = make_reference_datum(grid)
+    return d, run_blowup(grid, datum=d, scheme=scheme)[0]
+
+
 class TestGridLadder:
     # T_fit and slope of the adaptive IF-RK4 run at N = 4096, 177 steps on
     # the ladder 512, 1024, 2048, 4096, each rung stepped at its own CFL
@@ -395,13 +425,19 @@ class TestGridLadder:
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     @pytest.mark.parametrize("n", [2048, 4096])
+    def test_reference_runs_never_step_down(self, n, scheme):
+        # the blowup's spectrum only widens, so its run only climbs
+        _, run = reference_run(n, scheme)
+        assert run.termination == "blowup_threshold"
+        assert np.all(np.diff(run.diagnostics["n_modes"]) >= 0)
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("n", [2048, 4096])
     def test_tail_share_at_each_switch_stays_near_the_bound(self, n, scheme):
         # the ladder tests the tail share only between steps, so the state
         # that triggers a switch overshoots LADDER_TAIL; on the reference
         # runs the largest overshoot is 6.04x (ETDRK4, first switch)
-        grid = GridSpec(6.0, n)
-        d = make_reference_datum(grid)
-        run, _ = run_blowup(grid, datum=d, scheme=scheme)
+        d, run = reference_run(n, scheme)
         every = evolve(d.B0, run.params, replace(run.config, snapshot_cadence=1))
         assert np.array_equal(every.step_times, run.step_times)
         rung = every.diagnostics["n_modes"]

@@ -86,12 +86,13 @@ def ill_posed(tmp_path, monkeypatch=None):
     )
 
 
-def collapsing(tmp_path, monkeypatch=None, threshold=""):
-    """A 1e12 rough transport datum, whose first step the CFL bound would
-    shrink below 1e-12: a cfl_collapse before any step."""
+def collapsing(tmp_path, monkeypatch=None, threshold="", norm="1e12"):
+    """A rough transport datum of norm 1e12, whose first step the CFL bound
+    would shrink below 1e-12: a cfl_collapse before any step.  At norm 1e10
+    the collapse comes after three steps."""
     return write_cfg(
         tmp_path,
-        f"grid.N = 128\nmodel.kind = transport\ndatum.kind = random_rough\ndatum.norm = 1e12\n{threshold}",
+        f"grid.N = 128\nmodel.kind = transport\ndatum.kind = random_rough\ndatum.norm = {norm}\n{threshold}",
     )
 
 
@@ -733,9 +734,14 @@ class TestCommands:
             ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}, ["evolve"]),
             ("run", ill_posed, EXIT_NUMERICAL, "ill_posed", {"termination", "steps"}, ["evolve"]),
             ("run", collapsing, EXIT_NUMERICAL, "cfl_collapse", {"termination", "steps"}, ["evolve"]),
+            # a collapse before the first step is no blowup, threshold or not
             (
-                "run", lambda tmp, mp: collapsing(tmp, threshold="stepper.blowup_threshold = 1e30\n"), EXIT_OK,
-                "cfl_collapse", {"termination", "steps"}, ["evolve", "diagnostics", "snapshots"],
+                "run", lambda tmp, mp: collapsing(tmp, threshold="stepper.blowup_threshold = 1e30\n"),
+                EXIT_NUMERICAL, "cfl_collapse", {"termination", "steps"}, ["evolve"],
+            ),
+            (
+                "run", lambda tmp, mp: collapsing(tmp, threshold="stepper.blowup_threshold = 1e30\n", norm="1e10"),
+                EXIT_OK, "cfl_collapse", {"termination", "steps"}, ["evolve", "diagnostics", "snapshots"],
             ),
             (
                 "blowup",
@@ -758,7 +764,7 @@ class TestCommands:
         ],
         ids=[
             "run-t_end", "run-max_steps", "run-non_finite", "run-ill_posed", "run-cfl_collapse",
-            "run-cfl_collapse-threshold", "blowup-pass", "blowup-fit_window",
+            "run-cfl_collapse-threshold", "run-cfl_collapse-after-steps-threshold", "blowup-pass", "blowup-fit_window",
             "symmetry-pass", "symmetry-non_finite", "lp",
         ],
     )

@@ -10,6 +10,7 @@ import pytest
 from conftest import padded, small_datum
 
 from emhd1d import solver
+from emhd1d.diagnostics import rough_datum
 from emhd1d.solver import (
     ModelParams,
     _etdrk4_coeffs,
@@ -324,17 +325,19 @@ FRESH_FACTORS = {
 
 @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
 class TestFactorReuse:
-    """Each scheme builds its factors once per distinct (dt, table), and a
-    run reads bit for bit what ``FRESH_FACTORS`` makes on every step."""
+    """Each scheme builds its factors once per distinct (dt, table), so once
+    per (rung, dt) of a run, and a run reads bit for bit what
+    ``FRESH_FACTORS`` makes on every step."""
 
     @staticmethod
     def count_builds(monkeypatch, scheme):
+        """Log each build as (N of its table's grid, dt)."""
         _ops.cache_clear()  # no table may hold factors from an earlier test
         build, stepper = solver._SCHEMES[scheme]
         seen = []
 
         def counting(lin, dt):
-            seen.append(dt)
+            seen.append((2 * (lin.size - 1), dt))
             return build(lin, dt)
 
         monkeypatch.setitem(solver._SCHEMES, scheme, (counting, stepper))
@@ -354,8 +357,11 @@ class TestFactorReuse:
         builds = self.count_builds(monkeypatch, scheme)
         run = evolve(small_datum(grid), p, cfg)
         assert len(run.step_times) == 51
-        assert sorted(builds) == sorted(set(run.diagnostics["dt"]))
-        assert len(builds) <= 2  # dt_init, and perhaps a last step cut to t_end
+        # the smooth datum steps on the rungs 32 and 64: one build per rung
+        # for dt_init, and perhaps one for a last step cut to t_end
+        key = set(zip(run.diagnostics["n_modes"].tolist(), run.diagnostics["dt"].tolist()))
+        assert sorted(builds) == sorted(key)
+        assert len({n for n, _ in builds}) == 2 and len(builds) <= 3
         assert np.array_equal(run.coefs, ref.coefs)
 
     def test_picard_step_and_symmetry_build_once_per_grid(self, grid, monkeypatch, scheme):
@@ -367,17 +373,19 @@ class TestFactorReuse:
             ref_sym = scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, scheme)
         builds = self.count_builds(monkeypatch, scheme)
         res = picard_solve(small_datum(grid), p, cfg)
-        assert builds == [1e-3]
+        assert builds == [(256, 1e-3)]
         assert res.gap_history == ref.gap_history
         assert np.array_equal(res.series.final.coef, ref.series.final.coef)
         B = small_datum(grid)
         for _ in range(5):
             B, _ = step(B, 0.0, 1e-3, p, cfg)
-        assert builds == [1e-3]
-        # two grids, one dt each, and perhaps a last step cut to t_end on each
+        assert builds == [(256, 1e-3)]
+        # two grids, one dt each: one build per rung a run steps on, and
+        # perhaps one for a last step cut to t_end, never two alike
         del builds[:]
         assert scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, scheme) == ref_sym
-        assert 2 <= len(builds) <= 4 and len(set(builds)) == len(builds)
+        assert 2 <= len(builds) and len(set(builds)) == len(builds)
+        assert len({dt for _, dt in builds}) in (2, 3, 4)
 
     def test_threads_sharing_a_table_get_their_own_dt(self, scheme):
         assert_threads_get_their_own_dt(scheme)
@@ -391,10 +399,10 @@ class TestFactorReuse:
         run = evolve(small_datum(grid, amp=1.0), p, cfg)
         assert run.termination == "t_end"
         # a build on each step whose dt or ladder rung (so table) is new
-        key = list(zip(run.diagnostics["dt"], run.diagnostics["n_modes"]))
-        assert builds == [dt for n, (dt, _) in enumerate(key) if n == 0 or key[n] != key[n - 1]]
+        key = list(zip(run.diagnostics["n_modes"].tolist(), run.diagnostics["dt"].tolist()))
+        assert builds == [k for n, k in enumerate(key) if n == 0 or k != key[n - 1]]
         assert len(builds) > 5
-        for a in _ops(grid, p).factors(scheme, builds[-1]):
+        for a in _ops(grid, p).factors(scheme, builds[-1][1]):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
@@ -430,9 +438,10 @@ class TestEvolve:
     def test_mean_gauge_preserved(self, grid):
         # the datum's mean is set to zero once: the term is projected
         # mean-free and lin[0] = 0, so no step moves c[0] off exactly 0, not
-        # even on a run that overflows
+        # even on a run that overflows; the wild datum fills the band, so
+        # its run overflows on N
         B0 = SpectralField.from_phys(grid, small_datum(grid).phys + 0.3)
-        wild = SpectralField.from_phys(grid, small_datum(grid, amp=1.0).phys + 0.3)
+        wild = SpectralField.from_phys(grid, rough_datum(grid, 1.0, norm=3.0).phys + 0.3)
         fixed = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False)
         for scheme in ("ifrk4", "etdrk4"):
             p = ModelParams(kind="full", mu=1.0, alpha=1.0)
@@ -441,6 +450,7 @@ class TestEvolve:
             with np.errstate(over="ignore", invalid="ignore"):
                 run = evolve(wild, p, replace(fixed, scheme=scheme))
             assert run.termination == "non_finite" and np.all(run.coefs[:, 0] == 0.0)
+            assert np.all(run.diagnostics["n_modes"] == grid.n_modes)
             # 35 steps on the rungs 32 to 128
             ladder = evolve(B0, p, StepperConfig(scheme=scheme, t_end=1.0, store_step_fields=True))
             rungs = ladder.diagnostics["n_modes"]
@@ -477,6 +487,20 @@ class TestEvolve:
         assert run.termination == "non_finite"
         assert len(run.step_times) == 1
 
+    def test_overflowing_tail_is_not_cut_away(self):
+        # a finite datum whose energy overflows, all of it above the band
+        # of every halving of N: its tail share reads inf / inf, which no
+        # descent may take as small, or the cut would leave a small state
+        # and the run would end at t_end
+        grid = GridSpec(np.pi, 64)
+        c = np.zeros(grid.n_modes // 2 + 1, dtype=complex)
+        c[1], c[20] = 0.05, 1e200
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.05, adaptive=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = evolve(SpectralField.from_coef(grid, c), ModelParams("full", 1.0, 2.0), cfg)
+        assert run.termination == "non_finite"
+        assert np.all(run.diagnostics["n_modes"] == grid.n_modes)
+
     def test_overflow_on_last_step_ends_non_finite(self, monkeypatch):
         # finite datum whose first step overflows; a step cap of 1 stops the
         # loop before the next step could check the new field
@@ -498,12 +522,15 @@ class TestEvolve:
 
     def test_snapshot_rows_are_the_states(self, grid):
         # the rows equal the states of a step-by-step walk, a cadence keeps
-        # every k-th row and the last, and both arrays are read-only
+        # every k-th row and the last, and both arrays are read-only; the
+        # datum fills the band, so the run stays on N with the walk
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False)
-        every = evolve(small_datum(grid), p, cfg)
+        B0 = rough_datum(grid, 1.0)
+        every = evolve(B0, p, cfg)
         assert len(every.step_times) == 11
-        B, states = remove_mean(small_datum(grid)), []
+        assert np.all(every.diagnostics["n_modes"] == grid.n_modes)
+        B, states = remove_mean(B0), []
         for t, dt in zip(every.step_times, every.diagnostics["dt"]):
             states.append(B.coef)
             B, _ = step(B, t, dt, p, cfg)
@@ -512,7 +539,7 @@ class TestEvolve:
         assert np.array_equal(every.times, every.step_times)
         assert np.array_equal(every.final.coef, states[-1])
 
-        sparse = evolve(small_datum(grid), p, replace(cfg, snapshot_cadence=3))
+        sparse = evolve(B0, p, replace(cfg, snapshot_cadence=3))
         idx = np.searchsorted(every.times, sparse.times)
         assert idx.tolist() == [0, 3, 6, 9, 10]
         assert np.array_equal(sparse.coefs, every.coefs[idx])
@@ -556,10 +583,15 @@ class TestEvolve:
         cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False, store_step_fields=True)
         run = evolve(small_datum(grid), p, cfg)
         n = len(run.step_times)
-        # a fixed-dt run has the one rung N, so every row has all N/2 + 1 modes
+        # a fixed-dt run steps on the ladder as well: this one on the rungs
+        # 32 and then 64, where it ends, so each row holds its rung's whole
+        # half, n/2 + 1 entries on a rung of n modes
+        rung = run.diagnostics["n_modes"]
+        assert rung[0] < rung[-1] < grid.n_modes
+        band = (rung // 2 + 1).tolist() + [rung[-1] // 2 + 1]
         for rows in (run.lam_b, run.lam_b_dot):
             assert len(rows) == n
-            assert all(row.shape == (grid.n_modes // 2 + 1,) for row in rows)
+            assert [row.shape for row in rows] == [(k,) for k in band]
 
     @pytest.mark.parametrize("cause", ["t_end", "max_steps", "blowup_threshold", "cfl_collapse"])
     def test_stored_fields_cover_every_state(self, monkeypatch, cause):
@@ -637,9 +669,9 @@ class TestEvolve:
             run = evolve(B0, p, StepperConfig(t_end=1.0, snapshot_cadence=1))
         states = len(run.step_times)
         assert states > 10
-        # rungs only go up, so the last state is on N when the last step was
+        # this run only climbs, so the last state is on N when the last step was
         rungs = run.diagnostics["n_modes"]
-        assert rungs[-1] == g.n_modes
+        assert np.all(np.diff(rungs) >= 0) and rungs[-1] == g.n_modes
         assert np.any(rungs < g.n_modes)
 
         expected, expected_nl = [], []
@@ -834,19 +866,46 @@ class TestGridLadder:
         assert run.lam_b.nbytes == run.lam_b_dot.nbytes == 16 * sum(band)
         assert run.lam_b.nbytes == sum(row.nbytes for row in run.lam_b)
 
-    def test_rough_datum_and_fixed_dt_never_leave_n(self):
-        from emhd1d.diagnostics import rough_datum
-
+    def test_rough_datum_never_leaves_n_and_fixed_dt_starts_coarse(self):
+        # one rule picks the rung of every run: a datum that fills the band
+        # stays on N, adaptive or not, and a smooth one starts on the same
+        # coarse rung whether dt is fixed or adaptive
         g = GridSpec(np.pi, 256)
         p = ModelParams(kind="full", mu=1.0, alpha=1.5)
-        rough = evolve(rough_datum(g, s_base=1.0, seed=2), p, StepperConfig(dt_init=1e-9, t_end=0.01))
-        assert len(rough.step_times) > 5
-        assert np.all(rough.diagnostics["n_modes"] == g.n_modes)
+        rough = rough_datum(g, s_base=1.0, seed=2)
+        for cfg in (StepperConfig(dt_init=1e-9, t_end=0.01), StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False)):
+            run = evolve(rough, p, cfg)
+            assert len(run.step_times) > 5
+            assert np.all(run.diagnostics["n_modes"] == g.n_modes)
         smooth = small_datum(g)
         fixed = evolve(smooth, p, StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False))
-        assert np.all(fixed.diagnostics["n_modes"] == g.n_modes)
-        # the same smooth datum starts coarse when the run is adaptive
-        assert evolve(smooth, p, StepperConfig(t_end=0.01)).diagnostics["n_modes"][0] < g.n_modes
+        adaptive = evolve(smooth, p, StepperConfig(t_end=0.01))
+        assert fixed.diagnostics["n_modes"][0] == adaptive.diagnostics["n_modes"][0] < g.n_modes
+
+    def test_dissipative_fixed_dt_run_steps_down(self):
+        # the CLI run benchmark's config, seed 5: dissipation empties the top
+        # of the band, so the fixed-dt run steps down to N/2 (at step 327)
+        # and N/4 (step 969) and never back up; its snapshots stay a
+        # single-grid walk's on N, 3.5e-18 apart in x against a sup of 1.6e-2
+        # (the same on seeds 0, 41, 77 and 1234)
+        g = GridSpec(np.pi, 2048)
+        p = ModelParams(kind="full", mu=1.0, alpha=1.5)
+        cfg = StepperConfig(dt_init=2e-5, t_end=0.02, adaptive=False, snapshot_cadence=2)
+        B0 = rough_datum(g, 1.0, seed=5)
+        run = evolve(B0, p, cfg)
+        rung = run.diagnostics["n_modes"]
+        assert run.termination == "t_end" and len(rung) == 1000
+        assert rung[0] == g.n_modes and g.n_modes // 2 in rung
+        assert np.all(np.diff(rung) <= 0)
+        B = remove_mean(B0)
+        walk = [B.coef]
+        for n, dt in enumerate(run.diagnostics["dt"], 1):
+            B, _ = step(B, 0.0, dt, p, cfg)
+            if n % 2 == 0:
+                walk.append(B.coef)
+        assert np.array_equal(run.times, run.step_times[::2])
+        ref = g.to_phys(np.array(walk))
+        assert np.max(np.abs(g.to_phys(run.coefs) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestIllPosedGuard:
