@@ -16,7 +16,10 @@ G).  A
 threshold or at CFL collapse after at least one step; any other
 termination (a non-finite field, ill_posed, max_steps, or CFL collapse
 with no threshold or before the first step) writes only manifest.json and
-steps.csv and exits 3.  A
+steps.csv and exits 3.  A ``run`` holds no snapshot table: it takes the
+norms and frames of its snapshots 32 at a time as it steps, and the frames
+go to a temporary file that becomes snapshots.bin only when the run
+passes, so no other exit, an abort included, leaves one.  A
 ``blowup`` passes only if its run stops at the blowup threshold; any other
 termination, t_end included, likewise exits 3 with its cause recorded.
 ``--seed`` overrides ``datum.seed`` for run, symmetry and lp; blowup's
@@ -30,6 +33,7 @@ and the sweep exits with the most severe code (0 < 1 < 2 < 3).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -45,7 +49,7 @@ from . import __version__
 from .blowup import (
     DatumError, FitWindowError, advect_trajectory, make_reference_datum, riccati_verdict, run_blowup
 )
-from .diagnostics import norm_series, rough_datum
+from .diagnostics import BLOCK, NormSeries, norm_block, rough_datum
 from .gates import Gate
 from .lp import cutoffs_for, lp_verdict, random_band_limited
 from .solver import ModelParams, StepperConfig, evolve, scaling_symmetry_verdict
@@ -231,7 +235,8 @@ def _write_manifest(out: Path, cfg: RunConfig, extra: dict) -> None:
 
 class _PhaseClock:
     """Wall seconds of a command's phases, each timed from the end of the
-    one before; ``wall`` holds only the phases that have finished."""
+    one before, less the time spent ``apart`` meanwhile; ``wall`` holds only
+    the phases that have finished."""
 
     def __init__(self) -> None:
         self.wall: dict[str, float] = {}
@@ -241,6 +246,16 @@ class _PhaseClock:
         now = time.perf_counter()
         self.wall[phase] = now - self._last
         self._last = now
+
+    @contextlib.contextmanager
+    def apart(self, phase: str):
+        """Time the enclosed code as ``phase``, summed over every use, and
+        not as part of the phase it runs inside."""
+        start = time.perf_counter()
+        yield
+        spent = time.perf_counter() - start
+        self.wall[phase] = self.wall.get(phase, 0.0) + spent
+        self._last += spent
 
 
 def _write_csv(path: Path, names: list[str], columns) -> None:
@@ -255,47 +270,78 @@ def _write_steps(out: Path, run) -> None:
     _write_csv(out / "steps.csv", ["t", *run.diagnostics], [run.step_times[1:], *run.diagnostics.values()])
 
 
-def _write_snapshots(out: Path, run) -> None:
-    """Raw little-endian float64 frames, each ascending in x from -L, plus a
-    JSON sidecar with the index."""
-    with (out / "snapshots.bin").open("wb") as fh:
-        for i in range(0, len(run.coefs), 32):  # 32 frames a transform: no (n, N) array
-            frames = np.fft.fftshift(run.grid.to_phys(run.coefs[i : i + 32]), axes=-1)
-            frames.astype("<f8", copy=False).tofile(fh)
-    sidecar = {
-        "dtype": "<f8",
-        "shape": [len(run.times), run.grid.n_modes],
-        "grid": {"L": run.grid.half_length, "N": run.grid.n_modes},
-        "times": [float(t) for t in run.times],
-    }
-    (out / "snapshots.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+class _SnapshotStream:
+    """The ``keep`` of a ``run``'s ``evolve``: each snapshot row, zero-padded
+    to N/2 + 1 entries, goes into one reused block of ``BLOCK`` rows, and
+    each full block, and at the end the last partial one, gives its
+    ``norm_block`` columns and appends its frames to ``fh``, raw
+    little-endian float64, each ascending in x from -L.  The blocks are
+    timed as the phase "snapshots"."""
+
+    def __init__(self, grid: GridSpec, s_list, alpha: float, fh, clock: _PhaseClock) -> None:
+        self.grid, self.s_list, self.alpha, self.fh, self.clock = grid, s_list, alpha, fh, clock
+        self.block = np.zeros((BLOCK, grid.n_modes // 2 + 1), dtype=complex)
+        self.filled = 0
+        self.times: list[float] = []
+        self.norms: list[np.ndarray] = []  # the norm_block columns of each block
+
+    def __call__(self, t: float, c: np.ndarray) -> None:
+        row = self.block[self.filled]
+        row[: c.size] = c
+        row[c.size :] = 0.0
+        self.filled += 1
+        self.times.append(t)
+        if self.filled == BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.filled:
+            with self.clock.apart("snapshots"):
+                rows = self.block[: self.filled]
+                self.norms.append(norm_block(self.grid, rows, self.s_list, self.alpha))
+                frames = np.fft.fftshift(self.grid.to_phys(rows), axes=-1)
+                frames.astype("<f8", copy=False).tofile(self.fh)
+            self.filled = 0
 
 
 def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     grid = cfg.grid()
     B0 = cfg.datum(grid, seed)
     clock = _PhaseClock()
-    run = evolve(B0, cfg.model(), cfg.stepper())
-    clock.done("evolve")
-    _write_steps(out, run)
-    steps = len(run.step_times) - 1
-    record = {"termination": run.termination, "steps": steps, "wall_s": clock.wall}
-    # a run that seeks a blowup may end at its threshold or when dt
-    # collapses, but a collapse before its first step is no blowup
-    finished = ("t_end",)
-    if math.isfinite(run.config.blowup_threshold):
-        finished += ("blowup_threshold", "cfl_collapse") if steps else ("blowup_threshold",)
-    if run.termination not in finished:
-        return EXIT_NUMERICAL, record
-    ns = norm_series(run, list(cfg.diagnostics_s_list))
+    part = out / "snapshots.bin.part"
+    try:
+        with part.open("wb") as fh:
+            stream = _SnapshotStream(grid, cfg.diagnostics_s_list, cfg.model_alpha, fh, clock)
+            run = evolve(B0, cfg.model(), cfg.stepper(), keep=stream)
+            clock.done("evolve")
+            _write_steps(out, run)
+            steps = len(run.step_times) - 1
+            record = {"termination": run.termination, "steps": steps, "wall_s": clock.wall}
+            # a run that seeks a blowup may end at its threshold or when dt
+            # collapses, but a collapse before its first step is no blowup
+            finished = ("t_end",)
+            if math.isfinite(run.config.blowup_threshold):
+                finished += ("blowup_threshold", "cfl_collapse") if steps else ("blowup_threshold",)
+            if run.termination not in finished:
+                return EXIT_NUMERICAL, record
+            stream.flush()
+        part.replace(out / "snapshots.bin")
+    finally:
+        part.unlink(missing_ok=True)
+    ns = NormSeries.from_norms(np.array(stream.times), stream.s_list, np.concatenate(stream.norms, axis=-1))
     names, columns = ["t"], [ns.times]
     for i, s in enumerate(ns.s_list):
         names += [f"hs_{s:g}", f"hdiss_{s:g}", f"budget_{s:g}"]
         columns += [ns.hs[i], ns.hs_diss[i], ns.budget[i]]
     _write_csv(out / "series.csv", names, columns)
-    clock.done("diagnostics")
-    _write_snapshots(out, run)
-    clock.done("snapshots")
+    sidecar = {
+        "dtype": "<f8",
+        "shape": [len(ns.times), grid.n_modes],
+        "grid": {"L": grid.half_length, "N": grid.n_modes},
+        "times": [float(t) for t in ns.times],
+    }
+    (out / "snapshots.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    clock.done("outputs")
     return EXIT_OK, record
 
 

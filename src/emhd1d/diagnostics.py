@@ -38,6 +38,12 @@ class NormSeries:
     hs_diss: np.ndarray  # (len(s_list), n_times) homogeneous H^(s + alpha/2)
     budget: np.ndarray  # (len(s_list), n_times) int_0^t ||B||^2_{H^(s+a/2)} dtau
 
+    @classmethod
+    def from_norms(cls, times: np.ndarray, s_list, norms: np.ndarray) -> "NormSeries":
+        """The series of the ``norm_block`` columns ``norms``, one per time."""
+        hs, hd = norms
+        return cls(times=times, s_list=tuple(s_list), hs=hs, hs_diss=hd, budget=_cumtrapz(times, hd**2))
+
 
 def _cumtrapz(times: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Running trapezoid int_0^t y along the last axis, starting at 0."""
@@ -47,27 +53,35 @@ def _cumtrapz(times: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # rows of a coefficient table that one norm call reads: its temporaries are
 # the size of a block, not of the table
-_BLOCK = 32
+BLOCK = 32
 
 
 def _norms(grid: GridSpec, coefs: np.ndarray, s: float, homogeneous: bool = True) -> np.ndarray:
     """H^s norm of each row of ``coefs``, one ``GridSpec.sobolev_norm2`` call
-    per block of ``_BLOCK`` rows."""
+    per block of ``BLOCK`` rows."""
     out = np.empty(len(coefs))
-    for i in range(0, len(coefs), _BLOCK):
-        out[i : i + _BLOCK] = grid.sobolev_norm2(coefs[i : i + _BLOCK], s, homogeneous)
+    for i in range(0, len(coefs), BLOCK):
+        out[i : i + BLOCK] = grid.sobolev_norm2(coefs[i : i + BLOCK], s, homogeneous)
     return np.sqrt(out)
 
 
+def norm_block(grid: GridSpec, block: np.ndarray, s_list, alpha: float) -> np.ndarray:
+    """The (2, len(s_list), len(block)) norms of the rows of ``block``: for
+    each s of ``s_list`` the inhomogeneous H^s norm, then the homogeneous
+    H^(s + alpha/2) norm."""
+    return np.sqrt([
+        [grid.sobolev_norm2(block, s, homogeneous=False) for s in s_list],
+        [grid.sobolev_norm2(block, s + 0.5 * alpha) for s in s_list],
+    ])
+
+
 def norm_series(run: TimeSeries, s_list: list[float]) -> NormSeries:
-    grid, alpha = run.grid, run.params.alpha
-    hs = np.empty((len(s_list), len(run.times)))
-    hd = np.empty_like(hs)
-    for i, s in enumerate(s_list):
-        hs[i] = _norms(grid, run.coefs, s, homogeneous=False)
-        hd[i] = _norms(grid, run.coefs, s + 0.5 * alpha)
-    budget = _cumtrapz(run.times, hd**2)
-    return NormSeries(times=run.times, s_list=tuple(s_list), hs=hs, hs_diss=hd, budget=budget)
+    """The norms of each snapshot row of ``run``, a ``norm_block`` call per
+    block of ``BLOCK`` rows."""
+    norms = np.empty((2, len(s_list), len(run.times)))
+    for i in range(0, len(run.times), BLOCK):
+        norms[..., i : i + BLOCK] = norm_block(run.grid, run.coefs[i : i + BLOCK], s_list, run.params.alpha)
+    return NormSeries.from_norms(run.times, s_list, norms)
 
 
 def rough_datum(grid: GridSpec, s_base: float, norm: float = 0.05, seed: int = 0) -> SpectralField:

@@ -208,12 +208,14 @@ MAX_STEPS = 1_000_000
 TABLE_BUDGET = 2**28
 
 
-def _tail_exceeds(c: np.ndarray, start: int) -> bool:
+def _tail_exceeds(c: np.ndarray, start: int, cap: float) -> bool:
     """Whether the share of sum |c_k|^2 from mode ``start`` up exceeds
-    ``LADDER_TAIL``.  A share that is not a finite ratio, a NaN or an energy
-    that overflows, exceeds it, so no descent cuts such a state away."""
+    ``LADDER_TAIL``, with ``cap`` the state's ``LADDER_TAIL`` * sum |c_k|^2,
+    taken once for all the rungs it is tested on.  A share that is not a
+    finite ratio, a NaN or an energy that overflows, exceeds it, so no
+    descent cuts such a state away."""
     tail = c[start:]
-    return not np.vdot(tail, tail).real <= LADDER_TAIL * np.vdot(c, c).real < math.inf
+    return not np.vdot(tail, tail).real <= cap < math.inf
 
 
 def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
@@ -346,7 +348,9 @@ class TimeSeries:
     cadence (always including the initial and final states), and ``times``
     their times; both arrays are read-only and on the N grid.  From
     :func:`evolve`, ``coefs`` is a read-only view of the leading rows of a
-    table the run filled as it went.  When the run
+    table the run filled as it went, and a run that handed its snapshots
+    to a ``keep`` callable has no rows in either array (nor a ``final``).
+    When the run
     was made with ``store_step_fields``, ``lam_b`` and ``lam_b_dot`` hold the
     coefficients of Lambda B and d/dt Lambda B at every accepted step
     boundary, each row the whole half of the ladder rung that made it, n/2 + 1
@@ -376,7 +380,9 @@ class TimeSeries:
         return SpectralField.from_coef(self.grid, self.coefs[-1])
 
 
-def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSeries:
+def evolve(
+    B0: SpectralField, params: ModelParams, cfg: StepperConfig, keep: Callable | None = None
+) -> TimeSeries:
     """Run until t_end, the blowup threshold, CFL collapse, a non-finite
     field, an ill-posed transport run, or ``MAX_STEPS``; the cause is
     recorded on the result.
@@ -399,6 +405,11 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     read-only view of the rows written.  A fixed-dt run sizes the table
     from its step count, up to ``TABLE_BUDGET`` bytes; an adaptive one
     starts at two rows.  Either doubles the table when it is full.
+
+    Given ``keep``, the run holds no table: it calls ``keep(t, c)`` with
+    each snapshot's time and its row c of n/2 + 1 entries on its rung, in
+    order, and the result's ``times`` and ``coefs`` have no rows.  The
+    run steps on from c, so ``keep`` must not write to it.
     """
     grid = B0.grid
     half = grid.n_modes // 2 + 1
@@ -414,20 +425,22 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
     dispersive = params.kind == "full"
     t = gain = 0.0
 
-    # from np.zeros, so the pages of rows never written are never touched
-    rows = 2 if cfg.adaptive else min(math.ceil(cfg.t_end / cfg.dt_init), MAX_STEPS) // cfg.snapshot_cadence + 2
-    capacity = max(2, min(rows, TABLE_BUDGET // (16 * half)))  # 16 bytes a complex entry
-    table = np.zeros((capacity, half), dtype=complex)
-    times: list[float] = []
+    times: list[float] = []  # of every snapshot, kept in the table or not
+    if keep is None:
+        # from np.zeros, so the pages of rows never written are never touched
+        rows = 2 if cfg.adaptive else min(math.ceil(cfg.t_end / cfg.dt_init), MAX_STEPS) // cfg.snapshot_cadence + 2
+        capacity = max(2, min(rows, TABLE_BUDGET // (16 * half)))  # 16 bytes a complex entry
+        table = np.zeros((capacity, half), dtype=complex)
 
-    def keep(t: float, c: np.ndarray) -> None:
-        nonlocal table
-        if len(times) == len(table):
-            grown = np.zeros((2 * len(table), half), dtype=complex)
-            grown[: len(table)] = table
-            table = grown
-        table[len(times), : c.size] = c
-        times.append(t)
+        def keep(t: float, c: np.ndarray) -> None:
+            nonlocal table
+            if len(times) == len(table):
+                grown = np.zeros((2 * len(table), half), dtype=complex)
+                grown[: len(table)] = table
+                table = grown
+            table[len(times), : c.size] = c
+    else:
+        table = np.zeros((0, half), dtype=complex)
 
     step_times = [0.0]
     # one row of ``keys`` per accepted step: a growing list per key (two
@@ -443,11 +456,12 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         # every accepted state, the last one included, passes through here
         # once: its rung, its snapshot, its nonlinear term, its CFL sups, its
         # stored fields and the stop checks
-        if rung and _tail_exceeds(c, ladder[rung].tail):
+        cap = LADDER_TAIL * np.vdot(c, c).real
+        if rung and _tail_exceeds(c, ladder[rung].tail, cap):
             rung -= 1
             c = np.pad(c, (0, ladder[rung].xi.size - c.size))  # exact in this normalization
         else:
-            while rung + 1 < len(ladder) and not _tail_exceeds(c, ladder[rung + 1].tail):
+            while rung + 1 < len(ladder) and not _tail_exceeds(c, ladder[rung + 1].tail, cap):
                 rung += 1
             if ladder[rung].xi.size < c.size:
                 # the cut leaves the rung's Nyquist entry 0, as every finite step does
@@ -455,6 +469,7 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
         ops = ladder[rung]
         if n % cfg.snapshot_cadence == 0:
             keep(t, c)
+            times.append(t)
         # one stack on the finest nodes: rows 0-3 are B_x, Lambda B,
         # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
         # node, a node of the rung n, its rows give the state's nonlinear term
@@ -504,12 +519,13 @@ def evolve(B0: SpectralField, params: ModelParams, cfg: StepperConfig) -> TimeSe
 
     if times[-1] != t:
         keep(t, c)
+        times.append(t)
     columns = zip(*per_step) if per_step else [()] * len(keys)
     return TimeSeries(
         grid=grid,
         params=params,
         config=cfg,
-        times=np.array(times),
+        times=np.array(times[: len(table)]),  # none when ``keep`` took the rows
         coefs=table[: len(times)],
         step_times=np.array(step_times),
         diagnostics=dict(zip(keys, map(np.array, columns))),

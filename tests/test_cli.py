@@ -239,6 +239,49 @@ class TestCommands:
         assert data.shape[0] == len(run.coefs) == 41
         assert np.array_equal(data, [np.fft.fftshift(run.grid.to_phys(c)) for c in run.coefs])
 
+    @pytest.mark.parametrize("snapshots", [31, 32, 33, 64])
+    def test_streamed_outputs_match_the_table_run(self, tmp_path, snapshots):
+        # a run streams its snapshots in blocks of 32; at the block edges its
+        # series.csv and snapshots.bin are bitwise the norm_series and the
+        # per-row frames of the same run made with a snapshot table; the
+        # 64-snapshot run steps down from N to N/2 at step 187, snapshot 38
+        p = write_cfg(
+            tmp_path,
+            "grid.L = 3.141592653589793\ngrid.N = 256\nmodel.alpha = 1.5\nstepper.adaptive = false\n"
+            f"stepper.dt_init = {2.0**-10!r}\nstepper.t_end = {5 * (snapshots - 1) * 2.0**-10!r}\n"
+            "datum.kind = random_rough\ndatum.s_base = 1.0\ndatum.seed = 3\noutputs.snapshot_cadence = 5\n"
+            "diagnostics.s_list = 0, 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        cfg = RunConfig.from_file(p)
+        run = evolve(cfg.datum(cfg.grid()), cfg.model(), cfg.stepper())
+        assert run.termination == "t_end" and len(run.times) == snapshots
+        ns = norm_series(run, list(cfg.diagnostics_s_list))
+        expected = [ns.times] + [a[i] for i in range(2) for a in (ns.hs, ns.hs_diss, ns.budget)]
+        assert read_csv(out / "series.csv")[1].tobytes() == np.array(expected).tobytes()
+        frames = np.array([np.fft.fftshift(run.grid.to_phys(c)) for c in run.coefs])
+        assert (out / "snapshots.bin").read_bytes() == frames.astype("<f8").tobytes()
+        sidecar = json.loads((out / "snapshots.json").read_text())
+        assert sidecar["times"] == run.times.tolist() and sidecar["shape"] == [snapshots, 256]
+
+    def test_run_memory_does_not_grow_with_its_snapshots(self, tmp_path, traced_peak):
+        # a run holds one block of 32 snapshot rows, not a table of them:
+        # ten times the snapshots move its traced peak by less than a block
+        # (0.07 MB apart; with a table, 40 and 400 snapshots peaked 6.5 MB apart)
+        def peak(steps):
+            p = write_cfg(
+                tmp_path,
+                "grid.L = 6\ngrid.N = 2048\nstepper.adaptive = false\nstepper.dt_init = 1e-3\n"
+                f"stepper.t_end = {steps}e-3\noutputs.snapshot_cadence = 1\n",
+                f"{steps}.cfg",
+            )
+            code, peak = traced_peak(lambda: main(["run", "--config", str(p), "--out", str(tmp_path / str(steps))]))
+            assert code == EXIT_OK
+            return peak
+
+        assert abs(peak(400) - peak(40)) < 32 * 1025 * 16
+
     def test_datum_file_round_trips_in_ascending_order(self, tmp_path):
         # a datum file ascending in x from -L is the field's values there,
         # and frame 0 writes them back in that order; a field of period 2L
@@ -385,7 +428,7 @@ class TestCommands:
                 assert (swept / name).read_bytes() == (plain / name).read_bytes(), (i, name)
             manifests = [json.loads((d / "manifest.json").read_text()) for d in (swept, plain)]
             for m in manifests:
-                assert set(m.pop("wall_s")) == {"evolve", "diagnostics", "snapshots"}
+                assert set(m.pop("wall_s")) == {"evolve", "snapshots", "outputs"}
             assert manifests[0] == manifests[1], i
 
     def test_sweep_record_keeps_file_order(self, tmp_path):
@@ -456,8 +499,9 @@ class TestCommands:
 
     def test_run_with_a_huge_snapshot_budget_stops_at_its_threshold(self, tmp_path):
         # a million fixed steps at N = 32768 with a snapshot each: the run
-        # stops at its threshold before its first step, and its table is
-        # reserved up to the budget only, not at 244 GiB
+        # stops at its threshold before its first step; a run streams its
+        # snapshots and reserves no table for them, which at the step count
+        # would take 244 GiB
         p = write_cfg(
             tmp_path,
             "grid.L = 3.141592653589793\ngrid.N = 32768\nmodel.mu = 1.0\nmodel.alpha = 1.5\n"
@@ -473,10 +517,10 @@ class TestCommands:
     def test_out_of_memory_is_numerical_abort(self, cfg_file, tmp_path, monkeypatch, capsys):
         # a command that does not fit in memory exits 3, not 1, and a sweep
         # records it and runs on
-        def evolve_or_fail(B0, params, cfg):
+        def evolve_or_fail(B0, params, cfg, keep=None):
             if params.alpha == 2.0:
                 raise MemoryError("Unable to allocate 244. GiB")
-            return evolve(B0, params, cfg)
+            return evolve(B0, params, cfg, keep)
 
         monkeypatch.setattr(cli, "evolve", evolve_or_fail)
         assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "one")]) == EXIT_NUMERICAL
@@ -489,6 +533,28 @@ class TestCommands:
             "sweep_000": {"config": str(cfg_file), "exit": EXIT_NUMERICAL},
             "sweep_001": {"config": str(other), "exit": EXIT_OK},
         }
+
+    def test_abort_after_streamed_snapshots_leaves_no_snapshot_file(self, tmp_path, monkeypatch):
+        # the frames of a run go to a temporary file as it steps; an abort
+        # that raises once a block of them is on disk removes that file, so
+        # the out directory holds nothing (a MemoryError writes no manifest)
+        p = write_cfg(tmp_path, RUN_CFG.replace("outputs.snapshot_cadence = 10", "outputs.snapshot_cadence = 1"))
+        part = tmp_path / "out" / "snapshots.bin.part"
+        streamed = []
+
+        def evolve_then_fail(B0, params, cfg, keep):
+            def keep_or_fail(t, c):
+                if len(streamed) == 40:
+                    raise MemoryError("Unable to allocate 1. GiB")
+                keep(t, c)
+                streamed.append(part.stat().st_size)
+
+            return evolve(B0, params, cfg, keep_or_fail)
+
+        monkeypatch.setattr(cli, "evolve", evolve_then_fail)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert streamed[-1] == 32 * 128 * 8  # one block of frames was written
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_run_cut_at_max_steps_is_numerical_abort(self, tmp_path, monkeypatch):
         # a run stopped by the step cap never reached t_end, so it is no pass
@@ -728,7 +794,7 @@ class TestCommands:
         [
             (
                 "run", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, "t_end", {"termination", "steps"},
-                ["evolve", "diagnostics", "snapshots"],
+                ["evolve", "snapshots", "outputs"],
             ),
             ("run", capped_at_three_steps, EXIT_NUMERICAL, "max_steps", {"termination", "steps"}, ["evolve"]),
             ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}, ["evolve"]),
@@ -741,7 +807,7 @@ class TestCommands:
             ),
             (
                 "run", lambda tmp, mp: collapsing(tmp, threshold="stepper.blowup_threshold = 1e30\n", norm="1e10"),
-                EXIT_OK, "cfl_collapse", {"termination", "steps"}, ["evolve", "diagnostics", "snapshots"],
+                EXIT_OK, "cfl_collapse", {"termination", "steps"}, ["evolve", "snapshots", "outputs"],
             ),
             (
                 "blowup",
@@ -771,7 +837,9 @@ class TestCommands:
     def test_every_exit_path_writes_manifest(
         self, tmp_path, monkeypatch, command, setup, code, termination, keys, phases
     ):
-        # wall_s holds the wall seconds of each phase that ran on the exit path
+        # wall_s holds the wall seconds of each phase that ran on the exit
+        # path; "snapshots" is the time in the norm and frame blocks a run
+        # streams, and these failing runs keep too few snapshots to fill one
         p = setup(tmp_path, monkeypatch)
         out = tmp_path / "o"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -786,6 +854,12 @@ class TestCommands:
         wall = manifest["wall_s"]
         assert sorted(wall) == sorted(phases)
         assert all(isinstance(v, float) and 0.0 <= v < 600.0 for v in wall.values())
+        if command == "run":
+            # a failing run leaves no series or snapshot file, temporary or final
+            files = ["manifest.json", "steps.csv"]
+            if code == EXIT_OK:
+                files += ["series.csv", "snapshots.bin", "snapshots.json"]
+            assert sorted(f.name for f in out.iterdir()) == sorted(files)
 
     @pytest.fixture
     def fresh_revision(self):

@@ -767,14 +767,14 @@ class TestGridLadder:
     takes its scale from the rung the step is taken on."""
 
     @staticmethod
-    def blowup_run(**kw):
+    def blowup_run(keep=None, **kw):
         # the reference blowup datum at N = 2048 starts on the N = 512 rung
         from emhd1d.blowup import make_reference_datum
 
         g = GridSpec(6.0, 2048)
         p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
         cfg = StepperConfig(t_end=10.0, blowup_threshold=5.0, store_step_fields=True, **kw)
-        return g, p, evolve(make_reference_datum(g).B0, p, cfg)
+        return g, p, evolve(make_reference_datum(g).B0, p, cfg, keep)
 
     def test_sups_are_read_on_the_finest_nodes_and_dt_on_the_rung(self):
         g, p, run = self.blowup_run()
@@ -851,6 +851,47 @@ class TestGridLadder:
         assert len(sparse.coefs.base) != len(table)
         idx = np.searchsorted(every.times, sparse.times)
         assert sparse.coefs.tobytes() == every.coefs[idx].tobytes()
+
+    @pytest.mark.parametrize("case", ["fixed_dt_steps_down", "adaptive_climbs"])
+    def test_keep_takes_the_table_rows(self, case):
+        # a run given ``keep`` hands it each snapshot row at its rung's
+        # length, in order, which zero-padded is bitwise the table row of
+        # the run made without it; it holds no rows itself, and the rest of
+        # its result is the table run's
+        kept = []
+
+        def keep(t, c):
+            kept.append((t, c.copy()))
+
+        if case == "adaptive_climbs":
+            g, _, run = self.blowup_run(snapshot_cadence=3)
+            _, _, streamed = self.blowup_run(keep, snapshot_cadence=3)
+            assert np.all(np.diff(run.diagnostics["n_modes"]) >= 0)
+        else:
+            g = GridSpec(np.pi, 256)
+            p = ModelParams(kind="full", mu=1.0, alpha=1.5)
+            B0 = rough_datum(g, 1.0, seed=3)
+            # 315 steps at a cadence of 4: the last state is kept off the cadence
+            cfg = StepperConfig(dt_init=2.0**-10, t_end=315 * 2.0**-10, adaptive=False, snapshot_cadence=4)
+            run, streamed = evolve(B0, p, cfg), evolve(B0, p, cfg, keep)
+            assert np.all(np.diff(run.diagnostics["n_modes"]) <= 0)
+        times, rows = zip(*kept)
+        assert np.array_equal(times, run.times)
+        # each row on the rung its state steps from (the last state takes no step)
+        rung = run.diagnostics["n_modes"]
+        state = np.searchsorted(run.step_times, times)[:-1]
+        assert [row.size for row in rows[:-1]] == (rung[state] // 2 + 1).tolist()
+        assert len({row.size for row in rows}) > 1
+        assert padded(rows, g.n_modes // 2 + 1).tobytes() == run.coefs.tobytes()
+        assert streamed.times.shape == (0,) and streamed.coefs.shape == (0, g.n_modes // 2 + 1)
+        assert streamed.termination == run.termination
+        assert np.array_equal(streamed.step_times, run.step_times)
+        assert streamed.diagnostics.keys() == run.diagnostics.keys()
+        for key, col in run.diagnostics.items():
+            assert np.array_equal(streamed.diagnostics[key], col)
+        for mine, theirs in ((streamed.lam_b, run.lam_b), (streamed.lam_b_dot, run.lam_b_dot)):
+            assert (mine is None) == (theirs is None)
+            assert all(np.array_equal(x, y) for x, y in zip(mine or (), theirs or ()))
 
     def test_step_rows_are_read_only_rung_bands_of_the_states(self):
         g, p, run = self.blowup_run(snapshot_cadence=1)
