@@ -4,8 +4,9 @@ For B_t - Lambda B * B_x + Lambda B = 0 and a datum with B_x(x0) = 1,
 B_xx(x0) = 0 and w0 = Lambda B_x(x0) > 0, the quantity w = Lambda B_x
 transported along dX/dt = -Lambda B(X, t) obeys w' = w^2, so
 1/w(t) = 1/w0 - t and w blows up at T = 1/w0.  This module builds the
-reference datum exp(-x^4) sin(x), integrates the characteristic through a
-solver run, and fits/validates the Riccati law.
+reference datum exp(-x^4) sin(x), integrates the characteristic as a
+solver run steps (``Characteristic``, an observer of ``evolve``), and
+fits/validates the Riccati law.
 """
 
 from __future__ import annotations
@@ -63,17 +64,19 @@ class BlowupDatum:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A characteristic through a stored run, one read-only entry per step
-    boundary: its time t, position X, and B_x, B_xx and w = Lambda B_x at X."""
+    """A characteristic through a run, one read-only entry per step
+    boundary: its time t, position X, B_x, B_xx and w = Lambda B_x at X,
+    and sup_x |B_xx| of the state."""
 
     t: np.ndarray
     X: np.ndarray
     bx: np.ndarray
     bxx: np.ndarray
     w: np.ndarray
+    sup_bxx: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.t, self.X, self.bx, self.bxx, self.w):
+        for a in (self.t, self.X, self.bx, self.bxx, self.w, self.sup_bxx):
             a.flags.writeable = False
 
 
@@ -132,7 +135,9 @@ def run_blowup(
     cfl_safety: float = 0.45,
     scheme: str = "ifrk4",
 ) -> tuple[TimeSeries, BlowupDatum]:
-    """Evolve the blowup configuration, storing per-step fields for tracking.
+    """Evolve the blowup configuration with the characteristic from
+    ``datum.x0`` riding along: the run's ``observer`` is its
+    ``Characteristic``, which ``advect_trajectory`` reads.
 
     Stops once max|Lambda B_x| exceeds STOP_FACTOR * w0, comfortably past the
     Riccati fit window [1.25 w0, 10 w0] but before the discretized field
@@ -149,61 +154,76 @@ def run_blowup(
         cfl_safety=cfl_safety,
         t_end=1.1 / d.w0,
         blowup_threshold=STOP_FACTOR * d.w0,
-        store_step_fields=True,
         snapshot_cadence=10**9,
     )
-    return evolve(d.B0, params, cfg), d
+    return evolve(d.B0, params, cfg, Characteristic(d.B0.grid, d.x0)), d
+
+
+class Characteristic:
+    """The observer of ``evolve`` that integrates dX/dt = -Lambda B(X, t)
+    from ``x0`` as the run steps, and keeps no step rows.
+
+    Each state's Lambda B and d/dt Lambda B are multipliers of its c and
+    nonlinear term.  The pair of the previous state is all it keeps: when
+    state n + 1 arrives, it takes RK4 step n, with Lambda B at the
+    half-step from the cubic Hermite interpolation of the two pairs.  Then
+    it evaluates Lambda B, B_x, B_xx and w = Lambda B_x at the new X off
+    the grid (B_x = -H Lambda B, so every derivative is a diagonal
+    multiplier away), and sup_x |B_xx| from one inverse transform on
+    ``grid``, the run's finest.
+
+    Each off-grid sum runs only over the band of the ladder rung that made
+    its row, n/2 + 1 entries on a rung of n modes, and ``eval_trig`` reads
+    a row shorter than N/2 + 1 as zero-padded.  The Hermite midpoint of a
+    step takes the finer band of its two states: the end's on a climb, the
+    start's on a step down.  Only at a rung switch is the coarser pair
+    zero-padded to it.
+    """
+
+    def __init__(self, grid: GridSpec, x0: float):
+        self.grid, self.x0, self.X = grid, x0, x0
+        xi = grid.wavenumbers
+        m_bx = 1j * np.sign(xi)  # B_x = -H(Lambda B)
+        # rows: Lambda B, B_x, B_xx, Lambda B_x, all read off one phase table
+        self.mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
+        self.prev: tuple | None = None  # (t, Lambda B, d/dt Lambda B) of the last state
+        self.rows: list[tuple] = []  # (t, X, Lambda B, B_x, B_xx, w, sup|B_xx|) at each state
+
+    def __call__(self, t: float, ops, c: np.ndarray, nl: np.ndarray, last: bool) -> None:
+        grid, X = self.grid, self.X
+        lam_b = ops.absxi * c
+        lam_b_dot = ops.absxi * (nl - ops.lin * c)
+        if self.prev is not None:
+            t0, lam_b0, lam_b_dot0 = self.prev
+            dt = t - t0
+            vals, dots = (lam_b0, lam_b), (lam_b_dot0, lam_b_dot)
+            if lam_b0.size != lam_b.size:  # a rung switch: both rows of the pair on the finer band
+                size = max(lam_b0.size, lam_b.size)
+                vals, dots = ([np.pad(row, (0, size - row.size)) for row in pair] for pair in (vals, dots))
+            mid = hermite(vals, dots, 0, dt)
+            f1 = -self.rows[-1][2]  # Lambda B at X, from the last state's row
+            f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
+            f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
+            f4 = -eval_trig(grid, lam_b, X + dt * f3)[0]
+            X = self.X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        at_x = eval_trig(grid, self.mults[:, : lam_b.size] * lam_b, X)[:, 0]
+        sup_bxx = np.max(np.abs(grid.to_phys(self.mults[2, : lam_b.size] * lam_b)))
+        self.rows.append((t, X, *at_x, sup_bxx))
+        self.prev = (t, lam_b, lam_b_dot)
+
+    def trajectory(self) -> Trajectory:
+        t, X, _, bx, bxx, w, sup_bxx = map(np.array, zip(*self.rows))
+        return Trajectory(t=t, X=X, bx=bx, bxx=bxx, w=w, sup_bxx=sup_bxx)
 
 
 def advect_trajectory(run: TimeSeries, x0: float) -> Trajectory:
-    """Integrate dX/dt = -Lambda B(X, t) through a stored run.
-
-    Uses RK4 with the solver's accepted steps; Lambda B at the half-step
-    comes from cubic Hermite interpolation of the stored per-step fields.
-    The tracked pointwise quantities are evaluated off-grid from the stored
-    Lambda B coefficients (B_x = -H Lambda B, so every derivative is a
-    diagonal multiplier away).
-
-    Each off-grid sum runs only over the band of the ladder rung that made
-    its rows, which is the length of the stored row (``TimeSeries``), and
-    ``eval_trig`` reads a row shorter than N/2 + 1 as zero-padded.  The
-    Hermite midpoint of a step takes the finer band of its two rows: the
-    end's on a climb, the start's on a step down.  Only at a rung switch is
-    the coarser pair zero-padded to it.
-    """
-    if run.lam_b is None:
-        raise ValueError("run was made without store_step_fields")
-    grid = run.grid
-    xi = grid.wavenumbers
-    m_bx = 1j * np.sign(xi)  # B_x = -H(Lambda B)
-    # rows: Lambda B, B_x, B_xx, Lambda B_x, all read off one phase table
-    mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
-
-    times = run.step_times
-    lam_b, lam_b_dot = run.lam_b, run.lam_b_dot
-    Xs = np.empty(len(times))
-    vals = np.empty((len(mults), len(times)))  # one row per multiplier
-    X = x0
-    for n in range(len(times)):
-        Xs[n] = X
-        vals[:, n] = eval_trig(grid, mults[:, : lam_b[n].size] * lam_b[n], X)[:, 0]
-        if n == len(times) - 1:
-            break
-        dt = float(times[n + 1] - times[n])
-        end = lam_b[n + 1]
-        if lam_b[n].size == end.size:
-            mid = hermite(lam_b, lam_b_dot, n, dt)
-        else:  # a rung switch: both rows of the pair on the finer band
-            size = max(lam_b[n].size, end.size)
-            pairs = ([np.pad(row, (0, size - row.size)) for row in rows[n : n + 2]] for rows in (lam_b, lam_b_dot))
-            mid = hermite(*pairs, 0, dt)
-        f1 = -vals[0, n]
-        f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
-        f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
-        f4 = -eval_trig(grid, end, X + dt * f3)[0]
-        X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    _, bx, bxx, w = vals
-    return Trajectory(t=times.copy(), X=Xs, bx=bx, bxx=bxx, w=w)
+    """The characteristic from ``x0`` that ``run`` integrated as it stepped
+    (``Characteristic``); raises ``ValueError`` unless ``run`` is a
+    ``run_blowup`` run that tracked that start."""
+    ch = run.observer
+    if not isinstance(ch, Characteristic) or ch.x0 != x0:
+        raise ValueError(f"run did not track the characteristic from x0 = {x0}")
+    return ch.trajectory()
 
 
 def measure_blowup_time(traj: Trajectory, w0: float) -> tuple[float, float, float]:
@@ -236,16 +256,13 @@ class RiccatiReport:
 
 def riccati_invariant_report(run: TimeSeries, traj: Trajectory, t_max: float) -> RiccatiReport:
     """The two pointwise invariants w' = w^2 rests on, B_x(X, t) = 1 and
-    B_xx(X, t) = 0, along the trajectory up to t_max."""
+    B_xx(X, t) = 0, along the trajectory ``traj`` of ``run`` up to t_max;
+    B_xx is taken relative to the state's sup_x |B_xx|, a column of
+    ``traj``."""
     idx = np.flatnonzero(traj.t <= t_max)
-    # sup_x |B_xx| of each selected row at its rung's length: to_phys zero-pads it
-    xi = run.grid.wavenumbers
-    m_bxx = 1j * xi * (1j * np.sign(xi))
-    rows = (run.lam_b[n] for n in idx)
-    sup_bxx = np.array([np.max(np.abs(run.grid.to_phys(m_bxx[: r.size] * r))) for r in rows])
     return RiccatiReport(
         max_bx_defect=float(np.max(np.abs(traj.bx[idx] - 1.0))),
-        max_bxx_rel=float(np.max(np.abs(traj.bxx[idx]) / np.maximum(sup_bxx, 1e-300))),
+        max_bxx_rel=float(np.max(np.abs(traj.bxx[idx]) / np.maximum(traj.sup_bxx[idx], 1e-300))),
     )
 
 

@@ -52,7 +52,7 @@ from .blowup import (
 from .diagnostics import BLOCK, NormSeries, norm_block, rough_datum
 from .gates import Gate
 from .lp import cutoffs_for, lp_verdict, random_band_limited
-from .solver import ModelParams, StepperConfig, evolve, scaling_symmetry_verdict
+from .solver import ModelParams, StepperConfig, evolve, scaling_symmetry_verdict, snapshots
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -271,11 +271,11 @@ def _write_steps(out: Path, run) -> None:
 
 
 class _SnapshotStream:
-    """The ``keep`` of a ``run``'s ``evolve``: each snapshot row, zero-padded
-    to N/2 + 1 entries, goes into one reused block of ``BLOCK`` rows, and
-    each full block, and at the end the last partial one, gives its
-    ``norm_block`` columns and appends its frames to ``fh``, raw
-    little-endian float64, each ascending in x from -L.  The blocks are
+    """The ``keep`` of a ``run``'s ``snapshots`` observer: each snapshot
+    row, zero-padded to N/2 + 1 entries, goes into one reused block of
+    ``BLOCK`` rows, and each full block, and at the end the last partial
+    one, gives its ``norm_block`` columns and appends its frames to ``fh``,
+    raw little-endian float64, each ascending in x from -L.  The blocks are
     timed as the phase "snapshots"."""
 
     def __init__(self, grid: GridSpec, s_list, alpha: float, fh, clock: _PhaseClock) -> None:
@@ -312,7 +312,7 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     try:
         with part.open("wb") as fh:
             stream = _SnapshotStream(grid, cfg.diagnostics_s_list, cfg.model_alpha, fh, clock)
-            run = evolve(B0, cfg.model(), cfg.stepper(), keep=stream)
+            run = evolve(B0, cfg.model(), cfg.stepper(), snapshots(stream, cfg.outputs_snapshot_cadence))
             clock.done("evolve")
             _write_steps(out, run)
             steps = len(run.step_times) - 1
@@ -375,8 +375,7 @@ def cmd_blowup(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     # for any other cause, is a numerical abort with its cause recorded
     if run.termination != "blowup_threshold":
         return EXIT_NUMERICAL, record
-    traj = advect_trajectory(run, datum.x0)
-    clock.done("trajectory")
+    traj = advect_trajectory(run, datum.x0)  # integrated as the run stepped
     try:
         report, gates = riccati_verdict(run, datum, traj)
     except FitWindowError:

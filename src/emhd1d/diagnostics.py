@@ -24,7 +24,7 @@ import numpy as np
 
 from .lp import cutoffs_for, shell_spectrum
 from .solver import ModelParams, StepperConfig, TimeSeries, _ops, step
-from .spectral import DEALIAS_FRACTION, GridSpec, SpectralField
+from .spectral import DEALIAS_FRACTION, GridSpec, SpectralField, sobolev_weight
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,11 @@ def _norms(grid: GridSpec, coefs: np.ndarray, s: float, homogeneous: bool = True
 def norm_block(grid: GridSpec, block: np.ndarray, s_list, alpha: float) -> np.ndarray:
     """The (2, len(s_list), len(block)) norms of the rows of ``block``: for
     each s of ``s_list`` the inhomogeneous H^s norm, then the homogeneous
-    H^(s + alpha/2) norm."""
+    H^(s + alpha/2) norm, each from one squaring of ``block``."""
+    power, xi = np.abs(block) ** 2, grid.wavenumbers
     return np.sqrt([
-        [grid.sobolev_norm2(block, s, homogeneous=False) for s in s_list],
-        [grid.sobolev_norm2(block, s + 0.5 * alpha) for s in s_list],
+        [grid.power_sum(power, sobolev_weight(xi, s, homogeneous=False)) for s in s_list],
+        [grid.power_sum(power, sobolev_weight(xi, s + 0.5 * alpha)) for s in s_list],
     ])
 
 

@@ -72,6 +72,7 @@ its G is recorded but never stops it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
@@ -108,7 +109,6 @@ class StepperConfig:
     blowup_threshold: float = math.inf  # stop once max|Lambda B_x| exceeds it
     adaptive: bool = True
     snapshot_cadence: int = 1  # store a field snapshot every k-th step
-    store_step_fields: bool = False  # keep Lambda B (+ d/dt) at every step
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt_init) and math.isfinite(self.t_end)):
@@ -325,9 +325,10 @@ def hermite(vals, dots, n: "int | np.ndarray", dt: float) -> np.ndarray:
     """Cubic Hermite dense output at the midpoint t_n + dt / 2 of a step.
 
     ``vals[n]`` and ``dots[n]`` are a state and its time derivative at step
-    boundary n, rows of a table or of a ``RungRows``; the step from n to
-    n + 1 has length dt.  On a table, an index array ``n`` gives one row per
-    index, each bitwise the row its own index gives.
+    boundary n, rows of a table or the (start, end) pair of one step with
+    n = 0; the step from n to n + 1 has length dt.  On a table, an index
+    array ``n`` gives one row per index, each bitwise the row its own index
+    gives.
     """
     return 0.5 * vals[n] + 0.125 * dt * dots[n] + 0.5 * vals[n + 1] - 0.125 * dt * dots[n + 1]
 
@@ -340,6 +341,18 @@ class RungRows(tuple):
         return sum(row.nbytes for row in self)
 
 
+def snapshots(keep: Callable, cadence: int) -> Callable:
+    """The observer of ``evolve`` that calls ``keep(t, c)`` with every
+    ``cadence``-th state, the first included, and with the last state."""
+    count = itertools.count()
+
+    def observe(t: float, ops: _Ops, c: np.ndarray, nl: np.ndarray, last: bool) -> None:
+        if next(count) % cadence == 0 or last:
+            keep(t, c)
+
+    return observe
+
+
 @dataclass
 class TimeSeries:
     """Output of :func:`evolve`.
@@ -348,14 +361,11 @@ class TimeSeries:
     cadence (always including the initial and final states), and ``times``
     their times; both arrays are read-only and on the N grid.  From
     :func:`evolve`, ``coefs`` is a read-only view of the leading rows of a
-    table the run filled as it went, and a run that handed its snapshots
-    to a ``keep`` callable has no rows in either array (nor a ``final``).
-    When the run
-    was made with ``store_step_fields``, ``lam_b`` and ``lam_b_dot`` hold the
-    coefficients of Lambda B and d/dt Lambda B at every accepted step
-    boundary, each row the whole half of the ladder rung that made it, n/2 + 1
-    entries on a rung of n modes; together with ``step_times`` they give a
-    cubic-Hermite dense output for trajectory integration.
+    table the run filled as it went, and a run that handed its states to an
+    observer has no rows in either array (nor a ``final``); ``observer`` is
+    that observer, or None.  No run stores per-step fields: a consumer of
+    the states takes what it needs as they pass, and ``lam_b`` and
+    ``lam_b_dot`` are empty.
     """
 
     grid: GridSpec
@@ -366,14 +376,12 @@ class TimeSeries:
     step_times: np.ndarray
     diagnostics: dict[str, np.ndarray]
     termination: str
-    lam_b: RungRows | None = None
-    lam_b_dot: RungRows | None = None
+    observer: Callable | None = None
+    lam_b = lam_b_dot = RungRows()  # class attributes, not fields: always empty
 
     def __post_init__(self) -> None:
         self.times.flags.writeable = False
         self.coefs.flags.writeable = False
-        for row in (self.lam_b or ()) + (self.lam_b_dot or ()):
-            row.flags.writeable = False
 
     @property
     def final(self) -> SpectralField:
@@ -381,7 +389,7 @@ class TimeSeries:
 
 
 def evolve(
-    B0: SpectralField, params: ModelParams, cfg: StepperConfig, keep: Callable | None = None
+    B0: SpectralField, params: ModelParams, cfg: StepperConfig, observe: Callable | None = None
 ) -> TimeSeries:
     """Run until t_end, the blowup threshold, CFL collapse, a non-finite
     field, an ill-posed transport run, or ``MAX_STEPS``; the cause is
@@ -399,17 +407,21 @@ def evolve(
 
     Every run, fixed-dt or adaptive, steps on the grid ladder (module
     docstring): each state is on the rung the ladder's rule picks for it,
-    and snapshot n is the state step n starts from, on that rung.  Each
-    snapshot row is written once, zero-padded from its rung's n/2 + 1
-    entries, into one zero table on ``B0.grid``, and ``coefs`` is a
-    read-only view of the rows written.  A fixed-dt run sizes the table
-    from its step count, up to ``TABLE_BUDGET`` bytes; an adaptive one
-    starts at two rows.  Either doubles the table when it is full.
+    and step n starts from state n, on that rung.  Every accepted state,
+    the last included, goes in order to one observer,
+    ``observe(t, ops, c, nl, last)``: its time, its rung's ``_Ops``, its
+    coefficients c and nonlinear term nl, each n/2 + 1 entries on a rung of
+    n modes, and whether it is the run's last state.  c and nl are
+    read-only, as the run steps on from them.
 
-    Given ``keep``, the run holds no table: it calls ``keep(t, c)`` with
-    each snapshot's time and its row c of n/2 + 1 entries on its rung, in
-    order, and the result's ``times`` and ``coefs`` have no rows.  The
-    run steps on from c, so ``keep`` must not write to it.
+    Without ``observe``, the run's own observer is ``snapshots`` at the
+    config's cadence into one zero table on ``B0.grid``: each snapshot row
+    is written once, zero-padded from its rung's entries, and ``coefs`` is
+    a read-only view of the rows written.  A fixed-dt run sizes the table
+    from its step count, up to ``TABLE_BUDGET`` bytes; an adaptive one
+    starts at two rows.  Either doubles the table when it is full.  Given
+    ``observe``, the run holds no table, and the result's ``times`` and
+    ``coefs`` have no rows.
     """
     grid = B0.grid
     half = grid.n_modes // 2 + 1
@@ -425,8 +437,9 @@ def evolve(
     dispersive = params.kind == "full"
     t = gain = 0.0
 
-    times: list[float] = []  # of every snapshot, kept in the table or not
-    if keep is None:
+    times: list[float] = []  # of the snapshots in the table
+    observer = observe
+    if observer is None:
         # from np.zeros, so the pages of rows never written are never touched
         rows = 2 if cfg.adaptive else min(math.ceil(cfg.t_end / cfg.dt_init), MAX_STEPS) // cfg.snapshot_cadence + 2
         capacity = max(2, min(rows, TABLE_BUDGET // (16 * half)))  # 16 bytes a complex entry
@@ -439,6 +452,9 @@ def evolve(
                 grown[: len(table)] = table
                 table = grown
             table[len(times), : c.size] = c
+            times.append(t)
+
+        observer = snapshots(keep, cfg.snapshot_cadence)
     else:
         table = np.zeros((0, half), dtype=complex)
 
@@ -448,14 +464,12 @@ def evolve(
     # from 60.7 to 64.7 MB peak RSS
     keys = ("dt", "bound", "sup_lam_b", "sup_lam_bx", "max_lam_bx", "n_modes", "a", "gamma", "G")
     per_step: list[tuple] = []
-    lam_b_store: list[np.ndarray] = []
-    lam_b_dot_store: list[np.ndarray] = []
 
     n = 0
     while True:
         # every accepted state, the last one included, passes through here
-        # once: its rung, its snapshot, its nonlinear term, its CFL sups, its
-        # stored fields and the stop checks
+        # once: its rung, its nonlinear term, its CFL sups, the stop checks
+        # and the observer
         cap = LADDER_TAIL * np.vdot(c, c).real
         if rung and _tail_exceeds(c, ladder[rung].tail, cap):
             rung -= 1
@@ -467,9 +481,6 @@ def evolve(
                 # the cut leaves the rung's Nyquist entry 0, as every finite step does
                 c = np.append(c[: ladder[rung].xi.size - 1], 0.0)
         ops = ladder[rung]
-        if n % cfg.snapshot_cadence == 0:
-            keep(t, c)
-            times.append(t)
         # one stack on the finest nodes: rows 0-3 are B_x, Lambda B,
         # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
         # node, a node of the rung n, its rows give the state's nonlinear term
@@ -479,32 +490,28 @@ def evolve(
         rate, bound = float(rates.max()), int(rates.argmax())
         nl = ops.form(phys[:, :: grid.n_modes // ops.grid.n_modes])
         a, max_lam_bx = phys[0:3:2].max(axis=-1).tolist()  # max B_x and max Lambda B_x
-        # freed now, its memory serves the step and the next state's
-        # transform (kept, it cost ~1 MB of peak RSS at N = 4096)
+        # freed now, its memory serves the observer, the step and the next
+        # state's transform (kept, it cost ~1 MB of peak RSS at N = 4096)
         del phys
-        if cfg.store_step_fields:
-            lam_b_store.append(ops.absxi * c)
-            lam_b_dot_store.append(ops.absxi * (nl - ops.lin * c))
-
-        if not math.isfinite(rate):
-            termination = "non_finite"
-            break
-        if params.kind == "transport" and gain > ILL_POSED_GAIN:
-            termination = "ill_posed"
-            break
-        if sups[1] > cfg.blowup_threshold:
-            termination = "blowup_threshold"
-            break
-        if t >= cfg.t_end - 1e-14:
-            termination = "t_end"
-            break
-        if n >= MAX_STEPS:
-            termination = "max_steps"
-            break
 
         dt = min(cfg.cfl_safety / rate, cfg.dt_init * 1e6) if cfg.adaptive and rate > 0 else cfg.dt_init
-        if dt < 1e-12:
+        if not math.isfinite(rate):
+            termination = "non_finite"
+        elif params.kind == "transport" and gain > ILL_POSED_GAIN:
+            termination = "ill_posed"
+        elif sups[1] > cfg.blowup_threshold:
+            termination = "blowup_threshold"
+        elif t >= cfg.t_end - 1e-14:
+            termination = "t_end"
+        elif n >= MAX_STEPS:
+            termination = "max_steps"
+        elif dt < 1e-12:
             termination = "cfl_collapse"
+        else:
+            termination = None
+        c.flags.writeable = nl.flags.writeable = False
+        observer(t, ops, c, nl, termination is not None)
+        if termination is not None:
             break
         dt = min(dt, cfg.t_end - t)
 
@@ -517,21 +524,17 @@ def evolve(
         per_step.append((dt, bound, sups[0], sups[1], max_lam_bx, ops.grid.n_modes, a, gamma, gain))
         step_times.append(t)
 
-    if times[-1] != t:
-        keep(t, c)
-        times.append(t)
     columns = zip(*per_step) if per_step else [()] * len(keys)
     return TimeSeries(
         grid=grid,
         params=params,
         config=cfg,
-        times=np.array(times[: len(table)]),  # none when ``keep`` took the rows
+        times=np.array(times),
         coefs=table[: len(times)],
         step_times=np.array(step_times),
         diagnostics=dict(zip(keys, map(np.array, columns))),
         termination=termination,
-        lam_b=RungRows(lam_b_store) if cfg.store_step_fields else None,
-        lam_b_dot=RungRows(lam_b_dot_store) if cfg.store_step_fields else None,
+        observer=observe,
     )
 
 

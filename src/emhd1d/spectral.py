@@ -141,8 +141,13 @@ class GridSpec:
     def norm2(self, coef: np.ndarray, weight: "float | np.ndarray" = 1.0) -> np.ndarray:
         """Weighted squared L2 norm 2L sum_k weight_k |coef_k|^2 over the
         full spectrum, along the last axis (Plancherel)."""
+        return self.power_sum(np.abs(coef) ** 2, weight)
+
+    def power_sum(self, power: np.ndarray, weight: "float | np.ndarray" = 1.0) -> np.ndarray:
+        """``norm2`` from ``power`` = |coef_k|^2, so that many weights can
+        share one squaring."""
         w = self._pair_weight * weight
-        return 2.0 * self.half_length * np.sum(w * np.abs(coef) ** 2, axis=-1)
+        return 2.0 * self.half_length * np.sum(w * power, axis=-1)
 
     def sobolev_norm2(self, coef: np.ndarray, s: float, homogeneous: bool = True) -> np.ndarray:
         """Squared H^s norms along the last axis: ``norm2`` weighted by

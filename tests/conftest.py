@@ -22,6 +22,24 @@ def padded(rows, half):
     return out
 
 
+class Recorder:
+    """An observer of ``evolve`` that records every state it is handed: its
+    time, c and nonlinear term nl at its rung's length, the ``last`` flag,
+    and the rows Lambda B = |xi| c and d/dt Lambda B = |xi| (nl - lin c)
+    that a characteristic reads."""
+
+    def __init__(self):
+        self.t, self.c, self.nl, self.last, self.lam_b, self.lam_b_dot = [], [], [], [], [], []
+
+    def __call__(self, t, ops, c, nl, last):
+        self.t.append(t)
+        self.c.append(c)
+        self.nl.append(nl)
+        self.last.append(last)
+        self.lam_b.append(ops.absxi * c)
+        self.lam_b_dot.append(ops.absxi * (nl - ops.lin * c))
+
+
 @pytest.fixture
 def smoothing_run():
     """Factory for the smoothing-rate runs: a fixed-dt (2e-5) full-model run

@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import padded
+from conftest import Recorder, padded
 
 from emhd1d import blowup
 from emhd1d.blowup import (
     BlowupDatum,
+    Characteristic,
     DatumError,
     FitWindowError,
     Trajectory,
@@ -166,7 +167,7 @@ class TestTrajectory:
         run, _, traj = run_and_states
         assert np.array_equal(traj.t, run.step_times)
         assert not np.shares_memory(traj.t, run.step_times)
-        for col in (traj.t, traj.X, traj.bx, traj.bxx, traj.w):
+        for col in (traj.t, traj.X, traj.bx, traj.bxx, traj.w, traj.sup_bxx):
             assert col.shape == run.step_times.shape
             with pytest.raises(ValueError):
                 col[0] = 0.0
@@ -174,19 +175,25 @@ class TestTrajectory:
     @pytest.mark.parametrize("start", ["x0", "off_symmetry"])
     def test_matches_full_band_reference(self, run_and_states, start):
         # rows from the coarse rungs are summed over their band only; the
-        # reference pads every row and sums it over all N/2 + 1 modes
+        # reference pads every row and sums it over all N/2 + 1 modes; it
+        # reads the rows a recorder takes from the same run, made again
         run, d, traj = run_and_states
+        rec = Recorder()
+        evolve(d.B0, run.params, run.config, rec)
+        assert np.array_equal(rec.t, run.step_times)
         rung = run.diagnostics["n_modes"]
         assert len(set(rung)) > 1  # the run used a ladder
         # a coarse rung's rows are its whole half, n/2 + 1 entries, and what
         # the first state, a coarse rung's, holds from its Nyquist entry up
         # is exactly zero
         for n in np.flatnonzero(rung < run.grid.n_modes):
-            assert run.lam_b[n].size == run.lam_b_dot[n].size == rung[n] // 2 + 1
-        assert rung[0] < run.grid.n_modes and not np.any(run.coefs[0, rung[0] // 2 :])
+            assert rec.lam_b[n].size == rec.lam_b_dot[n].size == rung[n] // 2 + 1
+        assert rung[0] < run.grid.n_modes and not np.any(rec.c[0][rung[0] // 2 :])
         if start == "off_symmetry":
-            traj = advect_trajectory(run, 1.3)
-        X, (_, bx, bxx, w) = full_band_trajectory(run, traj.X[0])
+            ch = Characteristic(run.grid, 1.3)
+            evolve(d.B0, run.params, run.config, ch)
+            traj = ch.trajectory()
+        X, (_, bx, bxx, w) = full_band_trajectory(run.grid, rec, traj.X[0])
         assert np.max(np.abs(traj.w - w) / np.abs(w)) <= 1e-12
         assert np.max(np.abs(traj.X - X)) <= 1e-12
         assert np.max(np.abs(traj.bx - bx)) <= 1e-12
@@ -200,20 +207,42 @@ class TestTrajectory:
         from emhd1d.solver import ModelParams, StepperConfig, evolve
 
         g = GridSpec(np.pi, 512)
-        cfg = StepperConfig(dt_init=1e-4, t_end=0.05, adaptive=False, store_step_fields=True)
-        run = evolve(rough_datum(g, 1.0, 0.05, 3), ModelParams(kind="transport", mu=1.0, alpha=2.0), cfg)
+        cfg = StepperConfig(dt_init=1e-4, t_end=0.05, adaptive=False)
+        B0, p = rough_datum(g, 1.0, 0.05, 3), ModelParams(kind="transport", mu=1.0, alpha=2.0)
+        rec = Recorder()
+        run = evolve(B0, p, cfg, rec)
         rung = run.diagnostics["n_modes"]
         assert run.termination == "t_end"
         assert sorted(set(rung.tolist())) == [128, 256, 512] and np.all(np.diff(rung) <= 0)
         for x0 in (0.0, 1.3):
-            traj = advect_trajectory(run, x0)
-            X, (_, bx, bxx, w) = full_band_trajectory(run, x0)
+            ch = Characteristic(g, x0)
+            evolve(B0, p, cfg, ch)
+            traj = ch.trajectory()
+            X, (_, bx, bxx, w) = full_band_trajectory(g, rec, x0)
             assert np.max(np.abs(traj.w - w) / np.abs(w)) <= 1e-12
             assert np.max(np.abs(traj.X - X)) <= 1e-12
             assert np.max(np.abs(traj.bx - bx)) <= 1e-12
             assert np.max(np.abs(traj.bxx - bxx)) <= 1e-12
 
-    def test_requires_stored_fields(self, grid, datum):
+    def test_pipeline_keeps_no_step_rows(self, traced_peak):
+        # run_blowup, advect_trajectory and riccati_verdict at N = 4096 trace
+        # a 0.75 MB peak, and the 1 MB bound leaves 1.34x of margin; with
+        # Lambda B and d/dt Lambda B stored at each of the 178 states, the
+        # same calls traced 9.9 MB
+        g = GridSpec(6.0, 4096)
+        d = make_reference_datum(g)
+
+        def pipeline():
+            run, _ = run_blowup(g, datum=d)
+            return riccati_verdict(run, d, advect_trajectory(run, d.x0))
+
+        (_, gates), peak = traced_peak(pipeline)
+        assert [gate.name for gate in gates if not gate.passed] == []
+        assert peak <= 1.0e6
+
+    def test_requires_the_tracked_characteristic(self, grid, datum, run_and_states):
+        # a run made without a characteristic has none to return, and a
+        # blowup run has only the one from its datum's x0
         from emhd1d.solver import ModelParams, StepperConfig, evolve
 
         run = evolve(
@@ -223,6 +252,9 @@ class TestTrajectory:
         )
         with pytest.raises(ValueError):
             advect_trajectory(run, 0.0)
+        blown, d, _ = run_and_states
+        with pytest.raises(ValueError):
+            advect_trajectory(blown, d.x0 + 1.3)
 
 
 def full_band_trig(grid, rows, x):
@@ -236,16 +268,15 @@ def full_band_trig(grid, rows, x):
     return np.real(rows @ (weight * np.exp(1j * grid.wavenumbers * xa)))
 
 
-def full_band_trajectory(run, x0):
-    """advect_trajectory's RK4 and Hermite midpoints with every row padded to
-    and every sum over all N/2 + 1 modes; returns X and the rows Lambda B,
-    B_x, B_xx, w at X."""
-    grid = run.grid
+def full_band_trajectory(grid, rec, x0):
+    """Characteristic's RK4 and Hermite midpoints through the rows of a
+    ``Recorder``, with every row padded to and every sum over all N/2 + 1
+    modes of ``grid``; returns X and the rows Lambda B, B_x, B_xx, w at X."""
     xi = grid.wavenumbers
-    lam_b, lam_b_dot = padded(run.lam_b, xi.size), padded(run.lam_b_dot, xi.size)
+    lam_b, lam_b_dot = padded(rec.lam_b, xi.size), padded(rec.lam_b_dot, xi.size)
     m_bx = 1j * np.sign(xi)
     mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
-    times = run.step_times
+    times = np.array(rec.t)
     X, Xs, vals = x0, [], []
     for n in range(len(times)):
         Xs.append(X)
@@ -272,7 +303,7 @@ class TestFit:
 
     def test_empty_window_raises(self):
         zeros, ones = np.zeros(5), np.ones(5)
-        traj = Trajectory(t=zeros, X=zeros.copy(), bx=ones, bxx=zeros.copy(), w=ones.copy())
+        traj = Trajectory(t=zeros, X=zeros.copy(), bx=ones, bxx=zeros.copy(), w=ones.copy(), sup_bxx=ones.copy())
         with pytest.raises(FitWindowError):
             measure_blowup_time(traj, w0=100.0)
 
@@ -281,7 +312,9 @@ class TestFit:
         w0 = 2.0
         ts = np.linspace(0.0, 0.45, 200)
         zeros = np.zeros_like(ts)
-        traj = Trajectory(t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w0 / (1.0 - w0 * ts))
+        traj = Trajectory(
+            t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w0 / (1.0 - w0 * ts), sup_bxx=np.ones_like(ts)
+        )
         t_est, slope, resid = measure_blowup_time(traj, w0)
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert t_est == pytest.approx(0.5, rel=1e-12)
@@ -294,7 +327,7 @@ class TestFit:
         ts = np.array([0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.95, 1.0, 1.1, 1.2])
         w = np.concatenate((w0 / (1.0 - w0 * ts[:8]), [8.0, 4.0, 2.0]))
         zeros = np.zeros_like(ts)
-        traj = Trajectory(t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w)
+        traj = Trajectory(t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w, sup_bxx=np.ones_like(ts))
         t_est, slope, resid = measure_blowup_time(traj, w0)
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert t_est == pytest.approx(1.0 / w0, rel=1e-12)
@@ -306,7 +339,7 @@ class TestFit:
         ts = np.linspace(0.0, 0.7, 8)
         w = np.array([1.0, 1.5, 2.0, 20.0, 5.0, 4.0, 3.0, 2.0])
         zeros = np.zeros_like(ts)
-        traj = Trajectory(t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w)
+        traj = Trajectory(t=ts, X=zeros, bx=np.ones_like(ts), bxx=zeros.copy(), w=w, sup_bxx=np.ones_like(ts))
         with pytest.raises(FitWindowError, match="fewer than 3"):
             measure_blowup_time(traj, w0=1.0)
 
@@ -372,8 +405,13 @@ class TestInvariants:
 
     def test_bxx_ratio_matches_row_by_row_sup(self, run_and_states):
         # the report's ratio is the one that each selected row's sup|B_xx|,
-        # from a transform of that row alone, gives
+        # from a transform of that row alone, gives; the rows are a
+        # recorder's, from the same run made again, and the trajectory's
+        # sup|B_xx| column is that sup at every state
         run, d, traj = run_and_states
+        rec = Recorder()
+        evolve(d.B0, run.params, run.config, rec)
+        assert np.array_equal(rec.t, run.step_times)
         t_max = 0.8 / d.w0
         rep = riccati_invariant_report(run, traj, t_max=t_max)
         absxi = np.abs(run.grid.wavenumbers)
@@ -381,9 +419,10 @@ class TestInvariants:
         def sup_bxx(row):  # to_phys reads the rung-sized row as zero-padded
             return float(np.max(np.abs(run.grid.to_phys(-absxi[: row.size] * row))))
 
-        ratios = [abs(traj.bxx[n]) / max(sup_bxx(run.lam_b[n]), 1e-300) for n in np.flatnonzero(traj.t <= t_max)]
+        ratios = [abs(traj.bxx[n]) / max(sup_bxx(rec.lam_b[n]), 1e-300) for n in np.flatnonzero(traj.t <= t_max)]
         assert len(ratios) > 32
         assert rep.max_bxx_rel == max(ratios)
+        assert traj.sup_bxx.tolist() == [sup_bxx(row) for row in rec.lam_b]
 
 
 def rel_t_err(grid, datum, scheme="ifrk4"):

@@ -542,14 +542,14 @@ class TestCommands:
         part = tmp_path / "out" / "snapshots.bin.part"
         streamed = []
 
-        def evolve_then_fail(B0, params, cfg, keep):
-            def keep_or_fail(t, c):
+        def evolve_then_fail(B0, params, cfg, observe):
+            def observe_or_fail(*state):  # a snapshot at every state
                 if len(streamed) == 40:
                     raise MemoryError("Unable to allocate 1. GiB")
-                keep(t, c)
+                observe(*state)
                 streamed.append(part.stat().st_size)
 
-            return evolve(B0, params, cfg, keep_or_fail)
+            return evolve(B0, params, cfg, observe_or_fail)
 
         monkeypatch.setattr(cli, "evolve", evolve_then_fail)
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
@@ -815,11 +815,11 @@ class TestCommands:
                 EXIT_OK,
                 "blowup_threshold",
                 {"termination", "steps", "ladder", "report", "gates"},
-                ["evolve", "trajectory", "report"],
+                ["evolve", "report"],
             ),
             (
                 "blowup", fit_window_missed, EXIT_NUMERICAL, "fit_window", {"termination", "steps", "ladder"},
-                ["evolve", "trajectory"],
+                ["evolve"],
             ),
             (
                 "symmetry", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, None, {"rel_l2_mismatch", "gates"},
@@ -839,7 +839,8 @@ class TestCommands:
     ):
         # wall_s holds the wall seconds of each phase that ran on the exit
         # path; "snapshots" is the time in the norm and frame blocks a run
-        # streams, and these failing runs keep too few snapshots to fill one
+        # streams, and these failing runs keep too few snapshots to fill
+        # one; a blowup's characteristic is integrated inside "evolve"
         p = setup(tmp_path, monkeypatch)
         out = tmp_path / "o"
         with np.errstate(over="ignore", invalid="ignore"):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import padded, small_datum
+from conftest import Recorder, padded, small_datum
 
 from emhd1d import solver
 from emhd1d.diagnostics import rough_datum
@@ -21,6 +21,7 @@ from emhd1d.solver import (
     picard_solve,
     rhs,
     scaling_symmetry_mismatch,
+    snapshots,
     step,
 )
 from emhd1d.spectral import GridSpec, SpectralField, remove_mean, sobolev_weight
@@ -451,12 +452,14 @@ class TestEvolve:
                 run = evolve(wild, p, replace(fixed, scheme=scheme))
             assert run.termination == "non_finite" and np.all(run.coefs[:, 0] == 0.0)
             assert np.all(run.diagnostics["n_modes"] == grid.n_modes)
-            # 35 steps on the rungs 32 to 128
-            ladder = evolve(B0, p, StepperConfig(scheme=scheme, t_end=1.0, store_step_fields=True))
+            # 35 steps on the rungs 32 to 128; every state the observer is
+            # handed, its Lambda B and d/dt Lambda B hold c[0] = 0
+            rec = Recorder()
+            ladder = evolve(B0, p, StepperConfig(scheme=scheme, t_end=1.0), rec)
             rungs = ladder.diagnostics["n_modes"]
             assert rungs[0] < grid.n_modes and len(rungs) > 10
-            assert np.all(ladder.coefs[:, 0] == 0.0)
-            assert all(row[0] == 0.0 for row in ladder.lam_b + ladder.lam_b_dot)
+            assert len(rec.c) == len(ladder.step_times)
+            assert all(row[0] == 0.0 for row in rec.c + rec.nl + rec.lam_b + rec.lam_b_dot)
             pic = picard_solve(B0, ModelParams(kind="full", mu=1.0, alpha=2.0), replace(fixed, scheme=scheme))
             assert np.all(pic.series.coefs[:, 0] == 0.0)
 
@@ -578,25 +581,28 @@ class TestEvolve:
         assert len(grown.coefs.base) == 24 and len(whole.coefs.base) == 22
         assert np.array_equal(grown.coefs, whole.coefs) and np.array_equal(grown.times, whole.times)
 
-    def test_store_step_fields_shapes(self, grid):
+    def test_observed_rows_shapes(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-        cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False, store_step_fields=True)
-        run = evolve(small_datum(grid), p, cfg)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False)
+        rec = Recorder()
+        run = evolve(small_datum(grid), p, cfg, rec)
         n = len(run.step_times)
         # a fixed-dt run steps on the ladder as well: this one on the rungs
-        # 32 and then 64, where it ends, so each row holds its rung's whole
-        # half, n/2 + 1 entries on a rung of n modes
+        # 32 and then 64, where it ends, so each state the observer is
+        # handed holds its rung's whole half, n/2 + 1 entries on a rung of
+        # n modes, and so do its Lambda B and d/dt Lambda B
         rung = run.diagnostics["n_modes"]
         assert rung[0] < rung[-1] < grid.n_modes
         band = (rung // 2 + 1).tolist() + [rung[-1] // 2 + 1]
-        for rows in (run.lam_b, run.lam_b_dot):
+        for rows in (rec.c, rec.nl, rec.lam_b, rec.lam_b_dot):
             assert len(rows) == n
             assert [row.shape for row in rows] == [(k,) for k in band]
 
     @pytest.mark.parametrize("cause", ["t_end", "max_steps", "blowup_threshold", "cfl_collapse"])
     def test_stored_fields_cover_every_state(self, monkeypatch, cause):
-        """One stored row per accepted state, the last included, whatever
-        stopped the run; row n is Lambda B and Lambda dB/dt of state n."""
+        """The observer is handed every accepted state, the last included
+        and flagged last, whatever stopped the run; the Lambda B and
+        Lambda dB/dt it forms from state n are those of state n."""
         if cause == "blowup_threshold":
             g = GridSpec(6.0, 512)
             B0 = remove_mean(SpectralField.from_function(g, lambda x: np.exp(-(x**4)) * np.sin(x)))
@@ -615,15 +621,19 @@ class TestEvolve:
             cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False)
             if cause == "max_steps":
                 monkeypatch.setattr(solver, "MAX_STEPS", 4)
-        run = evolve(B0, p, replace(cfg, store_step_fields=True, snapshot_cadence=1))
-        assert run.termination == cause
-        assert len(run.lam_b) == len(run.lam_b_dot) == len(run.step_times)
-        assert np.array_equal(run.times, run.step_times)
+        cfg = replace(cfg, snapshot_cadence=1)
+        rec = Recorder()
+        run, observed = evolve(B0, p, cfg), evolve(B0, p, cfg, rec)
+        assert run.termination == observed.termination == cause
+        assert len(rec.lam_b) == len(rec.lam_b_dot) == len(run.step_times)
+        assert np.array_equal(run.times, run.step_times) and np.array_equal(rec.t, run.step_times)
+        assert rec.last == [False] * (len(rec.t) - 1) + [True]
         absxi = np.abs(g.wavenumbers)
         half = g.n_modes // 2 + 1
-        lam_b, lam_b_dot = padded(run.lam_b, half), padded(run.lam_b_dot, half)
+        assert padded(rec.c, half).tobytes() == run.coefs.tobytes()
+        lam_b, lam_b_dot = padded(rec.lam_b, half), padded(rec.lam_b_dot, half)
         for n, c in enumerate(run.coefs):
-            assert run.lam_b_dot[n].size == run.lam_b[n].size
+            assert rec.lam_b_dot[n].size == rec.lam_b[n].size
             assert np.array_equal(lam_b[n], absxi * c)
             dot = absxi * rhs(SpectralField.from_coef(g, c), p).coef
             assert np.allclose(lam_b_dot[n], dot, rtol=0.0, atol=1e-13 * np.max(np.abs(dot)))
@@ -767,26 +777,28 @@ class TestGridLadder:
     takes its scale from the rung the step is taken on."""
 
     @staticmethod
-    def blowup_run(keep=None, **kw):
+    def blowup_run(observe=None, **kw):
         # the reference blowup datum at N = 2048 starts on the N = 512 rung
         from emhd1d.blowup import make_reference_datum
 
         g = GridSpec(6.0, 2048)
         p = ModelParams(kind="transport", mu=1.0, alpha=1.0)
-        cfg = StepperConfig(t_end=10.0, blowup_threshold=5.0, store_step_fields=True, **kw)
-        return g, p, evolve(make_reference_datum(g).B0, p, cfg, keep)
+        cfg = StepperConfig(t_end=10.0, blowup_threshold=5.0, **kw)
+        return g, p, evolve(make_reference_datum(g).B0, p, cfg, observe)
 
     def test_sups_are_read_on_the_finest_nodes_and_dt_on_the_rung(self):
-        g, p, run = self.blowup_run()
+        rec = Recorder()
+        g, p, run = self.blowup_run(rec)
         assert run.termination == "blowup_threshold"
         rungs = run.diagnostics["n_modes"]
         assert rungs[0] < g.n_modes and rungs[-1] == g.n_modes
         assert np.all(np.diff(rungs) >= 0)
         ops = _ops(g, p)
         steps = len(rungs)
+        coefs = padded(rec.c, g.n_modes // 2 + 1)
         for n in range(steps):
-            assert run.diagnostics["sup_lam_b"][n] == np.max(np.abs(g.to_phys(run.lam_b[n])))
-            assert run.diagnostics["sup_lam_bx"][n] == np.max(np.abs(g.to_phys(ops.rows[2] * run.coefs[n])))
+            assert run.diagnostics["sup_lam_b"][n] == np.max(np.abs(g.to_phys(rec.lam_b[n])))
+            assert run.diagnostics["sup_lam_bx"][n] == np.max(np.abs(g.to_phys(ops.rows[2] * coefs[n])))
         d = run.diagnostics
         rung_dx = np.array([GridSpec(6.0, int(m)).dx for m in rungs])
         bound = 0.5 / np.maximum(d["sup_lam_b"] / rung_dx, d["sup_lam_bx"])
@@ -812,20 +824,22 @@ class TestGridLadder:
 
     def test_rows_are_padded_to_the_finest_grid(self):
         # a snapshot row made on a coarse rung is padded to N/2 + 1 and holds
-        # no mode above that rung's band; the step rows keep that band only
+        # no mode above that rung's band; the observed rows keep that band only
         g, p, run = self.blowup_run(snapshot_cadence=1)
+        rec = Recorder()
+        self.blowup_run(rec)
         half = g.n_modes // 2 + 1
         assert run.coefs.shape == (len(run.step_times), half)
-        assert len(run.lam_b) == len(run.lam_b_dot) == len(run.step_times)
+        assert len(rec.lam_b) == len(rec.lam_b_dot) == len(run.step_times)
         band = self.bands(g, run)
-        assert [row.size for row in run.lam_b] == [row.size for row in run.lam_b_dot] == band
+        assert [row.size for row in rec.lam_b] == [row.size for row in rec.lam_b_dot] == band
         first = int(run.diagnostics["n_modes"][0])
         assert first < g.n_modes
         assert np.all(run.coefs[0, first // 2 :] == 0.0) and np.any(run.coefs[0, : first // 2] != 0.0)
         for n, k in enumerate(band):
             assert not np.any(run.coefs[n, k:])
             if k < half:  # a coarse rung's Nyquist entry stays exactly 0
-                assert run.coefs[n, k - 1] == run.lam_b[n][-1] == run.lam_b_dot[n][-1] == 0.0
+                assert run.coefs[n, k - 1] == rec.lam_b[n][-1] == rec.lam_b_dot[n][-1] == 0.0
 
     def test_adaptive_table_doubles_and_pads_each_row(self, traced_peak):
         # an adaptive run starts with a two-row table and doubles it when it
@@ -854,10 +868,11 @@ class TestGridLadder:
 
     @pytest.mark.parametrize("case", ["fixed_dt_steps_down", "adaptive_climbs"])
     def test_keep_takes_the_table_rows(self, case):
-        # a run given ``keep`` hands it each snapshot row at its rung's
-        # length, in order, which zero-padded is bitwise the table row of
-        # the run made without it; it holds no rows itself, and the rest of
-        # its result is the table run's
+        # a run given the observer ``snapshots(keep, cadence)`` hands
+        # ``keep`` each snapshot row at its rung's length, in order, which
+        # zero-padded is bitwise the table row of the run made without it;
+        # it holds no rows itself, and the rest of its result is the table
+        # run's
         kept = []
 
         def keep(t, c):
@@ -865,7 +880,7 @@ class TestGridLadder:
 
         if case == "adaptive_climbs":
             g, _, run = self.blowup_run(snapshot_cadence=3)
-            _, _, streamed = self.blowup_run(keep, snapshot_cadence=3)
+            _, _, streamed = self.blowup_run(snapshots(keep, 3), snapshot_cadence=3)
             assert np.all(np.diff(run.diagnostics["n_modes"]) >= 0)
         else:
             g = GridSpec(np.pi, 256)
@@ -873,7 +888,7 @@ class TestGridLadder:
             B0 = rough_datum(g, 1.0, seed=3)
             # 315 steps at a cadence of 4: the last state is kept off the cadence
             cfg = StepperConfig(dt_init=2.0**-10, t_end=315 * 2.0**-10, adaptive=False, snapshot_cadence=4)
-            run, streamed = evolve(B0, p, cfg), evolve(B0, p, cfg, keep)
+            run, streamed = evolve(B0, p, cfg), evolve(B0, p, cfg, snapshots(keep, 4))
             assert np.all(np.diff(run.diagnostics["n_modes"]) <= 0)
         times, rows = zip(*kept)
         assert np.array_equal(times, run.times)
@@ -889,23 +904,25 @@ class TestGridLadder:
         assert streamed.diagnostics.keys() == run.diagnostics.keys()
         for key, col in run.diagnostics.items():
             assert np.array_equal(streamed.diagnostics[key], col)
-        for mine, theirs in ((streamed.lam_b, run.lam_b), (streamed.lam_b_dot, run.lam_b_dot)):
-            assert (mine is None) == (theirs is None)
-            assert all(np.array_equal(x, y) for x, y in zip(mine or (), theirs or ()))
+        assert streamed.observer is not None and run.observer is None
 
     def test_step_rows_are_read_only_rung_bands_of_the_states(self):
+        # the observer is handed each state's c and nl read-only, at its
+        # rung's band, and the run itself stores no step rows
         g, p, run = self.blowup_run(snapshot_cadence=1)
+        rec = Recorder()
+        _, _, observed = self.blowup_run(rec)
         band = self.bands(g, run)
         assert 1 < len(set(band)) and band[0] < band[-1]
         absxi = np.abs(g.wavenumbers)
         for n, k in enumerate(band):
-            assert np.array_equal(run.lam_b[n], (absxi * run.coefs[n])[:k])
-            for row in (run.lam_b[n], run.lam_b_dot[n]):
+            assert np.array_equal(rec.lam_b[n], (absxi * run.coefs[n])[:k])
+            for row in (rec.c[n], rec.nl[n]):
+                assert row.size == k
                 with pytest.raises(ValueError):
                     row[0] = 1.0
-        # 16 bytes a complex entry, counted over the rows as stored
-        assert run.lam_b.nbytes == run.lam_b_dot.nbytes == 16 * sum(band)
-        assert run.lam_b.nbytes == sum(row.nbytes for row in run.lam_b)
+        for r in (run, observed):
+            assert r.lam_b == r.lam_b_dot == () and r.lam_b.nbytes == r.lam_b_dot.nbytes == 0
 
     def test_rough_datum_never_leaves_n_and_fixed_dt_starts_coarse(self):
         # one rule picks the rung of every run: a datum that fills the band
