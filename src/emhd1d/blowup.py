@@ -12,6 +12,7 @@ fits/validates the Riccati law.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .diagnostics import fit_line
 from .gates import Gate, at_most
 from .solver import ModelParams, StepperConfig, TimeSeries, evolve, hermite
-from .spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
+from .spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian, trig_blocks, trig_sums
 
 
 DATUM_TOL = 1e-10  # tolerance of B_x(x0) = 1, B_xx(x0) = 0 and max B_x = B_x(x0)
@@ -163,53 +164,56 @@ class Characteristic:
     """The observer of ``evolve`` that integrates dX/dt = -Lambda B(X, t)
     from ``x0`` as the run steps, and keeps no step rows.
 
-    Each state's Lambda B and d/dt Lambda B are multipliers of its c and
-    nonlinear term.  The pair of the previous state is all it keeps: when
-    state n + 1 arrives, it takes RK4 step n, with Lambda B at the
-    half-step from the cubic Hermite interpolation of the two pairs.  Then
-    it evaluates Lambda B, B_x, B_xx and w = Lambda B_x at the new X off
-    the grid (B_x = -H Lambda B, so every derivative is a diagonal
-    multiplier away), and sup_x |B_xx| from one inverse transform on
-    ``grid``, the run's finest.
+    Each state's rows Lambda B, d/dt Lambda B and |xi| Lambda B, multipliers
+    of its c and nonlinear term, are laid out once by ``trig_blocks``, and
+    the previous state's layout is all it keeps.  When state n + 1 arrives,
+    it takes RK4 step n: at each stage point, Lambda B at the half-step is
+    ``hermite`` of the two states' Lambda B and d/dt Lambda B there.  At the
+    new X it reads Lambda B, B_x, B_xx and w = Lambda B_x off the grid from
+    two positive-frequency sums (``trig_sums``): F = B_x + i Lambda B is i
+    times the sum of the Lambda B row, and F_x = B_xx + i w is minus the
+    sum of the |xi| Lambda B row.  sup_x |B_xx| comes from one inverse
+    transform on ``grid``, the run's finest.  ``seconds`` sums the wall
+    time of its calls.
 
-    Each off-grid sum runs only over the band of the ladder rung that made
-    its row, n/2 + 1 entries on a rung of n modes, and ``eval_trig`` reads
-    a row shorter than N/2 + 1 as zero-padded.  The Hermite midpoint of a
-    step takes the finer band of its two states: the end's on a climb, the
-    start's on a step down.  Only at a rung switch is the coarser pair
-    zero-padded to it.
+    Each layout covers only the band of the ladder rung that made its
+    rows, n/2 + 1 entries on a rung of n modes, read as zero-padded; the
+    two states of a step across a rung switch keep their own bands.
     """
 
     def __init__(self, grid: GridSpec, x0: float):
         self.grid, self.x0, self.X = grid, x0, x0
-        xi = grid.wavenumbers
-        m_bx = 1j * np.sign(xi)  # B_x = -H(Lambda B)
-        # rows: Lambda B, B_x, B_xx, Lambda B_x, all read off one phase table
-        self.mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
-        self.prev: tuple | None = None  # (t, Lambda B, d/dt Lambda B) of the last state
+        self.prev: tuple | None = None  # (t, laid-out rows) of the last state
+        self.seconds = 0.0
         self.rows: list[tuple] = []  # (t, X, Lambda B, B_x, B_xx, w, sup|B_xx|) at each state
 
     def __call__(self, t: float, ops, c: np.ndarray, nl: np.ndarray, last: bool) -> None:
+        start = time.perf_counter()
         grid, X = self.grid, self.X
-        lam_b = ops.absxi * c
-        lam_b_dot = ops.absxi * (nl - ops.lin * c)
+        rows = np.empty((3, c.size), dtype=complex)  # Lambda B, d/dt Lambda B, |xi| Lambda B
+        np.multiply(ops.absxi, c, out=rows[0])
+        np.multiply(ops.absxi, nl - ops.lin * c, out=rows[1])
+        np.multiply(ops.absxi, rows[0], out=rows[2])
+        blocks = trig_blocks(grid, rows)
         if self.prev is not None:
-            t0, lam_b0, lam_b_dot0 = self.prev
+            t0, blocks0 = self.prev
             dt = t - t0
-            vals, dots = (lam_b0, lam_b), (lam_b_dot0, lam_b_dot)
-            if lam_b0.size != lam_b.size:  # a rung switch: both rows of the pair on the finer band
-                size = max(lam_b0.size, lam_b.size)
-                vals, dots = ([np.pad(row, (0, size - row.size)) for row in pair] for pair in (vals, dots))
-            mid = hermite(vals, dots, 0, dt)
-            f1 = -self.rows[-1][2]  # Lambda B at X, from the last state's row
-            f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
-            f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
-            f4 = -eval_trig(grid, lam_b, X + dt * f3)[0]
-            X = self.X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        at_x = eval_trig(grid, self.mults[:, : lam_b.size] * lam_b, X)[:, 0]
-        sup_bxx = np.max(np.abs(grid.to_phys(self.mults[2, : lam_b.size] * lam_b)))
-        self.rows.append((t, X, *at_x, sup_bxx))
-        self.prev = (t, lam_b, lam_b_dot)
+
+            def lam_b_mid(x: float) -> float:  # Lambda B at x, at the step's midpoint
+                (v0, d0), (v1, d1) = (trig_sums(grid, b[:2], x).real.tolist() for b in (blocks0, blocks))
+                return hermite((v0, v1), (d0, d1), 0, dt)
+
+            f1 = -self.rows[-1][2]  # Lambda B at X, from the last state
+            f2 = -lam_b_mid(X + 0.5 * dt * f1)
+            f3 = -lam_b_mid(X + 0.5 * dt * f2)
+            f4 = -trig_sums(grid, blocks[0], X + dt * f3).real
+            X = self.X = float(X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
+        s, s_xi = trig_sums(grid, blocks[::2], X).tolist()
+        F, F_x = 1j * s, -s_xi  # B_x + i Lambda B and B_xx + i w at X
+        sup_bxx = np.abs(grid.to_phys(rows[2])).max()  # B_xx = -|xi| Lambda B
+        self.rows.append((t, X, F.imag, F.real, F_x.real, F_x.imag, sup_bxx))
+        self.prev = (t, blocks)
+        self.seconds += time.perf_counter() - start
 
     def trajectory(self) -> Trajectory:
         t, X, _, bx, bxx, w, sup_bxx = map(np.array, zip(*self.rows))

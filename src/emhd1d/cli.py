@@ -235,7 +235,7 @@ def _write_manifest(out: Path, cfg: RunConfig, extra: dict) -> None:
 
 class _PhaseClock:
     """Wall seconds of a command's phases, each timed from the end of the
-    one before, less the time spent ``apart`` meanwhile; ``wall`` holds only
+    one before, less the time ``spent`` apart meanwhile; ``wall`` holds only
     the phases that have finished."""
 
     def __init__(self) -> None:
@@ -247,15 +247,18 @@ class _PhaseClock:
         self.wall[phase] = now - self._last
         self._last = now
 
+    def spent(self, phase: str, seconds: float) -> None:
+        """Count ``seconds`` as ``phase``, summed over every use, and not as
+        part of the phase running now."""
+        self.wall[phase] = self.wall.get(phase, 0.0) + seconds
+        self._last += seconds
+
     @contextlib.contextmanager
     def apart(self, phase: str):
-        """Time the enclosed code as ``phase``, summed over every use, and
-        not as part of the phase it runs inside."""
+        """Time the enclosed code as ``phase``, ``spent`` apart."""
         start = time.perf_counter()
         yield
-        spent = time.perf_counter() - start
-        self.wall[phase] = self.wall.get(phase, 0.0) + spent
-        self._last += spent
+        self.spent(phase, time.perf_counter() - start)
 
 
 def _write_csv(path: Path, names: list[str], columns) -> None:
@@ -364,6 +367,7 @@ def cmd_blowup(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     """Riccati blowup harness with the reference datum and configuration forced: ``seed`` is unused."""
     clock = _PhaseClock()
     run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
+    clock.spent("characteristic", run.observer.seconds)  # integrated inside evolve, as the run stepped
     clock.done("evolve")
     _write_steps(out, run)
     record = {

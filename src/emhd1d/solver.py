@@ -326,9 +326,9 @@ def hermite(vals, dots, n: "int | np.ndarray", dt: float) -> np.ndarray:
 
     ``vals[n]`` and ``dots[n]`` are a state and its time derivative at step
     boundary n, rows of a table or the (start, end) pair of one step with
-    n = 0; the step from n to n + 1 has length dt.  On a table, an index
-    array ``n`` gives one row per index, each bitwise the row its own index
-    gives.
+    n = 0, rows or scalars (a state's value at one point); the step from n
+    to n + 1 has length dt.  On a table, an index array ``n`` gives one row
+    per index, each bitwise the row its own index gives.
     """
     return 0.5 * vals[n] + 0.125 * dt * dots[n] + 0.5 * vals[n + 1] - 0.125 * dt * dots[n + 1]
 

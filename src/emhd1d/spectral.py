@@ -22,13 +22,18 @@ exact diagonal multipliers in this basis.  The Hilbert transform uses
 m(xi) = -i sgn(xi), the unique sign choice for which Lambda = H d/dx holds
 with Lambda = |xi|.
 
-``eval_trig`` is the one off-grid sum.  It splits each mode index as
-k = a B + b, with B a power of two near sqrt(N/2) fixed by the grid, so its
-phase table exp(i xi_k x) = exp(i xi_(aB) x) exp(i xi_b x) is an outer
-product of about 2 sqrt(N/2) complex exponentials in place of N/2 + 1 of
-them.  Like ``GridSpec.to_phys``, it reads a row shorter than N/2 + 1 as
-zero-padded, and builds the table only as far as the row reaches: a row
-from a coarser grid, Nyquist entry dropped, costs only its own band.
+``trig_sums`` is the one off-grid sum: the complex sums
+sum_k w_k c_k exp(i xi_k x) over the stored half, weights (1, 2, ..., 2, 1),
+with every xi_k >= 0.  The Nyquist term enters as conj(c_(N/2))
+exp(i pi N x / (2L)), the conjugate of its FFT-order term, so on a real
+field f's row the sum is f + i H f; ``eval_trig`` is its real part.
+``trig_blocks`` lays rows out once, weights applied, as zero-padded
+(rows, A, B) blocks with k = a B + b and B a power of two near sqrt(N/2).
+A sum at a point then takes two short exponential tables, exp(i xi_(aB) x)
+and exp(i xi_b x), and two small matrix products, with no phase table.
+Like ``GridSpec.to_phys``, the layout reads a shorter row as zero-padded
+and keeps only the blocks it reaches: a coarser grid's row, Nyquist entry
+dropped, costs only its own band.
 """
 
 from __future__ import annotations
@@ -101,16 +106,16 @@ class GridSpec:
         return w
 
     @cached_property
-    def _trig_blocks(self) -> tuple[int, np.ndarray, np.ndarray]:
-        # block size B (a power of two near sqrt(N/2)) with i xi_(aB) for
-        # a = 0..N/(2B) and i xi_b for b < B, all at k >= 0: eval_trig takes
-        # the Nyquist term as the conjugate of its k = +N/2 entry
+    def _trig_blocks(self) -> tuple[int, np.ndarray]:
+        # block size B (a power of two near sqrt(N/2)), then i xi_b for b < B
+        # followed by i xi_(aB) for a = 0..N/(2B), all at k >= 0: one
+        # exponential of a prefix gives both tables of trig_sums
         half = self.n_modes // 2
         block = 1 << (half.bit_length() // 2)
         ixi = 1j * (np.pi * np.arange(half + 1) / self.half_length)
-        hi, lo = ixi[::block].copy(), ixi[:block].copy()
-        hi.flags.writeable = lo.flags.writeable = False
-        return block, hi, lo
+        tables = np.concatenate((ixi[:block], ixi[::block]))
+        tables.flags.writeable = False
+        return block, tables
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -284,36 +289,57 @@ def remove_mean(f: SpectralField) -> SpectralField:
     return SpectralField.from_coef(f.grid, c)
 
 
+def trig_blocks(grid: GridSpec, coef: np.ndarray) -> np.ndarray:
+    """Coefficient rows laid out once for ``trig_sums``.
+
+    ``coef`` is one row of at most N/2 + 1 coefficients or a stack of rows,
+    along the last axis; a row shorter than N/2 + 1 is read as zero-padded.
+    Returns the weighted terms w_k c_k, the Nyquist one conjugated (module
+    docstring), zero-padded to A B entries, as blocks of shape
+    coef.shape[:-1] + (A, B) with k = a B + b.
+    """
+    m, half = coef.shape[-1], grid.n_modes // 2
+    if m > half + 1:
+        raise ValueError("coefficient rows are longer than N/2 + 1")
+    block = grid._trig_blocks[0]
+    a = -(-m // block)
+    out = np.zeros(coef.shape[:-1] + (a * block,), dtype=complex)
+    np.multiply(coef, 2.0, out=out[..., :m])  # the pair weight, exact
+    out[..., 0] = coef[..., 0]  # k = 0 counts once
+    if m == half + 1:
+        out[..., half] = np.conj(coef[..., half])  # the Nyquist term counts once, at +pi N / (2L)
+    return out.reshape(coef.shape[:-1] + (a, block))
+
+
+def trig_sums(grid: GridSpec, blocks: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
+    """Complex sums sum_k w_k c_k exp(i xi_k x) of rows laid out by
+    ``trig_blocks``, at the points ``x``, reduced mod 2L into [-L, L).
+
+    The result has shape blocks.shape[:-2] + shape(x); its real parts are
+    the rows' trigonometric sums, and on the row of a real field f its
+    imaginary parts are H f (module docstring).  A row's sums do not depend
+    on the rows stacked with it: each row's blocks take their own matrix
+    product per point.
+    """
+    L = grid.half_length
+    xa = (x + L) % (2.0 * L) - L
+    block, ixi = grid._trig_blocks
+    e = np.exp(np.multiply.outer(xa, ixi[: block + blocks.shape[-2]]))  # shape(x) + (B + A,)
+    # per row, the A-table times its blocks, then that times the B-table:
+    # one vector-matrix product and one dot product per row and point
+    partial = e[..., block:] @ blocks
+    return (partial[..., None, :] @ e[..., :block, None])[..., 0, 0]
+
+
 def eval_trig(grid: GridSpec, coef: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
-    """Real trigonometric sums of coefficient rows at arbitrary points.
+    """Real trigonometric sums of coefficient rows at arbitrary points: the
+    real part of ``trig_sums`` of the rows laid out by ``trig_blocks``.
 
     ``coef`` is one row of at most N/2 + 1 coefficients (result shape
     (len(x),)) or a stack of m rows (result shape (m, len(x))); a row shorter
-    than N/2 + 1 is read as zero-padded.  Points are reduced mod 2L into
-    [-L, L).  Each stored 0 < k < N/2 counts for the pair +-k as
-    2 Re(coef_k exp(i xi_k x)), the weights (1, 2, ..., 2, 1); the Nyquist
-    term keeps its FFT-order wavenumber -pi N / (2L).  All rows share one
-    phase table, the outer product of two short exponential tables (module
-    docstring).
+    than N/2 + 1 is read as zero-padded.
     """
-    L = grid.half_length
-    xa = np.mod(np.array(x, dtype=float, ndmin=1) + L, 2.0 * L) - L
-    m = coef.shape[-1]
-    if m > grid.n_modes // 2 + 1:
-        raise ValueError("coefficient rows are longer than N/2 + 1")
-    block, ihi, ilo = grid._trig_blocks
-    # one row of the table per point, so the outer product runs along k
-    hi = np.exp(xa[:, None] * ihi[: -(-m // block)])
-    hi *= 2.0  # the pair weight, exact
-    phase = (hi[:, :, None] * np.exp(xa[:, None] * ilo)[:, None]).reshape(xa.size, -1)[:, :m]
-    phase[:, 0] = 1.0  # k = 0 counts once
-    if m == grid.n_modes // 2 + 1:
-        phase[:, -1] = 0.5 * np.conj(phase[:, -1])  # the Nyquist term counts once, at -pi N / (2L)
-    if coef.ndim == 1:
-        return np.real(phase @ coef)
-    # one product per row: a stacked matrix product sums in another order,
-    # so a row's value would depend on which rows it was stacked with
-    return np.real(np.array([phase @ row for row in coef]))
+    return np.real(trig_sums(grid, trig_blocks(grid, coef), np.array(x, dtype=float, ndmin=1)))
 
 
 def evaluate_at(f: SpectralField, x: "float | np.ndarray") -> "float | np.ndarray":

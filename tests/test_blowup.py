@@ -41,7 +41,7 @@ from emhd1d.blowup import (
     run_blowup,
 )
 from emhd1d.solver import LADDER_TAIL, evolve, hermite
-from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
+from emhd1d.spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
 
 W0_SPECTRAL = 1.7495090293
 W0_PV = 1.7493995133
@@ -224,9 +224,42 @@ class TestTrajectory:
             assert np.max(np.abs(traj.bx - bx)) <= 1e-12
             assert np.max(np.abs(traj.bxx - bxx)) <= 1e-12
 
+    @pytest.mark.parametrize("case", ["etdrk4_climb", "step_down"])
+    def test_matches_multiplier_row_reference(self, case):
+        # the block sums against the multiplier-row sums they replaced, on
+        # the N = 2048 ETDRK4 blowup, which climbs 512 -> 1024 -> 2048, and
+        # on a dissipative run that steps down 512 -> 256 -> 128; both
+        # observers read the same recorded states
+        if case == "etdrk4_climb":
+            d, blown = reference_run(2048, "etdrk4")
+            B0, params, cfg = d.B0, blown.params, blown.config
+        else:
+            from emhd1d.diagnostics import rough_datum
+            from emhd1d.solver import ModelParams, StepperConfig
+
+            B0 = rough_datum(GridSpec(np.pi, 512), 1.0, 0.05, 3)
+            params = ModelParams(kind="transport", mu=1.0, alpha=2.0)
+            cfg = StepperConfig(dt_init=1e-4, t_end=0.05, adaptive=False)
+        states = []
+        run = evolve(B0, params, cfg, lambda *state: states.append(state))
+        rung = np.diff(run.diagnostics["n_modes"])
+        assert np.any(rung > 0) if case == "etdrk4_climb" else np.any(rung < 0)
+        for x0 in (0.0, 1.3):
+            new, ref = Characteristic(B0.grid, x0), MultiplierRowCharacteristic(B0.grid, x0)
+            for state in states:
+                new(*state)
+                ref(*state)
+            traj, (X, _, bx, bxx, w, sup_bxx) = new.trajectory(), map(np.array, zip(*ref.rows))
+            assert np.array_equal(traj.sup_bxx, sup_bxx)
+            assert np.max(np.abs(traj.X - X)) <= 1e-13 * B0.grid.half_length
+            assert np.max(np.abs(traj.bx - bx) / np.abs(bx)) <= 1e-13
+            assert np.max(np.abs(traj.w - w) / np.abs(w)) <= 1e-13
+            # B_xx vanishes on the symmetric characteristic: relative to its sup
+            assert np.max(np.abs(traj.bxx - bxx) / sup_bxx) <= 1e-13
+
     def test_pipeline_keeps_no_step_rows(self, traced_peak):
         # run_blowup, advect_trajectory and riccati_verdict at N = 4096 trace
-        # a 0.75 MB peak, and the 1 MB bound leaves 1.34x of margin; with
+        # a 0.59 MB peak, and the 1 MB bound leaves 1.69x of margin; with
         # Lambda B and d/dt Lambda B stored at each of the 178 states, the
         # same calls traced 9.9 MB
         g = GridSpec(6.0, 4096)
@@ -266,6 +299,41 @@ def full_band_trig(grid, rows, x):
     weight = np.full(grid.n_modes // 2 + 1, 2.0)
     weight[0] = weight[-1] = 1.0
     return np.real(rows @ (weight * np.exp(1j * grid.wavenumbers * xa)))
+
+
+class MultiplierRowCharacteristic:
+    """The characteristic as it read its values before the block sums, kept
+    as a reference: Lambda B, B_x, B_xx and w at X are ``eval_trig`` sums of
+    four multiplier rows of Lambda B, and each RK4 stage sums the Hermite
+    midpoint row, the coarser row of a rung switch zero-padded to the finer
+    band; ``rows`` holds (X, Lambda B, B_x, B_xx, w, sup|B_xx|) per state."""
+
+    def __init__(self, grid, x0):
+        xi = grid.wavenumbers
+        m_bx = 1j * np.sign(xi)  # B_x = -H(Lambda B)
+        self.mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
+        self.grid, self.X, self.prev, self.rows = grid, x0, None, []
+
+    def __call__(self, t, ops, c, nl, last):
+        grid, X = self.grid, self.X
+        lam_b = ops.absxi * c
+        lam_b_dot = ops.absxi * (nl - ops.lin * c)
+        if self.prev is not None:
+            t0, lam_b0, lam_b_dot0 = self.prev
+            dt = t - t0
+            size = max(lam_b0.size, lam_b.size)
+            vals = [np.pad(row, (0, size - row.size)) for row in (lam_b0, lam_b)]
+            dots = [np.pad(row, (0, size - row.size)) for row in (lam_b_dot0, lam_b_dot)]
+            mid = hermite(vals, dots, 0, dt)
+            f1 = -self.rows[-1][1]
+            f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
+            f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
+            f4 = -eval_trig(grid, lam_b, X + dt * f3)[0]
+            X = self.X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        at_x = eval_trig(grid, self.mults[:, : lam_b.size] * lam_b, X)[:, 0]
+        sup_bxx = np.max(np.abs(grid.to_phys(self.mults[2, : lam_b.size] * lam_b)))
+        self.rows.append((X, *at_x, sup_bxx))
+        self.prev = (t, lam_b, lam_b_dot)
 
 
 def full_band_trajectory(grid, rec, x0):

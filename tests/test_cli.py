@@ -626,6 +626,24 @@ class TestCommands:
         assert manifest["ladder"][0][1] == 0 and manifest["ladder"][-1][0] == 2048
         assert not (out / "blowup_report.json").exists()
 
+    def test_blowup_times_its_characteristic_apart_from_evolve(self, tmp_path, monkeypatch):
+        # the "characteristic" phase is the seconds the run spent in its
+        # observer, taken out of "evolve"
+        real_run_blowup, runs = cli.run_blowup, []
+
+        def kept_run(grid, **kw):
+            runs.append(real_run_blowup(grid, **kw))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_blowup", kept_run)
+        p = write_cfg(tmp_path, "grid.L = 6\ngrid.N = 2048\n")
+        out = tmp_path / "blowout"
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        wall = json.loads((out / "manifest.json").read_text())["wall_s"]
+        assert {"evolve", "characteristic", "report"} <= set(wall)
+        assert all(wall[k] >= 0.0 for k in ("evolve", "characteristic", "report"))
+        assert wall["characteristic"] == runs[0][0].observer.seconds > 0.0
+
     def test_blowup_run_to_t_end_is_numerical_abort(self, tmp_path):
         # at N = 1280 IF-RK4 steps past the predicted time to t_end = 1.1/w0
         # without max|Lambda B_x| crossing the threshold; its six gates would
@@ -815,11 +833,11 @@ class TestCommands:
                 EXIT_OK,
                 "blowup_threshold",
                 {"termination", "steps", "ladder", "report", "gates"},
-                ["evolve", "report"],
+                ["evolve", "characteristic", "report"],
             ),
             (
                 "blowup", fit_window_missed, EXIT_NUMERICAL, "fit_window", {"termination", "steps", "ladder"},
-                ["evolve"],
+                ["evolve", "characteristic"],
             ),
             (
                 "symmetry", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, None, {"rel_l2_mismatch", "gates"},
@@ -840,7 +858,8 @@ class TestCommands:
         # wall_s holds the wall seconds of each phase that ran on the exit
         # path; "snapshots" is the time in the norm and frame blocks a run
         # streams, and these failing runs keep too few snapshots to fill
-        # one; a blowup's characteristic is integrated inside "evolve"
+        # one; "characteristic" is the time a blowup's run spent in its
+        # characteristic, integrated as the run stepped
         p = setup(tmp_path, monkeypatch)
         out = tmp_path / "o"
         with np.errstate(over="ignore", invalid="ignore"):

@@ -15,6 +15,8 @@ from emhd1d.spectral import (
     remove_mean,
     riesz_potential,
     sobolev_weight,
+    trig_blocks,
+    trig_sums,
 )
 
 
@@ -288,6 +290,13 @@ class TestEvaluateAt:
         for row, vals in zip(rows, stacked):
             assert np.array_equal(vals, eval_trig(grid, row, x))
         assert np.allclose(stacked[1], np.cos(x), atol=1e-12)
+        # and the complex sums, at the points and at one scalar point
+        blocks = trig_blocks(grid, rows)
+        for pts in (x, 0.4):
+            sums = trig_sums(grid, blocks, pts)
+            assert sums.shape == (3,) + np.shape(pts)
+            for row, vals in zip(rows, sums):
+                assert np.array_equal(vals, trig_sums(grid, trig_blocks(grid, row), pts))
 
 
 def full_wavenumbers(grid):
@@ -458,8 +467,27 @@ class TestRealTransforms:
             got = eval_trig(grid, c, x)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(full_spectrum(grid, c)))
 
+    def test_imaginary_part_is_the_hilbert_transform(self, case):
+        # on the row of a real field f the block sum is f + i H f: hilbert's
+        # multiplier -i sgn(xi) takes sgn = -1 at the Nyquist entry, where
+        # the sum's term is conjugated; checked with a complex Nyquist entry
+        # and on rows cut to n/2 + 1, a coarser rung's, read as zero-padded
+        grid, rng, samples = case
+        L, h = grid.half_length, grid.n_modes // 2
+        x = np.append(rng.uniform(-3.0 * L, 3.0 * L, 9), [-3.0 * L, 3.0 * L])
+        for phys in samples:
+            c = grid.to_coef(phys)
+            c[h] += 1j * rng.standard_normal()
+            for m in (h + 1, h // 2 + 1):
+                padded = np.zeros(h + 1, dtype=complex)
+                padded[:m] = c[:m]
+                f = SpectralField.from_coef(grid, padded)
+                sums = trig_sums(grid, trig_blocks(grid, c[:m]), x)
+                scale = np.sum(np.abs(full_spectrum(grid, padded)))
+                assert np.max(np.abs(sums.imag - evaluate_at(hilbert(f), x))) <= 1e-13 * scale
+
     def test_eval_trig_reads_shorter_rows_as_zero_padded(self, case):
-        # rows cut at and around the block size of the phase table, and a
+        # rows cut at and around the block size of the layout, and a
         # coarser grid's rows with their Nyquist entry dropped
         grid, rng, samples = case
         L, h = grid.half_length, grid.n_modes // 2
