@@ -12,7 +12,6 @@ fits/validates the Riccati law.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +154,6 @@ def run_blowup(
         cfl_safety=cfl_safety,
         t_end=1.1 / d.w0,
         blowup_threshold=STOP_FACTOR * d.w0,
-        snapshot_cadence=10**9,
     )
     return evolve(d.B0, params, cfg, Characteristic(d.B0.grid, d.x0)), d
 
@@ -173,8 +171,8 @@ class Characteristic:
     two positive-frequency sums (``trig_sums``): F = B_x + i Lambda B is i
     times the sum of the Lambda B row, and F_x = B_xx + i w is minus the
     sum of the |xi| Lambda B row.  sup_x |B_xx| comes from one inverse
-    transform on ``grid``, the run's finest.  ``seconds`` sums the wall
-    time of its calls.
+    transform on ``grid``, the run's finest.  The run's ``observer_s`` is
+    the wall time of its calls.
 
     Each layout covers only the band of the ladder rung that made its
     rows, n/2 + 1 entries on a rung of n modes, read as zero-padded; the
@@ -184,11 +182,9 @@ class Characteristic:
     def __init__(self, grid: GridSpec, x0: float):
         self.grid, self.x0, self.X = grid, x0, x0
         self.prev: tuple | None = None  # (t, laid-out rows) of the last state
-        self.seconds = 0.0
         self.rows: list[tuple] = []  # (t, X, Lambda B, B_x, B_xx, w, sup|B_xx|) at each state
 
     def __call__(self, t: float, ops, c: np.ndarray, nl: np.ndarray, last: bool) -> None:
-        start = time.perf_counter()
         grid, X = self.grid, self.X
         rows = np.empty((3, c.size), dtype=complex)  # Lambda B, d/dt Lambda B, |xi| Lambda B
         np.multiply(ops.absxi, c, out=rows[0])
@@ -213,7 +209,6 @@ class Characteristic:
         sup_bxx = np.abs(grid.to_phys(rows[2])).max()  # B_xx = -|xi| Lambda B
         self.rows.append((t, X, F.imag, F.real, F_x.real, F_x.imag, sup_bxx))
         self.prev = (t, blocks)
-        self.seconds += time.perf_counter() - start
 
     def trajectory(self) -> Trajectory:
         t, X, _, bx, bxx, w, sup_bxx = map(np.array, zip(*self.rows))

@@ -33,7 +33,6 @@ and the sweep exits with the most severe code (0 < 1 < 2 < 3).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -235,8 +234,8 @@ def _write_manifest(out: Path, cfg: RunConfig, extra: dict) -> None:
 
 class _PhaseClock:
     """Wall seconds of a command's phases, each timed from the end of the
-    one before, less the time ``spent`` apart meanwhile; ``wall`` holds only
-    the phases that have finished."""
+    one before, less the time ``spent`` apart meanwhile, such as a run's
+    ``observer_s``; ``wall`` holds only the phases that have finished."""
 
     def __init__(self) -> None:
         self.wall: dict[str, float] = {}
@@ -252,13 +251,6 @@ class _PhaseClock:
         part of the phase running now."""
         self.wall[phase] = self.wall.get(phase, 0.0) + seconds
         self._last += seconds
-
-    @contextlib.contextmanager
-    def apart(self, phase: str):
-        """Time the enclosed code as ``phase``, ``spent`` apart."""
-        start = time.perf_counter()
-        yield
-        self.spent(phase, time.perf_counter() - start)
 
 
 def _write_csv(path: Path, names: list[str], columns) -> None:
@@ -278,11 +270,11 @@ class _SnapshotStream:
     row, zero-padded to N/2 + 1 entries, goes into one reused block of
     ``BLOCK`` rows, and each full block, and at the end the last partial
     one, gives its ``norm_block`` columns and appends its frames to ``fh``,
-    raw little-endian float64, each ascending in x from -L.  The blocks are
-    timed as the phase "snapshots"."""
+    raw little-endian float64, each ascending in x from -L.  The blocks
+    filled as the run steps count in its ``observer_s``."""
 
-    def __init__(self, grid: GridSpec, s_list, alpha: float, fh, clock: _PhaseClock) -> None:
-        self.grid, self.s_list, self.alpha, self.fh, self.clock = grid, s_list, alpha, fh, clock
+    def __init__(self, grid: GridSpec, s_list, alpha: float, fh) -> None:
+        self.grid, self.s_list, self.alpha, self.fh = grid, s_list, alpha, fh
         self.block = np.zeros((BLOCK, grid.n_modes // 2 + 1), dtype=complex)
         self.filled = 0
         self.times: list[float] = []
@@ -299,11 +291,10 @@ class _SnapshotStream:
 
     def flush(self) -> None:
         if self.filled:
-            with self.clock.apart("snapshots"):
-                rows = self.block[: self.filled]
-                self.norms.append(norm_block(self.grid, rows, self.s_list, self.alpha))
-                frames = np.fft.fftshift(self.grid.to_phys(rows), axes=-1)
-                frames.astype("<f8", copy=False).tofile(self.fh)
+            rows = self.block[: self.filled]
+            self.norms.append(norm_block(self.grid, rows, self.s_list, self.alpha))
+            frames = np.fft.fftshift(self.grid.to_phys(rows), axes=-1)
+            frames.astype("<f8", copy=False).tofile(self.fh)
             self.filled = 0
 
 
@@ -314,8 +305,9 @@ def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     part = out / "snapshots.bin.part"
     try:
         with part.open("wb") as fh:
-            stream = _SnapshotStream(grid, cfg.diagnostics_s_list, cfg.model_alpha, fh, clock)
+            stream = _SnapshotStream(grid, cfg.diagnostics_s_list, cfg.model_alpha, fh)
             run = evolve(B0, cfg.model(), cfg.stepper(), snapshots(stream, cfg.outputs_snapshot_cadence))
+            clock.spent("snapshots", run.observer_s)
             clock.done("evolve")
             _write_steps(out, run)
             steps = len(run.step_times) - 1
@@ -367,7 +359,7 @@ def cmd_blowup(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     """Riccati blowup harness with the reference datum and configuration forced: ``seed`` is unused."""
     clock = _PhaseClock()
     run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
-    clock.spent("characteristic", run.observer.seconds)  # integrated inside evolve, as the run stepped
+    clock.spent("characteristic", run.observer_s)  # integrated inside evolve, as the run stepped
     clock.done("evolve")
     _write_steps(out, run)
     record = {
@@ -510,6 +502,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
         paths = [ln.strip() for ln in sweep_file.read_text().splitlines() if ln.strip()]
         if not paths:
+            print(f"sweep file lists no config: {sweep_file}", file=sys.stderr)
             return EXIT_CONFIG
         record = {}
         for i, p in enumerate(paths):

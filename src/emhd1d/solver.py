@@ -74,6 +74,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
@@ -333,14 +334,6 @@ def hermite(vals, dots, n: "int | np.ndarray", dt: float) -> np.ndarray:
     return 0.5 * vals[n] + 0.125 * dt * dots[n] + 0.5 * vals[n + 1] - 0.125 * dt * dots[n + 1]
 
 
-class RungRows(tuple):
-    """Read-only coefficient rows of differing lengths, one per step boundary."""
-
-    @property
-    def nbytes(self) -> int:
-        return sum(row.nbytes for row in self)
-
-
 def snapshots(keep: Callable, cadence: int) -> Callable:
     """The observer of ``evolve`` that calls ``keep(t, c)`` with every
     ``cadence``-th state, the first included, and with the last state."""
@@ -363,9 +356,11 @@ class TimeSeries:
     :func:`evolve`, ``coefs`` is a read-only view of the leading rows of a
     table the run filled as it went, and a run that handed its states to an
     observer has no rows in either array (nor a ``final``); ``observer`` is
-    that observer, or None.  No run stores per-step fields: a consumer of
-    the states takes what it needs as they pass, and ``lam_b`` and
-    ``lam_b_dot`` are empty.
+    that observer, or None.  ``observer_s`` is the wall seconds the run
+    spent in its observer, the given one or its own snapshot table's; a
+    :func:`picard_solve` series has 0.0.  No run stores per-step fields: a
+    consumer of the states takes what it needs as they pass, and ``lam_b``
+    and ``lam_b_dot`` are one read-only empty array.
     """
 
     grid: GridSpec
@@ -377,7 +372,9 @@ class TimeSeries:
     diagnostics: dict[str, np.ndarray]
     termination: str
     observer: Callable | None = None
-    lam_b = lam_b_dot = RungRows()  # class attributes, not fields: always empty
+    observer_s: float = 0.0
+    lam_b = lam_b_dot = np.zeros(0, dtype=complex)  # class attributes, not fields: always empty
+    lam_b.flags.writeable = False
 
     def __post_init__(self) -> None:
         self.times.flags.writeable = False
@@ -412,7 +409,9 @@ def evolve(
     ``observe(t, ops, c, nl, last)``: its time, its rung's ``_Ops``, its
     coefficients c and nonlinear term nl, each n/2 + 1 entries on a rung of
     n modes, and whether it is the run's last state.  c and nl are
-    read-only, as the run steps on from them.
+    read-only, as the run steps on from them.  The result's ``observer_s``
+    sums the wall time of these calls, so a consumer's cost is told apart
+    from the steps' with no clock of its own.
 
     Without ``observe``, the run's own observer is ``snapshots`` at the
     config's cadence into one zero table on ``B0.grid``: each snapshot row
@@ -435,7 +434,7 @@ def evolve(
         ladder.append(_ops(GridSpec(grid.half_length, m // 2), params))
     rung = 0  # the index of the state's rung in ``ladder``
     dispersive = params.kind == "full"
-    t = gain = 0.0
+    t = gain = observer_s = 0.0
 
     times: list[float] = []  # of the snapshots in the table
     observer = observe
@@ -510,7 +509,9 @@ def evolve(
         else:
             termination = None
         c.flags.writeable = nl.flags.writeable = False
+        start = time.perf_counter()
         observer(t, ops, c, nl, termination is not None)
+        observer_s += time.perf_counter() - start
         if termination is not None:
             break
         dt = min(dt, cfg.t_end - t)
@@ -535,6 +536,7 @@ def evolve(
         diagnostics=dict(zip(keys, map(np.array, columns))),
         termination=termination,
         observer=observe,
+        observer_s=observer_s,
     )
 
 

@@ -123,6 +123,13 @@ class TestDatum:
         with pytest.raises(DatumError):
             BlowupDatum(B0=datum.B0, x0=0.0, w0=-1.0).validate()
 
+    def test_validate_rejects_x0_off_the_global_maximum(self, grid, datum):
+        # a narrow bump at x = 3 leaves B_x(0) = 1 and B_xx(0) = 0 to 1e-14,
+        # but its slope peaks at 3.4, above B_x(0)
+        bump = SpectralField.from_function(grid, lambda x: reference_datum_fn(x) + 2.0 * np.exp(-4.0 * (x - 3.0) ** 2))
+        with pytest.raises(DatumError, match="x0 is not the global maximum"):
+            BlowupDatum(B0=bump, x0=0.0, w0=datum.w0).validate()
+
     @pytest.mark.parametrize("n", [32768, 65536])
     def test_fine_grids_hold_reference_datum(self, n):
         # |B_xx(0)| is roundoff that grows with N, 3.8e-10 and 2.2e-9 here,

@@ -446,6 +446,64 @@ class TestCommands:
     def test_sweep_missing_file(self, tmp_path):
         assert main(["run", "--sweep", str(tmp_path / "no.txt"), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_sweep_listing_no_config_names_its_file(self, tmp_path, capsys):
+        sweep = write_cfg(tmp_path, "\n   \n\n", "sweep.txt")
+        out = tmp_path / "sw"
+        assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"sweep file lists no config: {sweep}\n"
+        assert not out.exists()
+
+    def test_selftest_command_writes_its_report(self, tmp_path, capsys):
+        out = tmp_path / "nested" / "selftest"
+        assert main(["selftest", "--out", str(out)]) == EXIT_OK
+        worst = json.loads((out / "selftest.json").read_text())
+        assert set(worst) == {"HH", "lambda", "riesz", "fhf"}
+        assert "selftest: PASS" in capsys.readouterr().out
+
+    def test_missing_datum_path_is_config_error(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, f"grid.N = 128\ndatum.kind = from_file\ndatum.path = {tmp_path / 'no.bin'}\n")
+        with pytest.raises(ConfigError, match="datum.path not found"):
+            RunConfig.from_file(p)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: datum.path not found")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("stepper.dt_init = 0", "dt_init and t_end must be positive"),
+            ("stepper.t_end = -1", "dt_init and t_end must be positive"),
+            ("stepper.cfl_safety = 0", "cfl_safety must lie in (0, 1]"),
+            ("stepper.cfl_safety = 1.5", "cfl_safety must lie in (0, 1]"),
+        ],
+    )
+    def test_stepper_guard_in_config_is_config_error(self, tmp_path, capsys, line, message):
+        p = write_cfg(tmp_path, f"grid.N = 64\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig.from_file(p)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("setup", [lambda tmp, mp: write_cfg(tmp, RUN_CFG), capped_at_three_steps],
+                             ids=["t_end", "max_steps"])
+    def test_run_snapshots_phase_is_its_observer_s(self, tmp_path, monkeypatch, setup):
+        # the "snapshots" phase is the time evolve spent in the run's
+        # observer, on a failing run too, and is taken out of "evolve"
+        runs = []
+
+        def kept_evolve(*args):
+            runs.append(evolve(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "evolve", kept_evolve)
+        p = setup(tmp_path, monkeypatch)
+        out = tmp_path / "o"
+        main(["run", "--config", str(p), "--out", str(out)])
+        wall = json.loads((out / "manifest.json").read_text())["wall_s"]
+        assert len(runs) == 1
+        assert wall["snapshots"] == runs[0].observer_s > 0.0
+
     def test_datum_from_file(self, tmp_path):
         arr = 0.05 * np.sin(np.linspace(-np.pi, np.pi, 128, endpoint=False))
         raw = tmp_path / "datum.bin"
@@ -627,8 +685,8 @@ class TestCommands:
         assert not (out / "blowup_report.json").exists()
 
     def test_blowup_times_its_characteristic_apart_from_evolve(self, tmp_path, monkeypatch):
-        # the "characteristic" phase is the seconds the run spent in its
-        # observer, taken out of "evolve"
+        # the "characteristic" phase is the run's observer_s, the seconds it
+        # spent in its characteristic, taken out of "evolve"
         real_run_blowup, runs = cli.run_blowup, []
 
         def kept_run(grid, **kw):
@@ -642,7 +700,7 @@ class TestCommands:
         wall = json.loads((out / "manifest.json").read_text())["wall_s"]
         assert {"evolve", "characteristic", "report"} <= set(wall)
         assert all(wall[k] >= 0.0 for k in ("evolve", "characteristic", "report"))
-        assert wall["characteristic"] == runs[0][0].observer.seconds > 0.0
+        assert wall["characteristic"] == runs[0][0].observer_s > 0.0
 
     def test_blowup_run_to_t_end_is_numerical_abort(self, tmp_path):
         # at N = 1280 IF-RK4 steps past the predicted time to t_end = 1.1/w0
@@ -814,14 +872,17 @@ class TestCommands:
                 "run", lambda tmp, mp: write_cfg(tmp, RUN_CFG), EXIT_OK, "t_end", {"termination", "steps"},
                 ["evolve", "snapshots", "outputs"],
             ),
-            ("run", capped_at_three_steps, EXIT_NUMERICAL, "max_steps", {"termination", "steps"}, ["evolve"]),
-            ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}, ["evolve"]),
-            ("run", ill_posed, EXIT_NUMERICAL, "ill_posed", {"termination", "steps"}, ["evolve"]),
-            ("run", collapsing, EXIT_NUMERICAL, "cfl_collapse", {"termination", "steps"}, ["evolve"]),
+            (
+                "run", capped_at_three_steps, EXIT_NUMERICAL, "max_steps", {"termination", "steps"},
+                ["evolve", "snapshots"],
+            ),
+            ("run", overflowing, EXIT_NUMERICAL, "non_finite", {"termination", "steps"}, ["evolve", "snapshots"]),
+            ("run", ill_posed, EXIT_NUMERICAL, "ill_posed", {"termination", "steps"}, ["evolve", "snapshots"]),
+            ("run", collapsing, EXIT_NUMERICAL, "cfl_collapse", {"termination", "steps"}, ["evolve", "snapshots"]),
             # a collapse before the first step is no blowup, threshold or not
             (
                 "run", lambda tmp, mp: collapsing(tmp, threshold="stepper.blowup_threshold = 1e30\n"),
-                EXIT_NUMERICAL, "cfl_collapse", {"termination", "steps"}, ["evolve"],
+                EXIT_NUMERICAL, "cfl_collapse", {"termination", "steps"}, ["evolve", "snapshots"],
             ),
             (
                 "run", lambda tmp, mp: collapsing(tmp, threshold="stepper.blowup_threshold = 1e30\n", norm="1e10"),
@@ -856,9 +917,9 @@ class TestCommands:
         self, tmp_path, monkeypatch, command, setup, code, termination, keys, phases
     ):
         # wall_s holds the wall seconds of each phase that ran on the exit
-        # path; "snapshots" is the time in the norm and frame blocks a run
-        # streams, and these failing runs keep too few snapshots to fill
-        # one; "characteristic" is the time a blowup's run spent in its
+        # path; "snapshots" is the time a run spent in its observer, which
+        # streams its snapshots, so a failing run has it too;
+        # "characteristic" is the time a blowup's run spent in its
         # characteristic, integrated as the run stepped
         p = setup(tmp_path, monkeypatch)
         out = tmp_path / "o"

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -427,6 +428,19 @@ class TestStepperConfig:
         with pytest.raises(ValueError, match="blowup_threshold must be positive"):
             StepperConfig(blowup_threshold=threshold)
 
+    @pytest.mark.parametrize("kw", [{"dt_init": 0.0}, {"dt_init": -1e-3}, {"t_end": 0.0}, {"t_end": -1.0}])
+    def test_rejects_nonpositive_times(self, kw):
+        with pytest.raises(ValueError, match="dt_init and t_end must be positive"):
+            StepperConfig(**kw)
+
+    @pytest.mark.parametrize("cfl", [0.0, -0.5, 1.0 + 1e-12, 2.0, np.nan])
+    def test_rejects_cfl_safety_outside_unit_interval(self, cfl):
+        with pytest.raises(ValueError, match=r"cfl_safety must lie in \(0, 1\]"):
+            StepperConfig(cfl_safety=cfl)
+
+    def test_cfl_safety_of_one_is_allowed(self):
+        assert StepperConfig(cfl_safety=1.0).cfl_safety == 1.0
+
 
 class TestEvolve:
     def test_reaches_t_end(self, grid):
@@ -462,6 +476,25 @@ class TestEvolve:
             assert all(row[0] == 0.0 for row in rec.c + rec.nl + rec.lam_b + rec.lam_b_dot)
             pic = picard_solve(B0, ModelParams(kind="full", mu=1.0, alpha=2.0), replace(fixed, scheme=scheme))
             assert np.all(pic.series.coefs[:, 0] == 0.0)
+
+    def test_observer_s_times_the_observer_calls(self, grid):
+        # an observer that sleeps 1 ms per state: observer_s sums at least
+        # those sleeps and stays below the run's own wall time
+        def sleepy(t, ops, c, nl, last):
+            time.sleep(1e-3)
+
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.02, adaptive=False)
+        start = time.perf_counter()
+        run = evolve(small_datum(grid), p, cfg, sleepy)
+        wall = time.perf_counter() - start
+        states = len(run.step_times)
+        assert states == 21
+        assert states * 1e-3 <= run.observer_s < wall
+        # the run's own snapshot table is its observer too
+        assert 0.0 < evolve(small_datum(grid), p, cfg).observer_s
+        # a Picard series has no observer
+        assert picard_solve(small_datum(grid), p, cfg, k_max=1).series.observer_s == 0.0
 
     def test_dissipation_contracts_l2(self, grid):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
@@ -922,7 +955,8 @@ class TestGridLadder:
                 with pytest.raises(ValueError):
                     row[0] = 1.0
         for r in (run, observed):
-            assert r.lam_b == r.lam_b_dot == () and r.lam_b.nbytes == r.lam_b_dot.nbytes == 0
+            assert r.lam_b.size == r.lam_b_dot.size == 0 and r.lam_b.nbytes == r.lam_b_dot.nbytes == 0
+            assert not r.lam_b.flags.writeable and not r.lam_b_dot.flags.writeable
 
     def test_rough_datum_never_leaves_n_and_fixed_dt_starts_coarse(self):
         # one rule picks the rung of every run: a datum that fills the band

@@ -246,6 +246,13 @@ class TestOperators:
         h = product(f, g, dealiased=False)
         assert np.allclose(h.phys, f.phys * g.phys, atol=1e-13)
 
+    def test_product_rejects_fields_on_different_grids(self, grid):
+        f = SpectralField.from_function(grid, np.sin)
+        for other in (GridSpec(np.pi, 64), GridSpec(2.0 * np.pi, 128)):
+            g = SpectralField.from_function(other, np.sin)
+            with pytest.raises(ValueError, match="different grids"):
+                product(f, g)
+
     def test_product_hilbert_identity(self, grid):
         """H(f H f) = ((H f)^2 - f^2)/2 for mean-free f (quadratic identity
         of the Hilbert transform on the torus)."""
