@@ -5,25 +5,26 @@
 
 Config files are flat ``section.key = value`` text (blank lines and ``#``
 comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
-3 numerical abort; a command that does not fit in memory is a numerical
-abort too, and like a floating-point error it writes no manifest.json.
-``run`` and ``blowup`` write steps.csv as soon as their
-run ends: one row per accepted step, t and each of the stepper's per-step
-diagnostics (dt, bound, sup_lam_b, sup_lam_bx, max_lam_bx, n_modes, a, gamma,
-G).  A
-``run`` passes only if it reaches t_end or, with a finite
-``stepper.blowup_threshold`` (which must be positive), stops at the
-threshold or at CFL collapse after at least one step; any other
-termination (a non-finite field, ill_posed, max_steps, or CFL collapse
-with no threshold or before the first step) writes only manifest.json and
-steps.csv and exits 3.  A ``run`` holds no snapshot table: it takes the
-norms and frames of its snapshots 32 at a time as it steps, and the frames
-go to a temporary file that becomes snapshots.bin only when the run
-passes, so no other exit, an abort included, leaves one.  A
-``blowup`` passes only if its run stops at the blowup threshold; any other
-termination, t_end included, likewise exits 3 with its cause recorded.
-``--seed`` overrides ``datum.seed`` for run, symmetry and lp; blowup's
-reference datum takes none.
+3 numerical abort.  A config error, in the arguments, a config, a datum file
+or an ``--out`` that cannot be a directory, prints one line ``config error:
+...`` to stderr.  A command that does not fit in memory is a numerical abort
+too, and like a floating-point error it writes no manifest.json.  ``run``
+and ``blowup`` write steps.csv as soon as their run ends: one row per
+accepted step, t and each of the stepper's per-step diagnostics (dt, bound,
+sup_lam_b, sup_lam_bx, max_lam_bx, n_modes, a, gamma, G).  A ``run`` passes
+only if it reaches t_end or, with a finite ``stepper.blowup_threshold``
+(which must be positive), stops at the threshold or at CFL collapse after
+at least one step; any other termination (a non-finite field, ill_posed,
+max_steps, or CFL collapse with no threshold or before the first step)
+writes only manifest.json and steps.csv and exits 3.  A ``run`` holds no
+snapshot table: it takes the norms and frames of its snapshots 32 at a time
+as it steps, and the frames go to a temporary file that becomes
+snapshots.bin only when the run passes, so no other exit, an abort
+included, leaves one.  A ``blowup`` passes only if its run stops at the
+blowup threshold; any other termination, t_end included, likewise exits 3
+with its cause recorded.  ``--seed`` stands for a ``datum.seed`` line in
+each config, and the manifest's config echo records it, so the echo run as
+a config writes the same data; blowup's reference datum takes no seed.
 ``--sweep`` takes a file listing one config path per line and runs them one
 after another in that order.  Run i writes to OUT/sweep_<i:03d>,
 OUT/sweep.json maps each run directory to its config path and exit code,
@@ -107,12 +108,12 @@ class RunConfig:
     model_kind: str = "full"
     model_mu: float = 1.0
     model_alpha: float = 2.0
-    stepper_scheme: str = "ifrk4"
-    stepper_dt_init: float = 1e-3
-    stepper_cfl_safety: float = 0.5
-    stepper_t_end: float = 1.0
-    stepper_blowup_threshold: float = math.inf
-    stepper_adaptive: bool = True
+    stepper_scheme: str = StepperConfig.scheme
+    stepper_dt_init: float = StepperConfig.dt_init
+    stepper_cfl_safety: float = StepperConfig.cfl_safety
+    stepper_t_end: float = StepperConfig.t_end
+    stepper_blowup_threshold: float = StepperConfig.blowup_threshold
+    stepper_adaptive: bool = StepperConfig.adaptive
     datum_kind: str = "gaussian_packet"
     datum_s_base: float = 0.5
     datum_norm: float = 0.05
@@ -298,9 +299,9 @@ class _SnapshotStream:
             self.filled = 0
 
 
-def cmd_run(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
+def cmd_run(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     grid = cfg.grid()
-    B0 = cfg.datum(grid, seed)
+    B0 = cfg.datum(grid)
     clock = _PhaseClock()
     part = out / "snapshots.bin.part"
     try:
@@ -355,8 +356,8 @@ def _verdict(gates: list[Gate], record: dict) -> tuple[int, dict]:
     return (EXIT_OK if all(g.passed for g in gates) else EXIT_TOLERANCE), record
 
 
-def cmd_blowup(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
-    """Riccati blowup harness with the reference datum and configuration forced: ``seed`` is unused."""
+def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+    """Riccati blowup harness with the reference datum and configuration forced: it reads grid.* and stepper.scheme."""
     clock = _PhaseClock()
     run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
     clock.spent("characteristic", run.observer_s)  # integrated inside evolve, as the run stepped
@@ -385,7 +386,7 @@ def cmd_blowup(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
     return _verdict(gates, record)
 
 
-def cmd_symmetry(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
+def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     """Discrete check of the rescaling invariance B -> lam^(a-2) B(lam x, lam^a t).
 
     Run A uses the configured grid and datum with a fixed dt; run B the
@@ -394,7 +395,7 @@ def cmd_symmetry(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict
     overflowed: a numerical abort, exit 3.
     """
     n_steps = max(1, int(round(cfg.stepper_t_end / cfg.stepper_dt_init)))
-    B = cfg.datum(cfg.grid(), seed)
+    B = cfg.datum(cfg.grid())
     clock = _PhaseClock()
     report, gates = scaling_symmetry_verdict(
         B, cfg.model(), cfg.symmetry_lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme
@@ -407,12 +408,12 @@ def cmd_symmetry(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict
     return _verdict(gates, {"rel_l2_mismatch": rel, "wall_s": clock.wall})
 
 
-def cmd_lp(cfg: RunConfig, out: Path, seed: int | None) -> tuple[int, dict]:
+def cmd_lp(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     grid = cfg.grid()
     if cutoffs_for(grid).q_max < 1:
         raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
     clock = _PhaseClock()
-    report, gates = lp_verdict(grid, cfg.datum_seed if seed is None else seed)
+    report, gates = lp_verdict(grid, cfg.datum_seed)
     clock.done("lp")
     (out / "lp_report.json").write_text(json.dumps(report, indent=2) + "\n")
     return _verdict(gates, {"lp": report, "wall_s": clock.wall})
@@ -459,16 +460,27 @@ def cmd_selftest(out: Path | None = None) -> int:
 _COMMANDS = {"run": cmd_run, "blowup": cmd_blowup, "symmetry": cmd_symmetry, "lp": cmd_lp}
 
 
+def _make_out(out: Path) -> None:
+    """Create the output directory ``out``; a path that is a file, or lies
+    under one, is a config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
+
+
 def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) -> int:
-    """Run one command on one config and write the record it returns, on
-    every path it returns by, as manifest.json; returns the exit code."""
+    """Run one command on one config, ``seed`` (if given) standing for its datum.seed line in the run and
+    the manifest's echo; write the record it returns, on every path, as manifest.json; return the exit code."""
     # a config error can also surface inside a command: a datum file of the
     # wrong size, or a grid that cannot hold the reference datum, shows only
     # once the grid is known
     try:
         cfg = RunConfig.from_file(config_path)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        code, record = _COMMANDS[command](cfg, out_dir, seed)
+        if seed is not None:
+            cfg.datum_seed, cfg.raw["datum.seed"] = seed, str(seed)
+        _make_out(out_dir)
+        code, record = _COMMANDS[command](cfg, out_dir)
     except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -483,39 +495,36 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="emhd1d", description=__doc__)
     ap.add_argument("command", choices=[*_COMMANDS, "selftest"])
     ap.add_argument("--config", help="path to a key = value config file")
-    ap.add_argument("--sweep", help="file listing one config path per line")
-    ap.add_argument("--out", default="out", help="output directory")
+    ap.add_argument("--sweep", type=Path, help="file listing one config path per line")
+    ap.add_argument("--out", type=Path, default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=None, help="override datum seed")
     args = ap.parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print(f"config error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(args.out)
-    if args.command == "selftest":
-        out.mkdir(parents=True, exist_ok=True)
-        return cmd_selftest(out)
-    if args.sweep:
-        sweep_file = Path(args.sweep)
-        if not sweep_file.is_file():
-            print(f"sweep file not found: {sweep_file}", file=sys.stderr)
-            return EXIT_CONFIG
-        paths = [ln.strip() for ln in sweep_file.read_text().splitlines() if ln.strip()]
+    try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        if args.command == "selftest":
+            _make_out(args.out)
+            return cmd_selftest(args.out)
+        if not args.sweep:
+            if not args.config:
+                raise ConfigError("--config is required (or --sweep)")
+            return _run_one(args.command, args.config, args.out, args.seed)
+        if not args.sweep.is_file():
+            raise ConfigError(f"sweep file not found: {args.sweep}")
+        paths = [ln.strip() for ln in args.sweep.read_text().splitlines() if ln.strip()]
         if not paths:
-            print(f"sweep file lists no config: {sweep_file}", file=sys.stderr)
-            return EXIT_CONFIG
-        record = {}
-        for i, p in enumerate(paths):
-            name = f"sweep_{i:03d}"
-            record[name] = {"config": p, "exit": _run_one(args.command, p, out / name, args.seed)}
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.json").write_text(json.dumps(record, indent=2) + "\n")
-        # the exit codes rank by severity: ok < tolerance < config < numerical
-        return max(r["exit"] for r in record.values())
-    if not args.config:
-        print("--config is required (or --sweep)", file=sys.stderr)
+            raise ConfigError(f"sweep file lists no config: {args.sweep}")
+        _make_out(args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return _run_one(args.command, args.config, out, args.seed)
+    record = {}
+    for i, p in enumerate(paths):
+        name = f"sweep_{i:03d}"
+        record[name] = {"config": p, "exit": _run_one(args.command, p, args.out / name, args.seed)}
+    (args.out / "sweep.json").write_text(json.dumps(record, indent=2) + "\n")
+    # the exit codes rank by severity: ok < tolerance < config < numerical
+    return max(r["exit"] for r in record.values())
 
 
 if __name__ == "__main__":

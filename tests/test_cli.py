@@ -22,7 +22,7 @@ from emhd1d.cli import (
     parse_config_text,
 )
 from emhd1d.diagnostics import norm_series
-from emhd1d.solver import evolve
+from emhd1d.solver import StepperConfig, evolve
 from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
 
 RUN_CFG = """
@@ -94,6 +94,13 @@ def collapsing(tmp_path, monkeypatch=None, threshold="", norm="1e12"):
         tmp_path,
         f"grid.N = 128\nmodel.kind = transport\ndatum.kind = random_rough\ndatum.norm = {norm}\n{threshold}",
     )
+
+
+def wrong_size_datum(tmp_path):
+    """A from_file config on 64 nodes whose datum file holds 10 values."""
+    raw = tmp_path / "datum.bin"
+    np.zeros(10).astype("<f8").tofile(raw)
+    return write_cfg(tmp_path, f"grid.N = 64\ndatum.kind = from_file\ndatum.path = {raw}\n")
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -204,6 +211,11 @@ class TestConfigParsing:
         assert cfg.grid_N == 128
         assert cfg.diagnostics_s_list == (0.0, 1.0)
         assert cfg.model_alpha == 2.0
+
+    def test_stepper_defaults_are_the_library_defaults(self, tmp_path):
+        # outputs.snapshot_cadence alone has a default of its own
+        cfg = RunConfig.from_file(write_cfg(tmp_path, "grid.N = 64\n"))
+        assert cfg.stepper() == StepperConfig(snapshot_cadence=cfg.outputs_snapshot_cadence)
 
 
 class TestCommands:
@@ -450,7 +462,7 @@ class TestCommands:
         sweep = write_cfg(tmp_path, "\n   \n\n", "sweep.txt")
         out = tmp_path / "sw"
         assert main(["run", "--sweep", str(sweep), "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"sweep file lists no config: {sweep}\n"
+        assert capsys.readouterr().err == f"config error: sweep file lists no config: {sweep}\n"
         assert not out.exists()
 
     def test_selftest_command_writes_its_report(self, tmp_path, capsys):
@@ -864,6 +876,67 @@ class TestCommands:
         p.write_text("grid.L = 12\ngrid.N = 8\n")
         assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_seed_option_is_echoed_and_the_echo_reproduces_the_run(self, tmp_path):
+        # --seed stands for a datum.seed line: the manifest's config echo
+        # names it, and the echo run as a config without --seed writes the
+        # same data; without its datum.seed line the data differ, so the
+        # seed is what the echo carries (at lam = 3 the symmetry mismatch
+        # is roundoff that depends on the datum)
+        rough = write_cfg(tmp_path, RUN_CFG + "datum.kind = random_rough\nsymmetry.lam = 3\n", "rough.cfg")
+        other = write_cfg(tmp_path, RUN_CFG.replace("model.alpha = 2.0", "model.alpha = 1.5")
+                          + "datum.kind = random_rough\n", "other.cfg")
+        sweep = write_cfg(tmp_path, f"{rough}\n{other}\n", "sweep.txt")
+        assert main(["run", "--sweep", str(sweep), "--out", str(tmp_path / "sw"), "--seed", "7"]) == EXIT_OK
+        runs = [("run", tmp_path / "sw" / f"sweep_{i:03d}", "series.csv") for i in range(2)]
+        for command, data in (("run", "series.csv"), ("symmetry", "symmetry.json"), ("lp", "lp_report.json")):
+            out = tmp_path / command
+            assert main([command, "--config", str(rough), "--out", str(out), "--seed", "7"]) == EXIT_OK
+            runs.append((command, out, data))
+        for command, out, data in runs:
+            echo = json.loads((out / "manifest.json").read_text())["config"]
+            assert echo["datum.seed"] == "7"
+            unseeded = {k: v for k, v in echo.items() if k != "datum.seed"}
+            for name, config, same in (("replay", echo, True), ("unseeded", unseeded, False)):
+                p = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in config.items()), f"{name}.cfg")
+                again = tmp_path / f"{name}_{out.name}"
+                assert main([command, "--config", str(p), "--out", str(again)]) == EXIT_OK
+                assert ((again / data).read_bytes() == (out / data).read_bytes()) == same, (out.name, name)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp: ["run", "--out", str(tmp / "o")],
+            lambda tmp: ["run", "--sweep", str(tmp / "no.txt"), "--out", str(tmp / "o")],
+            lambda tmp: ["run", "--sweep", str(write_cfg(tmp, "\n  \n", "sweep.txt")), "--out", str(tmp / "o")],
+            lambda tmp: ["run", "--config", str(write_cfg(tmp, RUN_CFG)), "--out", str(tmp / "o"), "--seed", "-1"],
+            lambda tmp: ["run", "--config", str(write_cfg(tmp, "grid.dealias = 0.5\n")), "--out", str(tmp / "o")],
+            lambda tmp: ["run", "--config", str(write_cfg(tmp, "grid.N = many\n")), "--out", str(tmp / "o")],
+            lambda tmp: [
+                "run", "--config", str(write_cfg(tmp, f"datum.kind = from_file\ndatum.path = {tmp / 'no.bin'}\n")),
+                "--out", str(tmp / "o"),
+            ],
+            lambda tmp: ["symmetry", "--config", str(wrong_size_datum(tmp)), "--out", str(tmp / "o")],
+            lambda tmp: ["lp", "--config", str(write_cfg(tmp, "grid.L = 12\ngrid.N = 8\n")), "--out", str(tmp / "o")],
+            # an --out that cannot be a directory fails before anything runs:
+            # a sweep whose first run started would print a second line
+            lambda tmp: ["run", "--config", str(write_cfg(tmp, RUN_CFG)), "--out", str(write_cfg(tmp, "", "taken"))],
+            lambda tmp: ["selftest", "--out", str(write_cfg(tmp, "", "taken") / "x")],
+            lambda tmp: [
+                "run", "--sweep", str(write_cfg(tmp, f"{write_cfg(tmp, RUN_CFG)}\n", "sweep.txt")),
+                "--out", str(write_cfg(tmp, "", "taken")),
+            ],
+        ],
+        ids=[
+            "no-config", "no-sweep-file", "empty-sweep", "negative-seed", "unknown-key", "bad-value",
+            "missing-datum-path", "wrong-size-datum", "lp-no-shell", "run-out-is-a-file", "selftest-out-under-a-file",
+            "sweep-out-is-a-file",
+        ],
+    )
+    def test_every_config_error_is_one_stderr_line(self, tmp_path, capsys, argv):
+        assert main(argv(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
     @pytest.mark.parametrize(
         "command, setup, code, termination, keys, phases",
