@@ -187,9 +187,10 @@ class Characteristic:
     def __call__(self, t: float, ops, c: np.ndarray, nl: np.ndarray, last: bool) -> None:
         grid, X = self.grid, self.X
         rows = np.empty((3, c.size), dtype=complex)  # Lambda B, d/dt Lambda B, |xi| Lambda B
-        np.multiply(ops.absxi, c, out=rows[0])
-        np.multiply(ops.absxi, nl - ops.lin * c, out=rows[1])
-        np.multiply(ops.absxi, rows[0], out=rows[2])
+        absxi = ops.rows[1]
+        np.multiply(absxi, c, out=rows[0])
+        np.multiply(absxi, nl - ops.lin * c, out=rows[1])
+        np.multiply(absxi, rows[0], out=rows[2])
         blocks = trig_blocks(grid, rows)
         if self.prev is not None:
             t0, blocks0 = self.prev

@@ -8,10 +8,13 @@ comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
 3 numerical abort.  A config error, in the arguments, a config, a datum file
 or an ``--out`` that cannot be a directory, prints one line ``config error:
 ...`` to stderr.  A command that does not fit in memory is a numerical abort
-too, and like a floating-point error it writes no manifest.json.  ``run``
-and ``blowup`` write steps.csv as soon as their run ends: one row per
-accepted step, t and each of the stepper's per-step diagnostics (dt, bound,
-sup_lam_b, sup_lam_bx, max_lam_bx, n_modes, a, gamma, G).  A ``run`` passes
+too, and like a floating-point error it writes no manifest.json.  Once its
+config parses, a command removes manifest.json and every file it writes
+from ``--out`` before it runs, so a reused directory holds the latest run's
+output alone, beside files no command writes.  ``run`` and ``blowup``
+write steps.csv as soon as their run ends: one row per accepted step, t
+and each of the stepper's per-step diagnostics (dt, bound, sup_lam_b,
+sup_lam_bx, max_lam_bx, n_modes, a, gamma, G).  A ``run`` passes
 only if it reaches t_end or, with a finite ``stepper.blowup_threshold``
 (which must be positive), stops at the threshold or at CFL collapse after
 at least one step; any other termination (a non-finite field, ill_posed,
@@ -457,7 +460,13 @@ def cmd_selftest(out: Path | None = None) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-_COMMANDS = {"run": cmd_run, "blowup": cmd_blowup, "symmetry": cmd_symmetry, "lp": cmd_lp}
+# each command and the files besides manifest.json that it may write
+_COMMANDS = {
+    "run": (cmd_run, ("series.csv", "snapshots.bin", "snapshots.bin.part", "snapshots.json", "steps.csv")),
+    "blowup": (cmd_blowup, ("blowup_report.json", "trajectory.csv", "steps.csv")),
+    "symmetry": (cmd_symmetry, ("symmetry.json",)),
+    "lp": (cmd_lp, ("lp_report.json",)),
+}
 
 
 def _make_out(out: Path) -> None:
@@ -480,7 +489,10 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
         if seed is not None:
             cfg.datum_seed, cfg.raw["datum.seed"] = seed, str(seed)
         _make_out(out_dir)
-        code, record = _COMMANDS[command](cfg, out_dir)
+        cmd, files = _COMMANDS[command]
+        for name in ("manifest.json", *files):  # so a reused out_dir shows no earlier run
+            (out_dir / name).unlink(missing_ok=True)
+        code, record = cmd(cfg, out_dir)
     except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

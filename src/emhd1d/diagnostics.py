@@ -51,18 +51,9 @@ def _cumtrapz(times: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(y.shape[:-1] + (1,)), steps], axis=-1)
 
 
-# rows of a coefficient table that one norm call reads: its temporaries are
-# the size of a block, not of the table
+# rows of the snapshot table that one norm_block call reads: its
+# temporaries are the size of a block, not of the table
 BLOCK = 32
-
-
-def _norms(grid: GridSpec, coefs: np.ndarray, s: float, homogeneous: bool = True) -> np.ndarray:
-    """H^s norm of each row of ``coefs``, one ``GridSpec.sobolev_norm2`` call
-    per block of ``BLOCK`` rows."""
-    out = np.empty(len(coefs))
-    for i in range(0, len(coefs), BLOCK):
-        out[i : i + BLOCK] = grid.sobolev_norm2(coefs[i : i + BLOCK], s, homogeneous)
-    return np.sqrt(out)
 
 
 def norm_block(grid: GridSpec, block: np.ndarray, s_list, alpha: float) -> np.ndarray:
@@ -151,8 +142,9 @@ def smoothing_rate_fit(run: TimeSeries, s_base: float, s_target: float, t_min: f
     norm to grow like t^(-(s_target - s_base)/alpha) as t -> 0+, with alpha
     the run's own, so the fitted log-log slope should be minus that exponent.
     """
-    norms = _norms(run.grid, run.coefs, s_target)
-    return _rate_fit(run.times, norms, s_base, s_target, run.params.alpha, t_min)
+    alpha = run.params.alpha
+    norms = norm_series(run, [s_target - 0.5 * alpha]).hs_diss[0]  # H^(s_target), homogeneous
+    return _rate_fit(run.times, norms, s_base, s_target, alpha, t_min)
 
 
 def smoothing_rate_fit_semigroup(

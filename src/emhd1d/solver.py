@@ -135,12 +135,11 @@ class _Ops:
         self.grid = grid
         self.params = params
         self.xi = grid.wavenumbers
-        self.absxi = np.abs(self.xi)
-        ddx = 1j * self.xi
+        absxi, ddx = np.abs(self.xi), 1j * self.xi
         # d/dx, Lambda, Lambda d/dx and 1 as complex rows: every physical
         # field the models multiply is a row of one broadcast product, so a
         # stack of rows takes one inverse transform
-        self.rows = np.stack((ddx, self.absxi, self.absxi * ddx, np.ones_like(self.xi)))
+        self.rows = np.stack((ddx, absxi, absxi * ddx, np.ones_like(self.xi)))
         self.mask = grid.dealias_mask
         self.tail = 2 * int(np.flatnonzero(self.mask)[-1]) // 3  # top third of the band
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
@@ -148,7 +147,7 @@ class _Ops:
         # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, for
         # the full model, sup|B|: a step's rate is the largest sup / scale
         self.scale = np.array([grid.dx, 1.0, 2.0 / self.xi_top**2])[: 3 if params.kind == "full" else 2]
-        for a in (self.absxi, self.rows, self.lin, self.scale):
+        for a in (self.rows, self.lin, self.scale):
             a.flags.writeable = False
         self._factors: tuple = (None, math.nan, ())
 

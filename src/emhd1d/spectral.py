@@ -7,7 +7,7 @@ read) with the convention
 
     coef_k = (1/N) * sum_j phys_j * exp(-i xi_k x_j),    xi_k = pi k / L,
 
-so that ``eval_trig`` is a plain trigonometric sum.  Every field is real, so
+so that ``evaluate_at`` is a plain trigonometric sum.  Every field is real, so
 its coefficients are Hermitian, coef_(-k) = conj(coef_k), and only the
 non-negative half k = 0, 1, ..., N/2 is stored: a ``coef`` array has N/2 + 1
 entries.  Node j sits at j dx mod 2L, so the transforms are numpy's real
@@ -26,7 +26,7 @@ with Lambda = |xi|.
 sum_k w_k c_k exp(i xi_k x) over the stored half, weights (1, 2, ..., 2, 1),
 with every xi_k >= 0.  The Nyquist term enters as conj(c_(N/2))
 exp(i pi N x / (2L)), the conjugate of its FFT-order term, so on a real
-field f's row the sum is f + i H f; ``eval_trig`` is its real part.
+field f's row the sum is f + i H f; ``evaluate_at`` is its real part.
 ``trig_blocks`` lays rows out once, weights applied, as zero-padded
 (rows, A, B) blocks with k = a B + b and B a power of two near sqrt(N/2).
 A sum at a point then takes two short exponential tables, exp(i xi_(aB) x)
@@ -331,24 +331,13 @@ def trig_sums(grid: GridSpec, blocks: np.ndarray, x: "float | np.ndarray") -> np
     return (partial[..., None, :] @ e[..., :block, None])[..., 0, 0]
 
 
-def eval_trig(grid: GridSpec, coef: np.ndarray, x: "float | np.ndarray") -> np.ndarray:
-    """Real trigonometric sums of coefficient rows at arbitrary points: the
-    real part of ``trig_sums`` of the rows laid out by ``trig_blocks``.
-
-    ``coef`` is one row of at most N/2 + 1 coefficients (result shape
-    (len(x),)) or a stack of m rows (result shape (m, len(x))); a row shorter
-    than N/2 + 1 is read as zero-padded.
-    """
-    return np.real(trig_sums(grid, trig_blocks(grid, coef), np.array(x, dtype=float, ndmin=1)))
-
-
 def evaluate_at(f: SpectralField, x: "float | np.ndarray") -> "float | np.ndarray":
     """Evaluate the trigonometric series of ``f`` at arbitrary points.
 
     Exact (to roundoff) for any band-limited field; agrees with ``phys`` at
     the grid nodes.  A scalar ``x`` gives a float.
     """
-    vals = eval_trig(f.grid, f.coef, x)
+    vals = trig_sums(f.grid, trig_blocks(f.grid, f.coef), np.array(x, dtype=float, ndmin=1)).real
     if np.ndim(x) == 0:
         return float(vals[0])
     return vals

@@ -36,8 +36,8 @@ class Recorder:
         self.c.append(c)
         self.nl.append(nl)
         self.last.append(last)
-        self.lam_b.append(ops.absxi * c)
-        self.lam_b_dot.append(ops.absxi * (nl - ops.lin * c))
+        self.lam_b.append(ops.rows[1] * c)
+        self.lam_b_dot.append(ops.rows[1] * (nl - ops.lin * c))
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from emhd1d.blowup import (
     run_blowup,
 )
 from emhd1d.solver import LADDER_TAIL, evolve, hermite
-from emhd1d.spectral import GridSpec, SpectralField, derivative, eval_trig, evaluate_at, frac_laplacian
+from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian, trig_blocks, trig_sums
 
 W0_SPECTRAL = 1.7495090293
 W0_PV = 1.7493995133
@@ -310,7 +310,7 @@ def full_band_trig(grid, rows, x):
 
 class MultiplierRowCharacteristic:
     """The characteristic as it read its values before the block sums, kept
-    as a reference: Lambda B, B_x, B_xx and w at X are ``eval_trig`` sums of
+    as a reference: Lambda B, B_x, B_xx and w at X are real ``trig_sums`` of
     four multiplier rows of Lambda B, and each RK4 stage sums the Hermite
     midpoint row, the coarser row of a rung switch zero-padded to the finer
     band; ``rows`` holds (X, Lambda B, B_x, B_xx, w, sup|B_xx|) per state."""
@@ -323,21 +323,21 @@ class MultiplierRowCharacteristic:
 
     def __call__(self, t, ops, c, nl, last):
         grid, X = self.grid, self.X
-        lam_b = ops.absxi * c
-        lam_b_dot = ops.absxi * (nl - ops.lin * c)
+        lam_b = ops.rows[1] * c
+        lam_b_dot = ops.rows[1] * (nl - ops.lin * c)
         if self.prev is not None:
             t0, lam_b0, lam_b_dot0 = self.prev
             dt = t - t0
             size = max(lam_b0.size, lam_b.size)
             vals = [np.pad(row, (0, size - row.size)) for row in (lam_b0, lam_b)]
             dots = [np.pad(row, (0, size - row.size)) for row in (lam_b_dot0, lam_b_dot)]
-            mid = hermite(vals, dots, 0, dt)
+            mid = trig_blocks(grid, hermite(vals, dots, 0, dt))
             f1 = -self.rows[-1][1]
-            f2 = -eval_trig(grid, mid, X + 0.5 * dt * f1)[0]
-            f3 = -eval_trig(grid, mid, X + 0.5 * dt * f2)[0]
-            f4 = -eval_trig(grid, lam_b, X + dt * f3)[0]
+            f2 = -trig_sums(grid, mid, X + 0.5 * dt * f1).real
+            f3 = -trig_sums(grid, mid, X + 0.5 * dt * f2).real
+            f4 = -trig_sums(grid, trig_blocks(grid, lam_b), X + dt * f3).real
             X = self.X = X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        at_x = eval_trig(grid, self.mults[:, : lam_b.size] * lam_b, X)[:, 0]
+        at_x = trig_sums(grid, trig_blocks(grid, self.mults[:, : lam_b.size] * lam_b), X).real
         sup_bxx = np.max(np.abs(grid.to_phys(self.mults[2, : lam_b.size] * lam_b)))
         self.rows.append((X, *at_x, sup_bxx))
         self.prev = (t, lam_b, lam_b_dot)

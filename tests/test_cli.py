@@ -1015,6 +1015,51 @@ class TestCommands:
                 files += ["series.csv", "snapshots.bin", "snapshots.json"]
             assert sorted(f.name for f in out.iterdir()) == sorted(files)
 
+    @pytest.mark.parametrize(
+        "command, passing, aborting, termination",
+        [
+            ("run", lambda tmp: write_cfg(tmp, RUN_CFG, "pass.cfg"), collapsing, "cfl_collapse"),
+            (
+                "blowup", lambda tmp: write_cfg(tmp, "grid.L = 6\ngrid.N = 2048\n", "pass.cfg"),
+                lambda tmp: write_cfg(tmp, "grid.L = 6\ngrid.N = 1280\nstepper.scheme = etdrk4\n"), "t_end",
+            ),
+            ("symmetry", lambda tmp: write_cfg(tmp, RUN_CFG, "pass.cfg"), overflowing, "non_finite"),
+        ],
+        ids=["run", "blowup", "symmetry"],
+    )
+    def test_abort_into_a_reused_out_leaves_what_it_leaves_in_a_fresh_one(
+        self, tmp_path, command, passing, aborting, termination
+    ):
+        # the abort after a passing run first removes the files the
+        # command names, and leaves notes.txt, which no command writes
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main([command, "--config", str(passing(tmp_path)), "--out", str(reused)]) == EXIT_OK
+        written = {f.name for f in reused.iterdir()}
+        (reused / "notes.txt").write_text("kept\n")
+        p = aborting(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for out in (fresh, reused):
+                assert main([command, "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
+        assert json.loads((reused / "manifest.json").read_text())["termination"] == termination
+        assert sorted(f.name for f in reused.iterdir()) == sorted(["notes.txt", *(f.name for f in fresh.iterdir())])
+        assert (reused / "notes.txt").read_text() == "kept\n"
+        # the passing run wrote manifest.json and every file its command
+        # names, all but run's temporary snapshots.bin.part
+        assert written == {"manifest.json", *cli._COMMANDS[command][1]} - {"snapshots.bin.part"}
+
+    def test_out_of_memory_after_a_pass_leaves_no_earlier_output(self, cfg_file, tmp_path, monkeypatch):
+        # a MemoryError writes no manifest.json, so the passing run's one,
+        # which reads t_end, must not stay behind with its data files
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 1. GiB")
+
+        monkeypatch.setattr(cli, "evolve", out_of_memory)
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == EXIT_NUMERICAL
+        assert list(out.iterdir()) == []
+
     @pytest.fixture
     def fresh_revision(self):
         cli._git_revision.cache_clear()

@@ -738,7 +738,7 @@ class TestEvolve:
 
         diag = run.diagnostics
         for n, c in enumerate(run.coefs[: states - 1]):
-            sup_lb = np.max(np.abs(g.to_phys(ops.absxi * c)))
+            sup_lb = np.max(np.abs(g.to_phys(ops.rows[1] * c)))
             sup_lbx = np.max(np.abs(g.to_phys(ops.rows[2] * c)))
             assert diag["sup_lam_b"][n] == sup_lb and diag["sup_lam_bx"][n] == sup_lbx
             if kind == "full" and n < states - 2:  # the last step is cut to t_end
