@@ -4,11 +4,15 @@
            [--out DIR] [--seed U64]
 
 Config files are flat ``section.key = value`` text (blank lines and ``#``
-comments ignored).  Exit codes: 0 pass, 1 tolerance failure, 2 config error,
-3 numerical abort.  A config error, in the arguments, a config, a datum file
-or an ``--out`` that cannot be a directory, prints one line ``config error:
-...`` to stderr.  A command that does not fit in memory is a numerical abort
-too, and like a floating-point error it writes no manifest.json.  Once its
+comments ignored); the ``model.*`` and ``stepper.*`` keys are the fields of
+``ModelParams`` and ``StepperConfig`` of the same name, and
+``outputs.snapshot_cadence`` is ``StepperConfig.snapshot_cadence``.  Exit
+codes: 0 pass, 1 tolerance failure, 2 config error, 3 numerical abort.  A
+config error, in the arguments, a config, a datum file, an ``--out`` that
+cannot be a directory or one that holds a directory named like a file the
+command writes, prints one line ``config error: ...`` to stderr.  A command
+that does not fit in memory is a numerical abort too, and like a
+floating-point error it writes no manifest.json.  Once its
 config parses, a command removes manifest.json and every file it writes
 from ``--out`` before it runs, so a reused directory holds the latest run's
 output alone, beside files no command writes.  ``run`` and ``blowup``
@@ -43,7 +47,7 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,25 +108,20 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 @dataclass
 class RunConfig:
-    """Typed view of a config file with defaults for every key."""
+    """Typed view of a config file with defaults for every key: ``model.*``
+    and ``stepper.*`` are the fields of ``model`` and ``stepper`` of the same
+    name, ``outputs.snapshot_cadence`` is ``stepper.snapshot_cadence``, and
+    any other ``section.name`` is the field ``section_name``."""
 
     grid_L: float = 6.0
     grid_N: int = 256
-    model_kind: str = "full"
-    model_mu: float = 1.0
-    model_alpha: float = 2.0
-    stepper_scheme: str = StepperConfig.scheme
-    stepper_dt_init: float = StepperConfig.dt_init
-    stepper_cfl_safety: float = StepperConfig.cfl_safety
-    stepper_t_end: float = StepperConfig.t_end
-    stepper_blowup_threshold: float = StepperConfig.blowup_threshold
-    stepper_adaptive: bool = StepperConfig.adaptive
+    model: ModelParams = ModelParams("full", 1.0, 2.0)
+    stepper: StepperConfig = StepperConfig(snapshot_cadence=10)
     datum_kind: str = "gaussian_packet"
     datum_s_base: float = 0.5
     datum_norm: float = 0.05
     datum_seed: int = 0
     datum_path: str = ""
-    outputs_snapshot_cadence: int = 10
     diagnostics_s_list: tuple[float, ...] = (1.0,)
     symmetry_lam: float = 2.0
     raw: dict = field(default_factory=dict)
@@ -133,13 +132,18 @@ class RunConfig:
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         kv = parse_config_text(p.read_text())
-        cfg = cls(raw=dict(kv))
-        # key "section.name" <-> field "section_name"; the default fixes the type
-        by_key = {f.name.replace("_", ".", 1): f for f in fields(cls) if f.name != "raw"}
+        # each key's part (None for a field of the config itself), field and
+        # default, which fixes the type of its value
+        keys = {f.name.replace("_", ".", 1): (None, f.name, f.default) for f in fields(cls) if "_" in f.name}
+        for part in ("model", "stepper"):
+            obj = getattr(cls, part)
+            keys |= {f"{part}.{f.name}": (part, f.name, getattr(obj, f.name)) for f in fields(obj)}
+        keys["outputs.snapshot_cadence"] = keys.pop("stepper.snapshot_cadence")
+        given: dict = {None: {}, "model": {}, "stepper": {}}
         for key, val in kv.items():
-            if key not in by_key:
+            if key not in keys:
                 raise ConfigError(f"unknown config key: {key}")
-            default = by_key[key].default
+            part, name, default = keys[key]
             try:
                 if isinstance(default, bool):
                     value = _BOOLS[val.lower()]
@@ -149,46 +153,30 @@ class RunConfig:
                     value = type(default)(val)
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {val!r}") from exc
-            setattr(cfg, by_key[key].name, value)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.datum_kind not in ("paper_blowup", "gaussian_packet", "random_rough", "from_file"):
-            raise ConfigError(f"unknown datum.kind: {self.datum_kind}")
-        if self.datum_kind == "from_file" and not Path(self.datum_path).is_file():
-            raise ConfigError(f"datum.path not found: {self.datum_path}")
-        if self.datum_seed < 0:
-            raise ConfigError(f"datum.seed must be non-negative, got {self.datum_seed}")
-        if not (math.isfinite(self.symmetry_lam) and self.symmetry_lam > 0):
-            raise ConfigError(f"symmetry.lam must be positive and finite, got {self.symmetry_lam}")
+            given[part][name] = value
+        cfg = cls(raw=dict(kv), **given[None])
+        if cfg.datum_kind not in ("paper_blowup", "gaussian_packet", "random_rough", "from_file"):
+            raise ConfigError(f"unknown datum.kind: {cfg.datum_kind}")
+        if cfg.datum_kind == "from_file" and not Path(cfg.datum_path).is_file():
+            raise ConfigError(f"datum.path not found: {cfg.datum_path}")
+        if cfg.datum_seed < 0:
+            raise ConfigError(f"datum.seed must be non-negative, got {cfg.datum_seed}")
+        if not (math.isfinite(cfg.symmetry_lam) and cfg.symmetry_lam > 0):
+            raise ConfigError(f"symmetry.lam must be positive and finite, got {cfg.symmetry_lam}")
         for key in ("datum.norm", "datum.s_base", "diagnostics.s_list"):
-            val = getattr(self, key.replace(".", "_"))
+            val = getattr(cfg, key.replace(".", "_"))
             if not np.all(np.isfinite(val)):
                 raise ConfigError(f"{key} must be finite, got {val}")
         try:
-            self.grid()
-            self.model()
-            self.stepper()
+            cfg.grid()
+            cfg.model = replace(cfg.model, **given["model"])
+            cfg.stepper = replace(cfg.stepper, **given["stepper"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        return cfg
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_L, self.grid_N)
-
-    def model(self) -> ModelParams:
-        return ModelParams(kind=self.model_kind, mu=self.model_mu, alpha=self.model_alpha)
-
-    def stepper(self) -> StepperConfig:
-        return StepperConfig(
-            scheme=self.stepper_scheme,
-            dt_init=self.stepper_dt_init,
-            cfl_safety=self.stepper_cfl_safety,
-            t_end=self.stepper_t_end,
-            blowup_threshold=self.stepper_blowup_threshold,
-            adaptive=self.stepper_adaptive,
-            snapshot_cadence=self.outputs_snapshot_cadence,
-        )
 
     def datum(self, grid: GridSpec, seed: int | None = None) -> SpectralField:
         sd = self.datum_seed if seed is None else seed
@@ -229,7 +217,7 @@ def _write_manifest(out: Path, cfg: RunConfig, extra: dict) -> None:
         "version": __version__,
         "numpy": np.__version__,
         "git_revision": _git_revision(),
-        "scheme": cfg.stepper_scheme,
+        "scheme": cfg.stepper.scheme,
         "config": cfg.raw,
         **extra,
     }
@@ -309,8 +297,8 @@ def cmd_run(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     part = out / "snapshots.bin.part"
     try:
         with part.open("wb") as fh:
-            stream = _SnapshotStream(grid, cfg.diagnostics_s_list, cfg.model_alpha, fh)
-            run = evolve(B0, cfg.model(), cfg.stepper(), snapshots(stream, cfg.outputs_snapshot_cadence))
+            stream = _SnapshotStream(grid, cfg.diagnostics_s_list, cfg.model.alpha, fh)
+            run = evolve(B0, cfg.model, cfg.stepper, snapshots(stream, cfg.stepper.snapshot_cadence))
             clock.spent("snapshots", run.observer_s)
             clock.done("evolve")
             _write_steps(out, run)
@@ -362,7 +350,7 @@ def _verdict(gates: list[Gate], record: dict) -> tuple[int, dict]:
 def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     """Riccati blowup harness with the reference datum and configuration forced: it reads grid.* and stepper.scheme."""
     clock = _PhaseClock()
-    run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper_scheme)
+    run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper.scheme)
     clock.spent("characteristic", run.observer_s)  # integrated inside evolve, as the run stepped
     clock.done("evolve")
     _write_steps(out, run)
@@ -397,11 +385,11 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     ``scaling_symmetry_mismatch``).  A non-finite mismatch means a run
     overflowed: a numerical abort, exit 3.
     """
-    n_steps = max(1, int(round(cfg.stepper_t_end / cfg.stepper_dt_init)))
+    n_steps = max(1, int(round(cfg.stepper.t_end / cfg.stepper.dt_init)))
     B = cfg.datum(cfg.grid())
     clock = _PhaseClock()
     report, gates = scaling_symmetry_verdict(
-        B, cfg.model(), cfg.symmetry_lam, cfg.stepper_t_end, n_steps, cfg.stepper_scheme
+        B, cfg.model, cfg.symmetry_lam, cfg.stepper.t_end, n_steps, cfg.stepper.scheme
     )
     clock.done("evolve")  # both runs
     rel = report["rel_l2_mismatch"]
@@ -490,8 +478,12 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
             cfg.datum_seed, cfg.raw["datum.seed"] = seed, str(seed)
         _make_out(out_dir)
         cmd, files = _COMMANDS[command]
-        for name in ("manifest.json", *files):  # so a reused out_dir shows no earlier run
-            (out_dir / name).unlink(missing_ok=True)
+        paths = [out_dir / name for name in ("manifest.json", *files)]
+        for path in paths:  # checked before any goes, so a config error leaves out_dir as it was
+            if path.is_dir():
+                raise ConfigError(f"output file {path} is a directory")
+        for path in paths:  # so a reused out_dir shows no earlier run
+            path.unlink(missing_ok=True)
         code, record = cmd(cfg, out_dir)
     except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 import json
 import re
 import subprocess
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from emhd1d.cli import (
     parse_config_text,
 )
 from emhd1d.diagnostics import norm_series
-from emhd1d.solver import StepperConfig, evolve
+from emhd1d.solver import ModelParams, StepperConfig, evolve
 from emhd1d.spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian
 
 RUN_CFG = """
@@ -101,6 +101,16 @@ def wrong_size_datum(tmp_path):
     raw = tmp_path / "datum.bin"
     np.zeros(10).astype("<f8").tofile(raw)
     return write_cfg(tmp_path, f"grid.N = 64\ndatum.kind = from_file\ndatum.path = {raw}\n")
+
+
+def out_holding_dir(tmp_path, name):
+    """An --out directory that holds a directory named ``name`` beside an
+    earlier run's manifest.json and steps.csv files."""
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    for earlier in {"manifest.json", "steps.csv"} - {name}:
+        (out / earlier).write_text("earlier run\n")
+    return out
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -198,7 +208,7 @@ class TestConfigParsing:
     def test_bool_spellings(self, tmp_path, val, expected):
         p = tmp_path / "b.cfg"
         p.write_text(f"stepper.adaptive = {val}\n")
-        assert RunConfig.from_file(p).stepper_adaptive is expected
+        assert RunConfig.from_file(p).stepper.adaptive is expected
 
     def test_invalid_grid_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -210,12 +220,35 @@ class TestConfigParsing:
         cfg = RunConfig.from_file(cfg_file)
         assert cfg.grid_N == 128
         assert cfg.diagnostics_s_list == (0.0, 1.0)
-        assert cfg.model_alpha == 2.0
+        assert cfg.model.alpha == 2.0
 
     def test_stepper_defaults_are_the_library_defaults(self, tmp_path):
         # outputs.snapshot_cadence alone has a default of its own
         cfg = RunConfig.from_file(write_cfg(tmp_path, "grid.N = 64\n"))
-        assert cfg.stepper() == StepperConfig(snapshot_cadence=cfg.outputs_snapshot_cadence)
+        assert cfg.stepper == StepperConfig(snapshot_cadence=10)
+        assert cfg.model == ModelParams("full", 1.0, 2.0)
+
+    def test_accepted_keys_are_pinned(self, tmp_path):
+        # every section.name spelling of a field of RunConfig, ModelParams or
+        # StepperConfig is tried, so a field added to any of them shows up
+        # here as a key change to be made on purpose
+        names = {f.name for cls in (RunConfig, ModelParams, StepperConfig) for f in fields(cls)}
+        names |= {n.split("_", 1)[1] for n in names if "_" in n}
+        sections = ("grid", "model", "stepper", "datum", "outputs", "diagnostics", "symmetry")
+
+        def accepted(key):
+            try:
+                RunConfig.from_file(write_cfg(tmp_path, f"{key} = 1\n"))
+            except ConfigError as exc:
+                return not str(exc).startswith("unknown config key")
+            return True
+
+        assert {key for s in sections for n in names if accepted(key := f"{s}.{n}")} == {
+            "grid.L", "grid.N", "model.kind", "model.mu", "model.alpha", "stepper.scheme", "stepper.dt_init",
+            "stepper.cfl_safety", "stepper.t_end", "stepper.blowup_threshold", "stepper.adaptive", "datum.kind",
+            "datum.s_base", "datum.norm", "datum.seed", "datum.path", "outputs.snapshot_cadence",
+            "diagnostics.s_list", "symmetry.lam",
+        }
 
 
 class TestCommands:
@@ -247,7 +280,7 @@ class TestCommands:
         assert np.max(np.abs(data[0] - np.exp(-(x**2)) * np.sin(3.0 * x))) <= 1e-12
         # 41 frames, written in blocks, are each frame's own transform
         cfg = RunConfig.from_file(p)
-        run = evolve(cfg.datum(cfg.grid()), cfg.model(), cfg.stepper())
+        run = evolve(cfg.datum(cfg.grid()), cfg.model, cfg.stepper)
         assert data.shape[0] == len(run.coefs) == 41
         assert np.array_equal(data, [np.fft.fftshift(run.grid.to_phys(c)) for c in run.coefs])
 
@@ -267,7 +300,7 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
         cfg = RunConfig.from_file(p)
-        run = evolve(cfg.datum(cfg.grid()), cfg.model(), cfg.stepper())
+        run = evolve(cfg.datum(cfg.grid()), cfg.model, cfg.stepper)
         assert run.termination == "t_end" and len(run.times) == snapshots
         ns = norm_series(run, list(cfg.diagnostics_s_list))
         expected = [ns.times] + [a[i] for i in range(2) for a in (ns.hs, ns.hs_diss, ns.budget)]
@@ -363,7 +396,7 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
         cfg = RunConfig.from_file(cfg_file)
-        run = evolve(cfg.datum(cfg.grid()), cfg.model(), cfg.stepper())
+        run = evolve(cfg.datum(cfg.grid()), cfg.model, cfg.stepper)
         ns = norm_series(run, list(cfg.diagnostics_s_list))
         header, values = read_csv(out / "series.csv")
         assert header == ["t", "hs_0", "hdiss_0", "budget_0", "hs_1", "hdiss_1", "budget_1"]
@@ -926,17 +959,29 @@ class TestCommands:
                 "run", "--sweep", str(write_cfg(tmp, f"{write_cfg(tmp, RUN_CFG)}\n", "sweep.txt")),
                 "--out", str(write_cfg(tmp, "", "taken")),
             ],
+            # a directory where the command would write a file stays, and
+            # so does every file of the earlier run
+            lambda tmp: [
+                "run", "--config", str(write_cfg(tmp, RUN_CFG)), "--out", str(out_holding_dir(tmp, "series.csv")),
+            ],
+            lambda tmp: [
+                "run", "--config", str(write_cfg(tmp, RUN_CFG)), "--out", str(out_holding_dir(tmp, "manifest.json")),
+            ],
         ],
         ids=[
             "no-config", "no-sweep-file", "empty-sweep", "negative-seed", "unknown-key", "bad-value",
             "missing-datum-path", "wrong-size-datum", "lp-no-shell", "run-out-is-a-file", "selftest-out-under-a-file",
-            "sweep-out-is-a-file",
+            "sweep-out-is-a-file", "out-holds-series-csv-dir", "out-holds-manifest-json-dir",
         ],
     )
     def test_every_config_error_is_one_stderr_line(self, tmp_path, capsys, argv):
-        assert main(argv(tmp_path)) == EXIT_CONFIG
+        args = argv(tmp_path)
+        before = sorted((p, p.is_dir()) for p in tmp_path.rglob("*"))
+        assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        # a config error changes nothing it finds: no path goes, and none changes kind
+        assert all(p.exists() and p.is_dir() == was_dir for p, was_dir in before)
 
     @pytest.mark.parametrize(
         "command, setup, code, termination, keys, phases",
