@@ -8,14 +8,17 @@ comments ignored); the ``model.*`` and ``stepper.*`` keys are the fields of
 ``ModelParams`` and ``StepperConfig`` of the same name, and
 ``outputs.snapshot_cadence`` is ``StepperConfig.snapshot_cadence``.  Exit
 codes: 0 pass, 1 tolerance failure, 2 config error, 3 numerical abort.  A
-config error, in the arguments, a config, a datum file, an ``--out`` that
-cannot be a directory or one that holds a directory named like a file the
-command writes, prints one line ``config error: ...`` to stderr.  A command
-that does not fit in memory is a numerical abort too, and like a
-floating-point error it writes no manifest.json.  Once its
-config parses, a command removes manifest.json and every file it writes
-from ``--out`` before it runs, so a reused directory holds the latest run's
-output alone, beside files no command writes.  ``run`` and ``blowup``
+config error (in the arguments, a config, a datum file, or an ``--out``
+that cannot be a directory or holds a directory named like a file to be
+written) prints one line ``config error: ...`` to stderr.  A command that
+does not fit in memory is a numerical abort too, and like a floating-point
+error it writes no manifest.json.  Once its config parses, a command
+removes manifest.json and every file it writes (``selftest`` selftest.json,
+a sweep sweep.json before its first run) from ``--out``, so a reused one
+holds the latest output beside files no command writes.  Config errors
+leave ``--out`` as it was, but for two only the command finds, after the
+clearing: a grid that cannot hold the reference datum, or with no lp shell.
+``run`` and ``blowup``
 write steps.csv as soon as their run ends: one row per accepted step, t
 and each of the stepper's per-step diagnostics (dt, bound, sup_lam_b,
 sup_lam_bx, max_lam_bx, n_modes, a, gamma, G).  A ``run`` passes
@@ -168,11 +171,17 @@ class RunConfig:
             if not np.all(np.isfinite(val)):
                 raise ConfigError(f"{key} must be finite, got {val}")
         try:
-            cfg.grid()
+            n_modes = cfg.grid().n_modes
             cfg.model = replace(cfg.model, **given["model"])
             cfg.stepper = replace(cfg.stepper, **given["stepper"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        if cfg.datum_kind == "from_file":
+            arr = np.fromfile(cfg.datum_path, dtype="<f8")
+            if arr.shape != (n_modes,):
+                raise ConfigError(f"datum file holds {arr.size} float64 values, grid needs {n_modes}")
+            if bad := arr.size - int(np.count_nonzero(np.isfinite(arr))):
+                raise ConfigError(f"datum file holds {bad} non-finite values")
         return cfg
 
     def grid(self) -> GridSpec:
@@ -186,16 +195,8 @@ class RunConfig:
             return SpectralField.from_function(grid, lambda x: np.exp(-(x**2)) * np.sin(3.0 * x))
         if self.datum_kind == "random_rough":
             return rough_datum(grid, self.datum_s_base, norm=self.datum_norm, seed=sd)
-        arr = np.fromfile(self.datum_path, dtype="<f8")
-        if arr.shape != (grid.n_modes,):
-            raise ConfigError(
-                f"datum file holds {arr.size} float64 values, grid needs {grid.n_modes}"
-            )
-        bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
-        if bad:
-            raise ConfigError(f"datum file holds {bad} non-finite values")
-        # the file is ascending in x from -L; phys follows grid.nodes
-        return SpectralField.from_phys(grid, np.fft.ifftshift(arr))
+        # the file, checked by from_file, is ascending in x from -L; phys follows grid.nodes
+        return SpectralField.from_phys(grid, np.fft.ifftshift(np.fromfile(self.datum_path, dtype="<f8")))
 
 
 @functools.cache
@@ -457,33 +458,32 @@ _COMMANDS = {
 }
 
 
-def _make_out(out: Path) -> None:
-    """Create the output directory ``out``; a path that is a file, or lies
-    under one, is a config error."""
+def _claim(out: Path, names: tuple[str, ...]) -> None:
+    """Make the directory ``out`` and remove the files ``names`` from it; a
+    path that is a file or lies under one, or a name that is a directory in
+    ``out``, is a config error raised before any name goes."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
+    paths = [out / name for name in names]
+    if clash := next((path for path in paths if path.is_dir()), None):
+        raise ConfigError(f"output file {clash} is a directory")
+    for path in paths:
+        path.unlink(missing_ok=True)
 
 
 def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) -> int:
     """Run one command on one config, ``seed`` (if given) standing for its datum.seed line in the run and
     the manifest's echo; write the record it returns, on every path, as manifest.json; return the exit code."""
-    # a config error can also surface inside a command: a datum file of the
-    # wrong size, or a grid that cannot hold the reference datum, shows only
-    # once the grid is known
+    # a grid that cannot hold the reference datum, or with no lp shell, is a
+    # config error that only the command finds, after out_dir is claimed
     try:
         cfg = RunConfig.from_file(config_path)
         if seed is not None:
             cfg.datum_seed, cfg.raw["datum.seed"] = seed, str(seed)
-        _make_out(out_dir)
         cmd, files = _COMMANDS[command]
-        paths = [out_dir / name for name in ("manifest.json", *files)]
-        for path in paths:  # checked before any goes, so a config error leaves out_dir as it was
-            if path.is_dir():
-                raise ConfigError(f"output file {path} is a directory")
-        for path in paths:  # so a reused out_dir shows no earlier run
-            path.unlink(missing_ok=True)
+        _claim(out_dir, ("manifest.json", *files))
         code, record = cmd(cfg, out_dir)
     except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "selftest":
-            _make_out(args.out)
+            _claim(args.out, ("selftest.json",))
             return cmd_selftest(args.out)
         if not args.sweep:
             if not args.config:
@@ -518,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         paths = [ln.strip() for ln in args.sweep.read_text().splitlines() if ln.strip()]
         if not paths:
             raise ConfigError(f"sweep file lists no config: {args.sweep}")
-        _make_out(args.out)
+        _claim(args.out, ("sweep.json",))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

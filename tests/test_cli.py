@@ -590,6 +590,21 @@ class TestCommands:
         assert "config error: datum file holds 2 non-finite values" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("values", [np.zeros(10), np.full(64, np.nan)], ids=["wrong-size", "non-finite"])
+    def test_bad_datum_file_leaves_a_reused_out_as_it_was(self, cfg_file, tmp_path, capsys, values):
+        # the datum file is checked with the config, before --out is touched
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+        earlier = {f.name: f.read_bytes() for f in out.iterdir()}
+        raw = tmp_path / "datum.bin"
+        values.astype("<f8").tofile(raw)
+        p = write_cfg(tmp_path, f"grid.N = 64\ndatum.kind = from_file\ndatum.path = {raw}\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: datum file holds ") and err.count("\n") == 1, err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == earlier
+
     def test_run_overflow_is_numerical_abort(self, tmp_path):
         p = overflowing(tmp_path)
         out = tmp_path / "bigout"
@@ -876,6 +891,25 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, passing, text",
+        [
+            ("blowup", "grid.L = 6\ngrid.N = 2048\n", "grid.L = 2\n"),
+            ("lp", LP_CFG, "grid.L = 12\ngrid.N = 8\n"),
+        ],
+        ids=["blowup-L2", "lp-no-shell"],
+    )
+    def test_config_error_found_by_the_command_leaves_no_manifest(self, tmp_path, capsys, command, passing, text):
+        # these two config errors show only inside the command, after the
+        # earlier run's files went, so no manifest.json may read as a pass
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_cfg(tmp_path, passing, "pass.cfg")), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not (out / "manifest.json").exists()
+
     def test_sweep_with_unusable_datum_grid(self, cfg_file, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid.L = 2\ndatum.kind = paper_blowup\n")
@@ -967,11 +1001,18 @@ class TestCommands:
             lambda tmp: [
                 "run", "--config", str(write_cfg(tmp, RUN_CFG)), "--out", str(out_holding_dir(tmp, "manifest.json")),
             ],
+            # selftest and a sweep claim their own file like any command
+            lambda tmp: ["selftest", "--out", str(out_holding_dir(tmp, "selftest.json"))],
+            lambda tmp: [
+                "run", "--sweep", str(write_cfg(tmp, f"{write_cfg(tmp, RUN_CFG)}\n", "sweep.txt")),
+                "--out", str(out_holding_dir(tmp, "sweep.json")),
+            ],
         ],
         ids=[
             "no-config", "no-sweep-file", "empty-sweep", "negative-seed", "unknown-key", "bad-value",
             "missing-datum-path", "wrong-size-datum", "lp-no-shell", "run-out-is-a-file", "selftest-out-under-a-file",
             "sweep-out-is-a-file", "out-holds-series-csv-dir", "out-holds-manifest-json-dir",
+            "selftest-out-holds-selftest-json-dir", "sweep-out-holds-sweep-json-dir",
         ],
     )
     def test_every_config_error_is_one_stderr_line(self, tmp_path, capsys, argv):
@@ -982,6 +1023,8 @@ class TestCommands:
         assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n"), err
         # a config error changes nothing it finds: no path goes, and none changes kind
         assert all(p.exists() and p.is_dir() == was_dir for p, was_dir in before)
+        # and a sweep stops before its first run
+        assert not list(tmp_path.rglob("sweep_000"))
 
     @pytest.mark.parametrize(
         "command, setup, code, termination, keys, phases",
