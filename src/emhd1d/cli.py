@@ -16,8 +16,9 @@ error it writes no manifest.json.  Once its config parses, a command
 removes manifest.json and every file it writes (``selftest`` selftest.json,
 a sweep sweep.json before its first run) from ``--out``, so a reused one
 holds the latest output beside files no command writes.  Config errors
-leave ``--out`` as it was, but for two only the command finds, after the
-clearing: a grid that cannot hold the reference datum, or with no lp shell.
+leave ``--out`` as it was, an ``lp`` grid with no shell q >= 1 included,
+but for one only the command finds, after the clearing: a grid that cannot
+hold the reference datum.
 ``run`` and ``blowup``
 write steps.csv as soon as their run ends: one row per accepted step, t
 and each of the stepper's per-step diagnostics (dt, bound, sup_lam_b,
@@ -401,44 +402,42 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def cmd_lp(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    grid = cfg.grid()
-    if cutoffs_for(grid).q_max < 1:
-        raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
+    """The three lp harnesses, on a grid ``_run_one`` found to hold a shell q >= 1."""
     clock = _PhaseClock()
-    report, gates = lp_verdict(grid, cfg.datum_seed)
+    report, gates = lp_verdict(cfg.grid(), cfg.datum_seed)
     clock.done("lp")
     (out / "lp_report.json").write_text(json.dumps(report, indent=2) + "\n")
     return _verdict(gates, {"lp": report, "wall_s": clock.wall})
 
 
 def cmd_selftest(out: Path | None = None) -> int:
-    """Operator-identity suite on 100 random band-limited fields at N = 256."""
+    """Operator-identity suite on one stack of 100 random band-limited fields at N = 256."""
     grid = GridSpec(np.pi, 256)
     rng = np.random.default_rng(12345)
+    rows = [random_band_limited(grid, rng, decay=float(rng.uniform(0.05, 0.3))).coef for _ in range(100)]
+    f = SpectralField.from_coef(grid, np.array(rows))
+    size = np.maximum(f.l2_norm(), 1e-300)
     worst: dict[str, float] = {}
 
-    def track(name: str, diff: np.ndarray, f: SpectralField) -> None:
-        """Record the relative L2 defect ||diff|| / ||f||."""
-        rel = float(np.sqrt(grid.norm2(diff))) / max(f.l2_norm(), 1e-300)
-        worst[name] = max(worst.get(name, 0.0), rel)
+    def track(name: str, diff: np.ndarray) -> None:
+        """Record the worst relative L2 defect ||diff|| / ||f|| over the fields."""
+        worst[name] = float(np.max(np.sqrt(grid.norm2(diff)) / size))
 
-    for _ in range(100):
-        f = random_band_limited(grid, rng, decay=float(rng.uniform(0.05, 0.3)))
-        # H(H f) = -(f - mean f)
-        hh = hilbert(hilbert(f))
-        track("HH", hh.coef + f.coef - np.where(grid.mode_index == 0, f.coef, 0.0), f)
-        # Lambda = H d/dx
-        track("lambda", frac_laplacian(f, 1.0).coef - hilbert(derivative(f)).coef, f)
-        # Lambda^r I_r = id - mean
-        r = 0.5
-        lam_i = frac_laplacian(riesz_potential(f, r), r).coef
-        track("riesz", lam_i - np.where(grid.mode_index == 0, 0.0, f.coef), f)
-        # H(f H f) = ((H f)^2 - f^2) / 2 on mean-free fields
-        hf = hilbert(f)
-        lhs = hilbert(product(f, hf, dealiased=False))
-        rhs_f = 0.5 * (grid.to_coef(hf.phys**2) - grid.to_coef(f.phys**2))
-        rhs_f[0] = 0.0  # both sides mean-free by the Hilbert transform
-        track("fhf", lhs.coef - rhs_f, f)
+    # H(H f) = -(f - mean f)
+    hh = hilbert(hilbert(f))
+    track("HH", hh.coef + f.coef - np.where(grid.mode_index == 0, f.coef, 0.0))
+    # Lambda = H d/dx
+    track("lambda", frac_laplacian(f, 1.0).coef - hilbert(derivative(f)).coef)
+    # Lambda^r I_r = id - mean
+    r = 0.5
+    lam_i = frac_laplacian(riesz_potential(f, r), r).coef
+    track("riesz", lam_i - np.where(grid.mode_index == 0, 0.0, f.coef))
+    # H(f H f) = ((H f)^2 - f^2) / 2 on mean-free fields
+    hf = hilbert(f)
+    lhs = hilbert(product(f, hf, dealiased=False))
+    rhs_f = 0.5 * (grid.to_coef(hf.phys**2) - grid.to_coef(f.phys**2))
+    rhs_f[..., 0] = 0.0  # both sides mean-free by the Hilbert transform
+    track("fhf", lhs.coef - rhs_f)
 
     ok = all(v <= 1e-10 for v in worst.values())
     lines = [f"{k}: max relative defect {v:.3e}" for k, v in sorted(worst.items())]
@@ -476,13 +475,15 @@ def _claim(out: Path, names: tuple[str, ...]) -> None:
 def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) -> int:
     """Run one command on one config, ``seed`` (if given) standing for its datum.seed line in the run and
     the manifest's echo; write the record it returns, on every path, as manifest.json; return the exit code."""
-    # a grid that cannot hold the reference datum, or with no lp shell, is a
-    # config error that only the command finds, after out_dir is claimed
+    # a grid that cannot hold the reference datum is the one config error
+    # that only the command finds, after out_dir is claimed
     try:
         cfg = RunConfig.from_file(config_path)
         if seed is not None:
             cfg.datum_seed, cfg.raw["datum.seed"] = seed, str(seed)
         cmd, files = _COMMANDS[command]
+        if command == "lp" and cutoffs_for(cfg.grid()).q_max < 1:
+            raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
         _claim(out_dir, ("manifest.json", *files))
         code, record = cmd(cfg, out_dir)
     except (ConfigError, DatumError) as exc:

@@ -9,7 +9,8 @@ grid's dealiased band.
 Also contains empirical sanity harnesses for the Bernstein and commutator
 inequalities used by the energy estimates: they report worst-case
 left/right-hand-side ratios over random band-limited fields.  These are
-bounded-ratio checks, not constant verifications.
+bounded-ratio checks, not constant verifications.  Each draws its trials in
+turn, then makes one call per quantity on the stack of the trials' fields.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .spectral import (
     frac_laplacian,
     product,
     riesz_potential,
+    scalar,
 )
 
 
@@ -82,8 +84,9 @@ class LPCutoffs:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "weights", weights)
 
-    def weight(self, q: int) -> np.ndarray:
-        if q < -1 or q > self.q_max:
+    def weight(self, q: "int | np.ndarray") -> np.ndarray:
+        """Row q + 1 of ``weights``; an array of shell indices gives a row each."""
+        if np.min(q) < -1 or np.max(q) > self.q_max:
             raise ValueError(f"shell index {q} outside [-1, {self.q_max}]")
         return self.weights[q + 1]
 
@@ -94,28 +97,32 @@ class LPCutoffs:
 cutoffs_for = functools.lru_cache(maxsize=32)(LPCutoffs)  # one shared, read-only table per grid
 
 
-def project_shell(f: SpectralField, q: int) -> SpectralField:
-    """Littlewood-Paley projection Delta_q f (q = -1 is the low block)."""
+def project_shell(f: SpectralField, q: "int | np.ndarray") -> SpectralField:
+    """Littlewood-Paley projection Delta_q f (q = -1 is the low block); on a
+    stack, an array q gives each row its own shell."""
     return SpectralField.from_coef(f.grid, cutoffs_for(f.grid).weight(q) * f.coef)
 
 
 def shell_spectrum(f: SpectralField, s: float) -> np.ndarray:
-    """Per-shell weighted L2 masses lambda_q^(2s) ||Delta_q f||^2, q = -1 .. q_max."""
-    cut = cutoffs_for(f.grid)
-    return cut.lam ** (2.0 * s) * f.grid.norm2(cut.weights * f.coef)
+    """Per-shell weighted L2 masses lambda_q^(2s) ||Delta_q f||^2, q = -1 .. q_max,
+    along the last axis (a row of them per field of a stack).  Eight fields to
+    a call: the temporaries are n_shells rows per field, not per stack."""
+    cut, rows = cutoffs_for(f.grid), f.coef.reshape(-1, f.coef.shape[-1])
+    masses = [f.grid.norm2(cut.weights * rows[i : i + 8, None, :]) for i in range(0, len(rows), 8)]
+    return cut.lam ** (2.0 * s) * np.concatenate(masses).reshape(f.coef.shape[:-1] + cut.lam.shape)
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
+def sobolev_norm(f: SpectralField, s: float) -> "float | np.ndarray":
     """Homogeneous Sobolev norm via the direct multiplier (zero mode excluded).
 
     This is the reference implementation the shell sum is equivalent to.
     """
-    return float(np.sqrt(f.grid.sobolev_norm2(f.coef, s)))
+    return scalar(np.sqrt(f.grid.sobolev_norm2(f.coef, s)))
 
 
-def lp_norm(f: SpectralField, p: float) -> float:
+def lp_norm(f: SpectralField, p: float) -> "float | np.ndarray":
     """L^p norm by trapezoidal quadrature (exact mean of |f|^p on the uniform grid)."""
-    return float((np.mean(np.abs(f.phys) ** p) * 2.0 * f.grid.half_length) ** (1.0 / p))
+    return scalar((np.mean(np.abs(f.phys) ** p, axis=-1) * 2.0 * f.grid.half_length) ** (1.0 / p))
 
 
 def random_band_limited(
@@ -170,18 +177,18 @@ def bernstein_check(
     ||f_q||_inf <= C 2^(q/2) ||f_q||_2.
     """
     rng = np.random.default_rng(seed)
-    r_deriv, r_inf = [], []
+    qs, rows = [], []
     for _ in range(trials):
-        q = int(rng.integers(0, cutoffs_for(grid).q_max))
-        f = random_shell_field(grid, q, rng)
-        n2 = f.l2_norm()
-        if n2 == 0.0:
-            continue
-        lam_q = 2.0**q
-        r_deriv.append(derivative(f).l2_norm() / (lam_q * n2))
-        r_inf.append(f.linf_norm() / (lam_q**0.5 * n2))
-    rep1 = BoundReport("bernstein_derivative", trials, float(np.max(r_deriv)), np.array(r_deriv))
-    rep2 = BoundReport("bernstein_linf", trials, float(np.max(r_inf)), np.array(r_inf))
+        qs.append(int(rng.integers(0, cutoffs_for(grid).q_max)))
+        rows.append(random_shell_field(grid, qs[-1], rng).coef)
+    f = SpectralField.from_coef(grid, np.array(rows))
+    n2 = f.l2_norm()
+    keep = n2 != 0.0  # a zero field has no ratio
+    lam_q, n2 = 2.0 ** np.array(qs)[keep], n2[keep]
+    r_deriv = derivative(f).l2_norm()[keep] / (lam_q * n2)
+    r_inf = f.linf_norm()[keep] / (lam_q**0.5 * n2)
+    rep1 = BoundReport("bernstein_derivative", trials, float(np.max(r_deriv)), r_deriv)
+    rep2 = BoundReport("bernstein_linf", trials, float(np.max(r_inf)), r_inf)
     return rep1, rep2
 
 
@@ -203,34 +210,28 @@ def commutator_check(grid: GridSpec, trials: int = 30, seed: int = 0) -> tuple[B
     sigma = 1.0 - eps
     p2 = 2.0 + eps
     p1 = 1.0 / (0.5 - 1.0 / p2)
-    ratios_lp, ratios_cm = [], []
+    fs, gs, qs = [], [], []
     for _ in range(trials):
-        f = random_band_limited(grid, rng)
-        g = random_band_limited(grid, rng)
+        fs.append(random_band_limited(grid, rng).coef)
+        gs.append(random_band_limited(grid, rng).coef)
+        qs.append(int(rng.integers(0, cutoffs_for(grid).q_max)))
+    f, g = (SpectralField.from_coef(grid, np.array(rows)) for rows in (fs, gs))
+    q = np.array(qs)
 
-        q = int(rng.integers(0, cutoffs_for(grid).q_max))
-        # [Delta_q, f] g = Delta_q(fg) - f Delta_q(g)
-        comm = SpectralField.from_coef(
-            grid,
-            project_shell(product(f, g), q).coef - product(f, project_shell(g, q)).coef,
-        )
-        lhs = comm.l2_norm()
-        rhs = (2.0**q) ** (-(r1s + r2s - 0.5)) * 2.0 * sobolev_norm(f, r1s) * sobolev_norm(g, r2s)
-        if rhs > 0:
-            ratios_lp.append(lhs / rhs)
+    # [Delta_q, f] g = Delta_q(fg) - f Delta_q(g)
+    comm = project_shell(product(f, g), q).coef - product(f, project_shell(g, q)).coef
+    lhs = SpectralField.from_coef(grid, comm).l2_norm()
+    rhs = (2.0**q) ** (-(r1s + r2s - 0.5)) * 2.0 * sobolev_norm(f, r1s) * sobolev_norm(g, r2s)
+    ratios_lp = lhs[rhs > 0] / rhs[rhs > 0]
 
-        # [Lambda^gamma, f] g with gamma = 1/2
-        half = 0.5
-        comm2 = SpectralField.from_coef(
-            grid,
-            frac_laplacian(product(f, g), half).coef - product(f, frac_laplacian(g, half)).coef,
-        )
-        lhs2 = comm2.l2_norm()
-        rhs2 = lp_norm(frac_laplacian(f, sigma), p1) * lp_norm(riesz_potential(g, sigma - half), p2)
-        if rhs2 > 0:
-            ratios_cm.append(lhs2 / rhs2)
-    rep_lp = BoundReport("commutator_shell", trials, float(np.max(ratios_lp)), np.array(ratios_lp))
-    rep_cm = BoundReport("commutator_frac", trials, float(np.max(ratios_cm)), np.array(ratios_cm))
+    # [Lambda^gamma, f] g with gamma = 1/2
+    half = 0.5
+    comm2 = frac_laplacian(product(f, g), half).coef - product(f, frac_laplacian(g, half)).coef
+    lhs2 = SpectralField.from_coef(grid, comm2).l2_norm()
+    rhs2 = lp_norm(frac_laplacian(f, sigma), p1) * lp_norm(riesz_potential(g, sigma - half), p2)
+    ratios_cm = lhs2[rhs2 > 0] / rhs2[rhs2 > 0]
+    rep_lp = BoundReport("commutator_shell", trials, float(np.max(ratios_lp)), ratios_lp)
+    rep_cm = BoundReport("commutator_frac", trials, float(np.max(ratios_cm)), ratios_cm)
     return rep_lp, rep_cm
 
 
@@ -239,13 +240,11 @@ def norm_equivalence_ratio(
 ) -> tuple[float, float]:
     """Range [c, C] of sqrt(sum(shell_spectrum)) / sobolev_norm over random fields."""
     rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(trials):
-        f = random_band_limited(grid, rng, decay=float(rng.uniform(0.02, 0.5)))
-        direct = sobolev_norm(f, s)
-        if direct == 0.0:
-            continue
-        ratios.append(np.sqrt(np.sum(shell_spectrum(f, s))) / direct)
+    rows = [random_band_limited(grid, rng, decay=float(rng.uniform(0.02, 0.5))).coef for _ in range(trials)]
+    f = SpectralField.from_coef(grid, np.array(rows))
+    direct = sobolev_norm(f, s)
+    keep = direct != 0.0
+    ratios = np.sqrt(np.sum(shell_spectrum(f, s), axis=-1))[keep] / direct[keep]
     return float(np.min(ratios)), float(np.max(ratios))
 
 

@@ -18,7 +18,10 @@ become sums over the half with weights (1, 2, ..., 2, 1): ``GridSpec.norm2``
 and ``GridSpec.inner`` are the Plancherel pair, and
 ``GridSpec.sobolev_norm2`` is every squared H^s norm.  All nonlocal
 operators (Hilbert transform, fractional Laplacian, Riesz potential) are
-exact diagonal multipliers in this basis.  The Hilbert transform uses
+exact diagonal multipliers in this basis.  A ``SpectralField`` may hold a
+stack of fields, rows along the leading axes: every operator and the
+product act row by row, each row with the bits it has alone, so a harness
+over random fields makes one call per quantity.  The Hilbert transform uses
 m(xi) = -i sgn(xi), the unique sign choice for which Lambda = H d/dx holds
 with Lambda = |xi|.
 
@@ -176,14 +179,16 @@ class SpectralField:
     :meth:`from_phys` must be taken there.  A field built from samples keeps
     them as ``phys``; one built from coefficients transforms them only when
     ``phys`` is first read, since most fields are only ever read through
-    ``coef``.
+    ``coef``.  A stack of fields has ``coef`` of shape (..., N/2 + 1) and
+    ``phys`` of shape (..., N); the operators act on each row, and the
+    norms and ``mean`` reduce the last axis, to a float for one field.
     """
 
     grid: GridSpec
     coef: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.coef.shape != (self.grid.n_modes // 2 + 1,):
+        if self.coef.shape[-1:] != (self.grid.n_modes // 2 + 1,):
             raise ValueError("coef has wrong shape for grid")
         self.coef.flags.writeable = False
 
@@ -197,7 +202,7 @@ class SpectralField:
     def from_phys(cls, grid: GridSpec, phys: np.ndarray) -> "SpectralField":
         phys = np.ascontiguousarray(phys, dtype=float).copy()
         # N + 1 samples would give N/2 + 1 coefficients and pass the coef check
-        if phys.shape != (grid.n_modes,):
+        if phys.shape[-1:] != (grid.n_modes,):
             raise ValueError("phys has wrong shape for grid")
         f = cls(grid, grid.to_coef(phys))
         phys.flags.writeable = False
@@ -213,15 +218,20 @@ class SpectralField:
         return cls.from_phys(grid, fn(grid.nodes))
 
     @property
-    def mean(self) -> float:
-        return float(np.real(self.coef[0]))
+    def mean(self) -> "float | np.ndarray":
+        return scalar(np.real(self.coef[..., 0]))
 
-    def l2_norm(self) -> float:
+    def l2_norm(self) -> "float | np.ndarray":
         """L2 norm on the torus by Plancherel."""
-        return float(np.sqrt(self.grid.norm2(self.coef)))
+        return scalar(np.sqrt(self.grid.norm2(self.coef)))
 
-    def linf_norm(self) -> float:
-        return float(np.max(np.abs(self.phys)))
+    def linf_norm(self) -> "float | np.ndarray":
+        return scalar(np.max(np.abs(self.phys), axis=-1))
+
+
+def scalar(x: np.ndarray) -> "float | np.ndarray":
+    """A reduction of one field as a float; a stack's stays an array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def sobolev_weight(xi: np.ndarray, s: float, homogeneous: bool = True) -> np.ndarray:
@@ -285,7 +295,7 @@ def product(f: SpectralField, g: SpectralField, dealiased: bool = True) -> Spect
 
 def remove_mean(f: SpectralField) -> SpectralField:
     c = f.coef.copy()
-    c[0] = 0.0
+    c[..., 0] = 0.0
     return SpectralField.from_coef(f.grid, c)
 
 
@@ -335,9 +345,7 @@ def evaluate_at(f: SpectralField, x: "float | np.ndarray") -> "float | np.ndarra
     """Evaluate the trigonometric series of ``f`` at arbitrary points.
 
     Exact (to roundoff) for any band-limited field; agrees with ``phys`` at
-    the grid nodes.  A scalar ``x`` gives a float.
+    the grid nodes.  A scalar ``x`` gives a float, or one per row of a stack.
     """
     vals = trig_sums(f.grid, trig_blocks(f.grid, f.coef), np.array(x, dtype=float, ndmin=1)).real
-    if np.ndim(x) == 0:
-        return float(vals[0])
-    return vals
+    return scalar(vals[..., 0]) if np.ndim(x) == 0 else vals

@@ -177,6 +177,66 @@ class TestSpectralField:
         assert abs(remove_mean(f).mean) < 1e-15
 
 
+class TestStacks:
+    """A SpectralField may hold a stack of fields; each row of every
+    operator, norm and reduction is bitwise that row's single-field call."""
+
+    @pytest.fixture
+    def rows(self, grid):
+        rng = np.random.default_rng(11)
+        half = grid.n_modes // 2 + 1
+        c = (rng.standard_normal((5, half)) + 1j * rng.standard_normal((5, half))) / (1.0 + np.arange(half))
+        c[:, [0, -1]] = c[:, [0, -1]].real  # a real field's mean and Nyquist entries
+        return c
+
+    OPERATORS = {
+        "hilbert": hilbert,
+        "derivative": derivative,
+        "derivative2": lambda f: derivative(f, 2),
+        "frac_laplacian": lambda f: frac_laplacian(f, 1.5),
+        "riesz_potential": lambda f: riesz_potential(f, 0.4),
+        "remove_mean": remove_mean,
+        "product": lambda f: product(f, hilbert(f)),
+        "product_aliased": lambda f: product(f, f, dealiased=False),
+    }
+
+    @pytest.mark.parametrize("name", list(OPERATORS))
+    def test_operators_act_row_by_row(self, grid, rows, name):
+        op = self.OPERATORS[name]
+        stacked = op(SpectralField.from_coef(grid, rows))
+        assert stacked.coef.shape == rows.shape and stacked.phys.shape == (5, grid.n_modes)
+        for i, row in enumerate(rows):
+            single = op(SpectralField.from_coef(grid, row))
+            assert np.array_equal(stacked.coef[i], single.coef)
+            assert np.array_equal(stacked.phys[i], single.phys)
+
+    def test_norms_reduce_the_last_axis(self, grid, rows):
+        f = SpectralField.from_coef(grid, rows)
+        singles = [SpectralField.from_coef(grid, row) for row in rows]
+        x = np.array([-2.0, 0.3, 9.0])
+        for read in (lambda g: g.l2_norm(), lambda g: g.linf_norm(), lambda g: g.mean,
+                     lambda g: evaluate_at(g, 0.7)):
+            stacked = read(f)
+            assert stacked.shape == (5,)
+            assert all(isinstance(read(g), float) for g in singles)
+            assert np.array_equal(stacked, [read(g) for g in singles])
+        assert np.array_equal(evaluate_at(f, x), [evaluate_at(g, x) for g in singles])
+        # a stack from samples keeps them, as one field does
+        phys = grid.to_phys(rows)
+        g = SpectralField.from_phys(grid, phys)
+        assert np.array_equal(g.phys, phys) and np.array_equal(g.coef, grid.to_coef(phys))
+
+    def test_last_axis_must_fit_the_grid(self, grid, rows):
+        half = grid.n_modes // 2 + 1
+        for bad in (rows[:, :-1], np.zeros((5, grid.n_modes), dtype=complex), np.zeros((5, half + 1)),
+                    np.zeros((half, 5), dtype=complex), np.array(1.0 + 0j)):
+            with pytest.raises(ValueError, match="coef has wrong shape"):
+                SpectralField.from_coef(grid, bad)
+        for bad in (np.zeros((5, grid.n_modes + 1)), np.zeros((5, grid.n_modes - 2)), np.array(1.0)):
+            with pytest.raises(ValueError, match="phys has wrong shape"):
+                SpectralField.from_phys(grid, bad)
+
+
 class TestSobolevNorm2:
     @pytest.mark.parametrize("s, homogeneous", [(-0.5, True), (1.5, True), (-0.5, False), (0.75, False)])
     def test_stack_matches_rows_and_weighted_norm2(self, grid, s, homogeneous):
