@@ -423,9 +423,9 @@ def cmd_selftest(out: Path | None = None) -> int:
         """Record the worst relative L2 defect ||diff|| / ||f|| over the fields."""
         worst[name] = float(np.max(np.sqrt(grid.norm2(diff)) / size))
 
+    hf = hilbert(f)
     # H(H f) = -(f - mean f)
-    hh = hilbert(hilbert(f))
-    track("HH", hh.coef + f.coef - np.where(grid.mode_index == 0, f.coef, 0.0))
+    track("HH", hilbert(hf).coef + f.coef - np.where(grid.mode_index == 0, f.coef, 0.0))
     # Lambda = H d/dx
     track("lambda", frac_laplacian(f, 1.0).coef - hilbert(derivative(f)).coef)
     # Lambda^r I_r = id - mean
@@ -433,7 +433,6 @@ def cmd_selftest(out: Path | None = None) -> int:
     lam_i = frac_laplacian(riesz_potential(f, r), r).coef
     track("riesz", lam_i - np.where(grid.mode_index == 0, 0.0, f.coef))
     # H(f H f) = ((H f)^2 - f^2) / 2 on mean-free fields
-    hf = hilbert(f)
     lhs = hilbert(product(f, hf, dealiased=False))
     rhs_f = 0.5 * (grid.to_coef(hf.phys**2) - grid.to_coef(f.phys**2))
     rhs_f[..., 0] = 0.0  # both sides mean-free by the Hilbert transform
