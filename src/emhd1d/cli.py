@@ -401,8 +401,14 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     return _verdict(gates, {"rel_l2_mismatch": rel, "wall_s": clock.wall})
 
 
+def lp_grid_check(cfg: RunConfig) -> None:
+    """``lp``'s config check before ``--out`` is claimed: its grid must hold a shell q >= 1."""
+    if cutoffs_for(cfg.grid()).q_max < 1:
+        raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
+
+
 def cmd_lp(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    """The three lp harnesses, on a grid ``_run_one`` found to hold a shell q >= 1."""
+    """The three lp harnesses, on a grid ``lp_grid_check`` passed."""
     clock = _PhaseClock()
     report, gates = lp_verdict(cfg.grid(), cfg.datum_seed)
     clock.done("lp")
@@ -417,26 +423,18 @@ def cmd_selftest(out: Path | None = None) -> int:
     rows = [random_band_limited(grid, rng, decay=float(rng.uniform(0.05, 0.3))).coef for _ in range(100)]
     f = SpectralField.from_coef(grid, np.array(rows))
     size = np.maximum(f.l2_norm(), 1e-300)
-    worst: dict[str, float] = {}
-
-    def track(name: str, diff: np.ndarray) -> None:
-        """Record the worst relative L2 defect ||diff|| / ||f|| over the fields."""
-        worst[name] = float(np.max(np.sqrt(grid.norm2(diff)) / size))
-
     hf = hilbert(f)
-    # H(H f) = -(f - mean f)
-    track("HH", hilbert(hf).coef + f.coef - np.where(grid.mode_index == 0, f.coef, 0.0))
-    # Lambda = H d/dx
-    track("lambda", frac_laplacian(f, 1.0).coef - hilbert(derivative(f)).coef)
-    # Lambda^r I_r = id - mean
-    r = 0.5
-    lam_i = frac_laplacian(riesz_potential(f, r), r).coef
-    track("riesz", lam_i - np.where(grid.mode_index == 0, 0.0, f.coef))
-    # H(f H f) = ((H f)^2 - f^2) / 2 on mean-free fields
-    lhs = hilbert(product(f, hf, dealiased=False))
+    lam_i = frac_laplacian(riesz_potential(f, 0.5), 0.5).coef
     rhs_f = 0.5 * (grid.to_coef(hf.phys**2) - grid.to_coef(f.phys**2))
     rhs_f[..., 0] = 0.0  # both sides mean-free by the Hilbert transform
-    track("fhf", lhs.coef - rhs_f)
+    defects = {
+        "HH": hilbert(hf).coef + f.coef - np.where(grid.mode_index == 0, f.coef, 0.0),  # H H f = mean f - f
+        "lambda": frac_laplacian(f, 1.0).coef - hilbert(derivative(f)).coef,  # Lambda = H d/dx
+        "riesz": lam_i - np.where(grid.mode_index == 0, 0.0, f.coef),  # Lambda^r I_r = id - mean, r = 1/2
+        "fhf": hilbert(product(f, hf, dealiased=False)).coef - rhs_f,  # H(f H f) = ((H f)^2 - f^2) / 2
+    }
+    # the worst relative L2 defect ||diff|| / ||f|| over the fields
+    worst = {name: float(np.max(np.sqrt(grid.norm2(diff)) / size)) for name, diff in defects.items()}
 
     ok = all(v <= 1e-10 for v in worst.values())
     lines = [f"{k}: max relative defect {v:.3e}" for k, v in sorted(worst.items())]
@@ -447,12 +445,13 @@ def cmd_selftest(out: Path | None = None) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-# each command and the files besides manifest.json that it may write
+# each command, the files besides manifest.json it may write, and its own config check before they go
 _COMMANDS = {
-    "run": (cmd_run, ("series.csv", "snapshots.bin", "snapshots.bin.part", "snapshots.json", "steps.csv")),
-    "blowup": (cmd_blowup, ("blowup_report.json", "trajectory.csv", "steps.csv")),
-    "symmetry": (cmd_symmetry, ("symmetry.json",)),
-    "lp": (cmd_lp, ("lp_report.json",)),
+    "run": (cmd_run, ("series.csv", "snapshots.bin", "snapshots.bin.part", "snapshots.json", "steps.csv"),
+            None),
+    "blowup": (cmd_blowup, ("blowup_report.json", "trajectory.csv", "steps.csv"), None),
+    "symmetry": (cmd_symmetry, ("symmetry.json",), None),
+    "lp": (cmd_lp, ("lp_report.json",), lp_grid_check),
 }
 
 
@@ -480,9 +479,9 @@ def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) ->
         cfg = RunConfig.from_file(config_path)
         if seed is not None:
             cfg.datum_seed, cfg.raw["datum.seed"] = seed, str(seed)
-        cmd, files = _COMMANDS[command]
-        if command == "lp" and cutoffs_for(cfg.grid()).q_max < 1:
-            raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
+        cmd, files, check = _COMMANDS[command]
+        if check is not None:
+            check(cfg)
         _claim(out_dir, ("manifest.json", *files))
         code, record = cmd(cfg, out_dir)
     except (ConfigError, DatumError) as exc:

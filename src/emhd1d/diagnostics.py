@@ -142,9 +142,9 @@ def smoothing_rate_fit(run: TimeSeries, s_base: float, s_target: float, t_min: f
     norm to grow like t^(-(s_target - s_base)/alpha) as t -> 0+, with alpha
     the run's own, so the fitted log-log slope should be minus that exponent.
     """
-    rows = range(0, len(run.times), BLOCK)  # a block to a call: block-sized temporaries
-    norms = np.concatenate([np.sqrt(run.grid.sobolev_norm2(run.coefs[i : i + BLOCK], s_target)) for i in rows])
-    return _rate_fit(run.times, norms, s_base, s_target, run.params.alpha, t_min)
+    alpha = run.params.alpha
+    norms = norm_series(run, [s_target - 0.5 * alpha]).hs_diss[0]  # H^(s_target), homogeneous
+    return _rate_fit(run.times, norms, s_base, s_target, alpha, t_min)
 
 
 def smoothing_rate_fit_semigroup(
