@@ -8,17 +8,17 @@ comments ignored); the ``model.*`` and ``stepper.*`` keys are the fields of
 ``ModelParams`` and ``StepperConfig`` of the same name, and
 ``outputs.snapshot_cadence`` is ``StepperConfig.snapshot_cadence``.  Exit
 codes: 0 pass, 1 tolerance failure, 2 config error, 3 numerical abort.  A
-config error (in the arguments, a config, a datum file, or an ``--out``
-that cannot be a directory or holds a directory named like a file to be
-written) prints one line ``config error: ...`` to stderr.  A command that
-does not fit in memory is a numerical abort too, and like a floating-point
-error it writes no manifest.json.  Once its config parses, a command
-removes manifest.json and every file it writes (``selftest`` selftest.json,
-a sweep sweep.json before its first run) from ``--out``, so a reused one
-holds the latest output beside files no command writes.  Config errors
-leave ``--out`` as it was, an ``lp`` grid with no shell q >= 1 included,
-but for one only the command finds, after the clearing: a grid that cannot
-hold the reference datum.
+config error (in the arguments, a config, a datum file, a grid that cannot
+hold the reference datum or an ``lp`` shell q >= 1, or an ``--out`` that
+cannot be made or holds a directory named like a file to be written) prints
+one line ``config error: ...`` to stderr.  A command that does not fit in
+memory is a numerical abort too, and like a floating-point error it writes
+no manifest.json.  A command first builds its inputs (its datum, or ``lp``'s
+grid), then removes manifest.json and every file it writes (``selftest``
+selftest.json, a sweep sweep.json before its first run) from ``--out``, so a
+reused one holds the latest output beside files no command writes.  Every
+config error, and an abort while the inputs are built, comes before that and
+leaves ``--out`` as it was.
 ``run`` and ``blowup``
 write steps.csv as soon as their run ends: one row per accepted step, t
 and each of the stepper's per-step diagnostics (dt, bound, sup_lam_b,
@@ -58,7 +58,7 @@ import numpy as np
 
 from . import __version__
 from .blowup import (
-    DatumError, FitWindowError, advect_trajectory, make_reference_datum, riccati_verdict, run_blowup
+    BlowupDatum, DatumError, FitWindowError, advect_trajectory, make_reference_datum, riccati_verdict, run_blowup
 )
 from .diagnostics import BLOCK, NormSeries, norm_block, rough_datum
 from .gates import Gate
@@ -165,8 +165,6 @@ class RunConfig:
             raise ConfigError(f"datum.path not found: {cfg.datum_path}")
         if cfg.datum_seed < 0:
             raise ConfigError(f"datum.seed must be non-negative, got {cfg.datum_seed}")
-        if not (math.isfinite(cfg.symmetry_lam) and cfg.symmetry_lam > 0):
-            raise ConfigError(f"symmetry.lam must be positive and finite, got {cfg.symmetry_lam}")
         for key in ("datum.norm", "datum.s_base", "diagnostics.s_list"):
             val = getattr(cfg, key.replace(".", "_"))
             if not np.all(np.isfinite(val)):
@@ -177,6 +175,13 @@ class RunConfig:
             cfg.stepper = replace(cfg.stepper, **given["stepper"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        if not (math.isfinite(cfg.symmetry_lam) and cfg.symmetry_lam > 0):
+            raise ConfigError(f"symmetry.lam must be positive and finite, got {cfg.symmetry_lam}")
+        # the symmetry runs scale t by lam^alpha, B by lam^(alpha - 2) and |xi| by lam: each power of lam they form,
+        # times t_end, a step (at least dt_init / 2 or t_end) or |xi| <= pi / dx, stays a normal float under this bound
+        s = max(abs(math.log2(v)) for v in (cfg.stepper.dt_init, cfg.stepper.t_end, math.pi / cfg.grid().dx))
+        if max(cfg.model.alpha, 2.0) * (abs(math.log2(cfg.symmetry_lam)) + s + 1) >= 1022:
+            raise ConfigError(f"symmetry.lam = {cfg.symmetry_lam} takes the symmetry runs out of float range")
         if cfg.datum_kind == "from_file":
             arr = np.fromfile(cfg.datum_path, dtype="<f8")
             if arr.shape != (n_modes,):
@@ -292,9 +297,8 @@ class _SnapshotStream:
             self.filled = 0
 
 
-def cmd_run(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    grid = cfg.grid()
-    B0 = cfg.datum(grid)
+def cmd_run(cfg: RunConfig, B0: SpectralField, out: Path) -> tuple[int, dict]:
+    grid = B0.grid
     clock = _PhaseClock()
     part = out / "snapshots.bin.part"
     try:
@@ -349,10 +353,10 @@ def _verdict(gates: list[Gate], record: dict) -> tuple[int, dict]:
     return (EXIT_OK if all(g.passed for g in gates) else EXIT_TOLERANCE), record
 
 
-def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    """Riccati blowup harness with the reference datum and configuration forced: it reads grid.* and stepper.scheme."""
+def cmd_blowup(cfg: RunConfig, datum: BlowupDatum, out: Path) -> tuple[int, dict]:
+    """Riccati blowup harness from the reference ``datum``; of the rest of the config it reads only stepper.scheme."""
     clock = _PhaseClock()
-    run, datum = run_blowup(cfg.grid(), scheme=cfg.stepper.scheme)
+    run, _ = run_blowup(datum.B0.grid, datum=datum, scheme=cfg.stepper.scheme)
     clock.spent("characteristic", run.observer_s)  # integrated inside evolve, as the run stepped
     clock.done("evolve")
     _write_steps(out, run)
@@ -379,16 +383,15 @@ def cmd_blowup(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     return _verdict(gates, record)
 
 
-def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def cmd_symmetry(cfg: RunConfig, B: SpectralField, out: Path) -> tuple[int, dict]:
     """Discrete check of the rescaling invariance B -> lam^(a-2) B(lam x, lam^a t).
 
-    Run A uses the configured grid and datum with a fixed dt; run B the
+    Run A evolves the datum ``B`` on its grid with a fixed dt; run B the
     rescaled datum on the grid contracted by lam (see
     ``scaling_symmetry_mismatch``).  A non-finite mismatch means a run
     overflowed: a numerical abort, exit 3.
     """
     n_steps = max(1, int(round(cfg.stepper.t_end / cfg.stepper.dt_init)))
-    B = cfg.datum(cfg.grid())
     clock = _PhaseClock()
     report, gates = scaling_symmetry_verdict(
         B, cfg.model, cfg.symmetry_lam, cfg.stepper.t_end, n_steps, cfg.stepper.scheme
@@ -401,16 +404,17 @@ def cmd_symmetry(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     return _verdict(gates, {"rel_l2_mismatch": rel, "wall_s": clock.wall})
 
 
-def lp_grid_check(cfg: RunConfig) -> None:
-    """``lp``'s config check before ``--out`` is claimed: its grid must hold a shell q >= 1."""
-    if cutoffs_for(cfg.grid()).q_max < 1:
+def lp_grid_check(cfg: RunConfig) -> GridSpec:
+    """``lp``'s inputs: the config's grid, which must hold a shell q >= 1."""
+    if cutoffs_for(grid := cfg.grid()).q_max < 1:
         raise ConfigError("grid too coarse for lp: no shell q >= 1 below the dealias cutoff")
+    return grid
 
 
-def cmd_lp(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def cmd_lp(cfg: RunConfig, grid: GridSpec, out: Path) -> tuple[int, dict]:
     """The three lp harnesses, on a grid ``lp_grid_check`` passed."""
     clock = _PhaseClock()
-    report, gates = lp_verdict(cfg.grid(), cfg.datum_seed)
+    report, gates = lp_verdict(grid, cfg.datum_seed)
     clock.done("lp")
     (out / "lp_report.json").write_text(json.dumps(report, indent=2) + "\n")
     return _verdict(gates, {"lp": report, "wall_s": clock.wall})
@@ -447,23 +451,24 @@ def cmd_selftest(out: Path | None = None) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-# each command, the files besides manifest.json it may write, and its own config check before they go
+# each command, the files besides manifest.json it may write, and its inputs, built before those files go
 _COMMANDS = {
     "run": (cmd_run, ("series.csv", "snapshots.bin", "snapshots.bin.part", "snapshots.json", "steps.csv"),
-            None),
-    "blowup": (cmd_blowup, ("blowup_report.json", "trajectory.csv", "steps.csv"), None),
-    "symmetry": (cmd_symmetry, ("symmetry.json",), None),
+            lambda cfg: cfg.datum(cfg.grid())),
+    "blowup": (cmd_blowup, ("blowup_report.json", "trajectory.csv", "steps.csv"),
+               lambda cfg: make_reference_datum(cfg.grid())),
+    "symmetry": (cmd_symmetry, ("symmetry.json",), lambda cfg: cfg.datum(cfg.grid())),
     "lp": (cmd_lp, ("lp_report.json",), lp_grid_check),
 }
 
 
 def _claim(out: Path, names: tuple[str, ...]) -> None:
     """Make the directory ``out`` and remove the files ``names`` from it; a
-    path that is a file or lies under one, or a name that is a directory in
-    ``out``, is a config error raised before any name goes."""
+    path ``mkdir`` cannot make, or a name that is a directory in ``out``, is
+    a config error raised before any name goes."""
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+    except OSError as exc:
         raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
     paths = [out / name for name in names]
     if clash := next((path for path in paths if path.is_dir()), None):
@@ -475,17 +480,14 @@ def _claim(out: Path, names: tuple[str, ...]) -> None:
 def _run_one(command: str, config_path: str, out_dir: Path, seed: int | None) -> int:
     """Run one command on one config, ``seed`` (if given) standing for its datum.seed line in the run and
     the manifest's echo; write the record it returns, on every path, as manifest.json; return the exit code."""
-    # a grid that cannot hold the reference datum is the one config error
-    # that only the command finds, after out_dir is claimed
     try:
         cfg = RunConfig.from_file(config_path)
         if seed is not None:
             cfg.datum_seed, cfg.raw["datum.seed"] = seed, str(seed)
-        cmd, files, check = _COMMANDS[command]
-        if check is not None:
-            check(cfg)
+        cmd, files, inputs = _COMMANDS[command]
+        given = inputs(cfg)
         _claim(out_dir, ("manifest.json", *files))
-        code, record = cmd(cfg, out_dir)
+        code, record = cmd(cfg, given, out_dir)
     except (ConfigError, DatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

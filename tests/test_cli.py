@@ -214,11 +214,20 @@ class TestConfigParsing:
                 RunConfig.from_file(p)
             assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("lam", ["nan", "0", "-2"])
-    def test_bad_symmetry_lam_rejected(self, tmp_path, lam):
+    # at the default alpha = 2, lam = 1e200 overflows lam^alpha, lam = 1e-200
+    # scales dt_init to 0 in the rescaled run, and at lam = 1e154 the
+    # contracted grid's top |xi|^2 overflows
+    @pytest.mark.parametrize("lam", ["nan", "0", "-2", "1e200", "1e-200", "1e154"])
+    def test_bad_symmetry_lam_rejected(self, tmp_path, capsys, lam):
         p = tmp_path / "sym.cfg"
         p.write_text(f"grid.N = 64\nsymmetry.lam = {lam}\n")
         assert main(["symmetry", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: symmetry.lam")
+
+    @pytest.mark.parametrize("lam", ["1e150", "1e-150"])
+    def test_extreme_symmetry_lam_inside_float_range_runs(self, tmp_path, lam):
+        p = write_cfg(tmp_path, RUN_CFG + f"symmetry.lam = {lam}\n")
+        assert main(["symmetry", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
 
     @pytest.mark.parametrize("line", [
         "diagnostics.s_list = 1, nan", "diagnostics.s_list = inf",
@@ -934,18 +943,19 @@ class TestCommands:
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "command, passing, text, kept",
+        "command, passing, text",
         [
-            ("blowup", "grid.L = 6\ngrid.N = 2048\n", "grid.L = 2\n", False),
-            ("lp", LP_CFG, "grid.L = 12\ngrid.N = 8\n", True),
+            ("blowup", "grid.L = 6\ngrid.N = 2048\n", "grid.L = 2\n"),
+            ("run", RUN_CFG, "grid.L = 2\ndatum.kind = paper_blowup\n"),
+            ("symmetry", RUN_CFG, "grid.L = 2\ndatum.kind = paper_blowup\n"),
+            ("lp", LP_CFG, "grid.L = 12\ngrid.N = 8\n"),
         ],
-        ids=["blowup-L2", "lp-no-shell"],
+        ids=["blowup-L2", "run-L2", "symmetry-L2", "lp-no-shell"],
     )
-    def test_config_error_found_by_the_command_leaves_no_manifest(self, tmp_path, capsys, command, passing, text, kept):
-        # the reference-datum grid shows only inside the command, after the
-        # earlier run's files went, so no manifest.json may read as a pass;
-        # the lp grid is checked before --out is claimed, so every earlier
-        # file stays as it was
+    def test_config_error_found_by_the_command_leaves_no_manifest(self, tmp_path, capsys, command, passing, text):
+        # a grid that cannot hold the reference datum, or no lp shell, shows
+        # when the command builds its inputs, before --out is claimed, so
+        # every file of the earlier run stays as it was
         out = tmp_path / "o"
         assert main([command, "--config", str(write_cfg(tmp_path, passing, "pass.cfg")), "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
@@ -953,11 +963,27 @@ class TestCommands:
         assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
-        if kept:
-            assert "lp_report.json" in before
-            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-        else:
-            assert not (out / "manifest.json").exists()
+        assert {"manifest.json", *cli._COMMANDS[command][1]} - {"snapshots.bin.part"} <= set(before)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_abort_while_building_inputs_leaves_a_reused_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        # the inputs are built before --out is claimed, so an abort there
+        # removes none of the earlier run's files
+        p = write_cfg(tmp_path, "grid.L = 6\ngrid.N = 2048\n")
+        out = tmp_path / "o"
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+
+        def out_of_memory(grid):
+            raise MemoryError("Unable to allocate 1. GiB")
+
+        monkeypatch.setattr(cli, "make_reference_datum", out_of_memory)
+        assert main(["blowup", "--config", str(p), "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: MemoryError") and err.count("\n") == 1, err
+        assert "blowup_report.json" in before
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_sweep_with_unusable_datum_grid(self, cfg_file, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -1034,10 +1060,22 @@ class TestCommands:
             ],
             lambda tmp: ["symmetry", "--config", str(wrong_size_datum(tmp)), "--out", str(tmp / "o")],
             lambda tmp: ["lp", "--config", str(write_cfg(tmp, "grid.L = 12\ngrid.N = 8\n")), "--out", str(tmp / "o")],
+            # a symmetry.lam whose rescaled run overflows lam^alpha, or
+            # scales dt_init to 0, fails before --out is made
+            lambda tmp: [
+                "symmetry", "--config", str(write_cfg(tmp, RUN_CFG + "symmetry.lam = 1e200\n")),
+                "--out", str(tmp / "o"),
+            ],
+            lambda tmp: [
+                "symmetry", "--config", str(write_cfg(tmp, RUN_CFG + "symmetry.lam = 1e-200\n")),
+                "--out", str(tmp / "o"),
+            ],
             # an --out that cannot be a directory fails before anything runs:
             # a sweep whose first run started would print a second line
             lambda tmp: ["run", "--config", str(write_cfg(tmp, RUN_CFG)), "--out", str(write_cfg(tmp, "", "taken"))],
             lambda tmp: ["selftest", "--out", str(write_cfg(tmp, "", "taken") / "x")],
+            lambda tmp: ["run", "--config", str(write_cfg(tmp, RUN_CFG)), "--out", str(tmp / ("o" * 300))],
+            lambda tmp: ["selftest", "--out", str(tmp / ("o" * 300))],
             lambda tmp: [
                 "run", "--sweep", str(write_cfg(tmp, f"{write_cfg(tmp, RUN_CFG)}\n", "sweep.txt")),
                 "--out", str(write_cfg(tmp, "", "taken")),
@@ -1059,7 +1097,8 @@ class TestCommands:
         ],
         ids=[
             "no-config", "no-sweep-file", "empty-sweep", "negative-seed", "unknown-key", "bad-value",
-            "missing-datum-path", "wrong-size-datum", "lp-no-shell", "run-out-is-a-file", "selftest-out-under-a-file",
+            "missing-datum-path", "wrong-size-datum", "lp-no-shell", "symmetry-lam-1e200", "symmetry-lam-1e-200",
+            "run-out-is-a-file", "selftest-out-under-a-file", "out-name-too-long", "selftest-out-name-too-long",
             "sweep-out-is-a-file", "out-holds-series-csv-dir", "out-holds-manifest-json-dir",
             "selftest-out-holds-selftest-json-dir", "sweep-out-holds-sweep-json-dir",
         ],
@@ -1070,8 +1109,9 @@ class TestCommands:
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n"), err
-        # a config error changes nothing it finds: no path goes, and none changes kind
-        assert all(p.exists() and p.is_dir() == was_dir for p, was_dir in before)
+        # a config error changes nothing it finds: no path goes, none changes
+        # kind, and none is made
+        assert sorted((p, p.is_dir()) for p in tmp_path.rglob("*")) == before
         # and a sweep stops before its first run
         assert not list(tmp_path.rglob("sweep_000"))
 
