@@ -114,14 +114,21 @@ def pv_blowup_coefficient() -> float:
     physical space: a 16-point Gauss-Legendre rule on 200 equal panels of
     [-50, 50] (a panel edge, never a node, sits on the removable
     singularity at y = 0), plus the analytic 2/50 tail where B0' has
-    decayed to zero.  On the reference datum it agrees with an adaptive
-    QUADPACK quadrature to 2.9e-14 relative; doubling the panels moves it
-    by 2e-14.
+    decayed to zero.  The integrand is summed in a form that does not
+    cancel as y -> 0 (below), so it reads 1.7493995133210472 on numpy's
+    AVX-512, AVX2 and baseline paths alike, and doubling the panels moves it
+    by 4.4e-16.  Adaptive QUADPACK gives the same bits from that form, and
+    from (1 - B0'(y)) / y^2, which cancels, a value 2.0e-14 relative away.
     """
     h = _PV_CUTOFF / _PV_PANELS  # half-width of a panel
     centers = -_PV_CUTOFF + h * (2.0 * np.arange(_PV_PANELS) + 1.0)
     y = centers[:, None] + h * _GL_NODES
-    total = h * float(np.sum(_GL_WEIGHTS * (1.0 - reference_datum_dx(y)) / y**2))
+    # 1 - B0'(y) = 2 sin^2(y/2) - expm1(-y^4) cos y + 4 y^3 exp(-y^4) sin y:
+    # each term is O(y^2) or smaller with no cancellation, so the nodes
+    # nearest 0 do not amplify the ulps of exp, sin and cos
+    y4 = y**4
+    num = 2.0 * np.sin(0.5 * y) ** 2 - np.expm1(-y4) * np.cos(y) + 4.0 * y**3 * np.exp(-y4) * np.sin(y)
+    total = h * float(np.sum(_GL_WEIGHTS * num / y**2))
     return (total + 2.0 / _PV_CUTOFF) / math.pi  # exact tail of 1/y^2 beyond the cutoff
 
 

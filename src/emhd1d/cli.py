@@ -182,6 +182,12 @@ class RunConfig:
         s = max(abs(math.log2(v)) for v in (cfg.stepper.dt_init, cfg.stepper.t_end, math.pi / cfg.grid().dx))
         if max(cfg.model.alpha, 2.0) * (abs(math.log2(cfg.symmetry_lam)) + s + 1) >= 1022:
             raise ConfigError(f"symmetry.lam = {cfg.symmetry_lam} takes the symmetry runs out of float range")
+        # the norms weight |c_k|^2 by (1 + xi^2)^s and |xi|^(2s + alpha) on the band pi / L <= |xi| <= pi / dx:
+        # each weight stays a normal float under this bound
+        ends = (math.log2(math.pi / cfg.grid_L), 0.5 * math.log2(1.0 + (math.pi / cfg.grid().dx) ** 2))
+        for v in cfg.diagnostics_s_list:
+            if (2.0 * abs(v) + cfg.model.alpha) * (max(map(abs, ends)) + 1) >= 1022:
+                raise ConfigError(f"diagnostics.s_list holds s = {v}, whose norm weights leave float range")
         if cfg.datum_kind == "from_file":
             arr = np.fromfile(cfg.datum_path, dtype="<f8")
             if arr.shape != (n_modes,):

@@ -169,13 +169,14 @@ class _Ops:
         """The model's quadratic term, dealiased and mean-free, from the
         physical fields (B_x, Lambda B, Lambda B_x, B) of ``rows * c``: the
         transport term reads the first two, the full term all four, and
-        extra rows are ignored."""
+        extra rows are ignored.  Each field may be a stack of rows, one
+        term per row."""
         prod = phys[1] * phys[0]
         if self.params.kind == "full":
             prod = phys[3] * phys[2] - prod
         out = self.grid.to_coef(prod)
         out *= self.mask
-        out[0] = 0.0
+        out[..., 0] = 0.0
         return out
 
     def nonlinear(self, c: np.ndarray, tau: float = 0.0) -> np.ndarray:
@@ -557,77 +558,103 @@ def picard_solve(
 
     Iterate k solves B_t + B^(k-1) J_x - J^(k-1) B_x + mu Lambda^alpha B = 0
     with coefficients frozen from iterate k-1 (B^(-1) = 0, so iterate 0 is
-    the pure dissipation semigroup).  Stepping is fixed-dt with the
-    ``cfg.scheme`` stepper, whose stages sit at the 2m + 1 times t_n and
-    t_(n+1/2) of the m steps.  Before each iterate, the frozen fields
-    Lambda B^(k-1) and B^(k-1) at all of them come from one inverse
-    transform: at t_n the stored rows of the previous iterate, at t_(n+1/2)
-    their cubic Hermite interpolation from the stored (value,
-    time-derivative) pairs.  A stage then transforms only C_x and
-    Lambda C_x.  Stops when the sup-in-time inhomogeneous H^s gap between
-    consecutive iterates, s = 3 - alpha, drops below 1e-10.
+    the pure dissipation semigroup), in m fixed steps of the ``cfg.scheme``
+    stepper.  The frozen fields Lambda B^(k-1) and B^(k-1) are at t_n the
+    stored rows of iterate k-1, and at t_(n+1/2) their cubic Hermite
+    interpolation from its stored (value, time-derivative) pairs.  Stops
+    when the sup-in-time inhomogeneous H^s gap between consecutive
+    iterates, s = 3 - alpha, drops below 1e-10, or after iterate ``k_max``.
+
+    The iterates run as a pipeline, the schedule of revisionist integral
+    deferred correction (Christlieb, Macdonald & Ong 2010, SIAM J. Sci.
+    Comput. 32:818).  Iterate 0 steps alone.  Iterates k >= 1 are rows of
+    one stack, and at each tick every one in flight takes one step: one
+    inverse transform gives C_x and Lambda C_x of the whole stack, one the
+    frozen fields at t_(n+1/2) and t_(n+1) from each predecessor's rows n
+    and n + 1, and each later stage one more.  Iterate k + 1 starts on the
+    tick after iterate k's running gap, the sup over its states so far,
+    stops being below 1e-10 (a NaN gap never is), if k + 1 <= ``k_max``:
+    from then on the solve is certain to need it, so no step is
+    speculative.  Each row gets the transforms, Hermite rows, stepper
+    arithmetic and Sobolev sums it would get alone, so the result is
+    bitwise that of stepping one iterate after the other.  The solve holds
+    the (value, time-derivative) histories of the iterates in flight and of
+    their predecessors: an iterate's are freed once its successor has
+    retired at step m, and the last iterate's values are the series.
     """
     if params.kind != "full" or params.mu <= 0:
         raise ValueError("picard_solve applies to the full model with mu > 0")
-    s = 3.0 - params.alpha
     grid = B0.grid
     ops = _ops(grid, params)
     stepper = _SCHEMES[cfg.scheme][1]
-    dt = cfg.dt_init
-    m = max(1, int(round(cfg.t_end / dt)))
+    m = max(1, int(round(cfg.t_end / cfg.dt_init)))
     dt = cfg.t_end / m
+    factors = ops.factors(cfg.scheme, dt)
+    weight = sobolev_weight(grid.wavenumbers, 3.0 - params.alpha, homogeneous=False)
 
     c0 = B0.coef.copy()
     c0[0] = 0.0  # zero-mean gauge, set once
 
-    prev_vals: np.ndarray | None = None  # (m+1, N/2+1) coefficient history
-    prev_dots: np.ndarray | None = None
-    # (2m+1, 2, N): Lambda A and A of the previous iterate at t_0, t_(1/2),
-    # t_1, ..., t_m; None while the frozen term is zero
-    frozen: np.ndarray | None = None
-    gaps: list[float] = []
-    finals: list[np.ndarray] = []
-    converged = False
-    vals = np.empty((m + 1, grid.n_modes // 2 + 1), dtype=complex)
+    def frozen(table: np.ndarray) -> np.ndarray:
+        """Lambda A and A of the coefficient rows ``table``, along a new
+        second-to-last axis, from one inverse transform."""
+        return grid.to_phys(ops.rows[1:4:2] * table[..., None, :])
 
-    def frozen_nl(c: np.ndarray, tau: float) -> np.ndarray:
-        """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, with A the
-        previous iterate at t_n + tau * dt (n is the step the loop below is
-        taking); at A = C it is the full model's term, so ``form`` makes it
-        from (C_x, Lambda A, Lambda C_x, A)."""
-        if frozen is None:
-            return np.zeros_like(c)
-        c_x, lam_c_x = grid.to_phys(ops.rows[0:3:2] * c)
-        lam_a, a = frozen[2 * n + int(2 * tau)]
-        return ops.form((c_x, lam_a, lam_c_x, a))
+    def frozen_nl(c: np.ndarray, fz: np.ndarray) -> np.ndarray:
+        """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, for a
+        stack of C with (Lambda A, A) the rows of ``fz``; at A = C it is the
+        full model's term, so ``form`` makes it from (C_x, Lambda A,
+        Lambda C_x, A)."""
+        phys = grid.to_phys(ops.rows[0:3:2] * c[:, None])
+        return ops.form((phys[:, 0], fz[:, 0], phys[:, 1], fz[:, 1]))
 
-    for it in range(k_max + 1):
-        if prev_vals is not None:
-            frozen = None  # freed before the next table is built
-            table = np.empty((2 * m + 1, vals.shape[1]), dtype=complex)
-            table[0::2] = prev_vals
-            table[1::2] = hermite(prev_vals, prev_dots, np.arange(m), dt)
-            frozen = grid.to_phys(ops.rows[1:4:2] * table[:, None])
-            del table
-        dots = np.empty_like(vals)
-        c = c0.copy()
-        for n in range(m + 1):
-            vals[n] = c
-            k1 = frozen_nl(c, 0.0)
-            dots[n] = k1 - ops.lin * c
-            if n == m:
-                break
-            c = stepper(frozen_nl, c, dt, k1, ops.factors(cfg.scheme, dt))
-        finals.append(vals[m].copy())
-        if prev_vals is not None:
-            gap = float(np.max(np.sqrt(grid.sobolev_norm2(vals - prev_vals, s, homogeneous=False))))
-            gaps.append(gap)
-            if gap < 1e-10:
-                converged = True
-        prev_vals = vals.copy()
-        prev_dots = dots
-        if converged:
+    # each iterate's (values, time derivatives) at the m + 1 step boundaries
+    shape = (2, m + 1, c0.size)
+    hist = {0: np.empty(shape, dtype=complex)}
+    vals, dots = hist[0]
+    c = c0.copy()
+    for n in range(m + 1):
+        vals[n] = c
+        k1 = np.zeros_like(c)
+        dots[n] = k1 - ops.lin * c
+        if n == m:
             break
+        c = stepper(lambda c, tau: np.zeros_like(c), c, dt, k1, factors)
+    finals = [vals[m].copy()]
+    gaps: list[float] = []
+
+    # the iterates in flight are first, first + 1, ..., iterate first + j at
+    # state ns[j]: row j of c, of fz (its Lambda A and A at t_n) and of run
+    # (its running gap)
+    first, ns = 1, []
+    c, fz, run = np.empty((0, c0.size), dtype=complex), np.empty((0, 2, grid.n_modes)), np.empty(0)
+    new = k_max >= 1
+    while new or ns:
+        if new:
+            hist[first + len(ns)] = np.empty(shape, dtype=complex)
+            ns.append(0)
+            c = np.concatenate((c, c0[None]))
+            fz = np.concatenate((fz, frozen(c0)[None]))  # every iterate's row 0 is c0
+            run = np.append(run, 0.0)
+        ks = range(first, first + len(ns))
+        k1 = frozen_nl(c, fz)
+        for k, n, row, dot in zip(ks, ns, c, k1 - ops.lin * c):
+            hist[k][:, n] = row, dot
+        prev = np.stack([hist[k - 1][0][n] for k, n in zip(ks, ns)])
+        run = np.maximum(run, np.sqrt(grid.norm2(c - prev, weight)))
+        new = ks[-1] < k_max and not run[-1] < 1e-10
+        if ns[0] == m:  # the front iterate retires
+            finals.append(hist[first][0][m].copy())
+            gaps.append(float(run[0]))
+            del hist[first - 1]
+            first += 1
+            c, fz, run, k1, ks, ns = c[1:], fz[1:], run[1:], k1[1:], ks[1:], ns[1:]
+        if ns:
+            pv, pd = np.stack([hist[k - 1][:, n : n + 2] for k, n in zip(ks, ns)], axis=2)
+            mid, fz = frozen(np.stack((hermite(pv, pd, 0, dt), pv[1])))
+            at = {0.5: mid, 1.0: fz}
+            c = stepper(lambda c, tau: frozen_nl(c, at[tau]), c, dt, k1, factors)
+            ns = [n + 1 for n in ns]
 
     times = np.linspace(0.0, cfg.t_end, m + 1)
     series = TimeSeries(
@@ -635,12 +662,12 @@ def picard_solve(
         params=params,
         config=replace(cfg, adaptive=False),
         times=times,
-        coefs=prev_vals,
+        coefs=hist[first - 1][0],
         step_times=times,
         diagnostics={},
         termination="t_end",
     )
-    return PicardResult(iterates=finals, gap_history=gaps, converged=converged, series=series)
+    return PicardResult(iterates=finals, gap_history=gaps, converged=bool(gaps) and gaps[-1] < 1e-10, series=series)
 
 
 def scaling_symmetry_mismatch(

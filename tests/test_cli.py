@@ -1070,6 +1070,15 @@ class TestCommands:
                 "symmetry", "--config", str(write_cfg(tmp, RUN_CFG + "symmetry.lam = 1e-200\n")),
                 "--out", str(tmp / "o"),
             ],
+            # a norm whose weights overflow, or underflow, over the band
+            lambda tmp: [
+                "run", "--config", str(write_cfg(tmp, RUN_CFG.replace("s_list = 0.0, 1.0", "s_list = 0, 1e300"))),
+                "--out", str(tmp / "o"),
+            ],
+            lambda tmp: [
+                "run", "--config", str(write_cfg(tmp, RUN_CFG.replace("s_list = 0.0, 1.0", "s_list = -1000"))),
+                "--out", str(tmp / "o"),
+            ],
             # an --out that cannot be a directory fails before anything runs:
             # a sweep whose first run started would print a second line
             lambda tmp: ["run", "--config", str(write_cfg(tmp, RUN_CFG)), "--out", str(write_cfg(tmp, "", "taken"))],
@@ -1098,6 +1107,7 @@ class TestCommands:
         ids=[
             "no-config", "no-sweep-file", "empty-sweep", "negative-seed", "unknown-key", "bad-value",
             "missing-datum-path", "wrong-size-datum", "lp-no-shell", "symmetry-lam-1e200", "symmetry-lam-1e-200",
+            "s-list-1e300", "s-list-minus-1000",
             "run-out-is-a-file", "selftest-out-under-a-file", "out-name-too-long", "selftest-out-name-too-long",
             "sweep-out-is-a-file", "out-holds-series-csv-dir", "out-holds-manifest-json-dir",
             "selftest-out-holds-selftest-json-dir", "sweep-out-holds-sweep-json-dir",

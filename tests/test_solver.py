@@ -1,5 +1,6 @@
 """Time-stepper and evolution-loop tests."""
 
+import itertools
 import math
 import sys
 import threading
@@ -1187,34 +1188,76 @@ class TestPicard:
             out.append(vals)
         return out
 
+    @staticmethod
+    def reference_gaps(g, refs, alpha):
+        """Each iterate's sup-in-time H^(3 - alpha) gap to its predecessor."""
+        w = sobolev_weight(g.wavenumbers, 3.0 - alpha, homogeneous=False)
+        return [float(np.max(np.sqrt(g.norm2(b - a, w)))) for a, b in itertools.pairwise(refs)]
+
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_frozen_table_matches_per_stage_reference(self, scheme):
-        # the frozen fields read from one table per iterate are bitwise the
-        # ones each stage would make for itself, at t_n and at t_(n+1/2)
+        # the frozen fields each stage reads, at t_n and at t_(n+1/2), are
+        # bitwise the ones it would make for itself, for one iterate and with
+        # iterates 1-3 stepped together as rows of one stack
         g = GridSpec(np.pi, 98)
         p = ModelParams(kind="full", mu=1.0, alpha=1.5)
         cfg = StepperConfig(scheme=scheme, dt_init=1e-3, t_end=0.02, adaptive=False)
         B0 = small_datum(g, amp=0.5)
-        res = picard_solve(B0, p, cfg, k_max=1)
-        v0, v1 = self.reference_iterates(B0, p, cfg, k_max=1)
-        assert not np.array_equal(v0, v1)
-        assert np.array_equal(res.series.coefs, v1)
-        assert np.array_equal(res.iterates, [v0[-1], v1[-1]])
+        for k_max in (1, 3):
+            res = picard_solve(B0, p, cfg, k_max=k_max)
+            refs = self.reference_iterates(B0, p, cfg, k_max=k_max)
+            assert not np.array_equal(refs[0], refs[1])
+            assert not res.converged
+            assert np.array_equal(res.series.coefs, refs[-1])
+            assert np.array_equal(res.iterates, [v[-1] for v in refs])
+            assert res.gap_history == self.reference_gaps(g, refs, p.alpha)
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_nan_gap_never_converges(self, scheme):
+        # a NaN gap is never below the tolerance, so each iterate starts its
+        # successor and the solve runs to k_max with the reference's gaps:
+        # from a datum whose iterates 1-3 grow and overflow, and from a NaN
+        # datum, whose gaps are NaN from state 0 on, so that each iterate
+        # starts one tick after its predecessor
+        g = GridSpec(np.pi, 32)
+        p = ModelParams(kind="full", mu=0.1, alpha=1.0)
+        cfg = StepperConfig(scheme=scheme, dt_init=1e-2, t_end=0.2, adaptive=False)
+        nan_datum = SpectralField.from_coef(g, np.full(17, np.nan))
+        for B0, finite in ((small_datum(g, amp=5.0), 3), (nan_datum, 0)):
+            with np.errstate(all="ignore"):
+                res = picard_solve(B0, p, cfg, k_max=5)
+                refs = self.reference_iterates(B0, p, cfg, k_max=5)
+                gaps = self.reference_gaps(g, refs, p.alpha)
+            assert np.isfinite(gaps[:finite]).all() and np.isnan(gaps[finite:]).all()
+            assert not res.converged
+            assert len(res.iterates) == 6
+            np.testing.assert_array_equal(res.gap_history, gaps)
 
     def test_one_transform_per_iterate_and_two_rows_per_stage(self, grid, monkeypatch):
-        # iterate k >= 1 transforms Lambda A and A at its 2m + 1 stage times
-        # in one call, then C_x and Lambda C_x once per stage: m + 1 step
-        # boundaries and three later stages per step; iterate 0, whose
-        # frozen term is zero, transforms nothing
+        # iterates 1 and 2 step together: iterate 2 starts on tick 2, the
+        # tick after iterate 1's gap passes 1e-10 at its state 1.  A tick
+        # transforms C_x and Lambda C_x of every iterate in flight in one
+        # call, then Lambda A and A at t_(n+1/2) and t_(n+1) of every one
+        # that steps, then each later stage; a starting iterate first
+        # transforms Lambda A and A at t_0.  Each iterate still transforms
+        # (2m + 1) * 2 frozen rows and (4m + 1) * 2 stage rows; iterate 0,
+        # whose frozen term is zero, transforms nothing
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-        m, k_max = 20, 2
+        m, k_max, starts = 20, 2, (0, 2)
         cfg = StepperConfig(dt_init=1e-3, t_end=m * 1e-3, adaptive=False)
         B0 = small_datum(grid)
         calls = record_to_phys(monkeypatch)
         res = picard_solve(B0, p, cfg, k_max=k_max)
         assert not res.converged
-        per_iterate = [(grid.n_modes, (2 * m + 1) * 2)] + (4 * m + 1) * [(grid.n_modes, 2)]
-        assert calls == k_max * per_iterate
+        expected = []
+        for tick in range(starts[-1] + m + 1):
+            expected += [2] if tick in starts else []
+            states = [tick - s for s in starts if 0 <= tick - s <= m]
+            stepping = sum(n < m for n in states)
+            expected += [2 * len(states)] + ([4 * stepping] + 3 * [2 * stepping] if stepping else [])
+        assert calls == [(grid.n_modes, rows) for rows in expected]
+        assert sum(expected) == k_max * ((2 * m + 1) * 2 + (4 * m + 1) * 2)
+        assert len(calls) < k_max * (4 * m + 2)  # one iterate at a time
 
     def test_etdrk4_limit_matches_nonlinear_solver(self, grid):
         # criterion 7 with the ETDRK4 stepper: the scheme is honoured (the
