@@ -567,20 +567,21 @@ def picard_solve(
 
     The iterates run as a pipeline, the schedule of revisionist integral
     deferred correction (Christlieb, Macdonald & Ong 2010, SIAM J. Sci.
-    Comput. 32:818).  Iterate 0 steps alone.  Iterates k >= 1 are rows of
-    one stack, and at each tick every one in flight takes one step: one
+    Comput. 32:818): they are rows of one stack, iterate 0's predecessor a
+    zero history, and at each tick every one in flight takes one step.  One
     inverse transform gives C_x and Lambda C_x of the whole stack, one the
     frozen fields at t_(n+1/2) and t_(n+1) from each predecessor's rows n
-    and n + 1, and each later stage one more.  Iterate k + 1 starts on the
-    tick after iterate k's running gap, the sup over its states so far,
-    stops being below 1e-10 (a NaN gap never is), if k + 1 <= ``k_max``:
-    from then on the solve is certain to need it, so no step is
-    speculative.  Each row gets the transforms, Hermite rows, stepper
-    arithmetic and Sobolev sums it would get alone, so the result is
-    bitwise that of stepping one iterate after the other.  The solve holds
-    the (value, time-derivative) histories of the iterates in flight and of
-    their predecessors: an iterate's are freed once its successor has
-    retired at step m, and the last iterate's values are the series.
+    and n + 1, and each later stage one more.  Iterate 1 starts on tick 1,
+    and iterate k + 1 >= 2 on the tick after iterate k's running gap, the
+    sup over its states so far, stops being below 1e-10 (a NaN gap never
+    is), if k + 1 <= ``k_max``: from then on the solve is certain to need
+    it, so no step is speculative.  Each row gets the transforms, Hermite
+    rows, stepper arithmetic and Sobolev sums it would get alone, so the
+    result is bitwise that of stepping one iterate after the other.  The
+    solve holds the (value, time-derivative) histories of the iterates in
+    flight and of their predecessors: an iterate's are freed once its
+    successor has retired at step m, and the last iterate's values are the
+    series.
     """
     if params.kind != "full" or params.mu <= 0:
         raise ValueError("picard_solve applies to the full model with mu > 0")
@@ -608,34 +609,27 @@ def picard_solve(
         phys = grid.to_phys(ops.rows[0:3:2] * c[:, None])
         return ops.form((phys[:, 0], fz[:, 0], phys[:, 1], fz[:, 1]))
 
-    # each iterate's (values, time derivatives) at the m + 1 step boundaries
+    # each iterate's (values, time derivatives) at the m + 1 step boundaries;
+    # those of B^(-1) = 0 are one zero row, broadcast read-only
     shape = (2, m + 1, c0.size)
-    hist = {0: np.empty(shape, dtype=complex)}
-    vals, dots = hist[0]
-    c = c0.copy()
-    for n in range(m + 1):
-        vals[n] = c
-        k1 = np.zeros_like(c)
-        dots[n] = k1 - ops.lin * c
-        if n == m:
-            break
-        c = stepper(lambda c, tau: np.zeros_like(c), c, dt, k1, factors)
-    finals = [vals[m].copy()]
-    gaps: list[float] = []
+    hist = {-1: np.broadcast_to(np.zeros(c0.size, dtype=complex), shape)}
+    finals, gaps = [], []
 
     # the iterates in flight are first, first + 1, ..., iterate first + j at
     # state ns[j]: row j of c, of fz (its Lambda A and A at t_n) and of run
-    # (its running gap)
-    first, ns = 1, []
+    # (its running gap; iterate 0's distance to zero is no gap, so its run
+    # is inf: that starts iterate 1, and gaps[0] is dropped)
+    first, ns = 0, []
     c, fz, run = np.empty((0, c0.size), dtype=complex), np.empty((0, 2, grid.n_modes)), np.empty(0)
-    new = k_max >= 1
+    new = True
     while new or ns:
         if new:
-            hist[first + len(ns)] = np.empty(shape, dtype=complex)
+            k = first + len(ns)
+            hist[k] = np.empty(shape, dtype=complex)
             ns.append(0)
             c = np.concatenate((c, c0[None]))
-            fz = np.concatenate((fz, frozen(c0)[None]))  # every iterate's row 0 is c0
-            run = np.append(run, 0.0)
+            fz = np.concatenate((fz, frozen(hist[k - 1][0][0])[None]))
+            run = np.append(run, 0.0 if k else np.inf)
         ks = range(first, first + len(ns))
         k1 = frozen_nl(c, fz)
         for k, n, row, dot in zip(ks, ns, c, k1 - ops.lin * c):
@@ -667,7 +661,7 @@ def picard_solve(
         diagnostics={},
         termination="t_end",
     )
-    return PicardResult(iterates=finals, gap_history=gaps, converged=bool(gaps) and gaps[-1] < 1e-10, series=series)
+    return PicardResult(iterates=finals, gap_history=gaps[1:], converged=gaps[-1] < 1e-10, series=series)
 
 
 def scaling_symmetry_mismatch(

@@ -686,10 +686,10 @@ class TestCommands:
     def test_out_of_memory_is_numerical_abort(self, cfg_file, tmp_path, monkeypatch, capsys):
         # a command that does not fit in memory exits 3, not 1, and a sweep
         # records it and runs on
-        def evolve_or_fail(B0, params, cfg, keep=None):
+        def evolve_or_fail(B0, params, cfg, observe=None):
             if params.alpha == 2.0:
                 raise MemoryError("Unable to allocate 244. GiB")
-            return evolve(B0, params, cfg, keep)
+            return evolve(B0, params, cfg, observe)
 
         monkeypatch.setattr(cli, "evolve", evolve_or_fail)
         assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "one")]) == EXIT_NUMERICAL

@@ -1197,16 +1197,17 @@ class TestPicard:
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_frozen_table_matches_per_stage_reference(self, scheme):
         # the frozen fields each stage reads, at t_n and at t_(n+1/2), are
-        # bitwise the ones it would make for itself, for one iterate and with
-        # iterates 1-3 stepped together as rows of one stack
+        # bitwise the ones it would make for itself, for iterate 0 alone
+        # (against the reference's zero-nonlinearity loop), for iterates 0
+        # and 1, and with iterates 0-3 stepped together as rows of one stack
         g = GridSpec(np.pi, 98)
         p = ModelParams(kind="full", mu=1.0, alpha=1.5)
         cfg = StepperConfig(scheme=scheme, dt_init=1e-3, t_end=0.02, adaptive=False)
         B0 = small_datum(g, amp=0.5)
-        for k_max in (1, 3):
+        for k_max in (0, 1, 3):
             res = picard_solve(B0, p, cfg, k_max=k_max)
             refs = self.reference_iterates(B0, p, cfg, k_max=k_max)
-            assert not np.array_equal(refs[0], refs[1])
+            assert k_max == 0 or not np.array_equal(refs[0], refs[1])
             assert not res.converged
             assert np.array_equal(res.series.coefs, refs[-1])
             assert np.array_equal(res.iterates, [v[-1] for v in refs])
@@ -1234,16 +1235,16 @@ class TestPicard:
             np.testing.assert_array_equal(res.gap_history, gaps)
 
     def test_one_transform_per_iterate_and_two_rows_per_stage(self, grid, monkeypatch):
-        # iterates 1 and 2 step together: iterate 2 starts on tick 2, the
-        # tick after iterate 1's gap passes 1e-10 at its state 1.  A tick
-        # transforms C_x and Lambda C_x of every iterate in flight in one
-        # call, then Lambda A and A at t_(n+1/2) and t_(n+1) of every one
-        # that steps, then each later stage; a starting iterate first
-        # transforms Lambda A and A at t_0.  Each iterate still transforms
-        # (2m + 1) * 2 frozen rows and (4m + 1) * 2 stage rows; iterate 0,
-        # whose frozen term is zero, transforms nothing
+        # iterates 0-2 step together: iterate 0 starts on tick 0, iterate 1
+        # on tick 1, and iterate 2 on tick 3, the tick after iterate 1's gap
+        # passes 1e-10 at its state 1.  A tick transforms C_x and Lambda C_x
+        # of every iterate in flight in one call, then Lambda A and A at
+        # t_(n+1/2) and t_(n+1) of every one that steps, then each later
+        # stage; a starting iterate first transforms Lambda A and A at t_0.
+        # Each iterate, iterate 0 with its zero predecessor included,
+        # transforms (2m + 1) * 2 frozen rows and (4m + 1) * 2 stage rows
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
-        m, k_max, starts = 20, 2, (0, 2)
+        m, k_max, starts = 20, 2, (0, 1, 3)
         cfg = StepperConfig(dt_init=1e-3, t_end=m * 1e-3, adaptive=False)
         B0 = small_datum(grid)
         calls = record_to_phys(monkeypatch)
@@ -1256,8 +1257,23 @@ class TestPicard:
             stepping = sum(n < m for n in states)
             expected += [2 * len(states)] + ([4 * stepping] + 3 * [2 * stepping] if stepping else [])
         assert calls == [(grid.n_modes, rows) for rows in expected]
-        assert sum(expected) == k_max * ((2 * m + 1) * 2 + (4 * m + 1) * 2)
-        assert len(calls) < k_max * (4 * m + 2)  # one iterate at a time
+        assert sum(expected) == (k_max + 1) * ((2 * m + 1) * 2 + (4 * m + 1) * 2)
+        # fewer calls than one iterate at a time makes, even one whose
+        # iterate 0 transforms nothing
+        assert len(calls) < k_max * (4 * m + 2)
+
+    @pytest.mark.parametrize("amp", [0.0, 1e-14])
+    def test_vanishing_datum_still_runs_iterate_1(self, amp):
+        # iterate 1 starts whenever k_max >= 1, however small iterate 0 is:
+        # its distance to B^(-1) = 0 is no gap, so the solve stops on
+        # iterate 1's gap
+        g = GridSpec(np.pi, 64)
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.01, adaptive=False)
+        res = picard_solve(small_datum(g, amp=amp), p, cfg, k_max=3)
+        assert len(res.iterates) == 2
+        assert len(res.gap_history) == 1 and res.gap_history[0] < 1e-10
+        assert res.converged
 
     def test_etdrk4_limit_matches_nonlinear_solver(self, grid):
         # criterion 7 with the ETDRK4 stepper: the scheme is honoured (the
