@@ -219,6 +219,27 @@ def _tail_exceeds(c: np.ndarray, start: int, cap: float) -> bool:
     return not np.vdot(tail, tail).real <= cap < math.inf
 
 
+def _ladder(grid: GridSpec, params: ModelParams) -> list[_Ops]:
+    """The grid ladder of a run on ``grid``, finest first: N, then each
+    halving while it is even and at least 8; a rung's ``_Ops`` is built
+    once, not per state."""
+    ladder = [_ops(grid, params)]
+    while (m := ladder[-1].grid.n_modes) % 4 == 0 and m // 2 >= 8:
+        ladder.append(_ops(GridSpec(grid.half_length, m // 2), params))
+    return ladder
+
+
+def _descend(ladder: list[_Ops], rung: int, c: np.ndarray, cap: float) -> tuple[int, np.ndarray]:
+    """The rung index ``rung`` moved down the ladder while c passes
+    ``_tail_exceeds`` on the next halving, and c cut to that rung's band:
+    the cut leaves the rung's Nyquist entry 0, as every finite step does."""
+    while rung + 1 < len(ladder) and not _tail_exceeds(c, ladder[rung + 1].tail, cap):
+        rung += 1
+    if ladder[rung].xi.size < c.size:
+        c = np.append(c[: ladder[rung].xi.size - 1], 0.0)
+    return rung, c
+
+
 def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
     """Full right-hand side dB/dt, dealiased and mean-free."""
     ops = _ops(B.grid, params)
@@ -427,11 +448,7 @@ def evolve(
     stepper = _SCHEMES[cfg.scheme][1]
     c = B0.coef.copy()
     c[0] = 0.0  # zero-mean gauge, set once: every step keeps c[0] = 0 exactly
-    # the run's ladder, finest first: N, then each halving while it is even
-    # and at least 8; a rung's ``_Ops`` is built once, not per state
-    ladder = [_ops(grid, params)]
-    while (m := ladder[-1].grid.n_modes) % 4 == 0 and m // 2 >= 8:
-        ladder.append(_ops(GridSpec(grid.half_length, m // 2), params))
+    ladder = _ladder(grid, params)
     rung = 0  # the index of the state's rung in ``ladder``
     dispersive = params.kind == "full"
     t = gain = observer_s = 0.0
@@ -474,11 +491,7 @@ def evolve(
             rung -= 1
             c = np.pad(c, (0, ladder[rung].xi.size - c.size))  # exact in this normalization
         else:
-            while rung + 1 < len(ladder) and not _tail_exceeds(c, ladder[rung + 1].tail, cap):
-                rung += 1
-            if ladder[rung].xi.size < c.size:
-                # the cut leaves the rung's Nyquist entry 0, as every finite step does
-                c = np.append(c[: ladder[rung].xi.size - 1], 0.0)
+            rung, c = _descend(ladder, rung, c, cap)
         ops = ladder[rung]
         # one stack on the finest nodes: rows 0-3 are B_x, Lambda B,
         # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
@@ -575,57 +588,88 @@ def picard_solve(
     and iterate k + 1 >= 2 on the tick after iterate k's running gap, the
     sup over its states so far, stops being below 1e-10 (a NaN gap never
     is), if k + 1 <= ``k_max``: from then on the solve is certain to need
-    it, so no step is speculative.  Each row gets the transforms, Hermite
+    it, so no step is speculative.
+
+    The pipeline steps on the grid ladder of ``evolve`` (module docstring):
+    it starts on the coarsest rung on which the datum passes the ladder's
+    test, and on each tick, after the transform of C_x and Lambda C_x and
+    before the step, it moves up one rung, zero-padding all it holds, while
+    a row in flight fails that test on its rung; the predecessors' rows the
+    step reads passed it in flight.  It never moves down, so no kept row is ever cut.  A state's
+    C_x, Lambda C_x, term and gap are made on the rung of the step that
+    made it, and its step's frozen fields and stages on that step's rung,
+    whose factors and nodes it uses.  Each row gets the transforms, Hermite
     rows, stepper arithmetic and Sobolev sums it would get alone, so the
-    result is bitwise that of stepping one iterate after the other.  The
-    solve holds the (value, time-derivative) histories of the iterates in
-    flight and of their predecessors: an iterate's are freed once its
-    successor has retired at step m, and the last iterate's values are the
-    series.
+    result is bitwise that of stepping one iterate after the other on the
+    same rungs; a datum that fills the band never leaves N.  The solve holds
+    the (value, time-derivative) histories of the iterates in flight and of
+    their predecessors, at the rung's length: an iterate's are freed once
+    its successor has retired at step m, and the last iterate's values are
+    the series.  ``iterates`` and the series' rows come back zero-padded to
+    N/2 + 1, and the series' ``diagnostics`` hold ``n_modes``, the rung of
+    each of its steps.
     """
     if params.kind != "full" or params.mu <= 0:
         raise ValueError("picard_solve applies to the full model with mu > 0")
     grid = B0.grid
-    ops = _ops(grid, params)
     stepper = _SCHEMES[cfg.scheme][1]
     m = max(1, int(round(cfg.t_end / cfg.dt_init)))
     dt = cfg.t_end / m
-    factors = ops.factors(cfg.scheme, dt)
-    weight = sobolev_weight(grid.wavenumbers, 3.0 - params.alpha, homogeneous=False)
 
     c0 = B0.coef.copy()
     c0[0] = 0.0  # zero-mean gauge, set once
+    ladder = _ladder(grid, params)
+    rung, c0 = _descend(ladder, 0, c0, LADDER_TAIL * np.vdot(c0, c0).real)
+
+    def on_rung() -> tuple:
+        """The rung's table, its factors at dt and its gap weight."""
+        ops = ladder[rung]
+        weight = sobolev_weight(ops.xi, 3.0 - params.alpha, homogeneous=False)
+        return ops, ops.factors(cfg.scheme, dt), weight
+
+    def widen(a: np.ndarray, size: int) -> np.ndarray:
+        """``a`` zero-padded along its last axis to ``size`` entries, or
+        ``a`` itself if it has them: exact in this normalization."""
+        if a.shape[-1] == size:
+            return a
+        out = np.zeros(a.shape[:-1] + (size,), dtype=complex)
+        out[..., : a.shape[-1]] = a
+        return out
 
     def frozen(table: np.ndarray) -> np.ndarray:
         """Lambda A and A of the coefficient rows ``table``, along a new
         second-to-last axis, from one inverse transform."""
-        return grid.to_phys(ops.rows[1:4:2] * table[..., None, :])
+        return ops.grid.to_phys(ops.rows[1:4:2] * table[..., None, :])
 
     def frozen_nl(c: np.ndarray, fz: np.ndarray) -> np.ndarray:
         """A (Lambda C)_x - Lambda A C_x, dealiased and mean-free, for a
         stack of C with (Lambda A, A) the rows of ``fz``; at A = C it is the
         full model's term, so ``form`` makes it from (C_x, Lambda A,
         Lambda C_x, A)."""
-        phys = grid.to_phys(ops.rows[0:3:2] * c[:, None])
+        phys = ops.grid.to_phys(ops.rows[0:3:2] * c[:, None])
         return ops.form((phys[:, 0], fz[:, 0], phys[:, 1], fz[:, 1]))
 
-    # each iterate's (values, time derivatives) at the m + 1 step boundaries;
-    # those of B^(-1) = 0 are one zero row, broadcast read-only
-    shape = (2, m + 1, c0.size)
-    hist = {-1: np.broadcast_to(np.zeros(c0.size, dtype=complex), shape)}
-    finals, gaps = [], []
+    def zero() -> np.ndarray:
+        """The (values, time derivatives) of B^(-1) = 0: one zero row,
+        broadcast read-only."""
+        return np.broadcast_to(np.zeros(ops.xi.size, dtype=complex), (2, m + 1, ops.xi.size))
+
+    ops, factors, weight = on_rung()
+    # each iterate's (values, time derivatives) at the m + 1 step boundaries
+    hist = {-1: zero()}
+    finals, gaps, rungs = [], [], []  # rungs: the rung of each tick's step
 
     # the iterates in flight are first, first + 1, ..., iterate first + j at
     # state ns[j]: row j of c, of fz (its Lambda A and A at t_n) and of run
     # (its running gap; iterate 0's distance to zero is no gap, so its run
     # is inf: that starts iterate 1, and gaps[0] is dropped)
     first, ns = 0, []
-    c, fz, run = np.empty((0, c0.size), dtype=complex), np.empty((0, 2, grid.n_modes)), np.empty(0)
+    c, fz, run = np.empty((0, c0.size), dtype=complex), np.empty((0, 2, ops.grid.n_modes)), np.empty(0)
     new = True
     while new or ns:
         if new:
             k = first + len(ns)
-            hist[k] = np.empty(shape, dtype=complex)
+            hist[k] = np.empty((2, m + 1, c0.size), dtype=complex)
             ns.append(0)
             c = np.concatenate((c, c0[None]))
             fz = np.concatenate((fz, frozen(hist[k - 1][0][0])[None]))
@@ -635,7 +679,7 @@ def picard_solve(
         for k, n, row, dot in zip(ks, ns, c, k1 - ops.lin * c):
             hist[k][:, n] = row, dot
         prev = np.stack([hist[k - 1][0][n] for k, n in zip(ks, ns)])
-        run = np.maximum(run, np.sqrt(grid.norm2(c - prev, weight)))
+        run = np.maximum(run, np.sqrt(ops.grid.norm2(c - prev, weight)))
         new = ks[-1] < k_max and not run[-1] < 1e-10
         if ns[0] == m:  # the front iterate retires
             finals.append(hist[first][0][m].copy())
@@ -644,24 +688,40 @@ def picard_solve(
             first += 1
             c, fz, run, k1, ks, ns = c[1:], fz[1:], run[1:], k1[1:], ks[1:], ns[1:]
         if ns:
+            # the step reads the rows in flight and each predecessor's rows n
+            # and n + 1, which passed the ladder's test when they were in
+            # flight, on this rung or a coarser one; while a row in flight
+            # fails it, the solve moves up one rung, and never down
+            up = rung
+            while up and any(_tail_exceeds(r, ladder[up].tail, LADDER_TAIL * np.vdot(r, r).real) for r in c):
+                up -= 1
+            if up < rung:
+                rung = up
+                ops, factors, weight = on_rung()
+                size = ops.xi.size  # all the solve holds, zero-padded
+                c, k1, c0 = widen(c, size), widen(k1, size), widen(c0, size)
+                hist = {k: widen(h, size) if k >= 0 else zero() for k, h in hist.items()}
             pv, pd = np.stack([hist[k - 1][:, n : n + 2] for k, n in zip(ks, ns)], axis=2)
             mid, fz = frozen(np.stack((hermite(pv, pd, 0, dt), pv[1])))
             at = {0.5: mid, 1.0: fz}
             c = stepper(lambda c, tau: frozen_nl(c, at[tau]), c, dt, k1, factors)
             ns = [n + 1 for n in ns]
+            rungs.append(ops.grid.n_modes)
 
     times = np.linspace(0.0, cfg.t_end, m + 1)
+    half = grid.n_modes // 2 + 1
     series = TimeSeries(
         grid=grid,
         params=params,
         config=replace(cfg, adaptive=False),
         times=times,
-        coefs=hist[first - 1][0],
+        coefs=widen(hist[first - 1][0], half),
         step_times=times,
-        diagnostics={},
+        diagnostics={"n_modes": np.array(rungs[-m:])},
         termination="t_end",
     )
-    return PicardResult(iterates=finals, gap_history=gaps[1:], converged=gaps[-1] < 1e-10, series=series)
+    iterates = [widen(f, half) for f in finals]
+    return PicardResult(iterates=iterates, gap_history=gaps[1:], converged=gaps[-1] < 1e-10, series=series)
 
 
 def scaling_symmetry_mismatch(

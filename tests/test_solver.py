@@ -1,6 +1,5 @@
 """Time-stepper and evolution-loop tests."""
 
-import itertools
 import math
 import sys
 import threading
@@ -52,6 +51,28 @@ def record_to_phys(monkeypatch):
 
     monkeypatch.setattr(GridSpec, "to_phys", logged)
     return calls
+
+
+def record_steps(monkeypatch, scheme="ifrk4"):
+    """Patch the ``scheme`` stepper to log the rung (its N) of each step it
+    takes: one entry per tick of a Picard solve, in order."""
+    rungs = []
+    build, stepper = solver._SCHEMES[scheme]
+
+    def logged(nl, c, dt, k1, factors):
+        rungs.append(2 * (c.shape[-1] - 1))
+        return stepper(nl, c, dt, k1, factors)
+
+    monkeypatch.setitem(solver._SCHEMES, scheme, (build, logged))
+    return rungs
+
+
+def solve_logged(B0, p, cfg, k_max=12):
+    """``picard_solve`` and the rung of each of its ticks' steps."""
+    with pytest.MonkeyPatch.context() as mp:
+        ticks = record_steps(mp, cfg.scheme)
+        res = picard_solve(B0, p, cfg, k_max=k_max)
+    return res, ticks
 
 
 def per_row(g, a, c):
@@ -375,10 +396,14 @@ class TestFactorReuse:
             ref = picard_solve(small_datum(grid), p, cfg)
             ref_sym = scaling_symmetry_mismatch(small_datum(grid), p, 1.5, 0.02, 20, scheme)
         builds = self.count_builds(monkeypatch, scheme)
+        ticks = record_steps(monkeypatch, scheme)
         res = picard_solve(small_datum(grid), p, cfg)
-        assert builds == [(256, 1e-3)]
+        # one build per rung the solve steps on, in the order it climbs them
+        assert sorted(set(ticks)) == [32, 64]
+        assert builds == [(32, 1e-3), (64, 1e-3)]
         assert res.gap_history == ref.gap_history
         assert np.array_equal(res.series.final.coef, ref.series.final.coef)
+        del builds[:]
         B = small_datum(grid)
         for _ in range(5):
             B, _ = step(B, 0.0, 1e-3, p, cfg)
@@ -1155,44 +1180,72 @@ class TestPicard:
         assert diff <= 1e-6
 
     @staticmethod
-    def reference_iterates(B0, p, cfg, k_max):
+    def reference_iterates(B0, p, cfg, k_max, rungs=None):
         """Picard's loop with each stage's frozen term made from scratch:
         the previous iterate interpolated to the stage time, and one inverse
-        transform per physical field (``per_row``)."""
+        transform per physical field (``per_row``).  Returns each iterate's
+        rows, zero-padded to N/2 + 1, and the gap of each iterate k >= 1.
+
+        Every state is on N unless ``rungs`` is given: the datum's rung, then
+        the rung of each tick's step in a pipelined solve.  Iterate 0 starts
+        on tick 0, iterate 1 on tick 1 and iterate k + 1 on the tick after
+        iterate k's running gap stops being below 1e-10; iterate k's step n
+        runs on the rung of tick s_k + n, and its state n's term and gap on
+        that of tick s_k + n - 1, with the datum cut to its rung."""
         g = B0.grid
-        ops = _ops(g, p)
+        half = g.n_modes // 2 + 1
         build, stepper = solver._SCHEMES[cfg.scheme]
         m = round(cfg.t_end / cfg.dt_init)
         dt = cfg.t_end / m
-        prev, out = None, []
-        for _ in range(k_max + 1):
-            vals = np.empty((m + 1, g.n_modes // 2 + 1), dtype=complex)
-            dots = np.empty_like(vals)
 
-            def nl(c, tau):
+        def on(tick):
+            """The table of the rung of tick ``tick``'s step."""
+            return _ops(g if rungs is None else GridSpec(g.half_length, rungs[tick + 1]), p)
+
+        def widen(a, size):
+            return np.concatenate((a, np.zeros(size - a.size, dtype=complex)))
+
+        c0 = B0.coef.copy()
+        c0[0] = 0.0
+        if rungs is not None:
+            c0[rungs[0] // 2 :] = 0.0
+        prev, out, gaps, start = None, [], [], 0
+        for _ in range(k_max + 1):
+            vals = np.zeros((m + 1, half), dtype=complex)
+            dots = np.zeros_like(vals)
+
+            def nl(ops, c, tau):
                 if prev is None:
                     return np.zeros_like(c)
                 # a stored row at tau = 0 and 1, the Hermite midpoint at 1/2
-                a = solver.hermite(*prev, n, dt) if tau == 0.5 else prev[0][n + int(tau)]
-                return per_row(g, a, c)
+                pv, pd = (table[:, : c.size] for table in prev)
+                a = solver.hermite(pv, pd, n, dt) if tau == 0.5 else pv[n + int(tau)]
+                return per_row(ops.grid, a, c)
 
-            c = B0.coef.copy()
-            c[0] = 0.0
+            c = c0[: on(start - 1).xi.size]
+            # a gap that never passes 1e-10 would start no successor: the
+            # next iterate then starts after this one retires
+            run, nxt = (0.0 if prev else np.inf), start + m + 1
             for n in range(m + 1):
-                vals[n] = c
-                k1 = nl(c, 0.0)
-                dots[n] = k1 - ops.lin * c
+                ops = on(start + n - 1)
+                c = widen(c, ops.xi.size)
+                k1 = nl(ops, c, 0.0)
+                vals[n, : c.size] = c
+                dots[n, : c.size] = k1 - ops.lin * c
+                if prev:
+                    w = sobolev_weight(ops.xi, 3.0 - p.alpha, homogeneous=False)
+                    run = np.maximum(run, np.sqrt(ops.grid.norm2(c - prev[0][n, : c.size], w)))
+                if not run < 1e-10:
+                    nxt = min(nxt, start + n + 1)
                 if n < m:
-                    c = stepper(nl, c, dt, k1, build(ops.lin, dt))
-            prev = (vals, dots)
+                    ops = on(start + n)
+                    c, k1 = widen(c, ops.xi.size), widen(k1, ops.xi.size)
+                    c = stepper(lambda c, tau: nl(ops, c, tau), c, dt, k1, build(ops.lin, dt))
+            if prev:
+                gaps.append(float(run))
+            prev, start = (vals, dots), nxt
             out.append(vals)
-        return out
-
-    @staticmethod
-    def reference_gaps(g, refs, alpha):
-        """Each iterate's sup-in-time H^(3 - alpha) gap to its predecessor."""
-        w = sobolev_weight(g.wavenumbers, 3.0 - alpha, homogeneous=False)
-        return [float(np.max(np.sqrt(g.norm2(b - a, w)))) for a, b in itertools.pairwise(refs)]
+        return out, gaps
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_frozen_table_matches_per_stage_reference(self, scheme):
@@ -1206,12 +1259,12 @@ class TestPicard:
         B0 = small_datum(g, amp=0.5)
         for k_max in (0, 1, 3):
             res = picard_solve(B0, p, cfg, k_max=k_max)
-            refs = self.reference_iterates(B0, p, cfg, k_max=k_max)
+            refs, gaps = self.reference_iterates(B0, p, cfg, k_max=k_max)
             assert k_max == 0 or not np.array_equal(refs[0], refs[1])
             assert not res.converged
             assert np.array_equal(res.series.coefs, refs[-1])
             assert np.array_equal(res.iterates, [v[-1] for v in refs])
-            assert res.gap_history == self.reference_gaps(g, refs, p.alpha)
+            assert res.gap_history == gaps
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_nan_gap_never_converges(self, scheme):
@@ -1219,16 +1272,17 @@ class TestPicard:
         # successor and the solve runs to k_max with the reference's gaps:
         # from a datum whose iterates 1-3 grow and overflow, and from a NaN
         # datum, whose gaps are NaN from state 0 on, so that each iterate
-        # starts one tick after its predecessor
+        # starts one tick after its predecessor; each fails the ladder's test
+        # on the halving 16, so the solve steps on N = 32 throughout
         g = GridSpec(np.pi, 32)
         p = ModelParams(kind="full", mu=0.1, alpha=1.0)
         cfg = StepperConfig(scheme=scheme, dt_init=1e-2, t_end=0.2, adaptive=False)
         nan_datum = SpectralField.from_coef(g, np.full(17, np.nan))
         for B0, finite in ((small_datum(g, amp=5.0), 3), (nan_datum, 0)):
             with np.errstate(all="ignore"):
-                res = picard_solve(B0, p, cfg, k_max=5)
-                refs = self.reference_iterates(B0, p, cfg, k_max=5)
-                gaps = self.reference_gaps(g, refs, p.alpha)
+                res, ticks = solve_logged(B0, p, cfg, k_max=5)
+                _, gaps = self.reference_iterates(B0, p, cfg, k_max=5)
+            assert set(ticks) == {32} and set(res.series.diagnostics["n_modes"]) == {32}
             assert np.isfinite(gaps[:finite]).all() and np.isnan(gaps[finite:]).all()
             assert not res.converged
             assert len(res.iterates) == 6
@@ -1242,25 +1296,75 @@ class TestPicard:
         # t_(n+1/2) and t_(n+1) of every one that steps, then each later
         # stage; a starting iterate first transforms Lambda A and A at t_0.
         # Each iterate, iterate 0 with its zero predecessor included,
-        # transforms (2m + 1) * 2 frozen rows and (4m + 1) * 2 stage rows
+        # transforms (2m + 1) * 2 frozen rows and (4m + 1) * 2 stage rows.
+        # A tick's calls up to its step are on the rung its previous step
+        # took, or the datum's rung 32 on tick 0 (modes 1 and 3 lie below
+        # rung 32's tail, mode 6, but not below rung 16's, mode 3), and its
+        # step's calls on the rung of that step
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
         m, k_max, starts = 20, 2, (0, 1, 3)
         cfg = StepperConfig(dt_init=1e-3, t_end=m * 1e-3, adaptive=False)
         B0 = small_datum(grid)
         calls = record_to_phys(monkeypatch)
-        res = picard_solve(B0, p, cfg, k_max=k_max)
+        res, ticks = solve_logged(B0, p, cfg, k_max=k_max)
         assert not res.converged
+        assert len(ticks) == starts[-1] + m
+        assert res.series.diagnostics["n_modes"].tolist() == ticks[-m:]
         expected = []
-        for tick in range(starts[-1] + m + 1):
-            expected += [2] if tick in starts else []
+        for tick, before in enumerate([32] + ticks):
+            expected += [(before, 2)] if tick in starts else []
             states = [tick - s for s in starts if 0 <= tick - s <= m]
             stepping = sum(n < m for n in states)
-            expected += [2 * len(states)] + ([4 * stepping] + 3 * [2 * stepping] if stepping else [])
-        assert calls == [(grid.n_modes, rows) for rows in expected]
-        assert sum(expected) == (k_max + 1) * ((2 * m + 1) * 2 + (4 * m + 1) * 2)
+            expected += [(before, 2 * len(states))]
+            expected += [(ticks[tick], rows) for rows in [4 * stepping] + 3 * [2 * stepping]] if stepping else []
+        assert calls == expected
+        assert sum(rows for _, rows in expected) == (k_max + 1) * ((2 * m + 1) * 2 + (4 * m + 1) * 2)
+        # the solve climbs from rung 32 to 64 and stays below N
+        assert ticks[0] == 32 and ticks[-1] == 64 and np.all(np.diff(ticks) >= 0)
         # fewer calls than one iterate at a time makes, even one whose
         # iterate 0 transforms nothing
         assert len(calls) < k_max * (4 * m + 2)
+
+    def test_criterion_7_steps_below_n(self, grid):
+        # criterion 7's datum and config at N = 256: the solve starts on
+        # rung 32, climbs, never steps down and never steps above 128; it is
+        # bitwise the reference stepped one iterate after the other on the
+        # recorded rungs, and within roundoff of the reference on N
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(dt_init=1e-3, t_end=0.1, adaptive=False)
+        B0 = small_datum(grid)
+        res, ticks = solve_logged(B0, p, cfg)
+        assert res.converged and len(res.iterates) == 5
+        rungs = res.series.diagnostics["n_modes"]
+        assert rungs.tolist() == ticks[-100:]
+        assert ticks[0] == 32 and max(ticks) <= 128 and np.all(np.diff(ticks) >= 0)
+        k_max = len(res.iterates) - 1
+        refs, gaps = self.reference_iterates(B0, p, cfg, k_max, rungs=[32] + ticks)
+        assert np.array_equal(res.series.coefs, refs[-1])
+        assert np.array_equal(res.iterates, [v[-1] for v in refs])
+        assert res.gap_history == gaps
+        # on N the series differs by at most 7.0e-17 max|B0_k| and the gaps
+        # by at most 2.2e-21 (5.1e-11 of the last gap, 4.3e-11): roundoff
+        on_n, gaps_n = self.reference_iterates(B0, p, cfg, k_max)
+        assert np.max(np.abs(res.series.coefs - on_n[-1])) <= 1e-15 * np.max(np.abs(B0.coef))
+        np.testing.assert_allclose(res.gap_history, gaps_n, rtol=0.0, atol=1e-19)
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_band_filling_datum_stays_on_n(self, scheme):
+        # a datum whose top third holds a share far above LADDER_TAIL on
+        # every halving steps on N throughout, bitwise the reference on N
+        g = GridSpec(np.pi, 64)
+        p = ModelParams(kind="full", mu=1.0, alpha=2.0)
+        cfg = StepperConfig(scheme=scheme, dt_init=1e-3, t_end=0.02, adaptive=False)
+        coef = np.zeros(33, dtype=complex)
+        coef[1:32] = 0.02 * 0.8 ** np.arange(1, 32) * np.exp(1j * np.arange(1, 32))
+        B0 = SpectralField.from_coef(g, coef)
+        res, ticks = solve_logged(B0, p, cfg, k_max=3)
+        assert set(ticks) == {64} and set(res.series.diagnostics["n_modes"]) == {64}
+        refs, gaps = self.reference_iterates(B0, p, cfg, k_max=3)
+        assert np.array_equal(res.series.coefs, refs[-1])
+        assert np.array_equal(res.iterates, [v[-1] for v in refs])
+        assert res.gap_history == gaps
 
     @pytest.mark.parametrize("amp", [0.0, 1e-14])
     def test_vanishing_datum_still_runs_iterate_1(self, amp):
