@@ -178,8 +178,8 @@ class Characteristic:
     two positive-frequency sums (``trig_sums``): F = B_x + i Lambda B is i
     times the sum of the Lambda B row, and F_x = B_xx + i w is minus the
     sum of the |xi| Lambda B row.  sup_x |B_xx| comes from one inverse
-    transform on ``grid``, the run's finest.  The run's ``observer_s`` is
-    the wall time of its calls.
+    transform on ``grid``, the run's finest, and one max and one min of it.
+    The run's ``observer_s`` is the wall time of its calls.
 
     Each layout covers only the band of the ladder rung that made its
     rows, n/2 + 1 entries on a rung of n modes, read as zero-padded; the
@@ -214,7 +214,8 @@ class Characteristic:
             X = self.X = float(X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
         s, s_xi = trig_sums(grid, blocks[::2], X).tolist()
         F, F_x = 1j * s, -s_xi  # B_x + i Lambda B and B_xx + i w at X
-        sup_bxx = np.abs(grid.to_phys(rows[2])).max()  # B_xx = -|xi| Lambda B
+        bxx = grid.to_phys(rows[2])  # B_xx = -|xi| Lambda B
+        sup_bxx = np.maximum(bxx.max(), -bxx.min()) + 0.0  # sup|B_xx|, as in ``evolve``
         self.rows.append((t, X, F.imag, F.real, F_x.real, F_x.imag, sup_bxx))
         self.prev = (t, blocks)
 

@@ -141,10 +141,13 @@ def smoothing_rate_fit(run: TimeSeries, s_base: float, s_target: float, t_min: f
     For a datum on the edge of H^(s_base) the dissipative gain predicts the
     norm to grow like t^(-(s_target - s_base)/alpha) as t -> 0+, with alpha
     the run's own, so the fitted log-log slope should be minus that exponent.
+    The norms are read a block of ``BLOCK`` rows at a time.
     """
-    alpha = run.params.alpha
-    norms = norm_series(run, [s_target - 0.5 * alpha]).hs_diss[0]  # H^(s_target), homogeneous
-    return _rate_fit(run.times, norms, s_base, s_target, alpha, t_min)
+    grid, norms = run.grid, np.empty(len(run.times))
+    weight = sobolev_weight(grid.wavenumbers, s_target)  # that of ``GridSpec.sobolev_norm2``
+    for i in range(0, len(norms), BLOCK):
+        norms[i : i + BLOCK] = np.sqrt(grid.norm2(run.coefs[i : i + BLOCK], weight))
+    return _rate_fit(run.times, norms, s_base, s_target, run.params.alpha, t_min)
 
 
 def smoothing_rate_fit_semigroup(

@@ -7,15 +7,19 @@ Two model kinds are evolved for a mean-free magnetic field B on the torus:
 
 Both quadratic terms are products of B_x, Lambda B, Lambda B_x and B, which
 one inverse transform of a stack of multiplier rows forms; the products are
-dealiased (2/3 rule) and the term is projected mean-free, so with no linear
-damping of k = 0 a step keeps the datum's zero mean exactly.  The diagonal
-linear part mu |xi|^alpha is propagated exactly, either by an integrating
-factor wrapped around classical RK4 (default) or by ETDRK4; both are exact
-when the nonlinearity vanishes.
+dealiased by truncation (the 2/3 rule, Orszag 1971, J. Atmos. Sci. 28:1074)
+and the term is projected mean-free, so with no linear damping of k = 0 a
+step keeps the datum's zero mean exactly.  The diagonal linear part
+mu |xi|^alpha is propagated exactly, either by an integrating factor wrapped
+around classical RK4 (default) or by ETDRK4; both are exact when the
+nonlinearity vanishes.
 A scheme is one row of ``_SCHEMES``: the build of its factors at
-z = -dt mu |xi|^alpha (IF-RK4's exponentials, the ETDRK4 coefficients) and
-its step.  Each ladder rung's factors are rebuilt whenever the scheme or dt
-changes, so on every adaptive step, and once per rung in a fixed-dt run.
+z = -dt mu |xi|^alpha and its step.  IF-RK4's factors are its two
+exponentials and their copies scaled by dt and by 2, all complex tables
+(Kassam & Trefethen 2005, SIAM J. Sci. Comput. 26:1214), so its step casts
+no table; ETDRK4's are the exponentials and its coefficients.  Each ladder
+rung's factors are rebuilt whenever the scheme or dt changes, so on every
+adaptive step, and once per rung in a fixed-dt run.
 mu |xi_k|^alpha grows with k on the stored half, so in the ETDRK4 build one
 index splits z: the Cox-Matthews closed forms (Cox & Matthews 2002,
 J. Comput. Phys. 176:430) are evaluated only where |z| >= 1, and below that
@@ -129,7 +133,9 @@ class StepperConfig:
 class _Ops:
     """Multiplier tables of one (grid, params), built once by ``_ops``; read-only
     apart from the one slot that keeps the factors of the last (scheme, dt).
-    As a ladder rung, ``tail`` is where the share the ladder tests begins."""
+    Dealiasing is the 2/3 rule as a truncation from ``cut``, the first
+    index the rule drops.  As a ladder rung, ``tail`` is where the share the
+    ladder tests begins."""
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
@@ -140,8 +146,8 @@ class _Ops:
         # field the models multiply is a row of one broadcast product, so a
         # stack of rows takes one inverse transform
         self.rows = np.stack((ddx, absxi, absxi * ddx, np.ones_like(self.xi)))
-        self.mask = grid.dealias_mask
-        self.tail = 2 * int(np.flatnonzero(self.mask)[-1]) // 3  # top third of the band
+        self.cut = int(np.count_nonzero(grid.dealias_mask))  # the kept band is 0 <= k < cut
+        self.tail = 2 * (self.cut - 1) // 3  # top third of the band
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
         self.xi_top = grid.xi_max_dealiased
         # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, for
@@ -170,12 +176,15 @@ class _Ops:
         physical fields (B_x, Lambda B, Lambda B_x, B) of ``rows * c``: the
         transport term reads the first two, the full term all four, and
         extra rows are ignored.  Each field may be a stack of rows, one
-        term per row."""
-        prod = phys[1] * phys[0]
+        term per row.  Dealiasing truncates: the coefficients from ``cut``
+        up and the mean are zeroed in place."""
         if self.params.kind == "full":
-            prod = phys[3] * phys[2] - prod
+            prod = phys[3] * phys[2]
+            prod -= phys[1] * phys[0]
+        else:
+            prod = phys[1] * phys[0]
         out = self.grid.to_coef(prod)
-        out *= self.mask
+        out[..., self.cut :] = 0.0
         out[..., 0] = 0.0
         return out
 
@@ -267,7 +276,7 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     """
     r = dt * lin  # |z|
     z = -r
-    e_half, e_full = _ifrk4_factors(lin, dt)
+    e_half, e_full = _exponentials(lin, dt)
     i0 = int(np.searchsorted(r, 0.0, side="right"))
     i1 = int(np.searchsorted(r, 1.0))
     q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
@@ -296,21 +305,29 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     return e_half, e_full, q, f1, f2, f3
 
 
-def _ifrk4_factors(lin: np.ndarray, dt: float):
+def _exponentials(lin: np.ndarray, dt: float):
     """The integrating factors exp(-dt lin / 2) and exp(-dt lin)."""
     return np.exp(-0.5 * dt * lin), np.exp(-dt * lin)
+
+
+def _ifrk4_factors(lin: np.ndarray, dt: float):
+    """The exponentials, dt exp(-dt lin / 2) and 2 exp(-dt lin / 2) as complex
+    tables, so no step casts a float table; each is the float product the
+    step's left-to-right expression forms, so every bit is the real tables'."""
+    e_half, e_full = _exponentials(lin, dt)
+    return tuple(a.astype(complex) for a in (e_half, e_full, dt * e_half, 2.0 * e_half))
 
 
 # A stepper advances c_t = nl(c, tau) - lin * c by dt from k1 = nl(c, 0), with
 # ``factors`` its scheme's build at (lin, dt); nl receives the stage's fraction
 # tau of the step (0, 1/2, 1/2, 1).
 def _step_ifrk4(nl: Callable, c: np.ndarray, dt: float, k1: np.ndarray, factors: tuple):
-    e_half, e_full = factors
+    e_half, e_full, dt_half, two_half = factors
     ec = e_full * c
     k2 = nl(e_half * (c + 0.5 * dt * k1), 0.5)
     k3 = nl(e_half * c + 0.5 * dt * k2, 0.5)
-    k4 = nl(ec + dt * e_half * k3, 1.0)
-    return ec + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    k4 = nl(ec + dt_half * k3, 1.0)
+    return ec + dt / 6.0 * (e_full * k1 + two_half * (k2 + k3) + k4)
 
 
 def _step_etdrk4(nl: Callable, c: np.ndarray, dt: float, k1: np.ndarray, factors: tuple):
@@ -497,11 +514,14 @@ def evolve(
         # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
         # node, a node of the rung n, its rows give the state's nonlinear term
         phys = grid.to_phys(ops.rows[: 4 if dispersive else 3] * c)
-        sups = np.max(np.abs(phys[1:]), axis=-1)
+        # one max and one min pass over the stack: sup|x| = max(max x, -min x),
+        # a NaN kept by both, and + 0.0 makes a zero field's -0.0 the 0.0 of |x|
+        top = phys.max(axis=-1)
+        sups = np.maximum(top[1:], -phys[1:].min(axis=-1)) + 0.0
         rates = sups / ops.scale
         rate, bound = float(rates.max()), int(rates.argmax())
         nl = ops.form(phys[:, :: grid.n_modes // ops.grid.n_modes])
-        a, max_lam_bx = phys[0:3:2].max(axis=-1).tolist()  # max B_x and max Lambda B_x
+        a, max_lam_bx = top[0:3:2].tolist()  # max B_x and max Lambda B_x
         # freed now, its memory serves the observer, the step and the next
         # state's transform (kept, it cost ~1 MB of peak RSS at N = 4096)
         del phys

@@ -339,19 +339,37 @@ def assert_threads_get_their_own_dt(scheme):
     assert wrong == []
 
 
-# each scheme's factors made afresh on every call, the reference for the
-# ones a table keeps
-FRESH_FACTORS = {
-    "ifrk4": lambda lin, dt: (np.exp(-0.5 * dt * lin), np.exp(-dt * lin)),
-    "etdrk4": _etdrk4_coeffs,
+def textbook_ifrk4_factors(lin, dt):
+    """IF-RK4's integrating factors as the real tables exp(-dt lin / 2) and
+    exp(-dt lin)."""
+    return np.exp(-0.5 * dt * lin), np.exp(-dt * lin)
+
+
+def textbook_step_ifrk4(nl, c, dt, k1, factors):
+    """One IF-RK4 step written out from the real tables (Kassam & Trefethen
+    2005), each product cast as numpy casts it."""
+    e_half, e_full = factors
+    ec = e_full * c
+    k2 = nl(e_half * (c + 0.5 * dt * k1), 0.5)
+    k3 = nl(e_half * c + 0.5 * dt * k2, 0.5)
+    k4 = nl(ec + dt * e_half * k3, 1.0)
+    return ec + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+
+
+# each scheme as a ``_SCHEMES`` row whose factors a run makes afresh on
+# every step, the reference for the library's: IF-RK4 the textbook build and
+# step above, independent of the library's complex tables, ETDRK4 its own
+FRESH_SCHEMES = {
+    "ifrk4": (textbook_ifrk4_factors, textbook_step_ifrk4),
+    "etdrk4": (_etdrk4_coeffs, solver._step_etdrk4),
 }
 
 
 @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
 class TestFactorReuse:
     """Each scheme builds its factors once per distinct (dt, table), so once
-    per (rung, dt) of a run, and a run reads bit for bit what
-    ``FRESH_FACTORS`` makes on every step."""
+    per (rung, dt) of a run, and a run reads bit for bit what it reads with
+    the ``FRESH_SCHEMES`` row in place, its factors made on every step."""
 
     @staticmethod
     def count_builds(monkeypatch, scheme):
@@ -369,8 +387,9 @@ class TestFactorReuse:
 
     @staticmethod
     def rebuilt_every_step(monkeypatch, scheme):
-        fresh = FRESH_FACTORS[scheme]
-        monkeypatch.setattr(solver._Ops, "factors", lambda self, s, dt: fresh(self.lin, dt))
+        build, stepper = FRESH_SCHEMES[scheme]
+        monkeypatch.setitem(solver._SCHEMES, scheme, (build, stepper))
+        monkeypatch.setattr(solver._Ops, "factors", lambda self, s, dt: build(self.lin, dt))
 
     def test_evolve_builds_once_per_dt_and_fields_are_unchanged(self, grid, monkeypatch, scheme):
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
@@ -872,6 +891,17 @@ class TestGridLadder:
         rows = _ops(g, p).rows[2] * run.coefs[:-1]
         assert d["max_lam_bx"].tolist() == [np.max(g.to_phys(row)) for row in rows]
         assert np.all(d["max_lam_bx"] <= d["sup_lam_bx"])
+
+    @pytest.mark.parametrize("kind", ["full", "transport"])
+    def test_sups_of_a_zero_field_are_the_zero_of_abs(self, kind):
+        # the sups come from a max and a min pass, max(max x, -min x); on a
+        # zero field that is -0.0 unless made the +0.0 that max|x| reads
+        g = GridSpec(np.pi, 64)
+        run = evolve(SpectralField.from_coef(g, np.zeros(33)), ModelParams(kind, 1.0, 1.0), StepperConfig(t_end=0.01))
+        d = run.diagnostics
+        assert run.termination == "t_end"
+        for key in ("sup_lam_b", "sup_lam_bx"):
+            assert np.all(d[key] == 0.0) and not np.any(np.signbit(d[key]))
 
     @staticmethod
     def bands(g, run):
