@@ -180,8 +180,9 @@ def flux_decomposition(B: SpectralField, s: float, params: ModelParams) -> FluxD
     grid = B.grid
     cut = cutoffs_for(grid)
     b_x, lam_b = grid.to_phys(_ops(grid, params).rows[:2] * B.coef)
-    # B Lambda B and Lambda B * B_x
-    b_lamb, lamb_bx = grid.to_coef(np.stack((B.phys * lam_b, lam_b * b_x))) * grid.dealias_mask
+    prods = grid.to_coef(np.stack((B.phys * lam_b, lam_b * b_x)))  # B Lambda B and Lambda B * B_x
+    prods[..., grid.cut :] = 0.0  # dealiased
+    b_lamb, lamb_bx = prods
 
     lam2s = cut.lam ** (2.0 * s)
     bq = cut.weights * B.coef  # one row per shell

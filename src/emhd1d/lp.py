@@ -24,7 +24,6 @@ import numpy as np
 
 from .gates import Gate, at_least, at_most
 from .spectral import (
-    DEALIAS_FRACTION,
     GridSpec,
     SpectralField,
     derivative,
@@ -130,10 +129,10 @@ def random_band_limited(
     decay: float = 0.2,
 ) -> SpectralField:
     """Random real zero-mean field with mildly decaying spectrum, band-limited
-    well inside the dealias cutoff so quadratic products stay exact."""
+    by default to k <= (``grid.cut`` - 1) // 2, so quadratic products stay exact."""
     N = grid.n_modes
     if k_max is None:
-        k_max = int(DEALIAS_FRACTION * N / 2) // 2
+        k_max = (grid.cut - 1) // 2
     k_max = max(1, min(k_max, N // 2 - 1))
     kk = np.arange(1, k_max + 1)
     amp = (rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)) * np.exp(-decay * kk)

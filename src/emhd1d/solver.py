@@ -133,7 +133,7 @@ class StepperConfig:
 class _Ops:
     """Multiplier tables of one (grid, params), built once by ``_ops``; read-only
     apart from the one slot that keeps the factors of the last (scheme, dt).
-    Dealiasing is the 2/3 rule as a truncation from ``cut``, the first
+    Dealiasing is the 2/3 rule as a truncation from ``grid.cut``, the first
     index the rule drops.  As a ladder rung, ``tail`` is where the share the
     ladder tests begins."""
 
@@ -146,13 +146,11 @@ class _Ops:
         # field the models multiply is a row of one broadcast product, so a
         # stack of rows takes one inverse transform
         self.rows = np.stack((ddx, absxi, absxi * ddx, np.ones_like(self.xi)))
-        self.cut = int(np.count_nonzero(grid.dealias_mask))  # the kept band is 0 <= k < cut
-        self.tail = 2 * (self.cut - 1) // 3  # top third of the band
+        self.tail = 2 * (grid.cut - 1) // 3  # top third of the band 0 <= k < cut
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
-        self.xi_top = grid.xi_max_dealiased
         # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, for
         # the full model, sup|B|: a step's rate is the largest sup / scale
-        self.scale = np.array([grid.dx, 1.0, 2.0 / self.xi_top**2])[: 3 if params.kind == "full" else 2]
+        self.scale = np.array([grid.dx, 1.0, 2.0 / grid.xi_max_dealiased**2])[: 3 if params.kind == "full" else 2]
         for a in (self.rows, self.lin, self.scale):
             a.flags.writeable = False
         self._factors: tuple = (None, math.nan, ())
@@ -176,15 +174,15 @@ class _Ops:
         physical fields (B_x, Lambda B, Lambda B_x, B) of ``rows * c``: the
         transport term reads the first two, the full term all four, and
         extra rows are ignored.  Each field may be a stack of rows, one
-        term per row.  Dealiasing truncates: the coefficients from ``cut``
-        up and the mean are zeroed in place."""
+        term per row.  Dealiasing truncates: the coefficients from
+        ``GridSpec.cut`` up and the mean are zeroed in place."""
         if self.params.kind == "full":
             prod = phys[3] * phys[2]
             prod -= phys[1] * phys[0]
         else:
             prod = phys[1] * phys[0]
         out = self.grid.to_coef(prod)
-        out[..., self.cut :] = 0.0
+        out[..., self.grid.cut :] = 0.0
         out[..., 0] = 0.0
         return out
 
@@ -238,15 +236,24 @@ def _ladder(grid: GridSpec, params: ModelParams) -> list[_Ops]:
     return ladder
 
 
+def _resize(a: np.ndarray, size: int) -> np.ndarray:
+    """Rows ``a`` moved to a rung of ``size`` entries along their last axis:
+    zero-padded going up, cut going down with a zero Nyquist entry, as every
+    finite step leaves it, and ``a`` itself if it has ``size`` entries."""
+    if a.shape[-1] == size:
+        return a
+    out = np.zeros(a.shape[:-1] + (size,), dtype=complex)
+    keep = min(a.shape[-1], size - 1)
+    out[..., :keep] = a[..., :keep]
+    return out
+
+
 def _descend(ladder: list[_Ops], rung: int, c: np.ndarray, cap: float) -> tuple[int, np.ndarray]:
     """The rung index ``rung`` moved down the ladder while c passes
-    ``_tail_exceeds`` on the next halving, and c cut to that rung's band:
-    the cut leaves the rung's Nyquist entry 0, as every finite step does."""
+    ``_tail_exceeds`` on the next halving, and c ``_resize``d to that rung."""
     while rung + 1 < len(ladder) and not _tail_exceeds(c, ladder[rung + 1].tail, cap):
         rung += 1
-    if ladder[rung].xi.size < c.size:
-        c = np.append(c[: ladder[rung].xi.size - 1], 0.0)
-    return rung, c
+    return rung, _resize(c, ladder[rung].xi.size)
 
 
 def rhs(B: SpectralField, params: ModelParams) -> SpectralField:
@@ -506,7 +513,7 @@ def evolve(
         cap = LADDER_TAIL * np.vdot(c, c).real
         if rung and _tail_exceeds(c, ladder[rung].tail, cap):
             rung -= 1
-            c = np.pad(c, (0, ladder[rung].xi.size - c.size))  # exact in this normalization
+            c = _resize(c, ladder[rung].xi.size)
         else:
             rung, c = _descend(ladder, rung, c, cap)
         ops = ladder[rung]
@@ -552,7 +559,8 @@ def evolve(
         c = stepper(ops.nonlinear, c, dt, nl, ops.factors(cfg.scheme, dt))
         t += dt
         n += 1
-        gamma = a * ops.xi_top - params.mu * ops.xi_top**params.alpha
+        xi_top = ops.grid.xi_max_dealiased
+        gamma = a * xi_top - params.mu * xi_top**params.alpha
         gain += max(0.0, gamma) * dt
 
         per_step.append((dt, bound, sups[0], sups[1], max_lam_bx, ops.grid.n_modes, a, gamma, gain))
@@ -647,15 +655,6 @@ def picard_solve(
         weight = sobolev_weight(ops.xi, 3.0 - params.alpha, homogeneous=False)
         return ops, ops.factors(cfg.scheme, dt), weight
 
-    def widen(a: np.ndarray, size: int) -> np.ndarray:
-        """``a`` zero-padded along its last axis to ``size`` entries, or
-        ``a`` itself if it has them: exact in this normalization."""
-        if a.shape[-1] == size:
-            return a
-        out = np.zeros(a.shape[:-1] + (size,), dtype=complex)
-        out[..., : a.shape[-1]] = a
-        return out
-
     def frozen(table: np.ndarray) -> np.ndarray:
         """Lambda A and A of the coefficient rows ``table``, along a new
         second-to-last axis, from one inverse transform."""
@@ -719,8 +718,8 @@ def picard_solve(
                 rung = up
                 ops, factors, weight = on_rung()
                 size = ops.xi.size  # all the solve holds, zero-padded
-                c, k1, c0 = widen(c, size), widen(k1, size), widen(c0, size)
-                hist = {k: widen(h, size) if k >= 0 else zero() for k, h in hist.items()}
+                c, k1, c0 = _resize(c, size), _resize(k1, size), _resize(c0, size)
+                hist = {k: _resize(h, size) if k >= 0 else zero() for k, h in hist.items()}
             pv, pd = np.stack([hist[k - 1][:, n : n + 2] for k, n in zip(ks, ns)], axis=2)
             mid, fz = frozen(np.stack((hermite(pv, pd, 0, dt), pv[1])))
             at = {0.5: mid, 1.0: fz}
@@ -735,12 +734,12 @@ def picard_solve(
         params=params,
         config=replace(cfg, adaptive=False),
         times=times,
-        coefs=widen(hist[first - 1][0], half),
+        coefs=_resize(hist[first - 1][0], half),
         step_times=times,
         diagnostics={"n_modes": np.array(rungs[-m:])},
         termination="t_end",
     )
-    iterates = [widen(f, half) for f in finals]
+    iterates = [_resize(f, half) for f in finals]
     return PicardResult(iterates=iterates, gap_history=gaps[1:], converged=gaps[-1] < 1e-10, series=series)
 
 

@@ -23,7 +23,8 @@ stack of fields, rows along the leading axes: every operator and the
 product act row by row, each row with the bits it has alone, so a harness
 over random fields makes one call per quantity.  The Hilbert transform uses
 m(xi) = -i sgn(xi), the unique sign choice for which Lambda = H d/dx holds
-with Lambda = |xi|.
+with Lambda = |xi|.  Every dealiased product, here, in the solver and in the
+diagnostics, zeroes its coefficients in place from ``GridSpec.cut`` up.
 
 ``trig_sums`` is the one off-grid sum: the complex sums
 sum_k w_k c_k exp(i xi_k x) over the stored half, weights (1, 2, ..., 2, 1),
@@ -121,16 +122,15 @@ class GridSpec:
         return block, tables
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        cut = DEALIAS_FRACTION * self.n_modes / 2.0
-        m = (np.abs(self.mode_index) < cut).astype(float)
-        m.flags.writeable = False
-        return m
+    def cut(self) -> int:
+        """The first index the 2/3 rule drops: quadratic products keep the
+        band 0 <= k < cut and are truncated from ``cut`` up."""
+        return int(np.count_nonzero(np.abs(self.mode_index) < DEALIAS_FRACTION * self.n_modes / 2.0))
 
-    @property
+    @cached_property
     def xi_max_dealiased(self) -> float:
-        """Largest wavenumber magnitude surviving the dealias mask."""
-        return float(np.max(np.abs(self.wavenumbers) * self.dealias_mask))
+        """Largest wavenumber magnitude of the kept band."""
+        return float(abs(self.wavenumbers[self.cut - 1]))
 
     def to_coef(self, phys: np.ndarray) -> np.ndarray:
         """Coefficients k = 0..N/2 of real samples at ``nodes``, last axis."""
@@ -284,12 +284,12 @@ def riesz_potential(f: SpectralField, r: float) -> SpectralField:
 
 
 def product(f: SpectralField, g: SpectralField, dealiased: bool = True) -> SpectralField:
-    """Pointwise product, dealiased by default (2/3 rule after the product)."""
+    """Pointwise product, dealiased by default: zeroed from ``GridSpec.cut`` up."""
     if f.grid is not g.grid and f.grid != g.grid:
         raise ValueError("operands live on different grids")
     c = f.grid.to_coef(f.phys * g.phys)
     if dealiased:
-        c = c * f.grid.dealias_mask
+        c[..., f.grid.cut :] = 0.0
     return SpectralField.from_coef(f.grid, c)
 
 

@@ -7,11 +7,17 @@ import pytest
 
 from emhd1d.diagnostics import rough_datum
 from emhd1d.solver import ModelParams, StepperConfig, evolve
-from emhd1d.spectral import GridSpec, SpectralField
+from emhd1d.spectral import DEALIAS_FRACTION, GridSpec, SpectralField
 
 
 def small_datum(grid, amp=0.05):
     return SpectralField.from_function(grid, lambda x: amp * (np.sin(x) + 0.4 * np.sin(3 * x)))
+
+
+def kept_mask(grid):
+    """The 2/3 rule on the stored half, stated apart from ``GridSpec.cut``:
+    1.0 where |k| < DEALIAS_FRACTION N/2, else 0.0."""
+    return (np.abs(grid.mode_index) < DEALIAS_FRACTION * grid.n_modes / 2.0).astype(float)
 
 
 def padded(rows, half):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import Recorder, padded
+from conftest import Recorder, kept_mask, padded
 
 from emhd1d import blowup
 from emhd1d.blowup import (
@@ -560,6 +560,6 @@ class TestGridLadder:
         for k in switches:
             # state k, the last made on the rung of step k - 1, triggers the switch
             coarse = GridSpec(6.0, int(rung[k - 1]))
-            tail = 2 * int(np.flatnonzero(coarse.dealias_mask)[-1]) // 3
+            tail = 2 * int(np.flatnonzero(kept_mask(coarse))[-1]) // 3
             share = [np.vdot(c[tail:], c[tail:]).real / np.vdot(c, c).real for c in every.coefs[k - 1 : k + 1]]
             assert share[0] <= LADDER_TAIL < share[1] <= 10.0 * LADDER_TAIL

@@ -164,6 +164,17 @@ class TestRandomFields:
         f = random_band_limited(grid, np.random.default_rng(n), k_max=k_max)
         assert np.array_equal(f.coef, ref[: n // 2 + 1])
 
+    @pytest.mark.parametrize("n", [96, 98, 192, 512])
+    def test_default_band_products_are_not_truncated(self, n):
+        # the default band is k <= (cut - 1) // 2, so a product's top mode,
+        # twice that, is kept; at N = 96 and 192, int((2/3)(N/2)) // 2
+        # would put it on the cut, where the truncation drops it
+        grid = GridSpec(np.pi, n)
+        rng = np.random.default_rng(n)
+        f, g = random_band_limited(grid, rng), random_band_limited(grid, rng)
+        full = product(f, g, dealiased=False).coef
+        assert np.allclose(product(f, g).coef, full, rtol=0.0, atol=1e-14 * np.max(np.abs(full)))
+
     def test_band_limited_real_and_mean_free(self, grid):
         f = random_band_limited(grid, np.random.default_rng(6))
         assert abs(f.mean) < 1e-15

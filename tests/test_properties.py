@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import kept_mask
 
 from emhd1d.diagnostics import flux_decomposition
 from emhd1d.lp import cutoffs_for, random_band_limited
@@ -45,7 +46,7 @@ def case_id(case: dict) -> str:
 def datum(grid: GridSpec, case: dict) -> SpectralField:
     """Random field on the whole dealiased band, scaled to sup|B| = amp."""
     rng = np.random.default_rng(case["seed"])
-    k_max = int(np.count_nonzero(grid.dealias_mask)) - 1
+    k_max = int(np.count_nonzero(kept_mask(grid))) - 1
     f = random_band_limited(grid, rng, k_max=k_max, decay=float(rng.uniform(0.02, 0.3)))
     return SpectralField.from_coef(grid, f.coef * (case["amp"] / f.linf_norm()))
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import kept_mask
 
 from emhd1d.spectral import (
     GridSpec,
@@ -59,7 +60,7 @@ class TestGridSpec:
         grid of 2N, where it does not alias); at N = 3K the cut must drop
         mode K, whose square aliases onto -K."""
         g, g2 = GridSpec(np.pi, n), GridSpec(np.pi, 2 * n)
-        k = np.arange(1, int(np.count_nonzero(g.dealias_mask)))  # every kept mode
+        k = np.arange(1, int(np.count_nonzero(kept_mask(g))))  # every kept mode
         rng = np.random.default_rng(n)
         draws = rng.standard_normal((2, 2, k.size))
 
@@ -73,7 +74,21 @@ class TestGridSpec:
 
         (f, h), (f2, h2) = pair(g), pair(g2)
         exact = g2.to_coef(f2.phys * h2.phys)[: n // 2 + 1]
-        assert np.allclose(product(f, h).coef, exact * g.dealias_mask, rtol=0.0, atol=1e-12)
+        dealiased = product(f, h).coef
+        assert np.allclose(dealiased, exact * kept_mask(g), rtol=0.0, atol=1e-12)
+        # zeroed from the cut up: +0.0, where a multiply by 0 leaves -0.0
+        top = dealiased[g.cut :].view(float)
+        assert np.all(top == 0.0) and not np.any(np.signbit(top))
+
+    @pytest.mark.parametrize("n", [8, 96, 98, 126, 128, 2048])
+    def test_cut_is_the_strict_two_thirds_rule(self, n):
+        # k is kept iff |k| < (2/3)(N/2), that is 3|k| < N: strict, so at
+        # N = 3K mode K is dropped; the Nyquist entry never is kept
+        g = GridSpec(6.0, n)
+        kept = [k for k in range(n // 2 + 1) if 3 * abs(g.mode_index[k]) < n]
+        assert kept == list(range(g.cut))
+        assert g.cut == -(-n // 3)
+        assert g.xi_max_dealiased == np.max(np.abs(g.wavenumbers[kept]))
 
     @pytest.mark.parametrize("bad", [dict(half_length=-1.0, n_modes=64),
                                      dict(half_length=1.0, n_modes=7),
