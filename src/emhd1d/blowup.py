@@ -5,8 +5,9 @@ B_xx(x0) = 0 and w0 = Lambda B_x(x0) > 0, the quantity w = Lambda B_x
 transported along dX/dt = -Lambda B(X, t) obeys w' = w^2, so
 1/w(t) = 1/w0 - t and w blows up at T = 1/w0.  This module builds the
 reference datum exp(-x^4) sin(x), integrates the characteristic as a
-solver run steps (``Characteristic``, an observer of ``evolve``), and
-fits/validates the Riccati law.
+solver run steps (``Characteristic``, an observer of ``evolve`` that makes
+no transform of its own: sup|B_xx| is one of the sups the run reads from
+each state's transform), and fits/validates the Riccati law.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .diagnostics import fit_line
 from .gates import Gate, at_most
 from .solver import ModelParams, StepperConfig, TimeSeries, evolve, hermite
-from .spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian, trig_blocks, trig_sums
+from .spectral import GridSpec, SpectralField, derivative, evaluate_at, frac_laplacian, trig_blocks, trig_blocks_shape, trig_sums
 
 
 DATUM_TOL = 1e-10  # tolerance of B_x(x0) = 1, B_xx(x0) = 0 and max B_x = B_x(x0)
@@ -166,45 +167,64 @@ def run_blowup(
 
 
 class Characteristic:
-    """The observer of ``evolve`` that integrates dX/dt = -Lambda B(X, t)
-    from ``x0`` as the run steps, and keeps no step rows.
+    """The observer of ``evolve`` on a transport run that integrates
+    dX/dt = -Lambda B(X, t) from ``x0`` as the run steps, and keeps no step
+    rows.
 
     Each state's rows Lambda B, d/dt Lambda B and |xi| Lambda B, multipliers
-    of its c and nonlinear term, are laid out once by ``trig_blocks``, and
-    the previous state's layout is all it keeps.  When state n + 1 arrives,
-    it takes RK4 step n: at each stage point, Lambda B at the half-step is
-    ``hermite`` of the two states' Lambda B and d/dt Lambda B there.  At the
-    new X it reads Lambda B, B_x, B_xx and w = Lambda B_x off the grid from
-    two positive-frequency sums (``trig_sums``): F = B_x + i Lambda B is i
-    times the sum of the Lambda B row, and F_x = B_xx + i w is minus the
-    sum of the |xi| Lambda B row.  sup_x |B_xx| comes from one inverse
-    transform on ``grid``, the run's finest, and one max and one min of it.
-    The run's ``observer_s`` is the wall time of its calls.
+    of its c and nonlinear term, are laid out once by ``trig_blocks``, into
+    one of two slots of one array; the other slot holds the previous
+    state's layout, all it keeps.  When state n + 1 arrives, it takes RK4
+    step n: at each stage point, Lambda B at the half-step is ``hermite`` of
+    the two states' Lambda B and d/dt Lambda B there, and when the two
+    layouts share a shape, one ``trig_sums`` call sums both states' rows.
+    At the new X it reads Lambda B, B_x, B_xx and w = Lambda B_x off the
+    grid from two positive-frequency sums: F = B_x + i Lambda B is i times
+    the sum of the Lambda B row, and F_x = B_xx + i w is minus the sum of
+    the |xi| Lambda B row.  sup_x |B_xx| is the third of the state's
+    ``sups``, which ``evolve`` reads on the run's finest nodes, so the
+    characteristic makes no transform.  The run's ``observer_s`` is the
+    wall time of its calls.
 
     Each layout covers only the band of the ladder rung that made its
-    rows, n/2 + 1 entries on a rung of n modes, read as zero-padded; the
-    two states of a step across a rung switch keep their own bands.
+    rows, n/2 + 1 entries on a rung of n modes, read as zero-padded; a
+    state whose layout takes another shape than the previous one's, on a
+    rung switch, gets a new pair of slots, and that step sums the two
+    states' rows in two calls.
     """
 
     def __init__(self, grid: GridSpec, x0: float):
         self.grid, self.x0, self.X = grid, x0, x0
+        self.slots: np.ndarray | None = None  # (2, 3, A, B): two states' laid-out rows
+        self.slot = 1  # the slot of the last state's layout
         self.prev: tuple | None = None  # (t, laid-out rows) of the last state
         self.rows: list[tuple] = []  # (t, X, Lambda B, B_x, B_xx, w, sup|B_xx|) at each state
 
-    def __call__(self, t: float, ops, c: np.ndarray, nl: np.ndarray, last: bool) -> None:
+    def __call__(self, t: float, ops, c: np.ndarray, nl: np.ndarray, sups: np.ndarray, last: bool) -> None:
+        if ops.params.kind != "transport":
+            raise ValueError("the characteristic reads sup|B_xx| from a transport run's sups")
         grid, X = self.grid, self.X
         rows = np.empty((3, c.size), dtype=complex)  # Lambda B, d/dt Lambda B, |xi| Lambda B
         absxi = ops.rows[1]
         np.multiply(absxi, c, out=rows[0])
         np.multiply(absxi, nl - ops.lin * c, out=rows[1])
         np.multiply(absxi, rows[0], out=rows[2])
-        blocks = trig_blocks(grid, rows)
+        shape = trig_blocks_shape(grid, rows.shape)
+        shared = self.slots is not None and self.slots.shape[1:] == shape
+        if not shared:  # the first state, or a rung switch that changes the shape
+            self.slots = np.empty((2,) + shape, dtype=complex)
+        slots, j = self.slots, 1 - self.slot
+        blocks = trig_blocks(grid, rows, out=slots[j])
         if self.prev is not None:
             t0, blocks0 = self.prev
             dt = t - t0
 
             def lam_b_mid(x: float) -> float:  # Lambda B at x, at the step's midpoint
-                (v0, d0), (v1, d1) = (trig_sums(grid, b[:2], x).real.tolist() for b in (blocks0, blocks))
+                if shared:  # both states' Lambda B and d/dt Lambda B in one sum
+                    both = trig_sums(grid, slots[:, :2], x).real.tolist()
+                    (v0, d0), (v1, d1) = both[1 - j], both[j]
+                else:
+                    (v0, d0), (v1, d1) = (trig_sums(grid, b[:2], x).real.tolist() for b in (blocks0, blocks))
                 return hermite((v0, v1), (d0, d1), 0, dt)
 
             f1 = -self.rows[-1][2]  # Lambda B at X, from the last state
@@ -214,10 +234,8 @@ class Characteristic:
             X = self.X = float(X + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
         s, s_xi = trig_sums(grid, blocks[::2], X).tolist()
         F, F_x = 1j * s, -s_xi  # B_x + i Lambda B and B_xx + i w at X
-        bxx = grid.to_phys(rows[2])  # B_xx = -|xi| Lambda B
-        sup_bxx = np.maximum(bxx.max(), -bxx.min()) + 0.0  # sup|B_xx|, as in ``evolve``
-        self.rows.append((t, X, F.imag, F.real, F_x.real, F_x.imag, sup_bxx))
-        self.prev = (t, blocks)
+        self.rows.append((t, X, F.imag, F.real, F_x.real, F_x.imag, sups[2]))
+        self.prev, self.slot = (t, blocks), j
 
     def trajectory(self) -> Trajectory:
         t, X, _, bx, bxx, w, sup_bxx = map(np.array, zip(*self.rows))

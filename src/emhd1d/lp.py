@@ -11,7 +11,8 @@ inequalities used by the energy estimates: they report worst-case
 left/right-hand-side ratios over random band-limited fields.  These are
 bounded-ratio checks, not constant verifications.  The Bernstein and
 commutator harnesses draw their trials in turn, then make one call per
-quantity on the stack of the trials' fields.
+quantity on the stack of the trials' fields.  A commutator that vanishes
+but for roundoff has no ratio: such trials are counted apart.
 """
 
 from __future__ import annotations
@@ -152,14 +153,26 @@ def random_shell_field(grid: GridSpec, q: int, rng: np.random.Generator) -> Spec
     return SpectralField.from_coef(grid, coef)
 
 
+# A commutator [A, f] g whose L2 norm is at most this times ||f g||_2
+# vanishes but for roundoff.  Measured against an extended-precision direct
+# convolution over 30 seeds of 20 trials at N = 128 ... 2048: the shell
+# commutators that read only roundoff (a shell above the band of f g, at
+# N >= 1024) were at most 2.4e-16 of ||f g||_2, and the smallest true one,
+# read to 1e-8 relative, 4.6e-10 of it; the floor leaves 420x and 4600x.
+ROUNDOFF_FLOOR = 1e-13
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Worst observed LHS/RHS ratios of an inequality over random trials."""
+    """Worst observed LHS/RHS ratios of an inequality over random trials;
+    ``vanished`` counts the trials whose LHS vanishes but for roundoff,
+    which have no entry in ``ratios``."""
 
     name: str
     trials: int
     max_ratio: float
     ratios: np.ndarray
+    vanished: int = 0
 
     def as_dict(self) -> dict:
         return {"name": self.name, "trials": self.trials, "max_ratio": self.max_ratio}
@@ -200,6 +213,11 @@ def commutator_check(grid: GridSpec, trials: int = 30, seed: int = 0) -> tuple[B
     Second (Coifman-Meyer type): || [Lambda^(1/2), f] g ||_2 against
     ||Lambda^sigma f||_{r1} ||I_(sigma - 1/2) g||_{r2} with sigma = 1 - eps,
     r2 = 2 + eps and 1/r1 = 1/2 - 1/r2.
+
+    A trial whose commutator's norm is at most ``ROUNDOFF_FLOOR`` ||f g||_2
+    is counted in its report's ``vanished``, not given a ratio: at
+    N >= 1024 a shell above the band of f g has a commutator below the
+    roundoff of forming f g, and its ratio would read noise.
     """
     rng = np.random.default_rng(seed)
     eps = 0.1
@@ -215,21 +233,25 @@ def commutator_check(grid: GridSpec, trials: int = 30, seed: int = 0) -> tuple[B
     f, g = (SpectralField.from_coef(grid, np.array(rows)) for rows in (fs, gs))
     q = np.array(qs)
 
+    fg = product(f, g)
+    floor = ROUNDOFF_FLOOR * fg.l2_norm()
+
+    def report(name: str, lhs: np.ndarray, rhs: np.ndarray) -> BoundReport:
+        keep = (rhs > 0) & (lhs > floor)
+        ratios = lhs[keep] / rhs[keep]
+        return BoundReport(name, trials, float(np.max(ratios, initial=0.0)), ratios, int(np.sum(lhs <= floor)))
+
     # [Delta_q, f] g = Delta_q(fg) - f Delta_q(g)
-    comm = project_shell(product(f, g), q).coef - product(f, project_shell(g, q)).coef
+    comm = project_shell(fg, q).coef - product(f, project_shell(g, q)).coef
     lhs = SpectralField.from_coef(grid, comm).l2_norm()
     rhs = (2.0**q) ** (-(r1s + r2s - 0.5)) * 2.0 * sobolev_norm(f, r1s) * sobolev_norm(g, r2s)
-    ratios_lp = lhs[rhs > 0] / rhs[rhs > 0]
 
     # [Lambda^gamma, f] g with gamma = 1/2
     half = 0.5
-    comm2 = frac_laplacian(product(f, g), half).coef - product(f, frac_laplacian(g, half)).coef
+    comm2 = frac_laplacian(fg, half).coef - product(f, frac_laplacian(g, half)).coef
     lhs2 = SpectralField.from_coef(grid, comm2).l2_norm()
     rhs2 = lp_norm(frac_laplacian(f, sigma), p1) * lp_norm(riesz_potential(g, sigma - half), p2)
-    ratios_cm = lhs2[rhs2 > 0] / rhs2[rhs2 > 0]
-    rep_lp = BoundReport("commutator_shell", trials, float(np.max(ratios_lp)), ratios_lp)
-    rep_cm = BoundReport("commutator_frac", trials, float(np.max(ratios_cm)), ratios_cm)
-    return rep_lp, rep_cm
+    return report("commutator_shell", lhs, rhs), report("commutator_frac", lhs2, rhs2)
 
 
 def norm_equivalence_ratio(

@@ -55,10 +55,14 @@ exceeds it; the gap between the two indices keeps the rung from
 flickering.  A step's dt takes its scale from the rung it is taken on, its
 dx and dealiased xi_max, since a rung's state holds only that rung's band;
 so a coarse rung steps at its own CFL, and most of a blowup run's steps are
-coarse and long.  The sups that set dt or stop the run, sup|Lambda B|,
-sup|Lambda B_x| (and sup|B|), are read on the finest grid, from one inverse
-transform of the rung's coefficients onto its nodes; every (N/n)-th of them
-is a node of rung n, so it also gives the nonlinear term.  The rungs are
+coarse and long.  Each state takes one inverse transform of four rows of
+its rung's coefficients onto the finest grid's nodes: B_x, Lambda B,
+Lambda B_x, and B (full) or |xi| Lambda B = -B_xx (transport).  The sups
+that set dt or stop the run, sup|Lambda B|, sup|Lambda B_x| (and the full
+model's sup|B|), are read there, and so is the transport model's
+sup|B_xx|, which never binds dt and which the blowup characteristic
+reads; every (N/n)-th node is a node of rung n, so the same transform
+also gives the nonlinear term.  The rungs are
 chosen from |c_k|, which a translation leaves alone, so a translation by
 whole fine nodes stays an exact symmetry.  A datum that fills the band
 stays on N until its top third has decayed.
@@ -149,8 +153,10 @@ class _Ops:
         self.tail = 2 * (grid.cut - 1) // 3  # top third of the band 0 <= k < cut
         self.lin = params.mu * sobolev_weight(self.xi, params.alpha / 2.0)
         # dt <= cfl * scale / sup for sup|Lambda B|, sup|Lambda B_x| and, for
-        # the full model, sup|B|: a step's rate is the largest sup / scale
-        self.scale = np.array([grid.dx, 1.0, 2.0 / grid.xi_max_dealiased**2])[: 3 if params.kind == "full" else 2]
+        # the full model, sup|B|: a step's rate is the largest sup / scale;
+        # the transport model's third sup, sup|B_xx|, never binds
+        third = 2.0 / grid.xi_max_dealiased**2 if params.kind == "full" else math.inf
+        self.scale = np.array([grid.dx, 1.0, third])
         for a in (self.rows, self.lin, self.scale):
             a.flags.writeable = False
         self._factors: tuple = (None, math.nan, ())
@@ -184,6 +190,17 @@ class _Ops:
         out = self.grid.to_coef(prod)
         out[..., self.grid.cut :] = 0.0
         out[..., 0] = 0.0
+        return out
+
+    def stack(self, c: np.ndarray) -> np.ndarray:
+        """The four coefficient rows of a state whose one transform gives its
+        sups and its term: B_x, Lambda B, Lambda B_x, and B (full) or
+        |xi| Lambda B = -B_xx (transport), multiplied from row 1."""
+        out = np.empty((4, c.size), dtype=complex)
+        if self.params.kind == "full":
+            return np.multiply(self.rows, c, out=out)
+        np.multiply(self.rows[:3], c, out=out[:3])
+        np.multiply(self.rows[1], out[1], out=out[3])
         return out
 
     def nonlinear(self, c: np.ndarray, tau: float = 0.0) -> np.ndarray:
@@ -327,14 +344,31 @@ def _ifrk4_factors(lin: np.ndarray, dt: float):
 
 # A stepper advances c_t = nl(c, tau) - lin * c by dt from k1 = nl(c, 0), with
 # ``factors`` its scheme's build at (lin, dt); nl receives the stage's fraction
-# tau of the step (0, 1/2, 1/2, 1).
+# tau of the step (0, 1/2, 1/2, 1) and returns a new array, keeping no
+# reference to its argument, which IF-RK4 reuses.
 def _step_ifrk4(nl: Callable, c: np.ndarray, dt: float, k1: np.ndarray, factors: tuple):
+    # ec + dt/6 (e_full k1 + two_half (k2 + k3) + k4) with k2 = nl(e_half
+    # (c + dt/2 k1)), k3 = nl(e_half c + dt/2 k2) and k4 = nl(ec + dt_half
+    # k3), ec = e_full c: each product and sum in that operand order, into
+    # two reused temporaries u and v, so every bit is that expression's
     e_half, e_full, dt_half, two_half = factors
+    h = 0.5 * dt
     ec = e_full * c
-    k2 = nl(e_half * (c + 0.5 * dt * k1), 0.5)
-    k3 = nl(e_half * c + 0.5 * dt * k2, 0.5)
-    k4 = nl(ec + dt_half * k3, 1.0)
-    return ec + dt / 6.0 * (e_full * k1 + two_half * (k2 + k3) + k4)
+    u = np.multiply(h, k1)
+    np.add(c, u, out=u)
+    k2 = nl(np.multiply(e_half, u, out=u), 0.5)
+    v = np.multiply(h, k2)
+    np.multiply(e_half, c, out=u)
+    k3 = nl(np.add(u, v, out=u), 0.5)
+    np.multiply(dt_half, k3, out=v)
+    k4 = nl(np.add(ec, v, out=v), 1.0)
+    np.multiply(e_full, k1, out=u)
+    np.add(k2, k3, out=v)
+    np.multiply(two_half, v, out=v)
+    np.add(u, v, out=u)
+    np.add(u, k4, out=u)
+    np.multiply(dt / 6.0, u, out=u)
+    return np.add(ec, u, out=ec)
 
 
 def _step_etdrk4(nl: Callable, c: np.ndarray, dt: float, k1: np.ndarray, factors: tuple):
@@ -384,7 +418,7 @@ def snapshots(keep: Callable, cadence: int) -> Callable:
     ``cadence``-th state, the first included, and with the last state."""
     count = itertools.count()
 
-    def observe(t: float, ops: _Ops, c: np.ndarray, nl: np.ndarray, last: bool) -> None:
+    def observe(t: float, ops: _Ops, c: np.ndarray, nl: np.ndarray, sups: np.ndarray, last: bool) -> None:
         if next(count) % cadence == 0 or last:
             keep(t, c)
 
@@ -451,10 +485,13 @@ def evolve(
     docstring): each state is on the rung the ladder's rule picks for it,
     and step n starts from state n, on that rung.  Every accepted state,
     the last included, goes in order to one observer,
-    ``observe(t, ops, c, nl, last)``: its time, its rung's ``_Ops``, its
-    coefficients c and nonlinear term nl, each n/2 + 1 entries on a rung of
-    n modes, and whether it is the run's last state.  c and nl are
-    read-only, as the run steps on from them.  The result's ``observer_s``
+    ``observe(t, ops, c, nl, sups, last)``: its time, its rung's ``_Ops``,
+    its coefficients c and nonlinear term nl, each n/2 + 1 entries on a
+    rung of n modes, its sups on the finest nodes, and whether it is the
+    run's last state.  ``sups`` holds sup|Lambda B|, sup|Lambda B_x| and
+    the sup of the stack's row 3 (``_Ops.stack``): sup|B| (full) or
+    sup|B_xx| (transport).  c, nl and sups are read-only, as the run steps
+    on from them.  The result's ``observer_s``
     sums the wall time of these calls, so a consumer's cost is told apart
     from the steps' with no clock of its own.
 
@@ -474,7 +511,6 @@ def evolve(
     c[0] = 0.0  # zero-mean gauge, set once: every step keeps c[0] = 0 exactly
     ladder = _ladder(grid, params)
     rung = 0  # the index of the state's rung in ``ladder``
-    dispersive = params.kind == "full"
     t = gain = observer_s = 0.0
 
     times: list[float] = []  # of the snapshots in the table
@@ -517,10 +553,9 @@ def evolve(
         else:
             rung, c = _descend(ladder, rung, c, cap)
         ops = ladder[rung]
-        # one stack on the finest nodes: rows 0-3 are B_x, Lambda B,
-        # Lambda B_x and, for the dispersive bound, B; read at every (N/n)-th
-        # node, a node of the rung n, its rows give the state's nonlinear term
-        phys = grid.to_phys(ops.rows[: 4 if dispersive else 3] * c)
+        # one stack on the finest nodes; read at every (N/n)-th node, a node
+        # of the rung n, its rows give the state's nonlinear term
+        phys = grid.to_phys(ops.stack(c))
         # one max and one min pass over the stack: sup|x| = max(max x, -min x),
         # a NaN kept by both, and + 0.0 makes a zero field's -0.0 the 0.0 of |x|
         top = phys.max(axis=-1)
@@ -548,9 +583,9 @@ def evolve(
             termination = "cfl_collapse"
         else:
             termination = None
-        c.flags.writeable = nl.flags.writeable = False
+        c.flags.writeable = nl.flags.writeable = sups.flags.writeable = False
         start = time.perf_counter()
-        observer(t, ops, c, nl, termination is not None)
+        observer(t, ops, c, nl, sups, termination is not None)
         observer_s += time.perf_counter() - start
         if termination is not None:
             break

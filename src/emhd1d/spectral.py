@@ -32,7 +32,8 @@ with every xi_k >= 0.  The Nyquist term enters as conj(c_(N/2))
 exp(i pi N x / (2L)), the conjugate of its FFT-order term, so on a real
 field f's row the sum is f + i H f; ``evaluate_at`` is its real part.
 ``trig_blocks`` lays rows out once, weights applied, as zero-padded
-(rows, A, B) blocks with k = a B + b and B a power of two near sqrt(N/2).
+(rows, A, B) blocks with k = a B + b and B a power of two near sqrt(N/2),
+into a new array or one the caller reuses.
 A sum at a point then takes two short exponential tables, exp(i xi_(aB) x)
 and exp(i xi_b x), and two small matrix products, with no phase table.
 Like ``GridSpec.to_phys``, the layout reads a shorter row as zero-padded
@@ -299,26 +300,40 @@ def remove_mean(f: SpectralField) -> SpectralField:
     return SpectralField.from_coef(f.grid, c)
 
 
-def trig_blocks(grid: GridSpec, coef: np.ndarray) -> np.ndarray:
+def trig_blocks_shape(grid: GridSpec, shape: tuple) -> tuple:
+    """The shape of the layout ``trig_blocks`` makes of rows of ``shape``,
+    at most N/2 + 1 coefficients along the last axis: shape[:-1] + (A, B)."""
+    if shape[-1] > grid.n_modes // 2 + 1:
+        raise ValueError("coefficient rows are longer than N/2 + 1")
+    block = grid._trig_blocks[0]
+    return shape[:-1] + (-(-shape[-1] // block), block)
+
+
+def trig_blocks(grid: GridSpec, coef: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """Coefficient rows laid out once for ``trig_sums``.
 
     ``coef`` is one row of at most N/2 + 1 coefficients or a stack of rows,
     along the last axis; a row shorter than N/2 + 1 is read as zero-padded.
     Returns the weighted terms w_k c_k, the Nyquist one conjugated (module
     docstring), zero-padded to A B entries, as blocks of shape
-    coef.shape[:-1] + (A, B) with k = a B + b.
+    coef.shape[:-1] + (A, B) with k = a B + b (``trig_blocks_shape``).
+    Given ``out``, a C-contiguous array of that shape, the layout is
+    written there and ``out`` returned; every entry is written, so ``out``
+    may hold any earlier layout, of rows of another length too.
     """
+    shape = trig_blocks_shape(grid, coef.shape)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
     m, half = coef.shape[-1], grid.n_modes // 2
-    if m > half + 1:
-        raise ValueError("coefficient rows are longer than N/2 + 1")
-    block = grid._trig_blocks[0]
-    a = -(-m // block)
-    out = np.zeros(coef.shape[:-1] + (a * block,), dtype=complex)
-    np.multiply(coef, 2.0, out=out[..., :m])  # the pair weight, exact
-    out[..., 0] = coef[..., 0]  # k = 0 counts once
+    flat = out.reshape(coef.shape[:-1] + (-1,))  # a view: out is contiguous
+    np.multiply(coef, 2.0, out=flat[..., :m])  # the pair weight, exact
+    flat[..., m:] = 0.0
+    flat[..., 0] = coef[..., 0]  # k = 0 counts once
     if m == half + 1:
-        out[..., half] = np.conj(coef[..., half])  # the Nyquist term counts once, at +pi N / (2L)
-    return out.reshape(coef.shape[:-1] + (a, block))
+        flat[..., half] = np.conj(coef[..., half])  # the Nyquist term counts once, at +pi N / (2L)
+    return out
 
 
 def trig_sums(grid: GridSpec, blocks: np.ndarray, x: "float | np.ndarray") -> np.ndarray:

@@ -30,17 +30,18 @@ def padded(rows, half):
 
 class Recorder:
     """An observer of ``evolve`` that records every state it is handed: its
-    time, c and nonlinear term nl at its rung's length, the ``last`` flag,
-    and the rows Lambda B = |xi| c and d/dt Lambda B = |xi| (nl - lin c)
-    that a characteristic reads."""
+    time, c and nonlinear term nl at its rung's length, its sups, the
+    ``last`` flag, and the rows Lambda B = |xi| c and d/dt Lambda B =
+    |xi| (nl - lin c) that a characteristic reads."""
 
     def __init__(self):
-        self.t, self.c, self.nl, self.last, self.lam_b, self.lam_b_dot = [], [], [], [], [], []
+        self.t, self.c, self.nl, self.sups, self.last, self.lam_b, self.lam_b_dot = [], [], [], [], [], [], []
 
-    def __call__(self, t, ops, c, nl, last):
+    def __call__(self, t, ops, c, nl, sups, last):
         self.t.append(t)
         self.c.append(c)
         self.nl.append(nl)
+        self.sups.append(sups)
         self.last.append(last)
         self.lam_b.append(ops.rows[1] * c)
         self.lam_b_dot.append(ops.rows[1] * (nl - ops.lin * c))

@@ -251,24 +251,66 @@ class TestTrajectory:
         run = evolve(B0, params, cfg, lambda *state: states.append(state))
         rung = np.diff(run.diagnostics["n_modes"])
         assert np.any(rung > 0) if case == "etdrk4_climb" else np.any(rung < 0)
-        for x0 in (0.0, 1.3):
-            new, ref = Characteristic(B0.grid, x0), MultiplierRowCharacteristic(B0.grid, x0)
-            for state in states:
-                new(*state)
-                ref(*state)
-            traj, (X, _, bx, bxx, w, sup_bxx) = new.trajectory(), map(np.array, zip(*ref.rows))
-            assert np.array_equal(traj.sup_bxx, sup_bxx)
-            assert np.max(np.abs(traj.X - X)) <= 1e-13 * B0.grid.half_length
-            assert np.max(np.abs(traj.bx - bx) / np.abs(bx)) <= 1e-13
-            assert np.max(np.abs(traj.w - w) / np.abs(w)) <= 1e-13
-            # B_xx vanishes on the symmetric characteristic: relative to its sup
-            assert np.max(np.abs(traj.bxx - bxx) / sup_bxx) <= 1e-13
+        assert_matches_multiplier_rows(B0.grid, states, (0.0, 1.3))
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_single_mode_matches_multiplier_row_reference(self, scheme):
+        # B0 = -cos x on L = pi, x0 = pi/2, w0 = 1: the run starts on rung 16
+        # and climbs six times to 1024; rungs 16 and 32 lay rows of 9 and 17
+        # entries into the same one-block shape, so the slots must hold each
+        # state's own band however the layouts before them ran
+        g = GridSpec(np.pi, 1024)
+        d = BlowupDatum(SpectralField.from_function(g, lambda x: -np.cos(x)), np.pi / 2, 1.0)
+        d.validate()
+        states = []
+        blown, _ = run_blowup(g, datum=d, scheme=scheme)
+        run = evolve(d.B0, blown.params, blown.config, lambda *state: states.append(state))
+        rungs = run.diagnostics["n_modes"]
+        assert np.array_equal(rungs, blown.diagnostics["n_modes"])
+        assert rungs[0] == 16 and np.count_nonzero(np.diff(rungs)) == 6 and np.all(np.diff(rungs) >= 0)
+        assert [state[2].size for state in states[:2]] == [9, 17]  # its first step switches
+        assert_matches_multiplier_rows(g, states, (np.pi / 2, 1.3))
+
+    def test_one_stage_sum_for_both_states_of_a_step(self, monkeypatch):
+        # on the N = 2048 ETDRK4 reference run, 512 -> 1024 -> 2048, the
+        # characteristic makes no transform, and its trig_sums calls per
+        # state are 1 for the first, 4 on a step within a rung (one per
+        # stage point, both states' rows in one call, and one at the new X)
+        # and 6 on a step across a rung switch
+        d, blown = reference_run(2048, "etdrk4")
+        calls = {"trig_sums": 0, "to_phys": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            return wrapped
+
+        monkeypatch.setattr(blowup, "trig_sums", counted("trig_sums", trig_sums))
+        monkeypatch.setattr(GridSpec, "to_phys", counted("to_phys", GridSpec.to_phys))
+        ch, per_state, rungs = Characteristic(d.B0.grid, d.x0), [], []
+
+        def observe(t, ops, *rest):
+            before = dict(calls)
+            ch(t, ops, *rest)
+            per_state.append((calls["trig_sums"] - before["trig_sums"], calls["to_phys"] - before["to_phys"]))
+            rungs.append(ops.grid.n_modes)
+
+        run = evolve(d.B0, blown.params, blown.config, observe)
+        assert run.step_times.tolist() == blown.step_times.tolist()
+        assert sorted(set(rungs)) == [512, 1024, 2048]
+        expected = [1] + [4 if a == b else 6 for a, b in zip(rungs, rungs[1:])]
+        assert expected.count(6) == 2
+        assert per_state == [(n, 0) for n in expected]
+        assert np.array_equal(ch.trajectory().w, advect_trajectory(blown, d.x0).w)
 
     def test_pipeline_keeps_no_step_rows(self, traced_peak):
         # run_blowup, advect_trajectory and riccati_verdict at N = 4096 trace
-        # a 0.59 MB peak, and the 1 MB bound leaves 1.69x of margin; with
-        # Lambda B and d/dt Lambda B stored at each of the 178 states, the
-        # same calls traced 9.9 MB
+        # a 0.87 MB peak (0.78 MB before the characteristic kept its two
+        # slots and evolve's stack a fourth row), and the 1 MB bound leaves
+        # 1.14x of margin; with Lambda B and d/dt Lambda B stored at each of
+        # the 178 states, the same calls traced 9.9 MB
         g = GridSpec(6.0, 4096)
         d = make_reference_datum(g)
 
@@ -297,6 +339,23 @@ class TestTrajectory:
             advect_trajectory(blown, d.x0 + 1.3)
 
 
+def assert_matches_multiplier_rows(grid, states, x0s):
+    """``Characteristic`` against ``MultiplierRowCharacteristic`` on the
+    recorded ``states`` of a run on ``grid``, from each start in ``x0s``."""
+    for x0 in x0s:
+        new, ref = Characteristic(grid, x0), MultiplierRowCharacteristic(grid, x0)
+        for state in states:
+            new(*state)
+            ref(*state)
+        traj, (X, _, bx, bxx, w, sup_bxx) = new.trajectory(), map(np.array, zip(*ref.rows))
+        assert np.array_equal(traj.sup_bxx, sup_bxx)
+        assert np.max(np.abs(traj.X - X)) <= 1e-13 * grid.half_length
+        assert np.max(np.abs(traj.bx - bx) / np.abs(bx)) <= 1e-13
+        assert np.max(np.abs(traj.w - w) / np.abs(w)) <= 1e-13
+        # B_xx vanishes on the symmetric characteristic: relative to its sup
+        assert np.max(np.abs(traj.bxx - bxx) / sup_bxx) <= 1e-13
+
+
 def full_band_trig(grid, rows, x):
     """Real trig sums at one point with one complex exponential per stored
     mode, weights (1, 2, ..., 2, 1), and the Nyquist entry at its FFT-order
@@ -321,7 +380,7 @@ class MultiplierRowCharacteristic:
         self.mults = np.stack([np.ones_like(xi), m_bx, 1j * xi * m_bx, 1j * xi])
         self.grid, self.X, self.prev, self.rows = grid, x0, None, []
 
-    def __call__(self, t, ops, c, nl, last):
+    def __call__(self, t, ops, c, nl, sups, last):  # sup|B_xx| from its own transform, not sups
         grid, X = self.grid, self.X
         lam_b = ops.rows[1] * c
         lam_b_dot = ops.rows[1] * (nl - ops.lin * c)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emhd1d.lp import (
+    ROUNDOFF_FLOOR,
     LPCutoffs,
     cutoffs_for,
     bernstein_check,
@@ -246,25 +247,63 @@ def loop_bernstein(grid, trials, seed):
 
 
 def loop_commutator(grid, trials, seed):
-    """``commutator_check`` one field pair at a time, as ``loop_bernstein``."""
+    """``commutator_check`` one field pair at a time, as ``loop_bernstein``:
+    each report's ratios, and its count of trials whose commutator is at
+    most ``ROUNDOFF_FLOOR`` ||f g||_2."""
     rng = np.random.default_rng(seed)
     eps = 0.1
     p2 = 2.0 + eps
     p1 = 1.0 / (0.5 - 1.0 / p2)
-    ratios_lp, ratios_cm = [], []
+    ratios_lp, ratios_cm, vanished = [], [], [0, 0]
     for _ in range(trials):
         f = random_band_limited(grid, rng)
         g = random_band_limited(grid, rng)
         q = int(rng.integers(0, cutoffs_for(grid).q_max))
+        floor = ROUNDOFF_FLOOR * product(f, g).l2_norm()
         comm = project_shell(product(f, g), q).coef - product(f, project_shell(g, q)).coef
         rhs = (2.0**q) ** (-(0.5 + (-0.5 + eps) - 0.5)) * 2.0 * sobolev_norm(f, 0.5) * sobolev_norm(g, -0.5 + eps)
-        if rhs > 0:
-            ratios_lp.append(SpectralField.from_coef(grid, comm).l2_norm() / rhs)
         comm2 = frac_laplacian(product(f, g), 0.5).coef - product(f, frac_laplacian(g, 0.5)).coef
         rhs2 = lp_norm(frac_laplacian(f, 1.0 - eps), p1) * lp_norm(riesz_potential(g, 0.5 - eps), p2)
-        if rhs2 > 0:
-            ratios_cm.append(SpectralField.from_coef(grid, comm2).l2_norm() / rhs2)
-    return ratios_lp, ratios_cm
+        for i, (c, r, out) in enumerate(((comm, rhs, ratios_lp), (comm2, rhs2, ratios_cm))):
+            lhs = SpectralField.from_coef(grid, c).l2_norm()
+            if lhs <= floor:
+                vanished[i] += 1
+            elif r > 0:
+                out.append(lhs / r)
+    return ratios_lp, ratios_cm, vanished
+
+
+def full_spectrum(coef, K):
+    """A half-layout row, Nyquist entry dropped, as its full spectrum
+    k = -K ... K in extended precision."""
+    out = np.zeros(2 * K + 1, dtype=np.clongdouble)
+    m = coef.size - 1
+    out[K : K + m] = coef[:m]
+    out[K - np.arange(1, m)] = np.conj(coef[1:m])
+    return out
+
+
+def exact_shell_commutators(grid, trials, seed):
+    """Each trial's shell ratio, ||[Delta_q, f] g||_2 and ||f g||_2 as
+    ``commutator_check`` draws it, the commutator summed mode by mode,
+    sum_j f_j g_(k-j) (w_k - w_(k-j)), by a direct convolution in extended
+    precision and truncated from ``grid.cut`` up: no FFT and no float64
+    sum.  The ratio's bound is the harness's."""
+    rng = np.random.default_rng(seed)
+    K = grid.n_modes // 2
+    kept = np.abs(np.arange(-K, K + 1)) < grid.cut
+    rows = []
+    for _ in range(trials):
+        f, g = random_band_limited(grid, rng), random_band_limited(grid, rng)
+        q = int(rng.integers(0, cutoffs_for(grid).q_max))
+        fe, ge = full_spectrum(f.coef, K), full_spectrum(g.coef, K)
+        w = full_spectrum(cutoffs_for(grid).weight(q).astype(complex), K).real
+        prod = np.convolve(fe, ge)[K : 3 * K + 1] * kept
+        comm = (w * prod - np.convolve(fe, w * ge)[K : 3 * K + 1]) * kept
+        lhs, fg = (np.sqrt(2.0 * grid.half_length * np.sum(np.abs(a) ** 2)) for a in (comm, prod))
+        rhs = (2.0**q) ** 0.4 * 2.0 * sobolev_norm(f, 0.5) * sobolev_norm(g, -0.4)
+        rows.append((float(lhs / rhs), float(lhs), float(fg)))
+    return np.array(rows).T
 
 
 # The harnesses' outputs at N = 512, seed 1001 (50 Bernstein trials, 20
@@ -343,10 +382,31 @@ class TestStackedHarnesses:
         # the commutator's right-hand sides take powers of arrays (see
         # TestStacks), so its ratios are held to 4 ulp; here they are exact
         c1, c2 = commutator_check(grid, trials=20, seed=seed)
-        for rep, ref in zip((c1, c2), loop_commutator(grid, 20, seed)):
+        *refs, vanished = loop_commutator(grid, 20, seed)
+        for rep, ref in zip((c1, c2), refs):
             np.testing.assert_array_max_ulp(rep.ratios, np.array(ref), maxulp=4)
             np.testing.assert_array_max_ulp(rep.max_ratio, max(ref), maxulp=4)
         assert (b1.trials, c1.trials) == (50, 20)
+        assert [c1.vanished, c2.vanished] == vanished == [0, 0]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_only_roundoff_commutators_are_counted(self, n):
+        # against a direct convolution in extended precision: at N = 512
+        # every shell commutator is a true value, down to 2e-11 of its
+        # bound, and at N = 1024 the trials whose shell lies above the band
+        # of f g read only roundoff; the floor counts exactly those, and
+        # every ratio it keeps holds to 1e-6 relative (3.8e-9 measured)
+        grid = GridSpec(np.pi, n)
+        c1, c2 = commutator_check(grid, trials=20, seed=1001)
+        *refs, vanished = loop_commutator(grid, 20, 1001)
+        ratio, exact, fg = exact_shell_commutators(grid, 20, 1001)
+        counted = exact <= ROUNDOFF_FLOOR * fg
+        assert c1.vanished == vanished[0] == np.count_nonzero(counted) == (0 if n == 512 else 2)
+        assert c2.vanished == vanished[1] == 0 and c2.ratios.size == 20
+        np.testing.assert_array_max_ulp(c1.ratios, np.array(refs[0]), maxulp=4)
+        np.testing.assert_allclose(c1.ratios, ratio[~counted], rtol=1e-6, atol=0.0)
+        np.testing.assert_array_max_ulp(c1.max_ratio, max(refs[0]), maxulp=4)
 
     def test_pinned_outputs(self, grid):
         # exact on the host the pins were taken on; a host whose numpy takes

@@ -525,7 +525,7 @@ class TestEvolve:
     def test_observer_s_times_the_observer_calls(self, grid):
         # an observer that sleeps 1 ms per state: observer_s sums at least
         # those sleeps and stays below the run's own wall time
-        def sleepy(t, ops, c, nl, last):
+        def sleepy(t, ops, c, nl, sups, last):
             time.sleep(1e-3)
 
         p = ModelParams(kind="full", mu=1.0, alpha=2.0)
@@ -729,14 +729,15 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kind", ["full", "transport"])
     def test_sups_reuse_the_nonlinear_transforms(self, monkeypatch, kind):
-        # every state, on any rung, takes one stack onto the finest nodes,
-        # rows[:4] (full) or rows[:3] (transport), for its sups and its
-        # nonlinear term k1; nonlinear is called by the three later stages of
-        # each step only, each transforming rows[:4] or rows[:2] on the rung
+        # every state, on any rung, takes one stack of four rows onto the
+        # finest nodes, rows[:4] (full) or rows[:3] and |xi| times row 1
+        # (transport), for its sups and its nonlinear term k1; nonlinear is
+        # called by the three later stages of each step only, each
+        # transforming rows[:4] or rows[:2] on the rung
         g = GridSpec(np.pi, 64)
         p = ModelParams(kind=kind, mu=1.0, alpha=1.5)
         ops = _ops(g, p)
-        nl_rows, state_rows = (4, 4) if kind == "full" else (2, 3)
+        nl_rows, state_rows = (4, 4) if kind == "full" else (2, 4)
         B0 = small_datum(g, amp=1.0)
         nonlinear_calls, stepped = [], []
         nonlinear = solver._Ops.nonlinear

@@ -16,6 +16,7 @@ from emhd1d.spectral import (
     riesz_potential,
     sobolev_weight,
     trig_blocks,
+    trig_blocks_shape,
     trig_sums,
 )
 
@@ -584,6 +585,26 @@ class TestRealTransforms:
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(c[:m]))
         with pytest.raises(ValueError):
             trig_blocks(grid, np.zeros(h + 2, dtype=complex))
+
+    def test_layout_into_out_writes_every_entry(self, case):
+        # a layout into a reused array is bitwise a fresh one, whatever the
+        # array held: NaNs, or the layout of a longer row of the same shape
+        grid, _, samples = case
+        h, block = grid.n_modes // 2, grid._trig_blocks[0]
+        rows = grid.to_coef(samples)
+        for m in sorted({1, block - 1, block, h // 2 + 1, h + 1}):
+            fresh = trig_blocks(grid, rows[:, :m])
+            assert fresh.shape == trig_blocks_shape(grid, rows[:, :m].shape)
+            for fill in (np.nan, None):
+                out = np.full(fresh.shape, np.nan, dtype=complex)
+                if fill is None:  # the longest row of this shape laid out first
+                    trig_blocks(grid, rows[:, : min(fresh.shape[-2] * block, h + 1)], out=out)
+                assert trig_blocks(grid, rows[:, :m], out=out) is out
+                assert out.tobytes() == fresh.tobytes()
+        shape = trig_blocks_shape(grid, rows.shape)
+        for wrong in (np.empty(shape[1:], dtype=complex), np.empty(shape[:-1] + (2 * block,), dtype=complex)[..., ::2]):
+            with pytest.raises(ValueError):
+                trig_blocks(grid, rows, out=wrong)
 
     def test_batched_transforms_match_row_by_row(self, case):
         grid, _, samples = case
